@@ -1,12 +1,12 @@
 """Simulated GUI IM client (think MSN Messenger driven via automation).
 
-The client logs an address on to an :class:`~repro.net.im.IMService`, pumps
-incoming IMs from the network session into an application-visible queue, and
-exposes send/receive/status calls through the automation guard.  Its failure
-behaviour matches the paper's observations: a spurious server-side logout is
-fixed by re-logon; a hang freezes the pump (messages arriving meanwhile are
-lost — the client ate them without showing them); killing the client drops
-the session and invalidates all pointers.
+The client logs an address on to an :class:`~repro.net.im.IMService`,
+surfaces IMs arriving on the network session in an application-visible
+queue, and exposes send/receive/status calls through the automation guard.
+Its failure behaviour matches the paper's observations: a spurious
+server-side logout is fixed by re-logon; a hung client surfaces nothing
+(messages arriving meanwhile are lost — the client ate them without showing
+them); killing the client drops the session and invalidates all pointers.
 """
 
 from __future__ import annotations
@@ -58,11 +58,22 @@ class IMClient(ClientSoftware):
     def logon(self, handle: AutomationHandle) -> None:
         """Log on to the IM server (raises ChannelUnavailable during outages)."""
         self.guard(handle)
-        self._session = self.service.login(self.address)
-        self.env.process(
-            self._pump(self._session, self.generation),
-            name=f"{self.name}-pump",
-        )
+        self._session = session = self.service.login(self.address)
+        generation = self.generation
+
+        def surface(message: IMMessage) -> None:
+            """Move an arriving IM to the app-visible queue.
+
+            One hook per (session, client-instance).  A message arriving
+            while the client is hung is swallowed without being surfaced —
+            the UI froze mid-processing.
+            """
+            if not self.running or self.generation != generation:
+                session.hook = None  # client died; message is gone with it
+            elif not self.hung:
+                self.incoming.put(message)
+
+        session.hook = surface
 
     def logoff(self, handle: AutomationHandle) -> None:
         self.guard(handle)
@@ -114,26 +125,3 @@ class IMClient(ClientSoftware):
     def pending_incoming(self) -> int:
         """Messages surfaced but not yet consumed by the driving app."""
         return len(self.incoming)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _pump(self, session: IMSession, generation: int):
-        """Move IMs from the network session to the app-visible queue.
-
-        One pump per (session, client-instance); it exits when either dies.
-        A message received while the client is hung is swallowed without
-        being surfaced — the UI froze mid-processing.
-        """
-        while (
-            self.running
-            and self.generation == generation
-            and session.active
-        ):
-            message = yield session.receive()
-            if not self.running or self.generation != generation:
-                return  # client died mid-receive; message is gone with it
-            if self.hung:
-                continue  # swallowed by the frozen UI
-            yield self.incoming.put(message)

@@ -81,6 +81,8 @@ class Alert:
 
     @staticmethod
     def _unescape(value: str) -> str:
+        if "\\" not in value:
+            return value
         out: list[str] = []
         it = iter(value)
         for char in it:

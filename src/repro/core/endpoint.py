@@ -361,6 +361,6 @@ class SimbaEndpoint:
                 # alert may arrive twice; incoming dedup handles that.
                 if rspan is not None:
                     rspan.annotations["ack_failed"] = True
-        yield self.alert_inbox.put(incoming)
+        self.alert_inbox.put(incoming)
         if rspan is not None:
             tracer.end(rspan, "enqueued")

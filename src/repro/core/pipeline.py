@@ -411,7 +411,7 @@ class RetryStage(PipelineStage):
                 ctx.trace_span.span_id if ctx.trace_span is not None else None
             ),
         )
-        yield ctx.endpoint.alert_inbox.put(retry)
+        ctx.endpoint.alert_inbox.put(retry)
 
 
 def default_stages(admission: bool = False) -> list[PipelineStage]:

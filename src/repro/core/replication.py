@@ -701,7 +701,7 @@ class FailoverController:
         )
         if span is not None:
             incoming.trace_parent = span.span_id
-        yield deployment.endpoint.alert_inbox.put(incoming)
+        deployment.endpoint.alert_inbox.put(incoming)
         if span is not None:
             tracer.end(span, "landed", epoch=active.epoch)
 

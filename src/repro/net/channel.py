@@ -7,7 +7,7 @@ fault injector can toggle to create outages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -79,7 +79,13 @@ class ChannelStats:
 
 
 class ChannelBase:
-    """Availability and outage handling common to all channels."""
+    """Availability, outages, the adversary and message transit, common to
+    all channels.  A substrate sets ``rng``, ``latency`` and
+    ``loss_probability`` and hands :meth:`transit` its ``arrive`` step."""
+
+    rng: np.random.Generator
+    latency: LatencyModel
+    loss_probability: float
 
     def __init__(self, env: "Environment", name: str):
         self.env = env
@@ -179,6 +185,66 @@ class ChannelBase:
     ) -> tuple[float, int, bool]:
         """Draw this send's (extra delay, extra copies, corrupt flag)."""
         return draw_effects(self.adversary, rng, self.adversary_stats, copy)
+
+    def transit(
+        self,
+        message,
+        arrive: Callable[[object], bool],
+        duplicate: bool = False,
+    ) -> None:
+        """Put ``message`` in flight: one timer, no process.
+
+        Draws the adversary effects, then the latency, and arms the transit
+        timer; :meth:`_arrival` runs as its callback.  ``arrive(message)``
+        is the substrate's hand-off (session / mailbox / phone lookup and a
+        plain ``Store.put``) and returns False when there is nowhere to
+        deliver.  Adversarial duplicates re-enter here with their own
+        latency, reorder and corruption draws — from one zero-delay event,
+        so they draw after the parent and behind every other send of the
+        same instant, which keeps adversarial seeds' RNG order.
+        """
+        extra_delay, extra_copies, corrupt = self._adversary_effects(
+            self.rng, copy=duplicate
+        )
+        timer = self.env.timeout(
+            self.latency.draw(self.rng) + extra_delay,
+            (message, arrive, corrupt, duplicate),
+        )
+        timer.callbacks.append(self._arrival)
+        if extra_copies:
+            launch = self.env.event()
+            launch.callbacks.append(self._launch_copies)
+            launch.succeed((message, arrive, extra_copies))
+
+    def _launch_copies(self, launch) -> None:
+        message, arrive, copies = launch.value
+        for _ in range(copies):
+            self.transit(replace(message), arrive, duplicate=True)
+
+    def _arrival(self, timer) -> None:
+        message, arrive, corrupt, duplicate = timer.value
+        lost = bool(
+            self.loss_probability
+            and self.rng.random() < self.loss_probability
+        )
+        if corrupt:
+            message = replace(message, corrupt=True)
+        if lost or not arrive(message):
+            # Loss draw, or nowhere to put it at arrival time: the recipient
+            # logged out, the phone left coverage or the service died while
+            # the message was in flight.
+            if not duplicate:
+                self.stats.lost += 1
+                if self.env.tracer is not None:
+                    self._trace_transit(message, "lost")
+        elif duplicate:
+            # Duplicate copies ride the adversary counters only, keeping
+            # the primary stream's submitted == delivered + lost exact.
+            self.adversary_stats.duplicates_delivered += 1
+        else:
+            self.stats.record_delivery(self.env.now - message.created_at)
+            if self.env.tracer is not None:
+                self._trace_transit(message, "delivered")
 
     def _require_available(self) -> None:
         if not self.available:

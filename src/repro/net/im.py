@@ -13,8 +13,8 @@ exactly as the paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -46,8 +46,10 @@ class IMSession:
     """A logged-in connection for one address.
 
     The session owns an inbox :class:`Store`; receiving is ``yield
-    session.receive()``.  A force-logout (outage, server recovery, injected
-    fault) invalidates the session: subsequent sends raise
+    session.receive()``.  An owner that surfaces IMs itself (the GUI
+    client) installs :attr:`hook` instead, and arriving IMs are handed to
+    it rather than queued.  A force-logout (outage, server recovery,
+    injected fault) invalidates the session: subsequent sends raise
     :class:`~repro.errors.NotLoggedInError`-adjacent channel errors and
     pending messages are dropped.
     """
@@ -56,6 +58,8 @@ class IMSession:
         self.service = service
         self.address = address
         self.inbox: Store = Store(service.env)
+        #: Delivery hook, called at arrival time in place of the inbox put.
+        self.hook: Optional[Callable[["IMMessage"], None]] = None
         self.active = True
         self._next_seq = 1
 
@@ -192,48 +196,20 @@ class IMService(ChannelBase):
             seq=session.allocate_seq(),
         )
         self.stats.submitted += 1
-        self.env.process(self._deliver(message), name=f"im-deliver-{message.seq}")
+        self.transit(message, self._arrive)
         return message
 
-    def _deliver(self, message: IMMessage, duplicate: bool = False):
-        # Transit time rides on a scope-owned timer so an interrupted
-        # delivery process never leaves its in-flight entry queued.
-        extra_delay, extra_copies, corrupt = self._adversary_effects(
-            self.rng, copy=duplicate
-        )
-        for index in range(extra_copies):
-            self.env.process(
-                self._deliver(replace(message), duplicate=True),
-                name=f"im-dup-{message.seq}-{index}",
-            )
-        with self.env.timers() as timers:
-            yield timers.acquire(self.latency.draw(self.rng) + extra_delay)
-        if self.loss_probability and self.rng.random() < self.loss_probability:
-            if not duplicate:
-                self.stats.lost += 1
-                if self.env.tracer is not None:
-                    self._trace_transit(message, "lost")
-            return
+    def _arrive(self, message: IMMessage) -> bool:
         target = self._sessions.get(message.recipient)
         if target is None or not self.available:
             # Recipient logged out (or service died) while the IM was in
             # flight; synchronous IM has nowhere to park it.
-            if not duplicate:
-                self.stats.lost += 1
-                if self.env.tracer is not None:
-                    self._trace_transit(message, "lost")
-            return
-        if corrupt:
-            message = replace(message, corrupt=True)
-        yield target.inbox.put(message)
-        if duplicate:
-            # Duplicate copies ride the adversary counters only, keeping
-            # the primary stream's submitted == delivered + lost exact.
-            self.adversary_stats.duplicates_delivered += 1
-            return
-        self.stats.record_delivery(self.env.now - message.created_at)
-        if self.env.tracer is not None:
-            self._trace_transit(message, "delivered")
+            return False
+        if target.hook is not None:
+            target.hook(message)
+        else:
+            target.inbox.put(message)
+        return True
 
     # ------------------------------------------------------------------
     # Outages

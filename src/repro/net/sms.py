@@ -10,7 +10,7 @@ address at MyAlertBuddy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -96,43 +96,12 @@ class SMSGateway(ChannelBase):
             correlation=correlation,
         )
         self.stats.submitted += 1
-        self.env.process(
-            self._deliver(message), name=f"sms-deliver-{message.message_id}"
-        )
+        self.transit(message, self._arrive)
         return message
 
-    def _deliver(self, message: SMSMessage, duplicate: bool = False):
-        # Transit time rides on a scope-owned timer so an interrupted
-        # delivery process never leaves its in-flight entry queued.
-        extra_delay, extra_copies, corrupt = self._adversary_effects(
-            self.rng, copy=duplicate
-        )
-        for index in range(extra_copies):
-            self.env.process(
-                self._deliver(replace(message), duplicate=True),
-                name=f"sms-dup-{message.message_id}-{index}",
-            )
-        with self.env.timers() as timers:
-            yield timers.acquire(self.latency.draw(self.rng) + extra_delay)
+    def _arrive(self, message: SMSMessage) -> bool:
         phone = self.phone(message.recipient)
         if not phone.reachable:
-            if not duplicate:
-                self.stats.lost += 1
-                if self.env.tracer is not None:
-                    self._trace_transit(message, "lost")
-            return
-        if self.loss_probability and self.rng.random() < self.loss_probability:
-            if not duplicate:
-                self.stats.lost += 1
-                if self.env.tracer is not None:
-                    self._trace_transit(message, "lost")
-            return
-        if corrupt:
-            message = replace(message, corrupt=True)
-        yield phone.inbox.put(message)
-        if duplicate:
-            self.adversary_stats.duplicates_delivered += 1
-            return
-        self.stats.record_delivery(self.env.now - message.created_at)
-        if self.env.tracer is not None:
-            self._trace_transit(message, "delivered")
+            return False
+        phone.inbox.put(message)
+        return True

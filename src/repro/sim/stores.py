@@ -16,6 +16,8 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
 
+_UNBOUNDED = float("inf")
+
 
 class StorePut(Event):
     """Event for a pending put; triggers when the item is accepted."""
@@ -52,7 +54,7 @@ class StoreGet(Event):
 class Store:
     """FIFO item store with optional capacity and filtered gets."""
 
-    def __init__(self, env: "Environment", capacity: float = float("inf")):
+    def __init__(self, env: "Environment", capacity: float = _UNBOUNDED):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity!r}")
         self.env = env
@@ -67,6 +69,13 @@ class Store:
     def put(self, item: Any) -> StorePut:
         """Add ``item``; the returned event triggers once it is stored."""
         event = StorePut(self, item)
+        if self.capacity == _UNBOUNDED:
+            # An unbounded store can never queue a putter: accept now.
+            self.items.append(item)
+            event.succeed()
+            if self._getters:
+                self._serve_getters()
+            return event
         self._putters.append(event)
         self._dispatch()
         return event
@@ -96,29 +105,38 @@ class Store:
         return dropped
 
     def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
+        while True:
             # Accept puts while there is room.
             while self._putters and len(self.items) < self.capacity:
                 put = self._putters.popleft()
                 self.items.append(put.item)
                 put.succeed()
-                progress = True
-            # Satisfy getters in arrival order; a filtered getter only
-            # consumes the first item that matches its predicate.
-            pending: deque[StoreGet] = deque()
-            while self._getters:
-                get = self._getters.popleft()
-                index = self._find(get.predicate)
-                if index is None:
-                    pending.append(get)
-                    continue
-                item = self.items[index]
-                del self.items[index]
-                get.succeed(item)
-                progress = True
-            self._getters = pending
+            # Only a slot freed by a getter can unblock a queued putter.
+            if not (self._serve_getters() and self._putters):
+                return
+
+    def _serve_getters(self) -> bool:
+        """Satisfy getters in arrival order; a filtered getter only
+        consumes the first item that matches its predicate.  Returns
+        whether any getter was served."""
+        getters = self._getters
+        items = self.items
+        served = False
+        skipped: list[StoreGet] = []
+        while getters and items:
+            get = getters.popleft()
+            index = self._find(get.predicate)
+            if index is None:
+                skipped.append(get)
+                continue
+            item = items[index]
+            del items[index]
+            get.succeed(item)
+            served = True
+        if skipped:
+            # Filtered-out getters keep their place ahead of the rest.
+            getters.extendleft(reversed(skipped))
+        return served
 
     def _find(self, predicate: Optional[Callable[[Any], bool]]) -> Optional[int]:
         if predicate is None:

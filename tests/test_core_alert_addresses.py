@@ -43,6 +43,35 @@ class TestAlert:
         assert decoded.created_at == alert.created_at
         assert decoded.severity == alert.severity
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "plain subject",  # no backslash: returned untouched
+            "back\\slash",
+            "two\nlines",
+            "carriage\rreturn",
+            "literal \\n is not a newline",
+            "ends with a backslash\\",
+            "\\\n\r\\",
+        ],
+    )
+    def test_header_values_roundtrip_escapes(self, value):
+        alert = make_alert(subject=value, keyword=value, source=value)
+        decoded = Alert.decode(alert.encode())
+        assert decoded.subject == value
+        assert decoded.keyword == value
+        assert decoded.source == value
+        assert decoded.body == alert.body
+
+    def test_unescape_branches(self):
+        untouched = "no escapes here"
+        assert Alert._unescape(untouched) is untouched
+        assert Alert._unescape("a\\nb\\rc\\\\d") == "a\nb\rc\\d"
+        # A lone trailing backslash (never produced by _escape) is dropped,
+        # an unknown escape keeps the escaped character.
+        assert Alert._unescape("tail\\") == "tail"
+        assert Alert._unescape("\\x") == "x"
+
     def test_decode_rejects_non_alert(self):
         with pytest.raises(ValueError):
             Alert.decode("just an ordinary message")

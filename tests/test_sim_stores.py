@@ -1,8 +1,12 @@
 """Unit tests for Store (FIFO mailboxes)."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.sim import Environment, Store
+from repro.sim.stores import StorePut
 
 
 def test_put_then_get_fifo_order():
@@ -231,3 +235,102 @@ def test_interrupted_putter_withdraws_item():
     env.run(until=done)
     # The withdrawn put never landed even after capacity freed up.
     assert list(store.items) == []
+
+
+def test_mixed_filtered_getters_keep_their_place():
+    env = Environment()
+    store = Store(env)
+    served = []
+
+    def waiter(tag, predicate=None):
+        store.get(predicate).callbacks.append(
+            lambda event: served.append((tag, event.value))
+        )
+
+    waiter("even", lambda x: x % 2 == 0)
+    waiter("any-1")
+    waiter("big", lambda x: x > 10)
+    waiter("any-2")
+    store.put(1)   # "even" and nothing else passes it over: any-1 takes it
+    store.put(3)   # skips "even" and "big", which stay ahead of any-2
+    store.put(12)  # both filters match; "even" queued first
+    store.put(20)
+    waiter("late")
+    store.put(5)
+    env.run()
+    assert served == [
+        ("any-1", 1), ("any-2", 3), ("even", 12), ("big", 20), ("late", 5),
+    ]
+    assert len(store) == 0
+
+
+class _ReferenceStore(Store):
+    """The dispatch loop as it was before the unbounded fast path: every
+    put queues a putter, every pass rebuilds the getter queue."""
+
+    def put(self, item):
+        event = StorePut(self, item)
+        self._putters.append(event)
+        self._dispatch()
+        return event
+
+    def _dispatch(self):
+        progress = True
+        while progress:
+            progress = False
+            while self._putters and len(self.items) < self.capacity:
+                put = self._putters.popleft()
+                self.items.append(put.item)
+                put.succeed()
+                progress = True
+            pending = deque()
+            while self._getters:
+                get = self._getters.popleft()
+                index = self._find(get.predicate)
+                if index is None:
+                    pending.append(get)
+                    continue
+                item = self.items[index]
+                del self.items[index]
+                get.succeed(item)
+                progress = True
+            self._getters = pending
+
+
+@pytest.mark.parametrize("capacity", [float("inf"), 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_put_get_order_matches_reference_dispatch(seed, capacity):
+    predicates = [
+        None, lambda x: x % 2 == 0, lambda x: x % 3 == 0, lambda x: x > 50,
+    ]
+
+    def drive(store_class):
+        rng = random.Random(seed)
+        env = Environment()
+        store = store_class(env, capacity=capacity)
+        log = []
+
+        def note(kind, tag):
+            return lambda event: log.append((kind, tag, event.value, env.now))
+
+        def script(env):
+            for step in range(120):
+                roll = rng.random()
+                if roll < 0.45:
+                    store.put(rng.randrange(100)).callbacks.append(
+                        note("put", step)
+                    )
+                elif roll < 0.9:
+                    store.get(rng.choice(predicates)).callbacks.append(
+                        note("get", step)
+                    )
+                elif roll < 0.95:
+                    store.put_front(rng.randrange(100))
+                else:
+                    yield env.timeout(1.0)
+
+        env.process(script(env))
+        env.run()
+        return log, list(store.items), len(store._getters), len(store._putters)
+
+    assert drive(Store) == drive(_ReferenceStore)
