@@ -8,87 +8,58 @@ Usage::
     python -m repro trace --reproducer <pinned.json>
                                    # replay traced; dump one alert's span
                                    # tree + latency attribution
+
+:data:`EXPERIMENTS` is the one experiment index: id → claim, how to run
+it, how to render the result, and which flags it understands.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
+from repro import experiments as ex
+from repro import metrics
+from repro.experiments.fault_tolerance import run_logging_window
 from repro.metrics.reports import format_table
+from repro.testkit.parallel import sweep_pool
 
 
-def _e1(seed: int) -> str:
-    from repro.experiments import run_im_one_way
+@dataclass(frozen=True)
+class Experiment:
+    """One row of the experiment index."""
 
-    summary = run_im_one_way(n_alerts=300, seed=seed)
-    return format_table(
-        ["metric", "paper", "measured"],
-        [
-            ["one-way IM, median", "< 1 s", f"{summary.median:.2f} s"],
-            ["one-way IM, p90", "< 1 s", f"{summary.p90:.2f} s"],
-        ],
-        title="E1: one-way IM delivery (source -> MyAlertBuddy)",
-    )
-
-
-def _e2(seed: int) -> str:
-    from repro.experiments import run_ack_roundtrip
-
-    summary = run_ack_roundtrip(n_alerts=300, seed=seed)
-    return format_table(
-        ["metric", "paper", "measured"],
-        [["ack round trip, mean", "~1.5 s", f"{summary.mean:.2f} s"]],
-        title="E2: logged-ack round trip",
-    )
+    claim: str
+    #: ``run(seed=..., **flags)`` → result; ``render(result)`` → report.
+    run: Callable[..., object]
+    render: Callable[[object], str]
+    #: Flags understood besides ``--seed``; any other is a usage error.
+    #: ``jobs`` is not passed to ``run``: it sizes the worker pool the run
+    #: happens inside.
+    flags: tuple[str, ...] = ()
+    #: Part of ``python -m repro all``.
+    in_all: bool = False
 
 
-def _e3(seed: int) -> str:
-    from repro.experiments import run_proxy_routing
+def _paper_table(title: str, *rows: tuple[str, str, str]):
+    """Renderer for a paper-vs-measured table: each row is (metric, the
+    paper's value, a format string applied to the result)."""
 
-    summary = run_proxy_routing(n_changes=120, seed=seed)
-    return format_table(
-        ["metric", "paper", "measured"],
-        [["proxy -> MAB -> user, mean", "~2.5 s", f"{summary.mean:.2f} s"]],
-        title="E3: proxy change to user IM",
-    )
+    def render(result) -> str:
+        return format_table(
+            ["metric", "paper", "measured"],
+            [[metric, paper, measured.format(result)]
+             for metric, paper, measured in rows],
+            title=title,
+        )
 
-
-def _e4(seed: int) -> str:
-    from repro.experiments import run_aladdin_disarm
-
-    result = run_aladdin_disarm(n_presses=60, seed=seed)
-    return format_table(
-        ["metric", "paper", "measured"],
-        [
-            ["remote press -> user IM, mean", "~11 s",
-             f"{result.end_to_end.mean:.2f} s"],
-            ["home chain", "—", f"{result.press_to_gateway_alert.mean:.2f} s"],
-            ["SIMBA leg", "—", f"{result.simba_delivery.mean:.2f} s"],
-        ],
-        title="E4: Aladdin end-to-end",
-    )
+    return render
 
 
-def _e5(seed: int) -> str:
-    from repro.experiments import run_wish_location
-
-    result = run_wish_location(n_moves=60, seed=seed)
-    return format_table(
-        ["metric", "paper", "measured"],
-        [
-            ["laptop report -> subscriber IM, mean", "~5 s",
-             f"{result.report_to_im.mean:.2f} s"],
-            ["mean confidence", "%", f"{result.mean_confidence:.1f} %"],
-        ],
-        title="E5: WISH location alert",
-    )
-
-
-def _e6(seed: int) -> str:
-    from repro.experiments import run_fault_month
-
-    result = run_fault_month(seed=seed)
+def _e6_table(result) -> str:
     fault_triggered = result.mdc_restarts - result.rejuvenations
     return format_table(
         ["category", "paper", "measured"],
@@ -106,26 +77,7 @@ def _e6(seed: int) -> str:
     )
 
 
-def _e7(seed: int) -> str:
-    from repro.experiments import run_portal_log
-
-    result = run_portal_log(seed=seed, full_scale_days=2)
-    return format_table(
-        ["metric", "paper", "measured"],
-        [
-            ["alerts/day", "~778,000", f"{result.mean_alerts_per_day:,.0f}"],
-            ["recipients/day", "~225,000", f"{result.mean_users_per_day:,.0f}"],
-            ["replay delivery ratio", "—",
-             f"{result.replay_delivery_ratio:.3f}"],
-        ],
-        title="E7: portal usage-log scale",
-    )
-
-
-def _e8(seed: int) -> str:
-    from repro.experiments import run_comparison
-
-    result = run_comparison(seed=seed)
+def _e8_table(result) -> str:
     rows = [
         [m.name, f"{m.delivery_ratio:.3f}", f"{m.critical_on_time_ratio:.3f}",
          f"{m.messages_per_alert:.2f}", f"{m.latency.median:.1f} s"]
@@ -139,71 +91,152 @@ def _e8(seed: int) -> str:
     )
 
 
-def _e9(seed: int) -> str:
-    from repro.experiments import run_ha_ablation
-    from repro.experiments.fault_tolerance import run_logging_window
-
-    month = run_ha_ablation(seed=seed)
+def _run_e9(seed: int) -> list:
     rows = [
         [r.label, f"{r.delivery_ratio:.4f}", f"{r.im_path_ratio:.3f}"]
-        for r in month
+        for r in ex.run_ha_ablation(seed=seed)
     ]
-    logged = run_logging_window(seed=seed, logging_enabled=True)
-    unlogged = run_logging_window(seed=seed, logging_enabled=False)
-    rows.append(["(crash-after-ack, logging on)",
-                 f"acked-but-lost={logged.acked_but_lost}", "—"])
-    rows.append(["(crash-after-ack, logging off)",
-                 f"acked-but-lost={unlogged.acked_but_lost}", "—"])
+    for label, enabled in (("on", True), ("off", False)):
+        window = run_logging_window(seed=seed, logging_enabled=enabled)
+        rows.append([f"(crash-after-ack, logging {label})",
+                     f"acked-but-lost={window.acked_but_lost}", "—"])
+    return rows
+
+
+def _e9_table(rows: list) -> str:
     return format_table(
         ["variant", "delivered", "via IM"], rows, title="E9: HA ablation"
     )
 
 
-def _e10(seed: int, jobs: int | None = None) -> str:
-    from repro.experiments import run_chaos_experiment
-    from repro.metrics import sweep_report
-
-    result = run_chaos_experiment(seed=seed, trials=5, jobs=jobs)
-    return sweep_report(result.sweep)
-
-
-def _e11(seed: int, jobs: int | None = None) -> str:
-    from repro.experiments import run_failover_comparison
-    from repro.metrics import failover_report
-
-    result = run_failover_comparison(seed=seed, jobs=jobs)
-    return failover_report(result)
-
-
-def _e12(seed: int, jobs: int | None = None) -> str:
-    from repro.experiments import run_storm_comparison
-    from repro.metrics import admission_report
-
-    result = run_storm_comparison(seed=seed, jobs=jobs)
-    return admission_report(result)
-
-
-def _e14(seed: int, jobs: int | None = None) -> str:
-    from repro.experiments import run_adversarial_comparison
-    from repro.metrics import adversarial_report
-
-    result = run_adversarial_comparison(seed=seed, jobs=jobs)
-    return adversarial_report(result)
-
-
-def _e13(seed: int, shards: int | None = None, users: int = 100_000) -> str:
-    from repro.experiments import run_sharded_comparison
-    from repro.metrics import shard_report
-
+def _run_e13(seed: int, shards: int | None = None, users: int = 100_000):
     if shards is None:
         shard_counts: tuple[int, ...] = (1, 2, 4)
     elif shards <= 1:
         shard_counts = (1,)
     else:
         shard_counts = (1, shards)
-    result = run_sharded_comparison(shard_counts=shard_counts, users=users,
-                                    seed=seed)
-    return shard_report(result)
+    return ex.run_sharded_comparison(
+        shard_counts=shard_counts, users=users, seed=seed
+    )
+
+
+def _e10_report(result) -> str:
+    return metrics.sweep_report(result.sweep)
+
+
+EXPERIMENTS = {
+    "e1": Experiment(
+        "one-way IM < 1 s",
+        partial(ex.run_im_one_way, n_alerts=300),
+        _paper_table(
+            "E1: one-way IM delivery (source -> MyAlertBuddy)",
+            ("one-way IM, median", "< 1 s", "{0.median:.2f} s"),
+            ("one-way IM, p90", "< 1 s", "{0.p90:.2f} s"),
+        ),
+        in_all=True,
+    ),
+    "e2": Experiment(
+        "logged ack ~1.5 s",
+        partial(ex.run_ack_roundtrip, n_alerts=300),
+        _paper_table(
+            "E2: logged-ack round trip",
+            ("ack round trip, mean", "~1.5 s", "{0.mean:.2f} s"),
+        ),
+        in_all=True,
+    ),
+    "e3": Experiment(
+        "proxy -> user ~2.5 s",
+        partial(ex.run_proxy_routing, n_changes=120),
+        _paper_table(
+            "E3: proxy change to user IM",
+            ("proxy -> MAB -> user, mean", "~2.5 s", "{0.mean:.2f} s"),
+        ),
+        in_all=True,
+    ),
+    "e4": Experiment(
+        "Aladdin end-to-end ~11 s",
+        partial(ex.run_aladdin_disarm, n_presses=60),
+        _paper_table(
+            "E4: Aladdin end-to-end",
+            ("remote press -> user IM, mean", "~11 s",
+             "{0.end_to_end.mean:.2f} s"),
+            ("home chain", "—", "{0.press_to_gateway_alert.mean:.2f} s"),
+            ("SIMBA leg", "—", "{0.simba_delivery.mean:.2f} s"),
+        ),
+        in_all=True,
+    ),
+    "e5": Experiment(
+        "WISH location ~5 s",
+        partial(ex.run_wish_location, n_moves=60),
+        _paper_table(
+            "E5: WISH location alert",
+            ("laptop report -> subscriber IM, mean", "~5 s",
+             "{0.report_to_im.mean:.2f} s"),
+            ("mean confidence", "%", "{0.mean_confidence:.1f} %"),
+        ),
+        in_all=True,
+    ),
+    "e6": Experiment(
+        "one-month fault log", ex.run_fault_month, _e6_table, in_all=True
+    ),
+    "e7": Experiment(
+        "portal scale 225k/778k",
+        partial(ex.run_portal_log, full_scale_days=2),
+        _paper_table(
+            "E7: portal usage-log scale",
+            ("alerts/day", "~778,000", "{0.mean_alerts_per_day:,.0f}"),
+            ("recipients/day", "~225,000", "{0.mean_users_per_day:,.0f}"),
+            ("replay delivery ratio", "—", "{0.replay_delivery_ratio:.3f}"),
+        ),
+        in_all=True,
+    ),
+    "e8": Experiment(
+        "SIMBA vs baselines", ex.run_comparison, _e8_table, in_all=True
+    ),
+    "e9": Experiment("HA ablation (slow)", _run_e9, _e9_table),
+    "e10": Experiment(
+        "chaos sweep (oracle-checked)",
+        partial(ex.run_chaos_experiment, trials=5),
+        _e10_report,
+        flags=("jobs",),
+    ),
+    "e11": Experiment(
+        "warm-standby failover vs MDC-only",
+        ex.run_failover_comparison,
+        metrics.failover_report,
+        flags=("jobs",),
+    ),
+    "e12": Experiment(
+        "storm hardening: admission on vs off",
+        ex.run_storm_comparison,
+        metrics.admission_report,
+        flags=("jobs",),
+    ),
+    "e13": Experiment(
+        "sharded farm-of-farms beyond one core",
+        _run_e13,
+        metrics.shard_report,
+        flags=("shards", "users"),
+    ),
+    "e14": Experiment(
+        "adversarial links: stabilizing vs naive transport",
+        ex.run_adversarial_comparison,
+        metrics.adversarial_report,
+        flags=("jobs",),
+    ),
+}
+
+
+def run_experiment(key: str, seed: int = 0, **flags) -> str:
+    """Run one registered experiment and render its report."""
+    experiment = EXPERIMENTS[key]
+    if "jobs" not in experiment.flags:
+        return experiment.render(experiment.run(seed=seed, **flags))
+    # One persistent pool for the whole experiment: its sweeps reuse the
+    # same workers instead of forking a fresh Pool per fanout.
+    with sweep_pool(jobs=flags.pop("jobs", None)):
+        return experiment.render(experiment.run(seed=seed, **flags))
 
 
 def _score_trace(spans) -> tuple:
@@ -284,27 +317,6 @@ def _run_trace_command(argv: list[str]) -> int:
     return 0
 
 
-EXPERIMENTS = {
-    "e1": ("one-way IM < 1 s", _e1),
-    "e2": ("logged ack ~1.5 s", _e2),
-    "e3": ("proxy -> user ~2.5 s", _e3),
-    "e4": ("Aladdin end-to-end ~11 s", _e4),
-    "e5": ("WISH location ~5 s", _e5),
-    "e6": ("one-month fault log", _e6),
-    "e7": ("portal scale 225k/778k", _e7),
-    "e8": ("SIMBA vs baselines", _e8),
-    "e9": ("HA ablation (slow)", _e9),
-    "e10": ("chaos sweep (oracle-checked)", _e10),
-    "e11": ("warm-standby failover vs MDC-only", _e11),
-    "e12": ("storm hardening: admission on vs off", _e12),
-    "e13": ("sharded farm-of-farms beyond one core", _e13),
-    "e14": ("adversarial links: stabilizing vs naive transport", _e14),
-}
-
-#: Experiments whose sweeps accept a worker-pool size (``--jobs``).
-PARALLEL_EXPERIMENTS = frozenset({"e10", "e11", "e12", "e14"})
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -317,14 +329,16 @@ def main(argv: list[str] | None = None) -> int:
         return _run_trace_command(argv[1:])
     parser.add_argument(
         "experiment",
-        help="experiment id (e1..e14), 'all' (e1-e8), 'list', or 'trace' "
+        help="experiment id (e1..e14), 'all', 'list', or 'trace' "
         "(span-tree forensics; see python -m repro trace --help)",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    # Every flag defaults to None so "not given" is distinguishable and a
+    # command can reject what it does not take instead of ignoring it.
+    parser.add_argument("--seed", type=int, default=None, help="default 0")
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for sweep experiments (e10/e11/e12/e14); "
-        "results are identical to --jobs 1, just faster",
+        help="worker processes for sweep experiments; results are "
+        "identical to --jobs 1, just faster",
     )
     parser.add_argument(
         "--shards", type=int, default=None,
@@ -332,50 +346,45 @@ def main(argv: list[str] | None = None) -> int:
         "(default: sweep 1/2/4)",
     )
     parser.add_argument(
-        "--users", type=int, default=100_000,
+        "--users", type=int, default=None,
         help="e13: logical user population (default 100,000)",
     )
     args = parser.parse_args(argv)
-
-    if args.experiment == "list":
-        print(
-            format_table(
-                ["id", "claim"],
-                [[key, desc] for key, (desc, _fn) in EXPERIMENTS.items()],
-                title="available experiments",
-            )
-        )
-        return 0
-    if args.experiment == "all":
-        for key in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"):
-            print(EXPERIMENTS[key][1](args.seed))
-            print()
-        return 0
-    key = args.experiment.lower()
-    entry = EXPERIMENTS.get(key)
-    if entry is None:
+    command = args.experiment.lower()
+    flags = {k: v for k, v in vars(args).items()
+             if k != "experiment" and v is not None}
+    if command == "list":
+        declared: tuple[str, ...] = ()
+    elif command == "all":
+        declared = ("seed",)
+    elif command in EXPERIMENTS:
+        declared = ("seed", *EXPERIMENTS[command].flags)
+    else:
         parser.error(
             f"unknown experiment {args.experiment!r} "
             f"(choose from {', '.join(EXPERIMENTS)}, all, list)"
         )
-    if key != "e13" and (args.shards is not None or args.users != 100_000):
-        parser.error("--shards/--users only apply to e13")
-    if key in PARALLEL_EXPERIMENTS:
-        from repro.testkit.parallel import sweep_pool
-
-        # One persistent pool for the whole experiment: its sweeps reuse
-        # the same workers instead of forking a fresh Pool per fanout.
-        with sweep_pool(jobs=args.jobs):
-            print(entry[1](args.seed, jobs=None))
-    elif key == "e13":
-        if args.jobs is not None:
-            parser.error("e13 scales with --shards, not --jobs")
-        print(entry[1](args.seed, shards=args.shards, users=args.users))
+    undeclared = sorted(set(flags) - set(declared))
+    if undeclared:
+        parser.error(
+            f"{command} does not take "
+            + ", ".join(f"--{name}" for name in undeclared)
+        )
+    if command == "list":
+        print(
+            format_table(
+                ["id", "claim"],
+                [[key, e.claim] for key, e in EXPERIMENTS.items()],
+                title="available experiments",
+            )
+        )
+    elif command == "all":
+        for key, experiment in EXPERIMENTS.items():
+            if experiment.in_all:
+                print(run_experiment(key, **flags))
+                print()
     else:
-        if args.jobs is not None:
-            parser.error(f"--jobs only applies to sweep experiments "
-                         f"({', '.join(sorted(PARALLEL_EXPERIMENTS))})")
-        print(entry[1](args.seed))
+        print(run_experiment(command, **flags))
     return 0
 
 

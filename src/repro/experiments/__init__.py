@@ -5,22 +5,8 @@ a result object whose fields correspond to the numbers the paper reports.
 The benchmarks in ``benchmarks/`` are thin wrappers that run these, print
 the paper-vs-measured table, and assert the qualitative *shape* holds.
 
-| id | harness | paper claim |
-|----|---------|-------------|
-| E1 | :func:`~repro.experiments.latency.run_im_one_way` | one-way IM < 1 s |
-| E2 | :func:`~repro.experiments.latency.run_ack_roundtrip` | logged ack ≈ 1.5 s |
-| E3 | :func:`~repro.experiments.latency.run_proxy_routing` | proxy → user ≈ 2.5 s |
-| E4 | :func:`~repro.experiments.aladdin_e2e.run_aladdin_disarm` | remote → IM ≈ 11 s |
-| E5 | :func:`~repro.experiments.wish_e2e.run_wish_location` | laptop → IM ≈ 5 s |
-| E6 | :func:`~repro.experiments.fault_tolerance.run_fault_month` | month of recoveries |
-| E7 | :func:`~repro.experiments.portal_scale.run_portal_log` | 225 k users / 778 k alerts/day |
-| E8 | :func:`~repro.experiments.delivery_comparison.run_comparison` | SIMBA vs baselines |
-| E9 | :func:`~repro.experiments.fault_tolerance.run_ha_ablation` | each HA technique matters |
-| E10 | :func:`~repro.experiments.chaos.run_chaos_experiment` | randomized chaos search |
-| E11 | :func:`~repro.experiments.failover.run_failover_comparison` | warm-standby failover beats MDC-only |
-| E12 | :func:`~repro.experiments.storm.run_storm_comparison` | admission hardening tames alert storms |
-| E13 | :func:`~repro.experiments.sharded.run_sharded_comparison` | sharded farm-of-farms scales past one core |
-| E14 | :func:`~repro.experiments.adversarial.run_adversarial_comparison` | stabilizing transport survives adversarial links |
+The one experiment index — id, claim, run function, renderer, CLI flags —
+is :data:`repro.__main__.EXPERIMENTS` (``python -m repro list``).
 """
 
 from repro.experiments.adversarial import (

@@ -27,23 +27,24 @@ into a pass/fail statement.
 
 Both variants are independent worlds over the same schedule, so
 ``jobs=2`` runs them in parallel worker processes with byte-identical
-results (the CI ``adversarial-smoke`` job diffs the two modes).
+results (CI's ``experiment-smoke`` job diffs the two modes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.core.stabilizing import TRANSPORT_KINDS
-from repro.sim.clock import HOUR, MINUTE
+from repro.sim.clock import HOUR
 from repro.sim.failures import ScheduledFault
 from repro.testkit.generator import (
     ADVERSARY_FAULT_KINDS,
     ChaosIntensity,
     FaultScheduleGenerator,
 )
-from repro.testkit.harness import ChaosRunConfig, run_chaos
+from repro.testkit.harness import ChaosRunConfig, VariantLookup, run_chaos
 from repro.testkit.parallel import fanout
 from repro.workloads.faultload import TARGET_REPLICATION_LINK
 
@@ -109,6 +110,8 @@ class AdversarialVariant:
     duplicate_dropped: int
     #: Corrupt-NACK resend rounds spent inside ship round trips.
     resends: int
+    #: When the run's last fault cleared (``ChaosReport.fault_window_end``).
+    fault_window_end: float
     #: Sim time the unshipped queues last drained.
     converged_at: float
     #: Drain lag past the fault window (0 = converged before it closed).
@@ -125,19 +128,17 @@ class AdversarialVariant:
 
 
 @dataclass
-class AdversarialResult:
+class AdversarialResult(VariantLookup):
     """Both transports under one adversary schedule."""
 
     seed: int
     schedule: list[ScheduledFault]
-    fault_window_end: float
     variants: list[AdversarialVariant] = field(default_factory=list)
 
-    def variant(self, name: str) -> AdversarialVariant:
-        for v in self.variants:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+    @property
+    def fault_window_end(self) -> float:
+        """Same schedule and config for every variant, so same window."""
+        return self.variants[0].fault_window_end
 
     @property
     def ok(self) -> bool:
@@ -162,19 +163,17 @@ def _run_variant(
     n_users: int,
     duration: float,
 ) -> AdversarialVariant:
-    config = ChaosRunConfig(
-        seed=seed,
-        n_users=n_users,
-        duration=duration,
-        replication=True,
-        transport=variant,
+    report = run_chaos(
+        schedule,
+        ChaosRunConfig(
+            seed=seed,
+            n_users=n_users,
+            duration=duration,
+            replication=True,
+            transport=variant,
+        ),
     )
-    report = run_chaos(schedule, config)
     info = report.oracle.info
-    fault_window_end = max(
-        [config.start + config.duration]
-        + [f.at + f.duration for f in schedule]
-    )
     converged_at = float(info.get("transport_converged_at", 0.0))
     return AdversarialVariant(
         name=variant,
@@ -186,15 +185,11 @@ def _run_variant(
         corrupt_rejected=info.get("corrupt_rejected", 0),
         duplicate_dropped=info.get("duplicate_dropped", 0),
         resends=info.get("transport_resends", 0),
+        fault_window_end=report.fault_window_end,
         converged_at=converged_at,
-        convergence_lag=max(0.0, converged_at - fault_window_end),
+        convergence_lag=max(0.0, converged_at - report.fault_window_end),
         violations=[str(v) for v in report.oracle.violations],
     )
-
-
-def _variant_worker(spec: dict) -> AdversarialVariant:
-    """Picklable wrapper so variant runs can cross a process boundary."""
-    return _run_variant(**spec)
 
 
 def run_adversarial_comparison(
@@ -212,25 +207,21 @@ def run_adversarial_comparison(
     runs them in parallel worker processes; results come back in
     ``variants`` order either way (None → ``REPRO_SWEEP_JOBS`` default).
     """
-    users = [f"user{i}" for i in range(n_users)]
     if schedule is None:
+        users = [f"user{i}" for i in range(n_users)]
         schedule = adversarial_schedule(seed, users, duration=duration)
-    specs = [
-        dict(
-            variant=variant,
-            seed=seed,
-            schedule=schedule,
-            n_users=n_users,
-            duration=duration,
-        )
-        for variant in variants
-    ]
-    fault_window_end = max(
-        [5 * MINUTE + duration] + [f.at + f.duration for f in schedule]
-    )
     return AdversarialResult(
         seed=seed,
         schedule=list(schedule),
-        fault_window_end=fault_window_end,
-        variants=fanout(_variant_worker, specs, jobs=jobs),
+        variants=fanout(
+            partial(
+                _run_variant,
+                seed=seed,
+                schedule=schedule,
+                n_users=n_users,
+                duration=duration,
+            ),
+            variants,
+            jobs=jobs,
+        ),
     )

@@ -23,25 +23,27 @@ enough to arrive during the outage it *is* the unavailability window.
 
 :func:`run_failover_comparison` returns a :class:`FailoverResult`;
 :func:`repro.metrics.failover_report.failover_report` renders the table
-the CI ``failover-smoke`` job publishes.
+CI's ``experiment-smoke`` job publishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.farm import FarmProfile
 from repro.metrics.stats import Summary, summarize
 from repro.sim.clock import MINUTE
 from repro.sim.failures import FaultKind, ScheduledFault
-from repro.testkit.harness import EMAIL_FAST, wire_chaos_targets
-from repro.testkit.oracle import DEAD_LETTER_KINDS, DeliveryOracle
-from repro.testkit.parallel import fanout
+from repro.testkit.harness import (
+    DeliveryRig,
+    VariantLookup,
+    fault_window_end,
+)
+from repro.testkit.parallel import fanout, seed_sweep
 from repro.workloads.faultload import TARGET_HOST
-from repro.world import SimbaWorld, WorldConfig
 
 #: The three stacks compared, in presentation order.
 VARIANTS = ("solo", "mdc", "replicated")
@@ -69,18 +71,12 @@ class FailoverVariant:
 
 
 @dataclass
-class FailoverResult:
+class FailoverResult(VariantLookup):
     """All three variants under one crash schedule."""
 
     seed: int
     schedule: list[ScheduledFault]
     variants: list[FailoverVariant] = field(default_factory=list)
-
-    def variant(self, name: str) -> FailoverVariant:
-        for v in self.variants:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
     @property
     def ok(self) -> bool:
@@ -136,106 +132,27 @@ def _run_variant(
     settle: float,
     mdc_check_interval: float,
 ) -> FailoverVariant:
-    oracle = DeliveryOracle()
-    world = SimbaWorld(
-        WorldConfig(
-            seed=seed, email_latency=EMAIL_FAST, email_loss=0.0, sms_loss=0.0
-        )
-    )
-    farm = world.create_farm(
-        shards=4,
-        profile=FarmProfile(categories=("News",), accept_sources=("portal",)),
-    )
-    tenants = farm.add_users(n_users)
-    for tenant in tenants:
-        tenant.deployment.config.pipeline_observer = oracle.observer_for(
-            tenant.name
-        )
+    rig = DeliveryRig(seed, n_users)
     if variant == "replicated":
-        farm.enable_replication()
-    if variant == "solo":
-        farm.launch_all()
-    else:
-        farm.start_watchdogs(check_interval=mdc_check_interval)
-
-    source = world.create_source("portal")
-    farm.register_with(source)
-
-    offered: dict[str, set[str]] = {t.name: set() for t in tenants}
-    emitted_at: dict[str, float] = {}
-
-    def workload(env):
-        index = 0
-        while env.now < window_end:
-            tenant = tenants[index % len(tenants)]
-            alert, _ = source.emit_to(
-                tenant.book, "News", f"e11-{index}-{tenant.name}", "body"
-            )
-            offered[tenant.name].add(alert.alert_id)
-            emitted_at[alert.alert_id] = env.now
-            index += 1
-            yield env.timeout(alert_period)
-
-    world.env.process(workload(world.env), name="e11-workload")
-    injector = wire_chaos_targets(world, farm, operator_response=5 * MINUTE)
-    injector.load(schedule)
-    world.run(until=window_end + settle)
-
-    report = oracle.check(
-        farm, offered=offered, source_endpoints=[source.endpoint]
+        rig.farm.enable_replication()
+    rig.start(
+        watchdog_interval=None if variant == "solo" else mdc_check_interval
     )
-    by_user = oracle.outcomes_by_user()
-    total_offered = sum(len(ids) for ids in offered.values())
-    delivered = 0
-    lost = 0
-    duplicate_routes = 0
-    latencies: list[float] = []
-    for tenant in tenants:
-        received = tenant.user.unique_alerts_received()
-        first_receipt = {}
-        for receipt in tenant.user.receipts:
-            if not receipt.duplicate:
-                first_receipt.setdefault(receipt.alert_id, receipt.at)
-        per_alert = by_user.get(tenant.name, {})
-        # Emission order, not set order: alert ids come from a process-global
-        # counter, so their hashes (and thus set iteration order) depend on
-        # how many alerts this *process* made before the run.  Feeding the
-        # latency summary in a counter-independent order keeps the result
-        # bit-identical between in-process and forked-worker execution.
-        for alert_id in sorted(
-            offered[tenant.name], key=emitted_at.__getitem__
-        ):
-            trips = per_alert.get(alert_id, [])
-            routed = sum(1 for t in trips if t.kind == "routed")
-            if routed > 1:
-                duplicate_routes += 1
-            if alert_id in received:
-                delivered += 1
-                latencies.append(
-                    first_receipt[alert_id] - emitted_at[alert_id]
-                )
-            elif not any(t.kind in DEAD_LETTER_KINDS for t in trips):
-                lost += 1
-    promotions = sum(
-        len(t.pair.audit.promotions) - 1
-        for t in tenants
-        if t.pair is not None
-    )
+    rig.round_robin(alert_period, until=window_end)
+    rig.inject(schedule)
+    report = rig.quiesce(window_end + settle)
+    fates = list(rig.fates())
+    latencies = [f.receipt.latency for f in fates if f.delivered]
     return FailoverVariant(
         name=variant,
-        offered=total_offered,
-        delivered=delivered,
-        lost=lost,
-        duplicate_routes=duplicate_routes,
-        promotions=promotions,
+        offered=len(fates),
+        delivered=len(latencies),
+        lost=sum(f.lost for f in fates),
+        duplicate_routes=sum(f.routed > 1 for f in fates),
+        promotions=sum(rig.promotions().values()),
         latency=summarize(latencies),
         violations=[str(v) for v in report.violations],
     )
-
-
-def _variant_worker(spec: dict) -> FailoverVariant:
-    """Picklable wrapper so variant runs can cross a process boundary."""
-    return _run_variant(**spec)
 
 
 def run_failover_comparison(
@@ -262,32 +179,24 @@ def run_failover_comparison(
     """
     if schedule is None:
         schedule = crash_schedule(seed, n_crashes=n_crashes, window=window)
-    window_end = max(
-        [5 * MINUTE + window] + [f.at + f.duration for f in schedule]
-    )
-    specs = [
-        dict(
-            variant=variant,
-            seed=seed,
-            schedule=schedule,
-            n_users=n_users,
-            alert_period=alert_period,
-            window_end=window_end,
-            settle=settle,
-            mdc_check_interval=mdc_check_interval,
-        )
-        for variant in variants
-    ]
     return FailoverResult(
         seed=seed,
         schedule=list(schedule),
-        variants=fanout(_variant_worker, specs, jobs=jobs),
+        variants=fanout(
+            partial(
+                _run_variant,
+                seed=seed,
+                schedule=schedule,
+                n_users=n_users,
+                alert_period=alert_period,
+                window_end=fault_window_end(schedule, 5 * MINUTE, window),
+                settle=settle,
+                mdc_check_interval=mdc_check_interval,
+            ),
+            variants,
+            jobs=jobs,
+        ),
     )
-
-
-def _seed_worker(spec: dict) -> FailoverResult:
-    """Picklable per-seed worker for :func:`run_failover_sweep`."""
-    return run_failover_comparison(**spec)
 
 
 def run_failover_sweep(
@@ -295,15 +204,7 @@ def run_failover_sweep(
     jobs: Optional[int] = None,
     **kwargs,
 ) -> list[FailoverResult]:
-    """The E11 acceptance sweep: one comparison per seed, merged in seed
-    order.
-
-    ``kwargs`` are forwarded to :func:`run_failover_comparison` unchanged
-    for every seed.  Seeds are independent (each builds its own worlds),
-    so ``jobs > 1`` fans them across a process pool; the merged list is
-    identical to a sequential run's.  Nested parallelism is deliberately
-    avoided: per-seed comparisons run their variants sequentially
-    (``jobs=1``) so the pool is saturated by seeds, not oversubscribed.
-    """
-    specs = [dict(kwargs, seed=seed, jobs=1) for seed in seeds]
-    return fanout(_seed_worker, specs, jobs=jobs)
+    """The E11 acceptance sweep: one comparison per seed
+    (:func:`~repro.testkit.parallel.seed_sweep`); ``kwargs`` are forwarded
+    to :func:`run_failover_comparison` unchanged for every seed."""
+    return seed_sweep(run_failover_comparison, seeds, jobs=jobs, **kwargs)

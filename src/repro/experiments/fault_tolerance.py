@@ -15,16 +15,9 @@ from dataclasses import dataclass, field
 from repro.metrics.stats import Summary, summarize
 from repro.net.message import ChannelType
 from repro.sim.clock import DAY, HOUR, MINUTE
-from repro.sim.failures import FaultInjector, FaultKind, ScheduledFault
-from repro.workloads.faultload import (
-    TARGET_HOST,
-    TARGET_IM_CLIENT,
-    TARGET_IM_SERVICE,
-    TARGET_MAB,
-    TARGET_SCREEN,
-    FaultloadSpec,
-    generate_month_faultload,
-)
+from repro.sim.failures import FaultKind
+from repro.testkit.harness import wire_targets
+from repro.workloads.faultload import FaultloadSpec, generate_month_faultload
 from repro.world import SimbaWorld, WorldConfig
 
 
@@ -126,7 +119,7 @@ def run_fault_month(
 
     world.env.process(emitter(world.env))
 
-    injector = _wire_targets(world, deployment, operator_response)
+    injector = wire_targets(world, {"": deployment}, operator_response)
     faults = generate_month_faultload(world.rngs.stream("faultload"), spec)
     injector.load(faults)
 
@@ -259,83 +252,3 @@ def run_logging_window(
         recovery_replays=deployment.journal.count("recovery_replay"),
         acked_but_lost=len(acked_ids - received_ids),
     )
-
-
-def _wire_targets(
-    world: SimbaWorld, deployment, operator_response: float
-) -> FaultInjector:
-    """Register handlers for the standard faultload target names."""
-    injector = FaultInjector(world.env)
-
-    def on_im_service(fault: ScheduledFault) -> bool:
-        if fault.kind is FaultKind.IM_SERVICE_OUTAGE:
-            world.im.outage(fault.duration)
-            return True
-        return False
-
-    def on_im_client(fault: ScheduledFault) -> bool:
-        if fault.kind is FaultKind.CLIENT_LOGOUT:
-            return world.im.force_logout(deployment.im_address)
-        if fault.kind is FaultKind.CLIENT_HANG:
-            return deployment.endpoint.im_client.hang()
-        if fault.kind is FaultKind.CLIENT_STALE_POINTER:
-            client = deployment.endpoint.im_client
-            if not client.running:
-                return False
-            client.terminate()
-            client.start()
-            return True
-        return False
-
-    def on_mab(fault: ScheduledFault) -> bool:
-        current = deployment.current
-        if current is None or not current.alive:
-            return False
-        if fault.kind is FaultKind.PROCESS_CRASH:
-            return current.crash()
-        if fault.kind is FaultKind.PROCESS_HANG:
-            return current.hang()
-        if fault.kind is FaultKind.MEMORY_LEAK:
-            return current.leak_memory(fault.params.get("megabytes", 300.0))
-        return False
-
-    def on_host(fault: ScheduledFault) -> bool:
-        if fault.kind is FaultKind.POWER_OUTAGE and world.host.up:
-            return world.host.power_failure(fault.duration)
-        return False
-
-    def on_screen(fault: ScheduledFault) -> bool:
-        if not world.host.up:
-            return False
-        caption = fault.params.get("caption", "Mystery dialog")
-        button = fault.params.get("button", "OK")
-        world.host.screen.pop_dialog(caption, (button,), owner=None)
-        if fault.kind is FaultKind.UNKNOWN_DIALOG_POPUP:
-            # The paper's fix: after a human noticed, the dialog-box handling
-            # API was used to register the new caption-button pair.
-            def operator(env):
-                yield env.timeout(operator_response)
-                deployment.endpoint.im_manager.register_dialog_rule(
-                    caption, button
-                )
-                deployment.endpoint.email_manager.register_dialog_rule(
-                    caption, button
-                )
-                # With the monkey ablated too, the operator clicks it away.
-                blocking = [
-                    d
-                    for d in world.host.screen.open_dialogs()
-                    if d.caption == caption
-                ]
-                for dialog in blocking:
-                    world.host.screen.click(dialog, button)
-
-            world.env.process(operator(world.env), name="operator-fix")
-        return True
-
-    injector.register(TARGET_IM_SERVICE, on_im_service)
-    injector.register(TARGET_IM_CLIENT, on_im_client)
-    injector.register(TARGET_MAB, on_mab)
-    injector.register(TARGET_HOST, on_host)
-    injector.register(TARGET_SCREEN, on_screen)
-    return injector

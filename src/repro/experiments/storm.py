@@ -30,30 +30,28 @@ duplicate past dedup).
 
 :func:`run_storm_comparison` returns a :class:`StormResult`;
 :func:`repro.metrics.admission_report.admission_report` renders the
-table the CI ``storm-smoke`` job publishes.
+table CI's ``experiment-smoke`` job publishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional
 
 from repro.core.admission import AdmissionConfig
-from repro.core.alert import AlertSeverity
-from repro.core.farm import FarmProfile
 from repro.metrics.stats import Summary, summarize
 from repro.sim.clock import MINUTE
 from repro.sim.failures import FaultKind, ScheduledFault
 from repro.testkit.generator import StormConfig, StormTrafficGenerator
-from repro.testkit.harness import EMAIL_FAST, wire_chaos_targets
-from repro.testkit.oracle import (
-    ADMISSION_TERMINAL_KINDS,
-    DEAD_LETTER_KINDS,
-    DeliveryOracle,
+from repro.testkit.harness import (
+    DeliveryRig,
+    VariantLookup,
+    fault_window_end,
+    storm_source_names,
 )
-from repro.testkit.parallel import fanout
+from repro.testkit.parallel import fanout, seed_sweep
 from repro.workloads.faultload import TARGET_IM_SERVICE
-from repro.world import SimbaWorld, WorldConfig
 
 #: The two stacks compared, in presentation order.
 VARIANTS = ("permissive", "hardened")
@@ -99,7 +97,7 @@ class StormVariant:
 
 
 @dataclass
-class StormResult:
+class StormResult(VariantLookup):
     """Both variants under one (storm, fault schedule) pair."""
 
     seed: int
@@ -107,12 +105,6 @@ class StormResult:
     schedule: list[ScheduledFault]
     deadline: float
     variants: list[StormVariant] = field(default_factory=list)
-
-    def variant(self, name: str) -> StormVariant:
-        for v in self.variants:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
     @property
     def ok(self) -> bool:
@@ -173,127 +165,31 @@ def _run_variant(
         if variant == "hardened"
         else AdmissionConfig.permissive(seed=seed)
     )
-    oracle = DeliveryOracle()
-    world = SimbaWorld(
-        WorldConfig(
-            seed=seed, email_latency=EMAIL_FAST, email_loss=0.0, sms_loss=0.0
-        )
-    )
-    storm_names = [f"storm{i}" for i in range(storm.n_sources)]
-    farm = world.create_farm(
-        shards=4,
-        profile=FarmProfile(
-            categories=("News",), accept_sources=tuple(storm_names)
-        ),
-    )
-    tenants = farm.add_users(n_users)
-    for tenant in tenants:
-        cfg = tenant.deployment.config
-        cfg.pipeline_observer = oracle.observer_for(tenant.name)
-        cfg.admission = admission
-    farm.start_watchdogs(check_interval=60.0)
-    sources = [world.create_source(name) for name in storm_names]
-    for source in sources:
-        farm.register_with(source)
-
-    events = StormTrafficGenerator(
-        seed, [t.name for t in tenants], storm,
-        duration=duration, start=start,
-    ).generate()
-    books = {t.name: t.book for t in tenants}
-    offered: dict[str, set[str]] = {t.name: set() for t in tenants}
-    emitted_at: dict[str, float] = {}
-
-    def workload(env):
-        last: dict[str, tuple] = {}
-        index = 0
-        for event in events:
-            if event.at > env.now:
-                yield env.timeout(event.at - env.now)
-            src = sources[event.source]
-            if event.duplicate and event.user in last:
-                prev_src, prev_alert = last[event.user]
-                env.process(
-                    prev_src.deliver(prev_alert, books[event.user]),
-                    name=f"{prev_src.name}-redeliver-{prev_alert.alert_id}",
-                )
-                continue
-            alert, _ = src.emit_to(
-                books[event.user],
-                "News",
-                f"e12-{index}-{event.user}",
-                "body",
-                severity=AlertSeverity(event.severity),
-            )
-            offered[event.user].add(alert.alert_id)
-            emitted_at[alert.alert_id] = env.now
-            last[event.user] = (src, alert)
-            index += 1
-
-    world.env.process(workload(world.env), name="e12-workload")
-    injector = wire_chaos_targets(world, farm, operator_response=5 * MINUTE)
-    injector.load(schedule)
-    horizon = max(
-        [start + duration] + [f.at + f.duration for f in schedule]
-    ) + settle
-    world.run(until=horizon)
-
-    report = oracle.check(
-        farm, offered=offered, source_endpoints=[s.endpoint for s in sources]
-    )
-    by_user = oracle.outcomes_by_user()
-    accounted_kinds = DEAD_LETTER_KINDS | ADMISSION_TERMINAL_KINDS
-    delivered = 0
-    user_duplicates = 0
-    deadline_misses = 0
-    unaccounted = 0
-    latencies: list[float] = []
-    for tenant in tenants:
-        received = tenant.user.unique_alerts_received()
-        first_receipt: dict[str, float] = {}
-        for receipt in tenant.user.receipts:
-            if receipt.alert_id in offered[tenant.name]:
-                if receipt.duplicate:
-                    user_duplicates += 1
-                else:
-                    first_receipt.setdefault(receipt.alert_id, receipt.at)
-        per_alert = by_user.get(tenant.name, {})
-        # Emission order, not set order — alert-id hashes depend on the
-        # process-global counter, and the latency summary must come out
-        # bit-identical between sequential and forked-worker runs.
-        for alert_id in sorted(
-            offered[tenant.name], key=emitted_at.__getitem__
-        ):
-            trips = per_alert.get(alert_id, [])
-            if alert_id in received:
-                delivered += 1
-                latency = first_receipt[alert_id] - emitted_at[alert_id]
-                latencies.append(latency)
-                if latency > deadline:
-                    deadline_misses += 1
-            elif not any(t.kind in accounted_kinds for t in trips):
-                unaccounted += 1
-    rollup = farm.admission_summary() or {}
+    rig = DeliveryRig(seed, n_users, sources=storm_source_names(storm))
+    for tenant in rig.tenants:
+        tenant.deployment.config.admission = admission
+    rig.start()
+    rig.storm(storm, duration=duration, start=start)
+    rig.inject(schedule)
+    report = rig.quiesce(fault_window_end(schedule, start, duration) + settle)
+    fates = list(rig.fates())
+    latencies = [f.receipt.latency for f in fates if f.delivered]
+    rollup = rig.farm.admission_summary() or {}
     return StormVariant(
         name=variant,
-        offered=sum(len(ids) for ids in offered.values()),
-        delivered=delivered,
-        user_duplicates=user_duplicates,
-        deadline_misses=deadline_misses,
+        offered=len(fates),
+        delivered=len(latencies),
+        user_duplicates=sum(f.user_duplicates for f in fates),
+        deadline_misses=sum(latency > deadline for latency in latencies),
         shed=rollup.get("shed", 0),
         coalesced=rollup.get("coalesced", 0),
         rate_limited=rollup.get("rate_limited", 0),
         dead_letters=rollup.get("dead_letters", 0),
         dedup_suppressed=rollup.get("dedup_suppressed", 0),
-        unaccounted=unaccounted,
+        unaccounted=sum(f.lost for f in fates),
         latency=summarize(latencies),
         violations=[str(v) for v in report.violations],
     )
-
-
-def _variant_worker(spec: dict) -> StormVariant:
-    """Picklable wrapper so variant runs can cross a process boundary."""
-    return _run_variant(**spec)
 
 
 def run_storm_comparison(
@@ -321,32 +217,27 @@ def run_storm_comparison(
     users = [f"user{i}" for i in range(n_users)]
     if schedule is None:
         schedule = storm_schedule(seed, storm, users, duration, start)
-    specs = [
-        dict(
-            variant=variant,
-            seed=seed,
-            storm=storm,
-            schedule=schedule,
-            n_users=n_users,
-            duration=duration,
-            start=start,
-            settle=settle,
-            deadline=deadline,
-        )
-        for variant in variants
-    ]
     return StormResult(
         seed=seed,
         storm=storm,
         schedule=list(schedule),
         deadline=deadline,
-        variants=fanout(_variant_worker, specs, jobs=jobs),
+        variants=fanout(
+            partial(
+                _run_variant,
+                seed=seed,
+                storm=storm,
+                schedule=schedule,
+                n_users=n_users,
+                duration=duration,
+                start=start,
+                settle=settle,
+                deadline=deadline,
+            ),
+            variants,
+            jobs=jobs,
+        ),
     )
-
-
-def _seed_worker(spec: dict) -> StormResult:
-    """Picklable per-seed worker for :func:`run_storm_sweep`."""
-    return run_storm_comparison(**spec)
 
 
 def run_storm_sweep(
@@ -354,11 +245,7 @@ def run_storm_sweep(
     jobs: Optional[int] = None,
     **kwargs,
 ) -> list[StormResult]:
-    """The E12 acceptance sweep: one comparison per seed, merged in seed
-    order — byte-identical between sequential and pooled execution.
-
-    Per-seed comparisons run their variants sequentially (``jobs=1``) so
-    the pool is saturated by seeds, not oversubscribed.
-    """
-    specs = [dict(kwargs, seed=seed, jobs=1) for seed in seeds]
-    return fanout(_seed_worker, specs, jobs=jobs)
+    """The E12 acceptance sweep: one comparison per seed
+    (:func:`~repro.testkit.parallel.seed_sweep`) — byte-identical between
+    sequential and pooled execution."""
+    return seed_sweep(run_storm_comparison, seeds, jobs=jobs, **kwargs)

@@ -4,7 +4,7 @@ from repro.metrics.admission_report import admission_report
 from repro.metrics.adversarial_report import adversarial_report
 from repro.metrics.collector import LatencyCollector
 from repro.metrics.failover_report import failover_report
-from repro.metrics.invariant_report import invariant_report, sweep_report
+from repro.metrics.invariant_report import sweep_report
 from repro.metrics.recovery_report import recovery_report
 from repro.metrics.reports import format_table
 from repro.metrics.shard_report import shard_report
@@ -20,7 +20,6 @@ __all__ = [
     "adversarial_report",
     "failover_report",
     "format_table",
-    "invariant_report",
     "recovery_report",
     "render_trace",
     "shard_report",

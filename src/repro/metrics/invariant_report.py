@@ -1,9 +1,9 @@
-"""Render chaos-testkit results as the plain-text tables benches print.
+"""Render a chaos sweep (E10) as the plain-text table benches print.
 
 Companion to :mod:`repro.metrics.recovery_report`: where that one
 summarizes *what broke and recovered*, this one summarizes *what the
-delivery oracle checked* — invariant coverage, violations, and the
-per-trial sweep verdicts with their shrink outcomes.
+delivery oracle checked* — the per-trial verdicts with their shrink
+outcomes, and the sweep's reproducibility fingerprint.
 """
 
 from __future__ import annotations
@@ -13,36 +13,7 @@ from typing import TYPE_CHECKING
 from repro.metrics.reports import format_table
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.testkit.harness import ChaosReport
     from repro.testkit.sweep import ChaosSweepResult
-
-
-def invariant_report(report: "ChaosReport") -> str:
-    """One run: what was checked, what was observed, what failed."""
-    lines = [report.summary(), ""]
-    checked_rows = sorted(report.oracle.checked.items())
-    info_rows = sorted(report.oracle.info.items())
-    lines.append(
-        format_table(
-            ["measure", "value"],
-            checked_rows + info_rows
-            + sorted(report.outcome_counts.items()),
-            title="oracle coverage",
-        )
-    )
-    if report.oracle.violations:
-        lines.append("")
-        lines.append(
-            format_table(
-                ["invariant", "user", "detail"],
-                [
-                    (v.invariant, v.user or "-", v.detail)
-                    for v in report.oracle.violations
-                ],
-                title="violations",
-            )
-        )
-    return "\n".join(lines)
 
 
 def sweep_report(result: "ChaosSweepResult") -> str:

@@ -1,12 +1,14 @@
 """Plain-text table rendering for benchmark output.
 
 The benches print tables shaped like the paper's reported results; this
-keeps the formatting in one place.
+keeps the formatting in one place — :func:`format_table` for the table,
+:func:`comparison_report` for the table-plus-verdict shape the variant
+comparisons (E11–E14) publish.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 def format_table(
@@ -39,3 +41,25 @@ def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
+
+
+def comparison_report(
+    title: str,
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    notes: Sequence[str] = (),
+    headlines: Sequence[str] = (),
+    verdict: Optional[tuple[bool, str]] = None,
+    violations: Sequence[object] = (),
+) -> str:
+    """Titled table, blank line, indented ``notes`` (the schedule), the
+    ``headlines`` sentences, ``verdict: PASS|FAIL (detail)`` and one
+    ``  ! `` line per violation."""
+    lines = [format_table(headers, rows, title=title), ""]
+    lines += [f"  {note}" for note in notes]
+    lines += headlines
+    if verdict is not None:
+        ok, detail = verdict
+        lines.append(f"verdict: {'PASS' if ok else 'FAIL'} ({detail})")
+    lines += [f"  ! {violation}" for violation in violations]
+    return "\n".join(lines)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.metrics.reports import format_table
+from repro.metrics.reports import comparison_report
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.sharded import ShardedComparisonResult
@@ -18,35 +18,25 @@ def shard_report(comparison: "ShardedComparisonResult") -> str:
     layout.  The fingerprint column shows a prefix of the merged journal
     digest — identical rows are the invariance guarantee made visible.
     """
-    rows = []
-    for result in comparison.results:
-        rows.append(
-            [
-                result.shards,
-                f"{result.population:,}",
-                f"{result.tenants:,}",
-                f"{result.delivered:,}",
-                f"{result.wall_seconds:.1f} s",
-                f"{result.alerts_per_wall_second:,.0f}",
-                f"{comparison.speedup(result):.2f}x",
-                result.merged_fingerprint[:12],
-            ]
-        )
-    table = format_table(
-        ["shards", "users", "tenants", "delivered", "wall", "alerts/s",
-         "speedup", "fingerprint"],
-        rows,
-        title="E13: sharded farm-of-farms throughput (A4 beyond one core)",
-    )
-    lines = [table, "", comparison.invariance.summary()]
     hot = [
         f"  shards={r.shards}: {r.placement_summary}"
         for r in comparison.results
         if "hot" in r.placement_summary
     ]
-    if hot:
-        lines.append("hot-shard detector:")
-        lines.extend(hot)
-    else:
-        lines.append("hot-shard detector: all layouts balanced")
-    return "\n".join(lines)
+    return comparison_report(
+        "E13: sharded farm-of-farms throughput (A4 beyond one core)",
+        ["shards", "users", "tenants", "delivered", "wall", "alerts/s",
+         "speedup", "fingerprint"],
+        [
+            [r.shards, f"{r.population:,}", f"{r.tenants:,}",
+             f"{r.delivered:,}", f"{r.wall_seconds:.1f} s",
+             f"{r.alerts_per_wall_second:,.0f}",
+             f"{comparison.speedup(r):.2f}x", r.merged_fingerprint[:12]]
+            for r in comparison.results
+        ],
+        headlines=[
+            comparison.invariance.summary(),
+            *(["hot-shard detector:", *hot] if hot
+              else ["hot-shard detector: all layouts balanced"]),
+        ],
+    )

@@ -1,12 +1,15 @@
-"""The chaos harness: replay one fault schedule against a live farm.
+"""The delivery-run rig: one fault schedule replayed against a live farm.
 
-:func:`run_chaos` assembles a *zero-loss* world (random channel loss would
-make honest fire-and-forget deliveries look like oracle violations — every
-loss here must come from the fault schedule), populates a
-:class:`~repro.core.farm.BuddyFarm` whose tenants run under their own MDC
-watchdogs, drives a steady round-robin alert workload, injects the
-schedule, lets everything quiesce, and hands the world to the
-:class:`~repro.testkit.oracle.DeliveryOracle`.
+:class:`DeliveryRig` is the one owner of the farm-run scaffold: the
+*zero-loss* world (random channel loss would make honest fire-and-forget
+deliveries look like oracle violations — every loss here must come from
+the fault schedule), a :class:`~repro.core.farm.BuddyFarm` whose tenants
+run under their own MDC watchdogs, the round-robin and storm emitters, the
+fault-target handlers, the quiesce-then-audit hand-off to the
+:class:`~repro.testkit.oracle.DeliveryOracle`, and the per-alert fate pass.
+:func:`run_chaos` is a :class:`ChaosRunConfig` applied to the rig; E11 and
+E12 configure the same rig their own way, and E6's single-MAB world shares
+its handler factories through :func:`wire_targets`.
 
 Determinism contract: for a fixed (:class:`ChaosRunConfig`, schedule) pair
 the run is bit-for-bit reproducible — :meth:`ChaosReport.fingerprint`
@@ -19,18 +22,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.core.admission import AdmissionConfig
-from repro.core.alert import AlertSeverity
+from repro.core.alert import Alert, AlertSeverity
 from repro.core.farm import FarmProfile
 from repro.net.adversary import DEFAULT_REORDER_HORIZON, AdversaryModel
 from repro.net.channel import LatencyModel
 from repro.sim.clock import HOUR, MINUTE
 from repro.sim.failures import FaultInjector, FaultKind, ScheduledFault
 from repro.testkit.generator import StormConfig, StormTrafficGenerator
-from repro.testkit.oracle import DeliveryOracle, OracleReport
+from repro.testkit.oracle import (
+    ADMISSION_TERMINAL_KINDS,
+    DEAD_LETTER_KINDS,
+    DeliveryOracle,
+    OracleReport,
+)
 from repro.workloads.faultload import (
     TARGET_EMAIL_SERVICE,
     TARGET_HOST,
@@ -41,10 +50,14 @@ from repro.workloads.faultload import (
     TARGET_SCREEN,
     TARGET_STANDBY_HOST,
 )
-from repro.world import SimbaWorld, WorldConfig
+from repro.world import BuddyDeployment, SimbaWorld, WorldConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.farm import BuddyFarm, FarmTenant
+    from repro.core.farm import FarmTenant
+    from repro.core.host import Host
+    from repro.core.replication import ReplicatedPair
+    from repro.core.user_endpoint import Receipt
+    from repro.sources.base import AlertSource
 
 #: Fast store-and-forward email so chaos runs quiesce inside the settle
 #: window (the default model's tail is hours).
@@ -112,6 +125,9 @@ class ChaosReport:
     outcome_counts: dict[str, int] = field(default_factory=dict)
     injected: int = 0
     rejected_injections: int = 0
+    #: When the last fault cleared, and ``settle`` later the end of the run
+    #: (neither is part of :meth:`fingerprint`).
+    fault_window_end: float = 0.0
     horizon: float = 0.0
     #: Replication mode only: per-tenant failover promotion counts.
     promotions: dict[str, int] = field(default_factory=dict)
@@ -174,6 +190,9 @@ class ChaosReport:
         )
 
 
+#: Trip kinds that put an undelivered alert on the record.
+ACCOUNTED_KINDS = DEAD_LETTER_KINDS | ADMISSION_TERMINAL_KINDS
+
 #: The channel-adversary pulse kinds a handler maps to ``adversary_pulse``.
 ADVERSARY_PULSE_KINDS = frozenset(
     {FaultKind.LINK_REORDER, FaultKind.LINK_DUPLICATE, FaultKind.LINK_CORRUPT}
@@ -205,100 +224,29 @@ def adversary_model_for(fault: ScheduledFault) -> AdversaryModel:
     raise ValueError(f"{fault.kind} is not an adversary pulse kind")
 
 
-def wire_chaos_targets(
-    world: SimbaWorld,
-    farm: "BuddyFarm",
-    operator_response: float,
-) -> FaultInjector:
-    """Register handlers for every target name the generator can emit.
-
-    Global targets reuse the faultload names (``im-service``, ``host``…);
-    per-user faults address one tenant's slice as ``mab:<user>`` /
-    ``im-client:<user>``.
-    """
-    injector = FaultInjector(world.env)
-
-    def on_im_service(fault: ScheduledFault) -> bool:
-        if fault.kind is FaultKind.IM_SERVICE_OUTAGE:
-            world.im.outage(fault.duration)
-            return True
-        if fault.kind in ADVERSARY_PULSE_KINDS:
-            world.im.adversary_pulse(
-                adversary_model_for(fault), fault.duration
-            )
-            return True
-        return False
-
-    def on_email_service(fault: ScheduledFault) -> bool:
-        if fault.kind is FaultKind.EMAIL_OUTAGE:
-            world.email.outage(fault.duration)
-            return True
-        if fault.kind in ADVERSARY_PULSE_KINDS:
-            world.email.adversary_pulse(
-                adversary_model_for(fault), fault.duration
-            )
-            return True
-        return False
-
-    def on_host(fault: ScheduledFault) -> bool:
-        if fault.kind is FaultKind.POWER_OUTAGE and world.host.up:
-            return world.host.power_failure(fault.duration)
-        return False
-
-    def on_screen(fault: ScheduledFault) -> bool:
-        if not world.host.up:
-            return False
-        caption = fault.params.get("caption", "Mystery dialog")
-        button = fault.params.get("button", "OK")
-        world.host.screen.pop_dialog(caption, (button,), owner=None)
-        if fault.kind is FaultKind.UNKNOWN_DIALOG_POPUP:
-            def operator(env):
-                yield env.timeout(operator_response)
-                for deployment in farm.deployments():
-                    deployment.endpoint.im_manager.register_dialog_rule(
-                        caption, button
-                    )
-                    deployment.endpoint.email_manager.register_dialog_rule(
-                        caption, button
-                    )
-                blocking = [
-                    d
-                    for d in world.host.screen.open_dialogs()
-                    if d.caption == caption
-                ]
-                for dialog in blocking:
-                    world.host.screen.click(dialog, button)
-
-            world.env.process(operator(world.env), name="operator-fix")
-        return True
-
-    injector.register(TARGET_IM_SERVICE, on_im_service)
-    injector.register(TARGET_EMAIL_SERVICE, on_email_service)
-    injector.register(TARGET_HOST, on_host)
-    injector.register(TARGET_SCREEN, on_screen)
-
-    for tenant in farm:
-        injector.register(
-            f"{TARGET_MAB}:{tenant.name}", _mab_handler(tenant)
-        )
-        injector.register(
-            f"{TARGET_IM_CLIENT}:{tenant.name}", _client_handler(world, tenant)
-        )
-        if tenant.pair is not None:
-            injector.register(
-                f"{TARGET_REPLICATION_LINK}:{tenant.name}",
-                _link_handler(tenant),
-            )
-            injector.register(
-                f"{TARGET_STANDBY_HOST}:{tenant.name}",
-                _standby_host_handler(tenant),
-            )
-    return injector
+def fault_window_end(
+    schedule: list[ScheduledFault], start: float, duration: float
+) -> float:
+    """When the last fault has cleared: the nominal window's end, or the
+    end of a fault that outlasts it."""
+    return max([start + duration] + [f.at + f.duration for f in schedule])
 
 
-def _mab_handler(tenant: "FarmTenant"):
+def storm_source_names(storm: StormConfig) -> tuple[str, ...]:
+    """The source names a storm's ``event.source`` indices address."""
+    return tuple(f"storm{i}" for i in range(storm.n_sources))
+
+
+# ----------------------------------------------------------------------
+# Fault-target handlers.  Each factory takes the *deployment* (or pair) it
+# acts on, so E6's single MAB (``mab`` / ``im-client``) and a farm tenant
+# (``mab:<user>`` / ``im-client:<user>``) register the same handler.
+# ----------------------------------------------------------------------
+
+
+def mab_handler(deployment: BuddyDeployment):
     def on_mab(fault: ScheduledFault) -> bool:
-        current = tenant.deployment.current
+        current = deployment.current
         if current is None or not current.alive:
             return False
         if fault.kind is FaultKind.PROCESS_CRASH:
@@ -312,43 +260,14 @@ def _mab_handler(tenant: "FarmTenant"):
     return on_mab
 
 
-def _link_handler(tenant: "FarmTenant"):
-    def on_link(fault: ScheduledFault) -> bool:
-        if fault.kind is FaultKind.REPLICATION_LINK_DOWN:
-            tenant.pair.link.outage(fault.duration)
-            return True
-        if fault.kind in ADVERSARY_PULSE_KINDS:
-            tenant.pair.link.adversary_pulse(
-                adversary_model_for(fault), fault.duration
-            )
-            return True
-        return False
-
-    return on_link
-
-
-def _standby_host_handler(tenant: "FarmTenant"):
-    # Targets the pair's *dedicated* second machine (side "b"'s host) —
-    # after a failover that machine is the active primary, which is
-    # exactly the double-failure the storm schedules go looking for.
-    def on_standby_host(fault: ScheduledFault) -> bool:
-        host = tenant.pair.b.host
-        if fault.kind is FaultKind.POWER_OUTAGE and host.up:
-            return host.power_failure(fault.duration)
-        return False
-
-    return on_standby_host
-
-
-def _client_handler(world: SimbaWorld, tenant: "FarmTenant"):
+def client_handler(world: SimbaWorld, deployment: BuddyDeployment):
     def on_im_client(fault: ScheduledFault) -> bool:
-        endpoint = tenant.deployment.endpoint
+        client = deployment.endpoint.im_client
         if fault.kind is FaultKind.CLIENT_LOGOUT:
-            return world.im.force_logout(tenant.deployment.im_address)
+            return world.im.force_logout(deployment.im_address)
         if fault.kind is FaultKind.CLIENT_HANG:
-            return endpoint.im_client.hang()
+            return client.hang()
         if fault.kind is FaultKind.CLIENT_STALE_POINTER:
-            client = endpoint.im_client
             if not client.running:
                 return False
             client.terminate()
@@ -357,6 +276,352 @@ def _client_handler(world: SimbaWorld, tenant: "FarmTenant"):
         return False
 
     return on_im_client
+
+
+def outage_handler(channel, outage_kind: FaultKind):
+    """For anything with the channel fault surface: IM, email, ship link."""
+
+    def on_channel(fault: ScheduledFault) -> bool:
+        if fault.kind is outage_kind:
+            channel.outage(fault.duration)
+            return True
+        if fault.kind in ADVERSARY_PULSE_KINDS:
+            channel.adversary_pulse(
+                adversary_model_for(fault), fault.duration
+            )
+            return True
+        return False
+
+    return on_channel
+
+
+def host_handler(host: "Host"):
+    def on_host(fault: ScheduledFault) -> bool:
+        if fault.kind is FaultKind.POWER_OUTAGE and host.up:
+            return host.power_failure(fault.duration)
+        return False
+
+    return on_host
+
+
+def wire_targets(
+    world: SimbaWorld,
+    deployments: dict[str, BuddyDeployment],
+    operator_response: float,
+    pairs: Optional[dict[str, "ReplicatedPair"]] = None,
+) -> FaultInjector:
+    """Register handlers for every target name a faultload can emit.
+
+    Global targets use the faultload names (``im-service``, ``host``…).
+    ``deployments`` maps a target-name suffix to the deployment it
+    addresses: ``{"": d}`` registers E6's bare ``mab`` / ``im-client``,
+    ``{":user3": d}`` a farm tenant's ``mab:user3`` / ``im-client:user3``.
+    ``pairs`` does the same for ``replication-link`` / ``standby-host``.
+    """
+    injector = FaultInjector(world.env)
+
+    def on_screen(fault: ScheduledFault) -> bool:
+        if not world.host.up:
+            return False
+        caption = fault.params.get("caption", "Mystery dialog")
+        button = fault.params.get("button", "OK")
+        world.host.screen.pop_dialog(caption, (button,), owner=None)
+        if fault.kind is FaultKind.UNKNOWN_DIALOG_POPUP:
+            # The paper's fix: after a human noticed, the dialog-box
+            # handling API was used to register the new caption-button pair.
+            def operator(env):
+                yield env.timeout(operator_response)
+                for deployment in deployments.values():
+                    deployment.endpoint.im_manager.register_dialog_rule(
+                        caption, button
+                    )
+                    deployment.endpoint.email_manager.register_dialog_rule(
+                        caption, button
+                    )
+                # With the monkey ablated too, the operator clicks it away.
+                blocking = [
+                    d
+                    for d in world.host.screen.open_dialogs()
+                    if d.caption == caption
+                ]
+                for dialog in blocking:
+                    world.host.screen.click(dialog, button)
+
+            world.env.process(operator(world.env), name="operator-fix")
+        return True
+
+    handlers = {
+        TARGET_IM_SERVICE: outage_handler(
+            world.im, FaultKind.IM_SERVICE_OUTAGE
+        ),
+        TARGET_EMAIL_SERVICE: outage_handler(
+            world.email, FaultKind.EMAIL_OUTAGE
+        ),
+        TARGET_HOST: host_handler(world.host),
+        TARGET_SCREEN: on_screen,
+    }
+    for suffix, deployment in deployments.items():
+        handlers[TARGET_MAB + suffix] = mab_handler(deployment)
+        handlers[TARGET_IM_CLIENT + suffix] = client_handler(world, deployment)
+    for suffix, pair in (pairs or {}).items():
+        handlers[TARGET_REPLICATION_LINK + suffix] = outage_handler(
+            pair.link, FaultKind.REPLICATION_LINK_DOWN
+        )
+        # The pair's *dedicated* second machine — after a failover it is
+        # the active primary, which is exactly the double failure the
+        # replication schedules go looking for.
+        handlers[TARGET_STANDBY_HOST + suffix] = host_handler(pair.b.host)
+    for target, handler in handlers.items():
+        injector.register(target, handler)
+    return injector
+
+
+@dataclass(frozen=True)
+class AlertFate:
+    """What became of one offered alert (see :func:`alert_fates`)."""
+
+    user: str
+    alert_id: str
+    #: First non-duplicate receipt; None = never reached the user.
+    receipt: Optional["Receipt"]
+    #: Duplicate copies that reached the user's screen.
+    user_duplicates: int
+    #: Terminal ``routed`` pipeline trips (> 1 = routed twice).
+    routed: int
+    #: Some trip ended in a dead-letter or admission-terminal kind: the
+    #: system decided, on the record, not to deliver.
+    accounted: bool
+
+    @property
+    def delivered(self) -> bool:
+        return self.receipt is not None
+
+    @property
+    def lost(self) -> bool:
+        """Neither delivered nor explicitly accounted for — silent loss."""
+        return self.receipt is None and not self.accounted
+
+
+def alert_fates(
+    tenants: Iterable["FarmTenant"],
+    offered: dict[str, set[str]],
+    oracle: DeliveryOracle,
+) -> Iterator[AlertFate]:
+    """One :class:`AlertFate` per offered alert of a quiesced run.
+
+    Per tenant, delivered alerts come first, in first-receipt order: alert
+    ids come from a process-global counter, so the ``offered`` sets iterate
+    in an order that depends on what the *process* did before — receipt
+    order keeps latency summaries bit-identical between in-process and
+    forked-worker runs.
+    """
+    by_user = oracle.outcomes_by_user()
+    for tenant in tenants:
+        ids = offered[tenant.name]
+        first: dict[str, "Receipt"] = {}
+        duplicates: Counter[str] = Counter()
+        for receipt in tenant.user.receipts:
+            if receipt.alert_id not in ids:
+                continue
+            if receipt.duplicate:
+                duplicates[receipt.alert_id] += 1
+            else:
+                first.setdefault(receipt.alert_id, receipt)
+        trips = by_user.get(tenant.name, {})
+        for alert_id in (*first, *(ids - first.keys())):
+            kinds = [t.kind for t in trips.get(alert_id, ())]
+            yield AlertFate(
+                user=tenant.name,
+                alert_id=alert_id,
+                receipt=first.get(alert_id),
+                user_duplicates=duplicates[alert_id],
+                routed=kinds.count("routed"),
+                accounted=any(k in ACCOUNTED_KINDS for k in kinds),
+            )
+
+
+class VariantLookup:
+    """Mixin for comparison results holding named ``variants``."""
+
+    variants: list
+
+    def variant(self, name: str):
+        for v in self.variants:
+            if v.name == name:
+                return v
+        raise KeyError(name)
+
+
+class DeliveryRig:
+    """The one delivery-run scaffold: sources → farm under MDC → users.
+
+    Builds the *zero-loss* world, a 4-shard ``News`` farm of ``n_users``
+    tenants observed by the oracle, and (at :meth:`start`) the named
+    ``sources`` — which are also the only sources the tenants accept.  A
+    run is: build → configure (``farm`` / ``tenants`` are exposed for it)
+    → :meth:`start` → an emitter → :meth:`inject` → :meth:`quiesce` →
+    :meth:`fates`.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        n_users: int,
+        sources: tuple[str, ...] = ("portal",),
+        oracle: Optional[DeliveryOracle] = None,
+        trace: bool = False,
+    ):
+        self.seed = seed
+        self.oracle = oracle if oracle is not None else DeliveryOracle()
+        self.world = SimbaWorld(
+            WorldConfig(
+                seed=seed,
+                email_latency=EMAIL_FAST,
+                email_loss=0.0,
+                sms_loss=0.0,
+            )
+        )
+        self.sink = None
+        if trace:
+            from repro.obs import TraceSink
+
+            self.sink = TraceSink().install(self.world.env)
+        self.farm = self.world.create_farm(
+            shards=4,
+            profile=FarmProfile(
+                categories=("News",), accept_sources=tuple(sources)
+            ),
+        )
+        self.tenants = self.farm.add_users(n_users)
+        for tenant in self.tenants:
+            tenant.deployment.config.pipeline_observer = (
+                self.oracle.observer_for(tenant.name)
+            )
+        #: Alert ids addressed to each tenant (what the oracle audits).
+        self.offered: dict[str, set[str]] = {
+            t.name: set() for t in self.tenants
+        }
+        self._source_names = tuple(sources)
+        self.sources: dict[str, "AlertSource"] = {}
+
+    def start(self, watchdog_interval: Optional[float] = 60.0) -> None:
+        """Launch the tenants — under MDC watchdogs, or bare
+        (``launch_all``) when ``watchdog_interval`` is None — then create
+        the sources and subscribe every tenant to them."""
+        if watchdog_interval is None:
+            self.farm.launch_all()
+        else:
+            self.farm.start_watchdogs(check_interval=watchdog_interval)
+        for name in self._source_names:
+            self.sources[name] = self.world.create_source(name)
+            self.farm.register_with(self.sources[name])
+
+    def emit(
+        self,
+        source: "AlertSource",
+        tenant: "FarmTenant",
+        subject: str,
+        severity: AlertSeverity = AlertSeverity.ROUTINE,
+    ) -> Alert:
+        """Address one ``News`` alert to ``tenant`` and remember it."""
+        alert, _ = source.emit_to(
+            tenant.book, "News", subject, "body", severity=severity
+        )
+        self.offered[tenant.name].add(alert.alert_id)
+        return alert
+
+    def round_robin(self, period: float, until: float) -> None:
+        """One ``portal`` alert somewhere on the farm every ``period``."""
+        source = self.sources["portal"]
+
+        def workload(env):
+            index = 0
+            while env.now < until:
+                tenant = self.tenants[index % len(self.tenants)]
+                self.emit(source, tenant, f"alert-{index}-{tenant.name}")
+                index += 1
+                yield env.timeout(period)
+
+        self.world.env.process(workload(self.world.env), name="chaos-workload")
+
+    def storm(self, storm: StormConfig, duration: float, start: float) -> None:
+        """Burst arrivals from the storm sources, with duplicate copies."""
+        sources = [self.sources[n] for n in storm_source_names(storm)]
+        tenants = {t.name: t for t in self.tenants}
+        events = StormTrafficGenerator(
+            self.seed, list(tenants), storm, duration=duration, start=start
+        ).generate()
+
+        def workload(env):
+            # Per-user memory of the last fresh emission, so a
+            # ``duplicate`` event re-submits the *same* alert object from
+            # the same source — the upstream at-least-once copy dedup keys
+            # must suppress.
+            last: dict[str, tuple] = {}
+            index = 0
+            for event in events:
+                if event.at > env.now:
+                    yield env.timeout(event.at - env.now)
+                tenant = tenants[event.user]
+                if event.duplicate and event.user in last:
+                    prev_src, prev_alert = last[event.user]
+                    env.process(
+                        prev_src.deliver(prev_alert, tenant.book),
+                        name=f"{prev_src.name}-redeliver-{prev_alert.alert_id}",
+                    )
+                    continue
+                src = sources[event.source]
+                alert = self.emit(
+                    src,
+                    tenant,
+                    f"storm-{index}-{event.user}",
+                    AlertSeverity(event.severity),
+                )
+                last[event.user] = (src, alert)
+                index += 1
+
+        self.world.env.process(workload(self.world.env), name="storm-workload")
+
+    def inject(
+        self,
+        schedule: list[ScheduledFault],
+        operator_response: float = 5 * MINUTE,
+    ) -> FaultInjector:
+        """Wire every tenant's targets and schedule the faults."""
+        injector = wire_targets(
+            self.world,
+            {f":{t.name}": t.deployment for t in self.tenants},
+            operator_response,
+            pairs={
+                f":{t.name}": t.pair
+                for t in self.tenants
+                if t.pair is not None
+            },
+        )
+        injector.load(schedule)
+        return injector
+
+    def quiesce(self, until: float) -> OracleReport:
+        """Run to ``until``, then hand the farm to the oracle."""
+        self.world.run(until=until)
+        return self.oracle.check(
+            self.farm,
+            offered=self.offered,
+            source_endpoints=[s.endpoint for s in self.sources.values()],
+            trace_sink=self.sink,
+        )
+
+    def promotions(self) -> dict[str, int]:
+        """Failover promotions per replicated tenant (the first promotion
+        record is the initial epoch grant)."""
+        return {
+            t.name: len(t.pair.audit.promotions) - 1
+            for t in self.tenants
+            if t.pair is not None
+        }
+
+    def fates(self) -> Iterator[AlertFate]:
+        return alert_fates(self.tenants, self.offered, self.oracle)
 
 
 def run_chaos(
@@ -381,159 +646,66 @@ def run_chaos(
     """
     if config is None:
         config = ChaosRunConfig()
-    if oracle is None:
-        oracle = DeliveryOracle()
-
-    world = SimbaWorld(
-        WorldConfig(
-            seed=config.seed,
-            email_latency=EMAIL_FAST,
-            email_loss=0.0,
-            sms_loss=0.0,
-        )
-    )
-    sink = None
-    if trace:
-        from repro.obs import TraceSink
-
-        sink = TraceSink().install(world.env)
     storm_names = (
-        [f"storm{i}" for i in range(config.storm.n_sources)]
-        if config.storm is not None
-        else []
+        storm_source_names(config.storm) if config.storm is not None else ()
     )
-    farm = world.create_farm(
-        shards=4,
-        profile=FarmProfile(
-            categories=("News",),
-            accept_sources=("portal", *storm_names),
-        ),
+    rig = DeliveryRig(
+        config.seed,
+        config.n_users,
+        sources=("portal", *storm_names),
+        oracle=oracle,
+        trace=trace,
     )
-    tenants = farm.add_users(config.n_users)
-    for tenant in tenants:
+    for tenant in rig.tenants:
         cfg = tenant.deployment.config
-        cfg.pipeline_observer = oracle.observer_for(tenant.name)
         cfg.delivery_retry_delay = config.delivery_retry_delay
         cfg.delivery_max_attempts = config.delivery_max_attempts
         cfg.admission = config.admission
         if stage_factory is not None:
             cfg.stage_factory = stage_factory
     if config.replication:
-        farm.enable_replication(
+        rig.farm.enable_replication(
             heartbeat_interval=config.heartbeat_interval,
             lease_timeout=config.lease_timeout,
             check_interval=config.lease_check_interval,
             transport=config.transport or "stabilizing",
         )
     if config.adversary is not None:
-        for channel in (world.im, world.email, world.sms):
+        for channel in (rig.world.im, rig.world.email, rig.world.sms):
             channel.set_adversary(config.adversary)
-        for tenant in tenants:
+        for tenant in rig.tenants:
             if tenant.pair is not None:
                 tenant.pair.link.set_adversary(config.adversary)
-    farm.start_watchdogs(check_interval=config.mdc_check_interval)
+    rig.start(watchdog_interval=config.mdc_check_interval)
 
-    source = world.create_source("portal")
-    farm.register_with(source)
-    storm_sources = [world.create_source(name) for name in storm_names]
-    for storm_source in storm_sources:
-        farm.register_with(storm_source)
-
-    fault_window_end = max(
-        [config.start + config.duration]
-        + [f.at + f.duration for f in schedule]
-    )
-    horizon = fault_window_end + config.settle
-    offered: dict[str, set[str]] = {t.name: set() for t in tenants}
-
-    def workload(env):
-        index = 0
-        while env.now < fault_window_end:
-            tenant = tenants[index % len(tenants)]
-            alert, _ = source.emit_to(
-                tenant.book, "News", f"alert-{index}-{tenant.name}", "body"
-            )
-            offered[tenant.name].add(alert.alert_id)
-            index += 1
-            yield env.timeout(config.alert_period)
-
-    def storm_workload(env):
-        events = StormTrafficGenerator(
-            config.seed,
-            [t.name for t in tenants],
-            config.storm,
-            duration=config.duration,
-            start=config.start,
-        ).generate()
-        books = {t.name: t.book for t in tenants}
-        # Per-user memory of the last fresh emission, so a ``duplicate``
-        # event re-submits the *same* alert object from the same source —
-        # the upstream at-least-once copy dedup keys must suppress.
-        last: dict[str, tuple] = {}
-        index = 0
-        for event in events:
-            if event.at > env.now:
-                yield env.timeout(event.at - env.now)
-            src = storm_sources[event.source]
-            if event.duplicate and event.user in last:
-                prev_src, prev_alert = last[event.user]
-                env.process(
-                    prev_src.deliver(prev_alert, books[event.user]),
-                    name=f"{prev_src.name}-redeliver-{prev_alert.alert_id}",
-                )
-                continue
-            alert, _ = src.emit_to(
-                books[event.user],
-                "News",
-                f"storm-{index}-{event.user}",
-                "body",
-                severity=AlertSeverity(event.severity),
-            )
-            offered[event.user].add(alert.alert_id)
-            last[event.user] = (src, alert)
-            index += 1
-
+    window_end = fault_window_end(schedule, config.start, config.duration)
     if config.storm is not None:
-        world.env.process(storm_workload(world.env), name="storm-workload")
+        rig.storm(config.storm, duration=config.duration, start=config.start)
     else:
-        world.env.process(workload(world.env), name="chaos-workload")
+        rig.round_robin(config.alert_period, until=window_end)
+    injector = rig.inject(schedule, config.operator_response)
+    horizon = window_end + config.settle
+    report = rig.quiesce(horizon)
 
-    injector = wire_chaos_targets(world, farm, config.operator_response)
-    injector.load(schedule)
-
-    world.run(until=horizon)
-
-    report = oracle.check(
-        farm,
-        offered=offered,
-        source_endpoints=[source.endpoint]
-        + [s.endpoint for s in storm_sources],
-        trace_sink=sink,
+    outcome_counts = Counter(
+        obs.kind or "(dropped)" for obs in rig.oracle.observed
     )
-    outcome_counts: dict[str, int] = {}
-    for obs in oracle.observed:
-        kind = obs.kind or "(dropped)"
-        outcome_counts[kind] = outcome_counts.get(kind, 0) + 1
+    delivered = {name: 0 for name in rig.offered}
+    for fate in rig.fates():
+        delivered[fate.user] += fate.delivered
+    accepted = sum(1 for r in injector.records if r.accepted)
     return ChaosReport(
         config=config,
         schedule=list(schedule),
         oracle=report,
-        offered={name: len(ids) for name, ids in offered.items()},
-        delivered={
-            t.name: len(t.user.unique_alerts_received() & offered[t.name])
-            for t in tenants
-        },
-        outcome_counts=outcome_counts,
-        injected=sum(1 for r in injector.records if r.accepted),
-        rejected_injections=sum(
-            1 for r in injector.records if not r.accepted
-        ),
+        offered={name: len(ids) for name, ids in rig.offered.items()},
+        delivered=delivered,
+        outcome_counts=dict(outcome_counts),
+        injected=accepted,
+        rejected_injections=len(injector.records) - accepted,
         horizon=horizon,
-        promotions={
-            t.name: len(t.pair.audit.promotions) - 1
-            for t in tenants
-            if t.pair is not None
-        },
-        admission=farm.admission_summary(),
-        trace=sink,
+        fault_window_end=window_end,
+        promotions=rig.promotions(),
+        admission=rig.farm.admission_summary(),
+        trace=rig.sink,
     )

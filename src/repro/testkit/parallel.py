@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -162,8 +163,9 @@ def fanout(
     fresh pool.
 
     ``fn`` and each item/result must be picklable when ``jobs > 1`` (they
-    cross a process boundary): module-level functions and plain dataclasses
-    qualify, lambdas and closures do not.
+    cross a process boundary): module-level functions, ``functools.partial``
+    over one (how the variant comparisons bind their shared arguments) and
+    plain dataclasses qualify, lambdas and closures do not.
     """
     if jobs is None and _active_pool is not None:
         return _active_pool.map(fn, items)
@@ -173,3 +175,20 @@ def fanout(
         return [fn(item) for item in work]
     with _pool_context().Pool(processes=min(jobs, len(work))) as pool:
         return pool.map(fn, work, chunksize=1)
+
+
+def seed_sweep(
+    run_comparison: Callable[..., R],
+    seeds: Iterable[int],
+    jobs: Optional[int] = None,
+    **kwargs,
+) -> list[R]:
+    """``run_comparison(seed, jobs=1, **kwargs)`` per seed, in seed order.
+
+    Seeds are independent (each builds its own worlds), so ``jobs > 1``
+    fans them across a process pool; the merged list is identical to a
+    sequential run's.  Nested parallelism is deliberately avoided:
+    per-seed comparisons run their variants sequentially (``jobs=1``) so
+    the pool is saturated by seeds, not oversubscribed.
+    """
+    return fanout(partial(run_comparison, jobs=1, **kwargs), seeds, jobs=jobs)

@@ -113,7 +113,30 @@ def dump_reproducer(reproducer: Reproducer, path: str | Path) -> Path:
 
 
 def load_reproducer(path: str | Path) -> Reproducer:
-    return Reproducer.from_json(Path(path).read_text())
+    """Read a pin.  A missing field, a format version this code does not
+    speak, or a config key :class:`ChaosRunConfig` does not know (dropping
+    it would replay a *different* run and still print PASS) is a
+    :class:`ConfigurationError` naming the file."""
+    from repro.testkit.harness import ChaosRunConfig
+
+    try:
+        reproducer = Reproducer.from_json(Path(path).read_text())
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"{path}: reproducer is missing required field {exc}"
+        ) from exc
+    if reproducer.version != FORMAT_VERSION:
+        raise ConfigurationError(
+            f"{path}: reproducer format version {reproducer.version}, "
+            f"this code reads version {FORMAT_VERSION}"
+        )
+    unknown = set(reproducer.config) - set(ChaosRunConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigurationError(
+            f"{path}: config keys ChaosRunConfig does not know: "
+            + ", ".join(sorted(unknown))
+        )
+    return reproducer
 
 
 def make_reproducer(
@@ -155,8 +178,7 @@ def replay_reproducer(
     from repro.testkit.harness import ChaosRunConfig, run_chaos
 
     reproducer = load_reproducer(path)
-    known = {f.name for f in ChaosRunConfig.__dataclass_fields__.values()}
-    kwargs = {k: v for k, v in reproducer.config.items() if k in known}
+    kwargs = dict(reproducer.config)
     # Nested hardening configs land as plain dicts in the JSON pin.
     if isinstance(kwargs.get("admission"), dict):
         kwargs["admission"] = AdmissionConfig.from_dict(kwargs["admission"])

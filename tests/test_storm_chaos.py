@@ -143,13 +143,20 @@ class TestStormSweepParallel:
         settle=15 * MINUTE,
     )
 
+    #: The second case is the E12 default storm over five seeds — the
+    #: sweep CI's storm entry used to run from an inline script.
+    CASES = [
+        ([0, 1, 2], KWARGS),
+        (range(5), dict(KWARGS, storm=None)),
+    ]
+
     def test_two_workers_bit_identical_to_sequential(self):
-        seeds = [0, 1, 2]
-        sequential = run_storm_sweep(seeds, jobs=1, **self.KWARGS)
-        parallel = run_storm_sweep(seeds, jobs=2, **self.KWARGS)
-        assert sequential == parallel
-        for result in sequential:
-            assert result.ok, result.variant("hardened").violations
+        for seeds, kwargs in self.CASES:
+            sequential = run_storm_sweep(seeds, jobs=1, **kwargs)
+            parallel = run_storm_sweep(seeds, jobs=2, **kwargs)
+            assert sequential == parallel
+            for result in sequential:
+                assert result.ok, result.variant("hardened").violations
 
 
 class TestStormComparison:

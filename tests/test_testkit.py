@@ -1,20 +1,27 @@
-"""Unit tests for the chaos testkit's pure parts.
+"""Unit tests for the chaos testkit's parts.
 
 Generator determinism and taxonomy coverage, schedule/reproducer JSON
-round-trips, and the ddmin shrinker against synthetic predicates.  No
-simulation runs here — the harness/oracle integration lives in
-``test_chaos_oracle.py`` and ``test_chaos_smoke.py``.
+round-trips, the ddmin shrinker against synthetic predicates, and the
+delivery rig's pieces (handler factories, source gating, the fate pass,
+the oracle hand-off) on minutes-long runs.  The full harness/oracle
+integration lives in ``test_chaos_oracle.py`` and ``test_chaos_smoke.py``.
 """
 
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.user_endpoint import Receipt
 from repro.errors import ConfigurationError
-from repro.sim.clock import HOUR
+from repro.net.message import ChannelType
+from repro.sim.clock import HOUR, MINUTE
 from repro.sim.failures import FaultKind, ScheduledFault
 from repro.testkit import (
     ChaosIntensity,
+    ChaosRunConfig,
+    DeliveryOracle,
     FaultScheduleGenerator,
     Reproducer,
     ShrinkResult,
@@ -22,6 +29,8 @@ from repro.testkit import (
     fault_from_dict,
     fault_to_dict,
     load_reproducer,
+    replay_reproducer,
+    run_chaos,
     schedule_from_json,
     schedule_to_json,
     shrink,
@@ -31,15 +40,25 @@ from repro.testkit.generator import (
     PER_USER_KINDS,
     per_user_target,
 )
+from repro.testkit.generator import StormConfig
+from repro.testkit.harness import (
+    DeliveryRig,
+    alert_fates,
+    storm_source_names,
+    wire_targets,
+)
+from repro.testkit.oracle import ObservedOutcome
 from repro.testkit.sweep import trial_seed
 from repro.workloads.faultload import (
     TARGET_EMAIL_SERVICE,
     TARGET_HOST,
     TARGET_IM_SERVICE,
+    TARGET_MAB,
     TARGET_SCREEN,
 )
 
 USERS = ["user0", "user1", "user2"]
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class TestChaosIntensity:
@@ -258,6 +277,39 @@ class TestScheduleSerialization:
         payload = json.loads(path.read_text())
         assert payload["schedule"][0]["kind"] == "memory_leak"
 
+    @pytest.mark.parametrize(
+        "edit, complaint",
+        [
+            (lambda p: p["config"].update(alert_perod=5.0), "alert_perod"),
+            (lambda p: p.update(version=2), "version 2"),
+            (lambda p: p.pop("schedule"), "'schedule'"),
+            (lambda p: p.pop("seed"), "'seed'"),
+        ],
+        ids=["unknown-config-key", "newer-version", "no-schedule", "no-seed"],
+    )
+    def test_malformed_pin_fails_loudly(self, tmp_path, edit, complaint):
+        """A typo'd, newer or truncated pin must not replay as some other
+        run: the error names the file and the offending part."""
+        payload = json.loads(
+            Reproducer(seed=1, schedule=[self._fault()],
+                       config={"seed": 1}).to_json()
+        )
+        edit(payload)
+        path = tmp_path / "bad_pin.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError) as excinfo:
+            replay_reproducer(path)
+        assert "bad_pin.json" in str(excinfo.value)
+        assert complaint in str(excinfo.value)
+
+    def test_all_committed_pins_still_load(self):
+        pins = sorted(DATA_DIR.glob("chaos/*.json")) + [
+            DATA_DIR / "trace" / "handoff_failover.json"
+        ]
+        assert len(pins) == 5
+        for path in pins:
+            assert load_reproducer(path).schedule, path
+
 
 def _make_schedule(n):
     return [
@@ -328,3 +380,114 @@ class TestShrink:
             minimal=True, steps=[5, 2],
         )
         assert result.removed == 7
+
+
+class TestDeliveryRig:
+    """The one farm-run scaffold (small simulations, seconds of sim time)."""
+
+    def test_same_handler_under_e6_and_farm_names(self):
+        """``mab`` (E6's single deployment) and ``mab:user0`` (a farm
+        tenant) are one factory over a deployment, not two handlers."""
+        rig = DeliveryRig(seed=1, n_users=1)
+        rig.start()
+        deployment = rig.tenants[0].deployment
+        injector = wire_targets(
+            rig.world, {"": deployment, ":user0": deployment}, 300.0
+        )
+        for at, target in ((60.0, TARGET_MAB), (400.0, f"{TARGET_MAB}:user0")):
+            rig.world.run(until=at)
+            victim = deployment.current
+            assert victim.alive
+            assert injector.inject_now(
+                ScheduledFault(at=at, kind=FaultKind.PROCESS_CRASH,
+                               target=target)
+            )
+            rig.world.run(until=at + 1.0)
+            assert not victim.alive
+        assert deployment.journal.count("crash") == 2
+
+    def test_named_sources_are_the_only_accepted_sources(self):
+        names = storm_source_names(StormConfig(n_sources=2))
+        rig = DeliveryRig(seed=2, n_users=1, sources=names)
+        rig.start()
+        assert tuple(rig.sources) == names == ("storm0", "storm1")
+        stranger = rig.world.create_source("portal")
+        rig.farm.register_with(stranger)
+        rig.world.run(until=60.0)
+        tenant = rig.tenants[0]
+        for source in (*rig.sources.values(), stranger):
+            rig.emit(source, tenant, f"from-{source.name}")
+        report = rig.quiesce(until=600.0)
+        assert report.ok, report.summary()
+        assert tenant.deployment.journal.count("rejected") == 1
+        fates = list(rig.fates())
+        assert [f.delivered for f in fates] == [True, True, False]
+        assert fates[2].accounted and not fates[2].lost
+
+    def test_fate_pass_classifies_a_hand_built_run(self):
+        def receipt(alert_id, at, duplicate=False):
+            return Receipt(alert_id, ChannelType.IM, at, 10.0, duplicate)
+
+        def trip(alert_id, kind):
+            return ObservedOutcome("u", alert_id, "s", kind, True, 12.0)
+
+        user = SimpleNamespace(receipts=[
+            receipt("twice", 12.5), receipt("twice", 40.0, duplicate=True),
+            receipt("not-offered", 13.0),
+        ])
+        oracle = DeliveryOracle()
+        oracle.observed += [
+            trip("twice", "routed"), trip("twice", "routed"),
+            trip("dead", "delivery_abandoned"),
+        ]
+        fates = {
+            f.alert_id: f
+            for f in alert_fates(
+                [SimpleNamespace(name="u", user=user)],
+                {"u": {"twice", "dead", "never-acked"}},
+                oracle,
+            )
+        }
+        assert set(fates) == {"twice", "dead", "never-acked"}
+        twice, dead, silent = (
+            fates[k] for k in ("twice", "dead", "never-acked")
+        )
+        assert twice.delivered and twice.receipt.latency == 2.5
+        assert (twice.user_duplicates, twice.routed) == (1, 2)
+        assert not dead.delivered and dead.accounted and not dead.lost
+        assert silent.lost and silent.routed == 0
+
+    def test_run_chaos_oracle_contract_and_fault_window(self):
+        """``benchmarks/e2e`` subclasses the oracle to reach the farm and
+        the offered ids; the report states the window it ran, whatever
+        ``start`` is."""
+        seen = {}
+
+        class Capturing(DeliveryOracle):
+            def check(self, farm, offered=None, source_endpoints=(),
+                      trace_sink=None):
+                seen.update(farm=farm, offered=offered,
+                            endpoints=list(source_endpoints))
+                return super().check(
+                    farm, offered=offered,
+                    source_endpoints=source_endpoints, trace_sink=trace_sink,
+                )
+
+        config = ChaosRunConfig(
+            seed=3, n_users=2, start=2 * MINUTE, duration=4 * MINUTE,
+            settle=6 * MINUTE,
+        )
+        outlasting = ScheduledFault(
+            at=5 * MINUTE, kind=FaultKind.IM_SERVICE_OUTAGE,
+            target=TARGET_IM_SERVICE, duration=3 * MINUTE,
+        )
+        report = run_chaos([outlasting], config, oracle=Capturing())
+        assert report.ok, report.summary()
+        assert report.fault_window_end == 8 * MINUTE
+        assert report.horizon == report.fault_window_end + config.settle
+        assert len(seen["farm"]) == 2 and len(seen["endpoints"]) == 1
+        assert {u: len(ids) for u, ids in seen["offered"].items()} == (
+            report.offered
+        )
+        inside = run_chaos([], config)
+        assert inside.fault_window_end == config.start + config.duration
