@@ -14,19 +14,31 @@ absolute ``alerts_per_s`` metrics are normalized by the same pure-Python
 calibration loop; the ``_speedup`` metric is hardware-independent and
 compared directly, as a one-sided lower bound.
 
-The committed baseline was produced on a **1-core container**, where every
-shard time-slices the same CPU and the honest parallel speedup is ~1x.
-The architecture's speedup materializes with the cores: on an N-core
-runner shards=4 runs its four kernels concurrently and the measured
-speedup clears the baseline bound with room.  What makes the multi-core
-number trustworthy is the invariance gate next to it — more shards change
-wall-clock only, never results.
+The artifact records the machine it ran on (``host``: ``os.cpu_count()``
+and the Python version) and ``--check`` prints the baseline's and the
+current core counts side by side, because the speedup is only as good as
+the cores behind it: with fewer cores than shards the workers time-slice
+and the parallel part of the ratio is capped at the core count.
+
+The ratio also has a part that is not parallelism, which is why "4 shards
+beat 1" even on one core.  It is not a smaller *event* heap (the timing
+wheel schedules in O(1)); it is the smaller *object* heap each kernel
+owns.  The largest such term was CPython's cyclic collector, whose full
+passes walked every resident tenant — four shards each walking a quarter
+beat one walking all of it.  Shards now freeze their tenants out of the
+collector's working set at epoch boundaries (DESIGN §9 "Heap discipline",
+EXPERIMENTS §A9), which removed that term from both layouts: both
+absolute numbers rose and the ratio fell (2.6x -> 1.8x on 2 vCPUs).
+What makes any such number trustworthy is the invariance gate next to
+it — more shards change wall-clock only, never results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -76,6 +88,10 @@ def run_suite(
     payload = {
         "schema": 1,
         "calibration_eps": cal_units / cal_elapsed,
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+        },
         "config": {
             "users": users,
             "shard_counts": list(shard_counts),
@@ -139,6 +155,13 @@ def main(argv: list[str] | None = None) -> int:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
     if args.check is not None:
+        baseline_path = args.check / f"{ARTIFACT}.json"
+        if baseline_path.exists():
+            recorded = json.loads(baseline_path.read_text()).get("host", {})
+            print(f"  cores: baseline {recorded.get('cpu_count', 'unrecorded')}"
+                  f" (python {recorded.get('python', 'unrecorded')}), "
+                  f"current {payload['host']['cpu_count']} "
+                  f"(python {payload['host']['python']})")
         failures = check_against(results, args.check, args.tolerance)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)

@@ -61,6 +61,7 @@ that, and the E13 experiment re-checks it on every run.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import traceback
@@ -690,7 +691,23 @@ class ShardWorker:
         self.world.run(until=until)
         outbound = self._outbound
         self._outbound = []
+        # Epoch boundary: the kernel is quiescent and this epoch's burst of
+        # materialized tenants is now long-lived.  Move the heap out of the
+        # cyclic collector's working set so its full passes stop walking
+        # every resident tenant; :meth:`close` gives it back.  Sound only
+        # because finished processes reclaim themselves by refcount
+        # (``sim/process.py``) — garbage frozen here is never collected.
+        gc.freeze()
         return outbound
+
+    def close(self) -> None:
+        """Hand the frozen heap back to the collector (idempotent).
+
+        The freeze is interpreter-wide, so an in-process host — pytest, a
+        traced benchmark pass — must get its own objects back when the
+        shard is done.
+        """
+        gc.unfreeze()
 
     def rollup(self) -> dict:
         """This shard's contribution to the merged aggregate rollup."""
@@ -762,6 +779,7 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
                 elif command == "fingerprints":
                     conn.send(("ok", worker.fingerprints()))
                 elif command == "stop":
+                    worker.close()
                     conn.send(("ok", None))
                     return
                 else:
@@ -778,13 +796,21 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
 
 
 class ShardProtocolError(RuntimeError):
-    """A worker replied with an error (its traceback is the message)."""
+    """A worker replied with an error (its traceback is the message), or
+    died — then the message says which shard, during what, and how."""
+
+
+#: What a dead pipe looks like from the coordinator's end.
+_PIPE_DEAD = (EOFError, BrokenPipeError, ConnectionResetError)
 
 
 class _ProcessShard:
     """Coordinator-side handle for one worker process."""
 
     def __init__(self, context, spec: ShardSpec):
+        self.shard = spec.shard
+        #: The last command sent, for the diagnosis if the worker dies.
+        self._last: tuple = ("start",)
         self.conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=shard_worker_main,
@@ -796,13 +822,41 @@ class _ProcessShard:
         child_conn.close()
 
     def send(self, message: tuple) -> None:
-        self.conn.send(message)
+        self._last = message
+        try:
+            self.conn.send(message)
+        except _PIPE_DEAD as exc:
+            raise self._died() from exc
 
     def recv(self) -> object:
-        kind, payload = self.conn.recv()
+        try:
+            kind, payload = self.conn.recv()
+        except _PIPE_DEAD as exc:
+            raise self._died() from exc
         if kind == "error":
             raise ShardProtocolError(payload)
         return payload
+
+    def _died(self) -> ShardProtocolError:
+        # The pipe closes a moment before the exit status can be reaped.
+        self.process.join(timeout=1.0)
+        code = self.process.exitcode
+        if code is None:
+            fate = "hung up but is still running"
+        elif code == -9:
+            fate = "exit code -9 (killed — likely out of memory)"
+        elif code < 0:
+            fate = f"exit code {code} (killed by signal {-code})"
+        else:
+            fate = f"exit code {code}"
+        command = self._last[0]
+        during = (
+            f"{command!r} until={self._last[1]!r}"
+            if command == "epoch" else repr(command)
+        )
+        return ShardProtocolError(
+            f"shard {self.shard} worker died during {during}: {fate}"
+        )
 
     def stop(self, timeout: float = 5.0) -> None:
         try:
@@ -810,9 +864,10 @@ class _ProcessShard:
             self.conn.recv()
         except (BrokenPipeError, EOFError, OSError):
             pass
-        finally:
-            self.conn.close()
+        # Hang up only once the worker is gone: a sibling stopped in
+        # mid-epoch still has that epoch's reply and the stop's to write.
         self.process.join(timeout=timeout)
+        self.conn.close()
         if self.process.is_alive():  # pragma: no cover - defensive
             self.process.terminate()
             self.process.join(timeout=timeout)
@@ -853,6 +908,7 @@ class _InlineShard:
 
     def stop(self, timeout: float = 5.0) -> None:
         self._pending.clear()
+        self._worker.close()
 
 
 @dataclass
@@ -986,7 +1042,11 @@ class ShardedFarm:
                 _ProcessShard(context, spec) for spec in self._specs
             ]
         # Every worker builds concurrently; collect the ready handshakes.
-        self.local_counts = [worker.recv() for worker in self._workers]
+        try:
+            self.local_counts = [worker.recv() for worker in self._workers]
+        except ShardProtocolError:
+            self.stop()
+            raise
         return self
 
     def stop(self) -> None:
@@ -1016,11 +1076,17 @@ class ShardedFarm:
         """
         self._require_started()
         until = self._now + self.epoch
-        for shard, worker in enumerate(self._workers):
-            worker.send(("epoch", until, self._inbound[shard]))
         outbound: list[tuple] = []
-        for worker in self._workers:
-            outbound.extend(worker.recv())
+        try:
+            for shard, worker in enumerate(self._workers):
+                worker.send(("epoch", until, self._inbound[shard]))
+            for worker in self._workers:
+                outbound.extend(worker.recv())
+        except ShardProtocolError:
+            # Some shards ran the epoch and some did not: the farm cannot
+            # go on, so no sibling is left running behind the error.
+            self.stop()
+            raise
         if self.bridge_adversary is not None and self.bridge_adversary.enabled:
             # Adversarial copies are injected *before* the global sort so
             # they take their deterministic place in the one injection

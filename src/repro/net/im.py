@@ -139,6 +139,7 @@ class IMService(ChannelBase):
             del self._sessions[session.address]
             self.presence.set_online(session.address, False)
         session.active = False
+        session.hook = None  # its closure holds the session: no cycle
 
     def force_logout(self, address: str) -> bool:
         """Server-side logout (fault hook).  Returns True if a session died."""
@@ -153,6 +154,7 @@ class IMService(ChannelBase):
 
     def _kill_session(self, session: IMSession) -> None:
         session.active = False
+        session.hook = None  # its closure holds the session: no cycle
         del self._sessions[session.address]
         self.presence.set_online(session.address, False)
         session.inbox.clear()

@@ -251,6 +251,10 @@ class Condition(Event):
                 pass
             if not callbacks:
                 event.cancel()
+        # Decided: a still-pending child keeps ``_on_child`` (late failures
+        # are defused there), so holding the children back would be a
+        # cycle through it that only the collector can reclaim.
+        self._events = ()
 
     def cancel(self) -> None:
         """Cancelling a condition releases and cancels still-pending children."""

@@ -7,11 +7,12 @@ A :class:`Process` is itself an event that triggers when the generator
 returns (value = the ``StopIteration`` value) or raises.
 
 Resuming processes is the kernel's innermost loop, so this module leans on
-two micro-structures: ``send``/``throw`` are captured once per process
-(``self._send``) instead of being looked up per resume, and the transient
-bookkeeping events (the kick-start event, interrupt triggers, and the
-rearm events used for already-processed targets) come from the
-scheduler's free-list pool via ``env.event()``.
+two micro-structures: ``send`` is captured once per process
+(``self._send``) instead of being looked up per resume (``throw`` is the
+cold path — interrupts and failed events — and is looked up when needed),
+and the transient bookkeeping events (the kick-start event, interrupt
+triggers, and the rearm events used for already-processed targets) come
+from the scheduler's free-list pool via ``env.event()``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Process(Event):
     """A running simulation process (and the event of its termination)."""
 
-    __slots__ = ("name", "_generator", "_waiting_on", "_send", "_throw", "_wake")
+    __slots__ = ("name", "_generator", "_waiting_on", "_send", "_wake")
 
     def __init__(
         self,
@@ -44,7 +45,6 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._send = generator.send
-        self._throw = generator.throw
         #: The one bound ``_resume`` used as a callback everywhere, so a
         #: fresh bound-method object is not allocated on every yield.
         self._wake = self._resume
@@ -104,6 +104,13 @@ class Process(Event):
         slot reads are safe: the event is processed by the time its
         callbacks run, so the ``value``/``ok`` property guards cannot
         trip.
+
+        When the generator ends, on either exit, the process lets go of
+        it and of ``_send``/``_wake``: ``_wake`` is a bound method of
+        this very object, so a finished process that kept it would be a
+        reference cycle only the cyclic collector can reclaim — one per
+        delivered alert.  Holding nothing, it is freed with its last
+        outside reference (DESIGN §6d, "Process lifetime").
         """
         self._waiting_on = None
         env = self.env
@@ -113,13 +120,15 @@ class Process(Event):
                 target = self._send(event._value)
             else:
                 event._defused = True
-                target = self._throw(event._value)
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             env._active_process = None
+            self._generator = self._send = self._wake = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             env._active_process = None
+            self._generator = self._send = self._wake = None
             self._ok = False
             self._value = exc
             env.schedule(self)
@@ -151,13 +160,15 @@ class Process(Event):
             if ok:
                 target = self._send(value)
             else:
-                target = self._throw(value)
+                target = self._generator.throw(value)
         except StopIteration as stop:
             env._active_process = None
+            self._generator = self._send = self._wake = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             env._active_process = None
+            self._generator = self._send = self._wake = None
             self._ok = False
             self._value = exc
             env.schedule(self)

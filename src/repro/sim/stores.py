@@ -31,8 +31,9 @@ class StorePut(Event):
 
     def cancel(self) -> None:
         """Interrupted putter: the item must not enter the store later."""
-        if self in self.store._putters:
-            self.store._putters.remove(self)
+        putters = self.store._putters
+        if putters and self in putters:
+            putters.remove(self)
 
 
 class StoreGet(Event):
@@ -52,16 +53,35 @@ class StoreGet(Event):
 
 
 class Store:
-    """FIFO item store with optional capacity and filtered gets."""
+    """FIFO item store with optional capacity and filtered gets.
+
+    Every tenant owns several (session inboxes, client queues, the alert
+    inbox) and most sit empty, so the instance is slotted and carries no
+    container it cannot need: an empty ``deque`` is 760 bytes and one more
+    object for the collector to visit, an empty list 56.
+    """
+
+    __slots__ = ("env", "capacity", "items", "_putters", "_getters")
 
     def __init__(self, env: "Environment", capacity: float = _UNBOUNDED):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity!r}")
         self.env = env
         self.capacity = capacity
-        self.items: deque[Any] = deque()
-        self._putters: deque[StorePut] = deque()
-        self._getters: deque[StoreGet] = deque()
+        #: Stored items, head first.  A list, not a deque: taking the head
+        #: of a list is a memmove of the depth, and inboxes are shallow
+        #: (≤ 94 under the storm benchmark, mean 6) — far below where that
+        #: shows against the ~0.5 ms an alert costs.
+        self.items: list[Any] = []
+        #: Puts waiting for room.  Only a bounded store can have any (an
+        #: unbounded ``put`` is accepted on the spot), so only a bounded
+        #: store has the queue.
+        self._putters: Optional[deque[StorePut]] = (
+            None if capacity == _UNBOUNDED else deque()
+        )
+        #: Waiting gets in arrival order — at most one in every product
+        #: use, so a plain list.
+        self._getters: list[StoreGet] = []
 
     def __len__(self) -> int:
         return len(self.items)
@@ -95,7 +115,7 @@ class Store:
         goes to whoever is waiting next, in original order.  Ignores
         capacity — the item was only borrowed.
         """
-        self.items.appendleft(item)
+        self.items.insert(0, item)
         self._dispatch()
 
     def clear(self) -> list[Any]:
@@ -122,20 +142,19 @@ class Store:
         getters = self._getters
         items = self.items
         served = False
-        skipped: list[StoreGet] = []
-        while getters and items:
-            get = getters.popleft()
+        position = 0
+        while items and position < len(getters):
+            get = getters[position]
             index = self._find(get.predicate)
             if index is None:
-                skipped.append(get)
+                # Filtered out: keeps its place ahead of the rest.
+                position += 1
                 continue
+            del getters[position]
             item = items[index]
             del items[index]
             get.succeed(item)
             served = True
-        if skipped:
-            # Filtered-out getters keep their place ahead of the rest.
-            getters.extendleft(reversed(skipped))
         return served
 
     def _find(self, predicate: Optional[Callable[[Any], bool]]) -> Optional[int]:

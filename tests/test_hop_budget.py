@@ -5,11 +5,17 @@ simulated time or be interrupted (DESIGN §6d); a hop that only forwards a
 message is a callback on the event.  This test counts, on the 20-user
 golden farm, every ``Process`` spawned and every generator resume by the
 generator's qualname — from outside, by wrapping ``Process.__init__`` and
-the captured ``generator.send``/``throw`` — and pins the alert path
+handing it a generator proxy that counts ``send``/``throw`` — and pins the
+alert path
 exactly, so a forwarding process cannot creep back unnoticed.  The counts
 are a pure function of the scenario (both scheduler backends agree).
+
+The second half is the heap budget: what the same runs may leave behind
+that only the cyclic collector can free — nothing on the delivery path.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -59,22 +65,25 @@ def hop_counts():
     resumes: Counter = Counter()
     original_init = Process.__init__
 
+    class CountedGenerator:
+        """What ``Process`` takes for its generator, counting resumes."""
+
+        def __init__(self, generator):
+            self.generator = generator
+            self.__name__ = generator.__name__
+            self.qualname = generator.__qualname__
+
+        def send(self, value):
+            resumes[self.qualname] += 1
+            return self.generator.send(value)
+
+        def throw(self, *args):
+            resumes[self.qualname] += 1
+            return self.generator.throw(*args)
+
     def counting_init(self, env, generator, name=None):
-        original_init(self, env, generator, name)
-        qualname = generator.__qualname__
-        spawns[qualname] += 1
-        send, throw = self._send, self._throw
-
-        def counted_send(value):
-            resumes[qualname] += 1
-            return send(value)
-
-        def counted_throw(*args):
-            resumes[qualname] += 1
-            return throw(*args)
-
-        self._send = counted_send
-        self._throw = counted_throw
+        spawns[generator.__qualname__] += 1
+        original_init(self, env, CountedGenerator(generator), name)
 
     Process.__init__ = counting_init
     try:
@@ -101,3 +110,128 @@ def test_alert_path_resumes_are_pinned(hop_counts):
     per_alert = sum(measured.values()) / DELIVERED
     assert per_alert < 15  # 35 before message transit left the processes
     assert sum(resumes.values()) <= TOTAL_RESUMES
+
+
+# ---------------------------------------------------------------------------
+# Heap budget: what a run may leave for the cyclic collector
+# ---------------------------------------------------------------------------
+#
+# The sibling of the hop budget.  A finished ``Process`` holds nothing
+# (DESIGN §6d), so the delivery path makes no cyclic garbage at all and a
+# sharded farm may freeze its tenants out of the collector's working set
+# (DESIGN §9, "Heap discipline").  What is still left to the collector is
+# listed here, by kind, and nothing else may join it unnoticed.
+
+#: Objects of one ``UserEndpoint._im_loop`` parked for good on the inbox of
+#: a session the IM service has killed: the process, its generator and
+#: cached ``send``, the ``_wake`` it left on the ``StoreGet``, and the dead
+#: session's store — 10 objects on CPython 3.11, 12 where the session and
+#: its ``__dict__`` are counted with them.  Waking the loop to let it end
+#: would add a resume per logout, so it stays the collector's.
+PARKED_LOOP_KINDS = {
+    "Process", "generator", "builtin_function_or_method", "method",
+    "StoreGet", "Store", "IMSession", "list", "dict",
+}
+PARKED_LOOP_OBJECTS = 12
+#: Sessions killed under a listening user in the chaos run below.
+CHAOS_PARKED_LOOPS = 8
+
+
+def unreachable_after(run):
+    """What only a collection can free after ``run()`` with the collector
+    off, while its result is still alive: ``(count, objects)``.
+
+    The scenario runs once beforehand so that lazy imports — module
+    set-up is cyclic garbage of its own — are paid outside the census.
+    """
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        alive = run()  # noqa: F841 - held until the census is taken
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        count = gc.collect()
+        return count, list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+@pytest.mark.parametrize("backend", ["heap", "wheel"])
+def test_golden_farm_leaves_nothing_for_the_collector(backend, monkeypatch):
+    monkeypatch.setenv("REPRO_SCHEDULER", backend)
+    count, garbage = unreachable_after(run_golden_farm)
+    assert count == 0, Counter(type(o).__qualname__ for o in garbage)
+
+
+def test_a_process_that_keeps_its_wake_breaks_the_heap_budget(monkeypatch):
+    class ClingyProcess(Process):
+        __slots__ = ()
+
+        def succeed(self, value=None):
+            # A generator that returned ends here, just after letting go.
+            self._wake = self._resume
+            return super().succeed(value)
+
+    monkeypatch.setattr("repro.sim.kernel.Process", ClingyProcess)
+    count, garbage = unreachable_after(run_golden_farm)
+    leaked = [o for o in garbage if isinstance(o, ClingyProcess)]
+    assert len(leaked) >= EMITTED  # one per alert, as before the fix
+    assert count >= 2 * len(leaked)  # each with the bound method it kept
+
+
+def test_replicated_chaos_leaves_only_the_listed_residue():
+    from repro.testkit.generator import FaultScheduleGenerator
+    from repro.testkit.harness import ChaosRunConfig, run_chaos
+    from repro.testkit.oracle import DeliveryOracle
+
+    class KeepingOracle(DeliveryOracle):
+        """Holds the quiesced farm, so the census sees a live world."""
+
+        def check(self, farm, **kwargs):
+            self.farm = farm
+            return super().check(farm, **kwargs)
+
+    config = ChaosRunConfig(
+        seed=0, n_users=8, duration=600.0, alert_period=4.0, replication=True
+    )
+    schedule = FaultScheduleGenerator(
+        21, [f"user{i}" for i in range(config.n_users)],
+        duration=config.duration, start=config.start, replication=True,
+    ).generate()
+
+    def run():
+        oracle = KeepingOracle()
+        report = run_chaos(schedule, config, oracle=oracle)
+        assert report.oracle.ok and report.injected == 8
+        return oracle
+
+    count, garbage = unreachable_after(run)
+    kinds = Counter(type(o).__qualname__ for o in garbage)
+    parked = Counter(
+        o.__qualname__ for o in garbage if type(o).__name__ == "generator"
+    )
+    assert parked == {"UserEndpoint._im_loop": CHAOS_PARKED_LOOPS}
+    assert set(kinds) <= PARKED_LOOP_KINDS, kinds
+    assert count <= CHAOS_PARKED_LOOPS * PARKED_LOOP_OBJECTS, kinds
+
+
+def test_a_stopped_inline_sharded_farm_gives_the_heap_back():
+    from tests.test_sharded_farm import SMALL, small_farm
+
+    assert gc.get_freeze_count() == 0
+    farm = small_farm(2, inline=True)
+    with farm:
+        farm.run(until=SMALL["duration"] + SMALL["drain"])
+        # Tenants materialized during an epoch are frozen at its end.
+        assert gc.get_freeze_count() > 0
+        tenants = [
+            weakref.ref(tenant)
+            for shard in farm._workers
+            for tenant in shard._worker.farm
+        ]
+        assert tenants
+    assert gc.get_freeze_count() == 0
+    gc.collect()
+    assert [ref() for ref in tenants] == [None] * len(tenants)

@@ -9,6 +9,11 @@ disjoint partitions, conservative bridge timestamps, deterministic drain
 ordering, load accounting and the hot-shard detector's recommendations.
 """
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
 from repro.core.shard import (
@@ -202,6 +207,42 @@ class TestBridge:
         with farm:
             farm.run(until=SMALL["epoch"] * 1.5)
             assert farm.now == SMALL["epoch"] * 2
+
+
+# ---------------------------------------------------------------------------
+# A dead worker is a diagnosis
+# ---------------------------------------------------------------------------
+
+
+class TestWorkerDeath:
+    def test_killed_worker_is_named_and_siblings_are_stopped(self):
+        farm = small_farm(2, inline=False)
+        farm.start()
+        try:
+            farm.run_epoch()
+            victim = farm._workers[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            started = time.monotonic()
+            with pytest.raises(ShardProtocolError) as caught:
+                farm.run_epoch()
+            assert time.monotonic() - started < 5.0
+        finally:
+            farm.stop()
+        message = str(caught.value)
+        assert "shard 1" in message
+        assert "'epoch' until=60.0" in message
+        assert "exit code -9" in message and "out of memory" in message
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match="not started"):
+            farm.run_epoch()
+
+    def test_worker_that_fails_to_build_stops_the_others(self):
+        farm = small_farm(2, inline=False)
+        farm._specs[1].workload = "repro.experiments.sharded:no_such_workload"
+        with pytest.raises(ShardProtocolError, match="no_such_workload"):
+            farm.start()
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Unit tests for Store (FIFO mailboxes)."""
 
+import json
 import random
-from collections import deque
+from pathlib import Path
 
 import pytest
 
 from repro.sim import Environment, Store
-from repro.sim.stores import StorePut
+
+#: Put/get completion orders of 40 seeded random schedules, recorded from
+#: the pre-fast-path dispatch loop (every put queued a putter, every pass
+#: rebuilt the getter queue) before ``Store`` went lean.  Regenerating the
+#: file from the live ``Store`` would defeat it: it is the reference.
+DISPATCH_ORDERS = json.loads(
+    (Path(__file__).parent / "data" / "stores" / "dispatch_orders.json")
+    .read_text()
+)
 
 
 def test_put_then_get_fifo_order():
@@ -264,73 +273,79 @@ def test_mixed_filtered_getters_keep_their_place():
     assert len(store) == 0
 
 
-class _ReferenceStore(Store):
-    """The dispatch loop as it was before the unbounded fast path: every
-    put queues a putter, every pass rebuilds the getter queue."""
-
-    def put(self, item):
-        event = StorePut(self, item)
-        self._putters.append(event)
-        self._dispatch()
-        return event
-
-    def _dispatch(self):
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            pending = deque()
-            while self._getters:
-                get = self._getters.popleft()
-                index = self._find(get.predicate)
-                if index is None:
-                    pending.append(get)
-                    continue
-                item = self.items[index]
-                del self.items[index]
-                get.succeed(item)
-                progress = True
-            self._getters = pending
-
-
 @pytest.mark.parametrize("capacity", [float("inf"), 3])
 @pytest.mark.parametrize("seed", range(20))
 def test_put_get_order_matches_reference_dispatch(seed, capacity):
     predicates = [
         None, lambda x: x % 2 == 0, lambda x: x % 3 == 0, lambda x: x > 50,
     ]
+    rng = random.Random(seed)
+    env = Environment()
+    store = Store(env, capacity=capacity)
+    log = []
 
-    def drive(store_class):
-        rng = random.Random(seed)
-        env = Environment()
-        store = store_class(env, capacity=capacity)
-        log = []
+    def note(kind, tag):
+        return lambda event: log.append([kind, tag, event.value, env.now])
 
-        def note(kind, tag):
-            return lambda event: log.append((kind, tag, event.value, env.now))
+    def script(env):
+        for step in range(120):
+            roll = rng.random()
+            if roll < 0.45:
+                store.put(rng.randrange(100)).callbacks.append(
+                    note("put", step)
+                )
+            elif roll < 0.9:
+                store.get(rng.choice(predicates)).callbacks.append(
+                    note("get", step)
+                )
+            elif roll < 0.95:
+                store.put_front(rng.randrange(100))
+            else:
+                yield env.timeout(1.0)
 
-        def script(env):
-            for step in range(120):
-                roll = rng.random()
-                if roll < 0.45:
-                    store.put(rng.randrange(100)).callbacks.append(
-                        note("put", step)
-                    )
-                elif roll < 0.9:
-                    store.get(rng.choice(predicates)).callbacks.append(
-                        note("get", step)
-                    )
-                elif roll < 0.95:
-                    store.put_front(rng.randrange(100))
-                else:
-                    yield env.timeout(1.0)
+    env.process(script(env))
+    env.run()
+    assert {
+        "log": log,
+        "items": list(store.items),
+        "waiting_getters": len(store._getters),
+        "queued_putters": len(store._putters or ()),
+    } == DISPATCH_ORDERS[f"{seed}-{capacity}"]
 
-        env.process(script(env))
-        env.run()
-        return log, list(store.items), len(store._getters), len(store._putters)
 
-    assert drive(Store) == drive(_ReferenceStore)
+def test_bounded_store_queues_and_withdraws_an_interrupted_putter():
+    from repro.errors import Interrupt
+
+    env = Environment()
+    store = Store(env, capacity=1)
+    store.put("occupies")
+
+    def victim(env):
+        try:
+            yield store.put("withdrawn")
+        except Interrupt:
+            pass
+
+    target = env.process(victim(env))
+    env.run(until=1.0)
+    assert [put.item for put in store._putters] == ["withdrawn"]
+    target.interrupt()
+    env.run(until=2.0)
+    assert len(store._putters) == 0
+    store.get()
+    waiting = store.put("next")
+    env.run()
+    assert waiting.processed and list(store.items) == ["next"]
+
+
+def test_unbounded_store_has_no_putter_queue_to_leak_into():
+    env = Environment()
+    store = Store(env)
+    assert store._putters is None
+    puts = [store.put(item) for item in range(3)]
+    assert all(put.triggered for put in puts) and len(store) == 3
+    # Withdrawing an already-accepted put finds no queue and changes nothing.
+    puts[0].cancel()
+    assert list(store.items) == [0, 1, 2]
+    with pytest.raises(AttributeError):
+        store.scratch = 1  # slotted: no per-instance dict either
