@@ -45,6 +45,7 @@ from repro.testkit.generator import (
     FaultScheduleGenerator,
 )
 from repro.testkit.harness import ChaosRunConfig, VariantLookup, run_chaos
+from repro.testkit.oracle import INVARIANTS
 from repro.testkit.parallel import fanout
 from repro.workloads.faultload import TARGET_REPLICATION_LINK
 
@@ -54,10 +55,8 @@ VARIANTS = tuple(reversed(TRANSPORT_KINDS))  # ("naive", "stabilizing")
 #: Fault pressure matching the property tier's farm sweep.
 E14_INTENSITY = ChaosIntensity(faults_per_hour=30.0)
 
-TRANSPORT_INVARIANTS = (
-    "no_corrupt_accepted",
-    "stabilized_exactly_once",
-    "convergence_bounded",
+TRANSPORT_INVARIANTS = tuple(
+    row.name for row in INVARIANTS if row.scope == "pair side"
 )
 
 

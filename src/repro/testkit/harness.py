@@ -34,12 +34,7 @@ from repro.net.channel import LatencyModel
 from repro.sim.clock import HOUR, MINUTE
 from repro.sim.failures import FaultInjector, FaultKind, ScheduledFault
 from repro.testkit.generator import StormConfig, StormTrafficGenerator
-from repro.testkit.oracle import (
-    ADMISSION_TERMINAL_KINDS,
-    DEAD_LETTER_KINDS,
-    DeliveryOracle,
-    OracleReport,
-)
+from repro.testkit.oracle import ACCOUNTED_KINDS, DeliveryOracle, OracleReport
 from repro.workloads.faultload import (
     TARGET_EMAIL_SERVICE,
     TARGET_HOST,
@@ -189,9 +184,6 @@ class ChaosReport:
             + self.oracle.summary()
         )
 
-
-#: Trip kinds that put an undelivered alert on the record.
-ACCOUNTED_KINDS = DEAD_LETTER_KINDS | ADMISSION_TERMINAL_KINDS
 
 #: The channel-adversary pulse kinds a handler maps to ``adversary_pulse``.
 ADVERSARY_PULSE_KINDS = frozenset(

@@ -1,102 +1,97 @@
-"""The delivery oracle: end-to-end invariants a chaos run must satisfy.
+"""The delivery oracle: one table of invariants over one evidence record.
 
 The §4.2.1 dependability story compresses to a handful of checkable
-statements.  The oracle hooks the pipeline (via ``BuddyConfig
-.pipeline_observer``) and, after the run quiesces, audits every tenant's
-user endpoint, pessimistic log, journal and ack table:
+statements.  Each is a row of :data:`INVARIANTS` — a name, a *scope* and a
+generator function whose docstring is the statement — and an invariant is
+audited because it is in the table, nothing else switches it on or off.
 
-- **delivered-or-dead-letter** — every alert the MAB accepted either
-  reached the user's devices or carries an explicit dead-letter outcome
-  (``rejected`` / ``unmapped`` / ``filtered`` / ``no_subscribers`` /
-  ``delivery_abandoned``).  Silent loss is the one unforgivable outcome.
-- **exactly-once** — at most one terminal ``routed`` pipeline trip per
-  alert per tenant (the journal's ``routed_ids`` dedup is load-bearing).
-- **tenant-isolation** — no user ever receives an alert addressed to a
-  different tenant.
-- **no-duplicate-acks** — no (peer, seq) is ever acknowledged twice
-  (:class:`~repro.core.router.AckTable` classifies every ack; *late* acks
-  after an ack-timeout fallback are legal and only reported as info).
-- **log-quiescent** — the pessimistic log holds no unprocessed entries
-  once the run settles: every crash left nothing behind to replay.
-- **replay-idempotent** — re-running recovery over the log would be a
-  no-op: every processed entry is either in ``routed_ids`` (replay would
-  hit the duplicate-incoming guard) or was explicitly dead-lettered.
-- **pipeline-terminal** — every observed trip through the stages finished
-  with an outcome.  A trip that ran off the end of the stage list dropped
-  its alert on the floor (exactly what a missing RetryStage looks like).
+The oracle hooks the pipeline (via ``BuddyConfig.pipeline_observer``) and,
+after the run quiesces, :meth:`DeliveryOracle.check` runs **one loop**: for
+every tenant it gathers one :class:`Evidence` record in a single pass over
+the tenant's trips, receipts, logs, journals and ack tables — on *both*
+sides of a :class:`~repro.core.replication.ReplicatedPair`, since a pair is
+one logical MAB — and runs the table over it.  The record carries
 
-Replicated tenants (a :class:`~repro.core.replication.ReplicatedPair` on
-:class:`~repro.core.farm.FarmTenant.pair`) get two more invariants, fed by
-the pair's :class:`~repro.core.replication.EpochAudit`:
+- the tenant-wide facts (``name``, ``pair``, audited ``sides``, ``trips`` by
+  alert, ``delivered`` and ``offered`` sets, the union of ``routed_ids``,
+  the admission ``controller``), from which :meth:`Evidence.views` cuts,
+  per scope, the argument tuples that scope's checks are called with — the
+  record itself, or one tuple per alert / side / pair side / token bucket /
+  ack table — so a check is a few lines about one thing, and
+- ``checked`` / ``info`` tallies, which the loop sums without knowing what
+  they count (``transport_converged_at`` is the one ``max``).
 
-- **at-most-one-active-epoch** — no ack or routing pass is *initiated*
-  under epoch E strictly after a later epoch's promotion.  The guards
-  check the fencing service synchronously before recording, so any such
-  action means a guard was bypassed — split-brain, not an in-flight
-  delivery finishing late.
-- **no-fenced-reroute** — an alert routed under two epochs is legal only
-  in the partition shape: the old epoch's trip was already in flight
-  before the promotion *and* its ``processed`` mark never reached the
-  standby before the new epoch re-routed (so the replay was the correct
-  call).  Anything else — the mark was shipped yet the new primary routed
-  again, or the old primary routed *after* losing the epoch — is a real
-  duplicate.  Same-epoch double-routes stay plain ``exactly_once``
-  violations.
+The run's source endpoints arrive as one more record (no tenant, only ack
+tables).  A check yields ``(detail, alert_id)`` per breach; the loop is the
+only code that turns a finding into a :class:`Violation` or writes a report
+counter.  Two scopes have their own evidence and driver but the same table:
+``"trace"`` (one alert's span tree, :func:`repro.testkit.trace_oracle
+.check_trace`) and ``"layouts"`` (:func:`check_shard_count_invariance`).
 
-The classic invariants turn pair-aware too: acks, logs and journals are
-audited on *both* sides, and a ``fenced`` outcome (the side refused the
-trip and forwarded the alert to the active side) is terminal but is
-neither a delivery nor a dead letter.
+:data:`OUTCOME_KINDS` is the audit's own reading of every outcome kind the
+pipeline can finish a trip with; the kind sets used here, by the harness's
+fate pass and by the trace oracle are all derived from it, so the oracle
+never takes the pipeline's word for what counts as accounted for.
 
-The adversarial-transport layer (:mod:`repro.core.stabilizing`) adds three
-invariants over each pair side's :class:`~repro.core.stabilizing
-.TransportAudit`:
-
-- **no-corrupt-accepted** — no receiver ever applied a frame the channel
-  corrupted in flight; the stabilizing receiver's checksum rejects it and
-  the sender resends.  Any ``corrupt_accepted`` count is a violation.
-- **stabilized-exactly-once** — no record was ever applied twice by the
-  transport (``duplicate_applied == 0``): duplicate copies the adversary
-  injected were dropped at the dedup watermark, not re-applied.
-- **convergence-bounded** — after the run settles, every side's unshipped
-  queue has drained and no frame needed more than the sender's
-  ``resend_limit`` resend rounds: whatever transient garbage the channel
-  held, the pair re-converged within the promised bound.
-
-:func:`check_farm_equivalence` is the remaining ISSUE invariant: a
-BuddyFarm run must be event-equivalent to the same users run as
-independent MABs.  Channel latencies *do* differ (tenants share the
-farm's channel RNG streams), so equivalence is asserted on
-latency-invariant facts: per-alert outcome kinds and delivered subjects.
+:func:`check_farm_equivalence` is the one statement that is a comparison of
+two runs rather than an audit of one: a BuddyFarm run must be
+event-equivalent to the same users run as independent MABs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.sim.clock import MINUTE
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.farm import BuddyFarm
+    from repro.core.farm import BuddyFarm, FarmTenant
     from repro.core.pipeline import PipelineContext
 
-#: Journal outcome kinds that explicitly dead-letter an alert: the system
-#: decided, on the record, that the user will not get it.
-DEAD_LETTER_KINDS = frozenset(
-    {"rejected", "unmapped", "filtered", "no_subscribers", "delivery_abandoned"}
-)
+#: Every outcome kind a pipeline trip can finish with → what it means to
+#: the audit.  A kind missing here is one the oracle cannot account for:
+#: ``pipeline_terminal`` and ``trace_terminal`` both flag it.
+OUTCOME_KINDS = {
+    # The alert went out to the user's devices.
+    "routed": "delivered",
+    # Delivery failed for now; a later trip carries the alert on.
+    "retry_scheduled": "in-flight",
+    # The system decided, on the record, that the user will not get it.
+    "delivery_abandoned": "dead-letter",
+    "rejected": "dead-letter",
+    "unmapped": "dead-letter",
+    "filtered": "dead-letter",
+    "no_subscribers": "dead-letter",
+    # The hardening layer (:mod:`repro.core.admission`) decided, on the
+    # record, not to deliver this copy: shed/coalesced under storm,
+    # rate-limited past the throttle ceiling, suppressed as a duplicate
+    # past its dedup key, or parked in the dead-letter queue after the
+    # retry budget.  None may ever be silent.
+    "shed": "admission-terminal",
+    "coalesced": "admission-terminal",
+    "rate_limited": "admission-terminal",
+    "dedup_suppressed": "admission-terminal",
+    "dead_lettered": "admission-terminal",
+    # A copy of an alert this MAB already holds; the first copy's trips
+    # account for it.
+    "duplicate_incoming": "duplicate",
+    # A fenced pair side refused the trip and forwarded the alert to the
+    # active side: terminal, but neither a delivery nor a dead letter.
+    "fenced": "fenced",
+}
 
-#: Admission-control terminal kinds (:mod:`repro.core.admission`): the
-#: hardening layer decided, on the record, not to deliver this copy —
-#: shed/coalesced under storm, rate-limited past the throttle ceiling,
-#: suppressed as a duplicate past its dedup key, or parked in the
-#: dead-letter queue after the retry budget.  All count as "accounted
-#: for" in delivered-or-dead-letter; none may ever be silent.
-ADMISSION_TERMINAL_KINDS = frozenset(
-    {"shed", "coalesced", "rate_limited", "dedup_suppressed", "dead_lettered"}
-)
+
+def _kinds(meaning: str) -> frozenset[str]:
+    return frozenset(k for k, m in OUTCOME_KINDS.items() if m == meaning)
+
+
+DEAD_LETTER_KINDS = _kinds("dead-letter")
+ADMISSION_TERMINAL_KINDS = _kinds("admission-terminal")
+#: Kinds that put an undelivered alert on the record.
+ACCOUNTED_KINDS = DEAD_LETTER_KINDS | ADMISSION_TERMINAL_KINDS
 
 
 @dataclass
@@ -136,10 +131,9 @@ class OracleReport:
     #: Legal-but-notable counters (late acks, unsolicited acks, duplicates
     #: discarded at the user) — reported, never asserted on.
     info: dict[str, int] = field(default_factory=dict)
-    #: Breaches of the trace-backed invariants
-    #: (:mod:`repro.testkit.trace_oracle`) — populated only when the run
-    #: traced; kept separate so reports can attribute a failure to the
-    #: journal view, the trace view, or both.
+    #: Breaches of the ``"trace"``-scope invariants — populated only when
+    #: the run traced; kept separate so reports can attribute a failure to
+    #: the journal view, the trace view, or both.
     trace_violations: list[Violation] = field(default_factory=list)
 
     @property
@@ -150,11 +144,456 @@ class OracleReport:
         checked = ", ".join(f"{k}={v}" for k, v in sorted(self.checked.items()))
         if self.ok:
             return f"oracle OK ({checked})"
-        total = len(self.violations) + len(self.trace_violations)
-        lines = [f"oracle FAILED: {total} violation(s) ({checked})"]
-        lines.extend(f"  - {v}" for v in self.violations)
-        lines.extend(f"  - {v}" for v in self.trace_violations)
+        found = self.violations + self.trace_violations
+        lines = [f"oracle FAILED: {len(found)} violation(s) ({checked})"]
+        lines.extend(f"  - {v}" for v in found)
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The evidence record
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class Evidence:
+    """What the audit reads about one tenant (see the module docstring)."""
+
+    #: Tenant the findings are attributed to; None for the source record.
+    name: Optional[str] = None
+    pair: object = None
+    #: ``(where, deployment)`` per audited side; ``where`` is the suffix a
+    #: detail names the side with ("" for a solo tenant).
+    sides: list[tuple] = field(default_factory=list)
+    #: ``(where, AckTable)`` per endpoint whose acks are audited.
+    ack_tables: list[tuple] = field(default_factory=list)
+    trips: dict[str, list[ObservedOutcome]] = field(default_factory=dict)
+    delivered: set[str] = field(default_factory=set)
+    #: Alert ids the workload addressed to this tenant (None = not told).
+    offered: Optional[set[str]] = None
+    #: Either side of a pair may have routed an alert.
+    routed_ids: set[str] = field(default_factory=set)
+    controller: object = None
+    checked: dict[str, int] = field(default_factory=dict)
+    info: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # Every record carries the always-reported tallies, so the report's
+        # keys do not depend on the farm being non-empty.
+        self.checked.update(alerts=0, log_entries=0)
+        self.info.update(
+            corrupt_discarded=0,
+            user_duplicates_discarded=0,
+            # Legal-but-notable: *late* acks after an ack-timeout fallback.
+            late_acks=sum(a.late_count for _, a in self.ack_tables),
+            unsolicited_acks=sum(
+                a.unsolicited_count for _, a in self.ack_tables
+            ),
+        )
+
+    def views(self) -> dict[str, list[tuple]]:
+        """scope → the argument tuples that scope's checks are called with."""
+        views = {"ack table": self.ack_tables}
+        if self.name is not None:
+            views["tenant"] = [(self,)]
+            views["alert"] = [(self, a, t) for a, t in self.trips.items()]
+            views["side"] = [(self, where, d) for where, d in self.sides]
+        if self.pair is not None:
+            views["pair"] = [(self.pair,)]
+            views["pair side"] = [(side,) for side in self.pair.sides()]
+        if self.controller is not None:
+            views["hardened tenant"] = [(self,)]
+            views["bucket"] = [(b,) for b in self.controller.all_buckets()]
+        return views
+
+
+def tenant_evidence(
+    tenant: "FarmTenant",
+    trips: dict[str, list[ObservedOutcome]],
+    offered: Optional[dict[str, set[str]]],
+) -> Evidence:
+    """Gather one tenant's record: one pass, no judgement."""
+    pair = tenant.pair
+    if pair is None:
+        sides = [("", tenant.deployment)]
+    else:
+        sides = [
+            (f" (side {side.label})", side.deployment)
+            for side in pair.sides()
+        ]
+    ev = Evidence(
+        name=tenant.name,
+        pair=pair,
+        sides=sides,
+        ack_tables=[
+            (f"the MAB{where}", d.endpoint.engine.acks) for where, d in sides
+        ],
+        trips=trips,
+        delivered=tenant.user.unique_alerts_received(),
+        offered=None if offered is None else offered.get(tenant.name, set()),
+        routed_ids=set().union(*(d.journal.routed_ids for _, d in sides)),
+        controller=tenant.deployment.config.admission_controller(),
+    )
+    ev.checked["alerts"] = len(trips)
+    ev.checked["log_entries"] = sum(len(d.log) for _, d in sides)
+    ev.info["user_duplicates_discarded"] = tenant.user.duplicates_discarded()
+    ev.info["corrupt_discarded"] = tenant.user.corrupt_discarded + sum(
+        d.endpoint.corrupt_discarded for _, d in sides
+    )
+    if pair is not None:
+        audits = [side.transport_audit for side in pair.sides()]
+        ev.checked["pairs"] = 1
+        # The first promotion record is the initial epoch grant.
+        ev.checked["promotions"] = len(pair.audit.promotions) - 1
+        ev.checked["transport_shipped"] = sum(a.shipped for a in audits)
+        ev.info["forwarded_by_fenced"] = len(pair.audit.forwarded)
+        ev.info["transport_resends"] = sum(a.resends for a in audits)
+        for counter in ("corrupt_rejected", "duplicate_dropped",
+                        "corrupt_accepted", "duplicate_applied"):
+            ev.info[counter] = sum(getattr(a, counter) for a in audits)
+        # Sim time the unshipped queues last drained — the E14
+        # convergence figure (bounded lag past the fault window).
+        ev.info["transport_converged_at"] = max(
+            a.last_drained_at for a in audits
+        )
+    if ev.controller is not None:
+        decided = ev.controller.summary()
+        ev.checked["admission_tenants"] = 1
+        ev.info["admission_sheds"] = sum(ev.controller.shed_counts.values())
+        ev.info["admission_suppressed"] = decided["dedup_suppressed"]
+        ev.info["admission_dead_letters"] = decided["dead_letters"]
+        buckets = len(ev.controller.all_buckets())
+        if buckets:
+            ev.checked["buckets"] = buckets
+    return ev
+
+
+# ----------------------------------------------------------------------
+# The invariants.  Each yields ``(detail, alert_id)`` per breach.
+# ----------------------------------------------------------------------
+
+
+def pipeline_terminal(tenant: Evidence, alert_id, trips):
+    """Every observed trip through the stages finished with an outcome the
+    kind table classifies.  A trip that ran off the end of the stage list
+    dropped its alert on the floor (exactly what a missing RetryStage looks
+    like); a kind :data:`OUTCOME_KINDS` does not know is an ending nobody
+    decided how to account for."""
+    for trip in trips:
+        if not trip.finished or trip.kind is None:
+            yield (
+                f"trip at t={trip.at:.1f} ended without an outcome (alert "
+                "dropped by the stage list)",
+                alert_id,
+            )
+        elif trip.kind not in OUTCOME_KINDS:
+            yield (
+                f"trip at t={trip.at:.1f} ended with {trip.kind!r}, an "
+                "outcome kind the audit does not classify",
+                alert_id,
+            )
+
+
+def exactly_once(tenant: Evidence, alert_id, trips):
+    """At most one terminal ``routed`` trip per alert per tenant (the
+    journal's ``routed_ids`` dedup is load-bearing).  A replicated pair may
+    legally route under two *different* epochs in the partition shape —
+    ``no_fenced_reroute`` judges that; a repeat under one epoch, or with no
+    epoch at all, stays a plain duplicate."""
+    routed = [t for t in trips if t.kind == "routed"]
+    if len(routed) < 2:
+        return
+    if tenant.pair is None:
+        yield f"{len(routed)} terminal 'routed' trips", alert_id
+        return
+    for epoch, count in Counter(t.epoch for t in routed).items():
+        if count > 1 or epoch is None:
+            yield (
+                f"{count} terminal 'routed' trips under epoch {epoch}",
+                alert_id,
+            )
+
+
+def no_fenced_reroute(tenant: Evidence, alert_id, trips):
+    """An alert routed under two epochs is legal only as the partition
+    carve-out: for each epoch step the earlier epoch's routing pass was
+    initiated *before* the later epoch's promotion (the trip was in flight
+    when the primary lost the lease) *and* the alert's ``processed`` mark
+    never reached the standby before the later epoch re-routed (so the
+    mirrored entry was still unprocessed and the replay was the correct
+    call).  Anything else — the mark was shipped yet the new primary routed
+    again, or the old primary routed *after* losing the epoch — is a real
+    duplicate."""
+    if tenant.pair is None or len(trips) < 2:
+        return
+    audit = tenant.pair.audit
+    epochs = sorted(
+        {t.epoch for t in trips if t.kind == "routed" and t.epoch is not None}
+    )
+
+    def initiated_at(epoch):
+        return min(
+            (
+                a.at
+                for a in audit.actions_of("route")
+                if a.alert_id == alert_id and a.epoch == epoch
+            ),
+            default=None,
+        )
+
+    for earlier, later in zip(epochs, epochs[1:]):
+        promoted_at = audit.promotion_at(later)
+        earlier_at, later_at = initiated_at(earlier), initiated_at(later)
+        if promoted_at is None or earlier_at is None or later_at is None:
+            yield (
+                f"routed under epochs {earlier} and {later} but the audit "
+                "trail is missing the promotion or a route initiation record",
+                alert_id,
+            )
+        elif earlier_at >= promoted_at:
+            yield (
+                f"epoch-{earlier} route initiated at t={earlier_at:.1f}, "
+                f"after epoch {later} promoted at t={promoted_at:.1f}",
+                alert_id,
+            )
+        elif audit.mark_shipped_before(alert_id, later_at):
+            yield (
+                f"epoch {later} re-routed at t={later_at:.1f} an alert whose "
+                "'processed' mark had already reached the standby",
+                alert_id,
+            )
+
+
+def delivered_or_dead_letter(tenant: Evidence, alert_id, trips):
+    """Every alert the MAB accepted either reached the user's devices or
+    carries an explicit dead-letter or admission-terminal outcome.  Silent
+    loss is the one unforgivable outcome."""
+    kinds = [t.kind for t in trips]
+    if alert_id not in tenant.delivered and ACCOUNTED_KINDS.isdisjoint(kinds):
+        yield (
+            "accepted alert never reached the user and was never "
+            f"dead-lettered (outcomes: {kinds})",
+            alert_id,
+        )
+
+
+def tenant_isolation(tenant: Evidence):
+    """No user ever receives an alert addressed to a different tenant
+    (needs the workload's ``offered`` sets; vacuous without them)."""
+    if tenant.offered is not None and tenant.delivered - tenant.offered:
+        yield (
+            f"received {len(tenant.delivered - tenant.offered)} alert(s) "
+            "addressed to other tenants",
+            None,
+        )
+
+
+def no_duplicate_acks(where: str, acks):
+    """No (peer, seq) is ever acknowledged twice — at a MAB (either pair
+    side) or at a source waiting on MAB acks.  :class:`~repro.core.router
+    .AckTable` classifies every ack; late acks are legal and only tallied."""
+    if acks.duplicate_count:
+        yield f"{acks.duplicate_count} duplicate ack(s) at {where}", None
+
+
+def log_quiescent(tenant: Evidence, where: str, deployment):
+    """The pessimistic log holds no unprocessed entries once the run
+    settles: every crash left nothing behind to replay.  For a standby this
+    doubles as the mirror check — an unprocessed mirrored entry after
+    settle is work a promotion would wrongly replay."""
+    pending = deployment.log.unprocessed()
+    if pending:
+        yield (
+            f"{len(pending)} unprocessed log entr(ies) after settle{where}",
+            None,
+        )
+
+
+def replay_idempotent(tenant: Evidence, where: str, deployment):
+    """Re-running recovery over the log would be a no-op: every processed
+    entry is either in ``routed_ids`` (replay would hit the
+    duplicate-incoming guard) or was explicitly dead-lettered (replay would
+    deterministically dead-letter it again).  Unprocessed entries are
+    ``log_quiescent``'s business."""
+    for entry in deployment.log.entries():
+        if not entry.processed or entry.alert_id in tenant.routed_ids:
+            continue
+        kinds = [t.kind for t in tenant.trips.get(entry.alert_id, ())]
+        if ACCOUNTED_KINDS.isdisjoint(kinds):
+            yield (
+                "processed log entry is neither in routed_ids nor "
+                f"dead-lettered{where} (outcomes: {kinds})",
+                entry.alert_id,
+            )
+
+
+def at_most_one_active_epoch(pair):
+    """No ack or routing pass is *initiated* under epoch E strictly after a
+    later epoch's promotion.  The guards consult the fencing service
+    synchronously before the :class:`~repro.core.replication.EpochAudit`
+    record is written, so any such action means a guard was bypassed —
+    split-brain, not an in-flight delivery finishing late.  Same-instant
+    records are legal (the promotion and the action raced within one kernel
+    timestep)."""
+    audit = pair.audit
+    offending = []
+    for action in audit.actions:
+        if action.kind not in ("ack", "route"):
+            continue
+        for promo in audit.promotions:
+            if promo.epoch > action.epoch and action.at > promo.at:
+                offending.append((action, promo))
+                break
+    if offending:
+        action, promo = offending[0]
+        yield (
+            f"{len(offending)} action(s) initiated under a fenced epoch, "
+            f"e.g. '{action.kind}' under epoch {action.epoch} at "
+            f"t={action.at:.1f} after epoch {promo.epoch} promoted at "
+            f"t={promo.at:.1f}",
+            None,
+        )
+
+
+def no_corrupt_accepted(side):
+    """No receiver ever applied a frame the channel corrupted in flight;
+    the stabilizing receiver's checksum rejects it and the sender resends.
+    Holds by construction under :mod:`repro.core.stabilizing` and is
+    exactly the counter the naive baseline accumulates under an adversary
+    — the oracle is what makes E14's ablation a pass/fail statement."""
+    accepted = side.transport_audit.corrupt_accepted
+    if accepted:
+        yield f"{accepted} corrupt frame(s) applied at side {side.label}", None
+
+
+def stabilized_exactly_once(side):
+    """No record was ever applied twice by the transport: duplicate copies
+    the adversary injected were dropped at the dedup watermark."""
+    applied = side.transport_audit.duplicate_applied
+    if applied:
+        yield (
+            f"{applied} duplicate frame(s) re-applied at side {side.label}",
+            None,
+        )
+
+
+def convergence_bounded(side):
+    """The self-stabilization promise: after the run settles the unshipped
+    queue has drained, and no single ship spun past its structural ceiling
+    of ``resend_limit + 1`` rounds.  A give-up *at* the ceiling is the
+    designed escape hatch (the record goes back to the caller's queue under
+    a fresh sequence number), so only a resend loop that kept going beyond
+    its budget counts.  Queue-drained only binds when shipping was possible
+    at settle: a run ending with the peer crashed or the link down
+    legitimately leaves records queued (the flush loop retries forever)."""
+    audit = side.transport_audit
+    limit = getattr(side.tx, "resend_limit", None)
+    if limit is not None and audit.max_resend_rounds > limit + 1:
+        yield (
+            f"a frame took {audit.max_resend_rounds} resend rounds (ceiling "
+            f"{limit + 1}) at side {side.label}",
+            None,
+        )
+    peer = side.peer
+    shippable = (
+        side.host.up
+        and peer.host.up
+        and side.pair.link.usable(toward=peer.host)
+    )
+    if side.unshipped and shippable:
+        yield (
+            f"{len(side.unshipped)} record(s) still unshipped after settle "
+            f"at side {side.label}",
+            None,
+        )
+
+
+def every_shed_is_journalled(tenant: Evidence):
+    """Each drop the admission controller decided — shed, coalesced,
+    rate-limited, dedup-suppressed: every admission kind its summary
+    tallies — has exactly one matching journal outcome.  A count mismatch
+    means a silent drop, or a journal entry nobody decided."""
+    decided = tenant.controller.summary()
+    for kind in sorted(ADMISSION_TERMINAL_KINDS & decided.keys()):
+        journalled = sum(d.journal.count(kind) for _, d in tenant.sides)
+        if decided[kind] != journalled:
+            yield (
+                f"controller decided {decided[kind]} '{kind}' drop(s) but "
+                f"the journal records {journalled}",
+                None,
+            )
+
+
+def no_duplicate_past_dedup(tenant: Evidence):
+    """Every dedup suppression matched a key a real prior delivery marked,
+    and no alert with a suppressed copy was terminally routed more than
+    once."""
+    dedup = tenant.controller.dedup
+    if dedup is None:
+        return
+    for key, at in dedup.suppressed:
+        if key not in dedup.ever_marked:
+            yield (
+                f"suppressed key {key!r} at t={at:.1f} was never marked by "
+                "a terminal delivery",
+                None,
+            )
+    for alert_id, trips in tenant.trips.items():
+        kinds = [t.kind for t in trips]
+        if "dedup_suppressed" in kinds and kinds.count("routed") > 1:
+            yield (
+                f"alert was routed {kinds.count('routed')} times despite a "
+                "dedup suppression",
+                alert_id,
+            )
+
+
+def rate_limit_fairness(bucket):
+    """A token bucket's grants inside *any* time interval ``W`` never
+    exceed ``burst + rate × W``.  For grant times ``g``, "for all i < j:
+    j − i + 1 ≤ burst + rate·(g[j] − g[i])" is ``f(j) − min f(i<j) + 1 ≤
+    burst`` with ``f(k) = k − rate·g[k]``: one pass with a running minimum.
+    Reports the first grant that overdraws any earlier window."""
+    floor = first = None
+    for j, at in enumerate(bucket.grants):
+        level = j - bucket.rate * at
+        if floor is not None and level - floor + 1 > bucket.burst + 1e-9:
+            window = at - bucket.grants[first]
+            yield (
+                f"bucket {bucket.name!r} granted {j - first + 1} tokens in "
+                f"{window:.2f}s (allowed "
+                f"{bucket.burst + bucket.rate * window:.2f})",
+                None,
+            )
+            return
+        if floor is None or level < floor:
+            floor, first = level, j
+
+
+# ----------------------------------------------------------------------
+# The table, and the oracle that runs it
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Invariant:
+    """One row of the audit: ``check`` is called with each of its scope's
+    view tuples and yields ``(detail, alert_id)`` per breach — except under
+    ``"trace"``, whose evidence *is* one alert and whose findings name the
+    user instead: ``(detail, user)``."""
+
+    name: str
+    scope: str
+    check: Callable[..., Iterator[tuple[str, Optional[str]]]]
+
+
+def findings(views: dict[str, list[tuple]]) -> Iterator[tuple]:
+    """Run the table over one evidence record's views, in table order:
+    ``(invariant name, detail, alert_id)`` per breach."""
+    for invariant in INVARIANTS:
+        for view in views.get(invariant.scope, ()):
+            for detail, subject in invariant.check(*view):
+                yield invariant.name, detail, subject
 
 
 class DeliveryOracle:
@@ -162,10 +601,6 @@ class DeliveryOracle:
 
     def __init__(self):
         self.observed: list[ObservedOutcome] = []
-
-    # ------------------------------------------------------------------
-    # Live capture
-    # ------------------------------------------------------------------
 
     def observer_for(self, user: str) -> Callable[["PipelineContext"], None]:
         """A ``BuddyConfig.pipeline_observer`` recording this user's trips."""
@@ -194,10 +629,6 @@ class DeliveryOracle:
             table[obs.user][obs.alert_id].append(obs)
         return table
 
-    # ------------------------------------------------------------------
-    # Post-run audit
-    # ------------------------------------------------------------------
-
     def check(
         self,
         farm: "BuddyFarm",
@@ -210,539 +641,40 @@ class DeliveryOracle:
         ``offered`` maps tenant name to the alert ids the workload addressed
         to that tenant — required for the tenant-isolation check, optional
         otherwise.  ``trace_sink`` (a :class:`repro.obs.TraceSink` from a
-        traced run) additionally audits the trace-backed invariants into
-        ``report.trace_violations``.
+        traced run) additionally audits the ``"trace"``-scope invariants
+        into ``report.trace_violations``.
         """
-        report = OracleReport()
+        report = OracleReport(
+            checked={"tenants": len(farm), "observations": len(self.observed)}
+        )
         by_user = self.outcomes_by_user()
-        report.checked["tenants"] = len(farm)
-        report.checked["observations"] = len(self.observed)
-        alerts_checked = 0
-        log_entries = 0
-        late_acks = 0
-        unsolicited_acks = 0
-        user_duplicates = 0
-        pairs_checked = 0
-        promotions = 0
-        forwarded = 0
-        transport_shipped = 0
-        transport_resends = 0
-        corrupt_rejected = 0
-        duplicate_dropped = 0
-        corrupt_accepted = 0
-        duplicate_applied = 0
-        transport_converged_at = 0.0
-        corrupt_discarded = 0
-        admission_tenants = 0
-        admission_sheds = 0
-        admission_suppressed = 0
-        admission_dead_letters = 0
-
-        for tenant in farm:
-            name = tenant.name
-            pair = getattr(tenant, "pair", None)
-            if pair is None:
-                audited = [("", tenant.deployment)]
-            else:
-                pairs_checked += 1
-                # The first promotion record is the initial epoch grant.
-                promotions += len(pair.audit.promotions) - 1
-                forwarded += len(pair.audit.forwarded)
-                audited = [
-                    (side.label, side.deployment) for side in pair.sides()
-                ]
-                self._check_epoch_fencing(report, pair, name)
-                for side in pair.sides():
-                    audit = side.transport_audit
-                    transport_shipped += audit.shipped
-                    transport_resends += audit.resends
-                    corrupt_rejected += audit.corrupt_rejected
-                    duplicate_dropped += audit.duplicate_dropped
-                    corrupt_accepted += audit.corrupt_accepted
-                    duplicate_applied += audit.duplicate_applied
-                    transport_converged_at = max(
-                        transport_converged_at, audit.last_drained_at
-                    )
-                    self._check_transport(report, side, name)
-            corrupt_discarded += tenant.user.corrupt_discarded
-            for _, deployment in audited:
-                corrupt_discarded += deployment.endpoint.corrupt_discarded
-            delivered = tenant.user.unique_alerts_received()
-            per_alert = by_user.get(name, {})
-            alerts_checked += len(per_alert)
-            user_duplicates += tenant.user.duplicates_discarded()
-
-            controller = tenant.deployment.config.admission_controller()
-            if controller is not None:
-                admission_tenants += 1
-                admission_sheds += sum(controller.shed_counts.values())
-                admission_dead_letters += len(controller.dead_letters)
-                if controller.dedup is not None:
-                    admission_suppressed += controller.dedup.suppressed_total
-                self._check_admission(
-                    report, controller, name, per_alert, audited
-                )
-
-            for alert_id, trips in per_alert.items():
-                kinds = [t.kind for t in trips]
-                # pipeline-terminal: a trip must end with an outcome.
-                for trip in trips:
-                    if not trip.finished or trip.kind is None:
-                        report.violations.append(
-                            Violation(
-                                "pipeline_terminal",
-                                f"trip at t={trip.at:.1f} ended without an "
-                                "outcome (alert dropped by the stage list)",
-                                user=name,
-                                alert_id=alert_id,
-                            )
-                        )
-                # exactly-once: one terminal routed trip per alert.  A
-                # replicated pair may legally route under two epochs in
-                # the partition shape — judged separately.
-                routed = [t for t in trips if t.kind == "routed"]
-                if len(routed) > 1:
-                    if pair is None:
-                        report.violations.append(
-                            Violation(
-                                "exactly_once",
-                                f"{len(routed)} terminal 'routed' trips",
-                                user=name,
-                                alert_id=alert_id,
-                            )
-                        )
-                    else:
-                        self._check_cross_epoch_routes(
-                            report, pair, name, alert_id, routed
-                        )
-                # delivered-or-dead-letter (admission outcomes account too).
-                if alert_id in delivered:
-                    continue
-                if any(
-                    k in DEAD_LETTER_KINDS or k in ADMISSION_TERMINAL_KINDS
-                    for k in kinds
-                ):
-                    continue
-                report.violations.append(
-                    Violation(
-                        "delivered_or_dead_letter",
-                        f"accepted alert never reached the user and was "
-                        f"never dead-lettered (outcomes: {kinds})",
-                        user=name,
-                        alert_id=alert_id,
-                    )
-                )
-
-            # tenant-isolation.
-            if offered is not None:
-                foreign = delivered - offered.get(name, set())
-                if foreign:
-                    report.violations.append(
-                        Violation(
-                            "tenant_isolation",
-                            f"received {len(foreign)} alert(s) addressed to "
-                            "other tenants",
-                            user=name,
-                        )
-                    )
-
-            # A pair shares one logical MAB: either side may have routed
-            # an alert, so replay-idempotence reads both journals.
-            routed_ids: set[str] = set()
-            for _, deployment in audited:
-                routed_ids |= set(deployment.journal.routed_ids)
-
-            for side_label, deployment in audited:
-                where = f" (side {side_label})" if side_label else ""
-
-                # no-duplicate-acks (MAB side).
-                acks = deployment.endpoint.engine.acks
-                if acks.duplicate_count:
-                    report.violations.append(
-                        Violation(
-                            "no_duplicate_acks",
-                            f"{acks.duplicate_count} duplicate ack(s) at "
-                            f"the MAB{where}",
-                            user=name,
-                        )
-                    )
-                late_acks += acks.late_count
-                unsolicited_acks += acks.unsolicited_count
-
-                # log-quiescent.  For a standby this doubles as the mirror
-                # check: an unprocessed mirrored entry after settle is work
-                # a promotion would wrongly replay.
-                pending = deployment.log.unprocessed()
-                if pending:
-                    report.violations.append(
-                        Violation(
-                            "log_quiescent",
-                            f"{len(pending)} unprocessed log entr(ies) "
-                            f"after settle{where}",
-                            user=name,
-                        )
-                    )
-
-                # replay-idempotent.
-                for entry in deployment.log.entries():
-                    log_entries += 1
-                    if not entry.processed:
-                        continue  # already a log_quiescent violation
-                    if entry.alert_id in routed_ids:
-                        continue  # replay hits the duplicate-incoming guard
-                    kinds = [t.kind for t in per_alert.get(entry.alert_id, [])]
-                    if any(
-                        k in DEAD_LETTER_KINDS or k in ADMISSION_TERMINAL_KINDS
-                        for k in kinds
-                    ):
-                        continue  # replay would deterministically dead-letter
-                    report.violations.append(
-                        Violation(
-                            "replay_idempotent",
-                            "processed log entry is neither in routed_ids "
-                            f"nor dead-lettered{where} (outcomes: {kinds})",
-                            user=name,
-                            alert_id=entry.alert_id,
-                        )
-                    )
-
-        # no-duplicate-acks (source side: sources wait on MAB acks).
-        for endpoint in source_endpoints:
-            acks = endpoint.engine.acks
-            if acks.duplicate_count:
-                report.violations.append(
-                    Violation(
-                        "no_duplicate_acks",
-                        f"{acks.duplicate_count} duplicate ack(s) at source "
-                        f"{endpoint.name}",
-                    )
-                )
-            late_acks += acks.late_count
-            unsolicited_acks += acks.unsolicited_count
-
-        report.checked["alerts"] = alerts_checked
-        report.checked["log_entries"] = log_entries
-        if pairs_checked:
-            report.checked["pairs"] = pairs_checked
-            report.checked["promotions"] = promotions
-            report.checked["transport_shipped"] = transport_shipped
-            report.info["forwarded_by_fenced"] = forwarded
-            report.info["transport_resends"] = transport_resends
-            report.info["corrupt_rejected"] = corrupt_rejected
-            report.info["duplicate_dropped"] = duplicate_dropped
-            report.info["corrupt_accepted"] = corrupt_accepted
-            report.info["duplicate_applied"] = duplicate_applied
-            #: Sim time the unshipped queues last drained — the E14
-            #: convergence figure (bounded lag past the fault window).
-            report.info["transport_converged_at"] = transport_converged_at
-        report.info["corrupt_discarded"] = corrupt_discarded
-        report.info["late_acks"] = late_acks
-        report.info["unsolicited_acks"] = unsolicited_acks
-        report.info["user_duplicates_discarded"] = user_duplicates
-        if admission_tenants:
-            report.checked["admission_tenants"] = admission_tenants
-            report.info["admission_sheds"] = admission_sheds
-            report.info["admission_suppressed"] = admission_suppressed
-            report.info["admission_dead_letters"] = admission_dead_letters
-
+        # Sources wait on MAB acks: their ack tables are audited too.
+        sources = Evidence(
+            ack_tables=[
+                (f"source {e.name}", e.engine.acks) for e in source_endpoints
+            ]
+        )
+        records = (
+            tenant_evidence(tenant, by_user.get(tenant.name, {}), offered)
+            for tenant in farm
+        )
+        for evidence in chain(records, [sources]):
+            for key, n in evidence.checked.items():
+                report.checked[key] = report.checked.get(key, 0) + n
+            for key, n in evidence.info.items():
+                if key == "transport_converged_at":
+                    report.info[key] = max(n, report.info.get(key, n))
+                else:
+                    report.info[key] = report.info.get(key, 0) + n
+            report.violations.extend(
+                Violation(name, detail, user=evidence.name, alert_id=alert_id)
+                for name, detail, alert_id in findings(evidence.views())
+            )
         if trace_sink is not None:
-            from repro.testkit.trace_oracle import check_trace
-
-            trace_checked, trace_violations = check_trace(trace_sink)
+            trace_checked, trace_violations = _trace.check_trace(trace_sink)
             report.checked.update(trace_checked)
             report.trace_violations.extend(trace_violations)
         return report
-
-    # ------------------------------------------------------------------
-    # Admission invariants (traffic hardening)
-    # ------------------------------------------------------------------
-
-    #: Fairness audit cap: buckets log up to 64k grants; auditing the most
-    #: recent window this size keeps the check O(n²) only at test scale.
-    _FAIRNESS_AUDIT_CAP = 2000
-
-    def _check_admission(
-        self, report: OracleReport, controller, user: str, per_alert, audited
-    ) -> None:
-        """Audit one hardened tenant's admission layer.
-
-        - **every-shed-is-journalled** — each drop the controller decided
-          (shed / coalesced / rate-limited) has exactly one matching
-          journal outcome; a count mismatch means a silent drop (or a
-          journal entry nobody decided).  Dedup suppressions are held to
-          the same standard.
-        - **no-duplicate-past-dedup** — every suppression matched a key a
-          real prior delivery marked, and no alert with a suppressed copy
-          was terminally routed more than once.
-        - **rate-limit-fairness** — for every token bucket, the grants
-          inside *any* time interval ``W`` never exceed
-          ``burst + rate × W``; audited pairwise over the grant log.
-        """
-        journal_counts: dict[str, int] = {}
-        for kind in ("shed", "coalesced", "rate_limited", "dedup_suppressed"):
-            journal_counts[kind] = sum(
-                deployment.journal.count(kind) for _, deployment in audited
-            )
-        for kind in ("shed", "coalesced", "rate_limited"):
-            decided = controller.shed_counts.get(kind, 0)
-            if decided != journal_counts[kind]:
-                report.violations.append(
-                    Violation(
-                        "every_shed_is_journalled",
-                        f"controller decided {decided} '{kind}' drop(s) but "
-                        f"the journal records {journal_counts[kind]}",
-                        user=user,
-                    )
-                )
-        dedup = controller.dedup
-        if dedup is not None:
-            if dedup.suppressed_total != journal_counts["dedup_suppressed"]:
-                report.violations.append(
-                    Violation(
-                        "every_shed_is_journalled",
-                        f"{dedup.suppressed_total} dedup suppression(s) but "
-                        f"the journal records "
-                        f"{journal_counts['dedup_suppressed']}",
-                        user=user,
-                    )
-                )
-            for key, at in dedup.suppressed:
-                if key not in dedup.ever_marked:
-                    report.violations.append(
-                        Violation(
-                            "no_duplicate_past_dedup",
-                            f"suppressed key {key!r} at t={at:.1f} was "
-                            "never marked by a terminal delivery",
-                            user=user,
-                        )
-                    )
-            for alert_id, trips in per_alert.items():
-                kinds = [t.kind for t in trips]
-                if "dedup_suppressed" in kinds and kinds.count("routed") > 1:
-                    report.violations.append(
-                        Violation(
-                            "no_duplicate_past_dedup",
-                            f"alert was routed {kinds.count('routed')} times "
-                            "despite a dedup suppression",
-                            user=user,
-                            alert_id=alert_id,
-                        )
-                    )
-        for bucket in controller.all_buckets():
-            grants = list(bucket.grants)[-self._FAIRNESS_AUDIT_CAP:]
-            report.checked["buckets"] = report.checked.get("buckets", 0) + 1
-            violated = False
-            for i in range(len(grants)):
-                for j in range(i + 1, len(grants)):
-                    allowed = bucket.burst + bucket.rate * (
-                        grants[j] - grants[i]
-                    )
-                    if (j - i + 1) > allowed + 1e-9:
-                        report.violations.append(
-                            Violation(
-                                "rate_limit_fairness",
-                                f"bucket {bucket.name!r} granted {j - i + 1} "
-                                f"tokens in {grants[j] - grants[i]:.2f}s "
-                                f"(allowed {allowed:.2f})",
-                                user=user,
-                            )
-                        )
-                        violated = True
-                        break
-                if violated:
-                    break
-
-    # ------------------------------------------------------------------
-    # Stabilizing-transport invariants
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _check_transport(report: OracleReport, side, user: str) -> None:
-        """Audit one pair side's record transport after the run settles.
-
-        ``no_corrupt_accepted`` and ``stabilized_exactly_once`` hold by
-        construction under the stabilizing transport and are exactly the
-        counters the naive baseline accumulates under an adversary — the
-        oracle is what makes E14's ablation a pass/fail statement.
-        ``convergence_bounded`` is the self-stabilization promise: the
-        unshipped queue drained (when shipping was possible at settle) and
-        no single ship spun past its structural ceiling of
-        ``resend_limit + 1`` rounds.  A give-up *at* the ceiling is the
-        designed escape hatch — the record goes back to the caller's queue
-        under a fresh sequence number — so only a resend loop that kept
-        going beyond its budget is a violation.
-        """
-        audit = side.transport_audit
-        where = f"side {side.label}"
-        if audit.corrupt_accepted:
-            report.violations.append(
-                Violation(
-                    "no_corrupt_accepted",
-                    f"{audit.corrupt_accepted} corrupt frame(s) applied at "
-                    f"{where}",
-                    user=user,
-                )
-            )
-        if audit.duplicate_applied:
-            report.violations.append(
-                Violation(
-                    "stabilized_exactly_once",
-                    f"{audit.duplicate_applied} duplicate frame(s) "
-                    f"re-applied at {where}",
-                    user=user,
-                )
-            )
-        limit = getattr(side.tx, "resend_limit", None)
-        if limit is not None and audit.max_resend_rounds > limit + 1:
-            report.violations.append(
-                Violation(
-                    "convergence_bounded",
-                    f"a frame took {audit.max_resend_rounds} resend rounds "
-                    f"(ceiling {limit + 1}) at {where}",
-                    user=user,
-                )
-            )
-        # Queue-drained only binds when shipping was possible at settle:
-        # a run ending with the peer crashed or the link down legitimately
-        # leaves records queued (the flush loop retries forever).
-        peer = side.peer
-        shippable = (
-            side.host.up
-            and peer.host.up
-            and side.pair.link.usable(toward=peer.host)
-        )
-        if side.unshipped and shippable:
-            report.violations.append(
-                Violation(
-                    "convergence_bounded",
-                    f"{len(side.unshipped)} record(s) still unshipped after "
-                    f"settle at {where}",
-                    user=user,
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # Replication invariants
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _check_epoch_fencing(report: OracleReport, pair, user: str) -> None:
-        """``at_most_one_active_epoch``: no initiation under a stale epoch.
-
-        Guards consult the fencing service synchronously *before* the
-        audit record is written, so an ack/route recorded under epoch E
-        strictly after a later epoch's promotion means a guard was
-        bypassed.  Same-instant records are legal (the promotion and the
-        action raced within one kernel timestep).
-        """
-        audit = pair.audit
-        offending = []
-        for action in audit.actions:
-            if action.kind not in ("ack", "route"):
-                continue
-            for promo in audit.promotions:
-                if promo.epoch > action.epoch and action.at > promo.at:
-                    offending.append((action, promo))
-                    break
-        if offending:
-            action, promo = offending[0]
-            report.violations.append(
-                Violation(
-                    "at_most_one_active_epoch",
-                    f"{len(offending)} action(s) initiated under a fenced "
-                    f"epoch, e.g. '{action.kind}' under epoch "
-                    f"{action.epoch} at t={action.at:.1f} after epoch "
-                    f"{promo.epoch} promoted at t={promo.at:.1f}",
-                    user=user,
-                )
-            )
-
-    @staticmethod
-    def _check_cross_epoch_routes(
-        report: OracleReport,
-        pair,
-        user: str,
-        alert_id: str,
-        routed: list[ObservedOutcome],
-    ) -> None:
-        """Judge an alert with multiple terminal 'routed' trips on a pair.
-
-        Legal only as the partition carve-out: for each epoch step the
-        earlier epoch's routing pass was initiated *before* the later
-        epoch's promotion (the trip was in flight when the primary lost
-        the lease), and the alert's ``processed`` mark never reached the
-        standby before the later epoch re-routed (so the mirrored entry
-        was still unprocessed and the replay was correct).
-        """
-        audit = pair.audit
-        by_epoch: dict[Optional[int], int] = defaultdict(int)
-        for trip in routed:
-            by_epoch[trip.epoch] += 1
-        for epoch, count in sorted(
-            by_epoch.items(), key=lambda item: (item[0] is None, item[0])
-        ):
-            if count > 1 or epoch is None:
-                report.violations.append(
-                    Violation(
-                        "exactly_once",
-                        f"{count} terminal 'routed' trips under epoch "
-                        f"{epoch}",
-                        user=user,
-                        alert_id=alert_id,
-                    )
-                )
-        epochs = sorted(e for e in by_epoch if e is not None)
-        route_at = {
-            epoch: min(
-                (
-                    a.at
-                    for a in audit.actions
-                    if a.kind == "route"
-                    and a.alert_id == alert_id
-                    and a.epoch == epoch
-                ),
-                default=None,
-            )
-            for epoch in epochs
-        }
-        for earlier, later in zip(epochs, epochs[1:]):
-            promoted_at = audit.promotion_at(later)
-            earlier_at = route_at[earlier]
-            later_at = route_at[later]
-            if promoted_at is None or earlier_at is None or later_at is None:
-                report.violations.append(
-                    Violation(
-                        "no_fenced_reroute",
-                        f"routed under epochs {earlier} and {later} but "
-                        "the audit trail is missing the promotion or a "
-                        "route initiation record",
-                        user=user,
-                        alert_id=alert_id,
-                    )
-                )
-                continue
-            if earlier_at >= promoted_at:
-                report.violations.append(
-                    Violation(
-                        "no_fenced_reroute",
-                        f"epoch-{earlier} route initiated at "
-                        f"t={earlier_at:.1f}, after epoch {later} promoted "
-                        f"at t={promoted_at:.1f}",
-                        user=user,
-                        alert_id=alert_id,
-                    )
-                )
-            elif audit.mark_shipped_before(alert_id, later_at):
-                report.violations.append(
-                    Violation(
-                        "no_fenced_reroute",
-                        f"epoch {later} re-routed at t={later_at:.1f} an "
-                        "alert whose 'processed' mark had already reached "
-                        "the standby",
-                        user=user,
-                        alert_id=alert_id,
-                    )
-                )
 
 
 # ----------------------------------------------------------------------
@@ -768,7 +700,7 @@ class EquivalenceReport:
 _SCRIPT_KEYWORDS = ("News", "Gossip", "Weather", "News")
 
 
-def _configure_deployment(deployment, user) -> None:
+def _configure_deployment(deployment) -> None:
     """Identical per-user configuration for farm and solo worlds."""
     config = deployment.config
     config.classifier.accept_source("portal")
@@ -777,39 +709,43 @@ def _configure_deployment(deployment, user) -> None:
     config.aggregator.map_keyword("Weather", "Weather")
 
 
-def _scripted_emission(env, source, stranger, books, alerts_per_user: int):
-    """Emit the same per-user script in either world (generator process).
+def _run_script(world, source, oracle, users, alerts_per_user, horizon):
+    """Emit the same per-user script into either world and run it out.
 
-    ``books`` maps user name → source-facing address book.  Every 4th alert
-    comes from the unaccepted ``stranger`` source → ``rejected``.
+    ``users`` maps user name → (user endpoint, source-facing address book).
+    Every 4th alert comes from the unaccepted ``stranger`` source →
+    ``rejected``.  Returns, per user, subject → sorted tuple of outcome
+    kinds and the set of delivered subjects.
     """
-    sent: dict[str, dict[str, str]] = {name: {} for name in books}
-    for index in range(alerts_per_user):
-        keyword = _SCRIPT_KEYWORDS[index % len(_SCRIPT_KEYWORDS)]
-        emitter = stranger if index % 4 == 3 else source
-        for name, book in books.items():
-            alert, _ = emitter.emit_to(book, keyword, f"a{index}", "body")
-            sent[name][alert.alert_id] = alert.subject
-        yield env.timeout(20.0)
-    return sent
+    stranger = world.create_source("stranger")
+    sent: dict[str, dict[str, str]] = {name: {} for name in users}
 
+    def script(env):
+        for index in range(alerts_per_user):
+            keyword = _SCRIPT_KEYWORDS[index % len(_SCRIPT_KEYWORDS)]
+            emitter = stranger if index % 4 == 3 else source
+            for name, (_, book) in users.items():
+                alert, _ = emitter.emit_to(book, keyword, f"a{index}", "body")
+                sent[name][alert.alert_id] = alert.subject
+            yield env.timeout(20.0)
 
-def _final_outcomes(
-    oracle: DeliveryOracle, name: str, id_to_subject: dict[str, str]
-) -> dict[str, tuple]:
-    """subject → sorted tuple of outcome kinds for one user."""
-    result: dict[str, tuple] = {}
-    for alert_id, trips in oracle.outcomes_by_user().get(name, {}).items():
-        subject = id_to_subject.get(alert_id, alert_id)
-        result[subject] = tuple(sorted(t.kind or "(none)" for t in trips))
-    return result
-
-
-def _delivered_subjects(user, id_to_subject: dict[str, str]) -> set[str]:
-    return {
-        id_to_subject.get(alert_id, alert_id)
-        for alert_id in user.unique_alerts_received()
-    }
+    world.env.process(script(world.env), name="equivalence-script")
+    world.run(until=horizon)
+    by_user = oracle.outcomes_by_user()
+    outcomes, delivered = {}, {}
+    for name, (user, _) in users.items():
+        subject = sent[name]
+        outcomes[name] = {
+            subject.get(alert_id, alert_id): tuple(
+                sorted(t.kind or "(none)" for t in trips)
+            )
+            for alert_id, trips in by_user.get(name, {}).items()
+        }
+        delivered[name] = {
+            subject.get(alert_id, alert_id)
+            for alert_id in user.unique_alerts_received()
+        }
+    return outcomes, delivered
 
 
 def check_farm_equivalence(
@@ -824,101 +760,88 @@ def check_farm_equivalence(
     ``user0``'s reaction/buddy streams are identical in both worlds, so any
     divergence in outcome kinds or delivered subjects is a farm bug, not
     noise.  Channel latency streams *are* shared farm-wide, so wall-clock
-    timings legitimately differ and are not compared.
+    timings legitimately differ and equivalence is asserted on
+    latency-invariant facts only.
     """
-    from repro.core.farm import FarmProfile
-    from repro.world import SimbaWorld, WorldConfig
+    from repro.testkit.harness import DeliveryRig
+    from repro.world import SimbaWorld
 
     horizon = alerts_per_user * 20.0 + settle
     report = EquivalenceReport(users=n_users)
 
-    # --- farm world -----------------------------------------------------
-    world = SimbaWorld(WorldConfig(seed=seed, email_loss=0.0, sms_loss=0.0))
-    farm = world.create_farm(
-        shards=4,
-        profile=FarmProfile(categories=("News",), accept_sources=("portal",)),
+    rig = DeliveryRig(seed, n_users)
+    for tenant in rig.tenants:
+        _configure_deployment(tenant.deployment)
+    rig.start(watchdog_interval=None)
+    report.farm_outcomes, farm_delivered = _run_script(
+        rig.world,
+        rig.sources["portal"],
+        rig.oracle,
+        {t.name: (t.user, t.book) for t in rig.tenants},
+        alerts_per_user,
+        horizon,
     )
-    tenants = farm.add_users(n_users)
-    farm_oracle = DeliveryOracle()
-    for tenant in tenants:
-        _configure_deployment(tenant.deployment, tenant.user)
-        tenant.deployment.config.pipeline_observer = farm_oracle.observer_for(
-            tenant.name
-        )
-    farm.launch_all()
-    source = world.create_source("portal")
-    stranger = world.create_source("stranger")
-    books = {tenant.name: tenant.book for tenant in tenants}
-    farm_sent: dict[str, dict[str, str]] = {}
 
-    def farm_script(env):
-        sent = yield from _scripted_emission(
-            env, source, stranger, books, alerts_per_user
-        )
-        farm_sent.update(sent)
-
-    world.env.process(farm_script(world.env), name="equivalence-script")
-    world.run(until=horizon)
-
-    for tenant in tenants:
-        report.farm_outcomes[tenant.name] = _final_outcomes(
-            farm_oracle, tenant.name, farm_sent.get(tenant.name, {})
-        )
-
-    farm_delivered = {
-        tenant.name: _delivered_subjects(
-            tenant.user, farm_sent.get(tenant.name, {})
-        )
-        for tenant in tenants
-    }
-
-    # --- one solo world per user ---------------------------------------
-    for index in range(n_users):
-        name = f"user{index}"
-        solo = SimbaWorld(WorldConfig(seed=seed, email_loss=0.0, sms_loss=0.0))
+    for name in report.farm_outcomes:
+        solo = SimbaWorld(rig.world.config)
         user = solo.create_user(name)
         deployment = solo.create_buddy(user)
         deployment.register_user_endpoint(user)
         deployment.subscribe("News", user, "normal", keywords=["News"])
-        _configure_deployment(deployment, user)
-        solo_oracle = DeliveryOracle()
-        deployment.config.pipeline_observer = solo_oracle.observer_for(name)
+        _configure_deployment(deployment)
+        oracle = DeliveryOracle()
+        deployment.config.pipeline_observer = oracle.observer_for(name)
         deployment.launch()
-        solo_source = solo.create_source("portal")
-        solo_stranger = solo.create_source("stranger")
-        solo_books = {name: deployment.source_facing_book()}
-        solo_sent: dict[str, dict[str, str]] = {}
-
-        def solo_script(env, src=solo_source, strg=solo_stranger,
-                        bks=solo_books, out=solo_sent):
-            sent = yield from _scripted_emission(
-                env, src, strg, bks, alerts_per_user
-            )
-            out.update(sent)
-
-        solo.env.process(solo_script(solo.env), name="equivalence-script")
-        solo.run(until=horizon)
-
-        solo_final = _final_outcomes(solo_oracle, name, solo_sent.get(name, {}))
-        report.solo_outcomes[name] = solo_final
-        if solo_final != report.farm_outcomes.get(name):
-            report.mismatches.append(
-                f"{name}: outcome kinds differ — farm "
-                f"{report.farm_outcomes.get(name)} vs solo {solo_final}"
-            )
-        solo_delivered = _delivered_subjects(user, solo_sent.get(name, {}))
-        if solo_delivered != farm_delivered.get(name):
-            report.mismatches.append(
-                f"{name}: delivered subjects differ — farm "
-                f"{sorted(farm_delivered.get(name, set()))} vs solo "
-                f"{sorted(solo_delivered)}"
-            )
+        outcomes, delivered = _run_script(
+            solo,
+            solo.create_source("portal"),
+            oracle,
+            {name: (user, deployment.source_facing_book())},
+            alerts_per_user,
+            horizon,
+        )
+        report.solo_outcomes.update(outcomes)
+        for fact, in_farm, alone in (
+            ("outcome kinds", report.farm_outcomes[name], outcomes[name]),
+            ("delivered subjects", sorted(farm_delivered[name]),
+             sorted(delivered[name])),
+        ):
+            if in_farm != alone:
+                report.mismatches.append(
+                    f"{name}: {fact} differ — farm {in_farm} vs solo {alone}"
+                )
     return report
 
 
 # ----------------------------------------------------------------------
 # Shard-count invariance
 # ----------------------------------------------------------------------
+
+
+def shard_count_invariance(results):
+    """A sharded run's results do not depend on the shard count.  The
+    determinism contract of :mod:`repro.core.shard` — placement, per-tenant
+    streams and bridge timestamps are all pure functions of seed and tenant
+    name — promises that partitioning the tenant set differently only
+    changes *where* work runs, never *what* happens: the merged journal
+    fingerprint, aggregate counts, receipt totals and materialized tenant
+    counts must be bit-identical across every layout."""
+    if not results:
+        yield "no sharded runs to compare", None
+        return
+    reference = results[0]
+    for other in results[1:]:
+        label = f"shards={other.shards} vs shards={reference.shards}"
+        for what, fact, show in (
+            ("merged journal fingerprint", "merged_fingerprint",
+             lambda digest: digest[:16]),
+            ("aggregate counts differ —", "counts", dict),
+            ("receipt totals differ —", "receipts", str),
+            ("materialized tenant counts differ —", "tenants", str),
+        ):
+            theirs, ours = getattr(other, fact), getattr(reference, fact)
+            if theirs != ours:
+                yield f"{label}: {what} {show(theirs)} != {show(ours)}", None
 
 
 def check_shard_count_invariance(
@@ -933,79 +856,68 @@ def check_shard_count_invariance(
     workload_kwargs: Optional[dict] = None,
     inline: bool = True,
 ) -> OracleReport:
-    """Audit that a sharded run's results do not depend on the shard count.
-
-    The determinism contract of :mod:`repro.core.shard` — placement,
-    per-tenant streams and bridge timestamps are all pure functions of seed
-    and tenant name — promises that partitioning the tenant set differently
-    only changes *where* work runs, never *what* happens.  This oracle pins
-    the promise: the merged journal fingerprint, aggregate counts and
-    receipt totals must be bit-identical across every layout.
+    """Audit ``shard_count_invariance`` over a set of sharded runs.
 
     Pass ``results`` (a list of
     :class:`~repro.experiments.sharded.ShardedRunResult`, e.g. the ones an
     e13 sweep just measured) to audit existing runs; otherwise the oracle
-    runs its own small inline comparison over ``shard_counts``.
+    has :func:`~repro.experiments.sharded.run_sharded_comparison` run (and
+    audit) a small inline comparison over ``shard_counts``.
     """
-    report = OracleReport()
     if results is None:
-        from repro.experiments.sharded import run_sharded_throughput
+        from repro.experiments.sharded import run_sharded_comparison
 
-        results = [
-            run_sharded_throughput(
-                shards=count,
-                users=population,
-                seed=seed,
-                duration=duration,
-                epoch=epoch,
-                drain=drain,
-                workload_kwargs=workload_kwargs,
-                inline=inline,
-            )
-            for count in shard_counts
-        ]
-    report.checked["shard_layouts"] = len(results)
-    if not results:
-        report.violations.append(
-            Violation("shard_count_invariance", "no sharded runs to compare")
-        )
-        return report
-    reference = results[0]
-    report.checked["tenants"] = reference.tenants
-    report.info["receipts"] = reference.receipts
-    for other in results[1:]:
-        label = f"shards={other.shards} vs shards={reference.shards}"
-        if other.merged_fingerprint != reference.merged_fingerprint:
-            report.violations.append(
-                Violation(
-                    "shard_count_invariance",
-                    f"{label}: merged journal fingerprint "
-                    f"{other.merged_fingerprint[:16]} != "
-                    f"{reference.merged_fingerprint[:16]}",
-                )
-            )
-        if dict(other.counts) != dict(reference.counts):
-            report.violations.append(
-                Violation(
-                    "shard_count_invariance",
-                    f"{label}: aggregate counts differ — "
-                    f"{dict(other.counts)} != {dict(reference.counts)}",
-                )
-            )
-        if other.receipts != reference.receipts:
-            report.violations.append(
-                Violation(
-                    "shard_count_invariance",
-                    f"{label}: receipt totals differ — "
-                    f"{other.receipts} != {reference.receipts}",
-                )
-            )
-        if other.tenants != reference.tenants:
-            report.violations.append(
-                Violation(
-                    "shard_count_invariance",
-                    f"{label}: materialized tenant counts differ — "
-                    f"{other.tenants} != {reference.tenants}",
-                )
-            )
+        return run_sharded_comparison(
+            shard_counts, population, seed, duration, epoch, drain,
+            workload_kwargs, inline,
+        ).invariance
+    report = OracleReport(checked={"shard_layouts": len(results)})
+    if results:
+        report.checked.update(tenants=results[0].tenants)
+        report.info.update(receipts=results[0].receipts)
+    report.violations.extend(
+        Violation(name, detail)
+        for name, detail, _ in findings({"layouts": [(results,)]})
+    )
     return report
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+
+# The trace invariants live beside the span helpers they read.  Imported
+# down here because trace_oracle itself imports the names defined above.
+from repro.testkit import trace_oracle as _trace  # noqa: E402
+
+#: Every invariant the testkit audits, in audit order.  To add one: write
+#: the generator (its docstring is the statement), add its row here, add
+#: its teeth case to ``tests/test_oracle_invariants.py`` — the enumeration
+#: test fails until all three exist.
+INVARIANTS: tuple[Invariant, ...] = (
+    Invariant("pipeline_terminal", "alert", pipeline_terminal),
+    Invariant("exactly_once", "alert", exactly_once),
+    Invariant("no_fenced_reroute", "alert", no_fenced_reroute),
+    Invariant("delivered_or_dead_letter", "alert", delivered_or_dead_letter),
+    Invariant("tenant_isolation", "tenant", tenant_isolation),
+    Invariant("no_duplicate_acks", "ack table", no_duplicate_acks),
+    Invariant("log_quiescent", "side", log_quiescent),
+    Invariant("replay_idempotent", "side", replay_idempotent),
+    Invariant("at_most_one_active_epoch", "pair", at_most_one_active_epoch),
+    Invariant("no_corrupt_accepted", "pair side", no_corrupt_accepted),
+    Invariant("stabilized_exactly_once", "pair side", stabilized_exactly_once),
+    Invariant("convergence_bounded", "pair side", convergence_bounded),
+    Invariant(
+        "every_shed_is_journalled", "hardened tenant", every_shed_is_journalled
+    ),
+    Invariant(
+        "no_duplicate_past_dedup", "hardened tenant", no_duplicate_past_dedup
+    ),
+    Invariant("rate_limit_fairness", "bucket", rate_limit_fairness),
+    Invariant("trace_terminal_delivery", "trace", _trace.terminal_delivery),
+    Invariant("trace_fenced_epoch", "trace", _trace.fenced_epoch),
+    Invariant("trace_terminal", "trace", _trace.trip_terminal),
+    Invariant("trace_fallback_ordering", "trace", _trace.fallback_ordering),
+    Invariant("trace_structural", "trace", _trace.structural),
+    Invariant("shard_count_invariance", "layouts", shard_count_invariance),
+)

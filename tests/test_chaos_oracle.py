@@ -66,6 +66,18 @@ def violated(report):
     return {v.invariant for v in report.oracle.violations}
 
 
+def amnesia_stages():
+    """§4.2 stages with :class:`AbandonAmnesiaRetryStage` in the retry slot."""
+    from repro.core.pipeline import (
+        AggregateStage, ClassifyStage, FilterStage, RouteStage,
+    )
+
+    return [
+        ClassifyStage(), AggregateStage(), FilterStage(),
+        RouteStage(), AbandonAmnesiaRetryStage(),
+    ]
+
+
 class TestOracleOnRealPipeline:
     def test_total_outage_run_passes_with_dead_letters(self):
         report = run_chaos(TOTAL_OUTAGE, CONFIG)
@@ -126,17 +138,9 @@ class TestOracleCatchesPlantedBugs:
         assert "pipeline_terminal" in violated(report)
 
     def test_abandon_amnesia_caught(self):
-        def stages():
-            from repro.core.pipeline import (
-                AggregateStage, ClassifyStage, FilterStage, RouteStage,
-            )
-
-            return [
-                ClassifyStage(), AggregateStage(), FilterStage(),
-                RouteStage(), AbandonAmnesiaRetryStage(),
-            ]
-
-        report = run_chaos(TOTAL_OUTAGE, CONFIG, stage_factory=stages)
+        report = run_chaos(
+            TOTAL_OUTAGE, CONFIG, stage_factory=amnesia_stages
+        )
         assert not report.ok
 
     def test_planted_bug_shrinks_to_tiny_reproducer(self):

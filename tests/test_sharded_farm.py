@@ -79,6 +79,13 @@ def small_farm(shards: int, inline: bool = True, **overrides) -> ShardedFarm:
 # ---------------------------------------------------------------------------
 
 
+def forge_mismatch(runs):
+    """Make the second layout disagree with the first on two facts (shared
+    with the teeth enumeration in ``tests/test_oracle_invariants.py``)."""
+    runs[1].merged_fingerprint = "0" * 64
+    runs[1].receipts += 1
+
+
 class TestShardCountInvariance:
     def test_inline_layouts_are_bit_identical(self):
         runs = [small_run(shards) for shards in (1, 2, 3)]
@@ -102,8 +109,7 @@ class TestShardCountInvariance:
 
     def test_oracle_reports_a_forged_mismatch(self):
         runs = [small_run(1), small_run(2)]
-        runs[1].merged_fingerprint = "0" * 64
-        runs[1].receipts += 1
+        forge_mismatch(runs)
         report = check_shard_count_invariance(results=runs)
         assert not report.ok
         invariants = {v.invariant for v in report.violations}

@@ -36,6 +36,54 @@ def invariants(violations):
     return sorted({v.invariant for v in violations})
 
 
+# Span builders, one per trace invariant: each plants the smallest span
+# record that breaches it — or its nearest legal twin.  Shared with the
+# teeth enumeration in ``tests/test_oracle_invariants.py``.
+
+
+def deliver_under_epochs(sink, env, epochs):
+    for epoch in epochs:
+        span = sink.begin("alert-1", "deliver.user", user="u", epoch=epoch)
+        env.now += 1.0
+        sink.end(span, "delivered")
+
+
+def deliver_with_blocks(sink, env, outcomes, start_index=0):
+    deliver = sink.begin("alert-1", "deliver", mode="m")
+    for offset, outcome in enumerate(outcomes):
+        block = sink.begin(
+            "alert-1", "block",
+            parent=deliver.span_id, index=start_index + offset,
+        )
+        env.now += 1.0
+        sink.end(block, outcome)
+    sink.end(deliver, "delivered")
+
+
+def old_epoch_trip_after_promotion(sink, env, delay):
+    """Epoch 2 promoted at t=10; an epoch-1 trip starts ``delay`` later."""
+    env.now = 10.0
+    sink.event(
+        lifecycle_trace("pair:u"), "failover.promote",
+        epoch=2, side="standby", user="u",
+    )
+    env.now = 10.0 + delay
+    span = sink.begin("alert-1", "trip", user="u", epoch=1, attempt=0)
+    env.now += 1.0
+    sink.end(span, "routed")
+
+
+def closed_trip(sink, env, outcome):
+    span = sink.begin("alert-1", "trip", user="u", attempt=0)
+    env.now = 1.0
+    sink.end(span, outcome)
+
+
+def span_under_parent(sink, env, parent):
+    span = sink.begin("alert-1", "receive", parent=parent)
+    sink.end(span, "enqueued")
+
+
 class TestFabricatedInvariants:
     def test_clean_sink_checks_out(self):
         sink, env = make_sink()
@@ -48,10 +96,7 @@ class TestFabricatedInvariants:
 
     def test_duplicate_terminal_delivery(self):
         sink, env = make_sink()
-        for _ in range(2):
-            span = sink.begin("alert-1", "deliver.user", user="u", epoch=1)
-            env.now += 1.0
-            sink.end(span, "delivered")
+        deliver_under_epochs(sink, env, (1, 1))
         _, violations = check_trace(sink)
         assert invariants(violations) == ["trace_terminal_delivery"]
 
@@ -59,39 +104,25 @@ class TestFabricatedInvariants:
         """Same alert delivered under two epochs is the partition shape
         the *journal* oracle judges; the trace invariant keys on epoch."""
         sink, env = make_sink()
-        for epoch in (1, 2):
-            span = sink.begin("alert-1", "deliver.user", user="u", epoch=epoch)
-            env.now += 1.0
-            sink.end(span, "delivered")
+        deliver_under_epochs(sink, env, (1, 2))
         _, violations = check_trace(sink)
         assert violations == []
 
-    def _deliver_with_blocks(self, sink, env, outcomes, start_index=0):
-        deliver = sink.begin("alert-1", "deliver", mode="m")
-        for offset, outcome in enumerate(outcomes):
-            block = sink.begin(
-                "alert-1", "block",
-                parent=deliver.span_id, index=start_index + offset,
-            )
-            env.now += 1.0
-            sink.end(block, outcome)
-        sink.end(deliver, "delivered")
-
     def test_fallback_after_success(self):
         sink, env = make_sink()
-        self._deliver_with_blocks(sink, env, ["success", "success"])
+        deliver_with_blocks(sink, env, ["success", "success"])
         _, violations = check_trace(sink)
         assert invariants(violations) == ["trace_fallback_ordering"]
 
     def test_fallback_without_predecessor(self):
         sink, env = make_sink()
-        self._deliver_with_blocks(sink, env, ["success"], start_index=1)
+        deliver_with_blocks(sink, env, ["success"], start_index=1)
         _, violations = check_trace(sink)
         assert invariants(violations) == ["trace_fallback_ordering"]
 
     def test_ordered_fallback_is_legal(self):
         sink, env = make_sink()
-        self._deliver_with_blocks(sink, env, ["failed", "success"])
+        deliver_with_blocks(sink, env, ["failed", "success"])
         _, violations = check_trace(sink)
         assert violations == []
 
@@ -113,36 +144,19 @@ class TestFabricatedInvariants:
 
     def test_fenced_epoch_trip_after_promotion(self):
         sink, env = make_sink()
-        env.now = 10.0
-        sink.event(
-            lifecycle_trace("pair:u"), "failover.promote",
-            epoch=2, side="standby", user="u",
-        )
-        env.now = 11.0
-        stale = sink.begin("alert-1", "trip", user="u", epoch=1, attempt=0)
-        env.now = 12.0
-        sink.end(stale, "routed")
+        old_epoch_trip_after_promotion(sink, env, delay=1.0)
         _, violations = check_trace(sink)
         assert invariants(violations) == ["trace_fenced_epoch"]
 
     def test_fenced_epoch_same_instant_is_legal(self):
         sink, env = make_sink()
-        env.now = 10.0
-        sink.event(
-            lifecycle_trace("pair:u"), "failover.promote",
-            epoch=2, side="standby", user="u",
-        )
-        span = sink.begin("alert-1", "trip", user="u", epoch=1, attempt=0)
-        env.now = 11.0
-        sink.end(span, "routed")
+        old_epoch_trip_after_promotion(sink, env, delay=0.0)
         _, violations = check_trace(sink)
         assert violations == []
 
     def test_trip_closed_without_terminal_outcome(self):
         sink, env = make_sink()
-        span = sink.begin("alert-1", "trip", user="u", attempt=0)
-        env.now = 1.0
-        sink.end(span, "unfinished")
+        closed_trip(sink, env, "unfinished")
         _, violations = check_trace(sink)
         assert invariants(violations) == ["trace_terminal"]
 
@@ -156,16 +170,13 @@ class TestFabricatedInvariants:
     @pytest.mark.parametrize("outcome", sorted(TERMINAL_TRIP_OUTCOMES))
     def test_every_terminal_outcome_is_legal(self, outcome):
         sink, env = make_sink()
-        span = sink.begin("alert-1", "trip", user="u", attempt=0)
-        env.now = 1.0
-        sink.end(span, outcome)
+        closed_trip(sink, env, outcome)
         _, violations = check_trace(sink)
         assert violations == []
 
     def test_structural_unknown_parent(self):
         sink, env = make_sink()
-        span = sink.begin("alert-1", "receive", parent=999)
-        sink.end(span, "enqueued")
+        span_under_parent(sink, env, parent=999)
         _, violations = check_trace(sink)
         assert invariants(violations) == ["trace_structural"]
 

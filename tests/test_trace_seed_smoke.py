@@ -2,9 +2,11 @@
 
 One pinned seed proves nothing about perturbation — an instrumentation
 site that draws randomness or schedules an event may only diverge under
-some interleavings.  This sweep runs 10 generated chaos trials twice,
-with and without tracing, under a 2-worker pool (``REPRO_SWEEP_JOBS=2``,
-the CI shape), and asserts per-trial:
+some interleavings.  This sweep runs 10 generated chaos trials — and two
+more under an alert storm with hardened admission, where trips also end
+shed, coalesced or suppressed rather than routed — twice, with and without
+tracing, under a 2-worker pool (``REPRO_SWEEP_JOBS=2``, the CI shape), and
+asserts per-trial:
 
 - the verdicts agree (``ok`` bit and journal violation set), and
 - the fingerprints are identical (tracing is pure observation), and
@@ -13,11 +15,19 @@ the CI shape), and asserts per-trial:
 
 import pytest
 
+from repro.core.admission import AdmissionConfig
 from repro.sim.clock import MINUTE
-from repro.testkit import chaos_sweep
+from repro.testkit import ChaosRunConfig, StormConfig, chaos_sweep
 
 SEED = 424
 TRIALS = 10
+#: The extra trials' traffic: every admission-terminal kind is a trip
+#: outcome the trace view must read the way the journal view does.  Two of
+#: them, so they cross the worker pool like the rest.
+STORM_TRIALS = 2
+HARDENED_STORM = ChaosRunConfig(
+    storm=StormConfig(), admission=AdmissionConfig.hardened()
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +44,19 @@ def sweeps():
         shrink_failures=False,
         jobs=None,  # resolve from the environment, as CI does
     )
+    storm = dict(kwargs, trials=STORM_TRIALS, config=HARDENED_STORM)
     with mock.patch.dict(os.environ, {"REPRO_SWEEP_JOBS": "2"}):
         traced = chaos_sweep(trace=True, **kwargs)
         untraced = chaos_sweep(trace=False, **kwargs)
+        traced.trials += chaos_sweep(trace=True, **storm).trials
+        untraced.trials += chaos_sweep(trace=False, **storm).trials
     return traced, untraced
 
 
 class TestSeedSmoke:
     def test_verdicts_agree_across_seeds(self, sweeps):
         traced, untraced = sweeps
-        assert len(traced.trials) == TRIALS
+        assert len(traced.trials) == TRIALS + STORM_TRIALS
         for with_trace, without in zip(traced.trials, untraced.trials):
             journal_only = [
                 v for v in with_trace.violations
