@@ -1,9 +1,7 @@
 """Standalone kernel benchmark runner: A5 throughput + A6 dead timers.
 
-Unlike the pytest-benchmark modules (``bench_a5_kernel.py``,
-``bench_a6_dead_timers.py``), this runner needs nothing beyond the
-standard library, emits machine-readable JSON artifacts, and doubles as
-the CI regression gate::
+The runner needs nothing beyond the standard library, emits
+machine-readable JSON artifacts, and doubles as the CI regression gate::
 
     python benchmarks/run_kernel_bench.py --out-dir benchmarks/baselines
     python benchmarks/run_kernel_bench.py --check benchmarks/baselines

@@ -65,9 +65,6 @@ class Sensor:
         """Sensor fires (water detected, door opened...)."""
         self.set_state(SensorState.ON)
 
-    def reset(self) -> None:
-        self.set_state(SensorState.OFF)
-
     def set_state(self, state: SensorState) -> None:
         if self.battery <= 0:
             return  # a dead sensor cannot transmit

@@ -107,9 +107,6 @@ class SoftStateStore:
             raise ConfigurationError("type name must be non-empty")
         self._types.add(type_name)
 
-    def has_type(self, type_name: str) -> bool:
-        return type_name in self._types
-
     def create(
         self,
         name: str,

@@ -88,17 +88,6 @@ def parse_ack_body(body: str) -> Optional[int]:
         return None
 
 
-def parse_ack_epoch(body: str) -> Optional[int]:
-    """The fencing epoch stamped into an ack, if any."""
-    for token in body.split():
-        if token.startswith("epoch="):
-            try:
-                return int(token[len("epoch="):])
-            except ValueError:
-                return None
-    return None
-
-
 class SimbaEndpoint:
     """One SIMBA-library node with IM + email + SMS capability."""
 
@@ -231,15 +220,6 @@ class SimbaEndpoint:
             trace_parent=trace_parent,
         )
         return outcome
-
-    def deliver_alert_process(
-        self, alert: Alert, mode: DeliveryMode, book: AddressBook
-    ):
-        """Fire-and-track: run delivery as its own process."""
-        return self.env.process(
-            self.deliver_alert(alert, mode, book),
-            name=f"{self.name}-deliver-{alert.alert_id}",
-        )
 
     # ------------------------------------------------------------------
     # Receive loops

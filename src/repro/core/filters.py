@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.clock import DAY, time_of_day
@@ -77,9 +76,6 @@ class FilterPolicy:
 
     def clear_delivery_window(self, category: str) -> None:
         self._windows.pop(category, None)
-
-    def delivery_window(self, category: str) -> Optional[TimeWindow]:
-        return self._windows.get(category)
 
     def evaluate(self, category: str, now: float) -> FilterDecision:
         """Decide whether an alert of ``category`` may be delivered at ``now``."""

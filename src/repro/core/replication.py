@@ -491,12 +491,6 @@ class ReplicatedPair:
     def sides(self) -> tuple[PairSide, PairSide]:
         return (self.a, self.b)
 
-    def side_of(self, deployment: "BuddyDeployment") -> Optional[PairSide]:
-        for side in self.sides():
-            if side.deployment is deployment:
-                return side
-        return None
-
     def attach_primary_mdc(
         self, mdc: MasterDaemonController, mdc_kwargs: Optional[dict] = None
     ) -> None:

@@ -14,8 +14,7 @@ Four pieces compose:
   shard owns ``vnodes`` points on a 64-bit ring hashed with BLAKE2b (never
   Python's salted ``hash``), so placement is identical in every process and
   every run.  Adding shards moves only the keys that land on the new
-  shard's points (monotone remapping), and an ``overrides`` map lets a
-  rebalancer reassign individual vnodes without disturbing the rest.
+  shard's points (monotone remapping).
 - :class:`ShardWorker` — one shard's half of the command/response pipe
   protocol: a long-lived ``SimbaWorld`` + ``BuddyFarm`` whose kernel is
   advanced epoch by epoch on command, materializing tenants lazily when
@@ -26,9 +25,8 @@ Four pieces compose:
   in parallel to the epoch boundary, gathers each shard's outbound
   :class:`BridgeEnvelope` batch, sorts the union into one global order, and
   re-injects each envelope into its recipient's shard for the next epoch.
-- :class:`HotShardDetector` — turns the per-shard/per-vnode load counters
-  the rollup carries into placement recommendations (vnode overrides) when
-  one shard runs hot.
+- :class:`HotShardDetector` — reads the per-shard load counters the
+  rollup carries and reports which shards, if any, run hot.
 
 Why the result is bit-identical for any shard count (including 1):
 
@@ -71,12 +69,10 @@ from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from repro.core.stabilizing import BridgeGuard, payload_checksum
 from repro.errors import ConfigurationError
-from repro.net.adversary import AdversaryModel, AdversaryStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.farm import BuddyFarm, FarmProfile, FarmTenant
+    from repro.core.farm import FarmProfile, FarmTenant
     from repro.world import SimbaWorld, WorldConfig
 
 
@@ -105,24 +101,15 @@ class ConsistentHashRing:
     pin:
 
     - **deterministic**: placement depends only on (name, shards, vnodes,
-      salt, overrides) — identical in every process.
+      salt) — identical in every process.
     - **balanced**: with enough vnodes, shard populations are within a
       modest factor of uniform.
-    - **monotone**: :meth:`with_shards` to a larger count moves a key only
-      if a *new* shard's point became its successor — ~1/N of keys move,
-      all of them to the new shards.
-    - **rebalanceable**: ``overrides`` reassigns single vnodes (the unit
-      the :class:`HotShardDetector` recommends moving) without touching
-      any other key.
+    - **monotone**: the same ring built for a larger count moves a key
+      only if a *new* shard's point became its successor — ~1/N of keys
+      move, all of them to the new shards.
     """
 
-    def __init__(
-        self,
-        shards: int,
-        vnodes: int = 64,
-        salt: str = "",
-        overrides: Optional[dict[tuple[int, int], int]] = None,
-    ):
+    def __init__(self, shards: int, vnodes: int = 64, salt: str = ""):
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if vnodes < 1:
@@ -130,16 +117,6 @@ class ConsistentHashRing:
         self.shards = shards
         self.vnodes = vnodes
         self.salt = salt
-        self.overrides = dict(overrides or {})
-        for (shard, vnode), target in self.overrides.items():
-            if not (0 <= shard < shards and 0 <= vnode < vnodes):
-                raise ConfigurationError(
-                    f"override source ({shard}, {vnode}) outside ring"
-                )
-            if not 0 <= target < shards:
-                raise ConfigurationError(
-                    f"override target {target} outside ring"
-                )
         points = []
         for shard in range(shards):
             for vnode in range(vnodes):
@@ -150,12 +127,7 @@ class ConsistentHashRing:
         self._keys = [point for point, _, _ in points]
 
     def vnode_for(self, name: str) -> tuple[int, int]:
-        """The ring point ``(home_shard, vnode)`` owning ``name``.
-
-        The *home* identity of the point — overrides change :meth:`owner`,
-        not which point a name maps to, so load attribution survives
-        rebalancing.
-        """
+        """The ring point ``(shard, vnode)`` owning ``name``."""
         key = stable_hash64(name)
         index = bisect_left(self._keys, key)
         if index == len(self._keys):
@@ -164,33 +136,12 @@ class ConsistentHashRing:
         return shard, vnode
 
     def owner(self, name: str) -> int:
-        """The shard serving ``name`` (override-aware)."""
-        home, vnode = self.vnode_for(name)
-        return self.overrides.get((home, vnode), home)
-
-    def with_shards(self, shards: int) -> "ConsistentHashRing":
-        """The same ring rebuilt for a different shard count (no overrides
-        — a resize is a fresh placement epoch)."""
-        return ConsistentHashRing(shards, vnodes=self.vnodes, salt=self.salt)
-
-    def with_overrides(
-        self, overrides: dict[tuple[int, int], int]
-    ) -> "ConsistentHashRing":
-        """A copy with ``overrides`` merged over the existing map."""
-        merged = dict(self.overrides)
-        merged.update(overrides)
-        return ConsistentHashRing(
-            self.shards, vnodes=self.vnodes, salt=self.salt, overrides=merged
-        )
-
-    def population_of(self, names: Sequence[str], shard: int) -> list[str]:
-        """The subset of ``names`` owned by ``shard``, in given order."""
-        return [name for name in names if self.owner(name) == shard]
+        """The shard serving ``name``."""
+        return self.vnode_for(name)[0]
 
     def __repr__(self) -> str:
         return (
-            f"ConsistentHashRing(shards={self.shards}, vnodes={self.vnodes},"
-            f" overrides={len(self.overrides)})"
+            f"ConsistentHashRing(shards={self.shards}, vnodes={self.vnodes})"
         )
 
 
@@ -216,82 +167,6 @@ class BridgeEnvelope(NamedTuple):
     subject: str
     body: str
     alert_id: str
-    #: CRC32 over the content fields (everything but ``deliver_at`` and
-    #: the checksum itself), stamped at queue time so the receiving shard
-    #: can detect in-flight corruption.  Trailing with a default so the
-    #: sort key — and positional 8-field construction — are unchanged;
-    #: ``(deliver_at, origin, seq)`` is unique for legitimate traffic, so
-    #: the extra field never decides an ordering.  0 means "unchecked"
-    #: (hand-built envelopes predating the checksum).
-    checksum: int = 0
-
-
-def envelope_checksum(envelope: BridgeEnvelope) -> int:
-    """The integrity tag for one envelope: CRC32 of its content fields.
-
-    ``deliver_at`` is routing metadata, not content — a delayed duplicate
-    copy must still verify clean — and the checksum field itself is
-    excluded by construction.
-    """
-    return payload_checksum(tuple(envelope[1:8]))
-
-
-def envelope_checksum_ok(envelope: BridgeEnvelope) -> bool:
-    """Whether the envelope verifies (0 = legacy unchecked, passes)."""
-    return envelope.checksum == 0 or (
-        envelope.checksum == envelope_checksum(envelope)
-    )
-
-
-def bridge_adversary_copies(
-    envelope: BridgeEnvelope,
-    model: Optional[AdversaryModel],
-    seed: int,
-    epoch: float,
-    stats: Optional[AdversaryStats] = None,
-) -> list[BridgeEnvelope]:
-    """Deterministic adversarial copies of one bridge envelope.
-
-    Every decision is a pure function of ``(seed, origin, seq)`` via
-    :func:`stable_hash64` — never of coordinator iteration order or an RNG
-    stream — so the same logical traffic suffers the identical fault set
-    under every shard layout, keeping the layout-invariance pin meaningful
-    even with the adversary on.
-
-    Only the *copies* are ever corrupted or delayed (the primary always
-    arrives intact): the bridge has no resend path, so corrupting primaries
-    would turn a transport experiment into alert loss.  A delayed copy
-    slips one epoch (``reorder``), a corrupted copy has its body mangled
-    while the checksum stays stale — exactly what the receive-side
-    :class:`~repro.core.stabilizing.BridgeGuard` exists to catch.
-    """
-    if model is None or not model.enabled:
-        return []
-    token = stable_hash64(
-        f"bridge-adversary-{seed}-{envelope.origin}-{envelope.seq}"
-    )
-    if (token & 0xFFFF) / 65536.0 >= model.duplicate_probability:
-        return []
-    extras = 1 + (token >> 16) % max(1, model.duplicate_max - 1)
-    copies = []
-    for index in range(extras):
-        sub = stable_hash64(
-            f"bridge-adversary-copy-{seed}-{envelope.origin}"
-            f"-{envelope.seq}-{index}"
-        )
-        copy = envelope
-        if (sub & 0xFFFF) / 65536.0 < model.reorder_probability:
-            copy = copy._replace(deliver_at=copy.deliver_at + epoch)
-            if stats is not None:
-                stats.reordered += 1
-        if ((sub >> 16) & 0xFFFF) / 65536.0 < model.corrupt_probability:
-            copy = copy._replace(body=copy.body + "\x00bitflip")
-            if stats is not None:
-                stats.corrupt_injected += 1
-        copies.append(copy)
-        if stats is not None:
-            stats.duplicates_injected += 1
-    return copies
 
 
 # ----------------------------------------------------------------------
@@ -309,22 +184,6 @@ class ShardLoad:
     journal_events: int = 0
     envelopes_out: int = 0
     envelopes_in: int = 0
-    #: Journal events attributed to each *home* vnode ``(shard, vnode)`` —
-    #: the granularity at which placement can actually be changed.
-    vnode_events: dict[tuple[int, int], int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PlacementMove:
-    """Reassign one vnode from a hot shard to a cooler one."""
-
-    vnode: tuple[int, int]
-    from_shard: int
-    to_shard: int
-    events: int
-
-    def as_override(self) -> tuple[tuple[int, int], int]:
-        return self.vnode, self.to_shard
 
 
 @dataclass
@@ -334,15 +193,10 @@ class PlacementReport:
     mean_events: float
     per_shard_events: dict[int, int]
     hot_shards: list[int]
-    moves: list[PlacementMove]
 
     @property
     def balanced(self) -> bool:
         return not self.hot_shards
-
-    def overrides(self) -> dict[tuple[int, int], int]:
-        """The recommended moves as a ring ``overrides`` map."""
-        return dict(move.as_override() for move in self.moves)
 
     def summary(self) -> str:
         if self.balanced:
@@ -350,79 +204,35 @@ class PlacementReport:
                 f"placement balanced (mean {self.mean_events:.0f} "
                 f"events/shard)"
             )
-        moved = ", ".join(
-            f"vnode {m.vnode} {m.from_shard}->{m.to_shard} ({m.events} ev)"
-            for m in self.moves
-        )
         return (
             f"hot shards {self.hot_shards} "
-            f"(mean {self.mean_events:.0f} events/shard); recommend: {moved}"
+            f"(mean {self.mean_events:.0f} events/shard)"
         )
+
+
+#: A shard is *hot* when its journal-event count exceeds this × the mean.
+HOT_SHARD_THRESHOLD = 1.25
 
 
 class HotShardDetector:
-    """Turn per-shard/per-vnode load counters into rebalancing advice.
+    """Name the shards whose load stands out in one rollup.
 
-    A shard is *hot* when its journal-event count exceeds
-    ``threshold × mean``.  For each hot shard the detector greedily moves
-    its heaviest vnodes to the currently-coolest shard until the shard
-    projects below the threshold (or it has only one vnode's worth of load
-    left — a single oversized tenant cannot be split).  Deterministic:
-    ties break on vnode id and shard index, never on dict order.
+    The report is advisory and offline: it says where the journal events
+    piled up, and nothing rebalances.
     """
-
-    def __init__(self, threshold: float = 1.25):
-        if threshold <= 1.0:
-            raise ConfigurationError(
-                f"threshold must be > 1.0, got {threshold}"
-            )
-        self.threshold = threshold
 
     def analyze(self, loads: Sequence[ShardLoad]) -> PlacementReport:
         per_shard = {load.shard: load.journal_events for load in loads}
         if not per_shard:
-            return PlacementReport(0.0, {}, [], [])
+            return PlacementReport(0.0, {}, [])
         mean = sum(per_shard.values()) / len(per_shard)
-        limit = self.threshold * mean
-        hot = sorted(
-            shard for shard, events in per_shard.items() if events > limit
-        )
-        projected = dict(per_shard)
-        moves: list[PlacementMove] = []
-        for shard in hot:
-            load = next(l for l in loads if l.shard == shard)
-            # Heaviest vnodes first; vnode id breaks ties deterministically.
-            candidates = sorted(
-                load.vnode_events.items(), key=lambda kv: (-kv[1], kv[0])
-            )
-            for vnode, events in candidates:
-                if projected[shard] <= limit or events == 0:
-                    break
-                if len(load.vnode_events) <= 1:
-                    break  # nothing left to split off
-                coolest = min(
-                    projected, key=lambda s: (projected[s], s)
-                )
-                if coolest == shard:
-                    break
-                # Moving must help: never push the target past the source.
-                if projected[coolest] + events >= projected[shard]:
-                    continue
-                moves.append(
-                    PlacementMove(
-                        vnode=vnode,
-                        from_shard=shard,
-                        to_shard=coolest,
-                        events=events,
-                    )
-                )
-                projected[shard] -= events
-                projected[coolest] += events
+        limit = HOT_SHARD_THRESHOLD * mean
         return PlacementReport(
             mean_events=mean,
             per_shard_events=per_shard,
-            hot_shards=hot,
-            moves=moves,
+            hot_shards=sorted(
+                shard for shard, events in per_shard.items() if events > limit
+            ),
         )
 
 
@@ -453,13 +263,8 @@ class ShardSpec:
     vnodes: int = 64
     epoch: float = 60.0
     bridge_latency: float = 60.0
-    ring_overrides: dict = field(default_factory=dict)
     world_config: Optional["WorldConfig"] = None
     profile: Optional["FarmProfile"] = None
-    #: Receive-side bridge transport: True verifies envelope checksums and
-    #: drops duplicate ``(origin, seq)`` arrivals before delivery; False is
-    #: the naive baseline that admits everything (and counts the damage).
-    bridge_stabilizing: bool = True
 
     def __post_init__(self):
         if not 0 <= self.shard < self.shards:
@@ -488,31 +293,8 @@ class ShardRuntime:
         return self._worker.world
 
     @property
-    def farm(self) -> "BuddyFarm":
-        return self._worker.farm
-
-    @property
-    def source(self):
-        """The shard's ingest source — local emissions and bridge
-        deliveries both enter through it, so ``Alert.source`` is identical
-        whichever path an alert took."""
-        return self._worker.source
-
-    @property
-    def shard(self) -> int:
-        return self._worker.spec.shard
-
-    @property
-    def seed(self) -> int:
-        return self._worker.spec.seed
-
-    @property
     def population(self) -> int:
         return self._worker.spec.population
-
-    @property
-    def prefix(self) -> str:
-        return self._worker.spec.prefix
 
     @property
     def local_names(self) -> list[str]:
@@ -521,10 +303,6 @@ class ShardRuntime:
 
     def user_name(self, index: int) -> str:
         return f"{self._worker.spec.prefix}{index}"
-
-    def tenant(self, name: str) -> "FarmTenant":
-        """The tenant for ``name``, materialized on first use."""
-        return self._worker.tenant(name)
 
     def send_envelope(
         self,
@@ -581,14 +359,7 @@ class ShardWorker:
         from repro.world import SimbaWorld, WorldConfig
 
         self.spec = spec
-        self.ring = ConsistentHashRing(
-            spec.shards,
-            vnodes=spec.vnodes,
-            overrides={
-                tuple(key): value
-                for key, value in spec.ring_overrides.items()
-            },
-        )
+        self.ring = ConsistentHashRing(spec.shards, vnodes=spec.vnodes)
         self.world = SimbaWorld(
             spec.world_config
             if spec.world_config is not None
@@ -603,7 +374,6 @@ class ShardWorker:
             if self.ring.owner(f"{spec.prefix}{index}") == spec.shard
         ]
         self._outbound: list[BridgeEnvelope] = []
-        self.bridge_guard = BridgeGuard(stabilizing=spec.bridge_stabilizing)
         self.load = ShardLoad(shard=spec.shard)
         self.runtime = ShardRuntime(self)
         builder = _resolve_workload(spec.workload)
@@ -651,7 +421,6 @@ class ShardWorker:
             body=body,
             alert_id=alert_id,
         )
-        envelope = envelope._replace(checksum=envelope_checksum(envelope))
         self._outbound.append(envelope)
         self.load.envelopes_out += 1
         return envelope
@@ -680,10 +449,6 @@ class ShardWorker:
         for raw in inbound:
             envelope = BridgeEnvelope(*raw)
             self.load.envelopes_in += 1
-            if not self.bridge_guard.admit(
-                envelope.origin, envelope.seq, envelope_checksum_ok(envelope)
-            ):
-                continue
             env.process(
                 self._deliver_envelope(envelope),
                 name=f"bridge-{envelope.alert_id}",
@@ -717,21 +482,15 @@ class ShardWorker:
             receipt.latency for receipt in farm.iter_receipts(unique=True)
         ]
         self.load.receipts = len(latencies)
-        journal_events = 0
-        vnode_events: Counter = Counter()
-        for tenant in farm:
-            events = tenant.deployment.journal.total_events
-            journal_events += events
-            vnode_events[self.ring.vnode_for(tenant.name)] += events
-        self.load.journal_events = journal_events
-        self.load.vnode_events = dict(vnode_events)
+        self.load.journal_events = sum(
+            tenant.deployment.journal.total_events for tenant in farm
+        )
         return {
             "shard": self.spec.shard,
             "tenants": len(farm),
             "counts": dict(counts),
             "latencies": latencies,
             "load": self.load,
-            "bridge_guard": self.bridge_guard.audit.summary(),
         }
 
     def fingerprints(self) -> dict[str, str]:
@@ -748,13 +507,36 @@ class ShardWorker:
         return digests
 
 
-def shard_worker_main(conn, spec: ShardSpec) -> None:
-    """Child-process entry: serve the command/response protocol on ``conn``.
+def _serve(worker: ShardWorker, message: tuple) -> tuple:
+    """Answer one command: ``("ok", payload)`` or ``("error", text)``.
 
-    Every reply is ``("ok", payload)`` or ``("error", message)``; a failed
-    command leaves the loop running so the coordinator can still stop the
-    worker cleanly.  Module-level so it pickles under the ``spawn`` start
-    method.
+    The whole command set, spelled once for the worker process and its
+    inline stand-in, so the two cannot diverge on a command.  A failed or
+    unknown command is answered with its traceback, never raised: the
+    coordinator can still stop the worker cleanly.
+    """
+    command = message[0]
+    try:
+        if command == "epoch":
+            _, until, inbound = message
+            outbound = worker.run_epoch(until, inbound)
+            return "ok", [tuple(e) for e in outbound]
+        if command == "rollup":
+            return "ok", worker.rollup()
+        if command == "fingerprints":
+            return "ok", worker.fingerprints()
+        if command == "stop":
+            worker.close()
+            return "ok", None
+        return "error", f"unknown command {command!r}"
+    except Exception:
+        return "error", traceback.format_exc()
+
+
+def shard_worker_main(conn, spec: ShardSpec) -> None:
+    """Child-process entry: serve the command/response protocol on ``conn``
+    until told to stop.  Module-level so it pickles under the ``spawn``
+    start method.
     """
     try:
         try:
@@ -768,24 +550,9 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
                 message = conn.recv()
             except EOFError:
                 return
-            command = message[0]
-            try:
-                if command == "epoch":
-                    _, until, inbound = message
-                    outbound = worker.run_epoch(until, inbound)
-                    conn.send(("ok", [tuple(e) for e in outbound]))
-                elif command == "rollup":
-                    conn.send(("ok", worker.rollup()))
-                elif command == "fingerprints":
-                    conn.send(("ok", worker.fingerprints()))
-                elif command == "stop":
-                    worker.close()
-                    conn.send(("ok", None))
-                    return
-                else:
-                    conn.send(("error", f"unknown command {command!r}"))
-            except Exception:
-                conn.send(("error", traceback.format_exc()))
+            conn.send(_serve(worker, message))
+            if message[0] == "stop":
+                return
     finally:
         conn.close()
 
@@ -883,22 +650,7 @@ class _InlineShard:
         self._pending: list[object] = [("ready", len(self._worker.local_names))]
 
     def send(self, message: tuple) -> None:
-        command = message[0]
-        try:
-            if command == "epoch":
-                _, until, inbound = message
-                outbound = self._worker.run_epoch(until, inbound)
-                self._pending.append(("ok", [tuple(e) for e in outbound]))
-            elif command == "rollup":
-                self._pending.append(("ok", self._worker.rollup()))
-            elif command == "fingerprints":
-                self._pending.append(("ok", self._worker.fingerprints()))
-            elif command == "stop":
-                self._pending.append(("ok", None))
-            else:
-                self._pending.append(("error", f"unknown command {command!r}"))
-        except Exception:
-            self._pending.append(("error", traceback.format_exc()))
+        self._pending.append(_serve(self._worker, message))
 
     def recv(self) -> object:
         kind, payload = self._pending.pop(0)
@@ -929,10 +681,6 @@ class MergedRollup:
     loads: list[ShardLoad]
     undelivered_envelopes: int
     placement: PlacementReport
-    #: Summed receive-side bridge-transport counters across all shards
-    #: (corrupt_rejected / duplicate_dropped under the stabilizing guard;
-    #: corrupt_accepted / duplicate_applied under the naive baseline).
-    bridge_audit: dict = field(default_factory=dict)
 
     @property
     def delivered(self) -> int:
@@ -972,13 +720,9 @@ class ShardedFarm:
         vnodes: int = 64,
         epoch: float = 60.0,
         bridge_latency: Optional[float] = None,
-        ring_overrides: Optional[dict[tuple[int, int], int]] = None,
         world_config: Optional["WorldConfig"] = None,
         profile: Optional["FarmProfile"] = None,
-        detector: Optional[HotShardDetector] = None,
         inline: bool = False,
-        bridge_adversary: Optional[AdversaryModel] = None,
-        bridge_stabilizing: bool = True,
     ):
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
@@ -993,14 +737,8 @@ class ShardedFarm:
         self.bridge_latency = float(
             bridge_latency if bridge_latency is not None else epoch
         )
-        self.ring = ConsistentHashRing(
-            shards, vnodes=vnodes, overrides=ring_overrides
-        )
-        self.detector = detector if detector is not None else HotShardDetector()
+        self.ring = ConsistentHashRing(shards, vnodes=vnodes)
         self.inline = inline
-        self.bridge_adversary = bridge_adversary
-        self.bridge_stabilizing = bridge_stabilizing
-        self.bridge_adversary_stats = AdversaryStats()
         self._specs = [
             ShardSpec(
                 shard=shard,
@@ -1013,10 +751,8 @@ class ShardedFarm:
                 vnodes=vnodes,
                 epoch=self.epoch,
                 bridge_latency=self.bridge_latency,
-                ring_overrides=dict(ring_overrides or {}),
                 world_config=world_config,
                 profile=profile,
-                bridge_stabilizing=bridge_stabilizing,
             )
             for shard in range(shards)
         ]
@@ -1087,22 +823,6 @@ class ShardedFarm:
             # go on, so no sibling is left running behind the error.
             self.stop()
             raise
-        if self.bridge_adversary is not None and self.bridge_adversary.enabled:
-            # Adversarial copies are injected *before* the global sort so
-            # they take their deterministic place in the one injection
-            # order; every decision is a pure function of envelope
-            # identity, so the fault set is layout-invariant too.
-            adversarial: list[tuple] = []
-            for raw in outbound:
-                for copy in bridge_adversary_copies(
-                    BridgeEnvelope(*raw),
-                    self.bridge_adversary,
-                    self.seed,
-                    self.epoch,
-                    stats=self.bridge_adversary_stats,
-                ):
-                    adversarial.append(tuple(copy))
-            outbound.extend(adversarial)
         outbound.sort()
         self._inbound = [[] for _ in range(self.shards)]
         for raw in outbound:
@@ -1137,13 +857,11 @@ class ShardedFarm:
         counts: Counter = Counter()
         latencies: list[float] = []
         loads: list[ShardLoad] = []
-        bridge_audit: Counter = Counter()
         tenants = 0
         for rollup in rollups:
             counts.update(rollup["counts"])
             latencies.extend(rollup["latencies"])
             loads.append(rollup["load"])
-            bridge_audit.update(rollup.get("bridge_guard", {}))
             tenants += rollup["tenants"]
         latencies.sort()
         return MergedRollup(
@@ -1155,8 +873,7 @@ class ShardedFarm:
             latencies=latencies,
             loads=loads,
             undelivered_envelopes=self._undelivered,
-            placement=self.detector.analyze(loads),
-            bridge_audit=dict(bridge_audit),
+            placement=HotShardDetector().analyze(loads),
         )
 
     def tenant_fingerprints(self) -> dict[str, str]:

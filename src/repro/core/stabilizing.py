@@ -1,8 +1,8 @@
 """Self-stabilizing exactly-once record transport over an adversarial link.
 
-The replication log-shipping path (:mod:`repro.core.replication`) and the
-cross-shard bridge (:mod:`repro.core.shard`) both move records over channels
-that — once the adversary is on — reorder, duplicate, and corrupt in flight.
+The replication log-shipping path (:mod:`repro.core.replication`) moves
+records over a channel that — once the adversary is on — reorders,
+duplicates, and corrupts in flight.
 Dolev, Dubois, Potop-Butucaru & Tixeuil show exactly-once delivery over such
 non-FIFO channels needs explicit sequencing/acknowledgement machinery that
 re-converges after transient faults; this module is that sublayer:
@@ -36,7 +36,7 @@ golden journals byte-identical.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -292,39 +292,3 @@ def make_receiver(
     raise ValueError(
         f"unknown transport kind {kind!r} (expected one of {TRANSPORT_KINDS})"
     )
-
-
-@dataclass
-class BridgeGuard:
-    """Stabilizing receive-side guard for cross-shard bridge envelopes.
-
-    The bridge is epoch-synchronous (no resend path), so the guard's job is
-    the receive half only: verify each envelope's checksum and drop
-    duplicate ``(origin, seq)`` arrivals, keeping merged fingerprints
-    invariant even when the bridge adversary duplicates or corrupts copies
-    in flight.  The naive mode records what it *would* have dropped but
-    lets everything through — the measurable violation.
-    """
-
-    stabilizing: bool = True
-    audit: TransportAudit = field(default_factory=TransportAudit)
-    _seen: set[tuple[str, int]] = field(default_factory=set)
-
-    def admit(self, origin: str, seq: int, checksum_ok: bool) -> bool:
-        """Whether the envelope may be queued for delivery."""
-        key = (origin, seq)
-        duplicate = key in self._seen
-        self._seen.add(key)
-        if self.stabilizing:
-            if not checksum_ok:
-                self.audit.corrupt_rejected += 1
-                return False
-            if duplicate:
-                self.audit.duplicate_dropped += 1
-                return False
-            return True
-        if not checksum_ok:
-            self.audit.corrupt_accepted += 1
-        if duplicate:
-            self.audit.duplicate_applied += 1
-        return True

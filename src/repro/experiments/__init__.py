@@ -2,11 +2,10 @@
 
 Each ``run_*`` function builds a world, executes the experiment, and returns
 a result object whose fields correspond to the numbers the paper reports.
-The benchmarks in ``benchmarks/`` are thin wrappers that run these, print
-the paper-vs-measured table, and assert the qualitative *shape* holds.
 
-The one experiment index — id, claim, run function, renderer, CLI flags —
-is :data:`repro.__main__.EXPERIMENTS` (``python -m repro list``).
+The one experiment index — id, claim, run function, renderer, the pairs
+the result must satisfy, CLI flags — is :data:`repro.__main__.EXPERIMENTS`
+(``python -m repro list``).
 """
 
 from repro.experiments.adversarial import (
@@ -21,6 +20,7 @@ from repro.experiments.ablations import (
     FarmThroughputPoint,
     LogLatencyPoint,
     run_ack_timeout_sweep,
+    run_daemon_saturation_sweep,
     run_farm_throughput_sweep,
     run_log_latency_sweep,
 )
@@ -65,7 +65,11 @@ from repro.experiments.storm import (
     run_storm_sweep,
     storm_schedule,
 )
-from repro.experiments.wish_e2e import WishE2EResult, run_wish_location
+from repro.experiments.wish_e2e import (
+    WishE2EResult,
+    run_wish_accuracy_sweep,
+    run_wish_location,
+)
 
 __all__ = [
     "AckTimeoutPoint",
@@ -76,6 +80,7 @@ __all__ = [
     "FarmThroughputPoint",
     "LogLatencyPoint",
     "run_ack_timeout_sweep",
+    "run_daemon_saturation_sweep",
     "run_farm_throughput_sweep",
     "run_log_latency_sweep",
     "ComparisonResult",
@@ -107,6 +112,7 @@ __all__ = [
     "run_sharded_throughput",
     "run_storm_comparison",
     "run_storm_sweep",
+    "run_wish_accuracy_sweep",
     "run_wish_location",
     "storm_schedule",
 ]

@@ -7,9 +7,11 @@
 - **Log-write-latency sweep (A2)**: the pessimistic-log write sits on the
   ack path; the measured ack RTT should be one-way + write + one-way, which
   is exactly the decomposition behind the paper's 1.5 s figure.
-- **Farm throughput sweep (A4)**: one MAB is a sequential daemon that
-  saturates around 0.2 alerts/s; SIMBA scales by *multiplying daemons*,
-  not by speeding one up.  The sweep runs a
+- **Throughput sweeps (A4)**: one MAB is a sequential daemon (§4:
+  log-before-ack, classify, route, wait for the block outcome, one alert at
+  a time); the first sweep finds where it saturates, around 0.2 alerts/s
+  with an acknowledging user in the loop.  SIMBA scales by *multiplying
+  daemons*, not by speeding one up: the second sweep runs a
   :class:`~repro.core.farm.BuddyFarm` at growing tenant counts and shows
   aggregate delivered throughput growing near-linearly with users.
 """
@@ -171,6 +173,75 @@ def run_log_latency_sweep(
     return points
 
 
+#: The single-daemon service ceiling (alerts/s) the saturation sweep
+#: demonstrates and the farm sweep is measured against.
+SINGLE_DAEMON_CEILING = 0.2
+
+
+@dataclass
+class SaturationPoint:
+    """One offered rate of the A4 single-daemon saturation sweep."""
+
+    rate: float
+    offered: int
+    delivered: int
+    on_time_ratio: float
+    latency: Summary
+
+
+def run_daemon_saturation_sweep(
+    rates: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4),
+    duration: float = 30 * MINUTE,
+    on_time: float = 60.0,
+    seed: int = 0,
+) -> list[SaturationPoint]:
+    """A4 (single daemon): Poisson arrivals at growing rates into one MAB.
+
+    Nothing is lost at any rate — the daemon queues — so the ceiling shows
+    as latency: past it the on-time share collapses.
+    """
+    points = []
+    for rate in rates:
+        world = SimbaWorld(WorldConfig(seed=seed, email_loss=0.0, sms_loss=0.0))
+        user = world.create_user("alice", present=True)
+        deployment = world.create_buddy(user)
+        deployment.register_user_endpoint(user)
+        deployment.subscribe("News", user, "normal", keywords=["News"])
+        deployment.launch()
+        source = world.create_source("portal")
+        source.add_target(deployment.source_facing_book())
+        deployment.config.classifier.accept_source("portal")
+
+        times = poisson_arrival_times(
+            world.rngs.stream("arrivals"), rate=rate, duration=duration
+        )
+
+        def emitter(env):
+            for at in times:
+                if at > env.now:
+                    yield env.timeout(at - env.now)
+                source.emit("News", f"h{env.now:.0f}", "b")
+
+        world.env.process(emitter(world.env))
+        # Generous drain time so queued alerts can finish.
+        world.run(until=duration + 60 * MINUTE)
+        latencies = [r.latency for r in user.receipts if not r.duplicate]
+        points.append(
+            SaturationPoint(
+                rate=rate,
+                offered=len(times),
+                delivered=len(latencies),
+                on_time_ratio=(
+                    sum(1 for lat in latencies if lat <= on_time) / len(times)
+                    if times
+                    else 0.0
+                ),
+                latency=summarize(latencies),
+            )
+        )
+    return points
+
+
 @dataclass
 class FarmThroughputPoint:
     """One sweep point of the A4 farm-scaling experiment."""
@@ -186,6 +257,11 @@ class FarmThroughputPoint:
     def aggregate_rate(self) -> float:
         """Delivered alerts/s across the whole farm."""
         return self.delivered / self.duration
+
+    @property
+    def ceiling_multiple(self) -> float:
+        """The aggregate rate in single-daemon ceilings."""
+        return self.aggregate_rate / SINGLE_DAEMON_CEILING
 
 
 def _farm_throughput_point(spec: dict) -> FarmThroughputPoint:

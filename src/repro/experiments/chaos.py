@@ -2,34 +2,23 @@
 
 The §5 evaluation replays *one* month-long trace; this experiment searches
 many adversarial traces.  ``run_chaos_experiment`` wraps
-:func:`repro.testkit.chaos_sweep` with reporting and reproducer pinning;
-the module is also a CLI (the CI chaos-smoke job drives it)::
-
-    python -m repro.experiments.chaos --seed 7 --trials 5
-    python -m repro.experiments.chaos --replay tests/data/chaos/*.json
-    python -m repro.experiments.chaos --equivalence
-
-Exit status is 0 only when every trial (or replay) satisfies the delivery
-oracle, so the command doubles as an assertion.
+:func:`repro.testkit.chaos_sweep` with reproducer pinning; ``python -m
+repro e10`` runs it, and exits 0 only when every trial satisfies the
+delivery oracle.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.metrics.invariant_report import sweep_report
 from repro.sim.clock import MINUTE
 from repro.testkit import (
     ChaosIntensity,
     ChaosSweepResult,
     chaos_sweep,
-    check_farm_equivalence,
     dump_reproducer,
-    replay_reproducer,
 )
 
 
@@ -79,84 +68,3 @@ def run_chaos_experiment(
             path = Path(pin_dir) / f"seed{seed}_trial{trial.index}.json"
             result.pinned.append(dump_reproducer(trial.reproducer, path))
     return result
-
-
-def replay_pinned(paths: list[Path]) -> list[tuple[Path, bool]]:
-    """Replay pinned reproducers against the current pipeline."""
-    verdicts = []
-    for path in paths:
-        report = replay_reproducer(path)
-        verdicts.append((Path(path), report.ok))
-    return verdicts
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.chaos",
-        description="Randomized fault-schedule search with a delivery oracle.",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--users", type=int, default=3)
-    parser.add_argument(
-        "--duration-minutes", type=float, default=40.0,
-        help="fault-window length per trial (simulated minutes)",
-    )
-    parser.add_argument(
-        "--settle-minutes", type=float, default=18.0,
-        help="quiesce time after the last fault clears",
-    )
-    parser.add_argument("--faults-per-hour", type=float, default=8.0)
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the sweep (default: REPRO_SWEEP_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--pin-dir", type=Path, default=None,
-        help="write shrunk reproducers of failing trials here",
-    )
-    parser.add_argument(
-        "--replay", type=Path, nargs="+", default=None,
-        help="replay pinned reproducer file(s) instead of sweeping",
-    )
-    parser.add_argument(
-        "--equivalence", action="store_true",
-        help="also check farm-vs-solo event equivalence",
-    )
-    args = parser.parse_args(argv)
-
-    ok = True
-    if args.replay:
-        for path, verdict in replay_pinned(args.replay):
-            print(f"replay {path}: {'PASS' if verdict else 'FAIL'}")
-            ok = ok and verdict
-    else:
-        result = run_chaos_experiment(
-            seed=args.seed,
-            trials=args.trials,
-            n_users=args.users,
-            duration=args.duration_minutes * MINUTE,
-            settle=args.settle_minutes * MINUTE,
-            faults_per_hour=args.faults_per_hour,
-            pin_dir=args.pin_dir,
-            jobs=args.jobs,
-        )
-        print(sweep_report(result.sweep))
-        for path in result.pinned:
-            print(f"pinned reproducer: {path}")
-        ok = ok and result.ok
-
-    if args.equivalence:
-        report = check_farm_equivalence()
-        print(
-            "farm equivalence: "
-            + ("PASS" if report.equivalent else "FAIL")
-        )
-        for mismatch in report.mismatches:
-            print(f"  ! {mismatch}")
-        ok = ok and report.equivalent
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

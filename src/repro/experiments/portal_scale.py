@@ -48,11 +48,6 @@ class PortalScaleResult:
             return float("nan")
         return self.replay_received / self.replay_alerts
 
-    @property
-    def replay_throughput(self) -> float:
-        """Aggregate delivered alerts/s over the replayed day."""
-        return self.replay_received / DAY
-
 
 def run_portal_log(
     seed: int = 0,

@@ -1,17 +1,25 @@
-"""Experiment E5: the WISH location-alert chain (§5).
+"""Experiments E5 and A3: the WISH location-alert chain and its accuracy.
 
-"From the time the laptop sends out the information wirelessly to the time
-the subscriber gets notified by an IM alert, the average delivery time was
-measured to be 5 seconds."
+E5 (§5): "From the time the laptop sends out the information wirelessly to
+the time the subscriber gets notified by an IM alert, the average delivery
+time was measured to be 5 seconds."
+
+A3 (§2.4): "The WISH system is able to determine the user's real-time
+location to within a few meters.  A confidence percentage is associated
+with each estimate."  The sweep raises the shadowing noise of the radio
+environment and reports location error and confidence — the RADAR-style
+accuracy figure, plus whether confidence actually tracks accuracy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.aladdin.sss import SoftStateStore
 from repro.metrics.stats import Summary, summarize
 from repro.net.message import ChannelType
+from repro.sim import Environment, RngRegistry
 from repro.sim.clock import MINUTE
 from repro.wish import (
     FloorPlan,
@@ -22,6 +30,7 @@ from repro.wish import (
     WISHClient,
     WISHServer,
 )
+from repro.wish.server import ClientReport
 from repro.world import SimbaWorld
 
 
@@ -123,3 +132,63 @@ def run_wish_location(
             sum(confidences) / len(confidences) if confidences else 0.0
         ),
     )
+
+
+@dataclass
+class AccuracyPoint:
+    """One shadowing level of the A3 sweep."""
+
+    sigma: float
+    error: Summary
+    confidence: Summary
+
+
+def _survey_plan() -> FloorPlan:
+    plan = FloorPlan("bench-building")
+    plan.add_region(Region("west", 0, 0, 25, 25))
+    plan.add_region(Region("east", 25, 0, 50, 25))
+    plan.add_ap("ap1", (12, 12))
+    plan.add_ap("ap2", (38, 12))
+    plan.add_ap("ap3", (25, 5))
+    plan.add_ap("ap4", (25, 20))
+    return plan
+
+
+def run_wish_accuracy_sweep(
+    sigmas: tuple[float, ...] = (0.0, 2.0, 4.0, 8.0),
+    samples_per_sigma: int = 120,
+    seed: int = 0,
+) -> list[AccuracyPoint]:
+    """A3: locate random positions under growing RF shadowing noise."""
+    plan = _survey_plan()
+    rngs = RngRegistry(seed=seed)
+    position_rng = rngs.stream("positions")
+    points = []
+    for sigma in sigmas:
+        env = Environment()
+        radio = PathLossModel(shadowing_sigma_db=sigma)
+        store = SoftStateStore(env, "sss")
+        server = WISHServer(
+            env, plan, radio, store, rng=rngs.stream(f"server-{sigma}")
+        )
+        measure_rng = rngs.stream(f"measure-{sigma}")
+        errors, confidences = [], []
+        for _ in range(samples_per_sigma):
+            x = float(position_rng.uniform(2, 48))
+            y = float(position_rng.uniform(2, 23))
+            strengths = {}
+            for ap in plan.access_points:
+                power = radio.measure(ap.distance_to((x, y)), measure_rng)
+                if power is not None:
+                    strengths[ap.ap_id] = power
+            estimate = server.locate(
+                ClientReport("u", "available", None, strengths, 0.0)
+            )
+            if estimate.position is None:
+                continue
+            errors.append(math.dist(estimate.position, (x, y)))
+            confidences.append(estimate.confidence)
+        points.append(
+            AccuracyPoint(sigma, summarize(errors), summarize(confidences))
+        )
+    return points

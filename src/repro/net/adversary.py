@@ -98,9 +98,6 @@ class AdversaryModel:
             or self.corrupt_probability
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AdversaryModel":
         known = {f.name for f in fields(cls)}

@@ -117,9 +117,6 @@ class IMService(ChannelBase):
         """Create an IM account (idempotent)."""
         self._accounts.add(address)
 
-    def has_account(self, address: str) -> bool:
-        return address in self._accounts
-
     def login(self, address: str) -> IMSession:
         """Log ``address`` in, force-logging-out any prior session."""
         self._require_available()

@@ -33,36 +33,6 @@ def seconds_until_time_of_day(now: float, target: float) -> float:
     return delta if delta > 0 else DAY
 
 
-def epoch_index(now: float, epoch: float) -> int:
-    """The index of the epoch containing ``now`` (epoch k = [k·e, (k+1)·e)).
-
-    The sharded farm quantizes cross-shard traffic to epoch boundaries;
-    these helpers keep the boundary arithmetic in one place so coordinator
-    and tests agree on edge cases (``now`` exactly on a boundary belongs to
-    the epoch it *starts*).
-    """
-    if epoch <= 0:
-        raise ValueError(f"epoch must be > 0, got {epoch!r}")
-    return int(now // epoch)
-
-
-def epoch_end(now: float, epoch: float) -> float:
-    """The end of the epoch containing ``now`` — the next barrier time."""
-    return (epoch_index(now, epoch) + 1) * epoch
-
-
-def epochs_until(until: float, epoch: float) -> int:
-    """How many whole epochs cover [0, until] — the barrier count a
-    sharded run executes.  A pure function of the arguments, so every
-    shard layout runs the identical epoch sequence."""
-    if epoch <= 0:
-        raise ValueError(f"epoch must be > 0, got {epoch!r}")
-    if until <= 0:
-        return 0
-    whole = int(until // epoch)
-    return whole if whole * epoch >= until else whole + 1
-
-
 def format_time(now: float) -> str:
     """Render simulated time as ``Dd HH:MM:SS.mmm`` for logs and reports."""
     days, rem = divmod(now, DAY)

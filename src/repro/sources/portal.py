@@ -15,8 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.alert import Alert, AlertSeverity
-from repro.core.delivery_modes import DeliveryMode
-from repro.core.endpoint import SimbaEndpoint
 from repro.net.email import EmailService
 from repro.sources.base import AlertSource
 
@@ -119,13 +117,3 @@ class LegacyEmailAlertService:
                 correlation=alert.alert_id,
             )
         return alert
-
-
-def simba_portal(
-    env: "Environment",
-    name: str,
-    endpoint: SimbaEndpoint,
-    mode: Optional[DeliveryMode] = None,
-) -> PortalAlertService:
-    """Convenience constructor mirroring ``world.create_source``."""
-    return PortalAlertService(env, name, endpoint, mode=mode)

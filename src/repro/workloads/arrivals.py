@@ -31,10 +31,6 @@ class DiurnalProfile:
             raise ConfigurationError("at least one hour must be active")
 
     @classmethod
-    def flat(cls) -> "DiurnalProfile":
-        return cls(multipliers=(1.0,) * 24)
-
-    @classmethod
     def office_hours(cls) -> "DiurnalProfile":
         """Low overnight, ramping through the work day — a portal's shape."""
         shape = [

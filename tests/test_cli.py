@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,11 @@ def test_unknown_experiment_errors():
 
 
 def test_experiment_registry_complete():
-    assert set(EXPERIMENTS) == {f"e{i}" for i in range(1, 15)}
+    assert list(EXPERIMENTS) == [
+        *(f"e{i}" for i in range(1, 15)), *(f"a{i}" for i in range(1, 5))
+    ]
+    for key, experiment in EXPERIMENTS.items():
+        assert experiment.holds, f"{key} claims nothing checkable"
 
 
 FLAG_ARGS = {"jobs": "2", "shards": "2", "users": "20000"}
@@ -50,7 +56,7 @@ def ran(monkeypatch):
     calls = []
     monkeypatch.setattr(
         "repro.__main__.run_experiment",
-        lambda key, **flags: calls.append((key, flags)) or "",
+        lambda key, **flags: calls.append((key, flags)) or ("", []),
     )
     return calls
 
@@ -114,3 +120,73 @@ def test_e12_jobs_2_equals_jobs_1(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert outputs[0] == (GOLDEN / "e12_seed0.txt").read_text()
+
+
+
+def test_broken_claim_exits_1_on_stderr_with_stdout_unchanged(
+    monkeypatch, capsys
+):
+    """A false ``holds`` pair fails the run by exit status and says what was
+    measured on stderr; the report on stdout does not change."""
+    summary = EXPERIMENTS["e1"].run(seed=0, n_alerts=20)
+    stubbed = replace(EXPERIMENTS["e1"], run=lambda seed: summary)
+    monkeypatch.setitem(EXPERIMENTS, "e1", stubbed)
+    assert main(["e1"]) == 0
+    holds = capsys.readouterr()
+    assert holds.err == ""
+
+    false_pair = (
+        "median one-way IM < 0 s (measured {0.median:.2f} s)",
+        lambda s: s.median < 0.0,
+    )
+    monkeypatch.setitem(
+        EXPERIMENTS, "e1",
+        replace(stubbed, holds=(*stubbed.holds, false_pair)),
+    )
+    assert main(["e1"]) == 1
+    broken = capsys.readouterr()
+    assert broken.out == holds.out
+    assert broken.err == (
+        f"  ! median one-way IM < 0 s (measured {summary.median:.2f} s)\n"
+    )
+
+
+def test_all_fails_if_any_experiment_does(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "repro.__main__.run_experiment",
+        lambda key, **flags: (key, ["nope"] if key == "e3" else []),
+    )
+    assert main(["all"]) == 1
+    assert capsys.readouterr().err == "  ! nope\n"
+
+
+ROOT = Path(__file__).parent.parent
+
+
+def test_docs_and_ci_index_exactly_the_registered_experiments():
+    """README's index carries every id with its registry claim, verbatim;
+    EXPERIMENTS.md has one ``## <ID> —`` section per id that says how to
+    run it, and no E-section the registry does not know; CI's
+    experiment-smoke matrix runs every id."""
+    readme = (ROOT / "README.md").read_text()
+    index = readme[
+        readme.index("## Tests and benchmarks"):readme.index("## Chaos testing")
+    ]
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \|", index, re.MULTILINE)
+    assert rows == [(key, e.claim) for key, e in EXPERIMENTS.items()]
+
+    sections: dict[str, list[str]] = {}
+    for section in re.split(
+        r"^## ", (ROOT / "EXPERIMENTS.md").read_text(), flags=re.MULTILINE
+    ):
+        heading = re.match(r"([EA]\d+) — ", section)
+        if heading:
+            sections.setdefault(heading.group(1).lower(), []).append(section)
+    for key in EXPERIMENTS:
+        assert len(sections.get(key, [])) == 1, f"EXPERIMENTS.md ## {key}"
+        assert f"`python -m repro {key}" in sections[key][0], key
+    assert {key for key in sections if key.startswith("e")} <= set(EXPERIMENTS)
+
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    matrix = re.search(r"^ +id: \[(.*?)\]", ci, re.MULTILINE | re.DOTALL)
+    assert matrix.group(1).replace(",", " ").split() == list(EXPERIMENTS)

@@ -6,7 +6,7 @@ bit-identical however the tenant population is partitioned — including the
 degenerate shards=1 layout, which runs the same epoch-drain protocol.
 Everything else here pins the mechanisms that property rests on: complete
 disjoint partitions, conservative bridge timestamps, deterministic drain
-ordering, load accounting and the hot-shard detector's recommendations.
+ordering, load accounting and the hot-shard detector's report.
 """
 
 import multiprocessing
@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.shard import (
     BridgeEnvelope,
-    ConsistentHashRing,
     HotShardDetector,
     ShardLoad,
     ShardProtocolError,
@@ -33,7 +32,6 @@ from repro.experiments.sharded import (
     e13_world_config,
     run_sharded_throughput,
 )
-from repro.sim.clock import epoch_end, epoch_index, epochs_until
 from repro.testkit import check_shard_count_invariance
 
 #: Small but non-trivial: ~30% senders over 48 users, fan-out 2 → every
@@ -252,91 +250,36 @@ class TestWorkerDeath:
 
 
 # ---------------------------------------------------------------------------
-# Epoch helpers
-# ---------------------------------------------------------------------------
-
-
-class TestEpochHelpers:
-    def test_boundaries(self):
-        assert epoch_index(0.0, 60.0) == 0
-        assert epoch_index(59.9, 60.0) == 0
-        assert epoch_index(60.0, 60.0) == 1
-        assert epoch_end(0.0, 60.0) == 60.0
-        assert epoch_end(60.0, 60.0) == 120.0
-
-    def test_epochs_until(self):
-        assert epochs_until(0.0, 60.0) == 0
-        assert epochs_until(1.0, 60.0) == 1
-        assert epochs_until(60.0, 60.0) == 1
-        assert epochs_until(61.0, 60.0) == 2
-
-    def test_bad_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            epoch_index(1.0, 0.0)
-        with pytest.raises(ValueError):
-            epochs_until(1.0, -1.0)
-
-
-# ---------------------------------------------------------------------------
 # Hot-shard detector
 # ---------------------------------------------------------------------------
 
 
-def _load(shard, events, vnode_events):
-    return ShardLoad(
-        shard=shard, journal_events=events, vnode_events=vnode_events
-    )
+def _load(shard, events):
+    return ShardLoad(shard=shard, journal_events=events)
 
 
 class TestHotShardDetector:
-    def test_balanced_loads_produce_no_moves(self):
-        report = HotShardDetector().analyze(
-            [
-                _load(0, 100, {(0, 0): 100}),
-                _load(1, 110, {(1, 0): 110}),
-            ]
-        )
+    def test_balanced_loads_report_balanced(self):
+        report = HotShardDetector().analyze([_load(0, 100), _load(1, 110)])
         assert report.balanced
-        assert report.moves == []
+        assert report.hot_shards == []
         assert "balanced" in report.summary()
 
-    def test_hot_shard_gets_vnode_moves_to_coolest(self):
-        report = HotShardDetector(threshold=1.25).analyze(
-            [
-                _load(0, 300, {(0, 0): 200, (0, 1): 100}),
-                _load(1, 60, {(1, 0): 60}),
-                _load(2, 60, {(2, 0): 60}),
-            ]
-        )
-        assert report.hot_shards == [0]
-        assert report.moves, report.summary()
-        move = report.moves[0]
-        assert move.vnode == (0, 0) and move.from_shard == 0
-        assert move.to_shard in (1, 2)
-        # Recommendations are directly usable as ring overrides.
-        ring = ConsistentHashRing(3).with_overrides(report.overrides())
-        assert ring.overrides[move.vnode] == move.to_shard
-
-    def test_single_vnode_shard_cannot_be_split(self):
+    def test_hot_shard_is_named_in_the_report(self):
         report = HotShardDetector().analyze(
-            [
-                _load(0, 500, {(0, 3): 500}),
-                _load(1, 50, {(1, 0): 50}),
-            ]
+            [_load(0, 300), _load(1, 60), _load(2, 60)]
         )
         assert report.hot_shards == [0]
-        assert report.moves == []  # one oversized tenant is indivisible
+        assert not report.balanced
+        assert report.mean_events == 140.0
+        assert "hot shards [0]" in report.summary()
 
-    def test_detector_rejects_non_amplifying_threshold(self):
-        with pytest.raises(ConfigurationError):
-            HotShardDetector(threshold=1.0)
-
-    def test_e13_rollup_carries_vnode_attribution(self):
+    def test_e13_rollup_carries_per_shard_load(self):
         farm = small_farm(2)
         with farm:
             farm.run(until=SMALL["duration"] + SMALL["drain"])
             rollup = farm.merged_rollup()
-        assert sum(
-            sum(load.vnode_events.values()) for load in rollup.loads
-        ) == sum(load.journal_events for load in rollup.loads)
+        assert rollup.placement.per_shard_events == {
+            load.shard: load.journal_events for load in rollup.loads
+        }
         assert rollup.placement.per_shard_events.keys() == {0, 1}
