@@ -66,20 +66,27 @@ def zero_delay_churn(n: int = N_A5) -> int:
 
 
 def store_churn(n: int = N_A5) -> int:
-    """``n`` put/get handoffs between two processes."""
+    """``n`` mailbox hand-offs: two processes ping-pong over two stores.
+
+    ``put`` is a plain call, so each hand-off is one put and the one get
+    event that wakes the other side — the shape of every inbox in the
+    delivery path.
+    """
     env = Environment()
-    store = Store(env)
+    ping, pong = Store(env), Store(env)
 
-    def producer(env):
+    def client(env):
         for index in range(n // 2):
-            yield store.put(index)
+            ping.put(index)
+            yield pong.get()
 
-    def consumer(env):
+    def server(env):
         for _ in range(n // 2):
-            yield store.get()
+            item = yield ping.get()
+            pong.put(item)
 
-    env.process(producer(env))
-    env.process(consumer(env))
+    env.process(client(env))
+    env.process(server(env))
     env.run()
     return n
 

@@ -71,10 +71,10 @@ class EmailClient(ClientSoftware):
         self.guard(handle)
         return self._mailbox.peek_unread()
 
-    def fetch_next(self, handle: AutomationHandle, predicate=None):
+    def fetch_next(self, handle: AutomationHandle):
         """Event yielding the next unread email (marks it read)."""
         self.guard(handle)
-        return self._mailbox.receive(predicate)
+        return self._mailbox.receive()
 
     def server_reachable(self, handle: AutomationHandle) -> bool:
         """App-specific sanity probe: is the mail relay up?"""

@@ -116,10 +116,10 @@ class IMClient(ClientSoftware):
             raise NotLoggedInError(f"{self.name!r} is not logged on")
         return self._session.send(to, body, subject=subject, correlation=correlation)
 
-    def next_message(self, handle: AutomationHandle, predicate=None):
+    def next_message(self, handle: AutomationHandle):
         """Event yielding the next incoming IM surfaced by the client."""
         self.guard(handle)
-        return self.incoming.get(predicate)
+        return self.incoming.get()
 
     @property
     def pending_incoming(self) -> int:

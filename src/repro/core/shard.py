@@ -25,7 +25,7 @@ Four pieces compose:
   in parallel to the epoch boundary, gathers each shard's outbound
   :class:`BridgeEnvelope` batch, sorts the union into one global order, and
   re-injects each envelope into its recipient's shard for the next epoch.
-- :class:`HotShardDetector` — reads the per-shard load counters the
+- :func:`placement_report` — reads the per-shard load counters the
   rollup carries and reports which shards, if any, run hot.
 
 Why the result is bit-identical for any shard count (including 1):
@@ -188,7 +188,7 @@ class ShardLoad:
 
 @dataclass
 class PlacementReport:
-    """What the detector concluded about one rollup's load distribution."""
+    """What :func:`placement_report` found in one rollup's loads."""
 
     mean_events: float
     per_shard_events: dict[int, int]
@@ -214,26 +214,24 @@ class PlacementReport:
 HOT_SHARD_THRESHOLD = 1.25
 
 
-class HotShardDetector:
+def placement_report(loads: Sequence[ShardLoad]) -> PlacementReport:
     """Name the shards whose load stands out in one rollup.
 
     The report is advisory and offline: it says where the journal events
     piled up, and nothing rebalances.
     """
-
-    def analyze(self, loads: Sequence[ShardLoad]) -> PlacementReport:
-        per_shard = {load.shard: load.journal_events for load in loads}
-        if not per_shard:
-            return PlacementReport(0.0, {}, [])
-        mean = sum(per_shard.values()) / len(per_shard)
-        limit = HOT_SHARD_THRESHOLD * mean
-        return PlacementReport(
-            mean_events=mean,
-            per_shard_events=per_shard,
-            hot_shards=sorted(
-                shard for shard, events in per_shard.items() if events > limit
-            ),
-        )
+    per_shard = {load.shard: load.journal_events for load in loads}
+    if not per_shard:
+        return PlacementReport(0.0, {}, [])
+    mean = sum(per_shard.values()) / len(per_shard)
+    limit = HOT_SHARD_THRESHOLD * mean
+    return PlacementReport(
+        mean_events=mean,
+        per_shard_events=per_shard,
+        hot_shards=sorted(
+            shard for shard, events in per_shard.items() if events > limit
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -873,7 +871,7 @@ class ShardedFarm:
             latencies=latencies,
             loads=loads,
             undelivered_envelopes=self._undelivered,
-            placement=HotShardDetector().analyze(loads),
+            placement=placement_report(loads),
         )
 
     def tenant_fingerprints(self) -> dict[str, str]:

@@ -53,12 +53,12 @@ class Mailbox:
     def peek_unread(self) -> list[EmailMessage]:
         return list(self._unread.items)
 
-    def deposit(self, message: EmailMessage):
-        return self._unread.put(message)
+    def deposit(self, message: EmailMessage) -> None:
+        self._unread.put(message)
 
-    def receive(self, predicate=None):
+    def receive(self):
         """Event yielding the next unread message (it is marked read)."""
-        get_event = self._unread.get(predicate)
+        get_event = self._unread.get()
         get_event.callbacks.append(
             lambda evt: self.read.append(evt.value) if evt.ok else None
         )

@@ -78,9 +78,9 @@ class IMSession:
         """Submit an IM to ``to``; returns the message with its seq number."""
         return self.service.send(self, to, body, subject, correlation)
 
-    def receive(self, predicate=None):
-        """Event yielding the next inbox message (optionally filtered)."""
-        return self.inbox.get(predicate)
+    def receive(self):
+        """Event yielding the next inbox message."""
+        return self.inbox.get()
 
     def logout(self) -> None:
         self.service.logout(self)

@@ -41,8 +41,8 @@ class Phone:
         self.inbox: Store = Store(env)
         self.reachable = True
 
-    def receive(self, predicate=None):
-        return self.inbox.get(predicate)
+    def receive(self):
+        return self.inbox.get()
 
 
 class SMSGateway(ChannelBase):

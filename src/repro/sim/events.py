@@ -135,7 +135,7 @@ class Timeout(Event):
     delivery engine races acks against guard timers, watchdogs race probe
     replies against reply timeouts, and in both the timer usually *loses*.
     :meth:`cancel` tombstones the queue entry so the kernel never touches
-    it again (lazy deletion; see :meth:`Environment.step`).
+    it again (lazy deletion; see :meth:`Environment.run`).
     """
 
     __slots__ = ("delay",)

@@ -54,12 +54,8 @@ class Environment:
         "schedule", "timeout", "event", "_note_cancelled",
     )
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: Optional[str] = None,
-    ):
-        sched = make_scheduler(self, scheduler, float(initial_time))
+    def __init__(self, scheduler: Optional[str] = None):
+        sched = make_scheduler(self, scheduler)
         self._scheduler = sched
         #: Structured-tracing hook (:class:`repro.obs.TraceSink`), None when
         #: tracing is off.  Instrumentation sites read this once per probe
@@ -83,8 +79,7 @@ class Environment:
 
     @property
     def scheduler(self) -> Scheduler:
-        """The scheduling backend (diagnostics: ``.name``, ``.pool``,
-        ``.live_entries()``)."""
+        """The scheduling backend (diagnostics: ``.name``, ``.pool``)."""
         return self._scheduler
 
     @property
@@ -136,14 +131,6 @@ class Environment:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def peek(self) -> float:
-        """Time of the next *live* queued event, or ``float('inf')``."""
-        return self._scheduler.peek()
-
-    def step(self) -> None:
-        """Process exactly one live event from the queue."""
-        self._scheduler.step()
 
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time or an event) or queue exhaustion.

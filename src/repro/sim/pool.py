@@ -17,7 +17,7 @@ kernel):
   — a ``Condition``'s child list, an ack table, user code that bound the
   timer — is simply left for the garbage collector.  Recycling therefore
   can never change what a live reference observes.
-- **Exact-class only.**  ``Process``, ``Condition``, ``StorePut`` etc.
+- **Exact-class only.**  ``Process``, ``Condition``, ``StoreGet`` etc.
   subclass ``Event`` but carry extra state and external references; the
   free lists accept exactly ``Event`` and exactly ``Timeout``.
 - **Reuse-after-free guards.**  Each pooled object is flagged

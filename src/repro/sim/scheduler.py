@@ -47,14 +47,12 @@ from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.sim.events import Event, Timeout, _PENDING
 from repro.sim.pool import EventPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.kernel import Environment
-
-_INFINITY = float("inf")
 
 #: Environment variable consulted when ``Environment(scheduler=None)``.
 SCHEDULER_ENV_VAR = "REPRO_SCHEDULER"
@@ -75,13 +73,9 @@ class Scheduler:
     - ``schedule(event, delay=0.0)`` — enqueue a triggered event;
     - ``timeout(delay, value=None)`` — pooled Timeout factory;
     - ``note_cancelled()`` — tombstone accounting + compaction;
-    - ``peek()`` — time of the next live entry (discarding dead heads);
     - ``drain(stop_at)`` — process live entries until the clock would
       pass ``stop_at`` (pushing the first beyond-horizon entry back) or
       the queues exhaust;
-    - ``_pop_live()`` — pop the next live entry or None (slow path,
-      used by ``step()``);
-    - ``live_entries()`` — sorted live entries, for diagnostics/tests;
     - ``queue_depth`` / ``dead_entries`` properties.
     """
 
@@ -90,9 +84,9 @@ class Scheduler:
     __slots__ = ("env", "_now", "_immediate", "_sequence", "_dead", "pool",
                  "_free_timeouts", "_free_events")
 
-    def __init__(self, env: "Environment", initial_time: float = 0.0):
+    def __init__(self, env: "Environment"):
         self.env = env
-        self._now = float(initial_time)
+        self._now = 0.0
         #: Zero-delay FIFO: every succeed()/fail()/resume lands here.
         #: Entries carry the time they were scheduled at (<= now), so the
         #: merged "next entry" is the smaller (time, sequence) head of
@@ -126,22 +120,6 @@ class Scheduler:
             return event
         return Event(self.env)
 
-    # -- slow-path single step (shared; backends provide _pop_live) -----
-
-    def step(self) -> None:
-        """Process exactly one live event."""
-        entry = self._pop_live()
-        if entry is None:
-            raise SimulationError("no events scheduled")
-        self._now = entry[0]
-        event = entry[2]
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event.value
-
     # -- interface stubs ------------------------------------------------
 
     def schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -153,16 +131,7 @@ class Scheduler:
     def note_cancelled(self) -> None:
         raise NotImplementedError
 
-    def peek(self) -> float:
-        raise NotImplementedError
-
     def drain(self, stop_at: float) -> None:
-        raise NotImplementedError
-
-    def _pop_live(self) -> Optional[tuple[float, int, Event]]:
-        raise NotImplementedError
-
-    def live_entries(self) -> list[tuple[float, int, Event]]:
         raise NotImplementedError
 
     @property
@@ -186,8 +155,8 @@ class HeapScheduler(Scheduler):
 
     __slots__ = ("_queue",)
 
-    def __init__(self, env: "Environment", initial_time: float = 0.0):
-        super().__init__(env, initial_time)
+    def __init__(self, env: "Environment"):
+        super().__init__(env)
         self._queue: list[tuple[float, int, Event]] = []
 
     # -- scheduling -----------------------------------------------------
@@ -267,52 +236,6 @@ class HeapScheduler(Scheduler):
         self._dead = 0
 
     # -- inspection -----------------------------------------------------
-
-    def peek(self) -> float:
-        """Time of the next *live* queued event, or ``inf`` if idle.
-
-        Tombstoned entries at the head of either queue are discarded on
-        the way: a cancelled timer's timestamp must never be acted on by
-        ``run(until=...)`` or by harness drain loops.
-        """
-        immediate = self._immediate
-        while immediate and immediate[0][2]._cancelled:
-            immediate.popleft()
-            self._dead -= 1
-        queue = self._queue
-        while queue and queue[0][2]._cancelled:
-            heappop(queue)
-            self._dead -= 1
-        if immediate:
-            if queue and queue[0] < immediate[0]:
-                return queue[0][0]
-            return immediate[0][0]
-        return queue[0][0] if queue else _INFINITY
-
-    def _pop_live(self) -> Optional[tuple[float, int, Event]]:
-        immediate = self._immediate
-        queue = self._queue
-        while True:
-            if immediate:
-                if queue and queue[0] < immediate[0]:
-                    entry = heappop(queue)
-                else:
-                    entry = immediate.popleft()
-            elif queue:
-                entry = heappop(queue)
-            else:
-                return None
-            if entry[2]._cancelled:
-                self._dead -= 1
-                continue
-            return entry
-
-    def live_entries(self) -> list[tuple[float, int, Event]]:
-        """Live entries in pop order (diagnostics and tests only)."""
-        entries = [e for e in self._queue if not e[2]._cancelled]
-        entries += [e for e in self._immediate if not e[2]._cancelled]
-        entries.sort(key=lambda e: (e[0], e[1]))
-        return entries
 
     @property
     def queue_depth(self) -> int:
@@ -445,14 +368,6 @@ class TimerScope:
         except ValueError:
             pass
 
-    @property
-    def pending(self) -> int:
-        """Acquired timers that are still live (could still fire)."""
-        return sum(
-            1 for t in self.active
-            if t.callbacks is not None and not t._cancelled
-        )
-
     def settle(self) -> int:
         """Cancel every acquired timer that is still live.
 
@@ -476,13 +391,11 @@ class TimerScope:
         return False
 
     def __repr__(self) -> str:
-        return f"<TimerScope pending={self.pending} at {id(self):#x}>"
+        return f"<TimerScope active={len(self.active)} at {id(self):#x}>"
 
 
 def make_scheduler(
-    env: "Environment",
-    name: Optional[str] = None,
-    initial_time: float = 0.0,
+    env: "Environment", name: Optional[str] = None
 ) -> Scheduler:
     """Build the scheduling backend for an environment.
 
@@ -493,11 +406,11 @@ def make_scheduler(
         name = os.environ.get(SCHEDULER_ENV_VAR, "") or DEFAULT_SCHEDULER
     key = name.strip().lower()
     if key == "heap":
-        return HeapScheduler(env, initial_time)
+        return HeapScheduler(env)
     if key == "wheel":
         from repro.sim.wheel import WheelScheduler
 
-        return WheelScheduler(env, initial_time)
+        return WheelScheduler(env)
     raise ConfigurationError(
         f"unknown scheduler {name!r}: expected 'heap' or 'wheel' "
         f"(set via Environment(scheduler=...) or ${SCHEDULER_ENV_VAR})"

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event, Timeout
 from repro.sim.scheduler import Scheduler
@@ -112,8 +112,8 @@ class WheelScheduler(Scheduler):
         "_due", "_overflow", "_cur", "_cur_time", "_wheel_count",
     )
 
-    def __init__(self, env: "Environment", initial_time: float = 0.0):
-        super().__init__(env, initial_time)
+    def __init__(self, env: "Environment"):
+        super().__init__(env)
         self._lv0: list[list] = [[] for _ in range(SLOTS)]
         self._lv1: list[list] = [[] for _ in range(SLOTS)]
         self._lv2: list[list] = [[] for _ in range(SLOTS)]
@@ -126,12 +126,12 @@ class WheelScheduler(Scheduler):
         #: Beyond-window and non-finite deadlines, plain (time, seq, ev) heap.
         self._overflow: list[tuple[float, int, Event]] = []
         #: Next absolute tick index to examine (never decreases).
-        self._cur = int(self._now)
+        self._cur = 0
         #: ``float(_cur)``, kept in lockstep: deadlines below it are
         #: stragglers, detected with one float compare instead of an
         #: ``int()`` call (``int(t) < cur  iff  t < float(cur)`` for the
         #: integer ``cur``).  Update both or neither.
-        self._cur_time = float(self._cur)
+        self._cur_time = 0.0
         #: Entries currently held in the three levels (not due/overflow).
         self._wheel_count = 0
 
@@ -487,71 +487,6 @@ class WheelScheduler(Scheduler):
         self._dead = 0
 
     # -- inspection -----------------------------------------------------
-
-    def peek(self) -> float:
-        """Time of the next *live* queued event, or ``inf`` if idle."""
-        immediate = self._immediate
-        while immediate and immediate[0][2]._cancelled:
-            immediate.popleft()
-            self._dead -= 1
-        due = self._due
-        while True:
-            while due and due[0][2]._cancelled:
-                heappop(due)
-                self._dead -= 1
-            if due or not self._refill_due():
-                break
-        best: Optional[tuple[float, int, Event]] = None
-        if immediate:
-            best = immediate[0]
-        if due and (best is None or due[0] < best):
-            best = due[0]
-        if best is not None:
-            return best[0]
-        overflow = self._overflow
-        while overflow and overflow[0][2]._cancelled:
-            heappop(overflow)
-            self._dead -= 1
-        return overflow[0][0] if overflow else _INFINITY
-
-    def _pop_live(self) -> Optional[tuple[float, int, Event]]:
-        immediate = self._immediate
-        due = self._due
-        while True:
-            while due and due[0][2]._cancelled:
-                heappop(due)
-                self._dead -= 1
-            if not due and self._refill_due():
-                continue
-            if immediate:
-                if immediate[0][2]._cancelled:
-                    immediate.popleft()
-                    self._dead -= 1
-                    continue
-                if due and due[0] < immediate[0]:
-                    return heappop(due)
-                return immediate.popleft()
-            if due:
-                return heappop(due)
-            overflow = self._overflow
-            if overflow:
-                entry = heappop(overflow)
-                if entry[2]._cancelled:
-                    self._dead -= 1
-                    continue
-                return entry
-            return None
-
-    def live_entries(self) -> list[tuple[float, int, Event]]:
-        """Live entries in pop order (diagnostics and tests only)."""
-        entries = [e for e in self._immediate if not e[2]._cancelled]
-        entries += [e for e in self._due if not e[2]._cancelled]
-        for wheel in (self._lv0, self._lv1, self._lv2):
-            for bucket in wheel:
-                entries += [e for e in bucket if not e[2]._cancelled]
-        entries += [e for e in self._overflow if not e[2]._cancelled]
-        entries.sort(key=lambda e: (e[0], e[1]))
-        return entries
 
     @property
     def queue_depth(self) -> int:

@@ -32,6 +32,8 @@ from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
+from repro.errors import ConfigurationError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -41,14 +43,24 @@ JOBS_ENV_VAR = "REPRO_SWEEP_JOBS"
 
 
 def default_jobs() -> int:
-    """Worker count when the caller does not pass ``jobs`` (≥ 1)."""
+    """Worker count when the caller does not pass ``jobs`` (≥ 1).
+
+    A set but malformed ``REPRO_SWEEP_JOBS`` is an error, not "sequential":
+    the CI identity checks compare 2 workers against 1, and a typo that
+    silently meant 1 would compare sequential with sequential and pass.
+    """
     raw = os.environ.get(JOBS_ENV_VAR, "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ConfigurationError(
+            f"${JOBS_ENV_VAR}={raw!r}: expected a worker count >= 1"
+        )
+    return jobs
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -169,12 +181,8 @@ def fanout(
     """
     if jobs is None and _active_pool is not None:
         return _active_pool.map(fn, items)
-    work = list(items)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    with _pool_context().Pool(processes=min(jobs, len(work))) as pool:
-        return pool.map(fn, work, chunksize=1)
+    with SweepPool(jobs) as pool:
+        return pool.map(fn, items)
 
 
 def seed_sweep(

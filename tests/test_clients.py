@@ -308,3 +308,14 @@ class TestEmailClientBehaviour:
         assert client.server_reachable(h) is True
         email.set_available(False)
         assert client.server_reachable(h) is False
+
+
+def test_automation_handle_repr_shows_staleness():
+    env = Environment()
+    im = IMService(env, RngRegistry(seed=1).stream("im"), latency=FAST)
+    im.register_account("a@im")
+    client = IMClient(env, Screen(env), im, "a@im")
+    handle = client.start()
+    assert "valid" in repr(handle)
+    client.terminate()
+    assert "STALE" in repr(handle)

@@ -223,3 +223,130 @@ class TestAddressXml:
             address_book_from_xml(
                 '<userAddresses owner="a"><phone>1</phone></userAddresses>'
             )
+
+
+class TestAddressXmlErrors:
+    def test_unparseable_document(self):
+        with pytest.raises(ConfigurationError, match="malformed address XML"):
+            address_book_from_xml("<userAddresses owner='a'>")
+
+    def test_wrong_root_tag(self):
+        with pytest.raises(ConfigurationError, match="expected <userAddresses>"):
+            address_book_from_xml("<addresses owner='a'/>")
+
+    def test_missing_owner(self):
+        with pytest.raises(ConfigurationError, match="owner attribute"):
+            address_book_from_xml("<userAddresses/>")
+
+    def test_unexpected_child_element(self):
+        with pytest.raises(ConfigurationError, match="unexpected element"):
+            address_book_from_xml(
+                "<userAddresses owner='a'><phone/></userAddresses>"
+            )
+
+    def test_address_missing_type_or_name(self):
+        for attrs in ("name='x'", "type='IM'"):
+            with pytest.raises(ConfigurationError, match="type and name"):
+                address_book_from_xml(
+                    f"<userAddresses owner='a'><address {attrs}>v</address>"
+                    "</userAddresses>"
+                )
+
+    def test_unknown_channel_tag(self):
+        with pytest.raises(ConfigurationError):
+            address_book_from_xml(
+                "<userAddresses owner='a'>"
+                "<address type='FAX' name='f'>v</address></userAddresses>"
+            )
+
+    def test_invalid_enabled_boolean(self):
+        with pytest.raises(ConfigurationError, match="invalid boolean"):
+            address_book_from_xml(
+                "<userAddresses owner='a'><address type='IM' name='i' "
+                "enabled='maybe'>v</address></userAddresses>"
+            )
+
+    def test_round_trip_preserves_disabled_and_whitespace(self):
+        book = AddressBook(owner="alice")
+        book.add(UserAddress(friendly_name="MSN IM", channel=ChannelType.IM,
+                             address="alice@im", enabled=False))
+        parsed = address_book_from_xml(address_book_to_xml(book))
+        restored = parsed.get("MSN IM")
+        assert restored.enabled is False
+        assert restored.address == "alice@im"
+
+
+class TestDeliveryModeXmlErrors:
+    def test_unparseable_document(self):
+        with pytest.raises(ConfigurationError, match="malformed delivery-mode"):
+            delivery_mode_from_xml("<deliveryMode name='x'")
+
+    def test_wrong_root_tag(self):
+        with pytest.raises(ConfigurationError, match="expected <deliveryMode>"):
+            delivery_mode_from_xml("<mode name='x'/>")
+
+    def test_missing_name(self):
+        with pytest.raises(ConfigurationError, match="name attribute"):
+            delivery_mode_from_xml("<deliveryMode/>")
+
+    def test_empty_blocks_rejected(self):
+        """A mode with no communication blocks has no way to deliver
+        anything — §4.1 requires "one or more" blocks."""
+        with pytest.raises(ConfigurationError, match=">= 1 communication"):
+            delivery_mode_from_xml("<deliveryMode name='x'></deliveryMode>")
+
+    def test_block_with_no_actions_rejected(self):
+        with pytest.raises(ConfigurationError, match=">= 1 action"):
+            delivery_mode_from_xml(
+                "<deliveryMode name='x'><block/></deliveryMode>"
+            )
+
+    def test_unexpected_elements(self):
+        with pytest.raises(ConfigurationError, match="unexpected element"):
+            delivery_mode_from_xml(
+                "<deliveryMode name='x'><step/></deliveryMode>"
+            )
+        with pytest.raises(ConfigurationError, match="unexpected element"):
+            delivery_mode_from_xml(
+                "<deliveryMode name='x'><block><go/></block></deliveryMode>"
+            )
+
+    def test_action_requires_address(self):
+        with pytest.raises(ConfigurationError, match="requires an address"):
+            delivery_mode_from_xml(
+                "<deliveryMode name='x'><block><action/></block>"
+                "</deliveryMode>"
+            )
+
+    def test_invalid_ack_timeout(self):
+        with pytest.raises(ConfigurationError, match="invalid ackTimeout"):
+            delivery_mode_from_xml(
+                "<deliveryMode name='x'>"
+                "<block requireAck='true' ackTimeout='soon'>"
+                "<action address='IM'/></block></deliveryMode>"
+            )
+
+    def test_invalid_require_ack_boolean(self):
+        with pytest.raises(ConfigurationError, match="invalid boolean"):
+            delivery_mode_from_xml(
+                "<deliveryMode name='x'><block requireAck='si'>"
+                "<action address='IM'/></block></deliveryMode>"
+            )
+
+    def test_round_trip_preserves_ack_settings(self):
+        mode = DeliveryMode(
+            name="Critical",
+            blocks=[
+                CommunicationBlock(actions=[Action("IM")],
+                                   require_ack=True, ack_timeout=7.5),
+                CommunicationBlock(actions=[Action("SMS"), Action("Email")]),
+            ],
+        )
+        parsed = delivery_mode_from_xml(delivery_mode_to_xml(mode))
+        assert parsed.name == "Critical"
+        assert parsed.blocks[0].require_ack is True
+        assert parsed.blocks[0].ack_timeout == 7.5
+        assert parsed.blocks[1].require_ack is False
+        assert [a.address_ref for a in parsed.blocks[1].actions] == [
+            "SMS", "Email",
+        ]

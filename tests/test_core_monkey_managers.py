@@ -4,6 +4,7 @@ import pytest
 
 from repro.clients import EmailClient, IMClient, Screen
 from repro.core import EmailManager, IMManager, MonkeyThread, SMSManager
+from repro.core.monkey import SYSTEM_GENERIC_RULES
 from repro.errors import ChannelError, StalePointerError
 from repro.net import EmailService, IMService, LatencyModel, SMSGateway
 from repro.sim import Environment, RngRegistry
@@ -289,3 +290,91 @@ class TestSMSManager:
         with pytest.raises(ChannelError):
             manager.submit("+1", "", "x")
         assert manager.stats.submission_failures == 1
+
+
+class TestMonkeyUnmatchedDialogs:
+    def _make(self, **kwargs):
+        from repro.clients.screen import Screen
+        from repro.sim.kernel import Environment
+
+        env = Environment()
+        screen = Screen(env)
+        return env, screen, MonkeyThread(env, screen, **kwargs)
+
+    def test_unknown_caption_left_on_screen_and_recorded(self):
+        env, screen, monkey = self._make()
+        screen.pop_dialog("Previously unknown box", buttons=("Abort",))
+        assert monkey.scan_once() == 0
+        assert monkey.unknown_captions == {"Previously unknown box"}
+        assert len(screen.open_dialogs()) == 1
+        assert monkey.clicks == []
+
+    def test_registered_rule_with_stale_button_is_useless(self):
+        """A caption-button pair whose button no longer exists on the
+        dialog must be treated as unknown, not crash the click."""
+        env, screen, monkey = self._make()
+        monkey.register_rule("Session expired", "Reconnect")
+        screen.pop_dialog("Session expired", buttons=("Close",))
+        assert monkey.scan_once() == 0
+        assert "Session expired" in monkey.unknown_captions
+        assert len(screen.open_dialogs()) == 1
+
+    def test_registering_the_rule_recovers_the_dialog(self):
+        env, screen, monkey = self._make()
+        screen.pop_dialog("New box", buttons=("OK",))
+        monkey.scan_once()
+        monkey.register_rule("New box", "OK")
+        assert monkey.scan_once() == 1
+        assert screen.open_dialogs() == []
+        # unknown_captions is forensic history: it keeps the sighting.
+        assert "New box" in monkey.unknown_captions
+
+    def test_system_generic_rules_still_click(self):
+        env, screen, monkey = self._make()
+        caption, button = next(iter(SYSTEM_GENERIC_RULES.items()))
+        screen.pop_dialog(caption, buttons=(button, "Cancel"))
+        screen.pop_dialog("Mystery", buttons=("OK",))
+        assert monkey.scan_once() == 1
+        assert [c.caption for c in monkey.clicks] == [caption]
+        assert monkey.unknown_captions == {"Mystery"}
+
+    def test_register_rule_validates(self):
+        _env, _screen, monkey = self._make()
+        with pytest.raises(ValueError):
+            monkey.register_rule("", "OK")
+        with pytest.raises(ValueError):
+            monkey.register_rule("Caption", "")
+
+    def test_interval_must_be_positive(self):
+        with pytest.raises(ValueError):
+            self._make(interval=0.0)
+
+
+def test_monkey_rules_snapshot_is_a_copy():
+    env = Environment()
+    monkey = MonkeyThread(env, Screen(env))
+    rules = monkey.rules()
+    rules["Injected"] = "OK"
+    assert "Injected" not in monkey.rules()
+
+
+def test_is_recipient_online_false_when_service_down():
+    env = Environment()
+    im = IMService(env, RngRegistry(seed=1).stream("im"), latency=FAST)
+    im.register_account("mab@im")
+    im.register_account("peer@im")
+    manager = IMManager(env, IMClient(env, Screen(env), im, "mab@im"))
+    manager.ensure_started()
+    im.login("peer@im")
+    assert manager.is_recipient_online("peer@im") is True
+    im.set_available(False)
+    assert manager.is_recipient_online("peer@im") is False
+
+
+def test_sms_manager_noop_lifecycle():
+    env = Environment()
+    gateway = SMSGateway(env, RngRegistry(seed=1).stream("sms"), latency=FAST)
+    manager = SMSManager(env, gateway)
+    manager.ensure_started()  # must not raise
+    manager.shutdown()        # must not raise
+    assert manager.sanity_check().healthy

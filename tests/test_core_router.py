@@ -318,19 +318,36 @@ class TestGuardTimerHygiene:
     tombstone the moment the block resolves.
     """
 
+    @staticmethod
+    def _record_long_timers(env, at_least):
+        """Every timer of ``delay >= at_least`` made from now on (the rig's
+        background loops run on much shorter ones, so these are guards)."""
+        made = []
+        factory = env.timeout
+
+        def recording(delay, value=None):
+            timer = factory(delay, value)
+            if delay >= at_least:
+                made.append(timer)
+            return timer
+
+        env.timeout = recording
+        return made
+
     def test_ack_win_leaves_no_live_guard_timer(self):
         rig = Rig()
+        guards = self._record_long_timers(rig.env, 600.0)
         rig.auto_acker(delay=0.2)
         outcome = rig.execute(im_ack_mode(timeout=600.0), rig.book())
         assert outcome.delivered
         assert outcome.delivered_via == 0
         # The 600 s guard lost the race at t~1.0; nothing live may remain
-        # at its deadline (rig background loops run on much shorter timers).
-        live_times = [e[0] for e in rig.env.scheduler.live_entries()]
-        assert all(t < 600.0 for t in live_times), live_times
+        # at its deadline.
+        assert len(guards) == 1 and guards[0].cancelled
 
     def test_many_acked_blocks_keep_queue_depth_bounded(self):
         rig = Rig()
+        guards = self._record_long_timers(rig.env, 900.0)
         rig.auto_acker(delay=0.1)
         for _ in range(10):
             outcome = rig.execute(im_ack_mode(timeout=900.0), rig.book())
@@ -338,8 +355,5 @@ class TestGuardTimerHygiene:
         # Ten resolved races: every dead guard (deadline >= 900 s) must be a
         # tombstone, and compaction must keep the dead count bounded instead
         # of letting one corpse per alert accumulate.
-        live_guards = [
-            e for e in rig.env.scheduler.live_entries() if e[0] >= 900.0
-        ]
-        assert live_guards == []
+        assert len(guards) == 10 and all(g.cancelled for g in guards)
         assert rig.env.dead_entries <= rig.env.queue_depth + 1

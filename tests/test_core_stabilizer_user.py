@@ -4,11 +4,13 @@ import pytest
 
 from repro.core.rejuvenation import (
     DEFAULT_KEYWORD,
+    DEFAULT_NIGHTLY_TIME,
     RejuvenationPolicy,
 )
 from repro.core.stabilizer import SelfStabilizer
 from repro.net import ChannelType, LatencyModel
-from repro.sim import Environment, HOUR, MINUTE
+from repro.sim import DAY, Environment, HOUR, MINUTE
+from repro.sim.clock import seconds_until_time_of_day as until
 from repro.world import SimbaWorld, WorldConfig
 
 FIXED = LatencyModel(median=5.0, sigma=0.0, low=0.0, high=100.0)
@@ -210,3 +212,41 @@ class TestUserEndpoint:
         world.run(until=60.0)
         assert len(user.receipts_for("a1")) == 1
         assert user.messages_received() == 2
+
+
+class TestRejuvenationScheduling:
+    def test_before_target_same_day(self):
+        assert until(0.0, DEFAULT_NIGHTLY_TIME) == DEFAULT_NIGHTLY_TIME
+
+    def test_after_target_wraps_to_next_day(self):
+        now = DEFAULT_NIGHTLY_TIME + HOUR  # half past midnight-ish
+        assert until(now, DEFAULT_NIGHTLY_TIME) == DAY - HOUR
+
+    def test_exactly_at_target_waits_a_full_day(self):
+        """The nightly loop must not re-fire at the instant it woke up."""
+        assert until(DEFAULT_NIGHTLY_TIME, DEFAULT_NIGHTLY_TIME) == DAY
+
+    def test_day_offsets_are_irrelevant(self):
+        assert until(3 * DAY + HOUR, DEFAULT_NIGHTLY_TIME) == until(
+            HOUR, DEFAULT_NIGHTLY_TIME
+        )
+
+    def test_midnight_target_boundary(self):
+        assert until(0.0, 0.0) == DAY
+        assert until(DAY - 1.0, 0.0) == 1.0
+
+    def test_target_outside_a_day_rejected(self):
+        with pytest.raises(ValueError):
+            until(0.0, DAY)
+        with pytest.raises(ValueError):
+            until(0.0, -1.0)
+
+    def test_keyword_matching(self):
+        policy = RejuvenationPolicy()
+        assert policy.matches_keyword(f"please {DEFAULT_KEYWORD} now")
+        assert not policy.matches_keyword("please restart now")
+        assert not policy.matches_keyword(DEFAULT_KEYWORD.lower())
+
+    def test_extra_keywords(self):
+        policy = RejuvenationPolicy(keywords={"KICK-ME", DEFAULT_KEYWORD})
+        assert policy.matches_keyword("KICK-ME")

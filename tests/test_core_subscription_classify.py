@@ -327,3 +327,22 @@ class TestFilterPolicy:
         policy.disable_category("X")
         policy.set_delivery_window("X", TimeWindow(0.0, 10.0))
         assert policy.evaluate("X", 5.0) is FilterDecision.CATEGORY_DISABLED
+
+
+def test_extraction_rule_suffix_missing_rejected():
+    from repro.core import Alert
+
+    rule = ExtractionRule(source="s", field="subject", prefix="[", suffix="]")
+    alert = Alert(source="s", keyword="k", subject="[Stocks no closer",
+                  body="b", created_at=0.0)
+    with pytest.raises(AlertRejected, match="suffix"):
+        rule.extract(alert, sender="")
+
+
+def test_extraction_rule_no_decoration_takes_whole_field():
+    from repro.core import Alert
+
+    rule = ExtractionRule(source="s", field="subject")
+    alert = Alert(source="s", keyword="k", subject="  Weather  ",
+                  body="b", created_at=0.0)
+    assert rule.extract(alert, sender="") == "Weather"

@@ -180,7 +180,7 @@ class TestStoreOrderingProperty:
 
         def producer(env):
             for item in items:
-                yield store.put(item)
+                store.put(item)
                 yield env.timeout(0.5)
 
         def consumer(env, delay):

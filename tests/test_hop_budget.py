@@ -7,8 +7,11 @@ golden farm, every ``Process`` spawned and every generator resume by the
 generator's qualname — from outside, by wrapping ``Process.__init__`` and
 handing it a generator proxy that counts ``send``/``throw`` — and pins the
 alert path
-exactly, so a forwarding process cannot creep back unnoticed.  The counts
-are a pure function of the scenario (both scheduler backends agree).
+exactly, so a forwarding process cannot creep back unnoticed.  Beside it,
+the event budget: every non-timer event the run schedules, by class
+(counted by wrapping both backends' ``schedule``), so an event nobody
+waits on cannot creep back either.  The counts are a pure function of the
+scenario (both scheduler backends agree).
 
 The second half is the heap budget: what the same runs may leave behind
 that only the cyclic collector can free — nothing on the delivery path.
@@ -20,7 +23,10 @@ from collections import Counter
 
 import pytest
 
+from repro.sim.events import Timeout
 from repro.sim.process import Process
+from repro.sim.scheduler import HeapScheduler
+from repro.sim.wheel import WheelScheduler
 from tests.golden_farm import N_USERS, run_golden_farm
 
 #: Alerts the golden-farm driver emits: two rounds over every tenant plus
@@ -58,11 +64,20 @@ EXPECTED_ALERT_PATH_RESUMES = {
 }
 TOTAL_RESUMES = 6175
 
+#: Non-timer events scheduled over the whole run, by class: ``Event`` is
+#: process kick-offs, acks and transit hand-offs, ``StoreGet`` a mailbox
+#: waking its reader, ``AnyOf`` a settled race, ``Process`` a finished
+#: process waking whoever waits on it.  There is no row for a put — with
+#: ``StorePut`` the run scheduled 220 more events, 5.24 per delivered alert.
+EXPECTED_EVENTS = {"Event": 391, "StoreGet": 221, "AnyOf": 86, "Process": 51}
+EVENTS_PER_DELIVERED = 17.83
+
 
 @pytest.fixture(scope="module")
 def hop_counts():
     spawns: Counter = Counter()
     resumes: Counter = Counter()
+    events: Counter = Counter()
     original_init = Process.__init__
 
     class CountedGenerator:
@@ -85,17 +100,31 @@ def hop_counts():
         spawns[generator.__qualname__] += 1
         original_init(self, env, CountedGenerator(generator), name)
 
-    Process.__init__ = counting_init
-    try:
+    def counting_schedule(schedule):
+        def counted(self, event, delay=0.0):
+            # Timers are budgeted by the ledger (and a pooled one never
+            # comes through here); everything else is a hand-off.
+            if event.__class__ is not Timeout:
+                events[type(event).__name__] += 1
+            schedule(self, event, delay)
+
+        return counted
+
+    # Patched before the farm is built: an Environment binds its
+    # backend's ``schedule`` at construction.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "__init__", counting_init)
+        for backend in (HeapScheduler, WheelScheduler):
+            patch.setattr(
+                backend, "schedule", counting_schedule(backend.schedule)
+            )
         farm = run_golden_farm()
-    finally:
-        Process.__init__ = original_init
     assert farm.delivery_summary()["received"] == DELIVERED
-    return spawns, resumes
+    return spawns, resumes, events
 
 
 def test_one_spawn_per_alert_and_no_forwarding_processes(hop_counts):
-    spawns, _resumes = hop_counts
+    spawns, _resumes, _events = hop_counts
     forwarding = [
         name for name in spawns if name.endswith(("_deliver", "_pump"))
     ]
@@ -104,12 +133,19 @@ def test_one_spawn_per_alert_and_no_forwarding_processes(hop_counts):
 
 
 def test_alert_path_resumes_are_pinned(hop_counts):
-    _spawns, resumes = hop_counts
+    _spawns, resumes, _events = hop_counts
     measured = {name: resumes[name] for name in EXPECTED_ALERT_PATH_RESUMES}
     assert measured == EXPECTED_ALERT_PATH_RESUMES
     per_alert = sum(measured.values()) / DELIVERED
     assert per_alert < 15  # 35 before message transit left the processes
     assert sum(resumes.values()) <= TOTAL_RESUMES
+
+
+def test_non_timer_events_are_pinned(hop_counts):
+    _spawns, _resumes, events = hop_counts
+    assert "StorePut" not in events  # a put is a call: no waiter, no event
+    assert dict(events) == EXPECTED_EVENTS
+    assert round(sum(events.values()) / DELIVERED, 2) == EVENTS_PER_DELIVERED
 
 
 # ---------------------------------------------------------------------------

@@ -153,3 +153,26 @@ class TestBaselines:
         # SMS submissions failed silently; the emails still went out.
         assert strategy.messages_sent == 2
         assert len(user.receipts) == 2
+
+
+class TestCollectorExtend:
+    def test_extend_accepts_a_generator(self):
+        collector = LatencyCollector()
+        collector.extend("ack", (float(v) for v in range(3)))
+        assert collector.samples("ack") == [0.0, 1.0, 2.0]
+
+    def test_extend_accepts_tuples_and_coerces(self):
+        collector = LatencyCollector()
+        collector.extend("ack", (1, 2))
+        assert collector.samples("ack") == [1.0, 2.0]
+        assert collector.summary("ack").count == 2
+
+    def test_failing_iterable_records_nothing(self):
+        def explode():
+            yield 1.0
+            raise RuntimeError("source died")
+
+        collector = LatencyCollector()
+        with pytest.raises(RuntimeError):
+            collector.extend("ack", explode())
+        assert collector.samples("ack") == []

@@ -247,3 +247,13 @@ def test_stats_track_latency():
     assert service.stats.delivered == 10
     assert service.stats.mean_latency == pytest.approx(0.4)
     assert service.stats.delivery_ratio == 1.0
+
+
+def test_im_message_repr_and_session_repr():
+    env = Environment()
+    im = IMService(env, RngRegistry(seed=1).stream("im"), latency=FAST)
+    im.register_account("a@im")
+    session = im.login("a@im")
+    assert "a@im" in repr(session)
+    session.logout()
+    assert "dead" in repr(session)

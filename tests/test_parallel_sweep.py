@@ -9,6 +9,7 @@ failover and farm sweeps — plus the fanout primitive's own semantics.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.ablations import run_farm_throughput_sweep
 from repro.experiments.failover import run_failover_comparison
 from repro.sim.clock import MINUTE
@@ -57,10 +58,19 @@ class TestFanoutPrimitive:
         monkeypatch.setenv(JOBS_ENV_VAR, "3")
         assert default_jobs() == 3
         assert resolve_jobs(None) == 3
-        monkeypatch.setenv(JOBS_ENV_VAR, "not-a-number")
-        assert default_jobs() == 1
         monkeypatch.delenv(JOBS_ENV_VAR)
         assert default_jobs() == 1
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-3", "1.5"])
+    def test_malformed_env_var_fails_loudly(self, monkeypatch, raw):
+        """A CI typo must not silently mean "sequential": the 2-workers-vs-
+        sequential identity checks would compare sequential with itself."""
+        monkeypatch.setenv(JOBS_ENV_VAR, raw)
+        with pytest.raises(ConfigurationError) as error:
+            fanout(_square, [1, 2])
+        assert JOBS_ENV_VAR in str(error.value) and repr(raw) in str(error.value)
+        # An explicit argument never consults the variable.
+        assert fanout(_square, [1, 2], jobs=1) == [1, 4]
 
 
 class TestSweepPool:

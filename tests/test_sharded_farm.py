@@ -18,12 +18,12 @@ import pytest
 
 from repro.core.shard import (
     BridgeEnvelope,
-    HotShardDetector,
     ShardLoad,
     ShardProtocolError,
     ShardSpec,
     ShardWorker,
     ShardedFarm,
+    placement_report,
 )
 from repro.errors import ConfigurationError
 from repro.experiments.sharded import (
@@ -260,15 +260,13 @@ def _load(shard, events):
 
 class TestHotShardDetector:
     def test_balanced_loads_report_balanced(self):
-        report = HotShardDetector().analyze([_load(0, 100), _load(1, 110)])
+        report = placement_report([_load(0, 100), _load(1, 110)])
         assert report.balanced
         assert report.hot_shards == []
         assert "balanced" in report.summary()
 
     def test_hot_shard_is_named_in_the_report(self):
-        report = HotShardDetector().analyze(
-            [_load(0, 300), _load(1, 60), _load(2, 60)]
-        )
+        report = placement_report([_load(0, 300), _load(1, 60), _load(2, 60)])
         assert report.hot_shards == [0]
         assert not report.balanced
         assert report.mean_events == 140.0

@@ -119,7 +119,8 @@ class TestFaultInjector:
         assert times == [10.0, 20.0, 30.0]
 
     def test_load_rejects_past_faults(self):
-        env = Environment(initial_time=100.0)
+        env = Environment()
+        env.run(until=100.0)
         injector = FaultInjector(env)
         from repro.errors import ConfigurationError
 

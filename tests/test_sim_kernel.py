@@ -11,11 +11,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_custom_initial_time():
-    env = Environment(initial_time=100.0)
-    assert env.now == 100.0
-
-
 def test_timeout_advances_clock():
     env = Environment()
 
@@ -48,7 +43,8 @@ def test_run_until_time_stops_exactly():
 
 
 def test_run_until_past_time_rejected():
-    env = Environment(initial_time=50.0)
+    env = Environment()
+    env.run(until=50.0)
     with pytest.raises(ValueError):
         env.run(until=10.0)
 
@@ -343,19 +339,6 @@ def test_process_requires_generator():
         env.process(lambda: None)  # type: ignore[arg-type]
 
 
-def test_step_with_empty_queue_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-
-
 def test_nested_process_wait():
     env = Environment()
 
@@ -508,7 +491,8 @@ def test_timeout_cancel_is_idempotent():
     timer.cancel()  # second cancel must not corrupt the dead-entry count
     assert env.dead_entries <= 1
     env.run()
-    assert env.peek() == float("inf")
+    assert env.queue_depth == 0
+    assert env.now == 0.0
 
 
 def test_cancel_after_processing_is_noop():
@@ -520,22 +504,31 @@ def test_cancel_after_processing_is_noop():
     assert not timer.cancelled
 
 
-def test_peek_skips_tombstoned_entries():
+def test_run_skips_tombstoned_entries():
+    """A cancelled timer's timestamp is never acted on: neither as a
+    clock value nor as a reason to stop short of the horizon."""
     env = Environment()
+    fired = []
     near = env.timeout(5.0)
-    env.timeout(10.0)
-    assert env.peek() == 5.0
+    far = env.timeout(10.0)
+    for timer in (near, far):
+        timer.callbacks.append(lambda evt: fired.append(env.now))
     near.cancel()
-    assert env.peek() == 10.0
+    env.run(until=7.0)
+    assert (env.now, fired) == (7.0, [])
+    env.run()
+    assert (env.now, fired) == (10.0, [10.0])
 
 
-def test_peek_all_tombstones_reports_idle():
+def test_run_all_tombstones_stays_idle():
     env = Environment()
     timers = [env.timeout(float(i + 1)) for i in range(4)]
     for timer in timers:
         timer.cancel()
-    assert env.peek() == float("inf")
     assert env.queue_depth == 0
+    env.run()
+    assert env.now == 0.0  # no tombstone's timestamp moved the clock
+    assert env.queue_depth == 0 and env.dead_entries == 0
 
 
 def test_queue_depth_excludes_tombstones():
@@ -580,7 +573,7 @@ def test_anyof_cancels_losing_timer():
     assert values == ["fast"]
     # The losing guard timer was tombstoned, not left to pollute the heap.
     assert slow.cancelled
-    assert env.peek() == float("inf")
+    assert env.queue_depth == 0
     env.run()
     assert env.now == 1.0
 
@@ -698,3 +691,25 @@ def test_determinism_unaffected_by_cancellations():
         return trace
 
     assert build_and_run(True) == build_and_run(False)
+
+
+def test_run_until_event_with_exhausted_queue_raises():
+    env = Environment()
+    never = env.event()
+
+    def proc(env):
+        yield env.timeout(1.0)
+
+    env.process(proc(env))
+    with pytest.raises(SimulationError, match="exhausted the queue"):
+        env.run(until=never)
+
+
+def test_process_repr():
+    env = Environment()
+
+    def proc(env):
+        yield env.timeout(5.0)
+
+    p = env.process(proc(env), name="named-proc")
+    assert "named-proc" in repr(p)

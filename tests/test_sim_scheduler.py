@@ -228,8 +228,10 @@ class TestWheelEdgeCases:
             env.timeout(5.0)
             env.run(until=10.0)
             assert env.now == 10.0
-            # The inf sentinel stays queued but must not wedge peek().
-            assert env.peek() == float("inf")
+            # The inf sentinel stays queued but must not wedge a later run.
+            assert env.queue_depth == 1
+            env.run(until=20.0)
+            assert env.now == 20.0
 
     def test_mass_cancellation_storm(self):
         # Thousands of timers cancelled mid-run force compaction while
@@ -330,16 +332,6 @@ class TestQueueAccounting:
         env.process(racer(env))
         env.run()
         assert env.queue_depth == 0
-
-    def test_live_entries_sorted_and_live(self, backend):
-        env = Environment(scheduler=backend)
-        keep = env.timeout(7.0)
-        doomed = env.timeout(3.0)
-        doomed.cancel()
-        entries = env.scheduler.live_entries()
-        assert [entry[2] for entry in entries] == [keep]
-        times = [entry[0] for entry in entries]
-        assert times == sorted(times)
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +515,7 @@ class TestTimerScope:
                 reply.succeed()  # reply "arrives" immediately
                 yield env.any_of([reply, guard])
                 timers.cancel(guard)
-                assert timers.pending == 0
+                assert timers.active == []
                 yield env.timeout(1.0)
 
         env.process(prober(env))
@@ -535,7 +527,7 @@ class TestTimerScope:
         env = Environment(scheduler=backend)
         timers = env.timers()
         timers.acquire(10.0)
-        assert timers.pending == 1
+        assert len(timers.active) == 1
         assert timers.settle() == 1
         assert timers.settle() == 0
-        assert timers.pending == 0
+        assert timers.active == []

@@ -1,21 +1,19 @@
-"""Unit tests for Store (FIFO mailboxes)."""
+"""Unit tests for Store: an unbounded FIFO mailbox.
 
-import json
+The contract is the one its five product users need (IM session inbox,
+mailbox, phone inbox, IM client queue, MAB's alert inbox): ``put`` is a
+plain call that hands the item to the oldest waiting getter or stores it,
+``get`` is the only event, ``put_front`` returns a borrowed item to the
+head, ``clear`` drops what is stored, and a getter that stops waiting
+(interrupt, cancel) leaves the queue.
+"""
+
 import random
-from pathlib import Path
 
 import pytest
 
+from repro.errors import Interrupt
 from repro.sim import Environment, Store
-
-#: Put/get completion orders of 40 seeded random schedules, recorded from
-#: the pre-fast-path dispatch loop (every put queued a putter, every pass
-#: rebuilt the getter queue) before ``Store`` went lean.  Regenerating the
-#: file from the live ``Store`` would defeat it: it is the reference.
-DISPATCH_ORDERS = json.loads(
-    (Path(__file__).parent / "data" / "stores" / "dispatch_orders.json")
-    .read_text()
-)
 
 
 def test_put_then_get_fifo_order():
@@ -23,16 +21,13 @@ def test_put_then_get_fifo_order():
     store = Store(env)
     got = []
 
-    def producer(env):
-        for item in ("a", "b", "c"):
-            yield store.put(item)
-
     def consumer(env):
         for _ in range(3):
             item = yield store.get()
             got.append(item)
 
-    env.process(producer(env))
+    for item in ("a", "b", "c"):
+        store.put(item)
     env.process(consumer(env))
     env.run()
     assert got == ["a", "b", "c"]
@@ -49,7 +44,7 @@ def test_get_blocks_until_item_arrives():
 
     def producer(env):
         yield env.timeout(7.0)
-        yield store.put("late")
+        store.put("late")
 
     env.process(consumer(env))
     env.process(producer(env))
@@ -60,87 +55,27 @@ def test_get_blocks_until_item_arrives():
 def test_len_tracks_items():
     env = Environment()
     store = Store(env)
-
-    def proc(env):
-        yield store.put(1)
-        yield store.put(2)
-
-    env.process(proc(env))
-    env.run()
+    store.put(1)
+    store.put(2)
     assert len(store) == 2
+    store.get()
+    assert len(store) == 1
 
 
-def test_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    trace = []
-
-    def producer(env):
-        yield store.put("first")
-        trace.append(("stored-first", env.now))
-        yield store.put("second")
-        trace.append(("stored-second", env.now))
-
-    def consumer(env):
-        yield env.timeout(5.0)
-        item = yield store.get()
-        trace.append(("got", item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert trace == [
-        ("stored-first", 0.0),
-        ("got", "first", 5.0),
-        ("stored-second", 5.0),
-    ]
-
-
-def test_invalid_capacity_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
-def test_filtered_get_skips_non_matching():
+def test_put_returns_none_and_schedules_nothing_without_a_waiter():
+    """No waiter, no event: a put into an idle mailbox costs the kernel
+    nothing; a put that wakes a getter schedules exactly that get."""
     env = Environment()
     store = Store(env)
-    got = []
-
-    def producer(env):
-        for item in (1, 2, 3, 4):
-            yield store.put(item)
-
-    def consumer(env):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
+    assert store.put("stored") is None
+    assert env.queue_depth == 0
+    assert store.get().value == "stored"
     env.run()
-    assert got == [2]
-    assert list(store.items) == [1, 3, 4]
-
-
-def test_filtered_get_waits_for_match():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: x == "wanted")
-        got.append((item, env.now))
-
-    def producer(env):
-        yield store.put("other")
-        yield env.timeout(3.0)
-        yield store.put("wanted")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [("wanted", 3.0)]
-    assert list(store.items) == ["other"]
+    waiting = store.get()
+    assert not waiting.triggered and env.queue_depth == 0
+    assert store.put("handed over") is None
+    assert waiting.value == "handed over" and len(store) == 0
+    assert env.queue_depth == 1
 
 
 def test_multiple_getters_fifo_service():
@@ -154,36 +89,49 @@ def test_multiple_getters_fifo_service():
 
     def producer(env):
         yield env.timeout(1.0)
-        yield store.put("x")
-        yield store.put("y")
+        store.put("x")
+        store.put("y")
+        store.put("z")
 
     env.process(consumer(env, "first"))
     env.process(consumer(env, "second"))
     env.process(producer(env))
     env.run()
     assert got == [("first", "x"), ("second", "y")]
+    assert store.items == ["z"]
+
+
+def test_put_front_goes_to_the_head_or_to_the_oldest_waiter():
+    env = Environment()
+    store = Store(env)
+    store.put("second")
+    store.put_front("first")
+    assert store.items == ["first", "second"]
+    assert store.clear() == ["first", "second"]
+    waiters = [store.get(), store.get()]
+    store.put_front("borrowed")
+    assert waiters[0].value == "borrowed"
+    assert not waiters[1].triggered and len(store) == 0
 
 
 def test_clear_drops_and_returns_items():
     env = Environment()
     store = Store(env)
-
-    def proc(env):
-        yield store.put("a")
-        yield store.put("b")
-
-    env.process(proc(env))
-    env.run()
+    store.put("a")
+    store.put("b")
     assert store.clear() == ["a", "b"]
     assert len(store) == 0
+    # Crash injection empties the mailbox, not the reader's place in line.
+    waiting = store.get()
+    assert store.clear() == []
+    store.put("after")
+    assert waiting.value == "after"
 
 
 def test_interrupted_getter_does_not_swallow_items():
     """Regression: an interrupted process's pending get must leave the
     store's queue, or the next put vanishes into a processed event nobody
     reads."""
-    from repro.errors import Interrupt
-
     env = Environment()
     store = Store(env)
     got = []
@@ -206,146 +154,89 @@ def test_interrupted_getter_does_not_swallow_items():
         yield env.timeout(1.0)
         target.interrupt()
         yield env.timeout(1.0)
-        yield store.put("precious")
+        store.put("precious")
 
     env.process(scenario(env))
     env.run(until=10.0)
     assert got == ["precious"]
 
 
-def test_interrupted_putter_withdraws_item():
-    from repro.errors import Interrupt
-
-    env = Environment()
-    store = Store(env, capacity=1)
-
-    def filler(env):
-        yield store.put("occupies")
-
-    def victim(env):
-        try:
-            yield store.put("withdrawn")
-        except Interrupt:
-            pass
-        yield env.timeout(1000.0)
-
-    env.process(filler(env))
-    target = env.process(victim(env))
-
-    def scenario(env):
-        yield env.timeout(1.0)
-        target.interrupt()
-        yield env.timeout(1.0)
-        item = yield store.get()  # frees capacity
-        assert item == "occupies"
-        yield env.timeout(1.0)
-
-    done = env.process(scenario(env))
-    env.run(until=done)
-    # The withdrawn put never landed even after capacity freed up.
-    assert list(store.items) == []
-
-
-def test_mixed_filtered_getters_keep_their_place():
+def test_cancelled_getter_leaves_the_queue():
     env = Environment()
     store = Store(env)
-    served = []
-
-    def waiter(tag, predicate=None):
-        store.get(predicate).callbacks.append(
-            lambda event: served.append((tag, event.value))
-        )
-
-    waiter("even", lambda x: x % 2 == 0)
-    waiter("any-1")
-    waiter("big", lambda x: x > 10)
-    waiter("any-2")
-    store.put(1)   # "even" and nothing else passes it over: any-1 takes it
-    store.put(3)   # skips "even" and "big", which stay ahead of any-2
-    store.put(12)  # both filters match; "even" queued first
-    store.put(20)
-    waiter("late")
-    store.put(5)
-    env.run()
-    assert served == [
-        ("any-1", 1), ("any-2", 3), ("even", 12), ("big", 20), ("late", 5),
-    ]
-    assert len(store) == 0
-
-
-@pytest.mark.parametrize("capacity", [float("inf"), 3])
-@pytest.mark.parametrize("seed", range(20))
-def test_put_get_order_matches_reference_dispatch(seed, capacity):
-    predicates = [
-        None, lambda x: x % 2 == 0, lambda x: x % 3 == 0, lambda x: x > 50,
-    ]
-    rng = random.Random(seed)
-    env = Environment()
-    store = Store(env, capacity=capacity)
-    log = []
-
-    def note(kind, tag):
-        return lambda event: log.append([kind, tag, event.value, env.now])
-
-    def script(env):
-        for step in range(120):
-            roll = rng.random()
-            if roll < 0.45:
-                store.put(rng.randrange(100)).callbacks.append(
-                    note("put", step)
-                )
-            elif roll < 0.9:
-                store.get(rng.choice(predicates)).callbacks.append(
-                    note("get", step)
-                )
-            elif roll < 0.95:
-                store.put_front(rng.randrange(100))
-            else:
-                yield env.timeout(1.0)
-
-    env.process(script(env))
-    env.run()
-    assert {
-        "log": log,
-        "items": list(store.items),
-        "waiting_getters": len(store._getters),
-        "queued_putters": len(store._putters or ()),
-    } == DISPATCH_ORDERS[f"{seed}-{capacity}"]
-
-
-def test_bounded_store_queues_and_withdraws_an_interrupted_putter():
-    from repro.errors import Interrupt
-
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.put("occupies")
-
-    def victim(env):
-        try:
-            yield store.put("withdrawn")
-        except Interrupt:
-            pass
-
-    target = env.process(victim(env))
-    env.run(until=1.0)
-    assert [put.item for put in store._putters] == ["withdrawn"]
-    target.interrupt()
-    env.run(until=2.0)
-    assert len(store._putters) == 0
-    store.get()
-    waiting = store.put("next")
-    env.run()
-    assert waiting.processed and list(store.items) == ["next"]
+    abandoned, kept = store.get(), store.get()
+    abandoned.cancel()
+    abandoned.cancel()  # idempotent
+    store.put("item")
+    assert kept.value == "item" and not abandoned.triggered
+    # Cancelling a get that was already served changes nothing.
+    kept.cancel()
+    assert kept.value == "item" and len(store) == 0
 
 
 def test_unbounded_store_has_no_putter_queue_to_leak_into():
     env = Environment()
     store = Store(env)
-    assert store._putters is None
-    puts = [store.put(item) for item in range(3)]
-    assert all(put.triggered for put in puts) and len(store) == 3
-    # Withdrawing an already-accepted put finds no queue and changes nothing.
-    puts[0].cancel()
-    assert list(store.items) == [0, 1, 2]
+    for item in range(1000):
+        store.put(item)
+    assert len(store) == 1000 and env.queue_depth == 0
+    assert not hasattr(store, "_putters") and not hasattr(store, "capacity")
+    with pytest.raises(TypeError):
+        Store(env, 1)  # no capacity argument
+    with pytest.raises(TypeError):
+        store.get(lambda item: True)  # no filtered gets
     with pytest.raises(AttributeError):
         store.scratch = 1  # slotted: no per-instance dict either
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_put_get_order_matches_fifo_model(seed):
+    """Seeded random put / get / put_front / cancel schedules against the
+    obvious model: two lists, at most one of them non-empty."""
+    rng = random.Random(seed)
+    env = Environment()
+    store = Store(env)
+    log, expected = [], []
+    model_items, model_waiting = [], []
+    gets = {}
+
+    def model_put(item, front):
+        if model_waiting:
+            expected.append([model_waiting.pop(0), item, env.now])
+        elif front:
+            model_items.insert(0, item)
+        else:
+            model_items.append(item)
+
+    def script(env):
+        for step in range(150):
+            roll = rng.random()
+            if roll < 0.4:
+                item = rng.randrange(100)
+                model_put(item, front=False)
+                store.put(item)
+            elif roll < 0.8:
+                if model_items:
+                    expected.append([step, model_items.pop(0), env.now])
+                else:
+                    model_waiting.append(step)
+                gets[step] = store.get()
+                gets[step].callbacks.append(
+                    lambda event, step=step: log.append(
+                        [step, event.value, env.now]
+                    )
+                )
+            elif roll < 0.87:
+                item = rng.randrange(100)
+                model_put(item, front=True)
+                store.put_front(item)
+            elif roll < 0.92 and model_waiting:
+                gets[model_waiting.pop(rng.randrange(len(model_waiting)))].cancel()
+            else:
+                yield env.timeout(1.0)
+
+    env.process(script(env))
+    env.run()
+    assert log == expected
+    assert store.items == model_items
+    assert len(store._getters) == len(model_waiting)
