@@ -22,8 +22,8 @@ that keeps the pipeline dependable under that load:
 Everything is deterministic: jitter draws come from a dedicated
 :mod:`repro.sim.rng` stream (``admission-<user>``), so enabling admission
 never perturbs any existing stream, and a permissive
-:meth:`AdmissionConfig.permissive` config is provably a no-op (covered by
-the golden byte-identity tests).
+:meth:`AdmissionConfig.permissive` config is a no-op (the ``admission_off``
+row of ``tests/test_knob_invariance.py``).
 
 One :class:`AdmissionController` lives on the *persistent*
 :class:`~repro.core.buddy.BuddyConfig`, not on an incarnation, so retry
@@ -34,7 +34,7 @@ must not refill an alert's retry budget.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.rng import RngRegistry
@@ -386,29 +386,6 @@ class AdmissionConfig:
             storm_depth=8,
             coalesce_window=120.0,
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AdmissionConfig":
-        """Rebuild from a JSON dict (reproducer replay); unknown keys are
-        dropped and list-valued fields become tuples."""
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if isinstance(kwargs.get("shed_severities"), list):
-            kwargs["shed_severities"] = tuple(kwargs["shed_severities"])
-        return cls(**kwargs)
-
-    @property
-    def any_enabled(self) -> bool:
-        return any((
-            self.global_rate is not None,
-            self.recipient_rate is not None,
-            self.channel_rate is not None,
-            self.dedup_window is not None,
-            self.retry_budget is not None,
-            self.backoff_base is not None,
-            self.storm_rate is not None,
-            self.storm_depth is not None,
-        ))
 
 
 # ----------------------------------------------------------------------

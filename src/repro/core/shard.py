@@ -624,18 +624,24 @@ class _ProcessShard:
         )
 
     def stop(self, timeout: float = 5.0) -> None:
+        """Ask the worker to stop; a worker that does not answer within
+        ``timeout`` (wedged, or SIGSTOPped) is terminated, then killed —
+        a stopped process ignores SIGTERM.  Returns within ~3 × timeout."""
         try:
             self.conn.send(("stop",))
-            self.conn.recv()
+            if self.conn.poll(timeout):
+                self.conn.recv()
         except (BrokenPipeError, EOFError, OSError):
             pass
         # Hang up only once the worker is gone: a sibling stopped in
         # mid-epoch still has that epoch's reply and the stop's to write.
         self.process.join(timeout=timeout)
-        self.conn.close()
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.process.terminate()
+        for end in (self.process.terminate, self.process.kill):
+            if not self.process.is_alive():
+                break
+            end()
             self.process.join(timeout=timeout)
+        self.conn.close()
 
 
 class _InlineShard:

@@ -27,7 +27,7 @@ into a pass/fail statement.
 
 Both variants are independent worlds over the same schedule, so
 ``jobs=2`` runs them in parallel worker processes with byte-identical
-results (CI's ``experiment-smoke`` job diffs the two modes).
+results.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def run_adversarial_comparison(
     The schedule is identical by construction (both variants receive the
     same list), and each variant is an independent world — ``jobs > 1``
     runs them in parallel worker processes; results come back in
-    ``variants`` order either way (None → ``REPRO_SWEEP_JOBS`` default).
+    ``variants`` order either way.
     """
     if schedule is None:
         users = [f"user{i}" for i in range(n_users)]

@@ -175,7 +175,7 @@ def run_failover_comparison(
 
     Each variant is an independent world replaying the same schedule, so
     ``jobs > 1`` runs them in parallel worker processes; results come back
-    in ``variants`` order either way (None → ``REPRO_SWEEP_JOBS`` default).
+    in ``variants`` order either way.
     """
     if schedule is None:
         schedule = crash_schedule(seed, n_crashes=n_crashes, window=window)

@@ -209,8 +209,8 @@ def run_storm_comparison(
     Traffic is identical by construction: both variants regenerate the
     same event list from the same ``(seed, storm)`` pair.  Each variant
     is an independent world, so ``jobs > 1`` runs them in parallel
-    worker processes; results come back in ``variants`` order either way
-    (None → ``REPRO_SWEEP_JOBS`` default).
+    worker processes; results come back in ``variants`` order either
+    way.
     """
     if storm is None:
         storm = E12_STORM

@@ -18,8 +18,7 @@ adversarial schedules are bit-reproducible and shrinkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,11 +96,6 @@ class AdversaryModel:
             or self.duplicate_probability
             or self.corrupt_probability
         )
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AdversaryModel":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass

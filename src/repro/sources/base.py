@@ -182,9 +182,6 @@ class AlertSource:
         outcome = yield from self.pipeline.send(alert, book)
         return outcome
 
-    # Backwards-compatible alias (pre-1.1 private name).
-    _deliver = deliver
-
     # ------------------------------------------------------------------
     # Reporting helpers
     # ------------------------------------------------------------------

@@ -18,8 +18,7 @@ Four pieces compose:
   watchdog) while a workload emits alerts, then lets the system quiesce.
 - :class:`DeliveryOracle` asserts end-to-end invariants after every run:
   every accepted alert is delivered exactly once or explicitly
-  dead-lettered, no duplicate ACKs, journal replay is idempotent, and a
-  farm run is event-equivalent to the same users run as independent MABs.
+  dead-lettered, no duplicate ACKs, journal replay is idempotent.
 - :func:`shrink` delta-debugs a failing schedule down to a minimal
   reproducer, serializable (seed + schedule JSON) for regression pinning
   via :func:`dump_reproducer` / :func:`replay_reproducer`.
@@ -51,10 +50,8 @@ from repro.testkit.harness import (
 from repro.testkit.oracle import (
     ADMISSION_TERMINAL_KINDS,
     DeliveryOracle,
-    EquivalenceReport,
     OracleReport,
     Violation,
-    check_farm_equivalence,
     check_shard_count_invariance,
 )
 from repro.testkit.parallel import SweepPool, fanout, sweep_pool
@@ -83,7 +80,6 @@ __all__ = [
     "ChaosSweepResult",
     "ChaosTrial",
     "DeliveryOracle",
-    "EquivalenceReport",
     "FaultScheduleGenerator",
     "OracleReport",
     "Reproducer",
@@ -95,7 +91,6 @@ __all__ = [
     "SweepPool",
     "Violation",
     "chaos_sweep",
-    "check_farm_equivalence",
     "check_shard_count_invariance",
     "check_trace",
     "fanout",

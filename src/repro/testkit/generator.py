@@ -23,7 +23,7 @@ schedules pinnable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -459,13 +459,6 @@ class StormConfig:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {value!r}"
                 )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StormConfig":
-        """Rebuild from a JSON dict (reproducer replay); unknown keys are
-        dropped so old pins survive new fields."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,13 @@ class ChaosRunConfig:
     transport: Optional[str] = None
 
 
+#: ChaosRunConfig fields :meth:`ChaosReport.fingerprint` leaves out when
+#: None, so pins written before the field existed keep their digest — the
+#: same pattern as the "promotions"/"admission" keys.  None must therefore
+#: mean exactly what the field's explicit default does.
+FINGERPRINT_OMITS_WHEN_NONE = ("adversary", "transport")
+
+
 @dataclass
 class ChaosReport:
     """Everything one chaos run produced."""
@@ -141,10 +148,7 @@ class ChaosReport:
     def fingerprint(self) -> str:
         """Deterministic digest of the run's observable behaviour."""
         config_payload = asdict(self.config)
-        # Optional=None fields are dropped so pre-change fingerprints
-        # (pinned reproducers) are byte-identical — same pattern as the
-        # "promotions"/"admission" keys below.
-        for optional in ("adversary", "transport"):
+        for optional in FINGERPRINT_OMITS_WHEN_NONE:
             if config_payload.get(optional) is None:
                 config_payload.pop(optional, None)
         payload = {

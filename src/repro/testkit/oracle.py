@@ -32,10 +32,6 @@ counter.  Two scopes have their own evidence and driver but the same table:
 pipeline can finish a trip with; the kind sets used here, by the harness's
 fate pass and by the trace oracle are all derived from it, so the oracle
 never takes the pipeline's word for what counts as accounted for.
-
-:func:`check_farm_equivalence` is the one statement that is a comparison of
-two runs rather than an audit of one: a BuddyFarm run must be
-event-equivalent to the same users run as independent MABs.
 """
 
 from __future__ import annotations
@@ -44,8 +40,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
-
-from repro.sim.clock import MINUTE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.farm import BuddyFarm, FarmTenant
@@ -678,142 +672,6 @@ class DeliveryOracle:
 
 
 # ----------------------------------------------------------------------
-# Farm-vs-solo event equivalence
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class EquivalenceReport:
-    """Did a farm run match the same users run as independent MABs?"""
-
-    users: int
-    mismatches: list[str] = field(default_factory=list)
-    farm_outcomes: dict[str, dict[str, tuple]] = field(default_factory=dict)
-    solo_outcomes: dict[str, dict[str, tuple]] = field(default_factory=dict)
-
-    @property
-    def equivalent(self) -> bool:
-        return not self.mismatches
-
-
-#: The scripted keyword cycle: routed, unmapped, no_subscribers, rejected.
-_SCRIPT_KEYWORDS = ("News", "Gossip", "Weather", "News")
-
-
-def _configure_deployment(deployment) -> None:
-    """Identical per-user configuration for farm and solo worlds."""
-    config = deployment.config
-    config.classifier.accept_source("portal")
-    # A mapped category nobody subscribes to → deterministic no_subscribers.
-    config.subscriptions.register_category("Weather")
-    config.aggregator.map_keyword("Weather", "Weather")
-
-
-def _run_script(world, source, oracle, users, alerts_per_user, horizon):
-    """Emit the same per-user script into either world and run it out.
-
-    ``users`` maps user name → (user endpoint, source-facing address book).
-    Every 4th alert comes from the unaccepted ``stranger`` source →
-    ``rejected``.  Returns, per user, subject → sorted tuple of outcome
-    kinds and the set of delivered subjects.
-    """
-    stranger = world.create_source("stranger")
-    sent: dict[str, dict[str, str]] = {name: {} for name in users}
-
-    def script(env):
-        for index in range(alerts_per_user):
-            keyword = _SCRIPT_KEYWORDS[index % len(_SCRIPT_KEYWORDS)]
-            emitter = stranger if index % 4 == 3 else source
-            for name, (_, book) in users.items():
-                alert, _ = emitter.emit_to(book, keyword, f"a{index}", "body")
-                sent[name][alert.alert_id] = alert.subject
-            yield env.timeout(20.0)
-
-    world.env.process(script(world.env), name="equivalence-script")
-    world.run(until=horizon)
-    by_user = oracle.outcomes_by_user()
-    outcomes, delivered = {}, {}
-    for name, (user, _) in users.items():
-        subject = sent[name]
-        outcomes[name] = {
-            subject.get(alert_id, alert_id): tuple(
-                sorted(t.kind or "(none)" for t in trips)
-            )
-            for alert_id, trips in by_user.get(name, {}).items()
-        }
-        delivered[name] = {
-            subject.get(alert_id, alert_id)
-            for alert_id in user.unique_alerts_received()
-        }
-    return outcomes, delivered
-
-
-def check_farm_equivalence(
-    n_users: int = 3,
-    seed: int = 7,
-    alerts_per_user: int = 8,
-    settle: float = 3 * MINUTE,
-) -> EquivalenceReport:
-    """Run one scripted workload farm-wide and solo, compare per-user events.
-
-    Determinism by name-keyed RNG streams makes this meaningful: user
-    ``user0``'s reaction/buddy streams are identical in both worlds, so any
-    divergence in outcome kinds or delivered subjects is a farm bug, not
-    noise.  Channel latency streams *are* shared farm-wide, so wall-clock
-    timings legitimately differ and equivalence is asserted on
-    latency-invariant facts only.
-    """
-    from repro.testkit.harness import DeliveryRig
-    from repro.world import SimbaWorld
-
-    horizon = alerts_per_user * 20.0 + settle
-    report = EquivalenceReport(users=n_users)
-
-    rig = DeliveryRig(seed, n_users)
-    for tenant in rig.tenants:
-        _configure_deployment(tenant.deployment)
-    rig.start(watchdog_interval=None)
-    report.farm_outcomes, farm_delivered = _run_script(
-        rig.world,
-        rig.sources["portal"],
-        rig.oracle,
-        {t.name: (t.user, t.book) for t in rig.tenants},
-        alerts_per_user,
-        horizon,
-    )
-
-    for name in report.farm_outcomes:
-        solo = SimbaWorld(rig.world.config)
-        user = solo.create_user(name)
-        deployment = solo.create_buddy(user)
-        deployment.register_user_endpoint(user)
-        deployment.subscribe("News", user, "normal", keywords=["News"])
-        _configure_deployment(deployment)
-        oracle = DeliveryOracle()
-        deployment.config.pipeline_observer = oracle.observer_for(name)
-        deployment.launch()
-        outcomes, delivered = _run_script(
-            solo,
-            solo.create_source("portal"),
-            oracle,
-            {name: (user, deployment.source_facing_book())},
-            alerts_per_user,
-            horizon,
-        )
-        report.solo_outcomes.update(outcomes)
-        for fact, in_farm, alone in (
-            ("outcome kinds", report.farm_outcomes[name], outcomes[name]),
-            ("delivered subjects", sorted(farm_delivered[name]),
-             sorted(delivered[name])),
-        ):
-            if in_farm != alone:
-                report.mismatches.append(
-                    f"{name}: {fact} differ — farm {in_farm} vs solo {alone}"
-                )
-    return report
-
-
-# ----------------------------------------------------------------------
 # Shard-count invariance
 # ----------------------------------------------------------------------
 
@@ -844,33 +702,10 @@ def shard_count_invariance(results):
                 yield f"{label}: {what} {show(theirs)} != {show(ours)}", None
 
 
-def check_shard_count_invariance(
-    results=None,
-    shard_counts: tuple[int, ...] = (1, 2),
-    *,
-    population: int = 48,
-    seed: int = 7,
-    duration: float = 120.0,
-    epoch: float = 30.0,
-    drain: float = 120.0,
-    workload_kwargs: Optional[dict] = None,
-    inline: bool = True,
-) -> OracleReport:
-    """Audit ``shard_count_invariance`` over a set of sharded runs.
-
-    Pass ``results`` (a list of
-    :class:`~repro.experiments.sharded.ShardedRunResult`, e.g. the ones an
-    e13 sweep just measured) to audit existing runs; otherwise the oracle
-    has :func:`~repro.experiments.sharded.run_sharded_comparison` run (and
-    audit) a small inline comparison over ``shard_counts``.
-    """
-    if results is None:
-        from repro.experiments.sharded import run_sharded_comparison
-
-        return run_sharded_comparison(
-            shard_counts, population, seed, duration, epoch, drain,
-            workload_kwargs, inline,
-        ).invariance
+def check_shard_count_invariance(results) -> OracleReport:
+    """Audit ``shard_count_invariance`` over a set of sharded runs (a list
+    of :class:`~repro.experiments.sharded.ShardedRunResult`, e.g. the ones
+    an e13 sweep just measured)."""
     report = OracleReport(checked={"shard_layouts": len(results)})
     if results:
         report.checked.update(tenants=results[0].tenants)

@@ -13,60 +13,30 @@ time of the whole sweep.
 of work items with a process pool, returning results **in item order**
 (``Pool.map`` semantics — completion order never leaks into the output).
 A sweep merged from N workers is therefore byte-identical to the same
-sweep run sequentially; ``tests/test_parallel_sweep.py`` pins exactly
-that.
+sweep run sequentially; the ``jobs`` row of ``tests/test_knob_invariance.py``
+holds every caller to exactly that.
 
 ``jobs`` resolution: an explicit ``jobs`` argument wins; otherwise an
 active :func:`sweep_pool` context (persistent workers shared by every
-``fanout`` call inside the ``with`` block); otherwise the
-``REPRO_SWEEP_JOBS`` environment variable (the CI hook — the
-benchmark-smoke job runs the whole pytest suite with it set to 2);
-otherwise 1 (sequential, in-process, zero multiprocessing overhead).
+``fanout`` call inside the ``with`` block); otherwise 1 (sequential,
+in-process, zero multiprocessing overhead).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
-from repro.errors import ConfigurationError
-
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Environment hook for routing existing sweep call sites through the pool
-#: without threading a parameter through every caller.
-JOBS_ENV_VAR = "REPRO_SWEEP_JOBS"
-
-
-def default_jobs() -> int:
-    """Worker count when the caller does not pass ``jobs`` (≥ 1).
-
-    A set but malformed ``REPRO_SWEEP_JOBS`` is an error, not "sequential":
-    the CI identity checks compare 2 workers against 1, and a typo that
-    silently meant 1 would compare sequential with sequential and pass.
-    """
-    raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ConfigurationError(
-            f"${JOBS_ENV_VAR}={raw!r}: expected a worker count >= 1"
-        )
-    return jobs
-
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``jobs`` argument: None → environment default."""
+    """Normalize a ``jobs`` argument: None → 1 (sequential)."""
     if jobs is None:
-        return default_jobs()
+        return 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     return jobs
@@ -91,8 +61,8 @@ class SweepPool:
     the one-shot path.
 
     The underlying pool is created lazily on the first map that needs it
-    (``jobs > 1`` and at least two items), so a ``SweepPool(jobs=1)`` —
-    the sequential CI configuration — never forks at all.
+    (``jobs > 1`` and at least two items), so a ``SweepPool(jobs=1)``
+    never forks at all.
     """
 
     def __init__(self, jobs: Optional[int] = None):

@@ -11,7 +11,7 @@ readable in review diffs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -179,13 +179,28 @@ def replay_reproducer(
 
     reproducer = load_reproducer(path)
     kwargs = dict(reproducer.config)
-    # Nested hardening configs land as plain dicts in the JSON pin.
-    if isinstance(kwargs.get("admission"), dict):
-        kwargs["admission"] = AdmissionConfig.from_dict(kwargs["admission"])
-    if isinstance(kwargs.get("storm"), dict):
-        kwargs["storm"] = StormConfig.from_dict(kwargs["storm"])
-    if isinstance(kwargs.get("adversary"), dict):
-        kwargs["adversary"] = AdversaryModel.from_dict(kwargs["adversary"])
+    # Nested configs land as plain dicts in the JSON pin.  A key the class
+    # does not know is a typo, and dropping it would replay a different
+    # run that still prints PASS.
+    for key, cls in (
+        ("admission", AdmissionConfig),
+        ("storm", StormConfig),
+        ("adversary", AdversaryModel),
+    ):
+        nested = kwargs.get(key)
+        if not isinstance(nested, dict):
+            continue
+        unknown = set(nested) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(
+                f"{path}: config.{key} keys {cls.__name__} does not know: "
+                + ", ".join(sorted(unknown))
+            )
+        # JSON has no tuples (``shed_severities``).
+        kwargs[key] = cls(**{
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in nested.items()
+        })
     if overrides:
         kwargs.update(overrides)
     config = ChaosRunConfig(**kwargs)

@@ -24,30 +24,23 @@ N_USERS = 20
 SEED = 2027
 
 
-def run_golden_farm(tracer=None, admission=None, adversary=None):
+def run_golden_farm(tracer=None, admission=None, adversary=None, seed=SEED):
     """Build and run the scenario; returns the farm (world has quiesced).
 
     ``tracer`` (a :class:`repro.obs.TraceSink`) is installed on the world's
-    environment before anything runs — the trace-golden test uses it, and
-    the journal golden must not change whether or not it is passed (tracing
-    is pure observation).
-
-    ``admission`` (an :class:`repro.core.admission.AdmissionConfig`) is
-    applied to every tenant.  The permissive-config regression test passes
-    :meth:`~repro.core.admission.AdmissionConfig.permissive` and asserts
-    the journals stay byte-identical to the golden — hardening wired but
-    switched off must be a perfect no-op.
-
-    ``adversary`` (an :class:`repro.net.adversary.AdversaryModel`) is
-    installed as the ambient adversary on every substrate channel.  The
-    adversary-off regression test passes
-    :meth:`~repro.net.adversary.AdversaryModel.off` and asserts byte
-    identity — the benign adversary must draw no RNG at all.
+    environment before anything runs, ``admission`` (an
+    :class:`repro.core.admission.AdmissionConfig`) is applied to every
+    tenant, and ``adversary`` (an :class:`repro.net.adversary.AdversaryModel`)
+    is installed as the ambient adversary on every substrate channel.
+    ``tests/test_knob_invariance.py`` holds the journals of a run with the
+    inert value of each — a sink, :meth:`~repro.core.admission
+    .AdmissionConfig.permissive`, :meth:`~repro.net.adversary
+    .AdversaryModel.off` — byte-identical to the golden.
     """
     from repro.core.farm import FarmProfile
     from repro.world import SimbaWorld, WorldConfig
 
-    world = SimbaWorld(WorldConfig(seed=SEED, email_loss=0.0, sms_loss=0.0))
+    world = SimbaWorld(WorldConfig(seed=seed, email_loss=0.0, sms_loss=0.0))
     if tracer is not None:
         tracer.install(world.env)
     if adversary is not None:
@@ -158,8 +151,8 @@ def main() -> None:
     from repro.obs import TraceSink
 
     # The journal golden stays authoritative for the *untraced* run; the
-    # trace golden comes from a second, traced run.  test_trace_golden.py
-    # asserts the two runs produce byte-identical journals.
+    # trace golden comes from a second, traced run (the tracing row of
+    # test_knob_invariance.py holds the two runs' journals byte-identical).
     GOLDEN_FARM_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_FARM_PATH.write_text(
         serialize_farm_journals(run_golden_farm()) + "\n"

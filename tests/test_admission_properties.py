@@ -327,9 +327,7 @@ def test_retry_budget_survives_and_exhausts():
 
 
 def test_permissive_config_is_inert():
-    config = AdmissionConfig.permissive()
-    assert not config.any_enabled
-    controller = AdmissionController(config, "prop")
+    controller = AdmissionController(AdmissionConfig.permissive(), "prop")
     assert controller.reserve_route(0.0, "prop") == 0.0
     assert controller.try_submit(0.0, "IM")
     assert controller.dedup_check("a", "IM", 0.0, 0.0) is None

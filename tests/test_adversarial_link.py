@@ -4,9 +4,8 @@ Exercises :class:`~repro.sim.link.HostLink` directly — two bare hosts, one
 pipe — against each :class:`~repro.net.adversary.AdversaryModel` knob in
 isolation, pins the accounting contract (``submitted == delivered + lost``
 for anything that entered the pipe, ``rejected`` alone for a pre-flight
-refusal), and proves the benign adversary is a perfect no-op: identical RNG
-consumption at link level, byte-identical golden-farm journals at system
-level.
+refusal).  That the benign adversary changes nothing is the
+``adversary_off`` row of ``tests/test_knob_invariance.py``.
 """
 
 from __future__ import annotations
@@ -18,12 +17,6 @@ from repro.net.adversary import AdversaryModel
 from repro.net.channel import LatencyModel
 from repro.sim.kernel import Environment
 from repro.sim.link import HostLink
-
-from tests.golden_farm import (
-    GOLDEN_FARM_PATH,
-    run_golden_farm,
-    serialize_farm_journals,
-)
 
 #: Degenerate latency so arrival times expose adversary delays exactly.
 FIXED = LatencyModel(median=0.1, sigma=0.0, low=0.1, high=0.1)
@@ -190,36 +183,3 @@ def test_pulse_reverts_to_ambient_adversary():
     assert link.adversary == AdversaryModel.pulse()
     env.run(until=11.0)
     assert link.adversary == ambient
-
-
-# ---------------------------------------------------------------------------
-# The benign adversary is a perfect no-op
-# ---------------------------------------------------------------------------
-
-
-def test_adversary_off_consumes_no_rng_at_link_level():
-    """Explicitly installing ``off()`` must leave every latency draw — and
-    therefore every arrival time — identical to a link that never heard of
-    the adversary machinery."""
-    times = {}
-    for label, adversary in (("bare", None), ("off", AdversaryModel.off())):
-        env, link = make_link(seed=47, adversary=adversary,
-                              loss_probability=0.1)
-        arrivals = []
-        ship_serially(
-            env, link, list(range(40)),
-            on_receive=lambda pkt: arrivals.append(env.now),
-        )
-        times[label] = (arrivals, link.stats.delivered, link.stats.lost)
-    assert times["bare"] == times["off"]
-
-
-def test_golden_farm_byte_identical_with_adversary_off():
-    """System-level inertness: the pinned golden-farm journals must not
-    move by a byte when every substrate channel carries an explicit
-    ``AdversaryModel.off()``."""
-    golden = GOLDEN_FARM_PATH.read_text()
-    fresh = serialize_farm_journals(
-        run_golden_farm(adversary=AdversaryModel.off())
-    )
-    assert fresh + "\n" == golden

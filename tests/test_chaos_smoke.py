@@ -1,10 +1,10 @@
 """Time-boxed chaos-sweep smoke tier.
 
 A small seeded sweep on every test run: the real pipeline must survive
-randomized fault schedules (clean sweep), and the whole search must be
-bit-for-bit reproducible — identical fingerprints for identical seeds.
-Kept deliberately small (a few trials, short windows) so the tier stays
-in CI's 30-second budget with wide margin.
+randomized fault schedules (clean sweep), and a planted bug must be found
+and shrunk.  (Same seed, same fingerprint; another seed, another one:
+``tests/test_knob_invariance.py``.)  Kept deliberately small (a few
+trials, short windows) so the tier stays fast.
 """
 
 from repro.sim.clock import MINUTE
@@ -26,20 +26,6 @@ class TestSweepSmoke:
         assert result.ok, result.summary()
         assert len(result.trials) == 3
         assert result.failures == []
-
-    def test_sweep_bit_for_bit_reproducible(self):
-        a = chaos_sweep(seed=11, **SWEEP_KWARGS)
-        b = chaos_sweep(seed=11, **SWEEP_KWARGS)
-        assert a.fingerprint() == b.fingerprint()
-        for ta, tb in zip(a.trials, b.trials):
-            assert ta.fingerprint == tb.fingerprint
-
-    def test_different_sweep_seeds_explore_different_schedules(self):
-        a = chaos_sweep(seed=1, trials=1, n_users=2,
-                        duration=20 * MINUTE, settle=10 * MINUTE)
-        b = chaos_sweep(seed=2, trials=1, n_users=2,
-                        duration=20 * MINUTE, settle=10 * MINUTE)
-        assert a.fingerprint() != b.fingerprint()
 
     def test_sweep_finds_and_shrinks_planted_bug(self):
         """End-to-end self-test: with a buggy pipeline planted, random

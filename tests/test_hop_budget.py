@@ -11,7 +11,7 @@ exactly, so a forwarding process cannot creep back unnoticed.  Beside it,
 the event budget: every non-timer event the run schedules, by class
 (counted by wrapping both backends' ``schedule``), so an event nobody
 waits on cannot creep back either.  The counts are a pure function of the
-scenario (both scheduler backends agree).
+scenario: both scheduler backends are counted, and must agree.
 
 The second half is the heap budget: what the same runs may leave behind
 that only the cyclic collector can free — nothing on the delivery path.
@@ -73,8 +73,7 @@ EXPECTED_EVENTS = {"Event": 391, "StoreGet": 221, "AnyOf": 86, "Process": 51}
 EVENTS_PER_DELIVERED = 17.83
 
 
-@pytest.fixture(scope="module")
-def hop_counts():
+def count_hops():
     spawns: Counter = Counter()
     resumes: Counter = Counter()
     events: Counter = Counter()
@@ -121,6 +120,17 @@ def hop_counts():
         farm = run_golden_farm()
     assert farm.delivery_summary()["received"] == DELIVERED
     return spawns, resumes, events
+
+
+@pytest.fixture(scope="module")
+def hop_counts():
+    counts = []
+    for backend in ("heap", "wheel"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_SCHEDULER", backend)
+            counts.append(count_hops())
+    assert counts[0] == counts[1], "the backends disagree"
+    return counts[1]
 
 
 def test_one_spawn_per_alert_and_no_forwarding_processes(hop_counts):

@@ -3,16 +3,18 @@
 The headline property is **shard-count invariance**: for a fixed seed the
 merged journal fingerprint, aggregate counts and receipt totals are
 bit-identical however the tenant population is partitioned — including the
-degenerate shards=1 layout, which runs the same epoch-drain protocol.
-Everything else here pins the mechanisms that property rests on: complete
-disjoint partitions, conservative bridge timestamps, deterministic drain
-ordering, load accounting and the hot-shard detector's report.
+degenerate shards=1 layout (the knob table's ``shard_layout`` row).  Here:
+the oracle that audits it, and what it rests on — disjoint partitions,
+conservative bridge timestamps, deterministic drain ordering, load
+accounting, worker death and the hot-shard detector's report.
 """
 
 import multiprocessing
 import os
 import signal
+import threading
 import time
+from functools import partialmethod
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.core.shard import (
     ShardSpec,
     ShardWorker,
     ShardedFarm,
+    _ProcessShard,
     placement_report,
 )
 from repro.errors import ConfigurationError
@@ -85,26 +88,6 @@ def forge_mismatch(runs):
 
 
 class TestShardCountInvariance:
-    def test_inline_layouts_are_bit_identical(self):
-        runs = [small_run(shards) for shards in (1, 2, 3)]
-        report = check_shard_count_invariance(results=runs)
-        assert report.ok, report.summary()
-        fingerprints = {r.merged_fingerprint for r in runs}
-        assert len(fingerprints) == 1
-        assert runs[0].delivered > 0  # the runs actually did something
-
-    def test_worker_processes_match_inline(self):
-        inline = small_run(1, inline=True)
-        forked = small_run(2, inline=False)
-        assert forked.merged_fingerprint == inline.merged_fingerprint
-        assert forked.counts == inline.counts
-
-    def test_different_seed_changes_the_fingerprint(self):
-        assert (
-            small_run(1).merged_fingerprint
-            != small_run(1, seed=8).merged_fingerprint
-        )
-
     def test_oracle_reports_a_forged_mismatch(self):
         runs = [small_run(1), small_run(2)]
         forge_mismatch(runs)
@@ -113,19 +96,6 @@ class TestShardCountInvariance:
         invariants = {v.invariant for v in report.violations}
         assert invariants == {"shard_count_invariance"}
         assert len(report.violations) == 2  # fingerprint + receipts
-
-    def test_oracle_self_run_mode(self):
-        report = check_shard_count_invariance(
-            shard_counts=(1, 2),
-            population=SMALL["users"],
-            seed=SMALL["seed"],
-            duration=SMALL["duration"],
-            epoch=SMALL["epoch"],
-            drain=SMALL["drain"],
-            workload_kwargs=SMALL["workload_kwargs"],
-        )
-        assert report.ok, report.summary()
-        assert report.checked["shard_layouts"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +123,7 @@ class TestPartitioning:
         result = small_run(2)
         # Senders are never materialized; only recipients cost a MAB.
         assert 0 < result.tenants < result.population
+        assert result.delivered > 0
 
     def test_merged_latencies_arrive_sorted(self):
         farm = small_farm(2)
@@ -240,6 +211,30 @@ class TestWorkerDeath:
         assert multiprocessing.active_children() == []
         with pytest.raises(RuntimeError, match="not started"):
             farm.run_epoch()
+
+    def test_a_stopped_worker_cannot_hang_stop(self, monkeypatch):
+        """A worker that never answers (here SIGSTOPped, which also makes
+        it ignore SIGTERM) is terminated, then killed, within about three
+        ``stop`` timeouts — it used to hang ``stop()`` for good."""
+        timeout = 0.3
+        monkeypatch.setattr(
+            _ProcessShard, "stop",
+            partialmethod(_ProcessShard.stop, timeout=timeout),
+        )
+        farm = small_farm(2, inline=False)
+        farm.start()
+        farm.run_epoch()
+        victim = farm._workers[1].process
+        os.kill(victim.pid, signal.SIGSTOP)
+        stopper = threading.Thread(target=farm.stop)
+        stopper.start()
+        stopper.join(timeout=3 * timeout + 2.0)
+        hung = stopper.is_alive()
+        if hung:  # free the coordinator before failing
+            os.kill(victim.pid, signal.SIGKILL)
+            stopper.join()
+        assert not hung, "stop() is still waiting on the stopped worker"
+        assert multiprocessing.active_children() == []
 
     def test_worker_that_fails_to_build_stops_the_others(self):
         farm = small_farm(2, inline=False)

@@ -6,9 +6,10 @@ actually see: many sources bursting at once, a fraction of arrivals
 re-submitted as duplicate copies.  These tests drive it through
 :func:`repro.testkit.run_chaos` with hardening on and assert the extended
 oracle (rate-limit fairness, no duplicate past dedup, every shed
-journalled) holds, fingerprints are bit-reproducible, reproducer pins
-round-trip the nested admission/storm configs, and the E12 sweep is
-bit-identical under a worker pool.
+journalled) holds, reproducer pins round-trip the nested admission/storm
+configs, and the E12 sweep is green across seeds.  (That a storm run
+repeats, traces and fans out without moving its fingerprint is
+``tests/test_knob_invariance.py``.)
 """
 
 import pytest
@@ -94,13 +95,6 @@ class TestStormRun:
         )
         assert journalled == rollup["shed"] + rollup["coalesced"]
 
-    def test_storm_fingerprint_bit_reproducible(self):
-        config = storm_config()
-        schedule = mid_burst_outage(config)
-        first = run_chaos(schedule, config)
-        second = run_chaos(schedule, config)
-        assert first.fingerprint() == second.fingerprint()
-
     def test_legacy_storm_run_still_green(self):
         """The storm workload alone (no hardening) must not break the
         pre-PR pipeline — duplicates die at the routed_ids guard."""
@@ -150,12 +144,9 @@ class TestStormSweepParallel:
         (range(5), dict(KWARGS, storm=None)),
     ]
 
-    def test_two_workers_bit_identical_to_sequential(self):
+    def test_two_worker_sweeps_are_oracle_green(self):
         for seeds, kwargs in self.CASES:
-            sequential = run_storm_sweep(seeds, jobs=1, **kwargs)
-            parallel = run_storm_sweep(seeds, jobs=2, **kwargs)
-            assert sequential == parallel
-            for result in sequential:
+            for result in run_storm_sweep(seeds, jobs=2, **kwargs):
                 assert result.ok, result.variant("hardened").violations
 
 
@@ -176,15 +167,6 @@ class TestStormComparison:
         # Hardening visibly engaged.
         assert hardened.shed + hardened.coalesced + hardened.rate_limited > 0
         assert hardened.dedup_suppressed > 0
-
-    def test_jobs_flag_bit_identical(self):
-        sequential = run_storm_comparison(
-            seed=3, jobs=1, **TestStormSweepParallel.KWARGS
-        )
-        parallel = run_storm_comparison(
-            seed=3, jobs=2, **TestStormSweepParallel.KWARGS
-        )
-        assert sequential == parallel
 
 
 if __name__ == "__main__":

