@@ -49,6 +49,22 @@ def _pool_context():
     return get_context(method)
 
 
+def _named(fn: Callable[[T], R], item: T) -> R:
+    """``fn(item)``, but a failure names the item it failed on (a trial
+    spec carries its seed and config, a variant name is its own repr) and
+    keeps the original as its cause.  The type stays the original's where
+    one message builds it, so callers catch what they caught before."""
+    try:
+        return fn(item)
+    except Exception as exc:
+        message = f"{exc} (while running {item!r})"
+        try:
+            named = type(exc)(message)
+        except TypeError:  # a constructor that takes more than a message
+            named = RuntimeError(f"{type(exc).__name__}: {message}")
+        raise named from exc
+
+
 class SweepPool:
     """A reusable process pool for repeated :func:`fanout` calls.
 
@@ -75,11 +91,12 @@ class SweepPool:
         if self._closed:
             raise RuntimeError("sweep pool is closed")
         work = list(items)
+        call = partial(_named, fn)
         if self.jobs <= 1 or len(work) <= 1:
-            return [fn(item) for item in work]
+            return [call(item) for item in work]
         if self._pool is None:
             self._pool = _pool_context().Pool(processes=self.jobs)
-        return self._pool.map(fn, work, chunksize=1)
+        return self._pool.map(call, work, chunksize=1)
 
     def close(self) -> None:
         self._closed = True
@@ -148,6 +165,9 @@ def fanout(
     cross a process boundary): module-level functions, ``functools.partial``
     over one (how the variant comparisons bind their shared arguments) and
     plain dataclasses qualify, lambdas and closures do not.
+
+    An item that raises fails the call, under either path, with an error
+    that names the item's ``repr`` (see :func:`_named`).
     """
     if jobs is None and _active_pool is not None:
         return _active_pool.map(fn, items)

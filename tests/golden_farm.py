@@ -3,23 +3,14 @@
 Farm-level counterpart of :mod:`tests.golden_scenario`: one
 :class:`~repro.core.farm.BuddyFarm` with 20 tenants runs a scripted
 workload that exercises routed, unmapped, rejected and duplicate outcomes
-plus a crash + recovery replay on one tenant — then every tenant's journal
-is serialized in a byte-stable form.  Any nondeterminism anywhere in the
-farm stack (shard RNG naming, pipeline ordering, watchdog timing) shows up
-as a diff against ``tests/data/golden_farm_seed.json``.
-
-``python -m tests.golden_farm`` regenerates the golden file.
+plus a crash + recovery replay on one tenant.  Any nondeterminism anywhere
+in the farm stack (shard RNG naming, pipeline ordering, watchdog timing)
+shows up in the ``golden_farm`` row of :data:`tests.repin.PINS` (every tenant's
+journal) or, traced, its ``golden_farm_trace`` row (the span record).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-GOLDEN_FARM_PATH = Path(__file__).parent / "data" / "golden_farm_seed.json"
-GOLDEN_FARM_TRACE_PATH = (
-    Path(__file__).parent / "data" / "trace" / "golden_farm_trace.json"
-)
 N_USERS = 20
 SEED = 2027
 
@@ -94,76 +85,3 @@ def run_golden_farm(tracer=None, admission=None, adversary=None, seed=SEED):
     world.env.process(driver(world.env), name="golden-farm-driver")
     world.run(until=1500.0)
     return farm
-
-
-def serialize_farm_journals(farm) -> str:
-    """Byte-stable JSON of every tenant's journal, tenant-index order.
-
-    Alert ids come from a process-global counter, so they are normalized
-    to first-appearance order across the whole farm; timestamps, kinds and
-    details must match exactly.
-    """
-    id_map: dict[str, str] = {}
-
-    def norm(alert_id):
-        if alert_id is None:
-            return None
-        if alert_id not in id_map:
-            id_map[alert_id] = f"A{len(id_map) + 1}"
-        return id_map[alert_id]
-
-    payload = [
-        [
-            tenant.name,
-            [
-                [repr(e.at), e.kind, e.detail, norm(e.alert_id)]
-                for e in tenant.deployment.journal.events
-            ],
-        ]
-        for tenant in farm
-    ]
-    return json.dumps(payload, indent=1)
-
-
-def serialize_farm_trace(sink) -> str:
-    """Byte-stable JSON of the whole run's trace sink.
-
-    Alert-id trace ids are normalized to first-appearance order (same
-    scheme as :func:`serialize_farm_journals`); ``lifecycle:`` trace ids
-    are already stable names and pass through unchanged.  Span ids are
-    sink-local counters and need no normalization.
-    """
-    from repro.obs import LIFECYCLE_PREFIX
-
-    id_map: dict[str, str] = {}
-
-    def norm(trace_id):
-        if trace_id.startswith(LIFECYCLE_PREFIX):
-            return trace_id
-        if trace_id not in id_map:
-            id_map[trace_id] = f"A{len(id_map) + 1}"
-        return id_map[trace_id]
-
-    return sink.to_json(rename=norm)
-
-
-def main() -> None:
-    from repro.obs import TraceSink
-
-    # The journal golden stays authoritative for the *untraced* run; the
-    # trace golden comes from a second, traced run (the tracing row of
-    # test_knob_invariance.py holds the two runs' journals byte-identical).
-    GOLDEN_FARM_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_FARM_PATH.write_text(
-        serialize_farm_journals(run_golden_farm()) + "\n"
-    )
-    print(f"wrote {GOLDEN_FARM_PATH}")
-    sink = TraceSink()
-    run_golden_farm(tracer=sink)
-    GOLDEN_FARM_TRACE_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_FARM_TRACE_PATH.write_text(serialize_farm_trace(sink) + "\n")
-    print(f"wrote {GOLDEN_FARM_TRACE_PATH}")
-
-
-if __name__ == "__main__":
-    main()

@@ -2,21 +2,12 @@
 
 Runs one MyAlertBuddy through every §4.2 journal outcome — routed, unmapped,
 filtered, rejected, duplicate, no-subscribers, retry + abandon, crash +
-recovery replay — under a fixed seed, and serializes the journal in a
-byte-stable form.
-
-``python -m tests.golden_scenario`` regenerates the stored golden file; the
-test in ``test_core_pipeline.py`` asserts a fresh run still matches it.
-Alert ids are normalized (the global alert counter depends on what ran
-before in the process), timestamps and everything else must match exactly.
+recovery replay — under a fixed seed.  The ``golden_journal`` row of
+:data:`tests.repin.PINS` holds the journal, byte for byte, to
+``tests/data/golden_journal_seed.json``.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_journal_seed.json"
 
 
 def run_golden_scenario():
@@ -88,35 +79,3 @@ def run_golden_scenario():
     world.env.process(driver(world.env), name="golden-driver")
     world.run(until=1500.0)
     return deployment.journal
-
-
-def serialize_journal(journal) -> str:
-    """Byte-stable JSON form of a journal's events.
-
-    Alert ids come from a process-global counter, so they are normalized to
-    first-appearance order; every other field must match exactly.
-    """
-    id_map: dict[str, str] = {}
-
-    def norm(alert_id):
-        if alert_id is None:
-            return None
-        if alert_id not in id_map:
-            id_map[alert_id] = f"A{len(id_map) + 1}"
-        return id_map[alert_id]
-
-    rows = [
-        [repr(e.at), e.kind, e.detail, norm(e.alert_id)]
-        for e in journal.events
-    ]
-    return json.dumps(rows, indent=1)
-
-
-def main() -> None:
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(serialize_journal(run_golden_scenario()) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
-
-
-if __name__ == "__main__":
-    main()

@@ -105,9 +105,24 @@ def test_adversarial_pin_still_has_teeth_against_naive_transport():
     assert {"no_corrupt_accepted", "stabilized_exactly_once"} <= violated
 
 
-#: World seed = schedule seed; these five lose a retry chain that was
-#: journalled ``retry_scheduled`` (``delivered_or_dead_letter`` on 5, 9, 10,
-#: with ``replay_idempotent`` on 6, ``log_quiescent`` on 7).
+def high_intensity(seed):
+    """One run of the tier: 20 users, an alert every 10 s, 30 generated
+    faults an hour, world seed = schedule seed."""
+    config = ChaosRunConfig(seed=seed, n_users=20, alert_period=10.0)
+    schedule = FaultScheduleGenerator(
+        seed,
+        [f"user{i}" for i in range(config.n_users)],
+        duration=config.duration,
+        start=config.start,
+        intensity=ChaosIntensity(faults_per_hour=30),
+    ).generate()
+    return run_chaos(schedule, config)
+
+
+TIER_SEEDS = tuple(range(12))
+#: These five lose a retry chain that was journalled ``retry_scheduled``
+#: (``delivered_or_dead_letter`` on 5, 9, 10, with ``replay_idempotent`` on
+#: 6, ``log_quiescent`` on 7).
 LOST_RETRY_SEEDS = (5, 6, 7, 9, 10)
 
 
@@ -123,17 +138,9 @@ LOST_RETRY_SEEDS = (5, 6, 7, 9, 10)
             ),
         )
         if seed in LOST_RETRY_SEEDS else seed
-        for seed in range(12)
+        for seed in TIER_SEEDS
     ],
 )
 def test_high_intensity_seed_is_oracle_clean(seed):
-    config = ChaosRunConfig(seed=seed, n_users=20, alert_period=10.0)
-    schedule = FaultScheduleGenerator(
-        seed,
-        [f"user{i}" for i in range(config.n_users)],
-        duration=config.duration,
-        start=config.start,
-        intensity=ChaosIntensity(faults_per_hour=30),
-    ).generate()
-    report = run_chaos(schedule, config)
+    report = high_intensity(seed)
     assert report.ok, report.summary()

@@ -103,16 +103,6 @@ def test_all_is_derived_from_the_registry(ran):
     assert ran == [(f"e{i}", {"seed": 3}) for i in range(1, 9)]
 
 
-GOLDEN = Path(__file__).parent / "data" / "cli"
-
-
-@pytest.mark.parametrize("key", ["e1", "e10", "e11", "e12", "e14"])
-def test_seed0_output_matches_parent_commit(key, capsys):
-    """Byte-for-byte the stdout captured before the one-rig refactor."""
-    assert main([key, "--seed", "0"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{key}_seed0.txt").read_text()
-
-
 def test_broken_claim_exits_1_on_stderr_with_stdout_unchanged(
     monkeypatch, capsys
 ):

@@ -277,25 +277,8 @@ class TestPortalSmokeReplay:
 
 
 class TestFarmGoldenJournal:
-    """Byte-for-byte determinism of a 20-user farm run (fixed seed).
-
-    Farm counterpart of the single-MAB golden test in
-    ``test_core_pipeline.py``; regenerate the golden file with
-    ``python -m tests.golden_farm`` after an intentional behaviour change.
-    """
-
-    def test_20_user_farm_matches_golden_journals(self):
-        from tests.golden_farm import (
-            GOLDEN_FARM_PATH,
-            run_golden_farm,
-            serialize_farm_journals,
-        )
-
-        fresh = serialize_farm_journals(run_golden_farm()) + "\n"
-        assert fresh == GOLDEN_FARM_PATH.read_text(), (
-            "farm journals diverged from tests/data/golden_farm_seed.json; "
-            "if the change is intentional run `python -m tests.golden_farm`"
-        )
+    """The journals' bytes are the ``golden_farm`` row of
+    ``tests/repin.py``; this inspects the same run at the kernel level."""
 
     def test_golden_farm_leaves_no_dead_timer_residue(self):
         # The same 20-user run, inspected at the kernel level: every routed

@@ -44,7 +44,8 @@ from repro.testkit.harness import EMAIL_FAST, ChaosReport, DeliveryRig
 from repro.testkit.oracle import DeliveryOracle, OracleReport
 from repro.testkit.schedule import load_reproducer, replay_reproducer
 from repro.world import SimbaWorld, WorldConfig
-from tests.golden_farm import SEED, run_golden_farm, serialize_farm_journals
+from tests.golden_farm import SEED, run_golden_farm
+from tests.repin import farm_journals
 from tests.test_sharded_farm import small_run
 from tests.test_storm_chaos import STORM, mid_burst_outage, storm_config
 
@@ -62,7 +63,7 @@ def golden_farm(seed=SEED, tracing=False, admission_off=None,
     from repro.obs import TraceSink
 
     tracer = TraceSink() if tracing else None
-    return serialize_farm_journals(
+    return farm_journals(
         run_golden_farm(tracer, admission_off, adversary_off, seed)
     )
 

@@ -1,20 +1,18 @@
 """The oracle's verdicts on a fixed corpus, pinned byte for byte.
 
-``tests/data/oracle/parent_reports.json`` was dumped from the commit
-*before* the invariants became a table (``python tests/test_oracle_corpus.py
---dump`` with the parent's ``src/`` on the path): for every case below, the
-sorted ``str(v)`` of ``violations`` and of ``trace_violations`` plus the
-full ``checked`` and ``info`` dicts.  A refactor of the audit must reproduce
+For every case below, the ``oracle_corpus`` row of :data:`tests.repin.PINS`
+holds the sorted ``str(v)`` of ``violations`` and of ``trace_violations``
+plus the full ``checked`` and ``info`` dicts to
+``tests/data/oracle/reports.json``.  A refactor of the audit must reproduce
 all of it — same strings, same counters, same keys present only on
-replicated / hardened / traced runs.  The one recorded difference is
-``EXPECTED_DIFFERENCES``: the traced hardened storm, whose 105 spurious
-``trace_terminal`` violations were the drift bug the kind table fixed.
-
-Regenerate only in a PR that *means* to change a verdict, and say so.
+replicated / hardened / traced runs.  A PR that *means* to change a verdict
+re-pins with ``python tests/repin.py --write`` and says so.
+``test_verdict_equals_the_parents`` names the case whose verdict moved; the
+row and the per-case test share one run of each case.
 """
 
+import functools
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -33,7 +31,7 @@ from repro.testkit import (
 from tests.test_chaos_oracle import CONFIG, TOTAL_OUTAGE, amnesia_stages
 from tests.test_chaos_regressions import CHAOS_DIR, PINNED
 
-CORPUS = Path(__file__).parent / "data" / "oracle" / "parent_reports.json"
+CORPUS = Path(__file__).parent / "data" / "oracle" / "reports.json"
 
 HARDENED_STORM = ChaosRunConfig(
     seed=0, n_users=2, duration=10 * MINUTE, settle=10 * MINUTE,
@@ -83,13 +81,6 @@ CASES = {
     "replicated_trial:seed0": replicated_trial,
 }
 
-#: case → the fields allowed to differ from the parent, with the new value.
-EXPECTED_DIFFERENCES = {
-    # The parent's trace oracle never learned the five admission kinds
-    # and flagged every shed/coalesced/suppressed trip.
-    "hardened_storm:traced": {"trace_violations": []},
-}
-
 
 def snapshot(report) -> dict:
     oracle = report.oracle
@@ -101,31 +92,16 @@ def snapshot(report) -> dict:
     }
 
 
+@functools.cache
+def verdict(case: str) -> dict:
+    """``snapshot`` of one run of ``CASES[case]``."""
+    return snapshot(CASES[case]())
+
+
 def test_corpus_covers_exactly_the_cases():
     assert set(json.loads(CORPUS.read_text())) == set(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_verdict_equals_the_parents(case):
-    expected = json.loads(CORPUS.read_text())[case]
-    if case in EXPECTED_DIFFERENCES:
-        assert any(
-            expected[field] != value
-            for field, value in EXPECTED_DIFFERENCES[case].items()
-        ), "the recorded difference no longer differs: drop it"
-        expected = {**expected, **EXPECTED_DIFFERENCES[case]}
-    assert snapshot(CASES[case]()) == expected
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--dump"]:
-        sys.exit("usage: python tests/test_oracle_corpus.py --dump")
-    CORPUS.parent.mkdir(parents=True, exist_ok=True)
-    CORPUS.write_text(
-        json.dumps(
-            {name: snapshot(run()) for name, run in sorted(CASES.items())},
-            indent=1, sort_keys=True,
-        )
-        + "\n"
-    )
-    print(f"wrote {CORPUS}")
+    assert verdict(case) == json.loads(CORPUS.read_text())[case]

@@ -41,6 +41,15 @@ class TestFanoutPrimitive:
         with pytest.raises(ValueError, match="three"):
             fanout(_fail_on_three, [1, 2, 3], jobs=2)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_item_names_itself(self, jobs):
+        """A failed sweep says which seed or config broke: the error names
+        the item's repr, and the original rides along as its cause."""
+        named = r"^three \(while running 3\)$"
+        with pytest.raises(ValueError, match=named) as info:
+            fanout(_fail_on_three, [1, 2, 3], jobs=jobs)
+        assert "three" in str(info.value.__cause__)
+
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             resolve_jobs(0)
