@@ -230,7 +230,7 @@ class BackoffPolicy:
         return min(delay, self.max_delay)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeadLetter:
     """One poisoned alert parked for operator attention."""
 

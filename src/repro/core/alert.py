@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import ClassVar, Optional
 
 
 class AlertSeverity(enum.Enum):
@@ -35,7 +35,7 @@ def _next_alert_id() -> str:
     return f"alert-{next(_alert_counter)}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Alert:
     """One alert instance.
 
@@ -56,7 +56,6 @@ class Alert:
     alert_id: str = field(default_factory=_next_alert_id)
     #: Set by MAB's aggregator once the alert is classified.
     personal_category: Optional[str] = None
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def with_category(self, category: str) -> "Alert":
         """Copy of this alert tagged with its personal category."""
@@ -70,7 +69,7 @@ class Alert:
     # detection.  A versioned key=value header block keeps this both simple
     # and forward-extensible.
 
-    _WIRE_PREFIX = "SIMBA-ALERT/1"
+    _WIRE_PREFIX: ClassVar[str] = "SIMBA-ALERT/1"
 
     @staticmethod
     def _escape(value: str) -> str:

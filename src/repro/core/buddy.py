@@ -120,7 +120,7 @@ class BuddyConfig:
         return self._admission_controller
 
 
-@dataclass
+@dataclass(slots=True)
 class JournalEvent:
     at: float
     kind: str

@@ -14,7 +14,6 @@ no-ack ⇒ sender falls back, ack ⇒ alert is durable.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_WRITE_LATENCY = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     """One logged incoming alert."""
 
@@ -73,7 +72,8 @@ class PessimisticLog:
         self.path = Path(path) if path is not None else None
         self._entries: dict[int, LogEntry] = {}
         self._by_alert: dict[str, int] = {}
-        self._ids = itertools.count(1)
+        #: One past the highest entry id ever held, local or mirrored.
+        self._next_id = 1
         #: Warm-standby replication tap (a :class:`LogShipperHook`).  When
         #: set, every appended record ships before the append returns —
         #: preserving the log-before-ack ordering across the pair.
@@ -90,8 +90,10 @@ class PessimisticLog:
         """
         if self.write_latency:
             yield self.env.timeout(self.write_latency)
+        entry_id = self._next_id
+        self._next_id += 1
         entry = LogEntry(
-            entry_id=next(self._ids),
+            entry_id=entry_id,
             alert_id=alert_id,
             received_at=self.env.now,
             payload=payload,
@@ -180,8 +182,8 @@ class PessimisticLog:
             self._by_alert[entry.alert_id] = entry.entry_id
             self._write_line(record)
             # Local appends (after a promotion) must not collide with
-            # anything mirrored.
-            self._ids = itertools.count(max(self._entries) + 1)
+            # anything mirrored, whatever order the records arrived in.
+            self._next_id = max(self._next_id, entry.entry_id + 1)
         elif record["op"] == "processed":
             entry = self._entries.get(record["entry_id"])
             if entry is None:
@@ -280,5 +282,5 @@ class PessimisticLog:
                     continue
                 existing.processed = True
                 existing.processed_at = record.get("processed_at")
-        log._ids = itertools.count(max_id + 1)
+        log._next_id = max_id + 1
         return log

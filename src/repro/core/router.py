@@ -18,8 +18,9 @@ in the :class:`DeliveryOutcome`, because fallback *is* the error handling.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.core.addresses import AddressBook, UserAddress
 from repro.core.delivery_modes import CommunicationBlock, DeliveryMode
@@ -40,31 +41,36 @@ class BlockStatus(enum.Enum):
     ACK_TIMEOUT = "ack_timeout"
 
 
-@dataclass
+#: The ``errors`` of every block that recorded none: one shared, read-only
+#: mapping instead of an empty dict per block.
+NO_ERRORS: Mapping[str, str] = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class BlockOutcome:
-    """Record of one block's execution."""
+    """Record of one block's execution, built once when the block ends."""
 
     index: int
     status: BlockStatus
-    submitted: list[str] = field(default_factory=list)
-    skipped_disabled: list[str] = field(default_factory=list)
-    errors: dict[str, str] = field(default_factory=dict)
-    acked_by: Optional[str] = None
-    elapsed: float = 0.0
+    submitted: tuple[str, ...]
+    skipped_disabled: tuple[str, ...]
+    errors: Mapping[str, str]
+    acked_by: Optional[str]
+    elapsed: float
 
     @property
     def succeeded(self) -> bool:
         return self.status is BlockStatus.SUCCESS
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryOutcome:
     """Record of a full delivery-mode execution for one alert."""
 
     mode_name: str
     correlation: Optional[str]
     delivered: bool
-    blocks: list[BlockOutcome]
+    blocks: tuple[BlockOutcome, ...]
     started_at: float
     finished_at: float
     messages_sent: int
@@ -101,13 +107,16 @@ class AckTable:
     a client relogin the same (peer, seq) key legitimately recurs.  A new
     :meth:`expect` therefore starts a fresh conversation for its key,
     clearing any stale acked state from the previous session.
+
+    Every key ever expected has one entry in ``_acked``: whether its
+    current conversation has been acked.  A key with no entry was never
+    expected, so an ack for it is unsolicited.
     """
 
     def __init__(self, env: "Environment"):
         self.env = env
         self._pending: dict[tuple[str, int], Event] = {}
-        self._expected: set[tuple[str, int]] = set()
-        self._acked: set[tuple[str, int]] = set()
+        self._acked: dict[tuple[str, int], bool] = {}
         self.resolved_count = 0
         self.late_count = 0
         self.duplicate_count = 0
@@ -115,11 +124,11 @@ class AckTable:
 
     def expect(self, peer: str, seq: int) -> Event:
         event = self.env.event()
-        self._pending[(peer, seq)] = event
-        self._expected.add((peer, seq))
+        key = (peer, seq)
+        self._pending[key] = event
         # Seq reuse after a session restart: this key's previous
         # conversation (if any) is over; only acks from the new one count.
-        self._acked.discard((peer, seq))
+        self._acked[key] = False
         return event
 
     def resolve(self, peer: str, seq: int) -> bool:
@@ -127,17 +136,18 @@ class AckTable:
         key = (peer, seq)
         event = self._pending.pop(key, None)
         if event is None or event.triggered:
-            if key in self._acked:
+            acked = self._acked.get(key)
+            if acked:
                 self.duplicate_count += 1
-            elif key in self._expected:
-                self.late_count += 1
-                self._acked.add(key)
-            else:
+            elif acked is None:
                 self.unsolicited_count += 1
+            else:
+                self.late_count += 1
+                self._acked[key] = True
             return False
         event.succeed(self.env.now)
         self.resolved_count += 1
-        self._acked.add(key)
+        self._acked[key] = True
         return True
 
     def cancel(self, peer: str, seq: int) -> None:
@@ -160,8 +170,6 @@ class DeliveryEngine:
         self.env = env
         self.managers = managers
         self.acks = AckTable(env)
-        #: Every completed delivery, for metrics.
-        self.history: list[DeliveryOutcome] = []
         #: Optional :class:`~repro.core.admission.AdmissionController`
         #: consulted per submission for per-channel provider limits.  An
         #: empty bucket records the failure like any other submission
@@ -179,7 +187,8 @@ class DeliveryEngine:
     ):
         """Run a delivery mode (generator; use ``yield from`` or wrap in a
         process).  Returns a :class:`DeliveryOutcome`; never raises for
-        delivery failures."""
+        delivery failures.  The engine keeps no history: the caller owns
+        the outcome."""
         started = self.env.now
         tracer = self.env.tracer
         span = None
@@ -201,37 +210,19 @@ class DeliveryEngine:
                 break
         if span is not None:
             tracer.end(span, "delivered" if delivered else "failed")
-        result = DeliveryOutcome(
+        return DeliveryOutcome(
             mode_name=mode.name,
             correlation=correlation,
             delivered=delivered,
-            blocks=blocks,
+            blocks=tuple(blocks),
             started_at=started,
             finished_at=self.env.now,
             messages_sent=messages,
         )
-        self.history.append(result)
-        return result
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _resolve_addresses(
-        self, block: CommunicationBlock, book: AddressBook, outcome: BlockOutcome
-    ) -> list[UserAddress]:
-        addresses = []
-        for action in block.actions:
-            try:
-                address = book.get(action.address_ref)
-            except AddressUnknownError:
-                outcome.errors[action.address_ref] = "unknown address"
-                continue
-            if not address.enabled:
-                outcome.skipped_disabled.append(action.address_ref)
-                continue
-            addresses.append(address)
-        return addresses
 
     def _run_block(
         self,
@@ -254,26 +245,35 @@ class DeliveryEngine:
                 index=index,
                 require_ack=block.require_ack,
             )
-        outcome = BlockOutcome(index=index, status=BlockStatus.NO_ENABLED_ADDRESSES)
-        addresses = self._resolve_addresses(block, book, outcome)
-        if not addresses:
-            if bspan is not None:
-                tracer.end(bspan, outcome.status.value)
-            return outcome
+        errors: dict[str, str] = {}
+        skipped: list[str] = []
+        submitted: list[str] = []
+        acked: Optional[str] = None
+        addresses: list[UserAddress] = []
+        for action in block.actions:
+            try:
+                address = book.get(action.address_ref)
+            except AddressUnknownError:
+                errors[action.address_ref] = "unknown address"
+                continue
+            if not address.enabled:
+                skipped.append(action.address_ref)
+                continue
+            addresses.append(address)
 
         ack_events: dict[Event, str] = {}
         pending_keys: list[tuple[str, int]] = []
         for address in addresses:
             manager = self.managers.get(address.channel)
             if manager is None:
-                outcome.errors[address.friendly_name] = (
+                errors[address.friendly_name] = (
                     f"no manager for channel {address.channel.value}"
                 )
                 continue
             if self.admission is not None and not self.admission.try_submit(
                 self.env.now, address.channel.value
             ):
-                outcome.errors[address.friendly_name] = (
+                errors[address.friendly_name] = (
                     f"rate_limited: channel {address.channel.value}"
                 )
                 continue
@@ -282,12 +282,12 @@ class DeliveryEngine:
                     address.address, subject, body, correlation
                 )
             except SimbaError as exc:
-                outcome.errors[address.friendly_name] = str(exc)
+                errors[address.friendly_name] = str(exc)
                 continue
             if bspan is not None:
                 # The channel's retroactive transit span parents here.
                 message.trace_parent = bspan.span_id
-            outcome.submitted.append(address.friendly_name)
+            submitted.append(address.friendly_name)
             if block.require_ack and address.channel is ChannelType.IM:
                 seq = getattr(message, "seq", None)
                 if seq is not None:
@@ -295,68 +295,57 @@ class DeliveryEngine:
                     ack_events[event] = address.friendly_name
                     pending_keys.append((address.address, seq))
 
-        if not outcome.submitted:
-            outcome.status = BlockStatus.ALL_SUBMISSIONS_FAILED
-            outcome.elapsed = self.env.now - start
-            if bspan is not None:
-                tracer.end(bspan, outcome.status.value)
-            return outcome
-
-        if not block.require_ack:
-            outcome.status = BlockStatus.SUCCESS
-            outcome.elapsed = self.env.now - start
-            if bspan is not None:
-                tracer.end(bspan, outcome.status.value)
-            return outcome
-
-        if not ack_events:
+        if not addresses:
+            status = BlockStatus.NO_ENABLED_ADDRESSES
+        elif not submitted:
+            status = BlockStatus.ALL_SUBMISSIONS_FAILED
+        elif not block.require_ack:
+            status = BlockStatus.SUCCESS
+        elif not ack_events:
             # An ack block whose submissions cannot carry acks (e.g. actions
             # on non-IM addresses) cannot confirm delivery: treat as timeout
             # so the backup block fires — confirmability is the point.
             yield self.env.timeout(0)
-            outcome.status = BlockStatus.ACK_TIMEOUT
-            outcome.elapsed = self.env.now - start
-            if bspan is not None:
-                tracer.end(bspan, outcome.status.value)
-            return outcome
-
-        wspan = None
-        if bspan is not None:
-            wspan = tracer.begin(
-                correlation,
-                "ack.wait",
-                parent=bspan.span_id,
-                pending=len(ack_events),
-            )
-        # The ack-vs-timeout race runs under a TimerScope: when the ack
-        # wins, the losing guard would otherwise sit in the queue until
-        # ``block.ack_timeout`` — one dead entry per delivered alert,
-        # which at farm scale dominates the queue.  The scope settles the
-        # guard on *any* exit, including an Interrupt or GeneratorExit
-        # thrown into this generator mid-wait — exactly the paths a
-        # hand-written ``timeout.cancel()`` after the yield would miss.
-        with self.env.timers() as timers:
-            guard = timers.acquire(block.ack_timeout)
-            yield self.env.any_of(list(ack_events) + [guard])
-        acked = next(
-            (name for event, name in ack_events.items() if event.processed),
-            None,
-        )
-        for peer, seq in pending_keys:
-            self.acks.cancel(peer, seq)
-        if acked is not None:
-            outcome.status = BlockStatus.SUCCESS
-            outcome.acked_by = acked
+            status = BlockStatus.ACK_TIMEOUT
         else:
-            outcome.status = BlockStatus.ACK_TIMEOUT
-        outcome.elapsed = self.env.now - start
-        if wspan is not None:
+            wspan = None
+            if bspan is not None:
+                wspan = tracer.begin(
+                    correlation,
+                    "ack.wait",
+                    parent=bspan.span_id,
+                    pending=len(ack_events),
+                )
+            # The ack-vs-timeout race runs under a TimerScope: when the ack
+            # wins, the losing guard would otherwise sit in the queue until
+            # ``block.ack_timeout`` — one dead entry per delivered alert,
+            # which at farm scale dominates the queue.  The scope settles
+            # the guard on *any* exit, including an Interrupt or
+            # GeneratorExit thrown into this generator mid-wait — exactly
+            # the paths a hand-written ``timeout.cancel()`` after the yield
+            # would miss.
+            with self.env.timers() as timers:
+                guard = timers.acquire(block.ack_timeout)
+                yield self.env.any_of(list(ack_events) + [guard])
+            acked = next(
+                (name for event, name in ack_events.items() if event.processed),
+                None,
+            )
+            for peer, seq in pending_keys:
+                self.acks.cancel(peer, seq)
             if acked is not None:
-                tracer.end(wspan, "acked", acked_by=acked)
+                status = BlockStatus.SUCCESS
+                if wspan is not None:
+                    tracer.end(wspan, "acked", acked_by=acked)
+                if bspan is not None:
+                    bspan.annotations["acked_by"] = acked
             else:
-                tracer.end(wspan, "timeout")
+                status = BlockStatus.ACK_TIMEOUT
+                if wspan is not None:
+                    tracer.end(wspan, "timeout")
         if bspan is not None:
-            if acked is not None:
-                bspan.annotations["acked_by"] = acked
-            tracer.end(bspan, outcome.status.value)
-        return outcome
+            tracer.end(bspan, status.value)
+        return BlockOutcome(
+            index, status, tuple(submitted), tuple(skipped),
+            errors or NO_ERRORS, acked, self.env.now - start,
+        )

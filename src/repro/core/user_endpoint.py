@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_REACTION = LatencyModel(median=2.0, sigma=0.5, low=0.5, high=30.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
     """One alert arriving on one of the user's devices."""
 

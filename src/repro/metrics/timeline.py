@@ -42,6 +42,15 @@ def trace_alert(
     """Collect every known event about ``alert_id``, time-ordered.
 
     Pass whichever parties you have; missing ones are simply skipped.
+
+    - ``source``: the emission, then one line per block of each delivery
+      to a MAB, stamped when that block started (the delivery's start
+      plus the elapsed time of the blocks before it), then the verdict.
+    - ``deployment``: the MAB's pessimistic-log entry and its journal
+      lines.  The MAB's delivery engine keeps no per-block history; the
+      per-block detail of MAB -> user delivery is what a :mod:`repro.obs`
+      trace of the run records.
+    - ``user``: one line per device receipt, duplicates included.
     """
     events: list[TraceEvent] = []
 
@@ -57,13 +66,12 @@ def trace_alert(
         for outcome in source.outcomes:
             if outcome.correlation != alert_id:
                 continue
+            # Blocks run back to back with no yield between them, so block
+            # i starts where the blocks before it ended.
+            at = outcome.started_at
             for block in outcome.blocks:
-                events.append(
-                    TraceEvent(
-                        outcome.started_at, "source",
-                        _describe_block(block),
-                    )
-                )
+                events.append(TraceEvent(at, "source", _describe_block(block)))
+                at += block.elapsed
             verdict = (
                 f"delivered via block {outcome.delivered_via}"
                 if outcome.delivered else "delivery FAILED on all blocks"
@@ -94,14 +102,6 @@ def trace_alert(
                         + (f": {journal_event.detail}"
                            if journal_event.detail else ""),
                     )
-                )
-        for outcome in deployment.endpoint.engine.history:
-            if outcome.correlation != alert_id:
-                continue
-            for block in outcome.blocks:
-                events.append(
-                    TraceEvent(outcome.started_at, "mab",
-                               "user delivery: " + _describe_block(block))
                 )
 
     if user is not None:

@@ -88,7 +88,7 @@ ADMISSION_TERMINAL_KINDS = _kinds("admission-terminal")
 ACCOUNTED_KINDS = DEAD_LETTER_KINDS | ADMISSION_TERMINAL_KINDS
 
 
-@dataclass
+@dataclass(slots=True)
 class ObservedOutcome:
     """One completed pipeline trip, as seen by the oracle's observer."""
 

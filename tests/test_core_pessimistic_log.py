@@ -209,6 +209,20 @@ class TestReplicaMirror:
         e3 = run_append(mirror.env, mirror, "a3")
         assert e3.entry_id == 3
 
+    def test_out_of_order_appends_keep_the_running_maximum(self):
+        """A promoted standby numbers past the highest id it mirrored,
+        not past the last one to arrive."""
+        mirror = PessimisticLog(Environment(), write_latency=0.0)
+        for entry_id in (5, 3):
+            mirror.apply_replica_record({
+                "op": "append", "entry_id": entry_id,
+                "alert_id": f"a{entry_id}", "received_at": 1.0, "payload": "p",
+            })
+        # Promotion: the standby's next append is its first local one.
+        entry = run_append(mirror.env, mirror, "local")
+        assert entry.entry_id == 6
+        assert [e.entry_id for e in mirror.entries()] == [3, 5, 6]
+
     def test_apply_replica_append_idempotent(self):
         mirror = PessimisticLog(Environment(), write_latency=0.0)
         record = {

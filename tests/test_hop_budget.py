@@ -13,8 +13,10 @@ the event budget: every non-timer event the run schedules, by class
 waits on cannot creep back either.  The counts are a pure function of the
 scenario: both scheduler backends are counted, and must agree.
 
-The second half is the heap budget: what the same runs may leave behind
+The second part is the heap budget: what the same runs may leave behind
 that only the cyclic collector can free — nothing on the delivery path.
+The third is the residue budget: what every offered alert may leave
+behind that is still alive — only the listed lean per-alert records.
 """
 
 import gc
@@ -23,10 +25,19 @@ from collections import Counter
 
 import pytest
 
+from repro.core.admission import AdmissionConfig, DeadLetter
+from repro.core.alert import Alert
+from repro.core.buddy import JournalEvent
+from repro.core.pessimistic_log import LogEntry
+from repro.core.router import BlockOutcome, DeliveryEngine, DeliveryOutcome
+from repro.core.user_endpoint import Receipt
 from repro.sim.events import Timeout
 from repro.sim.process import Process
 from repro.sim.scheduler import HeapScheduler
 from repro.sim.wheel import WheelScheduler
+from repro.testkit.generator import StormConfig
+from repro.testkit.harness import ChaosRunConfig, run_chaos
+from repro.testkit.oracle import DeliveryOracle, ObservedOutcome
 from tests.golden_farm import N_USERS, run_golden_farm
 
 #: Alerts the golden-farm driver emits: two rounds over every tenant plus
@@ -281,3 +292,96 @@ def test_a_stopped_inline_sharded_farm_gives_the_heap_back():
     assert gc.get_freeze_count() == 0
     gc.collect()
     assert [ref() for ref in tenants] == [None] * len(tenants)
+
+
+# ---------------------------------------------------------------------------
+# Residue budget: what every offered alert may leave alive
+# ---------------------------------------------------------------------------
+#
+# The third budget.  An alert that has finished still leaves records: its
+# log entry, journal lines, receipts, the sender's delivery outcome, the
+# oracle's observation.  Each is a slotted value with one owner and no
+# empty containers, and no engine keeps a history of outcomes (DESIGN §6d).
+# The census runs a storm at the e2e benchmark's tiny size and is taken
+# inside the oracle's audit, while the whole world — sources included — is
+# still alive: the run's peak.
+
+#: The records an offered alert leaves alive (one or more of some of them).
+PER_ALERT_RECORDS = (
+    Alert, LogEntry, JournalEvent, Receipt, DeliveryOutcome, BlockOutcome,
+    DeadLetter, ObservedOutcome,
+)
+
+#: ``farm_storm_admission`` at the benchmark's ``tiny`` size.
+STORM = ChaosRunConfig(
+    seed=0,
+    n_users=8,
+    duration=600.0,
+    admission=AdmissionConfig.hardened(0),
+    storm=StormConfig(
+        n_sources=4, base_rate=0.2, burst_rate=6.0, n_bursts=1,
+        burst_duration=90.0, duplicate_probability=0.2,
+    ),
+)
+STORM_OFFERED = 538
+
+
+def _defined_in_repro(cls) -> bool:
+    module = cls.__dict__.get("__module__")
+    return isinstance(module, str) and module.startswith("repro.")
+
+
+def storm_residue():
+    """``(offered, live instances by class, the breaches)`` of a storm run."""
+
+    class CensusOracle(DeliveryOracle):
+        def check(self, farm, offered=None, **kwargs):
+            gc.collect()
+            live = gc.get_objects()
+            self.offered = sum(len(ids) for ids in offered.values())
+            self.counts = Counter(type(o) for o in live)
+            self.loose = {
+                type(o) for o in live
+                if isinstance(o, PER_ALERT_RECORDS) and hasattr(o, "__dict__")
+            }
+            self.engines = [o for o in live if isinstance(o, DeliveryEngine)]
+            del live
+            return super().check(farm, offered=offered, **kwargs)
+
+    oracle = CensusOracle()
+    assert run_chaos([], STORM, oracle=oracle).oracle.ok
+    # A listed class without __slots__ — or a subclass of one swapped in.
+    loose = {cls for cls in PER_ALERT_RECORDS if cls.__dictoffset__}
+    breaches = sorted(
+        f"{cls.__name__} instances carry a __dict__"
+        for cls in loose | oracle.loose
+    )
+    breaches += sorted(
+        f"{cls.__module__}.{cls.__qualname__}: {count} live for "
+        f"{oracle.offered} offered alerts, not in PER_ALERT_RECORDS"
+        for cls, count in oracle.counts.items()
+        if count >= oracle.offered and _defined_in_repro(cls)
+        and cls not in PER_ALERT_RECORDS
+    )
+    assert oracle.engines, "the census saw no delivery engine"
+    if any(hasattr(engine, "history") for engine in oracle.engines):
+        breaches.append("a DeliveryEngine keeps a history")
+    return oracle.offered, oracle.counts, breaches
+
+
+def test_an_alert_leaves_only_lean_records():
+    offered, counts, breaches = storm_residue()
+    assert offered == STORM_OFFERED
+    assert breaches == []
+    # Taken at the peak: every alert's log entry and source copy is live.
+    assert counts[LogEntry] == offered and counts[Alert] >= offered
+
+
+def test_an_unslotted_receipt_breaks_the_residue_budget(monkeypatch):
+    class LooseReceipt(Receipt):
+        """A receipt subclass without ``__slots__``: one dict each."""
+
+    monkeypatch.setattr("repro.core.user_endpoint.Receipt", LooseReceipt)
+    _offered, counts, breaches = storm_residue()
+    assert counts[LooseReceipt] > 0
+    assert breaches == ["LooseReceipt instances carry a __dict__"]

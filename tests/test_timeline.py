@@ -1,5 +1,8 @@
 """Tests for the per-alert journey tracer."""
 
+import pytest
+
+from repro.core.delivery_modes import im_ack_then_email
 from repro.metrics.timeline import render_trace, trace_alert
 from repro.net import LatencyModel
 from repro.sim import MINUTE
@@ -55,6 +58,27 @@ def test_fallback_trace_shows_failed_block():
     )
     assert "all_submissions_failed" in text or "ack_timeout" in text
     assert "delivered via block 1" in text  # email fallback to MAB
+
+
+def test_fallback_block_is_stamped_when_it_started():
+    """Block 1 starts when block 0's ack wait gives up, not with block 0.
+
+    The MAB's logged ack takes 0.4 + 0.5 + 0.4 s, so a 1 s ack timeout
+    always expires first and the email block runs 1 s into the delivery.
+    """
+    world, user, deployment, source = make_rig()
+    source.mode = im_ack_then_email(ack_timeout=1.0)
+    world.run(until=1.0)
+    alert, _ = source.emit("News", "slow ack", "body")
+    world.run(until=MINUTE)
+    blocks = {
+        e.description.split(" ")[1]: e
+        for e in trace_alert(alert.alert_id, source=source)
+        if e.description.startswith("block ")
+    }
+    assert blocks["0"].description.startswith("block 0 ack_timeout")
+    assert blocks["1"].description.startswith("block 1 SUCCESS")
+    assert blocks["1"].at - blocks["0"].at == pytest.approx(1.0)
 
 
 def test_unknown_alert_renders_placeholder():
