@@ -47,12 +47,10 @@ class AladdinGateway(AlertSource):
         store: SoftStateStore,
         rng: np.random.Generator,
         mode: Optional[DeliveryMode] = None,
-        processing: LatencyModel = GATEWAY_PROCESSING,
     ):
         super().__init__(env, name, endpoint, mode=mode)
         self.store = store
         self.rng = rng
-        self.processing = processing
         #: Sensor names declared critical (set by the scenario builder).
         self.critical_sensors: set[str] = set()
         store.subscribe(self._on_event, type_name=self.SENSOR_TYPE)
@@ -106,5 +104,5 @@ class AladdinGateway(AlertSource):
         )
 
     def _alert_after_processing(self, keyword, subject, body, severity):
-        yield self.env.timeout(self.processing.draw(self.rng))
+        yield self.env.timeout(GATEWAY_PROCESSING.draw(self.rng))
         self.emit(keyword, subject, body, severity)

@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: The powerline monitor polls its interface buffer at this period; on
 #: average a signal waits half of it (part of the paper's 11 s chain).
-DEFAULT_MONITOR_POLL = 5.0
+MONITOR_POLL = 5.0
 
 
 @dataclass
@@ -55,11 +55,9 @@ class AladdinHome:
         env: "Environment",
         rngs: RngRegistry,
         endpoint: SimbaEndpoint,
-        monitor_poll_interval: float = DEFAULT_MONITOR_POLL,
     ):
         self.env = env
         self.rngs = rngs
-        self.monitor_poll_interval = monitor_poll_interval
 
         # Network segments.
         self.rf = HomeNetwork(env, "rf", RF_LATENCY, rngs.stream("net-rf"))
@@ -169,7 +167,7 @@ class AladdinHome:
 
     def _monitor_loop(self):
         while True:
-            yield self.env.timeout(self.monitor_poll_interval)
+            yield self.env.timeout(MONITOR_POLL)
             buffered, self._powerline_buffer[:] = (
                 list(self._powerline_buffer),
                 [],

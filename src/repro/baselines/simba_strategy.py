@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.alert import Alert, AlertSeverity
-from repro.core.delivery_modes import im_ack_then_email
+from repro.core.alert import Alert
 from repro.core.endpoint import SimbaEndpoint
-from repro.core.pipeline import SourceDeliveryPipeline
 from repro.core.user_endpoint import UserEndpoint
+from repro.sources.base import AlertSource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
@@ -23,15 +22,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class SimbaStrategy:
     """Deliver through the full SIMBA pipeline.
 
-    The source side is the shared
-    :class:`~repro.core.pipeline.SourceDeliveryPipeline` (the same object
-    the alert sources use); the MAB side is the deployment's own
-    :class:`~repro.core.pipeline.AlertPipeline` running inside its buddy.
+    The source side is an :class:`~repro.sources.base.AlertSource` (the
+    same object every alert source is); the MAB side is the deployment's
+    own :class:`~repro.core.pipeline.AlertPipeline` running inside its
+    buddy.
 
     The deployment must already have the user registered and categories
-    subscribed; ``category_for_severity`` maps alert severities to the
-    personal categories used in the bench (critical alerts ride the
-    "critical" delivery mode, routine ones "normal").
+    subscribed (critical alerts ride the "critical" delivery mode, routine
+    ones "normal").
     """
 
     name = "simba"
@@ -44,36 +42,12 @@ class SimbaStrategy:
         source_name: str = "bench-source",
     ):
         self.env = env
-        self.endpoint = source_endpoint
         self.deployment = deployment
-        self.source_name = source_name
-        self.pipeline = SourceDeliveryPipeline(
-            env, source_endpoint, im_ack_then_email()
-        )
-
-    @property
-    def mode(self):
-        return self.pipeline.mode
-
-    @mode.setter
-    def mode(self, mode) -> None:
-        self.pipeline.mode = mode
-
-    @property
-    def outcomes(self):
-        return self.pipeline.outcomes
-
-    @property
-    def messages_sent(self) -> int:
-        return self.pipeline.messages_sent
+        self.source = AlertSource(env, source_name, source_endpoint)
 
     def deliver(self, alert: Alert, user: UserEndpoint) -> None:
         book = self.deployment.source_facing_book()
         self.env.process(
-            self.pipeline.send(alert, book),
+            self.source.deliver(alert, book),
             name=f"simba-strategy-{alert.alert_id}",
         )
-
-    @staticmethod
-    def category_for_severity(severity: AlertSeverity) -> str:
-        return "Critical" if severity is AlertSeverity.CRITICAL else "Routine"

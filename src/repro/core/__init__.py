@@ -55,7 +55,6 @@ from repro.core.pipeline import (
     PipelineStage,
     RetryStage,
     RouteStage,
-    SourceDeliveryPipeline,
     ThrottleStage,
 )
 from repro.core.rejuvenation import RejuvenationPolicy
@@ -125,7 +124,6 @@ __all__ = [
     "SMSManager",
     "SelfStabilizer",
     "SimbaEndpoint",
-    "SourceDeliveryPipeline",
     "Subscription",
     "SubscriptionLayer",
     "ThrottleStage",

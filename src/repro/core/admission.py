@@ -219,10 +219,6 @@ class BackoffPolicy:
     max_delay: float = 900.0
     jitter: float = 0.1
 
-    def raw_delay(self, attempt: int) -> float:
-        """The jitter-free schedule (monotone, capped at ``max_delay``)."""
-        return min(self.base * self.factor ** attempt, self.max_delay)
-
     def delay_for(self, attempt: int, rng=None) -> float:
         delay = self.base * self.factor ** attempt
         if rng is not None and self.jitter > 0:

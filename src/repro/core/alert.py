@@ -135,7 +135,3 @@ class Alert:
     @classmethod
     def is_alert_payload(cls, text: str) -> bool:
         return text.startswith(cls._WIRE_PREFIX)
-
-    def duplicate_key(self) -> tuple[str, float]:
-        """Key under which the user endpoint deduplicates deliveries."""
-        return (self.alert_id, self.created_at)

@@ -173,16 +173,6 @@ class BuddyJournal:
         """A copy of every per-kind tally (for aggregate farm rollups)."""
         return Counter(self._counts)
 
-    @property
-    def dropped_events(self) -> int:
-        """How many events the ``max_events`` bound has evicted."""
-        return self.total_events - len(self.events)
-
-    def of_kind(self, kind: str) -> list[JournalEvent]:
-        """The *retained* events of one kind (the bound may have dropped
-        older ones; use :meth:`count` for exact totals)."""
-        return [e for e in self.events if e.kind == kind]
-
 
 class MyAlertBuddy:
     """One incarnation of the MAB daemon."""

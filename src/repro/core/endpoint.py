@@ -102,10 +102,6 @@ class SimbaEndpoint:
         im_address: str,
         email_address: str,
         auto_ack: bool = True,
-        pre_ack_hook: Optional[
-            Callable[[IncomingAlert], Generator]
-        ] = None,
-        command_handler: Optional[Callable[[Message], None]] = None,
         maintenance_interval: Optional[float] = None,
     ):
         self.env = env
@@ -113,8 +109,12 @@ class SimbaEndpoint:
         self.im_address = im_address
         self.email_address = email_address
         self.auto_ack = auto_ack
-        self.pre_ack_hook = pre_ack_hook
-        self.command_handler = command_handler
+        #: Set by the owning MyAlertBuddy: its pessimistic log write, run
+        #: before the ack goes out, and its handler for non-alert messages.
+        self.pre_ack_hook: Optional[
+            Callable[[IncomingAlert], Generator]
+        ] = None
+        self.command_handler: Optional[Callable[[Message], None]] = None
         #: Replication fencing hook: called with the IncomingAlert after the
         #: pre-ack log write; returning False suppresses both the ack and
         #: the enqueue (a fenced side must go silent, not double-route).

@@ -8,13 +8,11 @@ layer:
 
 - **Batched tenancy**: :meth:`BuddyFarm.add_users` creates N users and
   their deployments in one call against the world's shared IM/email/SMS
-  services; :meth:`BuddyFarm.launch_all` / :meth:`BuddyFarm.teardown_all`
-  start and stop every MAB.
-- **O(1) routing**: tenants are dict-indexed by user name, by numeric
-  index, and by every MAB-facing address, so a replayed log record (or an
-  incoming message) finds its deployment without scanning — the per-buddy
-  linear wiring a single-user world gets away with does not survive
-  thousands of tenants.
+  services; :meth:`BuddyFarm.launch_all` starts every MAB.
+- **O(1) lookup**: tenants are indexed by user name and by numeric index,
+  and each keeps its source-facing ``book``, so a replayed log record is
+  addressed with ``source.emit_to(tenant.book, ...)`` without scanning or
+  registering thousands of targets with the source.
 - **Determinism by sharding**: tenants are assigned round-robin to shards;
   farm-level randomness (launch staggering) draws from per-shard RNG
   streams, and each deployment keeps its own per-user stream, so results
@@ -40,7 +38,6 @@ from typing import TYPE_CHECKING, Iterator, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.addresses import AddressBook
     from repro.core.admission import AdmissionConfig
-    from repro.core.host import Host
     from repro.core.replication import ReplicatedPair
     from repro.core.user_endpoint import Receipt, UserEndpoint
     from repro.core.watchdog import MasterDaemonController
@@ -109,7 +106,6 @@ class BuddyFarm:
         self.profile = profile if profile is not None else FarmProfile()
         self.tenants: dict[str, FarmTenant] = {}
         self._by_index: list[FarmTenant] = []
-        self._by_address: dict[str, FarmTenant] = {}
         self._shard_rngs = [
             world.rngs.stream(f"farm-shard-{shard}") for shard in range(shards)
         ]
@@ -160,13 +156,6 @@ class BuddyFarm:
         )
         self.tenants[name] = tenant
         self._by_index.append(tenant)
-        for address in (
-            deployment.im_address,
-            deployment.email_address,
-            user.im_address,
-            user.email_address,
-        ):
-            self._by_address[address] = tenant
         return tenant
 
     def add_users(self, count: int, prefix: str = "user") -> list[FarmTenant]:
@@ -178,7 +167,7 @@ class BuddyFarm:
         ]
 
     # ------------------------------------------------------------------
-    # O(1) routing
+    # O(1) lookup
     # ------------------------------------------------------------------
 
     def tenant(self, name: str) -> FarmTenant:
@@ -186,19 +175,6 @@ class BuddyFarm:
 
     def tenant_at(self, index: int) -> FarmTenant:
         return self._by_index[index]
-
-    def route(self, address: str) -> Optional[FarmTenant]:
-        """Resolve any MAB- or user-facing address to its tenant, O(1)."""
-        return self._by_address.get(address)
-
-    def book_for(self, name: str) -> "AddressBook":
-        """The tenant's source-facing address book (cached, §3.3 privacy)."""
-        return self.tenants[name].book
-
-    def register_with(self, source) -> None:
-        """Subscribe every tenant to ``source`` (dict-indexed on its side)."""
-        for tenant in self._by_index:
-            source.add_target(tenant.book)
 
     # ------------------------------------------------------------------
     # Batched lifecycle
@@ -231,19 +207,14 @@ class BuddyFarm:
         yield self.world.env.timeout(delay)
         tenant.deployment.launch()
 
-    def enable_replication(
-        self,
-        standby_hosts: Optional[dict[str, "Host"]] = None,
-        **pair_kwargs,
-    ) -> dict[str, "ReplicatedPair"]:
+    def enable_replication(self, **pair_kwargs) -> dict[str, "ReplicatedPair"]:
         """Give every tenant a warm-standby pair on a second host.
 
         Each tenant's deployment becomes the *primary* of a
         :class:`~repro.core.replication.ReplicatedPair`: a standby
         deployment (sharing the tenant's config and logical addresses) is
-        placed on its own host — ``standby_hosts`` maps tenant name to a
-        pre-built host, otherwise one is created per tenant — connected by
-        a log-ship :class:`~repro.sim.link.HostLink`, under one farm-wide
+        placed on a host of its own, connected by a log-ship
+        :class:`~repro.sim.link.HostLink`, under one farm-wide
         :class:`~repro.core.replication.FencingService`.  Call before
         :meth:`start_watchdogs` so the primary MDCs get their resurrection
         gates attached.  ``pair_kwargs`` forward to ``build_pair``
@@ -260,13 +231,9 @@ class BuddyFarm:
         for tenant in self._by_index:
             if tenant.pair is not None:
                 raise RuntimeError(f"{tenant.name!r} is already replicated")
-            standby_host = (
-                standby_hosts.get(tenant.name) if standby_hosts else None
-            )
             tenant.pair = build_pair(
                 self.world,
                 tenant.deployment,
-                standby_host=standby_host,
                 fencing=fencing,
                 **pair_kwargs,
             )
@@ -297,25 +264,6 @@ class BuddyFarm:
     def deployments(self) -> list["BuddyDeployment"]:
         """Every tenant's deployment, in tenant-index order."""
         return [tenant.deployment for tenant in self._by_index]
-
-    def teardown_all(self, reason: str = "farm teardown") -> None:
-        """Stop every watchdog and terminate every live incarnation.
-
-        MDCs are stopped *with* their buddies (``terminate_buddy=True``):
-        a monitor left running would treat the teardown as a crash and
-        relaunch, and a buddy left running would be an unmonitored orphan.
-        Interrupts are simulation events: call this while the kernel still
-        has time to run (or run the world briefly afterwards) so the
-        incarnations can unwind cleanly.
-        """
-        for tenant in self._by_index:
-            if tenant.pair is not None:
-                tenant.pair.teardown()
-            if tenant.mdc is not None:
-                tenant.mdc.stop(terminate_buddy=True)
-            buddy = tenant.deployment.current
-            if buddy is not None and buddy.alive:
-                buddy.force_terminate(reason)
 
     # ------------------------------------------------------------------
     # Aggregate rollups

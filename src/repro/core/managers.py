@@ -82,15 +82,11 @@ class IMManager:
         self,
         env: "Environment",
         client: IMClient,
-        monkey_interval: float = 20.0,
     ):
         self.env = env
         self.client = client
         self.monkey = MonkeyThread(
-            env,
-            client.screen,
-            client_rules=dict(self.CLIENT_DIALOG_RULES),
-            interval=monkey_interval,
+            env, client.screen, client_rules=dict(self.CLIENT_DIALOG_RULES)
         )
         self.stats = ManagerStats()
         self._handle: Optional[AutomationHandle] = None
@@ -240,13 +236,6 @@ class IMManager:
             self.stats.submission_failures += 1
             raise
 
-    def is_recipient_online(self, address: str) -> bool:
-        """Presence probe; False also when we cannot ask."""
-        try:
-            return self.client.buddy_status(self.handle, address)
-        except (AutomationError, ChannelError):
-            return False
-
 
 class EmailManager:
     """Manager for the GUI email client."""
@@ -260,15 +249,11 @@ class EmailManager:
         self,
         env: "Environment",
         client: EmailClient,
-        monkey_interval: float = 20.0,
     ):
         self.env = env
         self.client = client
         self.monkey = MonkeyThread(
-            env,
-            client.screen,
-            client_rules=dict(self.CLIENT_DIALOG_RULES),
-            interval=monkey_interval,
+            env, client.screen, client_rules=dict(self.CLIENT_DIALOG_RULES)
         )
         self.stats = ManagerStats()
         self._handle: Optional[AutomationHandle] = None

@@ -42,6 +42,22 @@ class LogEntry:
     processed_at: Optional[float] = None
 
 
+def _append_record(
+    entry_id: int, alert_id: str, received_at: float, payload: str
+) -> dict:
+    return {
+        "op": "append",
+        "entry_id": entry_id,
+        "alert_id": alert_id,
+        "received_at": received_at,
+        "payload": payload,
+    }
+
+
+def _processed_record(entry_id: int, processed_at: Optional[float]) -> dict:
+    return {"op": "processed", "entry_id": entry_id, "processed_at": processed_at}
+
+
 class LogShipperHook(Protocol):
     """What a replication shipper must provide to tap the log's records.
 
@@ -91,22 +107,9 @@ class PessimisticLog:
         if self.write_latency:
             yield self.env.timeout(self.write_latency)
         entry_id = self._next_id
-        self._next_id += 1
-        entry = LogEntry(
-            entry_id=entry_id,
-            alert_id=alert_id,
-            received_at=self.env.now,
-            payload=payload,
-        )
-        self._entries[entry.entry_id] = entry
-        self._by_alert[alert_id] = entry.entry_id
-        record = {
-            "op": "append",
-            "entry_id": entry.entry_id,
-            "alert_id": alert_id,
-            "received_at": entry.received_at,
-            "payload": payload,
-        }
+        record = _append_record(entry_id, alert_id, self.env.now, payload)
+        self._apply(record)
+        entry = self._entries[entry_id]
         self._write_line(record)
         if self.shipper is not None:
             yield from self.shipper.on_append(record)
@@ -114,19 +117,49 @@ class PessimisticLog:
 
     def mark_processed(self, entry_id: int) -> None:
         """Mark an entry 'Processed' after routing completed."""
-        entry = self._entries[entry_id]
-        if entry.processed:
+        if self._entries[entry_id].processed:
             return
-        entry.processed = True
-        entry.processed_at = self.env.now
-        record = {
-            "op": "processed",
-            "entry_id": entry_id,
-            "processed_at": entry.processed_at,
-        }
+        record = _processed_record(entry_id, self.env.now)
+        self._apply(record)
         self._write_line(record)
         if self.shipper is not None:
             self.shipper.on_mark(record)
+
+    def _apply(self, record: dict) -> bool:
+        """Fold one record into the log; True when it changed the log.
+
+        The one reader of the record format: local writes, shipped records
+        and JSONL lines all come through here.  A 'processed' mark for an
+        entry that never arrived (records raced a link flap, or the file
+        lost its append) is skipped with a warning — recovery replay then
+        errs toward re-delivery, never loss.
+        """
+        if record["op"] == "append":
+            entry = LogEntry(
+                entry_id=record["entry_id"],
+                alert_id=record["alert_id"],
+                received_at=record["received_at"],
+                payload=record["payload"],
+            )
+            self._entries[entry.entry_id] = entry
+            self._by_alert[entry.alert_id] = entry.entry_id
+            # Local appends (after a promotion) must not collide with
+            # anything mirrored, whatever order the records arrived in.
+            self._next_id = max(self._next_id, entry.entry_id + 1)
+            return True
+        entry = self._entries.get(record["entry_id"])
+        if entry is None:
+            logger.warning(
+                "pessimistic log %s: 'processed' mark for unknown entry %r "
+                "that was never appended",
+                self.path or "(in memory)", record["entry_id"],
+            )
+            return False
+        if entry.processed:
+            return False
+        entry.processed = True
+        entry.processed_at = record.get("processed_at")
+        return True
 
     # ------------------------------------------------------------------
     # Reading / recovery
@@ -167,54 +200,23 @@ class PessimisticLog:
         The ship latency was already paid on the link; application is the
         local bookkeeping a real standby does on receipt.  Idempotent, so
         catch-up after a partition may safely overlap a snapshot re-seed.
-        A 'processed' mark for an entry that never arrived (records raced
-        a link flap) is skipped with a warning — recovery replay then errs
-        toward re-delivery, never loss.
         """
-        if record["op"] == "append":
-            entry = LogEntry(
-                entry_id=record["entry_id"],
-                alert_id=record["alert_id"],
-                received_at=record["received_at"],
-                payload=record["payload"],
-            )
-            self._entries[entry.entry_id] = entry
-            self._by_alert[entry.alert_id] = entry.entry_id
+        if self._apply(record):
             self._write_line(record)
-            # Local appends (after a promotion) must not collide with
-            # anything mirrored, whatever order the records arrived in.
-            self._next_id = max(self._next_id, entry.entry_id + 1)
-        elif record["op"] == "processed":
-            entry = self._entries.get(record["entry_id"])
-            if entry is None:
-                logger.warning(
-                    "replica log: 'processed' mark for unknown entry %r",
-                    record["entry_id"],
-                )
-                return
-            if not entry.processed:
-                entry.processed = True
-                entry.processed_at = record.get("processed_at")
-                self._write_line(record)
 
     def snapshot_records(self) -> list[dict]:
         """The record stream that rebuilds this log's current state —
         what reconciliation ships to re-seed a rejoining standby."""
         records: list[dict] = []
         for entry in self.entries():
-            records.append({
-                "op": "append",
-                "entry_id": entry.entry_id,
-                "alert_id": entry.alert_id,
-                "received_at": entry.received_at,
-                "payload": entry.payload,
-            })
+            records.append(_append_record(
+                entry.entry_id, entry.alert_id, entry.received_at,
+                entry.payload,
+            ))
             if entry.processed:
-                records.append({
-                    "op": "processed",
-                    "entry_id": entry.entry_id,
-                    "processed_at": entry.processed_at,
-                })
+                records.append(
+                    _processed_record(entry.entry_id, entry.processed_at)
+                )
         return records
 
     # ------------------------------------------------------------------
@@ -238,7 +240,6 @@ class PessimisticLog:
         log = cls(env, write_latency=write_latency, path=path)
         if not Path(path).exists():
             return log
-        max_id = 0
         lines = [
             stripped
             for stripped in (
@@ -261,26 +262,5 @@ class PessimisticLog:
                     )
                     continue
                 raise  # corruption in the middle of the file is a real error
-            if record["op"] == "append":
-                entry = LogEntry(
-                    entry_id=record["entry_id"],
-                    alert_id=record["alert_id"],
-                    received_at=record["received_at"],
-                    payload=record["payload"],
-                )
-                log._entries[entry.entry_id] = entry
-                log._by_alert[entry.alert_id] = entry.entry_id
-                max_id = max(max_id, entry.entry_id)
-            elif record["op"] == "processed":
-                existing = log._entries.get(record["entry_id"])
-                if existing is None:
-                    logger.warning(
-                        "pessimistic log %s: 'processed' record for entry %r "
-                        "that was never appended",
-                        path, record["entry_id"],
-                    )
-                    continue
-                existing.processed = True
-                existing.processed_at = record.get("processed_at")
-        log._next_id = max_id + 1
+            log._apply(record)
         return log

@@ -8,17 +8,14 @@ alert.  A stage either advances the context or finishes it with a journal
 outcome (``rejected``, ``unmapped``, ``filtered``, ``no_subscribers``,
 ``routed`` / ``retry_scheduled`` / ``delivery_abandoned``).
 
-The split buys three things:
+The split buys two things:
 
 - **buddy.py shrinks to lifecycle/HA concerns** (incarnations, MDC
   protocol, self-stabilization, rejuvenation) and simply owns a pipeline;
 - **each stage is independently unit-testable** against a synthetic context
-  (see ``tests/test_core_pipeline.py``);
-- **the source side reuses the same module**:
-  :class:`SourceDeliveryPipeline` is the delivery-mode entry used by
-  :class:`~repro.sources.base.AlertSource`, the baselines'
-  ``SimbaStrategy`` and the WISH alert service, so outcome bookkeeping is
-  written once.
+  (see ``tests/test_core_pipeline.py``).
+
+The source side of a delivery is :meth:`repro.sources.base.AlertSource.deliver`.
 
 Determinism contract: the stage order and every RNG draw (processing
 latency, routing overhead) are exactly the pre-refactor sequence, so a
@@ -37,14 +34,11 @@ from repro.core.filters import FilterDecision
 from repro.errors import AlertRejected
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.addresses import AddressBook
     from repro.core.admission import AdmissionController
     from repro.core.alert import Alert
     from repro.core.buddy import BuddyConfig, BuddyJournal
-    from repro.core.delivery_modes import DeliveryMode
     from repro.core.pessimistic_log import LogEntry, PessimisticLog
     from repro.core.subscription import Subscription
-    from repro.net.channel import LatencyModel
     from repro.sim.kernel import Environment
 
 
@@ -650,60 +644,3 @@ class AlertPipeline:
                 )
                 incoming.trace_parent = replay.span_id
             yield from self.process(incoming)
-
-
-class SourceDeliveryPipeline:
-    """Source-side entry into SIMBA: one delivery-mode execution per alert.
-
-    Every alert *producer* — generic :class:`~repro.sources.base.AlertSource`
-    subclasses, the baselines' ``SimbaStrategy``, the WISH alert service —
-    needs the same three steps: an optional service-processing delay, a
-    delivery-mode execution through its endpoint, and outcome bookkeeping.
-    This object is that flow, written once.
-    """
-
-    def __init__(
-        self,
-        env: "Environment",
-        endpoint: SimbaEndpoint,
-        mode: "DeliveryMode",
-        processing: Optional["LatencyModel"] = None,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        self.env = env
-        self.endpoint = endpoint
-        self.mode = mode
-        self.processing = processing
-        self.rng = rng
-        self.outcomes = []
-        self.messages_sent = 0
-
-    def send(self, alert: "Alert", book: "AddressBook"):
-        """Generator: deliver ``alert`` to ``book``; returns the outcome."""
-        if self.processing is not None:
-            yield self.env.timeout(self.processing.draw(self.rng))
-        tracer = self.env.tracer
-        span = None
-        if tracer is not None:
-            # Root of the alert's causal trace: everything downstream —
-            # channel transit, receive, pipeline trip, per-user delivery —
-            # parents (transitively) under this span.
-            span = tracer.begin(
-                alert.alert_id,
-                "source.deliver",
-                subject=alert.subject,
-                endpoint=self.endpoint.name,
-            )
-        outcome = yield from self.endpoint.deliver_alert(
-            alert,
-            self.mode,
-            book,
-            trace_parent=span.span_id if span is not None else None,
-        )
-        if span is not None:
-            tracer.end(
-                span, "delivered" if outcome.delivered else "failed"
-            )
-        self.outcomes.append(outcome)
-        self.messages_sent += outcome.messages_sent
-        return outcome

@@ -506,14 +506,6 @@ class ReplicatedPair:
         if mdc_kwargs is not None:
             self.controller.mdc_kwargs = dict(mdc_kwargs)
 
-    def teardown(self) -> None:
-        """Stop the controller and both sides' watchdogs/incarnations."""
-        if self.controller is not None:
-            self.controller.stop()
-        for side in self.sides():
-            if side.mdc is not None:
-                side.mdc.stop(terminate_buddy=True)
-
 
 class FailoverController:
     """Detects primary death via lease expiry; promotes; reconciles.
@@ -549,9 +541,6 @@ class FailoverController:
         self.env.process(
             self._monitor(), name=f"failover-{self.pair.pair_id}"
         )
-
-    def stop(self) -> None:
-        self.running = False
 
     # ------------------------------------------------------------------
     # Lease monitoring / promotion
@@ -654,7 +643,6 @@ class FailoverController:
         source_host: Host,
         alert: Alert,
         received_at: float,
-        sender: str = "(reconciled)",
         trace_parent: Optional[int] = None,
     ):
         """Durably transfer one alert to the active side (generator).
@@ -690,7 +678,7 @@ class FailoverController:
         incoming = IncomingAlert(
             alert=alert,
             via=ChannelType.IM,
-            sender=sender,
+            sender="(reconciled)",
             received_at=received_at,
         )
         if span is not None:

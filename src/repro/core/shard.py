@@ -96,12 +96,12 @@ class ConsistentHashRing:
     """Deterministic consistent hashing of tenant names onto shards.
 
     Each shard contributes ``vnodes`` points (hashes of
-    ``"{salt}ring-{shard}-{vnode}"``); a name belongs to the shard owning
+    ``"ring-{shard}-{vnode}"``); a name belongs to the shard owning
     the first point clockwise of the name's hash.  Properties the tests
     pin:
 
-    - **deterministic**: placement depends only on (name, shards, vnodes,
-      salt) — identical in every process.
+    - **deterministic**: placement depends only on (name, shards, vnodes)
+      — identical in every process.
     - **balanced**: with enough vnodes, shard populations are within a
       modest factor of uniform.
     - **monotone**: the same ring built for a larger count moves a key
@@ -109,18 +109,17 @@ class ConsistentHashRing:
       move, all of them to the new shards.
     """
 
-    def __init__(self, shards: int, vnodes: int = 64, salt: str = ""):
+    def __init__(self, shards: int, vnodes: int = 64):
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if vnodes < 1:
             raise ConfigurationError(f"vnodes must be >= 1, got {vnodes}")
         self.shards = shards
         self.vnodes = vnodes
-        self.salt = salt
         points = []
         for shard in range(shards):
             for vnode in range(vnodes):
-                point = stable_hash64(f"{salt}ring-{shard}-{vnode}")
+                point = stable_hash64(f"ring-{shard}-{vnode}")
                 points.append((point, shard, vnode))
         points.sort()
         self._points = points
@@ -392,7 +391,6 @@ class ShardWorker:
             return existing
         tenant = self.farm.add_user(name)
         tenant.deployment.launch()
-        self.source.add_target(tenant.book)
         self.load.tenants += 1
         return tenant
 
@@ -662,7 +660,7 @@ class _InlineShard:
             raise ShardProtocolError(payload)
         return payload
 
-    def stop(self, timeout: float = 5.0) -> None:
+    def stop(self) -> None:
         self._pending.clear()
         self._worker.close()
 
@@ -720,7 +718,6 @@ class ShardedFarm:
         workload: str,
         workload_kwargs: Optional[dict] = None,
         *,
-        prefix: str = "user",
         vnodes: int = 64,
         epoch: float = 60.0,
         bridge_latency: Optional[float] = None,
@@ -751,7 +748,6 @@ class ShardedFarm:
                 population=population,
                 workload=workload,
                 workload_kwargs=dict(workload_kwargs or {}),
-                prefix=prefix,
                 vnodes=vnodes,
                 epoch=self.epoch,
                 bridge_latency=self.bridge_latency,
@@ -762,7 +758,6 @@ class ShardedFarm:
         ]
         self._workers: list = []
         self._inbound: list[list[tuple]] = [[] for _ in range(shards)]
-        self._undelivered = 0
         self._now = 0.0
         self.local_counts: list[int] = []
 
@@ -845,7 +840,6 @@ class ShardedFarm:
         self._require_started()
         while self._now < until:
             self.run_epoch()
-        self._undelivered += sum(len(batch) for batch in self._inbound)
 
     @property
     def now(self) -> float:
@@ -876,7 +870,9 @@ class ShardedFarm:
             counts=counts,
             latencies=latencies,
             loads=loads,
-            undelivered_envelopes=self._undelivered,
+            # Still queued for an epoch no run has reached: counted from
+            # the queue itself, so a run split in two counts each once.
+            undelivered_envelopes=sum(len(batch) for batch in self._inbound),
             placement=placement_report(loads),
         )
 
@@ -895,13 +891,10 @@ class ShardedFarm:
             merged.update(digests)
         return merged
 
-    def merged_fingerprint(
-        self, fingerprints: Optional[dict[str, str]] = None
-    ) -> str:
+    def merged_fingerprint(self) -> str:
         """One digest over the name-sorted per-tenant digests — identical
         for every partition of the same tenant set."""
-        if fingerprints is None:
-            fingerprints = self.tenant_fingerprints()
+        fingerprints = self.tenant_fingerprints()
         hasher = hashlib.sha256()
         for name in sorted(fingerprints):
             hasher.update(f"{name}:{fingerprints[name]}\n".encode("utf-8"))

@@ -69,19 +69,11 @@ class SelfStabilizer:
     def stop(self) -> None:
         self._running = False
 
-    def run_task_now(self, name: str) -> list[str]:
-        """Execute one task immediately (used by AreYouWorking callbacks)."""
-        _interval, check = self._tasks[name]
-        return self._execute(name, check)
-
-    def total_corrections(self) -> int:
-        return sum(len(r.corrections) for r in self.records.values())
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _execute(self, name: str, check: Callable[[], list[str]]) -> list[str]:
+    def _execute(self, name: str, check: Callable[[], list[str]]) -> None:
         record = self.records[name]
         record.runs += 1
         try:
@@ -90,10 +82,9 @@ class SelfStabilizer:
             record.failures.append((self.env.now, str(exc)))
             if self.on_unrectifiable is not None:
                 self.on_unrectifiable(name, exc)
-            return []
+            return
         for correction in corrections:
             record.corrections.append((self.env.now, correction))
-        return corrections
 
     def _loop(self, name: str, interval: float, check):
         # Scope-acquired interval timers: tearing the task down mid-sleep

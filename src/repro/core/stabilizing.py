@@ -18,7 +18,7 @@ re-converges after transient faults; this module is that sublayer:
   so duplicate copies, including clean duplicates that overtake their
   primary, are dropped while still acknowledged.
 - **Convergence**: once the last transient fault clears, every queued
-  record drains within ``resend_limit`` rounds per record; the audit
+  record drains within :data:`RESEND_LIMIT` rounds per record; the audit
   records the worst round count and the drain times so the
   :class:`~repro.testkit.oracle.DeliveryOracle` can assert
   ``convergence_bounded`` and the property tier can bound it per seed.
@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: How many in-ship resend rounds a sender spends on NACKed frames before
 #: handing the record back to the caller's retry machinery.
-DEFAULT_RESEND_LIMIT = 4
+RESEND_LIMIT = 4
 
 TRANSPORT_KINDS = ("stabilizing", "naive")
 
@@ -117,9 +117,6 @@ class StabilizingReceiver:
         #: is dropped as a duplicate (but still acknowledged).
         self._watermark: dict[str, int] = {}
 
-    def watermark(self, peer: str) -> int:
-        return self._watermark.get(peer, 0)
-
     def seen(self, peer: str, seq: int) -> bool:
         return seq <= self._watermark.get(peer, 0)
 
@@ -148,9 +145,6 @@ class NaiveReceiver:
         self.apply = apply
         self._seen: dict[str, set[int]] = {}
 
-    def converged(self) -> bool:
-        return True
-
     def accept(
         self, peer: str, frame: Frame, corrupt: bool, duplicate: bool
     ) -> bool:
@@ -176,12 +170,10 @@ class StabilizingSender:
         link: "HostLink",
         key: str,
         audit: Optional[TransportAudit] = None,
-        resend_limit: int = DEFAULT_RESEND_LIMIT,
     ):
         self.link = link
         self.key = key
         self.audit = audit if audit is not None else TransportAudit()
-        self.resend_limit = resend_limit
         self._next_seq = 1
 
     def ship(self, payload: Any, toward: "Host", rx) -> Any:
@@ -221,7 +213,7 @@ class StabilizingSender:
                 # owns recovery, so benign timing is unchanged.
                 return False
             rounds += 1
-            if rounds > self.resend_limit:
+            if rounds > RESEND_LIMIT:
                 self.audit.give_ups += 1
                 if rounds > self.audit.max_resend_rounds:
                     self.audit.max_resend_rounds = rounds
@@ -239,7 +231,6 @@ class NaiveSender:
         link: "HostLink",
         key: str,
         audit: Optional[TransportAudit] = None,
-        resend_limit: int = DEFAULT_RESEND_LIMIT,
     ):
         self.link = link
         self.key = key
@@ -269,12 +260,11 @@ def make_sender(
     link: "HostLink",
     key: str,
     audit: Optional[TransportAudit] = None,
-    resend_limit: int = DEFAULT_RESEND_LIMIT,
 ):
     if kind == "stabilizing":
-        return StabilizingSender(link, key, audit, resend_limit)
+        return StabilizingSender(link, key, audit)
     if kind == "naive":
-        return NaiveSender(link, key, audit, resend_limit)
+        return NaiveSender(link, key, audit)
     raise ValueError(
         f"unknown transport kind {kind!r} (expected one of {TRANSPORT_KINDS})"
     )

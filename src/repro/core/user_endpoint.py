@@ -31,7 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
 
 #: Human reaction: notice the IM popup and (implicitly) acknowledge it.
-DEFAULT_REACTION = LatencyModel(median=2.0, sigma=0.5, low=0.5, high=30.0)
+REACTION = LatencyModel(median=2.0, sigma=0.5, low=0.5, high=30.0)
+#: How often a present user's IM client retries a lost session.
+RECONNECT_INTERVAL = 30.0
 
 
 @dataclass(slots=True)
@@ -65,7 +67,6 @@ class UserEndpoint:
         phone_number: str,
         rng: np.random.Generator,
         present: bool = True,
-        reaction: LatencyModel = DEFAULT_REACTION,
         ack_enabled: bool = True,
     ):
         self.env = env
@@ -77,7 +78,6 @@ class UserEndpoint:
         self.email_address = email_address
         self.phone_number = phone_number
         self.rng = rng
-        self.reaction = reaction
         self.ack_enabled = ack_enabled
 
         im_service.register_account(im_address)
@@ -131,10 +131,10 @@ class UserEndpoint:
             self._im_loop(self._session), name=f"{self.name}-im"
         )
 
-    def _reconnect_loop(self, interval: float = 30.0):
+    def _reconnect_loop(self):
         """A present user's IM client auto-reconnects after outages/logouts."""
         while True:
-            yield self.env.timeout(interval)
+            yield self.env.timeout(RECONNECT_INTERVAL)
             session_dead = self._session is None or not self._session.active
             if self._present and session_dead and self.im_service.available:
                 self._login()
@@ -189,7 +189,7 @@ class UserEndpoint:
             alert = Alert.decode(message.body)
             self._record(alert, ChannelType.IM)
             if self.ack_enabled:
-                yield self.env.timeout(self.reaction.draw(self.rng))
+                yield self.env.timeout(REACTION.draw(self.rng))
                 if session.active:
                     try:
                         session.send(

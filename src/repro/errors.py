@@ -32,10 +32,6 @@ class StopSimulation(Exception):
         self.value = value
 
 
-class PoolError(SimulationError):
-    """Illegal use of the kernel's event free-list (double release,
-    releasing a live event, or pooling an unpoolable type)."""
-
 
 class Interrupt(SimulationError):
     """Raised inside a process that another process interrupted.

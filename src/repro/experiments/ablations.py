@@ -280,7 +280,6 @@ def _farm_throughput_point(spec: dict) -> FarmThroughputPoint:
     )
     farm.add_users(n_users)
     source = world.create_source("portal")
-    farm.register_with(source)
     farm.launch_all()
 
     arrivals = sorted(

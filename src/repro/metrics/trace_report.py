@@ -43,7 +43,7 @@ def trace_attribution(sink: "TraceSink") -> dict[str, list[float]]:
     return dict(samples)
 
 
-def trace_report(sink: "TraceSink", title: str = "") -> str:
+def trace_report(sink: "TraceSink") -> str:
     """Percentile table: one row per attribution bucket, largest p95 first."""
     samples = trace_attribution(sink)
     if not samples:
@@ -75,7 +75,7 @@ def trace_report(sink: "TraceSink", title: str = "") -> str:
     n_traces = sum(
         1 for t in sink.trace_ids() if not t.startswith(LIFECYCLE_PREFIX)
     )
-    heading = title or (
+    heading = (
         f"trace attribution ({n_traces} alert trace(s), "
         f"{sink.span_count()} spans)"
     )

@@ -24,11 +24,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Knob preset used by the chaos generator's adversarial pulses when a
-#: scheduled fault does not carry explicit parameters.
-DEFAULT_PULSE_REORDER = 0.25
-DEFAULT_PULSE_DUPLICATE = 0.25
-DEFAULT_PULSE_CORRUPT = 0.15
 DEFAULT_REORDER_HORIZON = 2.0
 DEFAULT_DUPLICATE_MAX = 3
 
@@ -79,15 +74,6 @@ class AdversaryModel:
     def off(cls) -> "AdversaryModel":
         """The benign adversary: no knob set, no RNG ever drawn."""
         return cls()
-
-    @classmethod
-    def pulse(cls) -> "AdversaryModel":
-        """The default mid-run pulse the chaos generator injects."""
-        return cls(
-            reorder_probability=DEFAULT_PULSE_REORDER,
-            duplicate_probability=DEFAULT_PULSE_DUPLICATE,
-            corrupt_probability=DEFAULT_PULSE_CORRUPT,
-        )
 
     @property
     def enabled(self) -> bool:

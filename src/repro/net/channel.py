@@ -66,12 +66,6 @@ class ChannelStats:
         self.latencies.append(latency)
 
     @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return float("nan")
-        return float(np.mean(self.latencies))
-
-    @property
     def delivery_ratio(self) -> float:
         if self.submitted == 0:
             return float("nan")
@@ -94,22 +88,13 @@ class ChannelBase:
         self.stats = ChannelStats()
         self.adversary = AdversaryModel.off()
         self.adversary_stats = AdversaryStats()
-        self._outage_listeners: list[Callable[[bool], None]] = []
         self._outage_until: Optional[float] = None
         self._adversary_until: Optional[float] = None
         self._adversary_baseline = AdversaryModel.off()
 
-    def on_availability_change(self, listener: Callable[[bool], None]) -> None:
-        """Register a callback invoked with the new availability state."""
-        self._outage_listeners.append(listener)
-
     def set_available(self, available: bool) -> None:
         """Flip channel availability (fault-injection hook)."""
-        if available == self.available:
-            return
         self.available = available
-        for listener in list(self._outage_listeners):
-            listener(available)
 
     def outage(self, duration: float) -> None:
         """Take the channel down for ``duration`` simulated seconds.
@@ -130,8 +115,8 @@ class ChannelBase:
 
     def _outage_timer(self):
         # Extension-aware sleep under a TimerScope: each extension re-arms
-        # a fresh scope-owned timer, and killing the channel's host while
-        # an outage is pending settles the timer with the process.
+        # a fresh scope-owned timer, and any unwind of this process settles
+        # the one still pending.
         with self.env.timers() as timers:
             while (
                 self._outage_until is not None

@@ -84,9 +84,8 @@ class EmailService(ChannelBase):
         rng: np.random.Generator,
         latency: LatencyModel = DEFAULT_EMAIL_LATENCY,
         loss_probability: float = DEFAULT_EMAIL_LOSS,
-        name: str = "email",
     ):
-        super().__init__(env, name)
+        super().__init__(env, "email")
         self.rng = rng
         self.latency = latency
         self.loss_probability = loss_probability

@@ -99,9 +99,8 @@ class IMService(ChannelBase):
         rng: np.random.Generator,
         latency: LatencyModel = DEFAULT_IM_LATENCY,
         loss_probability: float = 0.0,
-        name: str = "im",
     ):
-        super().__init__(env, name)
+        super().__init__(env, "im")
         self.rng = rng
         self.latency = latency
         self.loss_probability = loss_probability

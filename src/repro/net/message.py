@@ -58,14 +58,3 @@ class Message:
     #: this message, so the channel's retroactive transit span and the
     #: receiver's receive span parent correctly.  None when tracing is off.
     trace_parent: Optional[int] = None
-
-    def reply_body(self, body: str) -> "Message":
-        """Build a reply on the same channel with sender/recipient swapped."""
-        return Message(
-            channel=self.channel,
-            sender=self.recipient,
-            recipient=self.sender,
-            body=body,
-            subject=f"Re: {self.subject}" if self.subject else "",
-            correlation=self.correlation,
-        )

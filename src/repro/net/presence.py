@@ -31,9 +31,6 @@ class PresenceService:
     def is_online(self, address: str) -> bool:
         return address in self._online
 
-    def online_addresses(self) -> frozenset[str]:
-        return frozenset(self._online)
-
     def watch(self, callback: Callable[[str, bool], None]) -> None:
         """Register ``callback(address, online)`` for presence transitions."""
         self._watchers.append(callback)

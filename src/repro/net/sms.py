@@ -58,9 +58,8 @@ class SMSGateway(ChannelBase):
         rng: np.random.Generator,
         latency: LatencyModel = DEFAULT_SMS_LATENCY,
         loss_probability: float = DEFAULT_SMS_LOSS,
-        name: str = "sms",
     ):
-        super().__init__(env, name)
+        super().__init__(env, "sms")
         self.rng = rng
         self.latency = latency
         self.loss_probability = loss_probability

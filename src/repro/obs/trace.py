@@ -133,12 +133,6 @@ class TraceSink:
         env.tracer = self
         return self
 
-    def uninstall(self) -> None:
-        """Detach; the environment's instrumentation goes quiet again."""
-        if self.env is not None and self.env.tracer is self:
-            self.env.tracer = None
-        self.env = None
-
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["env"] = None  # never pickle the live kernel
@@ -259,9 +253,5 @@ class TraceSink:
             "dropped_spans": self.dropped_spans,
         }
 
-    def to_json(
-        self,
-        rename: Optional[Callable[[str], str]] = None,
-        indent: Optional[int] = 1,
-    ) -> str:
-        return json.dumps(self.to_payload(rename), indent=indent)
+    def to_json(self, rename: Optional[Callable[[str], str]] = None) -> str:
+        return json.dumps(self.to_payload(rename), indent=1)

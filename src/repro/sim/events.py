@@ -36,7 +36,6 @@ class Event:
 
     __slots__ = (
         "env", "callbacks", "_value", "_ok", "_defused", "_cancelled",
-        "_pooled",
     )
 
     def __init__(self, env: "Environment"):
@@ -50,9 +49,6 @@ class Event:
         #: Tombstone flag: the kernel discards cancelled queue entries
         #: instead of processing them (only timers ever set this).
         self._cancelled = False
-        #: Reuse-after-free guard: True only while the object sits in the
-        #: scheduler's free list (see :class:`repro.sim.pool.EventPool`).
-        self._pooled = False
 
     @property
     def triggered(self) -> bool:

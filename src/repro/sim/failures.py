@@ -115,29 +115,21 @@ class FaultInjector:
         """Register (or replace) the injection handler for ``target``."""
         self._handlers[target] = handler
 
-    def unregister(self, target: str) -> None:
-        self._handlers.pop(target, None)
-
-    def load(
-        self, faults: list[ScheduledFault], allow_unregistered: bool = False
-    ) -> None:
+    def load(self, faults: list[ScheduledFault]) -> None:
         """Schedule every fault in ``faults`` for replay.
 
         A faultload referencing a target nobody registered a handler for is
         almost always a wiring mistake, so it raises a
         :class:`ConfigurationError` up front rather than silently recording
-        "no handler" rejections fault by fault.  Pass
-        ``allow_unregistered=True`` to restore the permissive behaviour
-        (e.g. to measure attempted-vs-effective faults on a partial rig).
+        "no handler" rejections fault by fault.
         """
-        if not allow_unregistered:
-            missing = sorted({f.target for f in faults} - set(self._handlers))
-            if missing:
-                raise ConfigurationError(
-                    "faultload references unregistered injection targets: "
-                    + ", ".join(missing)
-                    + f" (registered: {sorted(self._handlers) or 'none'})"
-                )
+        missing = sorted({f.target for f in faults} - set(self._handlers))
+        if missing:
+            raise ConfigurationError(
+                "faultload references unregistered injection targets: "
+                + ", ".join(missing)
+                + f" (registered: {sorted(self._handlers) or 'none'})"
+            )
         for fault in sorted(faults, key=lambda f: f.at):
             if fault.at < self.env.now:
                 raise ConfigurationError(

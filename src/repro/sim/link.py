@@ -65,13 +65,12 @@ class HostLink(ChannelBase):
         rng: np.random.Generator,
         latency: LatencyModel = DEFAULT_LINK_LATENCY,
         loss_probability: float = 0.0,
-        name: Optional[str] = None,
     ):
         if not 0.0 <= loss_probability <= 1.0:
             raise ConfigurationError(
                 f"loss probability must be in [0, 1], got {loss_probability}"
             )
-        super().__init__(env, name or f"link-{src.name}-{dst.name}")
+        super().__init__(env, f"link-{src.name}-{dst.name}")
         self.src = src
         self.dst = dst
         self.rng = rng

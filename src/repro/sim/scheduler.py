@@ -113,7 +113,6 @@ class Scheduler:
         free = self._free_events
         if free:
             event = free.pop()
-            event._pooled = False
             event.callbacks = []
             event._value = _PENDING
             self.pool.reused += 1
@@ -195,7 +194,6 @@ class HeapScheduler(Scheduler):
         free = self._free_timeouts
         if free and delay >= 0.0:  # NaN and negatives fall through
             timer = free.pop()
-            timer._pooled = False
             timer.callbacks = []
             timer._value = value
             timer.delay = delay
@@ -278,7 +276,6 @@ class HeapScheduler(Scheduler):
                 if (event.__class__ is Timeout and refs(event) == 3
                         and len(free_timeouts) < max_pooled):
                     event._cancelled = False  # clean at release
-                    event._pooled = True
                     free_timeouts.append(event)
                 continue
             if time > stop_at:
@@ -304,14 +301,12 @@ class HeapScheduler(Scheduler):
                 # A processed, uncancelled Timeout is already clean: it
                 # can never have failed (it triggers at construction).
                 if refs(event) == 3 and len(free_timeouts) < max_pooled:
-                    event._pooled = True
                     free_timeouts.append(event)
             elif cls is Event:
                 if refs(event) == 3 and len(free_events) < max_pooled:
                     if not event._ok or event._defused:
                         event._ok = True  # clean at release
                         event._defused = False
-                    event._pooled = True
                     free_events.append(event)
 
 
@@ -347,7 +342,7 @@ class TimerScope:
         #: Timers acquired and not yet settled (pruned lazily).
         self.active: list[Timeout] = []
 
-    def acquire(self, delay: float, value: Any = None) -> Timeout:
+    def acquire(self, delay: float) -> Timeout:
         """Create a timeout owned by this scope."""
         active = self.active
         if active:
@@ -355,7 +350,7 @@ class TimerScope:
                 t for t in active
                 if t.callbacks is not None and not t._cancelled
             ]
-        timer = self.env.timeout(delay, value)
+        timer = self.env.timeout(delay)
         active.append(timer)
         return timer
 

@@ -198,7 +198,6 @@ class WheelScheduler(Scheduler):
         free = self._free_timeouts
         if free and delay >= 0.0:  # NaN and negatives fall through
             timer = free.pop()
-            timer._pooled = False
             timer.callbacks = []
             timer._value = value
             timer.delay = delay
@@ -571,7 +570,6 @@ class WheelScheduler(Scheduler):
                                     and refs(event) == 3
                                     and len(free_timeouts) < max_pooled):
                                 event._cancelled = False
-                                event._pooled = True
                                 free_timeouts.append(event)
                             continue
                         if entry[0] > stop_at:
@@ -585,7 +583,6 @@ class WheelScheduler(Scheduler):
                 if (event.__class__ is Timeout and refs(event) == 3
                         and len(free_timeouts) < max_pooled):
                     event._cancelled = False  # clean at release
-                    event._pooled = True
                     free_timeouts.append(event)
                 continue
             if time > stop_at:
@@ -611,12 +608,10 @@ class WheelScheduler(Scheduler):
                 # A processed, uncancelled Timeout is already clean: it
                 # can never have failed (it triggers at construction).
                 if refs(event) == 3 and len(free_timeouts) < max_pooled:
-                    event._pooled = True
                     free_timeouts.append(event)
             elif cls is Event:
                 if refs(event) == 3 and len(free_events) < max_pooled:
                     if not event._ok or event._defused:
                         event._ok = True  # clean at release
                         event._defused = False
-                    event._pooled = True
                     free_events.append(event)

@@ -17,11 +17,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.addresses import AddressBook
-from repro.core.admission import AdmissionConfig, build_controller
 from repro.core.alert import Alert, AlertSeverity
 from repro.core.delivery_modes import DeliveryMode, im_ack_then_email
 from repro.core.endpoint import SimbaEndpoint
-from repro.core.pipeline import SourceDeliveryPipeline
 from repro.core.router import DeliveryOutcome
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,10 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class AlertSource:
     """Base class for everything that generates alerts.
 
-    Delivery itself (optional processing delay → mode execution → outcome
-    bookkeeping) is the shared
-    :class:`~repro.core.pipeline.SourceDeliveryPipeline`; this class adds
-    alert construction and the target registry.
+    Delivery is one delivery-mode execution through the source's endpoint
+    per (alert, book); the source keeps each :class:`DeliveryOutcome`.
+    ``targets`` are the books :meth:`emit` broadcasts to; :meth:`emit_to`
+    addresses one book it is handed.
     """
 
     def __init__(
@@ -44,45 +42,18 @@ class AlertSource:
         name: str,
         endpoint: SimbaEndpoint,
         mode: Optional[DeliveryMode] = None,
-        admission: Optional[AdmissionConfig] = None,
     ):
         self.env = env
         self.name = name
         self.endpoint = endpoint
-        self.pipeline = SourceDeliveryPipeline(
-            env, endpoint, mode if mode is not None else im_ack_then_email()
-        )
-        #: Source-side traffic hardening: per-channel token buckets applied
-        #: at the submission layer of this source's delivery engine (a
-        #: bursty producer is throttled at *its* provider, not the MAB's).
-        self.admission = build_controller(admission, name)
-        if self.admission is not None:
-            endpoint.engine.admission = self.admission
+        self.mode = mode if mode is not None else im_ack_then_email()
         self.targets: list[AddressBook] = []
-        #: Owner name → book, for O(1) per-recipient emission at farm scale.
-        self.targets_by_owner: dict[str, AddressBook] = {}
         self.emitted: list[Alert] = []
-
-    @property
-    def mode(self) -> DeliveryMode:
-        return self.pipeline.mode
-
-    @mode.setter
-    def mode(self, mode: DeliveryMode) -> None:
-        self.pipeline.mode = mode
-
-    @property
-    def outcomes(self) -> list[DeliveryOutcome]:
-        return self.pipeline.outcomes
+        self.outcomes: list[DeliveryOutcome] = []
 
     def add_target(self, book: AddressBook) -> None:
         """Subscribe one MyAlertBuddy (by its source-facing address book)."""
         self.targets.append(book)
-        self.targets_by_owner[book.owner] = book
-
-    def target_for(self, owner: str) -> AddressBook:
-        """O(1) lookup of one subscribed book by its owner name."""
-        return self.targets_by_owner[owner]
 
     # ------------------------------------------------------------------
     # Emission
@@ -94,7 +65,6 @@ class AlertSource:
         subject: str,
         body: str,
         severity: AlertSeverity = AlertSeverity.ROUTINE,
-        keyword_field: str = "keyword",
         alert_id: Optional[str] = None,
     ) -> Alert:
         # An explicit alert_id keeps ids independent of the process-global
@@ -108,7 +78,7 @@ class AlertSource:
             body=body,
             created_at=self.env.now,
             severity=severity,
-            keyword_field=keyword_field,
+            keyword_field="keyword",
             **kwargs,
         )
 
@@ -118,14 +88,13 @@ class AlertSource:
         subject: str,
         body: str,
         severity: AlertSeverity = AlertSeverity.ROUTINE,
-        alert_id: Optional[str] = None,
     ) -> tuple[Alert, list["Process"]]:
         """Create an alert and start delivering it to every target.
 
         Returns the alert and the per-target delivery processes (each
         resolves to a :class:`DeliveryOutcome`).
         """
-        alert = self.make_alert(keyword, subject, body, severity, alert_id=alert_id)
+        alert = self.make_alert(keyword, subject, body, severity)
         self.emitted.append(alert)
         processes = [
             self.env.process(
@@ -138,7 +107,7 @@ class AlertSource:
 
     def emit_to(
         self,
-        target: "AddressBook | str",
+        book: AddressBook,
         keyword: str,
         subject: str,
         body: str,
@@ -149,10 +118,8 @@ class AlertSource:
 
         The farm-scale path: a portal alert addresses one recipient, so
         emission must be O(1) in the number of subscribed MABs, not a
-        broadcast over ``targets``.  ``target`` is an address book or the
-        owner name of a registered one.
+        broadcast over ``targets``.
         """
-        book = target if isinstance(target, AddressBook) else self.target_for(target)
         alert = self.make_alert(keyword, subject, body, severity, alert_id=alert_id)
         self.emitted.append(alert)
         process = self.env.process(
@@ -161,39 +128,33 @@ class AlertSource:
         )
         return alert, process
 
-    def emit_and_wait(
-        self,
-        keyword: str,
-        subject: str,
-        body: str,
-        severity: AlertSeverity = AlertSeverity.ROUTINE,
-    ):
-        """Generator form of :meth:`emit`: wait for all deliveries."""
-        alert, processes = self.emit(keyword, subject, body, severity)
-        results = yield self.env.all_of(processes)
-        return alert, list(results.values())
-
     def deliver(self, alert: Alert, book: AddressBook):
         """Deliver ``alert`` to ``book`` (generator returning the outcome).
 
         The public single-delivery entry point — experiments that replay a
         log against specific recipients drive this directly.
         """
-        outcome = yield from self.pipeline.send(alert, book)
+        tracer = self.env.tracer
+        span = None
+        if tracer is not None:
+            # Root of the alert's causal trace: everything downstream —
+            # channel transit, receive, pipeline trip, per-user delivery —
+            # parents (transitively) under this span.
+            span = tracer.begin(
+                alert.alert_id,
+                "source.deliver",
+                subject=alert.subject,
+                endpoint=self.endpoint.name,
+            )
+        outcome = yield from self.endpoint.deliver_alert(
+            alert,
+            self.mode,
+            book,
+            trace_parent=span.span_id if span is not None else None,
+        )
+        if span is not None:
+            tracer.end(
+                span, "delivered" if outcome.delivered else "failed"
+            )
+        self.outcomes.append(outcome)
         return outcome
-
-    # ------------------------------------------------------------------
-    # Reporting helpers
-    # ------------------------------------------------------------------
-
-    def delivery_ratio(self) -> float:
-        if not self.outcomes:
-            return float("nan")
-        return sum(1 for o in self.outcomes if o.delivered) / len(self.outcomes)
-
-    def fallback_ratio(self) -> float:
-        """Fraction of successful deliveries that needed a backup block."""
-        delivered = [o for o in self.outcomes if o.delivered]
-        if not delivered:
-            return float("nan")
-        return sum(1 for o in delivered if o.delivered_via != 0) / len(delivered)

@@ -62,8 +62,6 @@ from repro.testkit.schedule import (
     fault_to_dict,
     load_reproducer,
     replay_reproducer,
-    schedule_from_json,
-    schedule_to_json,
 )
 from repro.testkit.shrink import ShrinkResult, shrink
 from repro.testkit.sweep import ChaosSweepResult, ChaosTrial, chaos_sweep
@@ -102,8 +100,6 @@ __all__ = [
     "load_reproducer",
     "replay_reproducer",
     "run_chaos",
-    "schedule_from_json",
-    "schedule_to_json",
     "shrink",
     "silent_drop_stages",
 ]

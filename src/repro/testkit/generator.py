@@ -236,11 +236,10 @@ class FaultScheduleGenerator:
     def _uniform(self, bounds: tuple[float, float]) -> float:
         return float(self.rng.uniform(bounds[0], bounds[1]))
 
-    def make_fault(self, at: float, kind: FaultKind | None = None) -> ScheduledFault:
-        """One concrete fault at ``at`` (kind drawn if not given)."""
+    def make_fault(self, at: float) -> ScheduledFault:
+        """One concrete fault at ``at``, of a drawn kind."""
         intensity = self.intensity
-        if kind is None:
-            kind = self._draw_kind()
+        kind = self._draw_kind()
         if kind is FaultKind.IM_SERVICE_OUTAGE:
             return ScheduledFault(
                 at=at, kind=kind, target=TARGET_IM_SERVICE,

@@ -503,14 +503,13 @@ class DeliveryRig:
     def start(self, watchdog_interval: Optional[float] = 60.0) -> None:
         """Launch the tenants — under MDC watchdogs, or bare
         (``launch_all``) when ``watchdog_interval`` is None — then create
-        the sources and subscribe every tenant to them."""
+        the sources."""
         if watchdog_interval is None:
             self.farm.launch_all()
         else:
             self.farm.start_watchdogs(check_interval=watchdog_interval)
         for name in self._source_names:
             self.sources[name] = self.world.create_source(name)
-            self.farm.register_with(self.sources[name])
 
     def emit(
         self,

@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
+from repro.core.stabilizing import RESEND_LIMIT
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.farm import BuddyFarm, FarmTenant
     from repro.core.pipeline import PipelineContext
@@ -474,18 +476,17 @@ def stabilized_exactly_once(side):
 def convergence_bounded(side):
     """The self-stabilization promise: after the run settles the unshipped
     queue has drained, and no single ship spun past its structural ceiling
-    of ``resend_limit + 1`` rounds.  A give-up *at* the ceiling is the
+    of ``RESEND_LIMIT + 1`` rounds.  A give-up *at* the ceiling is the
     designed escape hatch (the record goes back to the caller's queue under
     a fresh sequence number), so only a resend loop that kept going beyond
     its budget counts.  Queue-drained only binds when shipping was possible
     at settle: a run ending with the peer crashed or the link down
     legitimately leaves records queued (the flush loop retries forever)."""
     audit = side.transport_audit
-    limit = getattr(side.tx, "resend_limit", None)
-    if limit is not None and audit.max_resend_rounds > limit + 1:
+    if audit.max_resend_rounds > RESEND_LIMIT + 1:
         yield (
             f"a frame took {audit.max_resend_rounds} resend rounds (ceiling "
-            f"{limit + 1}) at side {side.label}",
+            f"{RESEND_LIMIT + 1}) at side {side.label}",
             None,
         )
     peer = side.peer

@@ -53,17 +53,6 @@ def fault_from_dict(row: dict[str, Any]) -> ScheduledFault:
     )
 
 
-def schedule_to_json(schedule: list[ScheduledFault], indent: int | None = 1) -> str:
-    """Byte-stable JSON for a whole schedule."""
-    return json.dumps(
-        [fault_to_dict(f) for f in schedule], indent=indent, sort_keys=True
-    )
-
-
-def schedule_from_json(text: str) -> list[ScheduledFault]:
-    return [fault_from_dict(row) for row in json.loads(text)]
-
-
 @dataclass
 class Reproducer:
     """A pinned failing (or formerly failing) chaos scenario.

@@ -35,10 +35,6 @@ class ShrinkResult:
     #: Sizes after each successful reduction, for forensics.
     steps: list[int] = field(default_factory=list)
 
-    @property
-    def removed(self) -> int:
-        return self.original_size - len(self.schedule)
-
 
 def shrink(
     schedule: list[ScheduledFault],

@@ -74,10 +74,6 @@ class WISHAlertService(AlertSource):
         super().__init__(env, name, endpoint, mode=mode)
         self.server = server
         self.plan = server.plan
-        # Reuse the shared source pipeline for the web-service processing
-        # delay: every delivery pays SERVICE_PROCESSING before the mode runs.
-        self.pipeline.processing = SERVICE_PROCESSING
-        self.pipeline.rng = server.rng
         #: tracked person → set of requesters they allow.
         self._authorized: dict[str, set[str]] = {}
         self._tracks: dict[str, _TrackState] = {}
@@ -117,6 +113,12 @@ class WISHAlertService(AlertSource):
         )
         self._tracks.setdefault(tracked, _TrackState()).requests.append(request)
         return request
+
+    def deliver(self, alert, book: AddressBook):
+        """Every delivery pays the web service's processing delay before
+        the delivery mode runs."""
+        yield self.env.timeout(SERVICE_PROCESSING.draw(self.server.rng))
+        return (yield from super().deliver(alert, book))
 
     # ------------------------------------------------------------------
     # Store events → alerts

@@ -23,7 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: One hop over the 802.11 network to the server.
 WIRELESS_LATENCY = LatencyModel(median=0.3, sigma=0.3, low=0.05, high=2.0)
 
-DEFAULT_REPORT_PERIOD = 3.0
+#: Seconds between location reports.
+REPORT_PERIOD = 3.0
 
 
 class WISHClient:
@@ -38,9 +39,6 @@ class WISHClient:
         server: WISHServer,
         rng: np.random.Generator,
         position: Optional[Point] = None,
-        activity: str = "available",
-        report_period: float = DEFAULT_REPORT_PERIOD,
-        wireless: LatencyModel = WIRELESS_LATENCY,
     ):
         self.env = env
         self.user = user
@@ -49,9 +47,7 @@ class WISHClient:
         self.server = server
         self.rng = rng
         self.position: Optional[Point] = position
-        self.activity = activity
-        self.report_period = report_period
-        self.wireless = wireless
+        self.activity = "available"
         self.reports_sent = 0
         self._running = False
 
@@ -105,7 +101,7 @@ class WISHClient:
         return report
 
     def _transmit(self, report: ClientReport):
-        yield self.env.timeout(self.wireless.draw(self.rng))
+        yield self.env.timeout(WIRELESS_LATENCY.draw(self.rng))
         self.server.submit_report(report)
 
     def start(self) -> None:
@@ -120,6 +116,6 @@ class WISHClient:
 
     def _report_loop(self):
         while self._running:
-            yield self.env.timeout(self.report_period)
+            yield self.env.timeout(REPORT_PERIOD)
             if self._running:
                 self.send_report_now()

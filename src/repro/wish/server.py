@@ -30,6 +30,11 @@ USER_TYPE = "wish.user"
 #: Server-side location computation + store update.
 SERVER_PROCESSING = LatencyModel(median=1.2, sigma=0.25, low=0.2, high=5.0)
 
+#: Soft-state lease of a tracked user's location variable: refreshed by
+#: every report, expired after this many missed refresh periods.
+USER_REFRESH_PERIOD = 10.0
+USER_MAX_MISSED = 3
+
 
 @dataclass
 class ClientReport:
@@ -68,9 +73,6 @@ class WISHServer:
         rng: np.random.Generator,
         grid_spacing: float = 2.0,
         k: int = 3,
-        processing: LatencyModel = SERVER_PROCESSING,
-        user_refresh_period: float = 10.0,
-        user_max_missed: int = 3,
     ):
         self.env = env
         self.plan = plan
@@ -78,9 +80,6 @@ class WISHServer:
         self.store = store
         self.rng = rng
         self.k = k
-        self.processing = processing
-        self.user_refresh_period = user_refresh_period
-        self.user_max_missed = user_max_missed
         store.define_type(USER_TYPE)
         self.estimates: list[LocationEstimate] = []
         #: (lattice point, noiseless fingerprint) pairs.
@@ -106,7 +105,7 @@ class WISHServer:
         self.env.process(self._handle(report), name=f"wish-{report.user}")
 
     def _handle(self, report: ClientReport):
-        yield self.env.timeout(self.processing.draw(self.rng))
+        yield self.env.timeout(SERVER_PROCESSING.draw(self.rng))
         estimate = self.locate(report)
         self.estimates.append(estimate)
         self._update_store(estimate)
@@ -164,8 +163,8 @@ class WISHServer:
                 variable,
                 USER_TYPE,
                 value,
-                refresh_period=self.user_refresh_period,
-                max_missed=self.user_max_missed,
+                refresh_period=USER_REFRESH_PERIOD,
+                max_missed=USER_MAX_MISSED,
             )
             return
         self.store.write(variable, value)

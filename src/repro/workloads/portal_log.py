@@ -27,14 +27,17 @@ from repro.workloads.arrivals import DiurnalProfile, poisson_arrival_times
 PAPER_DAILY_USERS = 225_000
 PAPER_DAILY_ALERTS = 778_000
 
-#: Subscriber base calibrated so that, with the default Zipf skew, the
+#: Per-user popularity skew: rank r gets weight r ** (-1 / ZIPF_EXPONENT).
+ZIPF_EXPONENT = 2.0
+
+#: Subscriber base calibrated so that, with the ZIPF_EXPONENT skew, the
 #: expected number of distinct recipients per day is ≈ PAPER_DAILY_USERS
 #: (heavy subscribers receive several alerts; many subscribers receive none
 #: on a given day).
 DEFAULT_SUBSCRIBER_BASE = 252_000
 
 #: Category mix for a general portal (stocks dominate, as §3.3 suggests).
-DEFAULT_CATEGORY_WEIGHTS = {
+CATEGORY_WEIGHTS = {
     "Stocks": 0.30,
     "News": 0.20,
     "Sports": 0.15,
@@ -68,21 +71,20 @@ class PortalLogGenerator:
         rng: np.random.Generator,
         n_users: int = DEFAULT_SUBSCRIBER_BASE,
         alerts_per_day: int = PAPER_DAILY_ALERTS,
-        category_weights: dict[str, float] | None = None,
-        zipf_exponent: float = 2.0,
     ):
         if n_users <= 0 or alerts_per_day <= 0:
             raise ConfigurationError("population and volume must be positive")
         self.rng = rng
         self.n_users = n_users
         self.alerts_per_day = alerts_per_day
-        weights = category_weights or DEFAULT_CATEGORY_WEIGHTS
-        total = sum(weights.values())
-        self.categories = list(weights)
-        self._category_p = np.array([w / total for w in weights.values()])
+        total = sum(CATEGORY_WEIGHTS.values())
+        self.categories = list(CATEGORY_WEIGHTS)
+        self._category_p = np.array(
+            [w / total for w in CATEGORY_WEIGHTS.values()]
+        )
         # Per-user popularity: Zipf-ish weights normalized to a distribution.
         ranks = np.arange(1, n_users + 1, dtype=float)
-        user_weights = ranks ** (-1.0 / zipf_exponent)
+        user_weights = ranks ** (-1.0 / ZIPF_EXPONENT)
         self._user_p = user_weights / user_weights.sum()
 
     @property

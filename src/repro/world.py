@@ -281,7 +281,6 @@ class SimbaWorld:
         self,
         name: str,
         present: bool = True,
-        start: bool = True,
         ack_enabled: bool = True,
     ) -> UserEndpoint:
         if name in self.users:
@@ -299,8 +298,7 @@ class SimbaWorld:
             present=present,
             ack_enabled=ack_enabled,
         )
-        if start:
-            user.start()
+        user.start()
         self.users[name] = user
         return user
 
@@ -364,13 +362,11 @@ class SimbaWorld:
         endpoint.start()
         return endpoint
 
-    def create_source(self, name: str, mode=None):
+    def create_source(self, name: str):
         """A generic :class:`~repro.sources.base.AlertSource` named ``name``."""
         from repro.sources.base import AlertSource
 
-        return AlertSource(
-            self.env, name, self.create_source_endpoint(name), mode=mode
-        )
+        return AlertSource(self.env, name, self.create_source_endpoint(name))
 
     def start_mdc(
         self, deployment: BuddyDeployment, **mdc_kwargs

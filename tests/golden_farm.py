@@ -46,9 +46,7 @@ def run_golden_farm(tracer=None, admission=None, adversary=None, seed=SEED):
         for tenant in tenants:
             tenant.deployment.config.admission = admission
     source = world.create_source("portal")
-    farm.register_with(source)
     rogue = world.create_source("rogue")
-    farm.register_with(rogue)
     farm.launch_all()
 
     def driver(env):

@@ -102,10 +102,14 @@ def cli(*argv: str) -> Callable[[], str]:
     return produce
 
 
+#: The quick E13 run whose fingerprints are pinned.
+E13_ARGV = ("e13", "--seed", "0", "--shards", "2", "--users", "20000")
+
+
 def e13_fingerprints() -> str:
     """What no host can change of the quick E13 run: the fingerprint per
     shard layout and the oracle line (walls and rates are the host's)."""
-    out = cli("e13", "--seed", "0", "--shards", "2", "--users", "20000")()
+    out = cli(*E13_ARGV)()
     return "".join(
         f"{line.split()[0]} {line.split()[-1]}\n" if line[:1].isdigit()
         else f"{line}\n" for line in out.splitlines()

@@ -179,7 +179,8 @@ def test_pulse_reverts_to_ambient_adversary():
     env, link = make_link(seed=2)
     ambient = AdversaryModel(duplicate_probability=0.2)
     link.set_adversary(ambient)
-    link.adversary_pulse(AdversaryModel.pulse(), 10.0)
-    assert link.adversary == AdversaryModel.pulse()
+    burst = AdversaryModel(reorder_probability=0.25, corrupt_probability=0.15)
+    link.adversary_pulse(burst, 10.0)
+    assert link.adversary == burst
     env.run(until=11.0)
     assert link.adversary == ambient

@@ -146,8 +146,9 @@ ROOT = Path(__file__).parent.parent
 def test_docs_and_ci_index_exactly_the_registered_experiments():
     """README's index carries every id with its registry claim, verbatim;
     EXPERIMENTS.md has one ``## <ID> —`` section per id that says how to
-    run it, and no E-section the registry does not know; CI's
-    experiment-smoke matrix runs every id."""
+    run it, and no E-section the registry does not know; every id runs in
+    tier-1 (``tests/repin.py``'s CLI pins) or in CI's experiment-smoke
+    matrix."""
     readme = (ROOT / "README.md").read_text()
     index = readme[
         readme.index("## Tests and benchmarks"):readme.index("## Chaos testing")
@@ -167,6 +168,40 @@ def test_docs_and_ci_index_exactly_the_registered_experiments():
         assert f"`python -m repro {key}" in sections[key][0], key
     assert {key for key in sections if key.startswith("e")} <= set(EXPERIMENTS)
 
+    commands = _tier1_commands() | set(_ci_smoke_commands())
+    assert {argv[0] for argv in commands} == set(EXPERIMENTS)
+
+
+def _tier1_commands() -> set[tuple[str, ...]]:
+    """``python -m repro`` argv tier-1 runs (the CLI rows of the pins)."""
+    from tests.repin import CLI_IDS, E13_ARGV
+
+    return {(key, "--seed", "0") for key in CLI_IDS} | {E13_ARGV}
+
+
+def _ci_smoke_commands() -> list[tuple[str, ...]]:
+    """``python -m repro`` argv of each experiment-smoke matrix entry."""
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    matrix = re.search(r"^ +id: \[(.*?)\]", ci, re.MULTILINE | re.DOTALL)
-    assert matrix.group(1).replace(",", " ").split() == list(EXPERIMENTS)
+    job = ci[ci.index("  experiment-smoke:"):]
+    block = job[job.index("        include:"):job.index("    steps:")]
+    entries: list[dict[str, str]] = []
+    for line in block.splitlines():
+        entry = re.match(r"^ +- id: (\w+)$", line)
+        if entry:
+            entries.append({"id": entry.group(1)})
+            continue
+        field = re.match(r"^ +(seed|args): (.+)$", line)
+        if field:
+            entries[-1][field.group(1)] = field.group(2)
+    return [
+        (e["id"], "--seed", e.get("seed", "0"), *e.get("args", "").split())
+        for e in entries
+    ]
+
+
+def test_ci_smoke_repeats_no_tier1_command():
+    """CI's experiment-smoke matrix adds the ids tier-1 skips and other
+    seeds; a command tier-1 already runs would only run twice."""
+    smoke = _ci_smoke_commands()
+    assert len(smoke) == len(set(smoke))
+    assert not set(smoke) & _tier1_commands()

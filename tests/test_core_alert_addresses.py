@@ -84,10 +84,6 @@ class TestAlert:
         assert Alert.is_alert_payload(make_alert().encode())
         assert not Alert.is_alert_payload("hello")
 
-    def test_duplicate_key(self):
-        alert = make_alert()
-        assert alert.duplicate_key() == (alert.alert_id, 123.5)
-
     @given(
         body=st.text(
             alphabet=st.characters(blacklist_categories=("Cs",)), max_size=500

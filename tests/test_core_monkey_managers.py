@@ -207,12 +207,6 @@ class TestIMManager:
         with pytest.raises(StalePointerError):
             _ = manager.handle
 
-    def test_is_recipient_online(self, rig):
-        env, im, client, manager = self._manager(rig)
-        assert manager.is_recipient_online("peer@im") is False
-        im.login("peer@im")
-        assert manager.is_recipient_online("peer@im") is True
-
     def test_shutdown_orderly(self, rig):
         env, im, client, manager = self._manager(rig)
         manager.shutdown()
@@ -356,19 +350,6 @@ def test_monkey_rules_snapshot_is_a_copy():
     rules = monkey.rules()
     rules["Injected"] = "OK"
     assert "Injected" not in monkey.rules()
-
-
-def test_is_recipient_online_false_when_service_down():
-    env = Environment()
-    im = IMService(env, RngRegistry(seed=1).stream("im"), latency=FAST)
-    im.register_account("mab@im")
-    im.register_account("peer@im")
-    manager = IMManager(env, IMClient(env, Screen(env), im, "mab@im"))
-    manager.ensure_started()
-    im.login("peer@im")
-    assert manager.is_recipient_online("peer@im") is True
-    im.set_available(False)
-    assert manager.is_recipient_online("peer@im") is False
 
 
 def test_sms_manager_noop_lifecycle():

@@ -21,7 +21,6 @@ FAST = LatencyModel(median=1.0, sigma=0.0, low=0.0, high=10.0)
 class TestChannelStats:
     def test_empty_stats_are_nan(self):
         stats = ChannelStats()
-        assert math.isnan(stats.mean_latency)
         assert math.isnan(stats.delivery_ratio)
 
     def test_record_delivery(self):
@@ -30,33 +29,20 @@ class TestChannelStats:
         stats.record_delivery(2.0)
         stats.record_delivery(4.0)
         assert stats.delivered == 2
-        assert stats.mean_latency == 3.0
+        assert stats.latencies == [2.0, 4.0]
         assert stats.delivery_ratio == 0.5
 
 
-class TestAvailabilityListeners:
-    def test_listener_sees_both_transitions(self):
-        env = Environment()
-        service = EmailService(env, RngRegistry(seed=1).stream("e"),
-                               latency=FAST)
-        transitions = []
-        service.on_availability_change(transitions.append)
-        service.set_available(False)
-        service.set_available(False)  # no-op: no duplicate notification
-        service.set_available(True)
-        assert transitions == [False, True]
-
-    def test_outage_notifies_listeners_at_both_ends(self):
+class TestAvailability:
+    def test_outage_is_down_for_its_duration(self):
         env = Environment()
         service = IMService(env, RngRegistry(seed=1).stream("im"),
                             latency=FAST)
-        transitions = []
-        service.on_availability_change(
-            lambda up: transitions.append((env.now, up))
-        )
         service.outage(60.0)
+        env.run(until=59.0)
+        assert not service.available
         env.run(until=120.0)
-        assert transitions == [(0.0, False), (60.0, True)]
+        assert service.available
 
 
 class TestPresenceService:
@@ -68,15 +54,6 @@ class TestPresenceService:
         presence.set_online("a@im", True)  # no transition
         presence.set_online("a@im", False)
         assert seen == [("a@im", True), ("a@im", False)]
-
-    def test_online_addresses_snapshot(self):
-        presence = PresenceService()
-        presence.set_online("a@im", True)
-        presence.set_online("b@im", True)
-        snapshot = presence.online_addresses()
-        presence.set_online("a@im", False)
-        assert snapshot == frozenset({"a@im", "b@im"})  # frozen copy
-        assert presence.online_addresses() == frozenset({"b@im"})
 
 
 class TestSMSDetails:

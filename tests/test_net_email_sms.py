@@ -157,22 +157,6 @@ class TestLatencyModel:
         model = LatencyModel(median=100.0, sigma=0.0, low=0.0, high=50.0)
         assert model.draw(rng) == 50.0
 
-    def test_message_reply_swaps_endpoints(self):
-        from repro.net import Message
-
-        msg = Message(
-            channel=ChannelType.IM,
-            sender="a",
-            recipient="b",
-            body="hi",
-            subject="s",
-            correlation="c1",
-        )
-        reply = msg.reply_body("ack")
-        assert reply.sender == "b" and reply.recipient == "a"
-        assert reply.correlation == "c1"
-        assert reply.subject == "Re: s"
-
     def test_channel_type_from_tag(self):
         assert ChannelType.from_tag("IM") is ChannelType.IM
         assert ChannelType.from_tag("EM") is ChannelType.EMAIL

@@ -171,19 +171,6 @@ class TestTraceSinkInstall:
         assert env.tracer is sink
         assert sink.env is env
 
-    def test_uninstall_clears_slot(self):
-        sink, env = make_sink()
-        sink.uninstall()
-        assert env.tracer is None
-        assert sink.env is None
-
-    def test_uninstall_leaves_a_newer_tracer_alone(self):
-        env = FakeEnv()
-        old = TraceSink().install(env)
-        new = TraceSink().install(env)
-        old.uninstall()
-        assert env.tracer is new
-
     def test_pickle_drops_env_keeps_spans(self):
         sink, env = make_sink()
         env.now = 1.5

@@ -117,7 +117,6 @@ class World:
             SimpleNamespace(
                 label=label, deployment=deployment, pair=pair,
                 transport_audit=TransportAudit(),
-                tx=SimpleNamespace(resend_limit=3),
                 host=SimpleNamespace(up=True), unshipped=[],
             )
             for label, deployment in (

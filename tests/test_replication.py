@@ -37,7 +37,6 @@ def make_replicated_farm(seed=0, n_users=1, **pair_kwargs):
     farm.enable_replication(**pair_kwargs)
     farm.start_watchdogs(check_interval=60.0)
     source = world.create_source("portal")
-    farm.register_with(source)
     return world, farm, tenants, source, oracle
 
 
@@ -220,9 +219,3 @@ class TestFencingService:
         assert fencing.current("u2") == 0
         assert fencing.advance("u2") == 1
 
-    def test_farm_teardown_stops_controllers(self):
-        world, farm, tenants, source, oracle = make_replicated_farm()
-        pair = tenants[0].pair
-        world.env.run(until=60.0)
-        farm.teardown_all()
-        assert pair.controller.running is False

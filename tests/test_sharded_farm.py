@@ -177,6 +177,22 @@ class TestBridge:
         assert settled.undelivered_envelopes == 0
         assert result.receipts < settled.receipts
 
+    def test_a_split_run_counts_undelivered_envelopes_once(self):
+        # run(T/2) then run(T) must report what one run(T) reports: the
+        # envelopes queued at T/2 are delivered by the second run.
+        def rollup(*horizons):
+            with small_farm(2) as farm:
+                for until in horizons:
+                    farm.run(until=until)
+                return farm.merged_rollup()
+
+        horizon = SMALL["duration"]
+        single = rollup(horizon)
+        split = rollup(horizon / 2, horizon)
+        assert single.undelivered_envelopes > 0
+        assert split.undelivered_envelopes == single.undelivered_envelopes
+        assert split.receipts == single.receipts
+
     def test_run_covers_partial_final_epoch(self):
         farm = small_farm(1)
         with farm:

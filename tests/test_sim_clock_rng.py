@@ -143,13 +143,6 @@ class TestFaultInjector:
         injector.register("im", lambda f: False)
         assert injector.inject_now(self._fault()) is False
 
-    def test_unregister_removes_handler(self):
-        env = Environment()
-        injector = FaultInjector(env)
-        injector.register("im", lambda f: True)
-        injector.unregister("im")
-        assert injector.inject_now(self._fault()) is False
-
     def test_load_unregistered_target_raises_up_front(self):
         from repro.errors import ConfigurationError
 
@@ -165,14 +158,3 @@ class TestFaultInjector:
         assert "im" in str(err.value)
         assert injector.records == []  # nothing partially scheduled
 
-    def test_load_allow_unregistered_records_rejections(self):
-        env = Environment()
-        injector = FaultInjector(env)
-        injector.register("im", lambda f: True)
-        injector.load(
-            [self._fault(), self._fault(at=5.0, target="ghost")],
-            allow_unregistered=True,
-        )
-        env.run()
-        assert [r.accepted for r in injector.records] == [True, False]
-        assert injector.records[1].detail == "no handler"

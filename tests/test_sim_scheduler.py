@@ -4,7 +4,7 @@ guards, and the explicit timer lifecycle.
 The randomized equivalence suite (``test_kernel_equivalence.py``) proves
 both backends match the frozen reference on whole programs; this module
 pins the *local* invariants — NaN rejection, queue accounting, wheel
-geometry corners, reuse-after-free guards — with small deterministic
+geometry corners, pool recycling guards — with small deterministic
 scenarios, so a regression fails here with a readable name instead of a
 30-seed trace diff.
 """
@@ -14,11 +14,9 @@ import pytest
 from repro.errors import (
     ConfigurationError,
     Interrupt,
-    PoolError,
     SimulationError,
 )
 from repro.sim import Environment
-from repro.sim.pool import EventPool
 from repro.sim.scheduler import (
     DEFAULT_SCHEDULER,
     SCHEDULER_ENV_VAR,
@@ -341,79 +339,48 @@ class TestQueueAccounting:
 
 class TestPoolGuards:
     def test_release_and_reuse(self):
+        # A processed Event nobody holds goes back to the free list, and
+        # the next factory call is served from it.
         env = Environment(scheduler="heap")
-        pool = EventPool()
-        event = env.event()
-        event.callbacks = None  # processed
-        assert pool.release(event) is True
-        assert event._pooled
-        assert pool.recycled == 1
-
-    def test_double_release_raises(self):
-        env = Environment(scheduler="heap")
-        pool = EventPool()
-        event = env.event()
-        event.callbacks = None
-        pool.release(event)
-        with pytest.raises(PoolError, match="double release"):
-            pool.release(event)
-
-    def test_live_event_release_raises(self):
-        env = Environment(scheduler="heap")
-        pool = EventPool()
-        with pytest.raises(PoolError, match="live"):
-            pool.release(env.event())
-
-    def test_subclass_release_raises(self):
-        env = Environment(scheduler="heap")
-        pool = EventPool()
-        condition = env.any_of([env.timeout(1.0)])
-        with pytest.raises(PoolError, match="poolable"):
-            pool.release(condition)
+        env.event().succeed()
+        env.run()
+        pool = env.scheduler.pool
+        assert len(pool.events) == 1
+        recycled = pool.events[0]
+        assert env.event() is recycled
+        assert pool.reused == 1
 
     def test_cancelled_timer_declined_not_raised(self):
         # A cancelled timer's tombstone may still sit in a queue —
-        # recycling it would let the stale entry fire a new incarnation.
+        # recycling it then would let the stale entry fire a new
+        # incarnation.  It is declined until the tombstone is discarded.
         env = Environment(scheduler="heap")
-        pool = EventPool()
-        timer = env.timeout(5.0)
-        timer.cancel()
-        assert pool.release(timer) is False
-        assert pool.rejected == 1
-        assert not timer._pooled
+        for _ in range(3):  # live entries: no compaction purges the tombstone
+            env.timeout(6.0)
+        env.timeout(5.0).cancel()
+        pool = env.scheduler.pool
+        assert pool.timeouts == []
+        env.run(until=5.5)
+        assert len(pool.timeouts) == 1
+        assert not pool.timeouts[0]._cancelled  # clean at release
 
     def test_extra_reference_declined(self):
+        # The dispatch loop recycles only what nobody else holds.
         env = Environment(scheduler="heap")
-        pool = EventPool()
-        event = env.event()
-        event.callbacks = None
-        holder = [event]  # someone else still holds it
-        assert pool.release(event) is False
-        assert pool.rejected == 1
-        assert holder[0] is event
+        held = env.timeout(1.0)
+        env.timeout(1.0)
+        env.run(until=2.0)
+        pool = env.scheduler.pool
+        assert len(pool.timeouts) == 1
+        assert pool.timeouts[0] is not held
 
     def test_bounded_pool_declines_when_full(self):
         env = Environment(scheduler="heap")
-        pool = EventPool(max_size=1)
-        first, second = env.event(), env.event()
-        first.callbacks = None
-        second.callbacks = None
-        assert pool.release(first) is True
-        assert pool.release(second) is False
-        assert len(pool) == 1
-
-    def test_recycled_is_derived_and_survives_clear(self):
-        env = Environment(scheduler="heap")
-        pool = EventPool()
+        env.scheduler.pool.max_size = 1
         for _ in range(3):
-            event = env.event()
-            event.callbacks = None
-            pool.release(event)
-        assert pool.recycled == 3
-        pool.clear()
-        assert len(pool) == 0
-        assert pool.recycled == 3  # history is not erased
-        assert pool.stats()["recycled"] == 3
+            env.timeout(1.0)
+        env.run(until=2.0)
+        assert len(env.scheduler.pool.timeouts) == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_dispatch_loop_recycles_and_factories_reuse(self, backend):

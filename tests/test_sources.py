@@ -341,33 +341,31 @@ class TestAlertSourceBase:
         deployment.config.classifier.accept_source("portal")
 
         def scenario(env):
-            alert, outcomes = yield from source.emit_and_wait(
-                "News", "subject", "body"
-            )
+            alert, processes = source.emit("News", "subject", "body")
+            results = yield env.all_of(processes)
+            outcomes = list(results.values())
             assert alert.keyword == "News"
             assert len(outcomes) == 1
             assert outcomes[0].delivered
-            return alert
+            assert source.outcomes == outcomes
 
         done = world.env.process(scenario(world.env))
         world.run(until=done)
 
     def test_delivery_and_fallback_ratios(self):
-        import math
-
         world, user, deployment = rigged_world(["News"])
         source = world.create_source("portal")
         source.add_target(deployment.source_facing_book())
         deployment.config.classifier.accept_source("portal")
-        assert math.isnan(source.delivery_ratio())
-        assert math.isnan(source.fallback_ratio())
+        assert source.outcomes == []
         source.emit("News", "s1", "b")
         world.run(until=MINUTE)
         world.im.outage(10 * MINUTE)
         source.emit("News", "s2", "b")
         world.run(until=20 * MINUTE)
-        assert source.delivery_ratio() == 1.0
-        assert source.fallback_ratio() == 0.5  # second one went by email
+        assert all(o.delivered for o in source.outcomes)
+        # The second one went by email, the mode's backup block.
+        assert [o.delivered_via for o in source.outcomes] == [0, 1]
 
     def test_multiple_targets_fan_out(self):
         world, user, deployment = rigged_world(["News"])

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core.host import Host
 from repro.core.stabilizing import (
-    DEFAULT_RESEND_LIMIT,
+    RESEND_LIMIT,
     TransportAudit,
     make_receiver,
     make_sender,
@@ -126,7 +126,7 @@ class TestStabilizingProperties:
         the whole batch drains (the driver's attempt cap never trips)."""
         applied, audit, _ = run_transport("stabilizing", model, seed, backend)
         assert len(applied) == N_RECORDS
-        assert audit.max_resend_rounds <= DEFAULT_RESEND_LIMIT + 1
+        assert audit.max_resend_rounds <= RESEND_LIMIT + 1
 
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(
