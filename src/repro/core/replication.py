@@ -19,7 +19,10 @@ one logical MAB address (``mab-<user>@im`` / ``mab-<user>@mail``).
   :class:`FailoverController` (conceptually running on the standby host)
   promotes the standby when the lease expires.  The promoted side starts its
   own MDC, whose first incarnation replays the mirrored log — exactly the
-  §4.2.1 recovery path, just on another machine.
+  §4.2.1 recovery path, just on another machine.  Neither idle duty is a
+  process: a heartbeat is a callback chain over :meth:`HostLink.send`, and
+  the lease checks of every pair started together run from one sweep timer
+  the :class:`FencingService` owns.
 
 - **Epoch fencing.**  A :class:`FencingService` (an external coordinator —
   the one dependency assumed always reachable) hands out monotonic epochs.
@@ -83,10 +86,17 @@ class FencingService:
     the replication-link partition does not cut it off).  ``advance`` is the
     promotion primitive: whoever holds the highest epoch is the only side
     allowed to ack or route.
+
+    It also owns the lease sweep: one recurring callback timer per
+    ``(check_interval, start instant)`` runs every member controller's
+    :meth:`FailoverController.check_lease` inline, in start order — a
+    fixed number of timers however many pairs the farm holds.
     """
 
     def __init__(self):
         self._epochs: dict[str, int] = {}
+        #: Controllers per lease sweep, keyed by (check interval, start).
+        self._sweeps: dict[tuple[float, float], list] = {}
 
     def current(self, pair_id: str) -> int:
         return self._epochs.get(pair_id, 0)
@@ -94,6 +104,31 @@ class FencingService:
     def advance(self, pair_id: str) -> int:
         self._epochs[pair_id] = self.current(pair_id) + 1
         return self._epochs[pair_id]
+
+    def watch(self, controller: "FailoverController") -> None:
+        """Put ``controller`` on the sweep of its interval and start
+        instant; a new sweep arms its first tick from a zero-delay kick."""
+        env = controller.env
+        key = (controller.check_interval, env.now)
+        members = self._sweeps.get(key)
+        if members is None:
+            members = self._sweeps[key] = []
+            kick = env.event()
+            kick.callbacks.append(self._sweep_next)
+            kick.succeed((members, controller.check_interval))
+        members.append(controller)
+
+    def _sweep_next(self, event) -> None:
+        """Arm the sweep's next tick (carrying its members and interval)."""
+        event.env.timeout(event.value[1], event.value).callbacks.append(
+            self._sweep
+        )
+
+    def _sweep(self, timer) -> None:
+        now = timer.env.now
+        for controller in timer.value[0]:
+            controller.check_lease(now)
+        self._sweep_next(timer)
 
 
 @dataclass(frozen=True)
@@ -204,6 +239,8 @@ class PairSide:
         self.transport_audit = TransportAudit()
         self.tx = None
         self.rx = None
+        #: The other side of the pair (set once both sides exist).
+        self.peer: Optional[PairSide] = None
 
     def attach_transport(self, kind: str) -> None:
         """Install this side's sender and receiver for ``kind`` transport.
@@ -233,10 +270,6 @@ class PairSide:
     @property
     def env(self) -> "Environment":
         return self.pair.env
-
-    @property
-    def peer(self) -> "PairSide":
-        return self.pair.other(self)
 
     def fenced_now(self) -> bool:
         """Whether a later epoch exists (the side may not know yet)."""
@@ -392,44 +425,58 @@ class PairSide:
     # Heartbeats
     # ------------------------------------------------------------------
 
-    def heartbeat_loop(self):
-        """Primary-side keep-alive; doubles as the post-partition catch-up.
+    def start_heartbeats(self) -> None:
+        """Start this side's keep-alive chain from a zero-delay kick.
 
-        The interval timer is acquired through a :class:`TimerScope` held
-        for the loop's whole life: when a crash or fencing handoff closes
-        this generator mid-sleep, the scope settles the pending beat
-        instead of leaving it to fire into a dead loop.
+        A chain is a callback per beat, not a process: each beat arms the
+        next only while this side is still the primary, so a demoted side's
+        chain ends at its next beat.
         """
-        with self.env.timers() as timers:
-            yield from self._heartbeat_loop(timers)
+        kick = self.env.event()
+        kick.callbacks.append(lambda _kick: self._arm_beat())
+        kick.succeed()
 
-    def _heartbeat_loop(self, timers):
-        while self.role is ReplicaRole.PRIMARY:
-            yield timers.acquire(self.pair.heartbeat_interval)
-            if self.role is not ReplicaRole.PRIMARY:
-                return
-            if self.fenced_now():
-                # The fencing check rides on the coordinator, not the link:
-                # a partitioned-but-alive primary self-fences within one
-                # beat instead of flip-flopping IM sessions with the new
-                # primary.
-                self.notice_fenced()
-                return
-            if not self.host.up:
-                continue
-            peer = self.peer
-            if not self.pair.link.usable(toward=peer.host):
-                continue
-            ok = yield from self.pair.link.transfer(toward=peer.host)
-            if not ok:
-                continue
-            peer.last_heartbeat = self.env.now
+    def _arm_beat(self) -> None:
+        if self.role is ReplicaRole.PRIMARY:
+            self.env.timeout(self.pair.heartbeat_interval).callbacks.append(
+                self._beat
+            )
+
+    def _beat(self, _timer) -> None:
+        if self.role is not ReplicaRole.PRIMARY:
+            return
+        if self.fenced_now():
+            # The fencing check rides on the coordinator, not the link: a
+            # partitioned-but-alive primary self-fences within one beat
+            # instead of flip-flopping IM sessions with the new primary.
+            self.notice_fenced()
+            return
+        peer = self.peer
+        if not self.host.up or not self.pair.link.usable(toward=peer.host):
+            self._arm_beat()
+            return
+        self.pair.link.send(peer.host, self._beat_landed)
+
+    def _beat_landed(self, ok: bool) -> None:
+        if ok:
+            self.peer.last_heartbeat = self.env.now
             if self.unshipped or self.pending_marks:
+                # The post-partition catch-up: the only part of a beat that
+                # suspends (it waits out another flush, then ships).
                 self.unshipped.extend(self.pending_marks)
                 self.pending_marks.clear()
-                while self._flushing:
-                    yield self.env.timeout(_SHIP_POLL)
-                yield from self.flush_unshipped()
+                self.env.process(
+                    self._catch_up(),
+                    name=f"catch-up-{self.pair.pair_id}-{self.label}",
+                )
+                return
+        self._arm_beat()
+
+    def _catch_up(self):
+        while self._flushing:
+            yield self.env.timeout(_SHIP_POLL)
+        yield from self.flush_unshipped()
+        self._arm_beat()
 
 
 class ReplicatedPair:
@@ -464,6 +511,7 @@ class ReplicatedPair:
                           ReplicaRole.PRIMARY, first_epoch)
         self.b = PairSide(self, "b", standby, standby_host,
                           ReplicaRole.STANDBY, 0)
+        self.a.peer, self.b.peer = self.b, self.a
         self.active = self.a
         self.controller: Optional[FailoverController] = None
         for side in (self.a, self.b):
@@ -480,13 +528,6 @@ class ReplicatedPair:
                     side, "last_heartbeat", self.env.now
                 )
             )
-
-    def other(self, side: PairSide) -> PairSide:
-        return self.b if side is self.a else self.a
-
-    @property
-    def passive_side(self) -> PairSide:
-        return self.other(self.active)
 
     def sides(self) -> tuple[PairSide, PairSide]:
         return (self.a, self.b)
@@ -530,40 +571,21 @@ class FailoverController:
         self.check_interval = check_interval
         self.retry_interval = retry_interval
         self.mdc_kwargs = dict(mdc_kwargs) if mdc_kwargs else {}
-        self.running = False
-        self.promotions = 0
         pair.controller = self
-
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        self.env.process(
-            self._monitor(), name=f"failover-{self.pair.pair_id}"
-        )
+        pair.fencing.watch(self)
 
     # ------------------------------------------------------------------
     # Lease monitoring / promotion
     # ------------------------------------------------------------------
 
-    def _monitor(self):
-        # Lease checks ride on scope-acquired timers: stopping the
-        # controller mid-sleep settles the pending check structurally.
-        with self.env.timers() as timers:
-            yield from self._monitor_loop(timers)
-
-    def _monitor_loop(self, timers):
-        while self.running:
-            yield timers.acquire(self.check_interval)
-            if not self.running:
-                return
-            side = self.pair.passive_side
-            if side.role is not ReplicaRole.STANDBY or not side.ready:
-                continue
-            if not side.host.up:
-                continue  # the controller lives with the standby
-            if self.env.now - side.last_heartbeat <= self.lease_timeout:
-                continue
+    def check_lease(self, now: float) -> None:
+        """One lease check, run inline by the fencing service's sweep."""
+        side = self.pair.active.peer
+        if side.role is not ReplicaRole.STANDBY or not side.ready:
+            return
+        if not side.host.up:
+            return  # the controller lives with the standby
+        if now - side.last_heartbeat > self.lease_timeout:
             self.promote(side)
 
     def promote(self, standby: PairSide) -> None:
@@ -589,7 +611,6 @@ class FailoverController:
                 side=standby.label,
                 user=pair.pair_id,
             )
-        self.promotions += 1
         mdc = MasterDaemonController(
             self.env,
             standby.host,
@@ -603,10 +624,7 @@ class FailoverController:
         # primary's session) and whose recovery pass replays every
         # unprocessed mirrored entry — §4.2.1, on the other machine.
         mdc.start()
-        self.env.process(
-            standby.heartbeat_loop(),
-            name=f"heartbeat-{pair.pair_id}-{standby.label}",
-        )
+        standby.start_heartbeats()
 
     def gate_for(self, side: PairSide, mdc: MasterDaemonController):
         """Resurrection gate: boot-time restarts defer to the epoch."""
@@ -795,7 +813,7 @@ def build_pair(
         heartbeat_interval=heartbeat_interval,
         transport=transport,
     )
-    controller = FailoverController(
+    FailoverController(
         env,
         pair,
         lease_timeout=lease_timeout,
@@ -803,8 +821,5 @@ def build_pair(
         retry_interval=retry_interval,
         mdc_kwargs=mdc_kwargs,
     )
-    controller.start()
-    env.process(
-        pair.a.heartbeat_loop(), name=f"heartbeat-{user}-a"
-    )
+    pair.a.start_heartbeats()
     return pair

@@ -565,6 +565,10 @@ class ShardProtocolError(RuntimeError):
 
 #: What a dead pipe looks like from the coordinator's end.
 _PIPE_DEAD = (EOFError, BrokenPipeError, ConnectionResetError)
+#: Seconds the coordinator waits for any one reply (the build handshake, an
+#: epoch, a rollup) before it calls the worker wedged — far above any reply
+#: a live worker gives at the sizes this repository runs.
+REPLY_DEADLINE = 600.0
 
 
 class _ProcessShard:
@@ -572,7 +576,7 @@ class _ProcessShard:
 
     def __init__(self, context, spec: ShardSpec):
         self.shard = spec.shard
-        #: The last command sent, for the diagnosis if the worker dies.
+        #: The last command sent, for the diagnosis if the worker fails.
         self._last: tuple = ("start",)
         self.conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
@@ -593,6 +597,13 @@ class _ProcessShard:
 
     def recv(self) -> object:
         try:
+            # A closed pipe polls ready, so only a silent worker times out.
+            if not self.conn.poll(REPLY_DEADLINE):
+                raise self._failed(
+                    f"sent no reply within {REPLY_DEADLINE:g} s",
+                    "still alive" if self.process.is_alive() else
+                    self._exit_status(),
+                )
             kind, payload = self.conn.recv()
         except _PIPE_DEAD as exc:
             raise self._died() from exc
@@ -603,22 +614,27 @@ class _ProcessShard:
     def _died(self) -> ShardProtocolError:
         # The pipe closes a moment before the exit status can be reaped.
         self.process.join(timeout=1.0)
+        return self._failed("died", self._exit_status())
+
+    def _exit_status(self) -> str:
         code = self.process.exitcode
         if code is None:
-            fate = "hung up but is still running"
-        elif code == -9:
-            fate = "exit code -9 (killed — likely out of memory)"
-        elif code < 0:
-            fate = f"exit code {code} (killed by signal {-code})"
-        else:
-            fate = f"exit code {code}"
+            return "hung up but is still running"
+        if code == -9:
+            return "exit code -9 (killed — likely out of memory)"
+        if code < 0:
+            return f"exit code {code} (killed by signal {-code})"
+        return f"exit code {code}"
+
+    def _failed(self, what: str, fate: str) -> ShardProtocolError:
+        """``shard N worker <what> during <command>: <fate>``."""
         command = self._last[0]
         during = (
             f"{command!r} until={self._last[1]!r}"
             if command == "epoch" else repr(command)
         )
         return ShardProtocolError(
-            f"shard {self.shard} worker died during {during}: {fate}"
+            f"shard {self.shard} worker {what} during {during}: {fate}"
         )
 
     def stop(self, timeout: float = 5.0) -> None:

@@ -25,7 +25,9 @@ therefore holds across any resend sequence; duplicate copies ride the
 adversary counters only.
 
 The warm-standby pair (:mod:`repro.core.replication`) ships pessimistic-log
-records and heartbeats over one of these.
+records over one of these (:meth:`HostLink.ship`, a generator: the shipper
+suspends until the round trip ends) and heartbeats through
+:meth:`HostLink.send`, the callback twin that needs no process.
 """
 
 from __future__ import annotations
@@ -108,11 +110,53 @@ class HostLink(ChannelBase):
         corrupt frame through the sender's round trip.
         """
         toward = toward if toward is not None else self.dst
+        sent_at = self.env.now
+        departed = self._depart(payload, toward, on_receive)
+        if departed is None:
+            return False
+        delay, corrupt = departed
+        yield self.env.timeout(delay)
+        if self._in_flight_failure(toward):
+            return False
+        self.stats.record_delivery(self.env.now - sent_at)
+        if on_receive is not None:
+            ack = on_receive(LinkPacket(payload, corrupt, False, sent_at))
+            return True if ack is None else bool(ack)
+        return True
+
+    def send(self, toward: "Host", done: Callable[[bool], None]) -> None:
+        """Callback twin of :meth:`transfer`: no process, one timer.
+
+        The same draws in the same order (latency, then adversary
+        effects) and the same duplicate copies as ``transfer``; the
+        outcome ``transfer`` would return reaches ``done(ok)`` instead —
+        at once for a pre-flight refusal, else from the arrival timer.
+        """
+        departed = self._depart(None, toward, None)
+        if departed is None:
+            done(False)
+            return
+        timer = self.env.timeout(
+            departed[0], (toward, self.env.now, done)
+        )
+        timer.callbacks.append(self._landed)
+
+    def _landed(self, timer) -> None:
+        toward, sent_at, done = timer.value
+        if self._in_flight_failure(toward):
+            done(False)
+            return
+        self.stats.record_delivery(self.env.now - sent_at)
+        done(True)
+
+    def _depart(self, payload, toward, on_receive):
+        """Put one packet in the pipe: ``(delay, corrupt)``, or None when
+        the link refused it pre-flight.  Launches the duplicate copies."""
         if not self.available:
             # Pre-flight refusal: the packet never entered the pipe, so it
             # is charged to ``rejected`` only — never also to ``lost``.
             self.stats.rejected += 1
-            return False
+            return None
         self.stats.submitted += 1
         sent_at = self.env.now
         delay = self.latency.draw(self.rng)
@@ -122,14 +166,7 @@ class HostLink(ChannelBase):
                 self._ship_copy(payload, toward, on_receive, sent_at),
                 name=f"{self.name}-dup{index}",
             )
-        yield self.env.timeout(delay + extra_delay)
-        if self._in_flight_failure(toward):
-            return False
-        self.stats.record_delivery(self.env.now - sent_at)
-        if on_receive is not None:
-            ack = on_receive(LinkPacket(payload, corrupt, False, sent_at))
-            return True if ack is None else bool(ack)
-        return True
+        return delay + extra_delay, corrupt
 
     def _in_flight_failure(self, toward: "Host") -> bool:
         """One exit point for every in-flight failure: exactly one ``lost``

@@ -32,8 +32,7 @@ allocation cost per delivered alert.
 
 For timer *consumers*, :class:`TimerScope` provides the explicit
 acquire/settle lifecycle used across the delivery stack (router ack
-guards, watchdog probes, replication heartbeats, channel transit and
-outage timers): timers acquired through a scope are structurally
+guards, watchdog probes, channel outage timers): timers acquired through a scope are structurally
 cancelled when the scope settles — including when a process is
 interrupted or its generator is closed mid-wait — instead of relying on
 ad-hoc ``timeout.cancel()`` calls at every call site.
@@ -330,7 +329,7 @@ class TimerScope:
     them, no matter how it ends.
 
     Scopes are reusable across loop iterations: :meth:`acquire` prunes
-    timers that have already fired or been cancelled, so a heartbeat
+    timers that have already fired or been cancelled, so a monitor
     loop can hold one scope open for its whole life and still track only
     the current interval timer.
     """

@@ -13,6 +13,10 @@ the event budget: every non-timer event the run schedules, by class
 waits on cannot creep back either.  The counts are a pure function of the
 scenario: both scheduler backends are counted, and must agree.
 
+Beside them, the replicated budget counts spawns, resumes and timers on a
+replicated chaos run, so a lease monitor or heartbeat process cannot creep
+back either.
+
 The second part is the heap budget: what the same runs may leave behind
 that only the cyclic collector can free — nothing on the delivery path.
 The third is the residue budget: what every offered alert may leave
@@ -35,7 +39,7 @@ from repro.sim.events import Timeout
 from repro.sim.process import Process
 from repro.sim.scheduler import HeapScheduler
 from repro.sim.wheel import WheelScheduler
-from repro.testkit.generator import StormConfig
+from repro.testkit.generator import FaultScheduleGenerator, StormConfig
 from repro.testkit.harness import ChaosRunConfig, run_chaos
 from repro.testkit.oracle import DeliveryOracle, ObservedOutcome
 from tests.golden_farm import N_USERS, run_golden_farm
@@ -84,10 +88,14 @@ EXPECTED_EVENTS = {"Event": 391, "StoreGet": 221, "AnyOf": 86, "Process": 51}
 EVENTS_PER_DELIVERED = 17.83
 
 
-def count_hops():
+def count_hops(run):
+    """``(spawns, resumes, events, timers)`` of one ``run()``: spawns and
+    resumes by qualname, non-timer events by class, and every timer armed.
+    """
     spawns: Counter = Counter()
     resumes: Counter = Counter()
     events: Counter = Counter()
+    timers = 0
     original_init = Process.__init__
 
     class CountedGenerator:
@@ -112,40 +120,60 @@ def count_hops():
 
     def counting_schedule(schedule):
         def counted(self, event, delay=0.0):
-            # Timers are budgeted by the ledger (and a pooled one never
-            # comes through here); everything else is a hand-off.
+            # Timers are counted where they are armed (and a pooled one
+            # never comes through here); everything else is a hand-off.
             if event.__class__ is not Timeout:
                 events[type(event).__name__] += 1
             schedule(self, event, delay)
 
         return counted
 
-    # Patched before the farm is built: an Environment binds its
-    # backend's ``schedule`` at construction.
+    def counting_timeout(timeout):
+        def counted(self, delay, value=None):
+            nonlocal timers
+            timers += 1
+            return timeout(self, delay, value)
+
+        return counted
+
+    # Patched before the world is built: an Environment binds its
+    # backend's ``schedule`` and ``timeout`` at construction.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Process, "__init__", counting_init)
         for backend in (HeapScheduler, WheelScheduler):
             patch.setattr(
                 backend, "schedule", counting_schedule(backend.schedule)
             )
-        farm = run_golden_farm()
-    assert farm.delivery_summary()["received"] == DELIVERED
-    return spawns, resumes, events
+            patch.setattr(
+                backend, "timeout", counting_timeout(backend.timeout)
+            )
+        run()
+    return spawns, resumes, events, timers
 
 
-@pytest.fixture(scope="module")
-def hop_counts():
+def on_both_backends(run):
+    """``count_hops(run)``, which both scheduler backends must agree on."""
     counts = []
     for backend in ("heap", "wheel"):
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_SCHEDULER", backend)
-            counts.append(count_hops())
+            counts.append(count_hops(run))
     assert counts[0] == counts[1], "the backends disagree"
     return counts[1]
 
 
+def run_counted_golden_farm():
+    farm = run_golden_farm()
+    assert farm.delivery_summary()["received"] == DELIVERED
+
+
+@pytest.fixture(scope="module")
+def hop_counts():
+    return on_both_backends(run_counted_golden_farm)
+
+
 def test_one_spawn_per_alert_and_no_forwarding_processes(hop_counts):
-    spawns, _resumes, _events = hop_counts
+    spawns, _resumes, _events, _timers = hop_counts
     forwarding = [
         name for name in spawns if name.endswith(("_deliver", "_pump"))
     ]
@@ -154,7 +182,7 @@ def test_one_spawn_per_alert_and_no_forwarding_processes(hop_counts):
 
 
 def test_alert_path_resumes_are_pinned(hop_counts):
-    _spawns, resumes, _events = hop_counts
+    _spawns, resumes, _events, _timers = hop_counts
     measured = {name: resumes[name] for name in EXPECTED_ALERT_PATH_RESUMES}
     assert measured == EXPECTED_ALERT_PATH_RESUMES
     per_alert = sum(measured.values()) / DELIVERED
@@ -163,10 +191,87 @@ def test_alert_path_resumes_are_pinned(hop_counts):
 
 
 def test_non_timer_events_are_pinned(hop_counts):
-    _spawns, _resumes, events = hop_counts
+    _spawns, _resumes, events, _timers = hop_counts
     assert "StorePut" not in events  # a put is a call: no waiter, no event
     assert dict(events) == EXPECTED_EVENTS
     assert round(sum(events.values()) / DELIVERED, 2) == EVENTS_PER_DELIVERED
+
+
+# ---------------------------------------------------------------------------
+# Replicated budget: what a replicated farm's idle machinery may cost
+# ---------------------------------------------------------------------------
+#
+# The hop budget's sibling for the warm-standby pairs (DESIGN §6b): lease
+# checks are one sweep timer per farm tick and heartbeats a callback chain,
+# so neither spawns a process.  The only replication process left on the
+# idle path is the post-partition catch-up flush.  Counted on the 8-user
+# replicated chaos run that the heap budget below also audits.
+
+#: The 8-user replicated chaos run, with schedule seed 21's faults.
+REPLICATED = ChaosRunConfig(
+    seed=0, n_users=8, duration=600.0, alert_period=4.0, replication=True
+)
+
+
+def replicated_schedule():
+    return FaultScheduleGenerator(
+        21, [f"user{i}" for i in range(REPLICATED.n_users)],
+        duration=REPLICATED.duration, start=REPLICATED.start,
+        replication=True,
+    ).generate()
+
+
+def run_counted_replicated_chaos():
+    report = run_chaos(replicated_schedule(), REPLICATED)
+    assert report.oracle.ok and report.injected == 8
+
+
+#: Spawns over the whole run.  Beside the alert path and the per-tenant
+#: loops, replication spawns only what suspends: the catch-up flushes after
+#: the link partitions and the fenced side's reconciliation.
+EXPECTED_REPLICATED_SPAWNS = {
+    "AlertSource.deliver": 363,
+    "ChannelBase._outage_timer": 3,
+    "DeliveryRig.round_robin.<locals>.workload": 1,
+    "FailoverController._reconcile": 1,
+    "FaultInjector._fire": 8,
+    "MasterDaemonController._monitor": 9,
+    "MonkeyThread._loop": 24,
+    "MyAlertBuddy._main": 11,
+    "MyAlertBuddy._mdc_client": 430,
+    "MyAlertBuddy._nightly": 11,
+    "PairSide._catch_up": 2,
+    "RetryStage._requeue": 24,
+    "SelfStabilizer._loop": 22,
+    "SimbaEndpoint._email_loop": 12,
+    "SimbaEndpoint._im_loop": 12,
+    "SimbaEndpoint._maintenance_loop": 1,
+    "UserEndpoint._im_loop": 16,
+    "UserEndpoint._mail_loop": 8,
+    "UserEndpoint._phone_loop": 8,
+    "UserEndpoint._reconnect_loop": 8,
+}
+#: Every generator resume and every timer armed over the run.
+REPLICATED_RESUMES = 10831
+REPLICATED_TIMERS = 21043
+
+
+@pytest.fixture(scope="module")
+def replicated_counts():
+    return on_both_backends(run_counted_replicated_chaos)
+
+
+def test_replication_idle_path_spawns_no_process(replicated_counts):
+    spawns, resumes, _events, timers = replicated_counts
+    idle = [
+        name for name in spawns
+        if name.startswith("FailoverController._monitor")
+        or (name.startswith("PairSide.") and "heartbeat" in name)
+    ]
+    assert idle == []
+    assert dict(spawns) == EXPECTED_REPLICATED_SPAWNS
+    assert sum(resumes.values()) == REPLICATED_RESUMES
+    assert timers == REPLICATED_TIMERS
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +344,6 @@ def test_a_process_that_keeps_its_wake_breaks_the_heap_budget(monkeypatch):
 
 
 def test_replicated_chaos_leaves_only_the_listed_residue():
-    from repro.testkit.generator import FaultScheduleGenerator
-    from repro.testkit.harness import ChaosRunConfig, run_chaos
-    from repro.testkit.oracle import DeliveryOracle
-
     class KeepingOracle(DeliveryOracle):
         """Holds the quiesced farm, so the census sees a live world."""
 
@@ -250,17 +351,11 @@ def test_replicated_chaos_leaves_only_the_listed_residue():
             self.farm = farm
             return super().check(farm, **kwargs)
 
-    config = ChaosRunConfig(
-        seed=0, n_users=8, duration=600.0, alert_period=4.0, replication=True
-    )
-    schedule = FaultScheduleGenerator(
-        21, [f"user{i}" for i in range(config.n_users)],
-        duration=config.duration, start=config.start, replication=True,
-    ).generate()
+    schedule = replicated_schedule()
 
     def run():
         oracle = KeepingOracle()
-        report = run_chaos(schedule, config, oracle=oracle)
+        report = run_chaos(schedule, REPLICATED, oracle=oracle)
         assert report.oracle.ok and report.injected == 8
         return oracle
 

@@ -10,7 +10,13 @@ stale and reconcile instead of acking or routing.
 
 from repro.core.endpoint import IncomingAlert
 from repro.core.farm import FarmProfile
-from repro.core.replication import FencingService, ReplicaRole
+from repro.core.replication import (
+    FailoverController,
+    FencingService,
+    PairSide,
+    ReplicaRole,
+    build_pair,
+)
 from repro.net.message import ChannelType
 from repro.sim.clock import MINUTE
 from repro.testkit.harness import EMAIL_FAST
@@ -18,7 +24,7 @@ from repro.testkit.oracle import DeliveryOracle
 from repro.world import SimbaWorld, WorldConfig
 
 
-def make_replicated_farm(seed=0, n_users=1, **pair_kwargs):
+def make_replicated_farm(seed=0, n_users=1, replicate=True, **pair_kwargs):
     oracle = DeliveryOracle()
     world = SimbaWorld(
         WorldConfig(
@@ -34,6 +40,8 @@ def make_replicated_farm(seed=0, n_users=1, **pair_kwargs):
         tenant.deployment.config.pipeline_observer = oracle.observer_for(
             tenant.name
         )
+    if not replicate:
+        return world, farm, tenants, world.create_source("portal"), oracle
     farm.enable_replication(**pair_kwargs)
     farm.start_watchdogs(check_interval=60.0)
     source = world.create_source("portal")
@@ -203,6 +211,98 @@ class TestFailover:
         assert pair.active is pair.a
         assert pair.a.role is ReplicaRole.PRIMARY
         assert tenant.user.unique_alerts_received() >= offered[tenant.name]
+        report = oracle.check(
+            farm, offered=offered, source_endpoints=[source.endpoint]
+        )
+        assert report.ok, report.summary()
+
+
+def record_promotions(monkeypatch):
+    """Every promotion as ``(pair id, time)``, in the order it happened."""
+    promoted = []
+    promote = FailoverController.promote
+
+    def recording(controller, standby):
+        promoted.append((controller.pair.pair_id, controller.env.now))
+        promote(controller, standby)
+
+    monkeypatch.setattr(FailoverController, "promote", recording)
+    return promoted
+
+
+class TestLeaseSweep:
+    """One lease-check timer per (interval, start instant), not per pair."""
+
+    def test_leases_expiring_on_one_tick_promote_in_build_order(
+        self, monkeypatch
+    ):
+        promoted = record_promotions(monkeypatch)
+        world, farm, tenants, source, oracle = make_replicated_farm(
+            seed=11, n_users=4
+        )
+        world.env.run(until=60.0)
+        for tenant in tenants:
+            assert tenant.pair.a.host.power_failure(4 * MINUTE) is True
+        world.env.run(until=3 * MINUTE)
+
+        # The four leases lapse together, so one sweep tick promotes all
+        # four — in the order the pairs were built.
+        assert [pair for pair, _ in promoted] == [t.name for t in tenants]
+        assert len({at for _, at in promoted}) == 1
+
+    def test_a_later_pair_keeps_its_own_check_phase(self, monkeypatch):
+        promoted = record_promotions(monkeypatch)
+        world, farm, tenants, source, oracle = make_replicated_farm(
+            seed=13, n_users=2, replicate=False
+        )
+        fencing = FencingService()
+        early, late = tenants
+        early.pair = build_pair(world, early.deployment, fencing=fencing)
+        world.env.run(until=0.7)
+        late.pair = build_pair(world, late.deployment, fencing=fencing)
+        farm.start_watchdogs(check_interval=60.0)
+        world.env.run(until=60.0)
+        early.pair.a.host.power_failure(4 * MINUTE)
+        late.pair.a.host.power_failure(4 * MINUTE)
+        world.env.run(until=3 * MINUTE)
+
+        # Each pair's checks tick every 2 s from its own start, so the
+        # late pair promotes on the 0.7 + 2k grid, not with the early one.
+        at = dict(promoted)
+        assert at[early.name] == 76.0
+        assert at[late.name] == 76.7
+
+
+class TestHeartbeatCatchUp:
+    def test_catch_up_ships_the_queue_in_log_order(self, monkeypatch):
+        shipped = []
+        apply_on_peer = PairSide._apply_on_peer
+
+        def recording(side, record):
+            shipped.append((side.label, side.env.now, dict(record)))
+            apply_on_peer(side, record)
+
+        monkeypatch.setattr(PairSide, "_apply_on_peer", recording)
+        world, farm, tenants, source, oracle = make_replicated_farm(
+            seed=3, lease_timeout=10 * MINUTE
+        )
+        pair = tenants[0].pair
+        world.env.run(until=30.0)
+        # Every alert is acked, routed and marked while the link is down.
+        pair.link.outage(200.0)
+        offered = start_workload(world, source, tenants, n=5, period=20.0)
+        world.env.run(until=229.0)
+        queued = [dict(r) for r in pair.a.unshipped + pair.a.pending_marks]
+        assert len(queued) == 10, "five appends and five processed marks"
+        shipped.clear()
+        world.env.run(until=5 * MINUTE)
+
+        # Nothing new was logged after the heal: the first heartbeat to land
+        # shipped the whole queue, in the order it was logged.
+        assert [record for _, _, record in shipped] == queued
+        assert {side for side, _, _ in shipped} == {"a"}
+        assert 230.0 < shipped[0][1] < 240.0
+        assert pair.a.unshipped == [] and len(pair.audit.promotions) == 1
         report = oracle.check(
             farm, offered=offered, source_endpoints=[source.endpoint]
         )

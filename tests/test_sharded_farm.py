@@ -252,6 +252,44 @@ class TestWorkerDeath:
         assert not hung, "stop() is still waiting on the stopped worker"
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_stopped_mid_epoch_fails_in_bounded_time(
+        self, monkeypatch
+    ):
+        """A worker SIGSTOPped with its epoch outstanding never answers:
+        the coordinator's reply deadline names it, and the farm stops every
+        worker, the stopped one included."""
+        deadline, timeout = 0.5, 0.3
+        monkeypatch.setattr("repro.core.shard.REPLY_DEADLINE", deadline)
+        monkeypatch.setattr(
+            _ProcessShard, "stop",
+            partialmethod(_ProcessShard.stop, timeout=timeout),
+        )
+        farm = small_farm(2, inline=False)
+        farm.start()
+        try:
+            farm.run_epoch()
+            victim = farm._workers[1]
+            send = victim.send
+
+            def stop_then_send(message):
+                # Stopped first, so the epoch cannot slip out before it.
+                os.kill(victim.process.pid, signal.SIGSTOP)
+                send(message)
+
+            victim.send = stop_then_send
+            started = time.monotonic()
+            with pytest.raises(ShardProtocolError) as caught:
+                farm.run_epoch()
+            elapsed = time.monotonic() - started
+        finally:
+            farm.stop()
+        assert str(caught.value) == (
+            "shard 1 worker sent no reply within 0.5 s during 'epoch' "
+            "until=60.0: still alive"
+        )
+        assert elapsed < deadline + 3 * timeout + 2.0
+        assert multiprocessing.active_children() == []
+
     def test_worker_that_fails_to_build_stops_the_others(self):
         farm = small_farm(2, inline=False)
         farm._specs[1].workload = "repro.experiments.sharded:no_such_workload"
