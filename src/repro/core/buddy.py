@@ -50,6 +50,7 @@ from repro.net.message import Message
 from repro.sim.clock import seconds_until_time_of_day
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.events import Timeout
     from repro.sim.kernel import Environment
     from repro.sim.process import Process
 
@@ -199,6 +200,10 @@ class MyAlertBuddy:
         self.memory_mb = DEFAULT_MEMORY_BASE_MB
         self.last_progress = env.now
         self.stabilizer = SelfStabilizer(env, on_unrectifiable=self._on_unrectifiable)
+        #: The armed nightly rejuvenation.  Its deadline can be most of a
+        #: day away, so an incarnation that ends first cancels it rather
+        #: than leave the queue to carry it there.
+        self._nightly_timer: Optional["Timeout"] = None
         self._shutdown_clients_on_exit = False
         self.pipeline = AlertPipeline(
             env,
@@ -286,11 +291,14 @@ class MyAlertBuddy:
     # ------------------------------------------------------------------
 
     def attach_mdc(self, request, reply) -> None:
-        """Register one AreYouWorking probe (request/reply event pair)."""
-        self.env.process(self._mdc_client(request, reply), name="mdc-client")
+        """Register one AreYouWorking probe (request/reply event pair).
 
-    def _mdc_client(self, request, reply):
-        yield request
+        The MDC client thread is a callback on ``request``: it wakes with
+        the request, answers on ``reply``, and never suspends.
+        """
+        request.callbacks.append(lambda _request: self._answer_probe(reply))
+
+    def _answer_probe(self, reply) -> None:
         if not self.alive or self.hung:
             return  # never reply: the MDC's timeout fires
         if self.are_you_working():
@@ -335,7 +343,10 @@ class MyAlertBuddy:
                 self._setup_stabilizer()
                 self.stabilizer.start()
             if self.config.rejuvenation.nightly_enabled:
-                self.env.process(self._nightly(), name="mab-nightly")
+                # One timer, armed from a zero-delay kick (DESIGN §6b).
+                kick = self.env.event()
+                kick.callbacks.append(self._arm_nightly)
+                kick.succeed()
             yield from self._recover()
             while self.alive:
                 incoming = yield self.endpoint.alert_inbox.get()
@@ -356,6 +367,8 @@ class MyAlertBuddy:
         finally:
             self.alive = False
             self.stabilizer.stop()
+            if self._nightly_timer is not None:
+                self._nightly_timer.cancel()
             self.endpoint.stop(shutdown_clients=self._shutdown_clients_on_exit)
 
     # ------------------------------------------------------------------
@@ -413,22 +426,21 @@ class MyAlertBuddy:
     # Rejuvenation triggers
     # ------------------------------------------------------------------
 
-    def _nightly(self):
-        delay = seconds_until_time_of_day(
-            self.env.now, self.config.rejuvenation.nightly_time
-        )
-        # The 11:30 PM deadline can be most of a day away; acquiring it
-        # through a TimerScope structurally cancels it when this
-        # incarnation is terminated first, instead of leaving the queue
-        # to carry the entry to a meaningless deadline.
-        with self.env.timers() as timers:
-            yield timers.acquire(delay)
+    def _arm_nightly(self, _kick) -> None:
         if self.alive:
-            self.request_rejuvenation(
-                RejuvenationKind.NIGHTLY,
-                detail="orderly nightly shutdown",
-                shutdown_clients=True,
+            self._nightly_timer = self.env.timeout(
+                seconds_until_time_of_day(
+                    self.env.now, self.config.rejuvenation.nightly_time
+                )
             )
+            self._nightly_timer.callbacks.append(self._nightly)
+
+    def _nightly(self, _timer) -> None:
+        self.request_rejuvenation(
+            RejuvenationKind.NIGHTLY,
+            detail="orderly nightly shutdown",
+            shutdown_clients=True,
+        )
 
     def _on_command(self, message: Message) -> None:
         if self.config.rejuvenation.matches_keyword(message.body):

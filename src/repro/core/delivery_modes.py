@@ -19,7 +19,7 @@ Execution semantics (§3.2/§3.3 and DESIGN.md §5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -40,15 +40,20 @@ class Action:
             raise ConfigurationError("action must reference an address name")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommunicationBlock:
-    """A set of concurrent actions with a shared success policy."""
+    """A set of concurrent actions with a shared success policy.
 
-    actions: list[Action]
+    Frozen, with the actions held as a tuple: one block may be shared by
+    every user's mode (:func:`repro.world.standard_modes`).
+    """
+
+    actions: tuple[Action, ...]
     require_ack: bool = False
     ack_timeout: float = DEFAULT_ACK_TIMEOUT
 
     def __post_init__(self):
+        object.__setattr__(self, "actions", tuple(self.actions))
         if not self.actions:
             raise ConfigurationError("a communication block needs >= 1 action")
         if self.ack_timeout <= 0:
@@ -65,19 +70,21 @@ class CommunicationBlock:
             seen.add(action.address_ref)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeliveryMode:
-    """A named, ordered list of communication blocks.
+    """A named, ordered sequence of communication blocks.
 
     The user "defines a set of personalized delivery modes, each of which
     corresponds to a personalized dependability level" (§1), identified by a
-    friendly name like "Critical" or "Digest".
+    friendly name like "Critical" or "Digest".  Frozen, with the blocks held
+    as a tuple, so one mode can be shared by every user who defines it.
     """
 
     name: str
-    blocks: list[CommunicationBlock] = field(default_factory=list)
+    blocks: tuple[CommunicationBlock, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.name:
             raise ConfigurationError("delivery mode needs a non-empty name")
         if not self.blocks:

@@ -176,19 +176,25 @@ class SimbaEndpoint:
             self._email_loop(generation), name=f"{self.name}-email-loop"
         )
         if self.maintenance_interval is not None:
-            self.env.process(
-                self._maintenance_loop(generation),
-                name=f"{self.name}-maintenance",
-            )
+            # A timer chain of this generation, armed from a zero-delay
+            # kick (DESIGN §6b).
+            kick = self.env.event()
+            kick.callbacks.append(self._arm_maintenance)
+            kick.succeed(generation)
 
-    def _maintenance_loop(self, generation: int):
+    def _arm_maintenance(self, event) -> None:
+        generation = event.value
+        if self.running and self._generation == generation:
+            self.env.timeout(
+                self.maintenance_interval, generation
+            ).callbacks.append(self._maintain)
+
+    def _maintain(self, timer) -> None:
         """Library-side self-maintenance for endpoints without a stabilizer."""
-        while self.running and self._generation == generation:
-            yield self.env.timeout(self.maintenance_interval)
-            if not self.running or self._generation != generation:
-                return
+        if self.running and self._generation == timer.value:
             self.im_manager.sanity_check()
             self.email_manager.sanity_check()
+            self._arm_maintenance(timer)
 
     def stop(self, shutdown_clients: bool = False) -> None:
         """Stop loops; optionally also shut the client software down."""

@@ -62,6 +62,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import importlib
+import pickle
 import traceback
 from bisect import bisect_left
 from collections import Counter
@@ -421,10 +422,22 @@ class ShardWorker:
         self.load.envelopes_out += 1
         return envelope
 
-    def _deliver_envelope(self, envelope: BridgeEnvelope):
+    def _arm_envelopes(self, kick) -> None:
+        """Arm each inbound envelope's delivery timer, in bridge order (an
+        envelope already due is delivered on the spot)."""
         env = self.world.env
-        if envelope.deliver_at > env.now:
-            yield env.timeout(envelope.deliver_at - env.now)
+        for envelope in kick.value:
+            if envelope.deliver_at > env.now:
+                env.timeout(
+                    envelope.deliver_at - env.now, envelope
+                ).callbacks.append(self._deliver_envelope)
+            else:
+                self._deliver(envelope)
+
+    def _deliver_envelope(self, timer) -> None:
+        self._deliver(timer.value)
+
+    def _deliver(self, envelope: BridgeEnvelope) -> None:
         tenant = self.tenant(envelope.recipient)
         self.source.emit_to(
             tenant.book,
@@ -441,14 +454,13 @@ class ShardWorker:
     ) -> list[BridgeEnvelope]:
         """Inject ``inbound`` (already globally sorted), run to ``until``,
         return this epoch's outbound envelopes."""
-        env = self.world.env
-        for raw in inbound:
-            envelope = BridgeEnvelope(*raw)
-            self.load.envelopes_in += 1
-            env.process(
-                self._deliver_envelope(envelope),
-                name=f"bridge-{envelope.alert_id}",
-            )
+        if inbound:
+            # A delivery timer per envelope, armed from one zero-delay kick
+            # (DESIGN §6b).
+            kick = self.world.env.event()
+            kick.callbacks.append(self._arm_envelopes)
+            kick.succeed([BridgeEnvelope(*raw) for raw in inbound])
+            self.load.envelopes_in += len(inbound)
         self.world.run(until=until)
         outbound = self._outbound
         self._outbound = []
@@ -560,7 +572,8 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
 
 class ShardProtocolError(RuntimeError):
     """A worker replied with an error (its traceback is the message), or
-    died — then the message says which shard, during what, and how."""
+    died, went silent or garbled its reply — then the message says which
+    shard, during what, and how."""
 
 
 #: What a dead pipe looks like from the coordinator's end.
@@ -604,9 +617,13 @@ class _ProcessShard:
                     "still alive" if self.process.is_alive() else
                     self._exit_status(),
                 )
-            kind, payload = self.conn.recv()
+            data = self.conn.recv_bytes()
         except _PIPE_DEAD as exc:
             raise self._died() from exc
+        try:
+            kind, payload = pickle.loads(data)
+        except Exception as exc:  # noqa: BLE001 - whatever the bytes hold
+            raise self._failed("sent a garbled reply", repr(exc)) from exc
         if kind == "error":
             raise ShardProtocolError(payload)
         return payload

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.events import Timeout
     from repro.sim.kernel import Environment
 
 
@@ -43,6 +44,8 @@ class SelfStabilizer:
         self.on_unrectifiable = on_unrectifiable
         self._tasks: dict[str, tuple[float, Callable[[], list[str]]]] = {}
         self.records: dict[str, TaskRecord] = {}
+        #: Each running task's armed tick (cancelled by :meth:`stop`).
+        self._pending: dict[str, "Timeout"] = {}
         self._running = False
 
     def add_task(
@@ -57,17 +60,24 @@ class SelfStabilizer:
         self.records[name] = TaskRecord(name=name, interval=interval)
 
     def start(self) -> None:
-        """Start one loop per task (idempotent)."""
+        """Start one timer chain per task (idempotent).
+
+        The chains are armed from one zero-delay kick rather than inline,
+        so every tick keeps its (time, sequence) place (DESIGN §6b).
+        """
         if self._running:
             return
         self._running = True
-        for name, (interval, check) in self._tasks.items():
-            self.env.process(
-                self._loop(name, interval, check), name=f"stabilize-{name}"
-            )
+        kick = self.env.event()
+        kick.callbacks.append(self._arm_all)
+        kick.succeed()
 
     def stop(self) -> None:
+        """Stop every chain and cancel its pending tick."""
         self._running = False
+        for timer in self._pending.values():
+            timer.cancel()
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     # Internals
@@ -86,12 +96,19 @@ class SelfStabilizer:
         for correction in corrections:
             record.corrections.append((self.env.now, correction))
 
-    def _loop(self, name: str, interval: float, check):
-        # Scope-acquired interval timers: tearing the task down mid-sleep
-        # (incarnation crash, rejuvenation) settles the pending tick.
-        with self.env.timers() as timers:
-            while self._running:
-                yield timers.acquire(interval)
-                if not self._running:
-                    return
-                self._execute(name, check)
+    def _arm_all(self, _kick) -> None:
+        if self._running:
+            for name in self._tasks:
+                self._arm(name)
+
+    def _arm(self, name: str) -> None:
+        timer = self.env.timeout(self._tasks[name][0], name)
+        timer.callbacks.append(self._tick)
+        self._pending[name] = timer
+
+    def _tick(self, timer) -> None:
+        name = timer.value
+        del self._pending[name]
+        self._execute(name, self._tasks[name][1])
+        if self._running:
+            self._arm(name)

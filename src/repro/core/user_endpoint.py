@@ -100,9 +100,14 @@ class UserEndpoint:
         self._started = True
         if self._present:
             self._login()
-        self.env.process(self._phone_loop(), name=f"{self.name}-phone")
-        self.env.process(self._mail_loop(), name=f"{self.name}-mail")
-        self.env.process(self._reconnect_loop(), name=f"{self.name}-reconnect")
+        self.sms_gateway.phone(self.phone_number).hook = self._on_sms
+        self.email_service.mailbox(self.email_address).hook = self._on_mail
+        # The reconnect poll is a timer chain, armed from a zero-delay kick
+        # rather than inline so every tick keeps its (time, sequence) place
+        # (DESIGN §6b).
+        kick = self.env.event()
+        kick.callbacks.append(self._arm_reconnect)
+        kick.succeed()
 
     @property
     def present(self) -> bool:
@@ -131,13 +136,15 @@ class UserEndpoint:
             self._im_loop(self._session), name=f"{self.name}-im"
         )
 
-    def _reconnect_loop(self):
+    def _arm_reconnect(self, _event) -> None:
+        self.env.timeout(RECONNECT_INTERVAL).callbacks.append(self._reconnect)
+
+    def _reconnect(self, timer) -> None:
         """A present user's IM client auto-reconnects after outages/logouts."""
-        while True:
-            yield self.env.timeout(RECONNECT_INTERVAL)
-            session_dead = self._session is None or not self._session.active
-            if self._present and session_dead and self.im_service.available:
-                self._login()
+        session_dead = self._session is None or not self._session.active
+        if self._present and session_dead and self.im_service.available:
+            self._login()
+        self._arm_reconnect(timer)
 
     # ------------------------------------------------------------------
     # Receipts
@@ -173,7 +180,8 @@ class UserEndpoint:
         return [r for r in self.receipts if r.alert_id == alert_id]
 
     # ------------------------------------------------------------------
-    # Device loops
+    # Devices: the IM loop suspends on its human reaction delay; the phone
+    # and the mailbox are read by arrival hooks
     # ------------------------------------------------------------------
 
     def _im_loop(self, session: IMSession):
@@ -200,36 +208,31 @@ class UserEndpoint:
                     except ChannelError:
                         pass  # sender will fall back; we already saw it
 
-    def _phone_loop(self):
-        phone = self.sms_gateway.phone(self.phone_number)
-        while True:
-            message = yield phone.receive()
-            if message.corrupt:
-                self.corrupt_discarded += 1
-                continue
-            body = message.body
-            if Alert.is_alert_payload(body):
-                self._record(Alert.decode(body), ChannelType.SMS)
-            else:
-                # SMS truncation usually cuts the payload; correlate by the
-                # id the sender stamped on the message instead.
-                if message.correlation is not None:
-                    alert = Alert(
-                        source="unknown",
-                        keyword="",
-                        subject="",
-                        body=body,
-                        created_at=message.created_at,
-                        alert_id=message.correlation,
-                    )
-                    self._record(alert, ChannelType.SMS)
+    def _on_sms(self, message) -> None:
+        """The handset's arrival hook (:attr:`Phone.hook`)."""
+        if message.corrupt:
+            self.corrupt_discarded += 1
+            return
+        body = message.body
+        if Alert.is_alert_payload(body):
+            self._record(Alert.decode(body), ChannelType.SMS)
+        elif message.correlation is not None:
+            # SMS truncation usually cuts the payload; correlate by the id
+            # the sender stamped on the message instead.
+            alert = Alert(
+                source="unknown",
+                keyword="",
+                subject="",
+                body=body,
+                created_at=message.created_at,
+                alert_id=message.correlation,
+            )
+            self._record(alert, ChannelType.SMS)
 
-    def _mail_loop(self):
-        mailbox = self.email_service.mailbox(self.email_address)
-        while True:
-            message = yield mailbox.receive()
-            if message.corrupt:
-                self.corrupt_discarded += 1
-                continue
-            if Alert.is_alert_payload(message.body):
-                self._record(Alert.decode(message.body), ChannelType.EMAIL)
+    def _on_mail(self, message) -> None:
+        """The mail reader's arrival hook (:attr:`Mailbox.hook`)."""
+        if message.corrupt:
+            self.corrupt_discarded += 1
+            return
+        if Alert.is_alert_payload(message.body):
+            self._record(Alert.decode(message.body), ChannelType.EMAIL)

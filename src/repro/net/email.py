@@ -11,7 +11,7 @@ owner is "online" (unlike IM).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -37,7 +37,10 @@ class Mailbox:
     """A recipient mailbox: a Store plus a read archive.
 
     ``receive()`` consumes the next unread message (blocking); ``unread``
-    peeks without consuming (used by MAB's backlog invariant check).
+    peeks without consuming (used by MAB's backlog invariant check).  An
+    owner that reads each message as it arrives (the user's mail reader)
+    installs :attr:`hook` instead: an arriving message is marked read, then
+    handed to it, and never queues — the shape of :attr:`IMSession.hook`.
     """
 
     def __init__(self, env: "Environment", address: str):
@@ -45,6 +48,8 @@ class Mailbox:
         self.address = address
         self._unread: Store = Store(env)
         self.read: list[EmailMessage] = []
+        #: Delivery hook, called at arrival time in place of the queue put.
+        self.hook: Optional[Callable[["EmailMessage"], None]] = None
 
     @property
     def unread_count(self) -> int:
@@ -54,7 +59,11 @@ class Mailbox:
         return list(self._unread.items)
 
     def deposit(self, message: EmailMessage) -> None:
-        self._unread.put(message)
+        if self.hook is not None:
+            self.read.append(message)
+            self.hook(message)
+        else:
+            self._unread.put(message)
 
     def receive(self):
         """Event yielding the next unread message (it is marked read)."""

@@ -11,7 +11,7 @@ address at MyAlertBuddy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -33,16 +33,20 @@ class SMSMessage(Message):
 
 
 class Phone:
-    """A handset: an inbox plus a reachability flag."""
+    """A handset: an inbox plus a reachability flag.
+
+    An owner that reads each message as it arrives (the user's handset)
+    installs :attr:`hook`, and arriving messages are handed to it rather
+    than queued — the shape of :attr:`IMSession.hook`.
+    """
 
     def __init__(self, env: "Environment", number: str):
         self.env = env
         self.number = number
         self.inbox: Store = Store(env)
+        #: Delivery hook, called at arrival time in place of the inbox put.
+        self.hook: Optional[Callable[["SMSMessage"], None]] = None
         self.reachable = True
-
-    def receive(self):
-        return self.inbox.get()
 
 
 class SMSGateway(ChannelBase):
@@ -102,5 +106,8 @@ class SMSGateway(ChannelBase):
         phone = self.phone(message.recipient)
         if not phone.reachable:
             return False
-        phone.inbox.put(message)
+        if phone.hook is not None:
+            phone.hook(message)
+        else:
+            phone.inbox.put(message)
         return True

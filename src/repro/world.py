@@ -19,6 +19,7 @@ Everything remains overridable: each piece is a plain object from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from repro.core.addresses import AddressBook, UserAddress
@@ -210,9 +211,13 @@ def standard_user_book(user: UserEndpoint) -> AddressBook:
     return book
 
 
-def standard_modes() -> list[DeliveryMode]:
-    """Three dependability levels a typical user would define (§3.2)."""
-    return [
+@cache
+def standard_modes() -> tuple[DeliveryMode, ...]:
+    """Three dependability levels a typical user would define (§3.2).
+
+    Built once and shared by every user: the modes are frozen values.
+    """
+    return (
         # Critical: confirmable IM first; if unconfirmed, blast SMS + email.
         DeliveryMode(
             "critical",
@@ -236,7 +241,7 @@ def standard_modes() -> list[DeliveryMode]:
         ),
         # Digest: email, nothing else — for alerts that can wait.
         DeliveryMode("digest", [CommunicationBlock([Action("Email")])]),
-    ]
+    )
 
 
 class SimbaWorld:

@@ -15,7 +15,8 @@ scenario: both scheduler backends are counted, and must agree.
 
 Beside them, the replicated budget counts spawns, resumes and timers on a
 replicated chaos run, so a lease monitor or heartbeat process cannot creep
-back either.
+back either, and the idle budget counts what a cold tenant leaves parked
+and what an ended incarnation leaves queued.
 
 The second part is the heap budget: what the same runs may leave behind
 that only the cyclic collector can free — nothing on the delivery path.
@@ -51,25 +52,22 @@ DELIVERED = 42
 
 #: Spawns over the whole run.  Only ``AlertSource.deliver`` scales with
 #: alerts; everything else is lifecycle (launches, the one crash/relaunch).
+#: The idle duties that only wait on their own timer or mailbox — nightly
+#: rejuvenation, stabilizer tasks, source maintenance, the user's phone,
+#: mail and reconnect poll — are callbacks, not processes (DESIGN §6b).
 EXPECTED_SPAWNS = {
     "AlertSource.deliver": EMITTED,
     "MonkeyThread._loop": 46,
     "MyAlertBuddy._main": 21,
-    "MyAlertBuddy._nightly": 21,
-    "SelfStabilizer._loop": 42,
     "SimbaEndpoint._email_loop": 23,
     "SimbaEndpoint._im_loop": 23,
-    "SimbaEndpoint._maintenance_loop": 2,
     "UserEndpoint._im_loop": N_USERS,
-    "UserEndpoint._mail_loop": N_USERS,
-    "UserEndpoint._phone_loop": N_USERS,
-    "UserEndpoint._reconnect_loop": N_USERS,
     "run_golden_farm.<locals>.driver": 1,
 }
 
-#: Resumes of the processes an alert passes through (the idle loops —
-#: monkey, stabilizer, reconnect, maintenance — tick with simulated time,
-#: not with alerts, and are only bounded by the total below).
+#: Resumes of the processes an alert passes through (the monkey, the one
+#: idle loop left, ticks with simulated time, not with alerts; it is
+#: counted in the total below).
 EXPECTED_ALERT_PATH_RESUMES = {
     "AlertSource.deliver": 2 * EMITTED,  # kick-off + the ack-vs-timeout race
     "SimbaEndpoint._im_loop": 199,
@@ -77,15 +75,19 @@ EXPECTED_ALERT_PATH_RESUMES = {
     "MyAlertBuddy._main": 197,
     "UserEndpoint._im_loop": 106,
 }
-TOTAL_RESUMES = 6175
+#: Every generator resume and every timer armed over the run.  The timers
+#: did not move when the idle duties became callbacks: each chain arms the
+#: same timers its process did.
+TOTAL_RESUMES = 4002
+GOLDEN_TIMERS = 5953
 
 #: Non-timer events scheduled over the whole run, by class: ``Event`` is
 #: process kick-offs, acks and transit hand-offs, ``StoreGet`` a mailbox
 #: waking its reader, ``AnyOf`` a settled race, ``Process`` a finished
 #: process waking whoever waits on it.  There is no row for a put — with
 #: ``StorePut`` the run scheduled 220 more events, 5.24 per delivered alert.
-EXPECTED_EVENTS = {"Event": 391, "StoreGet": 221, "AnyOf": 86, "Process": 51}
-EVENTS_PER_DELIVERED = 17.83
+EXPECTED_EVENTS = {"Event": 330, "StoreGet": 221, "AnyOf": 86, "Process": 49}
+EVENTS_PER_DELIVERED = 16.33
 
 
 def count_hops(run):
@@ -187,7 +189,12 @@ def test_alert_path_resumes_are_pinned(hop_counts):
     assert measured == EXPECTED_ALERT_PATH_RESUMES
     per_alert = sum(measured.values()) / DELIVERED
     assert per_alert < 15  # 35 before message transit left the processes
-    assert sum(resumes.values()) <= TOTAL_RESUMES
+    assert sum(resumes.values()) == TOTAL_RESUMES
+
+
+def test_idle_callbacks_arm_the_timers_their_processes_did(hop_counts):
+    _spawns, _resumes, _events, timers = hop_counts
+    assert timers == GOLDEN_TIMERS
 
 
 def test_non_timer_events_are_pinned(hop_counts):
@@ -228,7 +235,8 @@ def run_counted_replicated_chaos():
 
 #: Spawns over the whole run.  Beside the alert path and the per-tenant
 #: loops, replication spawns only what suspends: the catch-up flushes after
-#: the link partitions and the fenced side's reconciliation.
+#: the link partitions and the fenced side's reconciliation.  An MDC probe
+#: is answered by a callback on its request, not a client process.
 EXPECTED_REPLICATED_SPAWNS = {
     "AlertSource.deliver": 363,
     "ChannelBase._outage_timer": 3,
@@ -238,21 +246,14 @@ EXPECTED_REPLICATED_SPAWNS = {
     "MasterDaemonController._monitor": 9,
     "MonkeyThread._loop": 24,
     "MyAlertBuddy._main": 11,
-    "MyAlertBuddy._mdc_client": 430,
-    "MyAlertBuddy._nightly": 11,
     "PairSide._catch_up": 2,
     "RetryStage._requeue": 24,
-    "SelfStabilizer._loop": 22,
     "SimbaEndpoint._email_loop": 12,
     "SimbaEndpoint._im_loop": 12,
-    "SimbaEndpoint._maintenance_loop": 1,
     "UserEndpoint._im_loop": 16,
-    "UserEndpoint._mail_loop": 8,
-    "UserEndpoint._phone_loop": 8,
-    "UserEndpoint._reconnect_loop": 8,
 }
 #: Every generator resume and every timer armed over the run.
-REPLICATED_RESUMES = 10831
+REPLICATED_RESUMES = 8036
 REPLICATED_TIMERS = 21043
 
 
@@ -272,6 +273,125 @@ def test_replication_idle_path_spawns_no_process(replicated_counts):
     assert dict(spawns) == EXPECTED_REPLICATED_SPAWNS
     assert sum(resumes.values()) == REPLICATED_RESUMES
     assert timers == REPLICATED_TIMERS
+
+
+# ---------------------------------------------------------------------------
+# Idle budget: what a cold tenant parks, and what an ended incarnation keeps
+# ---------------------------------------------------------------------------
+#
+# A tenant that received its alert and went quiet should be state, not
+# loops (DESIGN §6b): every idle duty that only waits on its own timer or
+# mailbox is a callback.  What may still park a process per tenant is what
+# suspends on something else — the MAB's main loop and its endpoint's
+# receive loops, which hand stale work back, and the user's IM loop, which
+# waits out a human reaction.  Counted on the inline E13 farm, whose
+# profile turns the monkey threads off.
+
+#: Processes a cold E13 tenant may leave parked, one of each per tenant.
+COLD_TENANT_PARKED = (
+    "MyAlertBuddy._main",
+    "SimbaEndpoint._email_loop",
+    "SimbaEndpoint._im_loop",
+    "UserEndpoint._im_loop",
+)
+#: What each shard parks besides its tenants: the portal source
+#: endpoint's two receive loops and two monkey threads.
+SHARD_PARKED = {
+    "MonkeyThread._loop": 2,
+    "SimbaEndpoint._email_loop": 1,
+    "SimbaEndpoint._im_loop": 1,
+}
+
+
+def cold_farm_census():
+    """``(parked processes by qualname, tenants, shards)`` once the small
+    inline E13 farm has delivered everything and gone idle."""
+    from tests.test_sharded_farm import SMALL, small_farm
+
+    spawned = []
+    original_init = Process.__init__
+
+    def recording_init(self, env, generator, name=None):
+        spawned.append((generator.__qualname__, self))
+        original_init(self, env, generator, name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "__init__", recording_init)
+        farm = small_farm(2, inline=True)
+        with farm:
+            farm.run(until=SMALL["duration"] + SMALL["drain"])
+            tenants = sum(len(shard._worker.farm) for shard in farm._workers)
+    parked = Counter(name for name, process in spawned if process.is_alive)
+    return parked, tenants, farm.shards
+
+
+def idle_budget_breaches(parked, tenants, shards):
+    allowed = Counter({name: tenants for name in COLD_TENANT_PARKED})
+    allowed.update({name: n * shards for name, n in SHARD_PARKED.items()})
+    return sorted(
+        f"{name}: {parked[name]} parked, {allowed[name]} allowed"
+        for name in parked.keys() | allowed.keys()
+        if parked[name] != allowed[name]
+    )
+
+
+def test_a_cold_tenant_parks_only_what_suspends():
+    parked, tenants, shards = cold_farm_census()
+    assert tenants > 0
+    assert idle_budget_breaches(parked, tenants, shards) == []
+    own = sum(parked.values()) - sum(SHARD_PARKED.values()) * shards
+    assert own / tenants == len(COLD_TENANT_PARKED)  # 9 as idle loops
+
+
+def test_a_tenant_with_a_reconnect_process_breaks_the_idle_budget(
+    monkeypatch,
+):
+    from repro.core.user_endpoint import RECONNECT_INTERVAL, UserEndpoint
+
+    def reconnect_loop(user):
+        while True:
+            yield user.env.timeout(RECONNECT_INTERVAL)
+
+    start = UserEndpoint.start
+
+    def start_with_a_loop(user):
+        start(user)
+        user.env.process(reconnect_loop(user), name=f"{user.name}-reconnect")
+
+    monkeypatch.setattr(UserEndpoint, "start", start_with_a_loop)
+    parked, tenants, shards = cold_farm_census()
+    assert idle_budget_breaches(parked, tenants, shards) == [
+        f"{reconnect_loop.__qualname__}: {tenants} parked, 0 allowed"
+    ]
+
+
+def live_timers_of(env, owners):
+    """Queued, uncancelled timers whose callback is a method of one of
+    ``owners`` (read off the heap backend's queue)."""
+    return [
+        event
+        for _at, _seq, event in env.scheduler._queue
+        if isinstance(event, Timeout) and not event._cancelled
+        and any(
+            getattr(callback, "__self__", None) is owner
+            for callback in event.callbacks
+            for owner in owners
+        )
+    ]
+
+
+def test_an_ended_incarnation_leaves_no_timer_queued(monkeypatch):
+    """The crashed incarnation's nightly rejuvenation (most of a day
+    away) and its stabilizer ticks are cancelled when it ends; its
+    successor's are live, which shows the scan sees them."""
+    monkeypatch.setenv("REPRO_SCHEDULER", "heap")
+    farm = run_golden_farm()
+    ended, current = farm.tenant_at(5).deployment.incarnations
+    assert not ended.alive and current.alive
+    env = farm.world.env
+    live = live_timers_of(env, (current, current.stabilizer))
+    assert len(live) == 3  # nightly + im-sanity + email-sanity
+    assert live_timers_of(env, (ended, ended.stabilizer)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every substrate hands its messages to the same callback-driven transit:
 effects and latency drawn at submission, one timer, and at arrival the loss
 draw, the substrate's ``arrive`` and the accounting.  These tests pin what a
 message in flight may and may not do, whichever substrate carries it, plus
-the IM client's delivery hook that replaced its pump process.
+the arrival hooks that replaced the pump and reader processes: the IM
+client's, and the user's phone and mailbox.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from repro.core import Alert
 from repro.core.user_endpoint import UserEndpoint
 from repro.net import EmailService, IMService, LatencyModel, SMSGateway
 from repro.net.adversary import AdversaryModel, AdversaryStats, draw_effects
+from repro.net.message import ChannelType
 from repro.obs import TraceSink
 from repro.sim import Environment, RngRegistry
 from repro.sim.process import Process
@@ -274,6 +276,120 @@ def test_corrupt_flag_reaches_the_receiver_and_is_discarded_unacked(kind):
     # Never acknowledged: the only IM ever submitted is the alert itself.
     assert im.stats.submitted == (1 if kind == "im" else 0)
     assert list(mab.inbox.items) == []
+
+
+# ----------------------------------------------------------------------
+# The user's phone and mailbox hooks
+# ----------------------------------------------------------------------
+
+HOOKED = {"email": ChannelType.EMAIL, "sms": ChannelType.SMS}
+
+
+@dataclass
+class UserRig:
+    env: Environment
+    channel: object
+    user: UserEndpoint
+    #: Send one body to the user's device (body, correlation) -> message.
+    send: Callable
+    #: The device the channel hands its arrivals to.
+    device: object
+
+
+def user_rig(kind) -> UserRig:
+    env = Environment()
+    rngs = RngRegistry(seed=5)
+    im = IMService(env, rngs.stream("im"), latency=FAST)
+    email = EmailService(env, rngs.stream("email"), latency=FAST,
+                         loss_probability=0.0)
+    sms = SMSGateway(env, rngs.stream("sms"), latency=FAST,
+                     loss_probability=0.0)
+    user = UserEndpoint(
+        env, "user", im, email, sms, "user@im", "user@mail", "+1",
+        rngs.stream("user"),
+    )
+    user.start()
+    if kind == "email":
+        return UserRig(
+            env, email, user,
+            lambda body, correlation=None: email.send(
+                "mab@mail", "user@mail", "s", body, correlation=correlation
+            ),
+            email.mailbox("user@mail"),
+        )
+    return UserRig(
+        env, sms, user,
+        lambda body, correlation=None: sms.send(
+            "mab", "+1", body, correlation=correlation
+        ),
+        sms.phone("+1"),
+    )
+
+
+def encoded_alert(alert_id="alert-1"):
+    return Alert(
+        source="portal", keyword="News", subject="s", body="b",
+        created_at=0.0, alert_id=alert_id,
+    ).encode()
+
+
+@pytest.mark.parametrize("kind", sorted(HOOKED))
+def test_a_hooked_arrival_gives_exactly_one_receipt(kind):
+    rig = user_rig(kind)
+    assert rig.device.hook is not None
+    rig.send(encoded_alert())
+    rig.env.run(until=60.0)
+    assert [(r.alert_id, r.channel, r.at) for r in rig.user.receipts] == [
+        ("alert-1", HOOKED[kind], TRANSIT)
+    ]
+    assert rig.channel.stats.delivered == 1
+
+
+@pytest.mark.parametrize("kind", sorted(HOOKED))
+def test_a_corrupt_arrival_is_discarded_once_without_a_receipt(kind):
+    rig = user_rig(kind)
+    rig.channel.set_adversary(AdversaryModel(corrupt_probability=1.0))
+    rig.send(encoded_alert())
+    rig.env.run(until=60.0)
+    assert rig.user.corrupt_discarded == 1
+    assert rig.user.receipts == []
+
+
+def test_a_truncated_sms_is_received_through_its_correlation_id():
+    rig = user_rig("sms")
+    rig.send("X" * 300, correlation="alert-1")
+    rig.env.run(until=60.0)
+    (receipt,) = rig.user.receipts
+    assert (receipt.alert_id, receipt.channel) == ("alert-1", ChannelType.SMS)
+
+
+def test_an_unreachable_phone_never_calls_its_hook():
+    rig = user_rig("sms")
+    seen = []
+    rig.device.hook = seen.append
+    rig.channel.set_reachable("+1", False)
+    rig.send(encoded_alert())
+    rig.env.run(until=60.0)
+    assert seen == [] and rig.user.receipts == []
+    assert (rig.channel.stats.delivered, rig.channel.stats.lost) == (0, 1)
+    assert len(rig.device.inbox) == 0
+
+
+def test_a_hooked_mailbox_marks_the_message_read_and_queues_nothing():
+    rig = user_rig("email")
+    hook, marked_first = rig.device.hook, []
+
+    def spy(message):
+        marked_first.append(message in rig.device.read)
+        hook(message)
+
+    rig.device.hook = spy
+    message = rig.send(encoded_alert())
+    rig.env.run(until=60.0)
+    assert marked_first == [True]
+    assert rig.device.read == [message]
+    assert rig.device.peek_unread() == []
+    assert len(rig.user.receipts) == 1
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.core.shard import (
     ShardedFarm,
     _ProcessShard,
     placement_report,
+    shard_worker_main,
 )
 from repro.errors import ConfigurationError
 from repro.experiments.sharded import (
@@ -205,6 +206,41 @@ class TestBridge:
 # ---------------------------------------------------------------------------
 
 
+#: Ways a worker's reply can be garbled, by the error the coordinator
+#: reports: bytes that do not unpickle, and a reply that is not a
+#: ``(kind, payload)`` pair.
+GARBLED = {
+    "UnpicklingError": lambda conn: conn.send_bytes(b"\x80\x04garbled"),
+    "ValueError": lambda conn: conn.send(("ok",)),
+}
+
+
+class GarblingConn:
+    """A worker's end of the pipe that garbles its reply to the second
+    epoch and passes everything else through."""
+
+    def __init__(self, conn, garble):
+        self.conn = conn
+        self.garble = garble
+        self.epochs = 0
+
+    def recv(self):
+        message = self.conn.recv()
+        if message[0] == "epoch":
+            self.epochs += 1
+        return message
+
+    def send(self, reply):
+        if self.epochs == 2:
+            self.epochs += 1  # once
+            self.garble(self.conn)
+        else:
+            self.conn.send(reply)
+
+    def close(self):
+        self.conn.close()
+
+
 class TestWorkerDeath:
     def test_killed_worker_is_named_and_siblings_are_stopped(self):
         farm = small_farm(2, inline=False)
@@ -288,6 +324,39 @@ class TestWorkerDeath:
             "until=60.0: still alive"
         )
         assert elapsed < deadline + 3 * timeout + 2.0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", sorted(GARBLED))
+    def test_a_garbled_reply_fails_loudly_and_stops_the_others(
+        self, monkeypatch, error
+    ):
+        """Shard 1 garbles its reply to the second epoch (a patch its
+        forked worker inherits): the coordinator names the shard, the
+        command and the fault, and no worker is left running."""
+
+        def garbling_main(conn, spec):
+            if spec.shard == 1:
+                conn = GarblingConn(conn, GARBLED[error])
+            shard_worker_main(conn, spec)
+
+        monkeypatch.setattr(
+            "repro.core.shard.shard_worker_main", garbling_main
+        )
+        farm = small_farm(2, inline=False)
+        farm.start()
+        try:
+            farm.run_epoch()
+            started = time.monotonic()
+            with pytest.raises(ShardProtocolError) as caught:
+                farm.run_epoch()
+            elapsed = time.monotonic() - started
+        finally:
+            farm.stop()
+        assert str(caught.value).startswith(
+            f"shard 1 worker sent a garbled reply during 'epoch' "
+            f"until=60.0: {error}("
+        )
+        assert elapsed < 5.0
         assert multiprocessing.active_children() == []
 
     def test_worker_that_fails_to_build_stops_the_others(self):

@@ -1,5 +1,6 @@
 """Tests for the SimbaWorld assembly layer and the runnable examples."""
 
+import dataclasses
 import runpy
 import sys
 from pathlib import Path
@@ -34,6 +35,23 @@ class TestWorldAssembly:
         assert modes["critical"].blocks[0].require_ack
         assert len(modes["critical"].blocks[1].actions) == 2
         assert len(modes["digest"].blocks) == 1
+
+    def test_every_user_shares_one_frozen_set_of_standard_modes(self):
+        world = SimbaWorld(seed=0)
+        registered = []
+        for name in ("a", "b"):
+            user = world.create_user(name)
+            deployment = world.create_buddy(user)
+            deployment.register_user_endpoint(user)
+            registered.append(
+                deployment.config.subscriptions.mode(name, "critical")
+            )
+        assert registered[0] is registered[1]
+        critical = registered[0]
+        assert isinstance(critical.blocks, tuple)
+        assert all(isinstance(b.actions, tuple) for b in critical.blocks)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            critical.blocks[0].require_ack = False
 
     def test_source_facing_book_hides_user_addresses(self):
         world = SimbaWorld(seed=0)
