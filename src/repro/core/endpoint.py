@@ -19,6 +19,7 @@ is exactly the paper's log-before-ack ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.clients.email_client import EmailClient
@@ -176,25 +177,17 @@ class SimbaEndpoint:
             self._email_loop(generation), name=f"{self.name}-email-loop"
         )
         if self.maintenance_interval is not None:
-            # A timer chain of this generation, armed from a zero-delay
-            # kick (DESIGN §6b).
-            kick = self.env.event()
-            kick.callbacks.append(self._arm_maintenance)
-            kick.succeed(generation)
+            # This generation's member of a cohort (DESIGN §6b).
+            self.env.every(
+                self.maintenance_interval, partial(self._maintain, generation)
+            )
 
-    def _arm_maintenance(self, event) -> None:
-        generation = event.value
-        if self.running and self._generation == generation:
-            self.env.timeout(
-                self.maintenance_interval, generation
-            ).callbacks.append(self._maintain)
-
-    def _maintain(self, timer) -> None:
+    def _maintain(self, generation: int, _now: float):
         """Library-side self-maintenance for endpoints without a stabilizer."""
-        if self.running and self._generation == timer.value:
-            self.im_manager.sanity_check()
-            self.email_manager.sanity_check()
-            self._arm_maintenance(timer)
+        if not self.running or self._generation != generation:
+            return False
+        self.im_manager.sanity_check()
+        self.email_manager.sanity_check()
 
     def stop(self, shutdown_clients: bool = False) -> None:
         """Stop loops; optionally also shut the client software down."""

@@ -81,7 +81,7 @@ class MonkeyThread:
     def scan_once(self) -> int:
         """One pass over the screen; returns how many dialogs were clicked."""
         clicked = 0
-        for dialog in list(self.screen.open_dialogs()):
+        for dialog in self.screen.open_dialogs():
             if self._click_if_known(dialog):
                 clicked += 1
         return clicked
@@ -108,17 +108,19 @@ class MonkeyThread:
         return True
 
     def start(self) -> None:
-        """Begin periodic scanning (idempotent)."""
+        """Begin periodic scanning (idempotent): join the scan cohort of
+        this interval and instant."""
         if self._running:
             return
         self._running = True
-        self.env.process(self._loop(), name="monkey-thread")
+        self.env.every(self.interval, self._tick)
 
     def stop(self) -> None:
+        """The membership leaves at its next tick (DESIGN §11: a start()
+        before that tick joins anew and keeps the old one)."""
         self._running = False
 
-    def _loop(self):
-        while self._running:
-            yield self.env.timeout(self.interval)
-            if self._running:
-                self.scan_once()
+    def _tick(self, _now: float):
+        if not self._running:
+            return False
+        self.scan_once()

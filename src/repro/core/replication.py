@@ -21,8 +21,9 @@ one logical MAB address (``mab-<user>@im`` / ``mab-<user>@mail``).
   own MDC, whose first incarnation replays the mirrored log — exactly the
   §4.2.1 recovery path, just on another machine.  Neither idle duty is a
   process: a heartbeat is a callback chain over :meth:`HostLink.send`, and
-  the lease checks of every pair started together run from one sweep timer
-  the :class:`FencingService` owns.
+  the lease checks of every pair started together are one cohort of
+  :meth:`Environment.every <repro.sim.kernel.Environment.every>`: one
+  sweep timer however many pairs.
 
 - **Epoch fencing.**  A :class:`FencingService` (an external coordinator —
   the one dependency assumed always reachable) hands out monotonic epochs.
@@ -86,17 +87,10 @@ class FencingService:
     the replication-link partition does not cut it off).  ``advance`` is the
     promotion primitive: whoever holds the highest epoch is the only side
     allowed to ack or route.
-
-    It also owns the lease sweep: one recurring callback timer per
-    ``(check_interval, start instant)`` runs every member controller's
-    :meth:`FailoverController.check_lease` inline, in start order — a
-    fixed number of timers however many pairs the farm holds.
     """
 
     def __init__(self):
         self._epochs: dict[str, int] = {}
-        #: Controllers per lease sweep, keyed by (check interval, start).
-        self._sweeps: dict[tuple[float, float], list] = {}
 
     def current(self, pair_id: str) -> int:
         return self._epochs.get(pair_id, 0)
@@ -104,31 +98,6 @@ class FencingService:
     def advance(self, pair_id: str) -> int:
         self._epochs[pair_id] = self.current(pair_id) + 1
         return self._epochs[pair_id]
-
-    def watch(self, controller: "FailoverController") -> None:
-        """Put ``controller`` on the sweep of its interval and start
-        instant; a new sweep arms its first tick from a zero-delay kick."""
-        env = controller.env
-        key = (controller.check_interval, env.now)
-        members = self._sweeps.get(key)
-        if members is None:
-            members = self._sweeps[key] = []
-            kick = env.event()
-            kick.callbacks.append(self._sweep_next)
-            kick.succeed((members, controller.check_interval))
-        members.append(controller)
-
-    def _sweep_next(self, event) -> None:
-        """Arm the sweep's next tick (carrying its members and interval)."""
-        event.env.timeout(event.value[1], event.value).callbacks.append(
-            self._sweep
-        )
-
-    def _sweep(self, timer) -> None:
-        now = timer.env.now
-        for controller in timer.value[0]:
-            controller.check_lease(now)
-        self._sweep_next(timer)
 
 
 @dataclass(frozen=True)
@@ -572,14 +541,16 @@ class FailoverController:
         self.retry_interval = retry_interval
         self.mdc_kwargs = dict(mdc_kwargs) if mdc_kwargs else {}
         pair.controller = self
-        pair.fencing.watch(self)
+        # The lease sweep: one timer per (interval, start instant) runs
+        # every pair's check in build order (DESIGN §6b).
+        env.every(check_interval, self.check_lease)
 
     # ------------------------------------------------------------------
     # Lease monitoring / promotion
     # ------------------------------------------------------------------
 
     def check_lease(self, now: float) -> None:
-        """One lease check, run inline by the fencing service's sweep."""
+        """One lease check, run inline by the lease sweep's tick."""
         side = self.pair.active.peer
         if side.role is not ReplicaRole.STANDBY or not side.ready:
             return

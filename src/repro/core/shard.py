@@ -558,11 +558,30 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
                 message = conn.recv()
             except EOFError:
                 return
-            conn.send(_serve(worker, message))
+            reply = _serve(worker, message)
+            try:
+                conn.send(reply)
+            except Exception:  # noqa: BLE001 - whatever fails to pickle
+                # ``send`` pickles before it writes, so nothing went out.
+                # Answered, not raised: a worker that died here would
+                # leave the coordinator only its exit code.
+                conn.send((
+                    "error",
+                    f"shard {spec.shard} worker sent an unpicklable reply "
+                    f"during {_during(message)}: {traceback.format_exc()}",
+                ))
             if message[0] == "stop":
                 return
     finally:
         conn.close()
+
+
+def _during(message: tuple) -> str:
+    """The command a reply answers, as diagnostics name it."""
+    command = message[0]
+    if command == "epoch":
+        return f"{command!r} until={message[1]!r}"
+    return repr(command)
 
 
 # ----------------------------------------------------------------------
@@ -645,13 +664,9 @@ class _ProcessShard:
 
     def _failed(self, what: str, fate: str) -> ShardProtocolError:
         """``shard N worker <what> during <command>: <fate>``."""
-        command = self._last[0]
-        during = (
-            f"{command!r} until={self._last[1]!r}"
-            if command == "epoch" else repr(command)
-        )
         return ShardProtocolError(
-            f"shard {self.shard} worker {what} during {during}: {fate}"
+            f"shard {self.shard} worker {what} during {_during(self._last)}: "
+            f"{fate}"
         )
 
     def stop(self, timeout: float = 5.0) -> None:

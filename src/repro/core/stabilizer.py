@@ -14,11 +14,11 @@ hook decides what to do (MyAlertBuddy triggers rejuvenation, §4.2.1 item 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.events import Timeout
-    from repro.sim.kernel import Environment
+    from repro.sim.kernel import Environment, Membership
 
 
 @dataclass
@@ -44,8 +44,9 @@ class SelfStabilizer:
         self.on_unrectifiable = on_unrectifiable
         self._tasks: dict[str, tuple[float, Callable[[], list[str]]]] = {}
         self.records: dict[str, TaskRecord] = {}
-        #: Each running task's armed tick (cancelled by :meth:`stop`).
-        self._pending: dict[str, "Timeout"] = {}
+        #: One cohort membership per interval group (cancelled by
+        #: :meth:`stop`).
+        self._members: tuple["Membership", ...] = ()
         self._running = False
 
     def add_task(
@@ -60,24 +61,25 @@ class SelfStabilizer:
         self.records[name] = TaskRecord(name=name, interval=interval)
 
     def start(self) -> None:
-        """Start one timer chain per task (idempotent).
-
-        The chains are armed from one zero-delay kick rather than inline,
-        so every tick keeps its (time, sequence) place (DESIGN §6b).
-        """
+        """Join one cohort per task interval (idempotent); each tick runs
+        that interval's tasks in task order (DESIGN §6b)."""
         if self._running:
             return
         self._running = True
-        kick = self.env.event()
-        kick.callbacks.append(self._arm_all)
-        kick.succeed()
+        groups: dict[float, list[str]] = {}
+        for name, (interval, _check) in self._tasks.items():
+            groups.setdefault(interval, []).append(name)
+        self._members = tuple(
+            self.env.every(interval, partial(self._tick, tuple(names)))
+            for interval, names in groups.items()
+        )
 
     def stop(self) -> None:
-        """Stop every chain and cancel its pending tick."""
+        """Stop ticking: every membership leaves its cohort at once."""
         self._running = False
-        for timer in self._pending.values():
-            timer.cancel()
-        self._pending.clear()
+        for member in self._members:
+            member.cancel()
+        self._members = ()
 
     # ------------------------------------------------------------------
     # Internals
@@ -96,19 +98,8 @@ class SelfStabilizer:
         for correction in corrections:
             record.corrections.append((self.env.now, correction))
 
-    def _arm_all(self, _kick) -> None:
-        if self._running:
-            for name in self._tasks:
-                self._arm(name)
-
-    def _arm(self, name: str) -> None:
-        timer = self.env.timeout(self._tasks[name][0], name)
-        timer.callbacks.append(self._tick)
-        self._pending[name] = timer
-
-    def _tick(self, timer) -> None:
-        name = timer.value
-        del self._pending[name]
-        self._execute(name, self._tasks[name][1])
-        if self._running:
-            self._arm(name)
+    def _tick(self, names: tuple[str, ...], _now: float) -> None:
+        for name in names:
+            if not self._running:
+                return  # an earlier task's escalation stopped us
+            self._execute(name, self._tasks[name][1])

@@ -102,12 +102,8 @@ class UserEndpoint:
             self._login()
         self.sms_gateway.phone(self.phone_number).hook = self._on_sms
         self.email_service.mailbox(self.email_address).hook = self._on_mail
-        # The reconnect poll is a timer chain, armed from a zero-delay kick
-        # rather than inline so every tick keeps its (time, sequence) place
-        # (DESIGN §6b).
-        kick = self.env.event()
-        kick.callbacks.append(self._arm_reconnect)
-        kick.succeed()
+        # The reconnect poll ticks in the cohort of its instant (DESIGN §6b).
+        self.env.every(RECONNECT_INTERVAL, self._reconnect)
 
     @property
     def present(self) -> bool:
@@ -136,15 +132,11 @@ class UserEndpoint:
             self._im_loop(self._session), name=f"{self.name}-im"
         )
 
-    def _arm_reconnect(self, _event) -> None:
-        self.env.timeout(RECONNECT_INTERVAL).callbacks.append(self._reconnect)
-
-    def _reconnect(self, timer) -> None:
+    def _reconnect(self, _now: float) -> None:
         """A present user's IM client auto-reconnects after outages/logouts."""
         session_dead = self._session is None or not self._session.active
         if self._present and session_dead and self.im_service.available:
             self._login()
-        self._arm_reconnect(timer)
 
     # ------------------------------------------------------------------
     # Receipts

@@ -25,11 +25,16 @@ objects through an :class:`~repro.sim.pool.EventPool`, which is why the
 hot factories (``env.timeout``, ``env.event``) and ``env.schedule`` are
 bound scheduler methods rather than ``Environment`` methods — one
 attribute load, no double dispatch, direct access to the free lists.
+
+Periodic duties share timers through :meth:`Environment.every`: members
+that join with the same interval at the same instant form one *cohort*,
+ticked by one recurring timer, so a farm's idle machinery costs one timer
+per (interval, start instant) however many tenants it holds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -37,6 +42,62 @@ from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler, TimerScope, make_scheduler
 
 _INFINITY = float("inf")
+
+
+class Cohort(list):
+    """The members of one recurring timer, in join order.
+
+    The armed timer's value is the cohort itself; ``timer`` is that timer
+    (None before the kick arms it and after the cohort empties).
+    """
+
+    __slots__ = ("interval", "timer")
+
+
+class Membership:
+    """One ``tick`` in a cohort; the handle :meth:`Environment.every`
+    returns."""
+
+    __slots__ = ("tick", "cohort")
+
+    def __init__(
+        self, tick: Callable[[float], Any], cohort: Optional[Cohort]
+    ):
+        self.tick = tick
+        #: None once the member has left.
+        self.cohort: Optional[Cohort] = cohort
+
+    def cancel(self) -> None:
+        """Leave at once; an emptied cohort's timer is cancelled."""
+        cohort = self.cohort
+        if cohort is None:
+            return
+        self.cohort = None
+        cohort.remove(self)
+        if not cohort and cohort.timer is not None:
+            cohort.timer.cancel()
+            cohort.timer = None
+
+
+def _arm_cohort(event: Event) -> None:
+    """Arm a cohort's first tick (from its zero-delay kick) or next one."""
+    cohort = event._value
+    if cohort:
+        timer = event.env.timeout(cohort.interval, cohort)
+        timer.callbacks.append(_tick_cohort)
+        cohort.timer = timer
+
+
+def _tick_cohort(timer: Timeout) -> None:
+    """Run every member in join order; one returning False leaves."""
+    cohort = timer._value
+    now = timer.env._scheduler._now
+    # A snapshot: a tick may cancel members of its own cohort.
+    for member in cohort[:]:
+        if member.cohort is cohort and member.tick(now) is False:
+            member.cancel()
+    if cohort:
+        _arm_cohort(timer)
 
 
 class Environment:
@@ -50,6 +111,8 @@ class Environment:
 
     __slots__ = (
         "_scheduler", "_active_process", "tracer",
+        # Cohorts opened at ``_cohorts_at``, by interval (see ``every``).
+        "_cohorts", "_cohorts_at",
         # Scheduler-bound hot-path callables (see class docstring).
         "schedule", "timeout", "event", "_note_cancelled",
     )
@@ -62,6 +125,8 @@ class Environment:
         #: (``tr = env.tracer``) so the disabled path costs one slot load.
         self.tracer = None
         self._active_process: Optional[Process] = None
+        self._cohorts: dict[float, Cohort] = {}
+        self._cohorts_at: Optional[float] = None
         self.schedule = sched.schedule
         self.timeout = sched.timeout
         self.event = sched.event
@@ -127,6 +192,41 @@ class Environment:
             # guard is structurally cancelled if it lost
         """
         return TimerScope(self)
+
+    def every(
+        self, interval: float, tick: Callable[[float], Any]
+    ) -> Membership:
+        """Call ``tick(now)`` every ``interval`` from now until it returns
+        False or the returned handle is cancelled.
+
+        Members that join with the same interval at the same instant share
+        one timer: the first one's join kicks it (one zero-delay event,
+        where its own timer chain would have been kicked), and each tick
+        runs the members in join order, then re-arms.  Only cohorts opened
+        at the current instant are joinable — no later join could share
+        their phase — so a cohort alone costs what its timer chain did.
+        """
+        if not interval > 0:
+            raise ValueError(f"interval must be positive, got {interval!r}")
+        now = self._scheduler._now
+        cohorts = self._cohorts
+        if self._cohorts_at != now:
+            cohorts.clear()
+            self._cohorts_at = now
+        cohort = cohorts.get(interval)
+        if cohort:
+            member = Membership(tick, cohort)
+            cohort.append(member)
+            return member
+        # None yet, or emptied by cancel(): open one, sized for one member.
+        member = Membership(tick, None)
+        cohort = member.cohort = cohorts[interval] = Cohort((member,))
+        cohort.interval = interval
+        cohort.timer = None
+        kick = self.event()
+        kick.callbacks.append(_arm_cohort)
+        kick.succeed(cohort)
+        return member
 
     # ------------------------------------------------------------------
     # Execution

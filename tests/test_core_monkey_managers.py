@@ -91,8 +91,9 @@ class TestMonkeyThread:
     @pytest.mark.xfail(
         strict=True,
         reason="stop() then start() inside one scan interval leaves the old "
-        "_loop alive: it re-reads _running as True (DESIGN §11).  The fix "
-        "moves dialog-click times, so it needs digest re-pins.",
+        "scan-cohort membership next to the new one: its tick re-reads "
+        "_running as True (DESIGN §11).  The fix moves dialog-click times, "
+        "so it needs digest re-pins.",
     )
     def test_quick_stop_start_does_not_multiply_scanners(self, rig):
         env, screen, im, email, sms = rig
@@ -106,7 +107,7 @@ class TestMonkeyThread:
             monkey.stop()
             monkey.start()
         env.run(until=100.0)
-        # One scanner scans once per interval; today four loops do.
+        # One scanner scans once per interval; today four memberships do.
         assert len(scans) == len(set(scans))
         assert len([at for at in scans if 80.0 <= at < 100.0]) == 1
 

@@ -37,6 +37,7 @@ from repro.core.pessimistic_log import LogEntry
 from repro.core.router import BlockOutcome, DeliveryEngine, DeliveryOutcome
 from repro.core.user_endpoint import Receipt
 from repro.sim.events import Timeout
+from repro.sim.kernel import Cohort
 from repro.sim.process import Process
 from repro.sim.scheduler import HeapScheduler
 from repro.sim.wheel import WheelScheduler
@@ -52,12 +53,12 @@ DELIVERED = 42
 
 #: Spawns over the whole run.  Only ``AlertSource.deliver`` scales with
 #: alerts; everything else is lifecycle (launches, the one crash/relaunch).
-#: The idle duties that only wait on their own timer or mailbox — nightly
-#: rejuvenation, stabilizer tasks, source maintenance, the user's phone,
-#: mail and reconnect poll — are callbacks, not processes (DESIGN §6b).
+#: The idle duties that only wait on their own timer or mailbox — monkey
+#: scans, nightly rejuvenation, stabilizer tasks, source maintenance, the
+#: user's phone, mail and reconnect poll — are callbacks, not processes
+#: (DESIGN §6b).
 EXPECTED_SPAWNS = {
     "AlertSource.deliver": EMITTED,
-    "MonkeyThread._loop": 46,
     "MyAlertBuddy._main": 21,
     "SimbaEndpoint._email_loop": 23,
     "SimbaEndpoint._im_loop": 23,
@@ -65,9 +66,8 @@ EXPECTED_SPAWNS = {
     "run_golden_farm.<locals>.driver": 1,
 }
 
-#: Resumes of the processes an alert passes through (the monkey, the one
-#: idle loop left, ticks with simulated time, not with alerts; it is
-#: counted in the total below).
+#: Resumes of the processes an alert passes through; the total below adds
+#: only the driver's.
 EXPECTED_ALERT_PATH_RESUMES = {
     "AlertSource.deliver": 2 * EMITTED,  # kick-off + the ack-vs-timeout race
     "SimbaEndpoint._im_loop": 199,
@@ -75,19 +75,21 @@ EXPECTED_ALERT_PATH_RESUMES = {
     "MyAlertBuddy._main": 197,
     "UserEndpoint._im_loop": 106,
 }
-#: Every generator resume and every timer armed over the run.  The timers
-#: did not move when the idle duties became callbacks: each chain arms the
-#: same timers its process did.
-TOTAL_RESUMES = 4002
-GOLDEN_TIMERS = 5953
+#: Every generator resume and every timer armed over the run.  The periodic
+#: duties tick in cohorts (``env.every``): the 20 tenants start together, so
+#: each (interval, start instant) arms one timer per period, not one per
+#: tenant — 4 002 resumes and 5 953 timers when every tenant had its own.
+TOTAL_RESUMES = 660
+GOLDEN_TIMERS = 743
 
 #: Non-timer events scheduled over the whole run, by class: ``Event`` is
 #: process kick-offs, acks and transit hand-offs, ``StoreGet`` a mailbox
 #: waking its reader, ``AnyOf`` a settled race, ``Process`` a finished
 #: process waking whoever waits on it.  There is no row for a put — with
 #: ``StorePut`` the run scheduled 220 more events, 5.24 per delivered alert.
-EXPECTED_EVENTS = {"Event": 330, "StoreGet": 221, "AnyOf": 86, "Process": 49}
-EVENTS_PER_DELIVERED = 16.33
+#: A cohort is kicked once however many members join it.
+EXPECTED_EVENTS = {"Event": 246, "StoreGet": 221, "AnyOf": 86, "Process": 47}
+EVENTS_PER_DELIVERED = 14.29
 
 
 def count_hops(run):
@@ -192,7 +194,7 @@ def test_alert_path_resumes_are_pinned(hop_counts):
     assert sum(resumes.values()) == TOTAL_RESUMES
 
 
-def test_idle_callbacks_arm_the_timers_their_processes_did(hop_counts):
+def test_idle_cohorts_arm_one_timer_per_period(hop_counts):
     _spawns, _resumes, _events, timers = hop_counts
     assert timers == GOLDEN_TIMERS
 
@@ -244,7 +246,6 @@ EXPECTED_REPLICATED_SPAWNS = {
     "FailoverController._reconcile": 1,
     "FaultInjector._fire": 8,
     "MasterDaemonController._monitor": 9,
-    "MonkeyThread._loop": 24,
     "MyAlertBuddy._main": 11,
     "PairSide._catch_up": 2,
     "RetryStage._requeue": 24,
@@ -253,8 +254,8 @@ EXPECTED_REPLICATED_SPAWNS = {
     "UserEndpoint._im_loop": 16,
 }
 #: Every generator resume and every timer armed over the run.
-REPLICATED_RESUMES = 8036
-REPLICATED_TIMERS = 21043
+REPLICATED_RESUMES = 5100
+REPLICATED_TIMERS = 16961
 
 
 @pytest.fixture(scope="module")
@@ -295,9 +296,8 @@ COLD_TENANT_PARKED = (
     "UserEndpoint._im_loop",
 )
 #: What each shard parks besides its tenants: the portal source
-#: endpoint's two receive loops and two monkey threads.
+#: endpoint's two receive loops (its monkeys are cohort members).
 SHARD_PARKED = {
-    "MonkeyThread._loop": 2,
     "SimbaEndpoint._email_loop": 1,
     "SimbaEndpoint._im_loop": 1,
 }
@@ -365,33 +365,53 @@ def test_a_tenant_with_a_reconnect_process_breaks_the_idle_budget(
     ]
 
 
-def live_timers_of(env, owners):
-    """Queued, uncancelled timers whose callback is a method of one of
-    ``owners`` (read off the heap backend's queue)."""
+def queued_timers(env):
+    """Queued, uncancelled timers (read off the heap backend's queue)."""
     return [
         event
         for _at, _seq, event in env.scheduler._queue
         if isinstance(event, Timeout) and not event._cancelled
-        and any(
+    ]
+
+
+def live_timers_of(env, owner):
+    """Queued timers whose callback is a method of ``owner``."""
+    return [
+        timer for timer in queued_timers(env)
+        if any(
             getattr(callback, "__self__", None) is owner
-            for callback in event.callbacks
-            for owner in owners
+            for callback in timer.callbacks
         )
+    ]
+
+
+def cohort_members_of(env, owner):
+    """Members of queued cohorts whose tick is a method of ``owner``, bare
+    or with arguments bound by ``functools.partial``."""
+    return [
+        member
+        for timer in queued_timers(env) if isinstance(timer.value, Cohort)
+        for member in timer.value
+        if getattr(getattr(member.tick, "func", member.tick), "__self__", None)
+        is owner
     ]
 
 
 def test_an_ended_incarnation_leaves_no_timer_queued(monkeypatch):
     """The crashed incarnation's nightly rejuvenation (most of a day
-    away) and its stabilizer ticks are cancelled when it ends; its
+    away) is cancelled and its stabilizer has left its cohort; its
     successor's are live, which shows the scan sees them."""
     monkeypatch.setenv("REPRO_SCHEDULER", "heap")
     farm = run_golden_farm()
     ended, current = farm.tenant_at(5).deployment.incarnations
     assert not ended.alive and current.alive
     env = farm.world.env
-    live = live_timers_of(env, (current, current.stabilizer))
-    assert len(live) == 3  # nightly + im-sanity + email-sanity
-    assert live_timers_of(env, (ended, ended.stabilizer)) == []
+    assert len(live_timers_of(env, current)) == 1  # the nightly timer
+    # One member runs both sanity tasks, which share their interval.
+    assert len(cohort_members_of(env, current.stabilizer)) == 1
+    assert live_timers_of(env, ended) == []
+    assert live_timers_of(env, ended.stabilizer) == []
+    assert cohort_members_of(env, ended.stabilizer) == []
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,32 @@ class TestWorkerDeath:
         assert elapsed < 5.0
         assert multiprocessing.active_children() == []
 
+    def test_an_unpicklable_reply_is_answered_as_an_error(
+        self, monkeypatch
+    ):
+        """A reply that does not pickle used to kill the worker inside
+        ``conn.send``, leaving only "died ...: exit code 1".  The worker
+        answers with the pickling error instead (the patch is inherited by
+        the forked workers)."""
+        monkeypatch.setattr(ShardWorker, "rollup", lambda worker: lambda: 0)
+        farm = small_farm(2, inline=False)
+        farm.start()
+        try:
+            farm.run_epoch()
+            started = time.monotonic()
+            with pytest.raises(ShardProtocolError) as caught:
+                farm.merged_rollup()
+            elapsed = time.monotonic() - started
+        finally:
+            farm.stop()
+        message = str(caught.value)
+        assert message.startswith(
+            "shard 0 worker sent an unpicklable reply during 'rollup': "
+        )
+        assert "Can't pickle" in message and "lambda" in message
+        assert elapsed < 5.0
+        assert multiprocessing.active_children() == []
+
     def test_worker_that_fails_to_build_stops_the_others(self):
         farm = small_farm(2, inline=False)
         farm._specs[1].workload = "repro.experiments.sharded:no_such_workload"

@@ -498,3 +498,235 @@ class TestTimerScope:
         assert timers.settle() == 1
         assert timers.settle() == 0
         assert timers.active == []
+
+
+# ----------------------------------------------------------------------
+# Cohorts: env.every
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestEvery:
+    def test_members_run_in_join_order_on_one_timer(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+        for name in "abc":
+            env.every(20.0, lambda now, name=name: fired.append((now, name)))
+        env.run(until=1.0)
+        assert env.queue_depth == 1  # one timer for the three members
+        env.run(until=45.0)
+        assert fired == [(20.0, "a"), (20.0, "b"), (20.0, "c"),
+                         (40.0, "a"), (40.0, "b"), (40.0, "c")]
+
+    def test_same_interval_at_another_instant_has_its_own_timer(
+        self, backend
+    ):
+        env = Environment(scheduler=backend)
+        fired = []
+        env.every(2.0, lambda now: fired.append(("early", now)))
+        env.run(until=0.5)
+        env.every(2.0, lambda now: fired.append(("late", now)))
+        env.run(until=1.0)
+        assert env.queue_depth == 2
+        env.run(until=5.0)
+        assert fired == [("early", 2.0), ("late", 2.5),
+                         ("early", 4.0), ("late", 4.5)]
+
+    def test_a_member_returning_false_leaves_at_that_tick(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+
+        def once(now):
+            fired.append(("once", now))
+            return False
+
+        env.every(10.0, once)
+        env.every(10.0, lambda now: fired.append(("stays", now)))
+        env.run(until=35.0)
+        assert fired == [("once", 10.0), ("stays", 10.0),
+                         ("stays", 20.0), ("stays", 30.0)]
+
+    def test_the_last_member_returning_false_ends_the_timer(self, backend):
+        env = Environment(scheduler=backend)
+        env.every(10.0, lambda now: False)
+        env.run()
+        assert env.now == 10.0 and env.queue_depth == 0
+
+    def test_cancelling_the_last_member_leaves_no_live_timer(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+        first = env.every(30.0, fired.append)
+        second = env.every(30.0, fired.append)
+        env.run(until=31.0)
+        first.cancel()
+        assert env.queue_depth == 1  # the other member still ticks
+        second.cancel()
+        second.cancel()  # idempotent
+        assert env.queue_depth == 0
+        env.run()
+        assert fired == [30.0, 30.0]
+
+    def test_cancelling_before_the_kick_arms_nothing(self, backend):
+        env = Environment(scheduler=backend)
+        member = env.every(60.0, lambda now: pytest.fail("a member ran"))
+        member.cancel()
+        env.run()
+        assert env.now == 0.0 and env.queue_depth == 0
+        # The emptied cohort is not joined again: a new one is opened.
+        fired = []
+        env.every(60.0, fired.append)
+        env.run(until=61.0)
+        assert fired == [60.0]
+
+    def test_a_tick_may_cancel_a_later_member_of_its_cohort(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+        handles = {}
+
+        def killer(now):
+            fired.append("killer")
+            handles["victim"].cancel()
+            return False
+
+        env.every(5.0, killer)
+        handles["victim"] = env.every(5.0, lambda now: fired.append("victim"))
+        env.run()
+        assert fired == ["killer"] and env.queue_depth == 0
+
+    def test_a_join_from_inside_a_tick_opens_a_new_cohort(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+
+        def joiner(now):
+            fired.append(("joiner", now))
+            if now == 20.0:
+                env.every(20.0, lambda t: fired.append(("joined", t)))
+
+        env.every(20.0, joiner)
+        env.run(until=21.0)
+        assert env.queue_depth == 2  # the joiner's and the new cohort's
+        env.run(until=61.0)
+        assert fired == [("joiner", 20.0), ("joiner", 40.0),
+                         ("joined", 40.0), ("joiner", 60.0),
+                         ("joined", 60.0)]
+
+    def test_interval_must_be_positive(self, backend):
+        env = Environment(scheduler=backend)
+        for interval in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                env.every(interval, lambda now: None)
+
+
+class ChainMember:
+    """The reference ``every``: a timer chain of one's own, kicked by one
+    zero-delay event at the join, re-armed after each tick."""
+
+    def __init__(self, env, interval, tick):
+        self.env = env
+        self.interval = interval
+        self.tick = tick
+        self.live = True
+        self.timer = None
+        kick = env.event()
+        kick.callbacks.append(self._arm)
+        kick.succeed()
+
+    def _arm(self, _event):
+        if self.live:
+            self.timer = self.env.timeout(self.interval)
+            self.timer.callbacks.append(self._fire)
+
+    def _fire(self, _timer):
+        if self.tick(self.env.now) is False:
+            self.live = False
+        self._arm(None)
+
+    def cancel(self):
+        self.live = False
+        if self.timer is not None:
+            self.timer.cancel()
+
+
+def cohort_plan(seed):
+    """Joins and cancels at random, clustered on a few instants so that
+    same-interval joins both share and miss one another's instant."""
+    import random
+
+    rng = random.Random(seed)
+    instants = [0.0, 0.0, 1.0, 2.0, 2.0, 5.0, 20.0, 30.0, 30.0, 41.0, 60.0]
+    joins = [
+        (rng.choice(instants), member, rng.choice((2.0, 20.0, 30.0, 60.0)),
+         rng.choice((None, None, 1, 3, 7)))
+        for member in range(24)
+    ]
+    cancels = [
+        (rng.choice(instants) + rng.choice((0.0, 3.0, 40.0)),
+         rng.randrange(24))
+        for _ in range(8)
+    ]
+    return joins, cancels
+
+
+def run_cohort_plan(backend, plan, join):
+    """Drive ``plan`` with ``join(env, interval, tick)``; return the firing
+    log ``[(now, member)]`` and each member's cohort key."""
+    joins, cancels = plan
+    env = Environment(scheduler=backend)
+    log = []
+    handles = {}
+    keys = {}
+
+    def tick_of(member, leave_after):
+        count = [0]
+
+        def tick(now):
+            log.append((now, member))
+            count[0] += 1
+            if leave_after is not None and count[0] >= leave_after:
+                return False
+
+        return tick
+
+    ops = sorted(
+        [(at, 0, member, interval, leave) for at, member, interval, leave
+         in joins]
+        + [(at, 1, member, None, None) for at, member in cancels],
+        key=lambda op: op[:2],
+    )
+
+    def driver(env):
+        for at, kind, member, interval, leave in ops:
+            if at > env.now:
+                yield env.timeout(at - env.now)
+            if kind == 0:
+                keys[member] = (interval, env.now)
+                handles[member] = join(env, interval, tick_of(member, leave))
+            elif member in handles:
+                handles[member].cancel()
+
+    env.process(driver(env))
+    env.run(until=400.0)
+    return log, keys
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", range(20))
+def test_every_fires_as_per_member_chains_would(backend, seed):
+    plan = cohort_plan(seed)
+    got, keys = run_cohort_plan(backend, plan, Environment.every)
+    want, _ = run_cohort_plan(backend, plan, ChainMember)
+
+    def times(log):
+        fired = {}
+        for now, member in log:
+            fired.setdefault(member, []).append(now)
+        return fired
+
+    def cohort_order(log):
+        order = {}
+        for now, member in log:
+            order.setdefault((now, keys[member]), []).append(member)
+        return order
+
+    assert times(got) == times(want)
+    assert cohort_order(got) == cohort_order(want)
