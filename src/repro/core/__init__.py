@@ -29,10 +29,8 @@ from repro.core.admission import (
     BackoffPolicy,
     DeadLetter,
     DeadLetterQueue,
-    DedupStore,
     LoadShedder,
     TokenBucket,
-    dedup_key,
 )
 from repro.core.alert import Alert, AlertSeverity
 from repro.core.buddy import MyAlertBuddy
@@ -91,7 +89,6 @@ __all__ = [
     "CommunicationBlock",
     "DeadLetter",
     "DeadLetterQueue",
-    "DedupStore",
     "DeliveryEngine",
     "DeliveryMode",
     "DeliveryOutcome",
@@ -132,5 +129,4 @@ __all__ = [
     "UserAddress",
     "UserEndpoint",
     "build_pair",
-    "dedup_key",
 ]

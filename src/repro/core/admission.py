@@ -7,10 +7,9 @@ that keeps the pipeline dependable under that load:
 
 - :class:`TokenBucket` rate limiters at three scopes — per-channel,
   per-recipient, global — refilled lazily from simulation time;
-- :class:`DedupStore`: a bounded-LRU idempotency store keyed by
-  ``alert_id:channel:recipient:time_bucket``, so replays and fallback
-  copies of an already-delivered alert are suppressed, not re-sent, in
-  O(1) memory per retained key instead of an unbounded routed-id set;
+- dedup: with ``dedup_window`` set, a copy of an alert whose delivery
+  status on the pessimistic log is terminal (a replay, a fallback copy)
+  is journalled ``dedup_suppressed`` instead of ``duplicate_incoming``;
 - :class:`BackoffPolicy` + :class:`DeadLetterQueue`: bounded per-alert
   retry budgets with exponential backoff and deterministic jitter,
   replacing the fixed-delay retry loop that would otherwise hammer a
@@ -26,18 +25,23 @@ never perturbs any existing stream, and a permissive
 row of ``tests/test_knob_invariance.py``).
 
 One :class:`AdmissionController` lives on the *persistent*
-:class:`~repro.core.buddy.BuddyConfig`, not on an incarnation, so retry
-budgets and dedup keys survive MAB crashes and MDC restarts — a crash
-must not refill an alert's retry budget.
+:class:`~repro.core.buddy.BuddyConfig`, not on an incarnation, so its
+buckets, storm state and dead letters survive MAB crashes and MDC
+restarts.  An alert's retry count lives on its
+:class:`~repro.core.pessimistic_log.DeliveryStatus`, which survives them
+with the log — a crash must not refill an alert's retry budget.
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.rng import RngRegistry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.pessimistic_log import DeliveryStatus
 
 __all__ = [
     "AdmissionConfig",
@@ -45,10 +49,8 @@ __all__ = [
     "BackoffPolicy",
     "DeadLetter",
     "DeadLetterQueue",
-    "DedupStore",
     "LoadShedder",
     "TokenBucket",
-    "dedup_key",
 ]
 
 
@@ -132,71 +134,6 @@ class TokenBucket:
     def _record_grant(self, at: float) -> None:
         self.grants.append(at)
         self.granted_total += 1
-
-
-# ----------------------------------------------------------------------
-# Dedup store
-# ----------------------------------------------------------------------
-
-
-def dedup_key(alert_id: str, channel: str, recipient: str,
-              created_at: float, window: float) -> str:
-    """``alert_id:channel:recipient:time_bucket`` idempotency key."""
-    bucket = int(created_at // window) if window > 0 else 0
-    return f"{alert_id}:{channel}:{recipient}:{bucket}"
-
-
-class DedupStore:
-    """Bounded LRU set of delivery dedup keys.
-
-    Keys are *marked* when a delivery reaches a terminal accounted
-    outcome, and *checked* when a new copy arrives — a hit means the copy
-    is suppressed.  The LRU bound gives O(``max_entries``) memory however
-    long the run; ``ever_marked`` (audit only) retains every key so the
-    oracle can prove each suppression matched a real prior delivery.
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries!r}")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[str, float] = OrderedDict()
-        #: Audit trail for the no-duplicate-past-dedup invariant.
-        self.ever_marked: set[str] = set()
-        self.suppressed: list[tuple[str, float]] = []
-        self.evicted_total = 0
-        self.marked_total = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def mark(self, key: str, at: float) -> None:
-        """Record ``key`` as delivered; evicts the LRU key at the bound."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = at
-            return
-        self._entries[key] = at
-        self.ever_marked.add(key)
-        self.marked_total += 1
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evicted_total += 1
-
-    def check(self, key: str, at: float) -> bool:
-        """True (and logged as a suppression) when ``key`` is marked."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.suppressed.append((key, at))
-            return True
-        return False
-
-    @property
-    def suppressed_total(self) -> int:
-        return len(self.suppressed)
 
 
 # ----------------------------------------------------------------------
@@ -334,8 +271,12 @@ class AdmissionConfig:
     channel_burst: float = 8.0
     #: Longest a throttled alert will wait for tokens before being shed.
     max_throttle_delay: float = 120.0
-    # Dedup (None disables).
+    # Dedup (None disables).  Only whether the window is set is read:
+    # suppression keys on the alert's status on the log.
     dedup_window: Optional[float] = None
+    #: Read by nothing: dedup keys on the log's delivery status.  Kept so
+    #: reproducer files and run fingerprints, which hash every field, stay
+    #: valid.
     dedup_entries: int = 4096
     # Retry budget + backoff (None budget keeps the legacy attempt cap;
     # None backoff_base keeps the legacy fixed retry delay).
@@ -399,7 +340,7 @@ class ShedDecision:
 
 
 class AdmissionController:
-    """One endpoint's admission state: buckets, dedup, budgets, DLQ.
+    """One endpoint's admission state: buckets, storm shedding, DLQ.
 
     The controller is sim-time-driven but env-free: every method takes
     ``now`` explicitly, so it can be owned by persistent config objects
@@ -424,10 +365,6 @@ class AdmissionController:
         )
         self.recipient_buckets: dict[str, TokenBucket] = {}
         self.channel_buckets: dict[str, TokenBucket] = {}
-        self.dedup: Optional[DedupStore] = (
-            DedupStore(config.dedup_entries)
-            if config.dedup_window is not None else None
-        )
         self.dead_letters = DeadLetterQueue()
         self.shedder: Optional[LoadShedder] = (
             LoadShedder(config.storm_window, config.storm_rate,
@@ -436,15 +373,14 @@ class AdmissionController:
                 or config.storm_depth is not None) else None
         )
         self._shed_severities = frozenset(config.shed_severities)
-        #: Remaining retry budget per alert; bounded LRU like the dedup
-        #: store so storm-length runs cannot grow it without bound.
-        self._retry_budgets: OrderedDict[str, int] = OrderedDict()
         #: Last admitted (at, alert_id) per coalesce key.
         self._coalesce: OrderedDict[str, tuple[float, str]] = OrderedDict()
         # Shed accounting, audited by the every-shed-is-journalled
         # invariant against the journal's per-kind counts.
         self.shed_counts: Counter[str] = Counter()
         self.throttle_waits = 0
+        #: Copies the pipeline suppressed as duplicates of settled alerts.
+        self.dedup_suppressed = 0
 
     # -- rate limiting -------------------------------------------------
 
@@ -515,52 +451,15 @@ class AdmissionController:
         buckets.extend(self.channel_buckets.values())
         return buckets
 
-    # -- dedup ---------------------------------------------------------
-
-    def dedup_key_for(self, alert_id: str, channel: str,
-                      created_at: float) -> Optional[str]:
-        if self.dedup is None:
-            return None
-        return dedup_key(alert_id, channel, self.owner, created_at,
-                         self.config.dedup_window)
-
-    def dedup_check(self, alert_id: str, channel: str, created_at: float,
-                    now: float) -> Optional[str]:
-        """The suppressed key when this copy is a duplicate, else None."""
-        key = self.dedup_key_for(alert_id, channel, created_at)
-        if key is not None and self.dedup.check(key, now):
-            return key
-        return None
-
-    def dedup_mark(self, alert_id: str, created_at: float,
-                   now: float) -> None:
-        """Mark delivery terminal: later copies past this key suppress."""
-        if self.dedup is None:
-            return
-        # Mark the key for *every* channel a copy could arrive by: the
-        # sender's fallback copy of an IM-delivered alert arrives by email.
-        for via in ("IM", "EM", "SMS"):
-            self.dedup.mark(
-                dedup_key(alert_id, via, self.owner, created_at,
-                          self.config.dedup_window),
-                now,
-            )
-
     # -- retry budget + dead letters ------------------------------------
 
-    def take_retry_token(self, alert_id: str) -> bool:
-        """Consume one retry from the alert's budget (True = may retry)."""
-        if self.config.retry_budget is None:
-            return True
-        remaining = self._retry_budgets.get(alert_id)
-        if remaining is None:
-            remaining = self.config.retry_budget
-        if remaining <= 0:
+    def take_retry_token(self, status: "DeliveryStatus") -> bool:
+        """Consume one retry from the alert's budget (True = may retry);
+        the count is the alert's delivery status on the log."""
+        budget = self.config.retry_budget
+        if budget is not None and status.retries >= budget:
             return False
-        self._retry_budgets[alert_id] = remaining - 1
-        self._retry_budgets.move_to_end(alert_id)
-        while len(self._retry_budgets) > 65536:
-            self._retry_budgets.popitem(last=False)
+        status.retries += 1
         return True
 
     def retry_delay(self, attempt: int, fallback: float) -> float:
@@ -622,12 +521,10 @@ class AdmissionController:
             "shed": self.shed_counts.get("shed", 0),
             "coalesced": self.shed_counts.get("coalesced", 0),
             "rate_limited": self.shed_counts.get("rate_limited", 0),
-            "dedup_suppressed": (
-                self.dedup.suppressed_total if self.dedup is not None else 0
-            ),
-            "dedup_evicted": (
-                self.dedup.evicted_total if self.dedup is not None else 0
-            ),
+            "dedup_suppressed": self.dedup_suppressed,
+            # Always 0 (nothing evicts); kept because the rollup digests
+            # hash every key.
+            "dedup_evicted": 0,
             "dead_letters": len(self.dead_letters),
             "throttle_waits": self.throttle_waits,
             "submissions_rejected": sum(

@@ -110,9 +110,8 @@ class BuddyConfig:
     def admission_controller(self) -> Optional[AdmissionController]:
         """The lazily-built, *persistent* admission controller.
 
-        Lives on the config — which outlives incarnations — so dedup keys
-        and per-alert retry budgets survive MAB crashes and MDC restarts;
-        a crash must not refill an alert's retry budget.
+        Lives on the config — which outlives incarnations — so buckets,
+        storm state and dead letters survive MAB crashes and MDC restarts.
         """
         if self.admission is not None and self._admission_controller is None:
             self._admission_controller = build_controller(
@@ -130,7 +129,8 @@ class JournalEvent:
 
 
 class BuddyJournal:
-    """Cross-incarnation audit trail plus the processed-alert dedup set.
+    """Cross-incarnation audit trail; no delivery decision reads it (an
+    alert's status lives on the pessimistic log).
 
     Per-kind tallies are maintained incrementally in :meth:`record`, so
     :meth:`count` is O(1) however long the run — the recovery report and the
@@ -148,12 +148,6 @@ class BuddyJournal:
         self.events: "deque[JournalEvent] | list[JournalEvent]" = (
             deque(maxlen=max_events) if max_events is not None else []
         )
-        self.routed_ids: set[str] = set()
-        #: Alerts whose delivery-retry chain is still in flight.  A second
-        #: incoming copy (e.g. the sender's email fallback after a blocked
-        #: ack) must not start a competing chain — found by the chaos
-        #: testkit's exactly-once invariant.
-        self.retry_pending: set[str] = set()
         self.rejuvenations: list[RejuvenationRecord] = []
         self._counts: Counter[str] = Counter()
         self.total_events = 0
@@ -352,8 +346,10 @@ class MyAlertBuddy:
                 incoming = yield self.endpoint.alert_inbox.get()
                 if self.hung:
                     # A hung process holds the item forever; the MDC restart
-                    # interrupts us here.  The alert itself is safe in the
-                    # pessimistic log if it arrived by IM.
+                    # interrupts us here.  An IM arrival stays unprocessed
+                    # in the pessimistic log through its retries, but the
+                    # retry copy of an email arrival is held nowhere
+                    # durable: a hang that takes it loses the alert.
                     yield self.env.event()
                 yield from self._process_incoming(incoming)
         except Interrupt as interrupt:

@@ -42,6 +42,27 @@ class LogEntry:
     processed_at: Optional[float] = None
 
 
+#: The outcomes that settle an alert's fate on the record.
+TERMINAL_KINDS = frozenset({"routed", "delivery_abandoned", "dead_lettered"})
+
+
+@dataclass(slots=True)
+class DeliveryStatus:
+    """What has happened to one accepted alert: the one record the
+    pipeline's duplicate check and the retry budget read."""
+
+    #: ``"retrying"``, ``"partial"`` (retrying, and some subscriber already
+    #: has it) or a :data:`TERMINAL_KINDS` kind, which sticks.
+    state: str = "retrying"
+    #: Retry tokens the admission budget has granted so far.
+    retries: int = 0
+
+    @property
+    def routed(self) -> bool:
+        """Whether some subscriber may already hold the alert."""
+        return self.state != "retrying"
+
+
 def _append_record(
     entry_id: int, alert_id: str, received_at: float, payload: str
 ) -> dict:
@@ -94,6 +115,10 @@ class PessimisticLog:
         #: set, every appended record ships before the append returns —
         #: preserving the log-before-ack ordering across the pair.
         self.shipper: Optional[LogShipperHook] = None
+        #: Alert id → :class:`DeliveryStatus`, written only by the retry
+        #: stage.  Not a log record yet, so a log rebuilt from records
+        #: must be handed the old log's map (see replication's reconcile).
+        self.status: dict[str, DeliveryStatus] = {}
 
     # ------------------------------------------------------------------
     # Writing

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.endpoint import IncomingAlert, SimbaEndpoint
 from repro.core.filters import FilterDecision
+from repro.core.pessimistic_log import TERMINAL_KINDS, DeliveryStatus
 from repro.errors import AlertRejected
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,8 +104,8 @@ class PipelineStage:
 def _admission_for(config) -> Optional["AdmissionController"]:
     """The persistent admission controller, or None when unconfigured.
 
-    Resolved through the config (not the incarnation) so retry budgets
-    and dedup keys survive MAB crashes and MDC restarts.
+    Resolved through the config (not the incarnation) so buckets, storm
+    state and dead letters survive MAB crashes and MDC restarts.
     """
     getter = getattr(config, "admission_controller", None)
     return getter() if getter is not None else None
@@ -308,13 +309,11 @@ class RetryStage(PipelineStage):
         incoming = ctx.incoming
         alert = ctx.alert
         controller = _admission_for(config)
+        status = ctx.log.status.setdefault(alert.alert_id, DeliveryStatus())
         if (
             ctx.failed_users
             and incoming.attempts + 1 < config.delivery_max_attempts
-            and (
-                controller is None
-                or controller.take_retry_token(alert.alert_id)
-            )
+            and (controller is None or controller.take_retry_token(status))
         ):
             delay = (
                 config.delivery_retry_delay
@@ -334,13 +333,12 @@ class RetryStage(PipelineStage):
                 name=f"retry-{alert.alert_id}",
             )
             # While the chain is in flight, later incoming copies (sender
-            # fallback duplicates, recovery replays) must defer to it.
-            ctx.journal.retry_pending.add(alert.alert_id)
-            if not ctx.failed_users.issuperset(
+            # fallback duplicates, recovery replays) defer to it, and once
+            # some subscriber has it none of them may route it again.
+            if status.state == "retrying" and not ctx.failed_users.issuperset(
                 s.user for s in ctx.subscriptions
             ):
-                # Partial success: successful users must not get it again.
-                ctx.journal.routed_ids.add(alert.alert_id)
+                status.state = "partial"
             ctx.finished = True
             ctx.outcome_kind = "retry_scheduled"
             return
@@ -372,8 +370,7 @@ class RetryStage(PipelineStage):
                     alert_id=alert.alert_id,
                 )
                 terminal = "delivery_abandoned"
-        ctx.journal.routed_ids.add(alert.alert_id)
-        ctx.journal.retry_pending.discard(alert.alert_id)
+        status.state = terminal
         if ctx.entry is not None:
             ctx.log.mark_processed(ctx.entry.entry_id)
         ctx.finished = True
@@ -541,34 +538,30 @@ class AlertPipeline:
             if ctx.epoch is not None:
                 span.annotations["epoch"] = ctx.epoch
             ctx.trace_span = span
-        if incoming.retry_users is None:
-            duplicate = None
-            if self.admission is not None:
-                # Idempotency first: a copy whose dedup key was marked at
-                # a prior terminal delivery is suppressed in O(1), bounded
-                # memory — the unbounded routed-id set stays as backstop.
-                key = self.admission.dedup_check(
-                    ctx.alert.alert_id,
-                    incoming.via.value,
-                    ctx.alert.created_at,
-                    self.env.now,
-                )
-                if key is not None:
-                    duplicate = ("dedup_suppressed", key)
-            if duplicate is None and (
-                ctx.alert.alert_id in self.journal.routed_ids
-                or ctx.alert.alert_id in self.journal.retry_pending
+        status = (
+            self.log.status.get(ctx.alert.alert_id)
+            if incoming.retry_users is None else None
+        )
+        if status is not None:
+            # A copy of an alert this log holds a status for: a settled one
+            # is suppressed past dedup when admission dedups, anything else
+            # defers to the first copy's trips.
+            kind = "duplicate_incoming"
+            if (
+                status.state in TERMINAL_KINDS
+                and self.admission is not None
+                and self.admission.config.dedup_window is not None
             ):
-                duplicate = ("duplicate_incoming", f"via {incoming.via.value}")
-            if duplicate is not None:
-                ctx.finish(*duplicate)
-                if guard is not None:
-                    yield from guard.after_trip(ctx)
-                if span is not None:
-                    tracer.end(span, ctx.outcome_kind)
-                if self.on_outcome is not None:
-                    self.on_outcome(ctx)
-                return ctx
+                kind = "dedup_suppressed"
+                self.admission.dedup_suppressed += 1
+            ctx.finish(kind, f"via {incoming.via.value}")
+            if guard is not None:
+                yield from guard.after_trip(ctx)
+            if span is not None:
+                tracer.end(span, ctx.outcome_kind)
+            if self.on_outcome is not None:
+                self.on_outcome(ctx)
+            return ctx
         for stage in self.stages:
             sspan = None
             if span is not None:
@@ -586,16 +579,6 @@ class AlertPipeline:
                 ctx.trace_stage = None
             if ctx.finished:
                 break
-        if self.admission is not None and ctx.outcome_kind in (
-            "routed", "delivery_abandoned", "dead_lettered"
-        ):
-            # Delivery reached a terminal accounted state: mark the dedup
-            # key so later copies (fallback email, recovery replays in a
-            # fresh incarnation) suppress instead of re-routing.  Marking
-            # only *here* keeps crash-interrupted trips replayable.
-            self.admission.dedup_mark(
-                ctx.alert.alert_id, ctx.alert.created_at, self.env.now
-            )
         if guard is not None:
             # Ship queued 'processed' marks *before* the outcome becomes
             # observable: a crash mid-ship leaves the trip unobserved, so

@@ -713,6 +713,9 @@ class FailoverController:
         )
         for record in active.deployment.log.snapshot_records():
             fresh.apply_replica_record(record)
+        # Delivery status is not a log record, so no snapshot carries it:
+        # the fresh log takes over this side's map as it is.
+        fresh.status = side.deployment.log.status
         fresh.shipper = side
         side.deployment.log = fresh
         # Everything the active side still had queued is inside the

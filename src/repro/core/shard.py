@@ -62,7 +62,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import importlib
+import os
 import pickle
+import sys
+import tempfile
 import traceback
 from bisect import bisect_left
 from collections import Counter
@@ -576,6 +579,14 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
         conn.close()
 
 
+def _worker_entry(conn, spec: ShardSpec, stderr_path: str) -> None:
+    """Process target: send this worker's stderr to ``stderr_path``, where
+    the coordinator reads it back, then serve."""
+    sys.stderr = open(stderr_path, "a", buffering=1, encoding="utf-8")
+    os.dup2(sys.stderr.fileno(), 2)
+    shard_worker_main(conn, spec)
+
+
 def _during(message: tuple) -> str:
     """The command a reply answers, as diagnostics name it."""
     command = message[0]
@@ -595,6 +606,8 @@ class ShardProtocolError(RuntimeError):
     shard, during what, and how."""
 
 
+#: Lines of a dead worker's stderr that its ``ShardProtocolError`` quotes.
+STDERR_TAIL_LINES = 10
 #: What a dead pipe looks like from the coordinator's end.
 _PIPE_DEAD = (EOFError, BrokenPipeError, ConnectionResetError)
 #: Seconds the coordinator waits for any one reply (the build handshake, an
@@ -611,9 +624,13 @@ class _ProcessShard:
         #: The last command sent, for the diagnosis if the worker fails.
         self._last: tuple = ("start",)
         self.conn, child_conn = context.Pipe(duplex=True)
+        fd, self._stderr_path = tempfile.mkstemp(
+            prefix=f"shard-{spec.shard}-", suffix=".stderr"
+        )
+        os.close(fd)
         self.process = context.Process(
-            target=shard_worker_main,
-            args=(child_conn, spec),
+            target=_worker_entry,
+            args=(child_conn, spec, self._stderr_path),
             name=f"shard-{spec.shard}",
             daemon=True,
         )
@@ -650,7 +667,16 @@ class _ProcessShard:
     def _died(self) -> ShardProtocolError:
         # The pipe closes a moment before the exit status can be reaped.
         self.process.join(timeout=1.0)
-        return self._failed("died", self._exit_status())
+        fate = self._exit_status()
+        tail = self._stderr().strip().splitlines()[-STDERR_TAIL_LINES:]
+        if tail:
+            fate += "; its stderr ends:\n" + "\n".join(tail)
+        return self._failed("died", fate)
+
+    def _stderr(self) -> str:
+        with open(self._stderr_path, encoding="utf-8",
+                  errors="replace") as captured:
+            return captured.read()
 
     def _exit_status(self) -> str:
         code = self.process.exitcode
@@ -688,6 +714,9 @@ class _ProcessShard:
             end()
             self.process.join(timeout=timeout)
         self.conn.close()
+        # Whatever the worker wrote still reaches the coordinator's stderr.
+        sys.stderr.write(self._stderr())
+        os.unlink(self._stderr_path)
 
 
 class _InlineShard:

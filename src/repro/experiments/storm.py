@@ -12,10 +12,10 @@ two farms —
 
 - ``permissive`` — admission wired but every knob off
   (:meth:`~repro.core.admission.AdmissionConfig.permissive`).  The
-  pre-hardening behaviour: every arrival is processed, duplicates are
-  caught only by the in-journal ``routed_ids`` guard.
+  pre-hardening behaviour: every arrival is processed, duplicates end
+  as ``duplicate_incoming`` at the log's delivery-status check.
 - ``hardened`` — :meth:`~repro.core.admission.AdmissionConfig.hardened`:
-  token buckets at three scopes, dedup keys over a bounded LRU, retry
+  token buckets at three scopes, dedup of settled alerts, retry
   budgets with backoff into the dead-letter queue, and storm-mode
   shedding of routine traffic.
 

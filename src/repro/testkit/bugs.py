@@ -14,6 +14,7 @@ bug random schedule search exists to find.
 
 from __future__ import annotations
 
+from repro.core.pessimistic_log import DeliveryStatus
 from repro.core.pipeline import (
     AggregateStage,
     ClassifyStage,
@@ -37,7 +38,8 @@ class SilentDropRetryStage(PipelineStage):
     name = "retry"
 
     def run(self, ctx: PipelineContext):
-        ctx.journal.routed_ids.add(ctx.alert.alert_id)
+        status = ctx.log.status.setdefault(ctx.alert.alert_id, DeliveryStatus())
+        status.state = "routed"
         if ctx.entry is not None:
             ctx.log.mark_processed(ctx.entry.entry_id)
         ctx.finished = True
@@ -69,7 +71,8 @@ class AbandonAmnesiaRetryStage(RetryStage):
         if not exhausted:
             yield from super().run(ctx)
             return
-        ctx.journal.routed_ids.add(ctx.alert.alert_id)
+        status = ctx.log.status.setdefault(ctx.alert.alert_id, DeliveryStatus())
+        status.state = "routed"
         if ctx.entry is not None:
             ctx.log.mark_processed(ctx.entry.entry_id)
         ctx.finished = True

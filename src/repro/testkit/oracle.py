@@ -13,11 +13,12 @@ sides of a :class:`~repro.core.replication.ReplicatedPair`, since a pair is
 one logical MAB — and runs the table over it.  The record carries
 
 - the tenant-wide facts (``name``, ``pair``, audited ``sides``, ``trips`` by
-  alert, ``delivered`` and ``offered`` sets, the union of ``routed_ids``,
-  the admission ``controller``), from which :meth:`Evidence.views` cuts,
-  per scope, the argument tuples that scope's checks are called with — the
-  record itself, or one tuple per alert / side / pair side / token bucket /
-  ack table — so a check is a few lines about one thing, and
+  alert, ``delivered`` and ``offered`` sets, ``routed_ids`` read off the
+  logs' delivery status, the admission ``controller``), from which
+  :meth:`Evidence.views` cuts, per scope, the argument tuples that scope's
+  checks are called with — the record itself, or one tuple per alert /
+  side / pair side / token bucket / ack table — so a check is a few lines
+  about one thing, and
 - ``checked`` / ``info`` tallies, which the loop sums without knowing what
   they count (``transport_converged_at`` is the one ``max``).
 
@@ -88,6 +89,8 @@ DEAD_LETTER_KINDS = _kinds("dead-letter")
 ADMISSION_TERMINAL_KINDS = _kinds("admission-terminal")
 #: Kinds that put an undelivered alert on the record.
 ACCOUNTED_KINDS = DEAD_LETTER_KINDS | ADMISSION_TERMINAL_KINDS
+#: The trips after which a later copy of the alert may be suppressed.
+SETTLING_KINDS = frozenset({"routed", "delivery_abandoned", "dead_lettered"})
 
 
 @dataclass(slots=True)
@@ -167,7 +170,8 @@ class Evidence:
     delivered: set[str] = field(default_factory=set)
     #: Alert ids the workload addressed to this tenant (None = not told).
     offered: Optional[set[str]] = None
-    #: Either side of a pair may have routed an alert.
+    #: Alerts whose delivery status on either side's log says some
+    #: subscriber may hold them (partially routed or settled).
     routed_ids: set[str] = field(default_factory=set)
     controller: object = None
     checked: dict[str, int] = field(default_factory=dict)
@@ -227,7 +231,12 @@ def tenant_evidence(
         trips=trips,
         delivered=tenant.user.unique_alerts_received(),
         offered=None if offered is None else offered.get(tenant.name, set()),
-        routed_ids=set().union(*(d.journal.routed_ids for _, d in sides)),
+        routed_ids={
+            alert_id
+            for _, d in sides
+            for alert_id, status in d.log.status.items()
+            if status.routed
+        },
         controller=tenant.deployment.config.admission_controller(),
     )
     ev.checked["alerts"] = len(trips)
@@ -292,10 +301,10 @@ def pipeline_terminal(tenant: Evidence, alert_id, trips):
 
 def exactly_once(tenant: Evidence, alert_id, trips):
     """At most one terminal ``routed`` trip per alert per tenant (the
-    journal's ``routed_ids`` dedup is load-bearing).  A replicated pair may
-    legally route under two *different* epochs in the partition shape —
-    ``no_fenced_reroute`` judges that; a repeat under one epoch, or with no
-    epoch at all, stays a plain duplicate."""
+    duplicate check on the log's delivery status is load-bearing).  A
+    replicated pair may legally route under two *different* epochs in the
+    partition shape — ``no_fenced_reroute`` judges that; a repeat under one
+    epoch, or with no epoch at all, stays a plain duplicate."""
     routed = [t for t in trips if t.kind == "routed"]
     if len(routed) < 2:
         return
@@ -407,9 +416,9 @@ def log_quiescent(tenant: Evidence, where: str, deployment):
 
 def replay_idempotent(tenant: Evidence, where: str, deployment):
     """Re-running recovery over the log would be a no-op: every processed
-    entry is either in ``routed_ids`` (replay would hit the
-    duplicate-incoming guard) or was explicitly dead-lettered (replay would
-    deterministically dead-letter it again).  Unprocessed entries are
+    entry is either in ``routed_ids`` (replay would hit the duplicate
+    check on its delivery status) or was explicitly dead-lettered (replay
+    would deterministically dead-letter it again).  Unprocessed entries are
     ``log_quiescent``'s business."""
     for entry in deployment.log.entries():
         if not entry.processed or entry.alert_id in tenant.routed_ids:
@@ -520,22 +529,21 @@ def every_shed_is_journalled(tenant: Evidence):
 
 
 def no_duplicate_past_dedup(tenant: Evidence):
-    """Every dedup suppression matched a key a real prior delivery marked,
-    and no alert with a suppressed copy was terminally routed more than
-    once."""
-    dedup = tenant.controller.dedup
-    if dedup is None:
-        return
-    for key, at in dedup.suppressed:
-        if key not in dedup.ever_marked:
-            yield (
-                f"suppressed key {key!r} at t={at:.1f} was never marked by "
-                "a terminal delivery",
-                None,
-            )
+    """Every dedup suppression follows a terminal trip (routed, abandoned
+    or dead-lettered) of the same alert, and no alert with a suppressed
+    copy was terminally routed more than once."""
     for alert_id, trips in tenant.trips.items():
         kinds = [t.kind for t in trips]
-        if "dedup_suppressed" in kinds and kinds.count("routed") > 1:
+        if "dedup_suppressed" not in kinds:
+            continue
+        first = kinds.index("dedup_suppressed")
+        if SETTLING_KINDS.isdisjoint(kinds[:first]):
+            yield (
+                f"copy suppressed at t={trips[first].at:.1f} before any "
+                "terminal trip of the alert",
+                alert_id,
+            )
+        if kinds.count("routed") > 1:
             yield (
                 f"alert was routed {kinds.count('routed')} times despite a "
                 "dedup suppression",

@@ -5,13 +5,10 @@ Seeded properties over :mod:`repro.core.admission`'s primitives:
 1. **Bucket fairness** — over *any* interval ``[s, t]`` a token bucket
    grants at most ``burst + rate * (t - s)`` tokens, for arbitrary
    interleavings of time advances and take attempts.
-2. **Dedup exactness** — a check suppresses a key iff that key was
-   previously marked (and the LRU bound evicts oldest-first, never a
-   just-marked key).
-3. **Backoff shape** — the jitter-free schedule is monotone nondecreasing
+2. **Backoff shape** — the jitter-free schedule is monotone nondecreasing
    and capped; jittered delays stay within the jitter envelope and the
    cap, and are deterministic per RNG stream.
-4. **Shed determinism** — two controllers with the same (config, owner)
+3. **Shed determinism** — two controllers with the same (config, owner)
    fed the same arrival sequence make identical decisions.
 """
 
@@ -22,11 +19,10 @@ from repro.core.admission import (
     AdmissionConfig,
     AdmissionController,
     BackoffPolicy,
-    DedupStore,
     LoadShedder,
     TokenBucket,
-    dedup_key,
 )
+from repro.core.pessimistic_log import DeliveryStatus
 from repro.sim.rng import RngRegistry
 
 # ---------------------------------------------------------------------------
@@ -130,63 +126,7 @@ def test_rate_limited_reservation_commits_nothing():
 
 
 # ---------------------------------------------------------------------------
-# 2. Dedup suppresses exactly the duplicate set
-# ---------------------------------------------------------------------------
-
-#: (key index, is_mark) operations over a small key universe.
-dedup_ops = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=19), st.booleans()),
-    min_size=1,
-    max_size=120,
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(ops=dedup_ops)
-def test_dedup_suppresses_exactly_the_marked_set(ops):
-    """With the LRU bound not in play, a check hits iff the key was
-    previously marked — no false suppressions, no misses."""
-    store = DedupStore(max_entries=64)  # > key universe: bound never trips
-    marked: set[str] = set()
-    expected_hits = 0
-    for index, (key_index, is_mark) in enumerate(ops):
-        key = f"k{key_index}"
-        if is_mark:
-            store.mark(key, at=float(index))
-            marked.add(key)
-        else:
-            hit = store.check(key, at=float(index))
-            assert hit == (key in marked)
-            expected_hits += int(hit)
-    assert store.suppressed_total == expected_hits
-    assert store.ever_marked == marked
-    assert store.evicted_total == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(n_keys=st.integers(min_value=5, max_value=40))
-def test_dedup_lru_bound_evicts_oldest_first(n_keys):
-    store = DedupStore(max_entries=4)
-    for i in range(n_keys):
-        store.mark(f"k{i}", at=float(i))
-    assert len(store) == min(n_keys, 4)
-    assert store.evicted_total == max(0, n_keys - 4)
-    # The most recent keys always survive.
-    for i in range(max(0, n_keys - 4), n_keys):
-        assert f"k{i}" in store
-    assert store.marked_total == n_keys
-
-
-def test_dedup_key_buckets_by_created_at():
-    a = dedup_key("alert-1", "IM", "u", created_at=10.0, window=3600.0)
-    b = dedup_key("alert-1", "IM", "u", created_at=3599.0, window=3600.0)
-    c = dedup_key("alert-1", "IM", "u", created_at=3601.0, window=3600.0)
-    assert a == b != c
-    assert a == "alert-1:IM:u:0"
-
-
-# ---------------------------------------------------------------------------
-# 3. Backoff monotone and bounded
+# 2. Backoff monotone and bounded
 # ---------------------------------------------------------------------------
 
 backoff_policies = st.builds(
@@ -237,7 +177,7 @@ def test_backoff_jitter_is_deterministic_per_seed():
 
 
 # ---------------------------------------------------------------------------
-# 4. Shed decisions deterministic per seed
+# 3. Shed decisions deterministic per seed
 # ---------------------------------------------------------------------------
 
 #: (gap, severity, queue_depth) arrival triples.
@@ -316,10 +256,14 @@ def test_storm_detector_rate_and_depth_thresholds():
 def test_retry_budget_survives_and_exhausts():
     config = AdmissionConfig(retry_budget=2)
     controller = AdmissionController(config, "prop")
-    assert controller.take_retry_token("a1")
-    assert controller.take_retry_token("a1")
-    assert not controller.take_retry_token("a1")  # budget spent
-    assert controller.take_retry_token("a2")  # independent per alert
+    a1, a2 = DeliveryStatus(), DeliveryStatus()
+    assert controller.take_retry_token(a1)
+    assert controller.take_retry_token(a1)
+    assert not controller.take_retry_token(a1)  # budget spent
+    assert a1.retries == 2
+    assert controller.take_retry_token(a2)  # independent per alert
+    # The count is the alert's status, not the controller's state.
+    assert not AdmissionController(config, "prop").take_retry_token(a1)
     letter = controller.dead_letter("a1", "budget exhausted", at=9.0,
                                     attempts=3)
     assert "a1" in controller.dead_letters
@@ -331,11 +275,10 @@ def test_permissive_config_is_inert():
     controller = AdmissionController(AdmissionConfig.permissive(), "prop")
     assert controller.reserve_route(0.0, "prop") == 0.0
     assert controller.try_submit(0.0, "IM")
-    assert controller.dedup_check("a", "IM", 0.0, 0.0) is None
-    controller.dedup_mark("a", 0.0, 0.0)
     assert controller.admit(0.0, "a", "News", "routine", 10**6).action == \
         "admit"
-    assert controller.take_retry_token("a")
+    status = DeliveryStatus()  # no budget: never runs dry
+    assert all(controller.take_retry_token(status) for _ in range(100))
     assert controller.retry_delay(3, fallback=60.0) == 60.0
     assert controller.summary()["shed"] == 0
 

@@ -161,7 +161,7 @@ class TestDuplicateSuppression:
         """Regression for a real bug this testkit found: a dialog blocking
         the MAB's ack makes the sender fall back to email, and the second
         copy used to start a competing retry chain (two terminal 'routed'
-        trips).  The journal's retry_pending guard now drops it."""
+        trips).  The alert's "retrying" status on the log now drops it."""
         schedule = [
             ScheduledFault(
                 at=600.0, kind=FaultKind.UNKNOWN_DIALOG_POPUP,

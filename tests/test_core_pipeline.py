@@ -7,9 +7,11 @@ the ``golden_journal`` row of ``tests/repin.py``.
 
 import pytest
 
+from repro.core.admission import AdmissionConfig
 from repro.core.alert import Alert
 from repro.core.buddy import BuddyJournal
 from repro.core.endpoint import IncomingAlert
+from repro.core.pessimistic_log import DeliveryStatus
 from repro.core.pipeline import (
     AggregateStage,
     AlertPipeline,
@@ -29,7 +31,7 @@ IM_FIXED = LatencyModel(median=0.4, sigma=0.0, low=0.0, high=10.0)
 EMAIL_FIXED = LatencyModel(median=20.0, sigma=0.0, low=0.0, high=100.0)
 
 
-def make_rig(seed=1):
+def make_rig(seed=1, admission=None):
     """A deployment plus a standalone pipeline over its configuration."""
     world = SimbaWorld(
         WorldConfig(
@@ -45,6 +47,7 @@ def make_rig(seed=1):
     deployment.register_user_endpoint(user)
     deployment.subscribe("News", user, "normal", keywords=["News"])
     deployment.config.classifier.accept_source("portal")
+    deployment.config.admission = admission
     # Bring up the client software (normally MyAlertBuddy.start does this),
     # but do NOT launch a buddy: the stages run in isolation here, and a
     # live inbox loop would steal re-queued retries before we can assert.
@@ -82,6 +85,39 @@ def run_stage(world, stage, ctx, until=MINUTE):
     world.env.process(stage.run(ctx), name=f"stage-{stage.name}")
     world.run(until=world.env.now + until)
     return ctx
+
+
+def run_trip(world, pipeline, incoming, until=5 * MINUTE):
+    """One trip through ``pipeline.process``; returns its context."""
+    result = {}
+
+    def runner(env):
+        result["ctx"] = yield from pipeline.process(incoming)
+
+    world.env.process(runner(world.env))
+    world.run(until=world.env.now + until)
+    return result["ctx"]
+
+
+def schedule_retry(pipeline, deployment, incoming):
+    """Run the retry stage on a trip whose one subscriber failed."""
+    ctx = pipeline.make_context(incoming)
+    ctx.subscriptions = deployment.config.subscriptions.subscriptions_for("News")
+    ctx.failed_users = {"alice"}
+    for _ in RetryStage().run(ctx):
+        pass  # synchronous: only the re-queue process waits
+    return ctx
+
+
+def copy_of(world, incoming, via=ChannelType.EMAIL, **kwargs):
+    """Another incoming copy of the same alert (a fallback, a replay)."""
+    return IncomingAlert(
+        alert=incoming.alert, via=via, sender="portal",
+        received_at=world.env.now, **kwargs,
+    )
+
+
+HARDENED = AdmissionConfig.hardened()
 
 
 class TestClassifyStage:
@@ -208,9 +244,10 @@ class TestRetryStage:
         ctx.failed_users = {"bob"}
         run_stage(world, RetryStage(), ctx, until=5 * MINUTE)
         assert ctx.outcome_kind == "retry_scheduled"
-        # Partial success: the alert is marked routed so the successful
-        # subscriber never receives a duplicate...
-        assert incoming.alert.alert_id in pipeline.journal.routed_ids
+        # Partial success: the alert's status says routed so the
+        # successful subscriber never receives a duplicate...
+        status = pipeline.log.status[incoming.alert.alert_id]
+        assert (status.state, status.routed) == ("partial", True)
         # ...and after the retry delay, a retry lands in the inbox addressed
         # to the failed subscriber only.
         retries = [
@@ -246,7 +283,7 @@ class TestRetryStage:
         )
         run_stage(world, RetryStage(), ctx)
         assert ctx.outcome_kind == "routed"
-        assert incoming.alert.alert_id in pipeline.journal.routed_ids
+        assert pipeline.log.status[incoming.alert.alert_id].state == "routed"
 
 
 class TestPipelineAssembly:
@@ -257,15 +294,9 @@ class TestPipelineAssembly:
     def test_duplicate_incoming_short_circuits(self):
         world, _user, _deployment, pipeline = make_rig()
         incoming = make_incoming(world)
-        pipeline.journal.routed_ids.add(incoming.alert.alert_id)
-        result = {}
-
-        def runner(env):
-            result["ctx"] = yield from pipeline.process(incoming)
-
-        world.env.process(runner(world.env))
-        world.run(until=MINUTE)
-        assert result["ctx"].outcome_kind == "duplicate_incoming"
+        pipeline.log.status[incoming.alert.alert_id] = DeliveryStatus("routed")
+        ctx = run_trip(world, pipeline, incoming, until=MINUTE)
+        assert ctx.outcome_kind == "duplicate_incoming"
         assert pipeline.journal.count("duplicate_incoming") == 1
 
     def test_on_progress_fires_only_for_routing_outcomes(self):
@@ -280,6 +311,72 @@ class TestPipelineAssembly:
         world.env.process(runner(world.env))
         world.run(until=5 * MINUTE)
         assert len(ticks) == 1  # routed fired it; unmapped did not
+
+
+class TestDeliveryStatus:
+    """The log's one status per alert decides what a later copy becomes."""
+
+    @pytest.mark.parametrize(
+        "admission, kind",
+        [(None, "duplicate_incoming"), (HARDENED, "dedup_suppressed")],
+        ids=["unhardened", "hardened"],
+    )
+    def test_copy_of_a_settled_alert(self, admission, kind):
+        world, user, deployment, pipeline = make_rig(admission=admission)
+        incoming = make_incoming(world)
+        assert run_trip(world, pipeline, incoming).outcome_kind == "routed"
+        assert pipeline.log.status[incoming.alert.alert_id].state == "routed"
+        copy = copy_of(world, incoming)
+        assert run_trip(world, pipeline, copy).outcome_kind == kind
+        assert pipeline.journal.count(kind) == 1
+        assert len(user.receipts) == 1
+        if admission is not None:
+            summary = pipeline.admission.summary()
+            assert summary["dedup_suppressed"] == 1
+            assert summary["dedup_evicted"] == 0
+
+    @pytest.mark.parametrize("admission", [None, HARDENED],
+                             ids=["unhardened", "hardened"])
+    def test_copy_during_a_retry_chain(self, admission):
+        world, user, deployment, pipeline = make_rig(admission=admission)
+        deployment.config.delivery_retry_delay = 10 * MINUTE
+        incoming = make_incoming(world)
+        ctx = schedule_retry(pipeline, deployment, incoming)
+        assert ctx.outcome_kind == "retry_scheduled"
+        status = pipeline.log.status[incoming.alert.alert_id]
+        assert (status.state, status.routed) == ("retrying", False)
+        other = run_trip(world, pipeline, make_incoming(world), until=MINUTE)
+        assert other.outcome_kind == "routed"  # another alert still routes
+        for via in (ChannelType.EMAIL, ChannelType.IM):
+            copy = run_trip(world, pipeline, copy_of(world, incoming, via),
+                            until=MINUTE)
+            assert copy.outcome_kind == "duplicate_incoming"
+        assert pipeline.journal.count("dedup_suppressed") == 0
+        assert user.receipts and all(
+            r.alert_id != incoming.alert.alert_id for r in user.receipts
+        )
+
+    def test_retry_budget_lives_on_the_log(self):
+        """A new incarnation's pipeline over the same log finds the
+        budget already spent: a crash does not refill it."""
+        admission = AdmissionConfig(retry_budget=1)
+        world, _user, deployment, pipeline = make_rig(admission=admission)
+        incoming = make_incoming(world)
+        assert schedule_retry(pipeline, deployment, incoming).outcome_kind \
+            == "retry_scheduled"
+        assert pipeline.log.status[incoming.alert.alert_id].retries == 1
+        reborn = AlertPipeline(
+            world.env, config=deployment.config,
+            endpoint=deployment.endpoint, log=deployment.log,
+            journal=deployment.journal, rng=deployment.rng,
+        )
+        retry = copy_of(world, incoming, attempts=1,
+                        retry_users=frozenset({"alice"}))
+        ctx = schedule_retry(reborn, deployment, retry)
+        assert ctx.outcome_kind == "dead_lettered"
+        assert pipeline.log.status[incoming.alert.alert_id].state == \
+            "dead_lettered"
+        assert incoming.alert.alert_id in reborn.admission.dead_letters
 
 
 class TestBuddyJournal:

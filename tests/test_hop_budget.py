@@ -33,7 +33,7 @@ import pytest
 from repro.core.admission import AdmissionConfig, DeadLetter
 from repro.core.alert import Alert
 from repro.core.buddy import JournalEvent
-from repro.core.pessimistic_log import LogEntry
+from repro.core.pessimistic_log import DeliveryStatus, LogEntry
 from repro.core.router import BlockOutcome, DeliveryEngine, DeliveryOutcome
 from repro.core.user_endpoint import Receipt
 from repro.sim.events import Timeout
@@ -544,7 +544,7 @@ def test_a_stopped_inline_sharded_farm_gives_the_heap_back():
 #: The records an offered alert leaves alive (one or more of some of them).
 PER_ALERT_RECORDS = (
     Alert, LogEntry, JournalEvent, Receipt, DeliveryOutcome, BlockOutcome,
-    DeadLetter, ObservedOutcome,
+    DeadLetter, ObservedOutcome, DeliveryStatus,
 )
 
 #: ``farm_storm_admission`` at the benchmark's ``tiny`` size.

@@ -79,7 +79,7 @@ class TestHappyPath:
         alert, _ = source.emit("Stocks", "MSFT", "x")
         world.run(until=60.0)
         assert deployment.journal.count("routed") == 1
-        assert alert.alert_id in deployment.journal.routed_ids
+        assert deployment.log.status[alert.alert_id].state == "routed"
         entry = deployment.log.entry_for_alert(alert.alert_id)
         assert entry is not None and entry.processed
 
@@ -231,7 +231,7 @@ class TestCrashRecovery:
             yield env.timeout(30.0)
             entry = deployment.log.entry_for_alert(alert.alert_id)
             entry.processed = False
-            deployment.journal.routed_ids.discard(alert.alert_id)
+            del deployment.log.status[alert.alert_id]
             deployment.current.crash()
 
         world.env.process(scenario(world.env))

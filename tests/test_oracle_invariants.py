@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.admission import AdmissionConfig, TokenBucket, build_controller
 from repro.core.buddy import BuddyJournal
-from repro.core.pessimistic_log import PessimisticLog
+from repro.core.pessimistic_log import DeliveryStatus, PessimisticLog
 from repro.core.pipeline import ClassifyStage, PipelineStage
 from repro.core.replication import EpochAudit, PromotionRecord
 from repro.core.router import AckTable
@@ -93,7 +93,7 @@ class World:
         self.sink = TraceSink().install(self.env)
         self.layouts = None
         self.log("a1")
-        self.deployment.journal.routed_ids.add("a1")
+        self.settle("a1")
         self.user.receive("a1")
         self.trip("a1", "routed", epoch=1 if replicated else None)
 
@@ -135,6 +135,10 @@ class World:
             pass  # zero write latency, no shipper: nothing to wait for
         if processed:
             log.mark_processed(log.entry_for_alert(alert_id).entry_id)
+
+    def settle(self, alert_id):
+        """The retry stage's terminal write: the alert's status is routed."""
+        self.deployment.log.status[alert_id] = DeliveryStatus("routed")
 
     def trip(self, alert_id, kind, epoch=None, finished=True):
         self.oracle.observed.append(
@@ -182,7 +186,7 @@ def no_fenced_reroute(w, broken):
 def delivered_or_dead_letter(w, broken):
     # The journal says a2 was routed; the user never saw it.
     w.log("a2")
-    w.deployment.journal.routed_ids.add("a2")
+    w.settle("a2")
     w.trip("a2", "routed")
     w.offered["u"].add("a2")
     if not broken:
@@ -211,7 +215,7 @@ def replay_idempotent(w, broken):
     # A processed entry no trip accounts for: replay would route it anew.
     w.log("a2")
     if not broken:
-        w.deployment.journal.routed_ids.add("a2")
+        w.settle("a2")
 
 
 def at_most_one_active_epoch(w, broken):
@@ -249,13 +253,10 @@ def every_shed_is_journalled(w, broken):
 
 
 def no_duplicate_past_dedup(w, broken):
-    dedup = w.controller.dedup
-    if broken:
-        dedup.suppressed.append(("a1:im:u:0", 5.0))
-    else:
-        dedup.mark("a1:im:u:0", 1.0)
-        assert dedup.check("a1:im:u:0", 5.0)
+    # a1's routed trip settled it; a2 never had a terminal trip.
+    w.controller.dedup_suppressed += 1
     w.deployment.journal.record(5.0, "dedup_suppressed")
+    w.trip("a2" if broken else "a1", "dedup_suppressed")
 
 
 def fairness(w, broken):
@@ -345,6 +346,21 @@ def test_teeth(name):
     plant(repaired, False)
     assert broken.verdict() == {name}
     assert repaired.verdict() == set()
+
+
+def test_a_suppression_observed_before_the_settling_trip_is_flagged():
+    """The suppressed copy must come *after* a terminal trip: one that only
+    precedes the alert's routed trip matched nothing."""
+    w = World(hardened=True)
+    w.log("a2")
+    w.settle("a2")
+    w.controller.dedup_suppressed += 1
+    w.deployment.journal.record(5.0, "dedup_suppressed")
+    w.trip("a2", "dedup_suppressed")
+    w.trip("a2", "routed")
+    w.user.receive("a2")
+    w.offered["u"].add("a2")
+    assert w.verdict() == {"no_duplicate_past_dedup"}
 
 
 # ----------------------------------------------------------------------

@@ -195,6 +195,27 @@ class TestFailover:
         assert pair.a.route_guard(incoming) is False
         assert len(pair.audit.forwarded) == forwarded_before + 2
 
+    def test_a_fenced_side_keeps_its_delivery_status_through_reconcile(self):
+        """Reconciliation re-seeds the fenced side with a fresh log built
+        from the active side's records.  Delivery status is not a record,
+        so the fresh log is handed the old one's: what the side settled
+        before its outage stays settled."""
+        world, farm, tenants, source, oracle = make_replicated_farm(seed=7)
+        pair = tenants[0].pair
+        start_workload(world, source, tenants, n=30, period=15.0)
+        world.env.run(until=60.0)
+        before = pair.a.deployment.log
+        settled = {a for a, status in before.status.items() if status.routed}
+        assert settled
+        pair.a.host.power_failure(2 * MINUTE)
+        world.env.run(until=25 * MINUTE)
+        assert [r.side for r in pair.audit.reconciliations] == ["a"]
+        after = pair.a.deployment.log
+        assert after is not before
+        assert settled <= {
+            a for a, status in after.status.items() if status.routed
+        }
+
     def test_standby_reboot_does_not_trigger_churn_promotion(self):
         """A standby coming back from an outage holds a stale lease clock;
         booting must restart the lease timer, not promote over a healthy

@@ -12,6 +12,7 @@ accounting, worker death and the hot-shard detector's report.
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 from functools import partialmethod
@@ -383,6 +384,37 @@ class TestWorkerDeath:
         )
         assert "Can't pickle" in message and "lambda" in message
         assert elapsed < 5.0
+        assert multiprocessing.active_children() == []
+
+    def test_a_dying_worker_quotes_the_tail_of_its_stderr(
+        self, monkeypatch, capfd
+    ):
+        """Shard 1 writes its last words to stderr and exits 1 during its
+        second epoch: the error quotes them beside the exit code, and a
+        normal stop still passes them on to the coordinator's stderr."""
+        run_epoch = ShardWorker.run_epoch
+
+        def last_words(worker, until, inbound):
+            if worker.spec.shard == 1 and until > 30.0:
+                for line in ("noise", "disk on fire", "giving up"):
+                    print(line, file=sys.stderr)
+                sys.exit(1)
+            return run_epoch(worker, until, inbound)
+
+        monkeypatch.setattr(ShardWorker, "run_epoch", last_words)
+        farm = small_farm(2, inline=False)
+        farm.start()
+        try:
+            farm.run_epoch()
+            with pytest.raises(ShardProtocolError) as caught:
+                farm.run_epoch()
+        finally:
+            farm.stop()
+        assert str(caught.value) == (
+            "shard 1 worker died during 'epoch' until=60.0: exit code 1; "
+            "its stderr ends:\nnoise\ndisk on fire\ngiving up"
+        )
+        assert "disk on fire" in capfd.readouterr().err
         assert multiprocessing.active_children() == []
 
     def test_worker_that_fails_to_build_stops_the_others(self):

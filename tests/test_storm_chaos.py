@@ -97,7 +97,7 @@ class TestStormRun:
 
     def test_legacy_storm_run_still_green(self):
         """The storm workload alone (no hardening) must not break the
-        pre-PR pipeline — duplicates die at the routed_ids guard."""
+        pre-PR pipeline — duplicates die at the delivery-status check."""
         config = storm_config(admission=None)
         report = run_chaos(mid_burst_outage(config), config)
         assert report.ok, report.oracle.summary()
