@@ -45,10 +45,15 @@ class Host:
         self.screen = Screen(env)
         self.powered = True
         self.booted = True
+        #: ``powered and booted``, kept by :meth:`_change`.
+        self.up = True
         #: Called (in registration order) when the machine goes down.
         self._shutdown_hooks: list[Callable[[], None]] = []
         #: Called when the machine comes back up.
         self._boot_hooks: list[Callable[[], None]] = []
+        #: Called just before and again just after ``powered`` or
+        #: ``booted`` changes.
+        self._watchers: list[Callable[[], None]] = []
         self.power_events: list[PowerEvent] = []
         self.reboots = 0
 
@@ -58,9 +63,11 @@ class Host:
     def on_boot(self, hook: Callable[[], None]) -> None:
         self._boot_hooks.append(hook)
 
-    @property
-    def up(self) -> bool:
-        return self.powered and self.booted
+    def watch(self, hook: Callable[[], None]) -> None:
+        """Call ``hook`` on both sides of every power or boot change: once
+        while the old state still holds, once when the new one does (a
+        replicated pair settles its keep-alives, then re-arms them)."""
+        self._watchers.append(hook)
 
     # ------------------------------------------------------------------
     # Failure / recovery actions
@@ -80,7 +87,7 @@ class Host:
             return False
         self.power_events.append(PowerEvent(self.env.now, duration, False))
         self._go_down()
-        self.powered = False
+        self._change("powered", False)
         self.env.process(self._restore_power(duration), name=f"{self.name}-power")
         return True
 
@@ -96,8 +103,17 @@ class Host:
     # Internals
     # ------------------------------------------------------------------
 
+    def _change(self, attribute: str, value: bool) -> None:
+        """Set ``powered`` or ``booted`` between the two watcher calls."""
+        for hook in self._watchers:
+            hook()
+        setattr(self, attribute, value)
+        self.up = self.powered and self.booted
+        for hook in self._watchers:
+            hook()
+
     def _go_down(self) -> None:
-        self.booted = False
+        self._change("booted", False)
         for hook in self._shutdown_hooks:
             hook()
         # Whatever was on screen dies with the machine.
@@ -105,13 +121,13 @@ class Host:
             self.screen.click(dialog, dialog.buttons[0])
 
     def _come_up(self) -> None:
-        self.booted = True
+        self._change("booted", True)
         for hook in self._boot_hooks:
             hook()
 
     def _restore_power(self, duration: float):
         yield self.env.timeout(duration)
-        self.powered = True
+        self._change("powered", True)
         yield self.env.timeout(self.boot_delay)
         self._come_up()
 

@@ -20,8 +20,12 @@ one logical MAB address (``mab-<user>@im`` / ``mab-<user>@mail``).
   promotes the standby when the lease expires.  The promoted side starts its
   own MDC, whose first incarnation replays the mirrored log — exactly the
   §4.2.1 recovery path, just on another machine.  Neither idle duty is a
-  process: a heartbeat is a callback chain over :meth:`HostLink.send`, and
-  the lease checks of every pair started together are one cohort of
+  process.  A heartbeat chain is a :class:`KeepAlive` record of its next
+  step; while the pair is *quiet* (a healthy primary, both hosts up, a
+  benign link, nothing queued to ship) a beat can only land, so no timer
+  is armed and the steps settle lazily, in time order, before anything
+  reads what they write (:meth:`ReplicatedPair.settle`).  The lease
+  checks of every pair started together are one cohort of
   :meth:`Environment.every <repro.sim.kernel.Environment.every>`: one
   sweep timer however many pairs.
 
@@ -39,7 +43,9 @@ one logical MAB address (``mab-<user>@im`` / ``mab-<user>@mail``).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.alert import Alert
@@ -48,6 +54,7 @@ from repro.core.host import Host
 from repro.core.pessimistic_log import PessimisticLog
 from repro.core.stabilizing import TransportAudit, make_receiver, make_sender
 from repro.core.watchdog import MasterDaemonController
+from repro.errors import ConfigurationError
 from repro.net.message import ChannelType
 from repro.obs import lifecycle_trace
 from repro.sim.link import DEFAULT_LINK_LATENCY, HostLink
@@ -90,14 +97,16 @@ class FencingService:
     """
 
     def __init__(self):
-        self._epochs: dict[str, int] = {}
+        #: Pair id -> current epoch (0 before the first ``advance``); every
+        #: heartbeat send reads it.
+        self.epochs: dict[str, int] = {}
 
     def current(self, pair_id: str) -> int:
-        return self._epochs.get(pair_id, 0)
+        return self.epochs.get(pair_id, 0)
 
     def advance(self, pair_id: str) -> int:
-        self._epochs[pair_id] = self.current(pair_id) + 1
-        return self._epochs[pair_id]
+        self.epochs[pair_id] = self.current(pair_id) + 1
+        return self.epochs[pair_id]
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,7 @@ class PairSide:
         epoch: int,
     ):
         self.pair = pair
+        self.env = pair.env
         self.label = label
         self.deployment = deployment
         self.host = host
@@ -235,10 +245,6 @@ class PairSide:
     # ------------------------------------------------------------------
     # Identity / fencing state
     # ------------------------------------------------------------------
-
-    @property
-    def env(self) -> "Environment":
-        return self.pair.env
 
     def fenced_now(self) -> bool:
         """Whether a later epoch exists (the side may not know yet)."""
@@ -318,14 +324,25 @@ class PairSide:
         if self.fenced_now():
             self.notice_fenced()
             return
-        self.unshipped.append(record)
+        self._enqueue(self.unshipped, record)
         while self._flushing:
             yield self.env.timeout(_SHIP_POLL)
         yield from self.flush_unshipped()
 
     def on_mark(self, record: dict) -> None:
         """Queue a 'processed' mark; shipped in :meth:`after_trip`."""
-        self.pending_marks.append(record)
+        self._enqueue(self.pending_marks, record)
+
+    def _enqueue(self, queue: list, record: dict) -> None:
+        """Append ``record`` to a ship queue.  A quiet pair's first record
+        ends the quiet: its owed beats settle first, its wake timer after."""
+        pair = self.pair
+        if pair._lazy is None:
+            queue.append(record)
+            return
+        pair.settle()
+        queue.append(record)
+        pair._arm()
 
     def after_trip(self, ctx: "PipelineContext"):
         """Pipeline epilogue: audit the completion, flush queued marks.
@@ -375,6 +392,7 @@ class PairSide:
                 self._apply_on_peer(self.unshipped.pop(0))
                 if not self.unshipped:
                     self.transport_audit.last_drained_at = self.env.now
+                    self.pair.sync()
         finally:
             self._flushing = False
 
@@ -397,55 +415,126 @@ class PairSide:
     def start_heartbeats(self) -> None:
         """Start this side's keep-alive chain from a zero-delay kick.
 
-        A chain is a callback per beat, not a process: each beat arms the
-        next only while this side is still the primary, so a demoted side's
-        chain ends at its next beat.
+        Each beat arms the next only while this side is still the primary,
+        so a demoted side's chain ends at its next step.
         """
         kick = self.env.event()
-        kick.callbacks.append(lambda _kick: self._arm_beat())
+        kick.callbacks.append(self._start_chain)
         kick.succeed()
 
-    def _arm_beat(self) -> None:
+    def _start_chain(self, _kick) -> None:
         if self.role is ReplicaRole.PRIMARY:
-            self.env.timeout(self.pair.heartbeat_interval).callbacks.append(
-                self._beat
+            pair = self.pair
+            pair.settle()
+            pair.keepalives.append(
+                KeepAlive(self, self.env.now + pair.heartbeat_interval)
             )
+            pair.sync()
 
-    def _beat(self, _timer) -> None:
-        if self.role is not ReplicaRole.PRIMARY:
-            return
-        if self.fenced_now():
-            # The fencing check rides on the coordinator, not the link: a
-            # partitioned-but-alive primary self-fences within one beat
-            # instead of flip-flopping IM sessions with the new primary.
-            self.notice_fenced()
-            return
+    def step(self, chain: "KeepAlive", until: Optional[float] = None) -> None:
+        """Run ``chain``'s step due at ``chain.at``, as of that instant —
+        then, given ``until``, every later one due by ``until``.
+
+        The wake timer calls this on time, for one step;
+        :meth:`ReplicatedPair.settle` calls it late, up to now, and only
+        while the pair is quiet, when a send draws nothing but the latency
+        and a landing does nothing but land — the same effects at any
+        later instant.
+        """
+        pair = self.pair
+        link = pair.link
         peer = self.peer
-        if not self.host.up or not self.pair.link.usable(toward=peer.host):
-            self._arm_beat()
-            return
-        self.pair.link.send(peer.host, self._beat_landed)
-
-    def _beat_landed(self, ok: bool) -> None:
-        if ok:
-            self.peer.last_heartbeat = self.env.now
-            if self.unshipped or self.pending_marks:
-                # The post-partition catch-up: the only part of a beat that
-                # suspends (it waits out another flush, then ships).
-                self.unshipped.extend(self.pending_marks)
-                self.pending_marks.clear()
-                self.env.process(
-                    self._catch_up(),
-                    name=f"catch-up-{self.pair.pair_id}-{self.label}",
-                )
+        at = chain.at
+        while True:
+            sent_at = chain.sent_at
+            if sent_at is None:
+                # The beat's send.
+                if self.role is not ReplicaRole.PRIMARY:
+                    pair.keepalives.remove(chain)
+                    return
+                if pair.fencing.epochs.get(pair.pair_id, 0) != self.epoch:
+                    # fenced_now(), read in place.  The fencing check rides
+                    # on the coordinator, not the link: a partitioned-but-
+                    # alive primary self-fences within one beat instead of
+                    # flip-flopping IM sessions with the new primary.
+                    pair.keepalives.remove(chain)
+                    self.notice_fenced()
+                    return
+                if self.host.up and link.available and peer.host.up:
+                    # The link is up, so depart cannot refuse.
+                    delay, _corrupt = link.depart(None, peer.host, None)
+                    chain.sent_at = at
+                    at += delay
+                else:
+                    at += pair.heartbeat_interval
+            else:
+                # The beat's landing.
+                chain.sent_at = None
+                if not link.lost_in_flight(peer.host):
+                    link.stats.record_delivery(at - sent_at)
+                    peer.last_heartbeat = at
+                    if self.unshipped or self.pending_marks:
+                        # The post-partition catch-up: the only part of a
+                        # beat that suspends (it waits out another flush,
+                        # then ships).
+                        self.unshipped.extend(self.pending_marks)
+                        self.pending_marks.clear()
+                        chain.at = None
+                        self.env.process(
+                            self._catch_up(chain),
+                            name=f"catch-up-{pair.pair_id}-{self.label}",
+                        )
+                        return
+                if self.role is not ReplicaRole.PRIMARY:
+                    pair.keepalives.remove(chain)
+                    return
+                at += pair.heartbeat_interval
+            chain.at = at
+            if until is None or at > until:
                 return
-        self._arm_beat()
 
-    def _catch_up(self):
+    def _catch_up(self, chain: "KeepAlive"):
         while self._flushing:
             yield self.env.timeout(_SHIP_POLL)
         yield from self.flush_unshipped()
-        self._arm_beat()
+        if self.role is ReplicaRole.PRIMARY:
+            chain.at = self.env.now + self.pair.heartbeat_interval
+        else:
+            self.pair.keepalives.remove(chain)
+        self.pair.sync()
+
+
+class KeepAlive:
+    """One heartbeat chain: its side and its next step.
+
+    The step is a beat's send at ``at`` while ``sent_at`` is None, else the
+    landing at ``at`` of the beat sent at ``sent_at``.  ``at`` is None
+    while a catch-up flush holds the chain.  ``timer`` is the wake timer
+    armed for ``at``; None while the pair is quiet and the chain settles
+    lazily.
+    """
+
+    __slots__ = ("side", "at", "sent_at", "timer")
+
+    def __init__(self, side: PairSide, at: float):
+        self.side = side
+        self.at: Optional[float] = at
+        self.sent_at: Optional[float] = None
+        self.timer = None
+
+
+def _delay_until(now: float, at: float) -> float:
+    """The delay whose timer fires at exactly ``at``.
+
+    ``now + (at - now)`` can round to a neighbour of ``at``; a step must
+    run with ``env.now == at`` to the bit, as its chained timer would.
+    """
+    delay = at - now
+    while now + delay < at:
+        delay = math.nextafter(delay, math.inf)
+    while now + delay > at:
+        delay = math.nextafter(delay, -math.inf)
+    return delay
 
 
 class ReplicatedPair:
@@ -464,6 +553,7 @@ class ReplicatedPair:
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         transport: str = "stabilizing",
     ):
+        _require_positive(heartbeat_interval=heartbeat_interval)
         self.env = env
         self.pair_id = pair_id
         self.link = link
@@ -483,20 +573,97 @@ class ReplicatedPair:
         self.a.peer, self.b.peer = self.b, self.a
         self.active = self.a
         self.controller: Optional[FailoverController] = None
+        #: Live heartbeat chains, in start order (DESIGN §6b).
+        self.keepalives: list[KeepAlive] = []
+        #: The one chain that settles lazily while the pair is quiet.
+        self._lazy: Optional[KeepAlive] = None
+        sync = link.watcher = self.sync
         for side in (self.a, self.b):
             side.attach_transport(transport)
             side.deployment.log.shipper = side
             side.deployment.endpoint.ack_guard = side.ack_guard
             side.deployment.endpoint.epoch_provider = side.current_epoch
-            # A side that was dark holds a stale lease clock; claiming the
-            # lease straight out of boot would promote over a healthy
-            # primary (safe under fencing, but pure churn).  Booting
-            # restarts the lease timer instead.
-            side.host.on_boot(
-                lambda side=side: setattr(
-                    side, "last_heartbeat", self.env.now
+            side.host.watch(sync)
+            side.host.on_boot(partial(self._restart_lease, side))
+
+    def _restart_lease(self, side: PairSide) -> None:
+        # A side that was dark holds a stale lease clock; claiming the
+        # lease straight out of boot would promote over a healthy primary
+        # (safe under fencing, but pure churn).  Booting restarts the
+        # lease timer instead.
+        self.settle()
+        side.last_heartbeat = self.env.now
+
+    # ------------------------------------------------------------------
+    # Lazily settled heartbeats
+    # ------------------------------------------------------------------
+
+    def settle(self) -> None:
+        """Run every step the lazy chain owes up to now, in time order.
+
+        Called before every draw on the link's RNG and every read or write
+        of ``last_heartbeat``, and before any change that could end the
+        quiet (see :meth:`sync`).  A step due at exactly now runs too: its
+        timer would have been armed one step earlier, ahead of whatever
+        same-period timer (a reconcile retry, say) ticks with it.
+        """
+        chain = self._lazy
+        if chain is not None and chain.at <= self.env.now:
+            chain.side.step(chain, self.env.now)
+
+    def sync(self) -> None:
+        """Settle, then arm a wake timer for every pending step — or none,
+        when the pair is quiet: one chain, of an unfenced primary, both
+        hosts up, a benign link that is up, and nothing queued to ship.
+        Then a beat can do nothing but land.
+
+        Every change to what decides the quiet calls this, once before it
+        (so owed steps see the old state) and once after.
+        """
+        if self._lazy is not None:
+            self.settle()
+        chains = self.keepalives
+        if len(chains) == 1:
+            chain = chains[0]
+            side = chain.side
+            link = self.link
+            if (
+                chain.at is not None
+                and not side.unshipped
+                and not side.pending_marks
+                and side.host.up
+                and side.peer.host.up
+                and link.available
+                and not link.loss_probability
+                and not link.adversary.enabled
+                and side.role is ReplicaRole.PRIMARY
+                and self.fencing.epochs.get(self.pair_id, 0) == side.epoch
+            ):
+                if chain.timer is not None:
+                    chain.timer.cancel()
+                    chain.timer = None
+                self._lazy = chain
+                link.settle = self.settle
+                return
+        self._arm()
+
+    def _arm(self) -> None:
+        """Leave the quiet: a wake timer for every pending step."""
+        self._lazy = None
+        self.link.settle = None
+        now = self.env.now
+        for chain in self.keepalives:
+            if chain.timer is None and chain.at is not None:
+                chain.timer = self.env.timeout(
+                    _delay_until(now, chain.at), chain
                 )
-            )
+                chain.timer.callbacks.append(self._wake)
+
+    def _wake(self, timer) -> None:
+        chain = timer.value
+        chain.timer = None
+        chain.side.step(chain)
+        self.sync()
 
     def sides(self) -> tuple[PairSide, PairSide]:
         return (self.a, self.b)
@@ -534,6 +701,9 @@ class FailoverController:
         retry_interval: float = DEFAULT_RECONCILE_RETRY,
         mdc_kwargs: Optional[dict] = None,
     ):
+        _require_positive(
+            lease_timeout=lease_timeout, retry_interval=retry_interval
+        )
         self.env = env
         self.pair = pair
         self.lease_timeout = lease_timeout
@@ -557,16 +727,22 @@ class FailoverController:
         if not side.host.up:
             return  # the controller lives with the standby
         if now - side.last_heartbeat > self.lease_timeout:
-            self.promote(side)
+            # Settling only moves last_heartbeat forward, so a lease that
+            # holds unsettled holds settled too.
+            self.pair.settle()
+            if now - side.last_heartbeat > self.lease_timeout:
+                self.promote(side)
 
     def promote(self, standby: PairSide) -> None:
         """Advance the epoch and make ``standby`` the active primary."""
         pair = self.pair
+        pair.settle()
         epoch = pair.fencing.advance(pair.pair_id)
         standby.epoch = epoch
         standby.role = ReplicaRole.PRIMARY
         standby.ready = False
         pair.active = standby
+        pair.sync()
         pair.audit.promotions.append(
             PromotionRecord(epoch=epoch, at=self.env.now, side=standby.label)
         )
@@ -720,11 +896,13 @@ class FailoverController:
         side.deployment.log = fresh
         # Everything the active side still had queued is inside the
         # snapshot we just applied.
+        pair.settle()
         active.unshipped.clear()
         side.role = ReplicaRole.STANDBY
         side.ready = True
         side.last_heartbeat = self.env.now
         side._reconciling = False
+        pair.sync()
         side.deployment.journal.record(
             self.env.now,
             "rejoined_standby",
@@ -734,6 +912,13 @@ class FailoverController:
             ReconcileRecord(at=self.env.now, side=side.label,
                             handed_over=handed)
         )
+
+
+def _require_positive(**periods: float) -> None:
+    """A zero or negative period would spin the kernel at one instant."""
+    for name, value in periods.items():
+        if not value > 0:
+            raise ConfigurationError(f"{name} must be > 0, got {value!r}")
 
 
 def build_pair(
@@ -756,6 +941,11 @@ def build_pair(
     protects a directly-launched buddy)."""
     from repro.world import BuddyDeployment
 
+    _require_positive(
+        heartbeat_interval=heartbeat_interval,
+        lease_timeout=lease_timeout,
+        retry_interval=retry_interval,
+    )
     user = deployment.user_name
     env = world.env
     if standby_host is None:

@@ -69,19 +69,19 @@ class AdversaryModel:
             raise ConfigurationError(
                 f"duplicate_max must be >= 1, got {self.duplicate_max!r}"
             )
+        # Whether any knob is set: read on every send, so computed once.
+        # A plain attribute, not a field, so ``asdict`` (fingerprints,
+        # reproducer pins) sees the knobs only.
+        object.__setattr__(self, "enabled", bool(
+            self.reorder_probability
+            or self.duplicate_probability
+            or self.corrupt_probability
+        ))
 
     @classmethod
     def off(cls) -> "AdversaryModel":
         """The benign adversary: no knob set, no RNG ever drawn."""
         return cls()
-
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.reorder_probability
-            or self.duplicate_probability
-            or self.corrupt_probability
-        )
 
 
 @dataclass

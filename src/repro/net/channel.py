@@ -7,6 +7,7 @@ fault injector can toggle to create outages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from repro.errors import ChannelUnavailable, ConfigurationError
 from repro.net.adversary import AdversaryModel, AdversaryStats, draw_effects
-from repro.sim.rng import bounded_lognormal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
@@ -43,12 +43,22 @@ class LatencyModel:
             raise ConfigurationError(
                 f"invalid latency bounds [{self.low}, {self.high}]"
             )
+        # log(median), the underlying normal's mean: a plain attribute,
+        # not a field, so ``asdict`` and equality see the four knobs only.
+        object.__setattr__(self, "mu", float(np.log(self.median)))
 
     def draw(self, rng: np.random.Generator) -> float:
-        """Sample one delivery latency in seconds."""
+        """Sample one delivery latency in seconds.
+
+        ``rng.lognormal(mean=mu, sigma=sigma)`` is ``exp(mu + sigma * z)``
+        for one standard normal ``z``: drawing ``z`` directly gives the
+        same value and leaves the stream in the same state, for half the
+        cost.
+        """
         if self.sigma == 0:
             return float(min(max(self.median, self.low), self.high))
-        return bounded_lognormal(rng, self.median, self.sigma, self.low, self.high)
+        value = math.exp(self.mu + self.sigma * rng.standard_normal())
+        return float(min(max(value, self.low), self.high))
 
 
 @dataclass
@@ -91,10 +101,23 @@ class ChannelBase:
         self._outage_until: Optional[float] = None
         self._adversary_until: Optional[float] = None
         self._adversary_baseline = AdversaryModel.off()
+        #: Called just before and again just after ``available`` or
+        #: ``adversary`` changes (a replicated pair's ship link settles its
+        #: keep-alives on the first call and re-arms them on the second).
+        self.watcher: Optional[Callable[[], None]] = None
+
+    def _change(self, attribute: str, value) -> None:
+        """Set ``attribute`` to ``value`` between the two ``watcher`` calls."""
+        watcher = self.watcher
+        if watcher is not None:
+            watcher()
+        setattr(self, attribute, value)
+        if watcher is not None:
+            watcher()
 
     def set_available(self, available: bool) -> None:
         """Flip channel availability (fault-injection hook)."""
-        self.available = available
+        self._change("available", available)
 
     def outage(self, duration: float) -> None:
         """Take the channel down for ``duration`` simulated seconds.
@@ -129,7 +152,7 @@ class ChannelBase:
     def set_adversary(self, model: AdversaryModel) -> None:
         """Install ``model`` as this channel's *ambient* adversary (fault
         hook); pulses layer on top and revert to it when they expire."""
-        self.adversary = model
+        self._change("adversary", model)
         self._adversary_baseline = model
 
     def adversary_pulse(self, model: AdversaryModel, duration: float) -> None:
@@ -142,7 +165,7 @@ class ChannelBase:
                 f"adversary pulse duration must be > 0, got {duration}"
             )
         end = self.env.now + duration
-        self.adversary = model
+        self._change("adversary", model)
         if self._adversary_until is not None and self._adversary_until >= end:
             return
         first = (
@@ -163,7 +186,7 @@ class ChannelBase:
             ):
                 yield timers.acquire(self._adversary_until - self.env.now)
         self._adversary_until = None
-        self.adversary = self._adversary_baseline
+        self._change("adversary", self._adversary_baseline)
 
     def _adversary_effects(
         self, rng, copy: bool = False

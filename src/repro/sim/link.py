@@ -26,8 +26,11 @@ adversary counters only.
 
 The warm-standby pair (:mod:`repro.core.replication`) ships pessimistic-log
 records over one of these (:meth:`HostLink.ship`, a generator: the shipper
-suspends until the round trip ends) and heartbeats through
-:meth:`HostLink.send`, the callback twin that needs no process.
+suspends until the round trip ends) and heartbeats through the two halves
+of a transfer, :meth:`HostLink.depart` and :meth:`HostLink.lost_in_flight`,
+which its keep-alive steps call at their own instants.  Those steps may run
+late (a quiet pair settles them lazily), so every other draw on the link's
+RNG first runs :attr:`HostLink.settle`.
 """
 
 from __future__ import annotations
@@ -78,6 +81,10 @@ class HostLink(ChannelBase):
         self.rng = rng
         self.latency = latency
         self.loss_probability = loss_probability
+        #: While a quiet pair owes keep-alive steps on this link, the
+        #: settling of them (else None): it runs before every draw on
+        #: ``rng`` and every ``stats`` charge but a step's own.
+        self.settle: Optional[Callable[[], None]] = None
 
     def usable(self, toward: "Host") -> bool:
         """Whether a transfer toward ``toward`` could start right now."""
@@ -111,12 +118,16 @@ class HostLink(ChannelBase):
         """
         toward = toward if toward is not None else self.dst
         sent_at = self.env.now
-        departed = self._depart(payload, toward, on_receive)
+        if self.settle is not None:
+            self.settle()
+        departed = self.depart(payload, toward, on_receive)
         if departed is None:
             return False
         delay, corrupt = departed
         yield self.env.timeout(delay)
-        if self._in_flight_failure(toward):
+        if self.settle is not None:
+            self.settle()
+        if self.lost_in_flight(toward):
             return False
         self.stats.record_delivery(self.env.now - sent_at)
         if on_receive is not None:
@@ -124,42 +135,21 @@ class HostLink(ChannelBase):
             return True if ack is None else bool(ack)
         return True
 
-    def send(self, toward: "Host", done: Callable[[bool], None]) -> None:
-        """Callback twin of :meth:`transfer`: no process, one timer.
-
-        The same draws in the same order (latency, then adversary
-        effects) and the same duplicate copies as ``transfer``; the
-        outcome ``transfer`` would return reaches ``done(ok)`` instead —
-        at once for a pre-flight refusal, else from the arrival timer.
-        """
-        departed = self._depart(None, toward, None)
-        if departed is None:
-            done(False)
-            return
-        timer = self.env.timeout(
-            departed[0], (toward, self.env.now, done)
-        )
-        timer.callbacks.append(self._landed)
-
-    def _landed(self, timer) -> None:
-        toward, sent_at, done = timer.value
-        if self._in_flight_failure(toward):
-            done(False)
-            return
-        self.stats.record_delivery(self.env.now - sent_at)
-        done(True)
-
-    def _depart(self, payload, toward, on_receive):
+    def depart(self, payload, toward, on_receive):
         """Put one packet in the pipe: ``(delay, corrupt)``, or None when
-        the link refused it pre-flight.  Launches the duplicate copies."""
+        the link refused it pre-flight.  Launches the duplicate copies,
+        sent at ``env.now`` (a keep-alive step settled late never meets an
+        adversary, so its copies are always sent on time)."""
         if not self.available:
             # Pre-flight refusal: the packet never entered the pipe, so it
             # is charged to ``rejected`` only — never also to ``lost``.
             self.stats.rejected += 1
             return None
         self.stats.submitted += 1
-        sent_at = self.env.now
         delay = self.latency.draw(self.rng)
+        if not self.adversary.enabled:
+            return delay, False
+        sent_at = self.env.now
         extra_delay, extra_copies, corrupt = self._adversary_effects(self.rng)
         for index in range(extra_copies):
             self.env.process(
@@ -168,7 +158,7 @@ class HostLink(ChannelBase):
             )
         return delay + extra_delay, corrupt
 
-    def _in_flight_failure(self, toward: "Host") -> bool:
+    def lost_in_flight(self, toward: "Host") -> bool:
         """One exit point for every in-flight failure: exactly one ``lost``
         charge whether the loss draw hit, the link died mid-flight, or the
         destination host was dark at arrival."""
@@ -184,9 +174,13 @@ class HostLink(ChannelBase):
     def _ship_copy(self, payload, toward, on_receive, sent_at: float):
         """A duplicate copy in flight: independent latency, its own reorder
         and corruption draws, and no primary-stream accounting."""
+        if self.settle is not None:
+            self.settle()
         delay = self.latency.draw(self.rng)
         extra_delay, _, corrupt = self._adversary_effects(self.rng, copy=True)
         yield self.env.timeout(delay + extra_delay)
+        if self.settle is not None:
+            self.settle()
         if self.loss_probability and self.rng.random() < self.loss_probability:
             return
         if not self.available or not toward.up:

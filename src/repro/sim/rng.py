@@ -36,20 +36,3 @@ class RngRegistry:
     def __repr__(self) -> str:
         return f"RngRegistry(seed={self.seed}, streams={sorted(self._generators)})"
 
-
-def bounded_lognormal(
-    rng: np.random.Generator,
-    median: float,
-    sigma: float,
-    low: float,
-    high: float,
-) -> float:
-    """Draw a lognormal latency with the given median, clipped to [low, high].
-
-    Lognormal matches the long-tailed delivery delays the paper reports for
-    email and SMS ("seconds to days"); clipping keeps simulations finite.
-    """
-    if median <= 0:
-        raise ValueError(f"median must be positive, got {median!r}")
-    value = rng.lognormal(mean=np.log(median), sigma=sigma)
-    return float(min(max(value, low), high))

@@ -10,6 +10,8 @@ refusal).  That the benign adversary changes nothing is the
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from repro.core.host import Host
@@ -184,3 +186,15 @@ def test_pulse_reverts_to_ambient_adversary():
     assert link.adversary == burst
     env.run(until=11.0)
     assert link.adversary == ambient
+
+
+def test_models_round_trip_through_their_dict_form():
+    """Fingerprints and reproducer pins store a config as ``asdict``: the
+    values the models compute once (``enabled``, ``mu``) are no fields,
+    so the dict holds the knobs only and rebuilds an equal model."""
+    adversary = AdversaryModel(reorder_probability=0.3, corrupt_probability=0.1)
+    again = AdversaryModel(**asdict(adversary))
+    assert again == adversary and again.enabled
+    assert not AdversaryModel.off().enabled
+    latency = LatencyModel(median=0.03, sigma=0.5, low=0.005, high=1.0)
+    assert LatencyModel(**asdict(latency)) == latency

@@ -211,10 +211,11 @@ def test_non_timer_events_are_pinned(hop_counts):
 # ---------------------------------------------------------------------------
 #
 # The hop budget's sibling for the warm-standby pairs (DESIGN §6b): lease
-# checks are one sweep timer per farm tick and heartbeats a callback chain,
-# so neither spawns a process.  The only replication process left on the
-# idle path is the post-partition catch-up flush.  Counted on the 8-user
-# replicated chaos run that the heap budget below also audits.
+# checks are one sweep timer per farm tick and heartbeats a chain of steps
+# that arms a timer only while its pair is not quiet, so neither spawns a
+# process.  The only replication process left on the idle path is the
+# post-partition catch-up flush.  Counted on the 8-user replicated chaos
+# run that the heap budget below also audits.
 
 #: The 8-user replicated chaos run, with schedule seed 21's faults.
 REPLICATED = ChaosRunConfig(
@@ -255,7 +256,7 @@ EXPECTED_REPLICATED_SPAWNS = {
 }
 #: Every generator resume and every timer armed over the run.
 REPLICATED_RESUMES = 5100
-REPLICATED_TIMERS = 16961
+REPLICATED_TIMERS = 7158
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,11 @@ accountable for: a resurrected old primary must discover its epoch is
 stale and reconcile instead of acking or routing.
 """
 
+import random
+from unittest import mock
+
+import pytest
+
 from repro.core.endpoint import IncomingAlert
 from repro.core.farm import FarmProfile
 from repro.core.replication import (
@@ -17,6 +22,8 @@ from repro.core.replication import (
     ReplicaRole,
     build_pair,
 )
+from repro.errors import ConfigurationError
+from repro.net.adversary import AdversaryModel
 from repro.net.message import ChannelType
 from repro.sim.clock import MINUTE
 from repro.testkit.harness import EMAIL_FAST
@@ -340,3 +347,230 @@ class TestFencingService:
         assert fencing.current("u2") == 0
         assert fencing.advance("u2") == 1
 
+
+
+class TestPairSettings:
+    """A period of zero would spin the kernel at one instant."""
+
+    @pytest.mark.parametrize(
+        "field", ["heartbeat_interval", "lease_timeout", "retry_interval"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_a_period_that_is_not_positive_is_refused(self, field, value):
+        world, farm, tenants, source, oracle = make_replicated_farm(
+            replicate=False
+        )
+        with pytest.raises(ConfigurationError, match=field):
+            build_pair(world, tenants[0].deployment, **{field: value})
+
+
+# ---------------------------------------------------------------------------
+# Lazily settled heartbeats against the timer chain they replace
+# ---------------------------------------------------------------------------
+
+
+class ReferenceBeats:
+    """The reference heartbeat: a timer per step, kicked by one zero-delay
+    event.  A beat's send arms its landing through a callback transfer
+    (the link's ``depart`` and ``lost_in_flight`` halves, one timer); the
+    landing arms the next send, or spawns the catch-up flush."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def start(self, side):
+        kick = side.env.event()
+        kick.callbacks.append(lambda _kick: self._arm_beat(side))
+        kick.succeed()
+
+    def _arm_beat(self, side):
+        if side.role is ReplicaRole.PRIMARY:
+            side.env.timeout(side.pair.heartbeat_interval).callbacks.append(
+                lambda _timer: self._beat(side)
+            )
+
+    def _beat(self, side):
+        if side.role is not ReplicaRole.PRIMARY:
+            return
+        if side.fenced_now():
+            side.notice_fenced()
+            return
+        link = side.pair.link
+        if not side.host.up or not link.usable(toward=side.peer.host):
+            self._arm_beat(side)
+            return
+        departed = link.depart(None, side.peer.host, None)
+        if departed is None:
+            self._beat_landed(side, False)
+            return
+        sent_at = side.env.now
+        side.env.timeout(departed[0]).callbacks.append(
+            lambda _timer: self._landed(side, sent_at)
+        )
+
+    def _landed(self, side, sent_at):
+        link = side.pair.link
+        if link.lost_in_flight(side.peer.host):
+            self._beat_landed(side, False)
+            return
+        link.stats.record_delivery(side.env.now - sent_at)
+        self._beat_landed(side, True)
+
+    def _beat_landed(self, side, ok):
+        if ok:
+            side.peer.last_heartbeat = side.env.now
+            if side.unshipped or side.pending_marks:
+                side.unshipped.extend(side.pending_marks)
+                side.pending_marks.clear()
+                self.log["catch_up"].append((side.env.now, side.label))
+                side.env.process(self._catch_up(side))
+                return
+        self._arm_beat(side)
+
+    def _catch_up(self, side):
+        while side._flushing:
+            yield side.env.timeout(0.01)
+        yield from side.flush_unshipped()
+        self._arm_beat(side)
+
+
+def pair_plan(seed):
+    """Faults, promotions and bare transfers (a handoff's or a snapshot's)
+    at random instants over twelve minutes."""
+    rng = random.Random(seed)
+    adversary = AdversaryModel(
+        reorder_probability=0.3, duplicate_probability=0.3,
+        corrupt_probability=0.2,
+    )
+    kinds = ("primary_down", "standby_down", "reboot", "link_down",
+             "adversary", "promote", "transfer", "transfer")
+    plan = [
+        (rng.uniform(1.0, 720.0), rng.choice(kinds), rng.uniform(3.0, 90.0))
+        for _ in range(rng.randint(4, 10))
+    ]
+    loss = 0.05 if seed % 6 == 5 else 0.0
+    return sorted(plan), adversary, loss
+
+
+def quiet_holds_no_timer(pair):
+    """A timer is armed only when a beat could do more than land.  Quiet
+    is one chain with a step pending, of an unfenced primary, both hosts
+    up, an available link with no loss and no adversary, and empty ship
+    queues; its chain has no wake timer.  Any other pair has one armed
+    for every pending step."""
+    chains = pair.keepalives
+    link = pair.link
+    if len(chains) == 1:
+        chain = chains[0]
+        side = chain.side
+        quiet = (
+            chain.at is not None
+            and side.role is ReplicaRole.PRIMARY and not side.fenced_now()
+            and side.host.up and side.peer.host.up
+            and link.available and link.loss_probability == 0
+            and not link.adversary.enabled
+            and not side.unshipped and not side.pending_marks
+        )
+        if quiet:
+            return chain.timer is None
+    return all(c.timer is not None for c in chains if c.at is not None)
+
+
+def run_pair_plan(seed, reference):
+    """Drive one replicated tenant through ``pair_plan(seed)``; return what
+    the heartbeat chain can touch."""
+    plan, adversary, loss = pair_plan(seed)
+    log = {"lease": [], "fenced": [], "catch_up": [], "invariant": []}
+    check_lease = FailoverController.check_lease
+    notice_fenced = PairSide.notice_fenced
+    catch_up = PairSide._catch_up
+
+    def recording_check(controller, now):
+        check_lease(controller, now)
+        pair = controller.pair
+        pair.settle()
+        log["lease"].append((now, pair.a.last_heartbeat,
+                             pair.b.last_heartbeat))
+        log["invariant"].append(quiet_holds_no_timer(pair))
+
+    def recording_notice(side):
+        log["fenced"].append((side.env.now, side.label, side.role.value))
+        notice_fenced(side)
+
+    def recording_catch_up(side, chain):
+        log["catch_up"].append((side.env.now, side.label))
+        return catch_up(side, chain)
+
+    patches = [
+        mock.patch.object(FailoverController, "check_lease",
+                          recording_check),
+        mock.patch.object(PairSide, "notice_fenced", recording_notice),
+        mock.patch.object(PairSide, "_catch_up", recording_catch_up),
+    ]
+    if reference:
+        beats = ReferenceBeats(log)
+        patches.append(
+            mock.patch.object(PairSide, "start_heartbeats",
+                              lambda side: beats.start(side))
+        )
+    for patch in patches:
+        patch.start()
+    try:
+        world, farm, tenants, source, oracle = make_replicated_farm(
+            seed=seed, link_loss=loss
+        )
+        pair = tenants[0].pair
+        # Alerts stop after five minutes, so later boots find the pair
+        # quiet.
+        start_workload(world, source, tenants, n=16, period=19.0)
+
+        def faults(env):
+            for at, kind, duration in plan:
+                yield env.timeout(max(0.0, at - env.now))
+                standby = pair.active.peer
+                if kind == "primary_down":
+                    pair.active.host.power_failure(duration)
+                elif kind == "standby_down":
+                    standby.host.power_failure(duration)
+                elif kind == "reboot":
+                    pair.active.host.reboot()
+                elif kind == "link_down":
+                    pair.link.outage(duration)
+                elif kind == "adversary":
+                    pair.link.adversary_pulse(adversary, duration)
+                elif kind == "transfer":
+                    env.process(pair.link.transfer(toward=standby.host))
+                elif (standby.role is ReplicaRole.STANDBY and standby.ready
+                      and standby.host.up):
+                    pair.controller.promote(standby)
+
+        world.env.process(faults(world.env))
+        world.env.run(until=13 * MINUTE)
+        pair.settle()
+    finally:
+        for patch in reversed(patches):
+            patch.stop()
+    link = pair.link
+    return {
+        **log,
+        "stats": link.stats,
+        "adversary": link.adversary_stats,
+        "rng": link.rng.bit_generator.state,
+        "promotions": pair.audit.promotions,
+        "actions": [(a.epoch, a.kind, a.at) for a in pair.audit.actions],
+    }
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lazy_heartbeats_match_the_timer_chain(seed):
+    """Settling a quiet pair's beats late, and waking it by timer when it
+    is not quiet, leaves every lease reading, link counter, RNG draw,
+    catch-up and fencing notice where one timer per step put it."""
+    got = run_pair_plan(seed, reference=False)
+    want = run_pair_plan(seed, reference=True)
+    assert all(got.pop("invariant"))
+    want.pop("invariant")
+    assert got["lease"] == want["lease"]
+    assert got["catch_up"] == want["catch_up"]
+    assert got["fenced"] == want["fenced"]
+    assert got == want

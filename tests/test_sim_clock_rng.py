@@ -1,11 +1,17 @@
 """Unit tests for clock helpers, RNG registry, and fault injection."""
 
+import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.net.channel import LatencyModel
+from repro.net.email import DEFAULT_EMAIL_LATENCY
+from repro.net.im import DEFAULT_IM_LATENCY
+from repro.net.sms import DEFAULT_SMS_LATENCY
 from repro.sim import DAY, HOUR, MINUTE, Environment, RngRegistry, format_time
 from repro.sim.clock import seconds_until_time_of_day, time_of_day
 from repro.sim.failures import FaultInjector, FaultKind, ScheduledFault
-from repro.sim.rng import bounded_lognormal
+from repro.sim.link import DEFAULT_LINK_LATENCY
 
 
 class TestClock:
@@ -67,24 +73,39 @@ class TestRng:
     def test_bounded_lognormal_respects_bounds(self):
         rng = RngRegistry(seed=3).stream("lat")
         draws = [
-            bounded_lognormal(rng, median=10.0, sigma=3.0, low=1.0, high=50.0)
+            LatencyModel(median=10.0, sigma=3.0, low=1.0, high=50.0).draw(rng)
             for _ in range(500)
         ]
         assert all(1.0 <= d <= 50.0 for d in draws)
 
     def test_bounded_lognormal_median_roughly_holds(self):
         rng = RngRegistry(seed=4).stream("lat")
-        draws = sorted(
-            bounded_lognormal(rng, median=5.0, sigma=0.5, low=0.0, high=1e9)
-            for _ in range(2000)
-        )
+        model = LatencyModel(median=5.0, sigma=0.5, low=0.0, high=1e9)
+        draws = sorted(model.draw(rng) for _ in range(2000))
         median = draws[len(draws) // 2]
         assert 4.0 < median < 6.0
 
     def test_bounded_lognormal_rejects_bad_median(self):
-        rng = RngRegistry(seed=5).stream("lat")
-        with pytest.raises(ValueError):
-            bounded_lognormal(rng, median=0.0, sigma=1.0, low=0.0, high=1.0)
+        with pytest.raises(ConfigurationError):
+            LatencyModel(median=0.0, sigma=1.0, low=0.0, high=1.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [DEFAULT_IM_LATENCY, DEFAULT_EMAIL_LATENCY, DEFAULT_SMS_LATENCY,
+         DEFAULT_LINK_LATENCY],
+        ids=["im", "email", "sms", "link"],
+    )
+    def test_latency_draw_is_numpys_lognormal_bit_for_bit(self, model):
+        """``draw`` samples the underlying normal itself; every value and
+        the stream's final state equal ``rng.lognormal``'s."""
+        ours = RngRegistry(seed=6).stream("lat")
+        numpys = RngRegistry(seed=6).stream("lat")
+        for _ in range(20000):
+            want = numpys.lognormal(mean=np.log(model.median),
+                                    sigma=model.sigma)
+            want = float(min(max(want, model.low), model.high))
+            assert model.draw(ours) == want
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestFaultInjector:
