@@ -192,8 +192,8 @@ class SimbaEndpoint:
     def stop(self, shutdown_clients: bool = False) -> None:
         """Stop loops; optionally also shut the client software down."""
         self.running = False
-        self.im_manager.monkey.stop()
-        self.email_manager.monkey.stop()
+        self.im_manager.stop_monkey()
+        self.email_manager.stop_monkey()
         if shutdown_clients:
             self.im_manager.shutdown()
             self.email_manager.shutdown()

@@ -68,7 +68,34 @@ class ManagerStats:
     submission_failures: int = 0
 
 
-class IMManager:
+class _DialogHandling:
+    """The Dialog-box Handling API: the manager's monkey thread, built on
+    first use — a tenant whose monkeys are off never builds one."""
+
+    CLIENT_DIALOG_RULES: dict[str, str]
+    env: "Environment"
+    client: "IMClient | EmailClient"
+    _monkey: Optional[MonkeyThread] = None
+
+    @property
+    def monkey(self) -> MonkeyThread:
+        if self._monkey is None:
+            self._monkey = MonkeyThread(
+                self.env, self.client.screen,
+                client_rules=self.CLIENT_DIALOG_RULES,
+            )
+        return self._monkey
+
+    def stop_monkey(self) -> None:
+        """Stop the monkey thread, if one was ever built."""
+        if self._monkey is not None:
+            self._monkey.stop()
+
+    def register_dialog_rule(self, caption: str, button: str) -> None:
+        self.monkey.register_rule(caption, button)
+
+
+class IMManager(_DialogHandling):
     """Manager for the GUI IM client."""
 
     #: Captions this client software is known to pop (client-specific pairs).
@@ -85,9 +112,6 @@ class IMManager:
     ):
         self.env = env
         self.client = client
-        self.monkey = MonkeyThread(
-            env, client.screen, client_rules=dict(self.CLIENT_DIALOG_RULES)
-        )
         self.stats = ManagerStats()
         self._handle: Optional[AutomationHandle] = None
 
@@ -209,13 +233,6 @@ class IMManager:
             return None
 
     # ------------------------------------------------------------------
-    # Dialog-box Handling API
-    # ------------------------------------------------------------------
-
-    def register_dialog_rule(self, caption: str, button: str) -> None:
-        self.monkey.register_rule(caption, button)
-
-    # ------------------------------------------------------------------
     # Sending (used by the delivery engine)
     # ------------------------------------------------------------------
 
@@ -237,7 +254,7 @@ class IMManager:
             raise
 
 
-class EmailManager:
+class EmailManager(_DialogHandling):
     """Manager for the GUI email client."""
 
     CLIENT_DIALOG_RULES = {
@@ -252,9 +269,6 @@ class EmailManager:
     ):
         self.env = env
         self.client = client
-        self.monkey = MonkeyThread(
-            env, client.screen, client_rules=dict(self.CLIENT_DIALOG_RULES)
-        )
         self.stats = ManagerStats()
         self._handle: Optional[AutomationHandle] = None
 
@@ -307,9 +321,6 @@ class EmailManager:
             report.service_down = True
             report.healthy = False
         return report
-
-    def register_dialog_rule(self, caption: str, button: str) -> None:
-        self.monkey.register_rule(caption, button)
 
     def submit(
         self,

@@ -43,7 +43,6 @@ one logical MAB address (``mab-<user>@im`` / ``mab-<user>@mail``).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional
@@ -57,6 +56,7 @@ from repro.core.watchdog import MasterDaemonController
 from repro.errors import ConfigurationError
 from repro.net.message import ChannelType
 from repro.obs import lifecycle_trace
+from repro.sim.clock import delay_until
 from repro.sim.link import DEFAULT_LINK_LATENCY, HostLink
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -523,20 +523,6 @@ class KeepAlive:
         self.timer = None
 
 
-def _delay_until(now: float, at: float) -> float:
-    """The delay whose timer fires at exactly ``at``.
-
-    ``now + (at - now)`` can round to a neighbour of ``at``; a step must
-    run with ``env.now == at`` to the bit, as its chained timer would.
-    """
-    delay = at - now
-    while now + delay < at:
-        delay = math.nextafter(delay, math.inf)
-    while now + delay > at:
-        delay = math.nextafter(delay, -math.inf)
-    return delay
-
-
 class ReplicatedPair:
     """Two deployments, one logical MAB address, one active epoch."""
 
@@ -655,7 +641,7 @@ class ReplicatedPair:
         for chain in self.keepalives:
             if chain.timer is None and chain.at is not None:
                 chain.timer = self.env.timeout(
-                    _delay_until(now, chain.at), chain
+                    delay_until(now, chain.at), chain
                 )
                 chain.timer.callbacks.append(self._wake)
 

@@ -28,7 +28,7 @@ from repro.net.message import ChannelType
 from repro.net.sms import SMSGateway
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.kernel import Environment
+    from repro.sim.kernel import Environment, Membership
 
 #: Human reaction: notice the IM popup and (implicitly) acknowledge it.
 REACTION = LatencyModel(median=2.0, sigma=0.5, low=0.5, high=30.0)
@@ -88,6 +88,7 @@ class UserEndpoint:
         self._session: Optional[IMSession] = None
         self._present = present
         self._started = False
+        self._poll: Optional[Membership] = None
 
     # ------------------------------------------------------------------
     # Lifecycle / presence
@@ -102,8 +103,10 @@ class UserEndpoint:
             self._login()
         self.sms_gateway.phone(self.phone_number).hook = self._on_sms
         self.email_service.mailbox(self.email_address).hook = self._on_mail
-        # The reconnect poll ticks in the cohort of its instant (DESIGN §6b).
-        self.env.every(RECONNECT_INTERVAL, self._reconnect)
+        # The reconnect poll ticks in the cohort of its instant, asleep
+        # while it has nothing to do (DESIGN §6b).
+        self._poll = self.env.every(RECONNECT_INTERVAL, self._reconnect)
+        self._sync_poll()
 
     @property
     def present(self) -> bool:
@@ -121,6 +124,7 @@ class UserEndpoint:
         elif self._session is not None and self._session.active:
             self._session.logout()
             self._session = None
+        self._sync_poll()
 
     def _login(self) -> None:
         try:
@@ -128,15 +132,27 @@ class UserEndpoint:
         except ChannelError:
             self._session = None
             return
+        self._session.on_end = self._sync_poll
         self.env.process(
             self._im_loop(self._session), name=f"{self.name}-im"
         )
 
+    def _sync_poll(self) -> None:
+        """Wake the reconnect poll while the user is present without a live
+        session — the only state in which a tick can log in — else sleep."""
+        session = self._session
+        if self._present and (session is None or not session.active):
+            self._poll.wake()
+        else:
+            self._poll.sleep()
+
     def _reconnect(self, _now: float) -> None:
-        """A present user's IM client auto-reconnects after outages/logouts."""
-        session_dead = self._session is None or not self._session.active
-        if self._present and session_dead and self.im_service.available:
+        """A present user's IM client auto-reconnects after outages/logouts
+        (the poll is awake only while the user is present without a live
+        session)."""
+        if self.im_service.available:
             self._login()
+            self._sync_poll()
 
     # ------------------------------------------------------------------
     # Receipts

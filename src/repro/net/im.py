@@ -60,6 +60,8 @@ class IMSession:
         self.inbox: Store = Store(service.env)
         #: Delivery hook, called at arrival time in place of the inbox put.
         self.hook: Optional[Callable[["IMMessage"], None]] = None
+        #: Called once when the session ends, by logout or by the service.
+        self.on_end: Optional[Callable[[], None]] = None
         self.active = True
         self._next_seq = 1
 
@@ -134,8 +136,7 @@ class IMService(ChannelBase):
         if self._sessions.get(session.address) is session:
             del self._sessions[session.address]
             self.presence.set_online(session.address, False)
-        session.active = False
-        session.hook = None  # its closure holds the session: no cycle
+        self._end(session)
 
     def force_logout(self, address: str) -> bool:
         """Server-side logout (fault hook).  Returns True if a session died."""
@@ -149,11 +150,18 @@ class IMService(ChannelBase):
         return self._sessions.get(address)
 
     def _kill_session(self, session: IMSession) -> None:
-        session.active = False
-        session.hook = None  # its closure holds the session: no cycle
         del self._sessions[session.address]
         self.presence.set_online(session.address, False)
         session.inbox.clear()
+        self._end(session)
+
+    @staticmethod
+    def _end(session: IMSession) -> None:
+        session.active = False
+        session.hook = None  # its closure holds the session: no cycle
+        on_end, session.on_end = session.on_end, None
+        if on_end is not None:
+            on_end()
 
     # ------------------------------------------------------------------
     # Messaging

@@ -8,6 +8,8 @@ module provides unit constants and day-relative helpers.
 
 from __future__ import annotations
 
+import math
+
 SECOND = 1.0
 MINUTE = 60.0
 HOUR = 3600.0
@@ -31,6 +33,21 @@ def seconds_until_time_of_day(now: float, target: float) -> float:
         raise ValueError(f"target time of day {target!r} outside [0, DAY)")
     delta = (target - time_of_day(now)) % DAY
     return delta if delta > 0 else DAY
+
+
+def delay_until(now: float, at: float) -> float:
+    """The delay whose timer fires at exactly ``at``.
+
+    ``now + (at - now)`` can round to a neighbour of ``at``; a timer that
+    stands in for a chained one must fire with ``env.now == at`` to the
+    bit, as the chain would.
+    """
+    delay = at - now
+    while now + delay < at:
+        delay = math.nextafter(delay, math.inf)
+    while now + delay > at:
+        delay = math.nextafter(delay, -math.inf)
+    return delay
 
 
 def format_time(now: float) -> str:

@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError, StopSimulation
+from repro.sim.clock import delay_until
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler, TimerScope, make_scheduler
@@ -47,18 +48,22 @@ _INFINITY = float("inf")
 class Cohort(list):
     """The members of one recurring timer, in join order.
 
-    The armed timer's value is the cohort itself; ``timer`` is that timer
-    (None before the kick arms it and after the cohort empties).
+    The armed timer's value is the cohort itself; ``timer`` is that timer,
+    armed while some member is awake (``awake`` counts them).  ``at`` is
+    the cohort's phase — the instant of its kick or last tick, each next
+    tick ``interval`` later — and is None while a kick or a tick is under
+    way, which arms the timer itself when it ends.
     """
 
-    __slots__ = ("interval", "timer")
+    __slots__ = ("env", "interval", "timer", "at", "awake")
 
 
 class Membership:
     """One ``tick`` in a cohort; the handle :meth:`Environment.every`
-    returns."""
+    returns.  A sleeping member keeps its place in join order and is
+    skipped by the ticks until it wakes."""
 
-    __slots__ = ("tick", "cohort")
+    __slots__ = ("tick", "cohort", "asleep")
 
     def __init__(
         self, tick: Callable[[float], Any], cohort: Optional[Cohort]
@@ -66,38 +71,77 @@ class Membership:
         self.tick = tick
         #: None once the member has left.
         self.cohort: Optional[Cohort] = cohort
+        self.asleep = False
 
     def cancel(self) -> None:
-        """Leave at once; an emptied cohort's timer is cancelled."""
+        """Leave at once; a cohort left with no awake member cancels its
+        timer."""
         cohort = self.cohort
         if cohort is None:
             return
+        self.sleep()
         self.cohort = None
         cohort.remove(self)
-        if not cohort and cohort.timer is not None:
-            cohort.timer.cancel()
-            cohort.timer = None
+
+    def sleep(self) -> None:
+        """Stop ticking (idempotent).  A cohort left with no awake member
+        cancels its timer and keeps its phase."""
+        cohort = self.cohort
+        if cohort is None or self.asleep:
+            return
+        self.asleep = True
+        cohort.awake -= 1
+        if not cohort.awake:
+            _disarm(cohort)
+
+    def wake(self) -> None:
+        """Tick again (idempotent).  A cohort that had no awake member
+        re-arms its timer at its next phase instant strictly after now."""
+        cohort = self.cohort
+        if cohort is None or not self.asleep:
+            return
+        self.asleep = False
+        cohort.awake += 1
+        if cohort.timer is None and cohort.at is not None:
+            env = cohort.env
+            now = env._scheduler._now
+            at = cohort.at + cohort.interval
+            while at <= now:  # the ticks slept through, summed as the chain did
+                at += cohort.interval
+            _arm_at(cohort, env.timeout(delay_until(now, at), cohort))
+
+
+def _disarm(cohort: Cohort) -> None:
+    if cohort.timer is not None:
+        cohort.timer.cancel()
+        cohort.timer = None
+
+
+def _arm_at(cohort: Cohort, timer: Timeout) -> None:
+    timer.callbacks.append(_tick_cohort)
+    cohort.timer = timer
 
 
 def _arm_cohort(event: Event) -> None:
     """Arm a cohort's first tick (from its zero-delay kick) or next one."""
     cohort = event._value
-    if cohort:
-        timer = event.env.timeout(cohort.interval, cohort)
-        timer.callbacks.append(_tick_cohort)
-        cohort.timer = timer
+    cohort.at = event.env._scheduler._now
+    if cohort.awake:
+        _arm_at(cohort, event.env.timeout(cohort.interval, cohort))
 
 
 def _tick_cohort(timer: Timeout) -> None:
-    """Run every member in join order; one returning False leaves."""
+    """Run every awake member in join order; one returning False leaves."""
     cohort = timer._value
     now = timer.env._scheduler._now
+    # A wake during the tick leaves the arming to the tick's end.
+    cohort.timer = cohort.at = None
     # A snapshot: a tick may cancel members of its own cohort.
     for member in cohort[:]:
-        if member.cohort is cohort and member.tick(now) is False:
+        if (member.cohort is cohort and not member.asleep
+                and member.tick(now) is False):
             member.cancel()
-    if cohort:
-        _arm_cohort(timer)
+    _arm_cohort(timer)
 
 
 class Environment:
@@ -215,14 +259,19 @@ class Environment:
             self._cohorts_at = now
         cohort = cohorts.get(interval)
         if cohort:
+            # Joins asleep and wakes: re-arms a cohort whose members sleep.
             member = Membership(tick, cohort)
+            member.asleep = True
             cohort.append(member)
+            member.wake()
             return member
         # None yet, or emptied by cancel(): open one, sized for one member.
         member = Membership(tick, None)
         cohort = member.cohort = cohorts[interval] = Cohort((member,))
+        cohort.env = self
         cohort.interval = interval
-        cohort.timer = None
+        cohort.timer = cohort.at = None
+        cohort.awake = 1
         kick = self.event()
         kick.callbacks.append(_arm_cohort)
         kick.succeed(cohort)

@@ -62,7 +62,7 @@ def small_run(shards: int, inline: bool = True, **overrides):
 
 
 def small_farm(shards: int, inline: bool = True, **overrides) -> ShardedFarm:
-    return ShardedFarm(
+    kwargs = dict(
         shards=shards,
         seed=SMALL["seed"],
         population=SMALL["users"],
@@ -73,8 +73,9 @@ def small_farm(shards: int, inline: bool = True, **overrides) -> ShardedFarm:
         world_config=e13_world_config(SMALL["seed"]),
         profile=E13_PROFILE,
         inline=inline,
-        **overrides,
     )
+    kwargs.update(overrides)
+    return ShardedFarm(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -617,6 +617,114 @@ class TestEvery:
                 env.every(interval, lambda now: None)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestSleepWake:
+    def test_a_woken_member_keeps_its_place_in_join_order(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+        members = {
+            name: env.every(10.0, lambda now, name=name: fired.append(name))
+            for name in "abc"
+        }
+        members["a"].sleep()
+        env.run(until=11.0)
+        members["a"].wake()
+        env.run(until=21.0)
+        assert fired == ["b", "c", "a", "b", "c"]
+
+    def test_a_fully_asleep_cohort_queues_no_timer(self, backend):
+        env = Environment(scheduler=backend)
+        first = env.every(10.0, lambda now: pytest.fail("a sleeper ran"))
+        second = env.every(10.0, lambda now: pytest.fail("a sleeper ran"))
+        first.sleep()
+        second.sleep()
+        env.run()
+        assert env.now == 0.0 and env.queue_depth == 0
+        # Armed, then emptied of awake members: the timer is cancelled.
+        first.wake()
+        assert env.queue_depth == 1
+        first.sleep()
+        first.sleep()  # idempotent
+        assert env.queue_depth == 0
+
+    def test_a_wake_re_arms_at_the_next_phase_instant(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+        member = env.every(10.0, fired.append)
+        env.run(until=15.0)
+        member.sleep()
+        env.run(until=42.5)
+        member.wake()
+        member.wake()  # idempotent
+        env.run(until=60.0)
+        assert fired == [10.0, 50.0, 60.0]
+        # Woken on a phase instant: the tick strictly after it.
+        member.sleep()
+        env.run(until=70.0)
+        member.wake()
+        env.run(until=85.0)
+        assert fired == [10.0, 50.0, 60.0, 80.0]
+
+    def test_a_wake_re_arms_on_the_chains_own_float_sums(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+        member = env.every(0.1, fired.append)
+        member.sleep()
+        env.run(until=0.65)
+        member.wake()
+        env.run(until=0.75)
+        chain = 0.0
+        for _ in range(7):
+            chain += 0.1
+        assert fired == [chain]
+
+    def test_cancel_while_asleep(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+        sleeper = env.every(10.0, lambda now: pytest.fail("a sleeper ran"))
+        env.every(10.0, fired.append)
+        sleeper.sleep()
+        sleeper.cancel()
+        sleeper.wake()  # a member that has left stays gone
+        env.run(until=25.0)
+        assert fired == [10.0, 20.0] and env.queue_depth == 1
+
+    def test_a_false_tick_next_to_sleepers_ends_the_timer(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+        sleeper = env.every(10.0, lambda now: fired.append("sleeper"))
+        env.every(10.0, lambda now: fired.append("once") or False)
+        sleeper.sleep()
+        env.run()
+        assert fired == ["once"] and env.queue_depth == 0
+        sleeper.wake()
+        env.run(until=30.0)
+        assert fired == ["once", "sleeper", "sleeper"]
+
+    def test_a_member_may_sleep_inside_its_own_tick(self, backend):
+        env = Environment(scheduler=backend)
+        fired = []
+        handles = {}
+
+        def napper(now):
+            fired.append(("napper", now))
+            handles["napper"].sleep()
+            handles["other"].wake()
+
+        handles["napper"] = env.every(10.0, napper)
+        handles["other"] = env.every(
+            10.0, lambda now: fired.append(("other", now))
+        )
+        handles["other"].sleep()
+        env.run(until=25.0)
+        # Woken by an earlier member, "other" ticks in the same tick.
+        assert fired == [("napper", 10.0), ("other", 10.0),
+                         ("other", 20.0)]
+        handles["other"].sleep()
+        env.run()
+        assert env.queue_depth == 0
+
+
 class ChainMember:
     """The reference ``every``: a timer chain of one's own, kicked by one
     zero-delay event at the join, re-armed after each tick."""
@@ -626,6 +734,7 @@ class ChainMember:
         self.interval = interval
         self.tick = tick
         self.live = True
+        self.asleep = False
         self.timer = None
         kick = env.event()
         kick.callbacks.append(self._arm)
@@ -637,7 +746,7 @@ class ChainMember:
             self.timer.callbacks.append(self._fire)
 
     def _fire(self, _timer):
-        if self.tick(self.env.now) is False:
+        if not self.asleep and self.tick(self.env.now) is False:
             self.live = False
         self._arm(None)
 
@@ -645,6 +754,12 @@ class ChainMember:
         self.live = False
         if self.timer is not None:
             self.timer.cancel()
+
+    def sleep(self):
+        self.asleep = True
+
+    def wake(self):
+        self.asleep = False
 
 
 def cohort_plan(seed):
@@ -667,10 +782,27 @@ def cohort_plan(seed):
     return joins, cancels
 
 
+def nap_plan(seed):
+    """:func:`cohort_plan` plus sleeps at any instant and wakes off the
+    integer grid every tick lands on: a wake never ties with a tick."""
+    import random
+
+    rng = random.Random(-seed)
+    joins, cancels = cohort_plan(seed)
+    instants = sorted({at for at, *_ in joins})
+    naps = [
+        (rng.choice(instants) + rng.choice(offsets), kind, rng.randrange(24))
+        for _ in range(16)
+        for kind, offsets in ((2, (0.0, 3.0, 40.0)),
+                              (3, (0.5, 3.5, 40.5, 90.5)))
+    ]
+    return joins, cancels, naps
+
+
 def run_cohort_plan(backend, plan, join):
     """Drive ``plan`` with ``join(env, interval, tick)``; return the firing
     log ``[(now, member)]`` and each member's cohort key."""
-    joins, cancels = plan
+    joins, cancels, *naps = plan
     env = Environment(scheduler=backend)
     log = []
     handles = {}
@@ -690,7 +822,9 @@ def run_cohort_plan(backend, plan, join):
     ops = sorted(
         [(at, 0, member, interval, leave) for at, member, interval, leave
          in joins]
-        + [(at, 1, member, None, None) for at, member in cancels],
+        + [(at, 1, member, None, None) for at, member in cancels]
+        + [(at, kind, member, None, None) for nap in naps
+           for at, kind, member in nap],
         key=lambda op: op[:2],
     )
 
@@ -702,7 +836,8 @@ def run_cohort_plan(backend, plan, join):
                 keys[member] = (interval, env.now)
                 handles[member] = join(env, interval, tick_of(member, leave))
             elif member in handles:
-                handles[member].cancel()
+                handle = handles[member]
+                (handle.cancel, handle.sleep, handle.wake)[kind - 1]()
 
     env.process(driver(env))
     env.run(until=400.0)
@@ -712,7 +847,16 @@ def run_cohort_plan(backend, plan, join):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", range(20))
 def test_every_fires_as_per_member_chains_would(backend, seed):
-    plan = cohort_plan(seed)
+    assert_fires_as_chains(backend, cohort_plan(seed))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", range(20))
+def test_sleepers_fire_as_chains_skipping_their_ticks_would(backend, seed):
+    assert_fires_as_chains(backend, nap_plan(seed))
+
+
+def assert_fires_as_chains(backend, plan):
     got, keys = run_cohort_plan(backend, plan, Environment.every)
     want, _ = run_cohort_plan(backend, plan, ChainMember)
 
