@@ -27,7 +27,8 @@ one logical MAB address (``mab-<user>@im`` / ``mab-<user>@mail``).
   reads what they write (:meth:`ReplicatedPair.settle`).  The lease
   checks of every pair started together are one cohort of
   :meth:`Environment.every <repro.sim.kernel.Environment.every>`: one
-  sweep timer however many pairs.
+  sweep timer however many pairs, armed only while some check might
+  promote: a check sleeps while none can.
 
 - **Epoch fencing.**  A :class:`FencingService` (an external coordinator —
   the one dependency assumed always reachable) hands out monotonic epochs.
@@ -335,9 +336,11 @@ class PairSide:
 
     def _enqueue(self, queue: list, record: dict) -> None:
         """Append ``record`` to a ship queue.  A quiet pair's first record
-        ends the quiet: its owed beats settle first, its wake timer after."""
+        on its chain's side ends the quiet: its owed beats settle first,
+        its wake timer after.  (A fenced side's queue is not the chain's:
+        reconciliation clears it.)"""
         pair = self.pair
-        if pair._lazy is None:
+        if pair._lazy is None or pair._lazy.side is not self:
             queue.append(record)
             return
         pair.settle()
@@ -439,39 +442,59 @@ class PairSide:
         :meth:`ReplicatedPair.settle` calls it late, up to now, and only
         while the pair is quiet, when a send draws nothing but the latency
         and a landing does nothing but land — the same effects at any
-        later instant.
+        later instant.  Nothing one call does can change the role, the
+        epoch, either host, the link's state or its draws' sources, so
+        they are read once, however many steps the call runs.
         """
         pair = self.pair
         link = pair.link
         peer = self.peer
+        primary = self.role is ReplicaRole.PRIMARY
+        # fenced_now(), read in place.
+        current = pair.fencing.epochs.get(pair.pair_id, 0) == self.epoch
+        lands = link.available and peer.host.up
+        sends = lands and self.host.up
+        loss = link.loss_probability
+        adversary = link.adversary.enabled
+        draw = link.latency.draw
+        rng = link.rng
+        stats = link.stats
+        interval = pair.heartbeat_interval
         at = chain.at
+        sent_at = chain.sent_at
         while True:
-            sent_at = chain.sent_at
             if sent_at is None:
                 # The beat's send.
-                if self.role is not ReplicaRole.PRIMARY:
+                if not primary:
                     pair.keepalives.remove(chain)
                     return
-                if pair.fencing.epochs.get(pair.pair_id, 0) != self.epoch:
-                    # fenced_now(), read in place.  The fencing check rides
-                    # on the coordinator, not the link: a partitioned-but-
-                    # alive primary self-fences within one beat instead of
-                    # flip-flopping IM sessions with the new primary.
+                if not current:
+                    # The fencing check rides on the coordinator, not the
+                    # link: a partitioned-but-alive primary self-fences
+                    # within one beat instead of flip-flopping IM sessions
+                    # with the new primary.
                     pair.keepalives.remove(chain)
                     self.notice_fenced()
                     return
-                if self.host.up and link.available and peer.host.up:
+                if not sends:
+                    at += interval
+                elif adversary:
                     # The link is up, so depart cannot refuse.
                     delay, _corrupt = link.depart(None, peer.host, None)
-                    chain.sent_at = at
+                    sent_at = at
                     at += delay
                 else:
-                    at += pair.heartbeat_interval
+                    # HostLink.depart without an adversary, inline.
+                    stats.submitted += 1
+                    sent_at = at
+                    at += draw(rng)
             else:
-                # The beat's landing.
-                chain.sent_at = None
-                if not link.lost_in_flight(peer.host):
-                    link.stats.record_delivery(at - sent_at)
+                # The beat's landing: HostLink.lost_in_flight, inline.
+                if (loss and rng.random() < loss) or not lands:
+                    stats.lost += 1
+                else:
+                    stats.delivered += 1
+                    stats.latencies.append(at - sent_at)
                     peer.last_heartbeat = at
                     if self.unshipped or self.pending_marks:
                         # The post-partition catch-up: the only part of a
@@ -479,18 +502,20 @@ class PairSide:
                         # then ships).
                         self.unshipped.extend(self.pending_marks)
                         self.pending_marks.clear()
-                        chain.at = None
+                        chain.sent_at = chain.at = None
                         self.env.process(
                             self._catch_up(chain),
                             name=f"catch-up-{pair.pair_id}-{self.label}",
                         )
                         return
-                if self.role is not ReplicaRole.PRIMARY:
+                sent_at = None
+                if not primary:
                     pair.keepalives.remove(chain)
                     return
-                at += pair.heartbeat_interval
-            chain.at = at
+                at += interval
             if until is None or at > until:
+                chain.at = at
+                chain.sent_at = sent_at
                 return
 
     def _catch_up(self, chain: "KeepAlive"):
@@ -599,24 +624,27 @@ class ReplicatedPair:
 
     def sync(self) -> None:
         """Settle, then arm a wake timer for every pending step — or none,
-        when the pair is quiet: one chain, of an unfenced primary, both
-        hosts up, a benign link that is up, and nothing queued to ship.
-        Then a beat can do nothing but land.
+        when the pair is quiet: steady (one chain, with a step pending, of
+        an unfenced primary, both hosts up, a benign link that is up) with
+        nothing queued to ship.  Then a beat can do nothing but land.  A
+        sleeping lease sweep is woken here the moment a check might
+        promote (:meth:`_lease_holds`); it goes to sleep at its own tick.
 
-        Every change to what decides the quiet calls this, once before it
-        (so owed steps see the old state) and once after.
+        Every change to what decides either calls this, once before it
+        (so owed steps see the old state) and once after.  A record queued
+        to ship only arms the chain's timer (:meth:`_arm`): it changes
+        neither the lease nor, but for the queue, the quiet.
         """
         if self._lazy is not None:
             self.settle()
         chains = self.keepalives
+        steady = None
         if len(chains) == 1:
             chain = chains[0]
             side = chain.side
             link = self.link
             if (
                 chain.at is not None
-                and not side.unshipped
-                and not side.pending_marks
                 and side.host.up
                 and side.peer.host.up
                 and link.available
@@ -625,13 +653,54 @@ class ReplicatedPair:
                 and side.role is ReplicaRole.PRIMARY
                 and self.fencing.epochs.get(self.pair_id, 0) == side.epoch
             ):
-                if chain.timer is not None:
-                    chain.timer.cancel()
-                    chain.timer = None
-                self._lazy = chain
-                link.settle = self.settle
-                return
+                steady = chain
+        sweep = self.controller.sweep
+        if sweep.asleep and not self._lease_holds(steady):
+            sweep.wake()
+        if (
+            steady is not None
+            and not steady.side.unshipped
+            and not steady.side.pending_marks
+        ):
+            if steady.timer is not None:
+                steady.timer.cancel()
+                steady.timer = None
+            self._lazy = steady
+            self.link.settle = self.settle
+            return
         self._arm()
+
+    def _lease_holds(self, steady: Optional[KeepAlive]) -> bool:
+        """Whether no lease check can promote until the next sync, nor at
+        the first check after it (DESIGN §6b, "The sleeping lease sweep").
+
+        Only if a beat sent at once lands, and the first check after any
+        wake comes, inside the lease (``sweep_can_sleep``); then either
+        there is no standby to promote (not a ready standby, or its host
+        is down), or the pair is ``steady`` and its lease holds until a
+        check interval past the chain's next landing — at ``steady.at``,
+        or at most ``latency.high`` after a pending send.
+        ``last_heartbeat`` is settled.
+        """
+        controller = self.controller
+        if not controller.sweep_can_sleep:
+            return False
+        standby = self.active.peer
+        if (
+            standby.role is not ReplicaRole.STANDBY
+            or not standby.ready
+            or not standby.host.up
+        ):
+            return True
+        if steady is None:
+            return False
+        landing = steady.at
+        if steady.sent_at is None:
+            landing += self.link.latency.high
+        return (
+            landing + controller.check_interval - standby.last_heartbeat
+            <= controller.lease_timeout
+        )
 
     def _arm(self) -> None:
         """Leave the quiet: a wake timer for every pending step."""
@@ -688,7 +757,9 @@ class FailoverController:
         mdc_kwargs: Optional[dict] = None,
     ):
         _require_positive(
-            lease_timeout=lease_timeout, retry_interval=retry_interval
+            lease_timeout=lease_timeout,
+            check_interval=check_interval,
+            retry_interval=retry_interval,
         )
         self.env = env
         self.pair = pair
@@ -696,28 +767,41 @@ class FailoverController:
         self.check_interval = check_interval
         self.retry_interval = retry_interval
         self.mdc_kwargs = dict(mdc_kwargs) if mdc_kwargs else {}
+        #: Whether a beat sent at once lands, and the first check after a
+        #: wake comes, inside the lease: only then may the sweep sleep
+        #: (``ReplicatedPair._lease_holds``, DESIGN §6b).
+        self.sweep_can_sleep = (
+            pair.heartbeat_interval + pair.link.latency.high + check_interval
+            < lease_timeout
+        )
         pair.controller = self
         # The lease sweep: one timer per (interval, start instant) runs
-        # every pair's check in build order (DESIGN §6b).
-        env.every(check_interval, self.check_lease)
+        # every pair's check in build order.  A check that finds none can
+        # promote puts its member to sleep; the pair's sync wakes it
+        # (DESIGN §6b).
+        self.sweep = env.every(check_interval, self.check_lease)
 
     # ------------------------------------------------------------------
     # Lease monitoring / promotion
     # ------------------------------------------------------------------
 
     def check_lease(self, now: float) -> None:
-        """One lease check, run inline by the lease sweep's tick."""
-        side = self.pair.active.peer
-        if side.role is not ReplicaRole.STANDBY or not side.ready:
-            return
-        if not side.host.up:
-            return  # the controller lives with the standby
-        if now - side.last_heartbeat > self.lease_timeout:
-            # Settling only moves last_heartbeat forward, so a lease that
-            # holds unsettled holds settled too.
-            self.pair.settle()
-            if now - side.last_heartbeat > self.lease_timeout:
-                self.promote(side)
+        """One lease check, run inline by the lease sweep's tick.  A check
+        that finds that none can promote until the pair's next sync puts
+        its member to sleep; the sync wakes it."""
+        pair = self.pair
+        pair.settle()
+        side = pair.active.peer
+        # The controller lives with the standby: it acts only while that
+        # host is up.
+        if (side.role is ReplicaRole.STANDBY and side.ready
+                and side.host.up
+                and now - side.last_heartbeat > self.lease_timeout):
+            self.promote(side)
+        # A quiet pair's chain is steady; a pair with records in flight
+        # is left to a later tick.
+        elif pair._lease_holds(pair._lazy):
+            self.sweep.sleep()
 
     def promote(self, standby: PairSide) -> None:
         """Advance the epoch and make ``standby`` the active primary."""
@@ -930,6 +1014,7 @@ def build_pair(
     _require_positive(
         heartbeat_interval=heartbeat_interval,
         lease_timeout=lease_timeout,
+        check_interval=check_interval,
         retry_interval=retry_interval,
     )
     user = deployment.user_name

@@ -28,9 +28,10 @@ The warm-standby pair (:mod:`repro.core.replication`) ships pessimistic-log
 records over one of these (:meth:`HostLink.ship`, a generator: the shipper
 suspends until the round trip ends) and heartbeats through the two halves
 of a transfer, :meth:`HostLink.depart` and :meth:`HostLink.lost_in_flight`,
-which its keep-alive steps call at their own instants.  Those steps may run
-late (a quiet pair settles them lazily), so every other draw on the link's
-RNG first runs :attr:`HostLink.settle`.
+which its keep-alive steps do at their own instants (inline, with the
+link's state read once per call, but for a departure under an adversary).
+Those steps may run late (a quiet pair settles them lazily), so every
+other draw on the link's RNG first runs :attr:`HostLink.settle`.
 """
 
 from __future__ import annotations

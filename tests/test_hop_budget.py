@@ -214,9 +214,9 @@ def test_non_timer_events_are_pinned(hop_counts):
 # ---------------------------------------------------------------------------
 #
 # The hop budget's sibling for the warm-standby pairs (DESIGN §6b): lease
-# checks are one sweep timer per farm tick and heartbeats a chain of steps
-# that arms a timer only while its pair is not quiet, so neither spawns a
-# process.  The only replication process left on the idle path is the
+# checks are one sweep timer per farm tick, armed only while some check
+# might promote, and heartbeats a chain of steps that arms a timer only
+# while its pair is not quiet, so neither spawns a process.  The only replication process left on the idle path is the
 # post-partition catch-up flush.  Counted on the 8-user replicated chaos
 # run that the heap budget below also audits.
 
@@ -259,9 +259,10 @@ EXPECTED_REPLICATED_SPAWNS = {
 }
 #: Every generator resume and every timer armed over the run; a reconnect
 #: poll ticks only while its user is present without a session (7 158
-#: timers when the polls ticked regardless).
+#: timers when the polls ticked regardless), and a lease check only while
+#: a check might promote (7 069 when the lease sweep ticked regardless).
 REPLICATED_RESUMES = 5100
-REPLICATED_TIMERS = 7069
+REPLICATED_TIMERS = 5456
 
 
 @pytest.fixture(scope="module")

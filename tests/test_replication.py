@@ -8,6 +8,7 @@ accountable for: a resurrected old primary must discover its epoch is
 stale and reconcile instead of acking or routing.
 """
 
+import math
 import random
 from unittest import mock
 
@@ -16,16 +17,21 @@ import pytest
 from repro.core.endpoint import IncomingAlert
 from repro.core.farm import FarmProfile
 from repro.core.replication import (
+    DEFAULT_LEASE_CHECK_INTERVAL,
+    DEFAULT_LEASE_TIMEOUT,
     FailoverController,
     FencingService,
     PairSide,
     ReplicaRole,
+    ReplicatedPair,
     build_pair,
 )
 from repro.errors import ConfigurationError
 from repro.net.adversary import AdversaryModel
+from repro.net.channel import LatencyModel
 from repro.net.message import ChannelType
 from repro.sim.clock import MINUTE
+from repro.sim.kernel import Membership
 from repro.testkit.harness import EMAIL_FAST
 from repro.testkit.oracle import DeliveryOracle
 from repro.world import SimbaWorld, WorldConfig
@@ -353,15 +359,31 @@ class TestPairSettings:
     """A period of zero would spin the kernel at one instant."""
 
     @pytest.mark.parametrize(
-        "field", ["heartbeat_interval", "lease_timeout", "retry_interval"]
+        "field",
+        ["heartbeat_interval", "lease_timeout", "check_interval",
+         "retry_interval"],
     )
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_a_period_that_is_not_positive_is_refused(self, field, value):
         world, farm, tenants, source, oracle = make_replicated_farm(
             replicate=False
         )
+        host = tenants[0].deployment.host
+        watchers = list(host._watchers)
         with pytest.raises(ConfigurationError, match=field):
             build_pair(world, tenants[0].deployment, **{field: value})
+        # Refused before anything is built: no half-made pair watches the
+        # primary's host.
+        assert host._watchers == watchers
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_a_controller_refuses_a_check_interval_that_is_not_positive(
+        self, value
+    ):
+        world, farm, tenants, source, oracle = make_replicated_farm()
+        pair = tenants[0].pair
+        with pytest.raises(ConfigurationError, match="check_interval"):
+            FailoverController(world.env, pair, check_interval=value)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +458,7 @@ class ReferenceBeats:
 
 def pair_plan(seed):
     """Faults, promotions and bare transfers (a handoff's or a snapshot's)
-    at random instants over twelve minutes."""
+    at random instants over twelve minutes, and ``build_pair`` settings."""
     rng = random.Random(seed)
     adversary = AdversaryModel(
         reorder_probability=0.3, duplicate_probability=0.3,
@@ -449,7 +471,7 @@ def pair_plan(seed):
         for _ in range(rng.randint(4, 10))
     ]
     loss = 0.05 if seed % 6 == 5 else 0.0
-    return sorted(plan), adversary, loss
+    return sorted(plan), adversary, {"link_loss": loss}
 
 
 def quiet_holds_no_timer(pair):
@@ -476,22 +498,35 @@ def quiet_holds_no_timer(pair):
     return all(c.timer is not None for c in chains if c.at is not None)
 
 
-def run_pair_plan(seed, reference):
-    """Drive one replicated tenant through ``pair_plan(seed)``; return what
-    the heartbeat chain can touch."""
-    plan, adversary, loss = pair_plan(seed)
-    log = {"lease": [], "fenced": [], "catch_up": [], "invariant": []}
-    check_lease = FailoverController.check_lease
-    notice_fenced = PairSide.notice_fenced
-    catch_up = PairSide._catch_up
+def read_on_the_lease_grid(pair, log):
+    """Read both lease clocks at every instant of the pair's lease-check
+    grid, whether its sweep sleeps or not.  A timer chain of its own, not
+    a member of the sweep's cohort, which it would keep armed; started
+    where the controller joined, it sums the instants as the cohort
+    does."""
+    env = pair.env
+    interval = pair.controller.check_interval
 
-    def recording_check(controller, now):
-        check_lease(controller, now)
-        pair = controller.pair
+    def read(_timer):
         pair.settle()
-        log["lease"].append((now, pair.a.last_heartbeat,
+        log["lease"].append((env.now, pair.a.last_heartbeat,
                              pair.b.last_heartbeat))
         log["invariant"].append(quiet_holds_no_timer(pair))
+        log["asleep"].append(pair.controller.sweep.asleep)
+        env.timeout(interval).callbacks.append(read)
+
+    env.timeout(interval).callbacks.append(read)
+
+
+def run_pair_plan(seed, reference, plan=pair_plan, patches=()):
+    """Drive one replicated tenant through ``plan(seed)``; return what the
+    heartbeat chain and the lease sweep can touch.  ``reference`` beats
+    by one timer per step; ``patches`` are more ``mock.patch`` objects."""
+    faults_plan, adversary, pair_kwargs = plan(seed)
+    log = {"lease": [], "fenced": [], "catch_up": [], "invariant": [],
+           "asleep": []}
+    notice_fenced = PairSide.notice_fenced
+    catch_up = PairSide._catch_up
 
     def recording_notice(side):
         log["fenced"].append((side.env.now, side.label, side.role.value))
@@ -502,10 +537,9 @@ def run_pair_plan(seed, reference):
         return catch_up(side, chain)
 
     patches = [
-        mock.patch.object(FailoverController, "check_lease",
-                          recording_check),
         mock.patch.object(PairSide, "notice_fenced", recording_notice),
         mock.patch.object(PairSide, "_catch_up", recording_catch_up),
+        *patches,
     ]
     if reference:
         beats = ReferenceBeats(log)
@@ -517,15 +551,16 @@ def run_pair_plan(seed, reference):
         patch.start()
     try:
         world, farm, tenants, source, oracle = make_replicated_farm(
-            seed=seed, link_loss=loss
+            seed=seed, **pair_kwargs
         )
         pair = tenants[0].pair
+        read_on_the_lease_grid(pair, log)
         # Alerts stop after five minutes, so later boots find the pair
         # quiet.
         start_workload(world, source, tenants, n=16, period=19.0)
 
         def faults(env):
-            for at, kind, duration in plan:
+            for at, kind, duration in faults_plan:
                 yield env.timeout(max(0.0, at - env.now))
                 standby = pair.active.peer
                 if kind == "primary_down":
@@ -569,8 +604,152 @@ def test_lazy_heartbeats_match_the_timer_chain(seed):
     got = run_pair_plan(seed, reference=False)
     want = run_pair_plan(seed, reference=True)
     assert all(got.pop("invariant"))
+    for side in (got, want):
+        side.pop("asleep")
     want.pop("invariant")
     assert got["lease"] == want["lease"]
     assert got["catch_up"] == want["catch_up"]
     assert got["fenced"] == want["fenced"]
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The sleeping lease sweep against a sweep that never sleeps
+# ---------------------------------------------------------------------------
+
+#: A lease a slow beat cannot ride out: a beat is sent 5 s after the last
+#: landed and lands up to 3 s later, later than 0.5 s about one time in
+#: three, so the lease lapses between landings now and then.
+TIGHT_LEASE = {
+    "lease_timeout": 5.5,
+    "link_latency": LatencyModel(median=0.3, sigma=1.0, low=0.005, high=3.0),
+}
+#: A slow link under the default lease: the first beat sent after a
+#: partition lands a second or two past the lapse.
+SLOW_LINK = {
+    "link_latency": LatencyModel(median=1.5, sigma=0.5, low=0.005, high=3.0),
+}
+
+
+def lease_plan(seed):
+    """``pair_plan``'s faults plus link partitions shorter than the lease
+    that heal near its lapse (the last landing is up to a beat before the
+    partition), after the alerts, when nothing queues behind them.  Of every three seeds one runs the tight lease and one the
+    slow link, none with a lossy link; every odd seed puts each fault's
+    start and end on the lease grid, where a wake, a sleep or a heal ties
+    with a check."""
+    plan, adversary, pair_kwargs = pair_plan(seed)
+    pair_kwargs.update((SLOW_LINK, TIGHT_LEASE, {})[seed % 3])
+    lease = pair_kwargs.get("lease_timeout", DEFAULT_LEASE_TIMEOUT)
+    rng = random.Random(f"lease-{seed}")
+    plan += [
+        (rng.uniform(320.0, 720.0), "link_down",
+         max(1.0, lease - rng.uniform(0.0, 6.0)))
+        for _ in range(rng.randint(4, 6))
+    ]
+    if seed % 2:
+        grid = DEFAULT_LEASE_CHECK_INTERVAL
+        plan = [
+            (grid * round(at / grid), kind, grid * max(1, round(span / grid)))
+            for at, kind, span in plan
+        ]
+    return sorted(plan), adversary, pair_kwargs
+
+
+def is_lease_check(member):
+    return isinstance(getattr(member.tick, "__self__", None),
+                      FailoverController)
+
+
+def never_sleeps():
+    """The reference: every lease check ticks, as before sweeps slept."""
+    sleep = Membership.sleep
+
+    def ticking(member):
+        if not is_lease_check(member):
+            sleep(member)
+
+    return mock.patch.object(Membership, "sleep", ticking)
+
+
+def no_wake_on_power_off():
+    """Tooth: a lease check is not woken while a host of its pair is off."""
+    wake = Membership.wake
+
+    def wake_unless_dark(member):
+        if is_lease_check(member) and not all(
+            side.host.up for side in member.tick.__self__.pair.sides()
+        ):
+            return
+        wake(member)
+
+    return mock.patch.object(Membership, "wake", wake_unless_dark)
+
+
+def sleeps_past_a_slow_beat():
+    """Tooth: sleeps though heartbeat + high latency + a check ≥ lease."""
+    holds = ReplicatedPair._lease_holds
+
+    def ignoring_the_margin(pair, steady):
+        pair.controller.sweep_can_sleep = True
+        return holds(pair, steady)
+
+    return mock.patch.object(ReplicatedPair, "_lease_holds",
+                             ignoring_the_margin)
+
+
+def sleeps_on_a_lapsing_lease():
+    """Tooth: reads the lease clock of a steady pair as just renewed."""
+    holds = ReplicatedPair._lease_holds
+
+    def blind(pair, steady):
+        if steady is None:
+            return holds(pair, steady)
+        standby = pair.active.peer
+        kept = standby.last_heartbeat
+        standby.last_heartbeat = math.inf
+        try:
+            return holds(pair, steady)
+        finally:
+            standby.last_heartbeat = kept
+
+    return mock.patch.object(ReplicatedPair, "_lease_holds", blind)
+
+
+def run_lease_plan(seed, *patches):
+    return run_pair_plan(seed, reference=False, plan=lease_plan,
+                         patches=patches)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_the_sleeping_lease_sweep_matches_the_ticking_one(seed):
+    """A lease check skipped while the sweep sleeps, or at the wake
+    instant, or reordered at the first check after a wake, cannot
+    promote: promotions, fencing notices, lease readings, link counters,
+    RNG draws and catch-ups are where a sweep that never sleeps put them."""
+    got = run_lease_plan(seed)
+    want = run_lease_plan(seed, never_sleeps())
+    assert all(got.pop("invariant"))
+    want.pop("invariant")
+    # It sleeps, but never under the tight lease, and the reference never.
+    assert any(got.pop("asleep")) == (seed % 3 != 1)
+    assert not any(want.pop("asleep"))
+    assert got["promotions"] == want["promotions"]
+    assert got["fenced"] == want["fenced"]
+    assert got["lease"] == want["lease"]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "tooth",
+    [no_wake_on_power_off, sleeps_past_a_slow_beat, sleeps_on_a_lapsing_lease],
+)
+def test_a_sweep_that_sleeps_wrongly_breaks_the_property(tooth):
+    for seed in range(30):
+        got = run_lease_plan(seed, tooth())
+        want = run_lease_plan(seed, never_sleeps())
+        for side in (got, want):
+            del side["asleep"], side["invariant"]
+        if got != want:
+            return
+    pytest.fail(f"{tooth.__name__} matched the ticking sweep on 30 seeds")
