@@ -49,8 +49,10 @@ class Screen:
 
     def blocking(self, owner: str) -> Optional[DialogBox]:
         """The oldest dialog blocking ``owner``, if any."""
-        candidates = self.open_dialogs(owner)
-        return candidates[0] if candidates else None
+        for dialog in self._open:
+            if dialog.owner == owner or dialog.owner is None:
+                return dialog
+        return None
 
     def click(self, dialog: DialogBox, button: str) -> None:
         """Click a button on an open dialog, removing it from the screen."""

@@ -250,7 +250,6 @@ class RouteStage(PipelineStage):
             ]
         ctx.subscriptions = subscriptions
 
-        tagged = ctx.alert.with_category(ctx.category)
         yield ctx.env.timeout(config.routing_overhead.draw(ctx.rng))
         tracer = ctx.env.tracer
         for subscription in subscriptions:
@@ -274,7 +273,7 @@ class RouteStage(PipelineStage):
                 if ctx.epoch is not None:
                     dspan.annotations["epoch"] = ctx.epoch
             outcome = yield from ctx.endpoint.deliver_alert(
-                tagged,
+                ctx.alert,
                 mode,
                 book,
                 trace_parent=dspan.span_id if dspan is not None else None,

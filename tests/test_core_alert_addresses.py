@@ -1,11 +1,16 @@
 """Unit + property tests for Alert, UserAddress/AddressBook."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import Alert, AlertSeverity, AddressBook, UserAddress
+from repro.core import alert as alert_module
 from repro.errors import AddressUnknownError, ConfigurationError
 from repro.net import ChannelType
+from repro.world import SimbaWorld, WorldConfig
 
 
 def make_alert(**overrides):
@@ -21,16 +26,60 @@ def make_alert(**overrides):
     return Alert(**defaults)
 
 
+#: Any header or body character: the escaped ones, the separator and
+#: non-ASCII ones.
+WIRE_CHARS = st.one_of(
+    st.sampled_from("\n\r\\= "),
+    st.characters(blacklist_categories=("Cs",)),
+)
+#: Any header value, empty included.
+WIRE_TEXT = st.text(alphabet=WIRE_CHARS, max_size=40)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def wire_fields(alert):
+    """Every field of ``alert`` with its type: ``==`` alone would let a
+    ``np.float64`` pass for a ``float``."""
+    return [
+        (f.name, getattr(alert, f.name), type(getattr(alert, f.name)))
+        for f in dataclasses.fields(alert)
+        if f.compare
+    ]
+
+
 class TestAlert:
     def test_ids_unique(self):
         assert make_alert().alert_id != make_alert().alert_id
 
-    def test_with_category_copies(self):
-        alert = make_alert()
-        tagged = alert.with_category("Home Safety")
-        assert tagged.personal_category == "Home Safety"
-        assert alert.personal_category is None
-        assert tagged.alert_id == alert.alert_id
+    def test_mab_forwards_the_text_it_logged_and_received(self, monkeypatch):
+        """§4.2.1: MAB saves a copy of the IM it received, then forwards
+        the alert — the very ``str`` the source sent, not a re-encoding."""
+        decoded: list[str] = []
+        decode = Alert.decode
+        monkeypatch.setattr(
+            Alert, "decode",
+            classmethod(lambda cls, text: decoded.append(text) or decode(text)),
+        )
+        world = SimbaWorld(WorldConfig(seed=1, email_loss=0.0, sms_loss=0.0))
+        user = world.create_user("alice", present=True)
+        deployment = world.create_buddy(user)
+        deployment.register_user_endpoint(user)
+        deployment.subscribe("News", user, "normal", keywords=["News"])
+        source = world.create_source("portal")
+        source.add_target(deployment.source_facing_book())
+        deployment.config.classifier.accept_source("portal")
+        deployment.launch()
+        world.run(until=60.0)
+        alert, _process = source.emit("News", "h", "b")
+        world.run(until=300.0)
+        sent = alert.encode()
+        logged = deployment.log.entry_for_alert(alert.alert_id).payload
+        # MAB's decode of what it received, then the user's of what MAB
+        # forwarded.
+        assert len(decoded) == 2
+        received, forwarded = decoded
+        assert received is sent and logged is sent and forwarded is sent
+        assert [r.alert_id for r in user.receipts] == [alert.alert_id]
 
     def test_encode_decode_roundtrip(self):
         alert = make_alert()
@@ -85,45 +134,32 @@ class TestAlert:
         assert not Alert.is_alert_payload("hello")
 
     @given(
-        body=st.text(
-            alphabet=st.characters(blacklist_categories=("Cs",)), max_size=500
-        ),
-        subject=st.text(
-            alphabet=st.characters(
-                blacklist_categories=("Cs",), blacklist_characters="\n\r"
-            ),
-            min_size=0,
-            max_size=80,
-        ),
-        keyword=st.text(
-            alphabet=st.characters(
-                blacklist_categories=("Cs",), blacklist_characters="\n\r"
-            ),
-            min_size=1,
-            max_size=40,
-        ),
-        created_at=st.floats(
-            min_value=0, max_value=1e9, allow_nan=False, allow_infinity=False
-        ),
+        source=WIRE_TEXT,
+        keyword=WIRE_TEXT,
+        subject=WIRE_TEXT,
+        body=st.text(alphabet=WIRE_CHARS, max_size=500),
+        keyword_field=WIRE_TEXT,
+        alert_id=WIRE_TEXT,
+        created_at=st.one_of(FINITE, FINITE.map(np.float64)),
         severity=st.sampled_from(list(AlertSeverity)),
     )
     def test_wire_roundtrip_property(
-        self, body, subject, keyword, created_at, severity
+        self, source, keyword, subject, body, keyword_field, alert_id,
+        created_at, severity,
     ):
         alert = Alert(
-            source="portal",
-            keyword=keyword,
-            subject=subject,
-            body=body,
-            created_at=created_at,
-            severity=severity,
+            source=source, keyword=keyword, subject=subject, body=body,
+            created_at=created_at, severity=severity,
+            keyword_field=keyword_field, alert_id=alert_id,
         )
-        decoded = Alert.decode(alert.encode())
-        assert decoded.keyword == keyword
-        assert decoded.subject == subject
-        assert decoded.body == body
-        assert decoded.created_at == created_at
-        assert decoded.severity == severity
+        text = alert.encode()
+        warm = Alert.decode(text)  # the parse encode remembered
+        alert_module._parse_memo.clear()
+        cold = Alert.decode(text)  # parsed from the text alone
+        assert warm == alert and cold == alert
+        assert wire_fields(warm) == wire_fields(cold)
+        assert type(cold.created_at) is float
+        assert warm.encode() is text and cold.encode() is text
 
 
 class TestAddressBook:

@@ -13,10 +13,13 @@ the event budget: every non-timer event the run schedules, by class
 waits on cannot creep back either.  The counts are a pure function of the
 scenario: both scheduler backends are counted, and must agree.
 
-Beside them, the replicated budget counts spawns, resumes and timers on a
-replicated chaos run, so a lease monitor or heartbeat process cannot creep
-back either, and the idle budget counts what a cold tenant leaves parked
-and what an ended incarnation leaves queued.
+The wire budget counts, on the same farm, the wire texts built and the
+decodes that parse, so a hop that re-encodes or re-parses an alert cannot
+creep back either.  Beside them, the replicated budget counts spawns,
+resumes and timers on a replicated chaos run, so a lease monitor or
+heartbeat process cannot creep back either, and the idle budget counts
+what a cold tenant leaves parked and what an ended incarnation leaves
+queued.
 
 The second part is the heap budget: what the same runs may leave behind
 that only the cyclic collector can free — nothing on the delivery path.
@@ -24,16 +27,19 @@ The third is the residue budget: what every offered alert may leave
 behind that is still alive — only the listed lean per-alert records.
 """
 
+import dataclasses
 import gc
 import weakref
 from collections import Counter
 
 import pytest
 
+from repro.core import alert as alert_module
 from repro.core.admission import AdmissionConfig, DeadLetter
 from repro.core.alert import Alert
 from repro.core.buddy import JournalEvent
 from repro.core.pessimistic_log import DeliveryStatus, LogEntry
+from repro.core.pipeline import RouteStage
 from repro.core.router import BlockOutcome, DeliveryEngine, DeliveryOutcome
 from repro.core.user_endpoint import Receipt
 from repro.experiments.sharded import build_e13_workload
@@ -207,6 +213,91 @@ def test_non_timer_events_are_pinned(hop_counts):
     assert "StorePut" not in events  # a put is a call: no waiter, no event
     assert dict(events) == EXPECTED_EVENTS
     assert round(sum(events.values()) / DELIVERED, 2) == EVENTS_PER_DELIVERED
+
+
+# ---------------------------------------------------------------------------
+# Wire budget: an alert is written once and read once
+# ---------------------------------------------------------------------------
+#
+# The wire text never changes from hop to hop (DESIGN §5b): the source
+# builds it, MAB logs and forwards the ``str`` it received, and every
+# decode of a text built in this process is a memo lookup.  Counted from
+# outside by wrapping the module's two builders: ``_render`` (a wire text
+# built) and ``_parse`` (a cold parse).
+
+
+def count_wire(monkeypatch):
+    """``(wire texts built, cold parses)`` over one golden-farm run."""
+    counts: Counter = Counter()
+    for name in ("_render", "_parse"):
+
+        def counted(arg, _original=getattr(alert_module, name), _name=name):
+            counts[_name] += 1
+            return _original(arg)
+
+        monkeypatch.setattr(alert_module, name, counted)
+    run_counted_golden_farm()
+    return counts["_render"], counts["_parse"]
+
+
+def wire_budget_breaches(built, parsed):
+    breaches = []
+    if built != EMITTED:
+        breaches.append(f"{built} wire texts built for {EMITTED} alerts")
+    if parsed:
+        breaches.append(f"{parsed} decodes parsed a text built in-process")
+    return breaches
+
+
+def test_an_alert_is_written_once_and_read_once(monkeypatch):
+    assert wire_budget_breaches(*count_wire(monkeypatch)) == []
+
+
+def test_a_route_stage_that_re_encodes_breaks_the_wire_budget(monkeypatch):
+    route = RouteStage.run
+
+    def copying_run(self, ctx):
+        # A per-trip copy of the alert, which has no wire text yet.
+        ctx.incoming.alert = dataclasses.replace(ctx.alert)
+        return (yield from route(self, ctx))
+
+    monkeypatch.setattr(RouteStage, "run", copying_run)
+    built, parsed = count_wire(monkeypatch)
+    assert built > EMITTED and parsed == 0
+    assert wire_budget_breaches(built, parsed) == [
+        f"{built} wire texts built for {EMITTED} alerts"
+    ]
+
+
+def test_a_decode_that_bypasses_the_memo_breaks_the_wire_budget(monkeypatch):
+    def parse_always(cls, text):
+        alert = cls(*alert_module._parse(text))
+        alert._wire = text
+        return alert
+
+    monkeypatch.setattr(Alert, "decode", classmethod(parse_always))
+    built, parsed = count_wire(monkeypatch)
+    assert built == EMITTED and parsed > 0
+    assert wire_budget_breaches(built, parsed) == [
+        f"{parsed} decodes parsed a text built in-process"
+    ]
+
+
+def test_a_replaced_alert_encodes_its_new_fields():
+    alert = Alert("portal", "News", "old", "b", 1.0)
+    text = alert.encode()
+    changed = dataclasses.replace(alert, subject="new")
+    assert Alert.decode(changed.encode()).subject == "new"
+    assert alert.encode() is text
+
+
+def test_the_parse_memo_stays_within_its_bound():
+    size = alert_module.PARSE_MEMO_SIZE
+    for index in range(10 * size):
+        newest = Alert("portal", "News", f"s{index}", "b", 1.0)
+        newest.encode()
+        assert len(alert_module._parse_memo) <= size
+    assert alert_module._parse_memo[newest.encode()][2] == newest.subject
 
 
 # ---------------------------------------------------------------------------
