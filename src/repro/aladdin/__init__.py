@@ -12,29 +12,13 @@ control (RF) → powerline transceiver → powerline monitor on a PC → local S
 → SIMBA alert.
 """
 
-from repro.aladdin.devices import (
-    RemoteControl,
-    SecuritySystem,
-    Sensor,
-    SensorState,
-)
-from repro.aladdin.gateway import AladdinGateway
-from repro.aladdin.networks import HomeNetwork, Transceiver
-from repro.aladdin.replication import ReplicationGroup
-from repro.aladdin.scenario import AladdinHome
-from repro.aladdin.sss import SoftStateStore, SoftStateVariable, SSSEvent
+from repro import lazy_exports
 
-__all__ = [
-    "AladdinGateway",
-    "AladdinHome",
-    "HomeNetwork",
-    "RemoteControl",
-    "ReplicationGroup",
-    "SSSEvent",
-    "SecuritySystem",
-    "Sensor",
-    "SensorState",
-    "SoftStateStore",
-    "SoftStateVariable",
-    "Transceiver",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".devices": ("RemoteControl", "SecuritySystem", "Sensor", "SensorState"),
+    ".gateway": ("AladdinGateway",),
+    ".networks": ("HomeNetwork", "Transceiver"),
+    ".replication": ("ReplicationGroup",),
+    ".scenario": ("AladdinHome",),
+    ".sss": ("SoftStateStore", "SoftStateVariable", "SSSEvent"),
+})

@@ -13,12 +13,10 @@ a real MyAlertBuddy — so bench E8 can compare them head-to-head on
 timeliness, delivery ratio and messages-per-alert (the irritation factor).
 """
 
-from repro.baselines.email_only import EmailOnlyDelivery
-from repro.baselines.redundant import BlanketRedundantDelivery
-from repro.baselines.simba_strategy import SimbaStrategy
+from repro import lazy_exports
 
-__all__ = [
-    "BlanketRedundantDelivery",
-    "EmailOnlyDelivery",
-    "SimbaStrategy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".email_only": ("EmailOnlyDelivery",),
+    ".redundant": ("BlanketRedundantDelivery",),
+    ".simba_strategy": ("SimbaStrategy",),
+})

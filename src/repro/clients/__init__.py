@@ -17,17 +17,12 @@ something real to recover from:
   the concrete GUI clients wrapping the network substrates.
 """
 
-from repro.clients.automation import AutomationHandle, ClientSoftware
-from repro.clients.dialogs import DialogBox
-from repro.clients.email_client import EmailClient
-from repro.clients.im_client import IMClient
-from repro.clients.screen import Screen
+from repro import lazy_exports
 
-__all__ = [
-    "AutomationHandle",
-    "ClientSoftware",
-    "DialogBox",
-    "EmailClient",
-    "IMClient",
-    "Screen",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".automation": ("AutomationHandle", "ClientSoftware"),
+    ".dialogs": ("DialogBox",),
+    ".email_client": ("EmailClient",),
+    ".im_client": ("IMClient",),
+    ".screen": ("Screen",),
+})

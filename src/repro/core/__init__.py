@@ -22,111 +22,55 @@ Layering follows Figure 3 of the paper:
   :mod:`~repro.core.host`.
 """
 
-from repro.core.addresses import AddressBook, UserAddress
-from repro.core.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    BackoffPolicy,
-    DeadLetter,
-    DeadLetterQueue,
-    LoadShedder,
-    TokenBucket,
-)
-from repro.core.alert import Alert, AlertSeverity
-from repro.core.buddy import MyAlertBuddy
-from repro.core.classifier import AlertClassifier, ExtractionRule
-from repro.core.delivery_modes import Action, CommunicationBlock, DeliveryMode
-from repro.core.endpoint import SimbaEndpoint
-from repro.core.farm import BuddyFarm, FarmProfile, FarmTenant
-from repro.core.filters import FilterDecision, FilterPolicy, TimeWindow
-from repro.core.host import Host
-from repro.core.managers import EmailManager, IMManager, SMSManager
-from repro.core.monkey import MonkeyThread
-from repro.core.pessimistic_log import LogEntry, PessimisticLog
-from repro.core.pipeline import (
-    AdmissionStage,
-    AggregateStage,
-    AlertPipeline,
-    ClassifyStage,
-    FilterStage,
-    PipelineContext,
-    PipelineStage,
-    RetryStage,
-    RouteStage,
-    ThrottleStage,
-)
-from repro.core.rejuvenation import RejuvenationPolicy
-from repro.core.replication import (
-    EpochAudit,
-    FailoverController,
-    FencingService,
-    PairSide,
-    ReplicaRole,
-    ReplicatedPair,
-    build_pair,
-)
-from repro.core.router import BlockOutcome, DeliveryEngine, DeliveryOutcome
-from repro.core.stabilizer import SelfStabilizer
-from repro.core.subscription import Subscription, SubscriptionLayer
-from repro.core.user_endpoint import UserEndpoint
-from repro.core.watchdog import MasterDaemonController
+from repro import lazy_exports
 
-__all__ = [
-    "Action",
-    "AddressBook",
-    "AdmissionConfig",
-    "AdmissionController",
-    "AdmissionStage",
-    "AggregateStage",
-    "Alert",
-    "AlertClassifier",
-    "AlertPipeline",
-    "AlertSeverity",
-    "BackoffPolicy",
-    "BlockOutcome",
-    "BuddyFarm",
-    "ClassifyStage",
-    "CommunicationBlock",
-    "DeadLetter",
-    "DeadLetterQueue",
-    "DeliveryEngine",
-    "DeliveryMode",
-    "DeliveryOutcome",
-    "EmailManager",
-    "EpochAudit",
-    "ExtractionRule",
-    "FailoverController",
-    "FarmProfile",
-    "FarmTenant",
-    "FencingService",
-    "FilterDecision",
-    "FilterPolicy",
-    "FilterStage",
-    "Host",
-    "IMManager",
-    "LoadShedder",
-    "LogEntry",
-    "MasterDaemonController",
-    "MonkeyThread",
-    "MyAlertBuddy",
-    "PairSide",
-    "PessimisticLog",
-    "PipelineContext",
-    "PipelineStage",
-    "RejuvenationPolicy",
-    "ReplicaRole",
-    "ReplicatedPair",
-    "RetryStage",
-    "RouteStage",
-    "SMSManager",
-    "SelfStabilizer",
-    "SimbaEndpoint",
-    "Subscription",
-    "SubscriptionLayer",
-    "ThrottleStage",
-    "TimeWindow",
-    "TokenBucket",
-    "UserAddress",
-    "UserEndpoint",
-    "build_pair",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".addresses": ("AddressBook", "UserAddress"),
+    ".admission": (
+        "AdmissionConfig",
+        "AdmissionController",
+        "BackoffPolicy",
+        "DeadLetter",
+        "DeadLetterQueue",
+        "LoadShedder",
+        "TokenBucket",
+    ),
+    ".alert": ("Alert", "AlertSeverity"),
+    ".buddy": ("MyAlertBuddy",),
+    ".classifier": ("AlertClassifier", "ExtractionRule"),
+    ".delivery_modes": ("Action", "CommunicationBlock", "DeliveryMode"),
+    ".endpoint": ("SimbaEndpoint",),
+    ".farm": ("BuddyFarm", "FarmProfile", "FarmTenant"),
+    ".filters": ("FilterDecision", "FilterPolicy", "TimeWindow"),
+    ".host": ("Host",),
+    ".managers": ("EmailManager", "IMManager", "SMSManager"),
+    ".monkey": ("MonkeyThread",),
+    ".pessimistic_log": ("LogEntry", "PessimisticLog"),
+    ".pipeline": (
+        "AdmissionStage",
+        "AggregateStage",
+        "AlertPipeline",
+        "ClassifyStage",
+        "FilterStage",
+        "PipelineContext",
+        "PipelineStage",
+        "RetryStage",
+        "RouteStage",
+        "ThrottleStage",
+    ),
+    ".rejuvenation": ("RejuvenationPolicy",),
+    ".replication": (
+        "EpochAudit",
+        "FailoverController",
+        "FencingService",
+        "PairSide",
+        "ReplicaRole",
+        "ReplicatedPair",
+        "build_pair",
+    ),
+    ".router": ("BlockOutcome", "DeliveryEngine", "DeliveryOutcome"),
+    ".stabilizer": ("SelfStabilizer",),
+    ".subscription": ("Subscription", "SubscriptionLayer"),
+    ".user_endpoint": ("UserEndpoint",),
+    ".watchdog": ("MasterDaemonController",),
+})

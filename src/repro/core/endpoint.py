@@ -293,6 +293,9 @@ class SimbaEndpoint:
         try:
             alert = Alert.decode(payload)
         except ValueError:
+            # A payload that does not parse is as unusable as one that
+            # fails its checksum: counted, never acked or routed.
+            self.corrupt_discarded += 1
             return
         incoming = IncomingAlert(
             alert=alert, via=via, sender=sender, received_at=self.env.now, seq=seq

@@ -35,10 +35,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro.core.replication import FencingService, ReplicatedPair, build_pair
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.addresses import AddressBook
     from repro.core.admission import AdmissionConfig
-    from repro.core.replication import ReplicatedPair
     from repro.core.user_endpoint import Receipt, UserEndpoint
     from repro.core.watchdog import MasterDaemonController
     from repro.world import BuddyDeployment, SimbaWorld
@@ -220,8 +221,6 @@ class BuddyFarm:
         gates attached.  ``pair_kwargs`` forward to ``build_pair``
         (lease/heartbeat tuning, link latency/loss, MDC kwargs).
         """
-        from repro.core.replication import FencingService, build_pair
-
         if self._launched:
             raise RuntimeError(
                 "enable replication before launching the farm"

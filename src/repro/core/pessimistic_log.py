@@ -15,7 +15,6 @@ no-ack ⇒ sender falls back, ack ⇒ alert is durable.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Protocol
@@ -23,11 +22,17 @@ from typing import TYPE_CHECKING, Optional, Protocol
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
 
-logger = logging.getLogger(__name__)
-
 #: Synchronous append + flush on period hardware; the dominant extra cost in
 #: the paper's 1.5 s logged-ack round trip over the <1 s one-way time.
 DEFAULT_WRITE_LATENCY = 0.5
+
+
+def _warn(message: str, *args) -> None:
+    """Log a recoverable oddity of the log's records (rare: torn tails,
+    stray marks), so ``logging`` loads only when one is found."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 @dataclass(slots=True)
@@ -174,7 +179,7 @@ class PessimisticLog:
             return True
         entry = self._entries.get(record["entry_id"])
         if entry is None:
-            logger.warning(
+            _warn(
                 "pessimistic log %s: 'processed' mark for unknown entry %r "
                 "that was never appended",
                 self.path or "(in memory)", record["entry_id"],
@@ -281,7 +286,7 @@ class PessimisticLog:
                     # A torn tail line is the expected signature of a crash
                     # mid-append: the entry was never durable, so the ack
                     # never went out and the sender's fallback covers it.
-                    logger.warning(
+                    _warn(
                         "pessimistic log %s: skipping torn tail record %r",
                         path, line[:80],
                     )

@@ -63,14 +63,10 @@ import gc
 import hashlib
 import importlib
 import os
-import pickle
 import sys
-import tempfile
-import traceback
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -541,6 +537,8 @@ def _serve(worker: ShardWorker, message: tuple) -> tuple:
             return "ok", None
         return "error", f"unknown command {command!r}"
     except Exception:
+        import traceback
+
         return "error", traceback.format_exc()
 
 
@@ -553,6 +551,8 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
         try:
             worker = ShardWorker(spec)
         except Exception:
+            import traceback
+
             conn.send(("error", traceback.format_exc()))
             return
         conn.send(("ready", len(worker.local_names)))
@@ -568,6 +568,8 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
                 # ``send`` pickles before it writes, so nothing went out.
                 # Answered, not raised: a worker that died here would
                 # leave the coordinator only its exit code.
+                import traceback
+
                 conn.send((
                     "error",
                     f"shard {spec.shard} worker sent an unpicklable reply "
@@ -620,6 +622,8 @@ class _ProcessShard:
     """Coordinator-side handle for one worker process."""
 
     def __init__(self, context, spec: ShardSpec):
+        import tempfile
+
         self.shard = spec.shard
         #: The last command sent, for the diagnosis if the worker fails.
         self._last: tuple = ("start",)
@@ -656,6 +660,8 @@ class _ProcessShard:
             data = self.conn.recv_bytes()
         except _PIPE_DEAD as exc:
             raise self._died() from exc
+        import pickle
+
         try:
             kind, payload = pickle.loads(data)
         except Exception as exc:  # noqa: BLE001 - whatever the bytes hold
@@ -846,6 +852,8 @@ class ShardedFarm:
         if self.inline:
             self._workers = [_InlineShard(spec) for spec in self._specs]
         else:
+            from multiprocessing import get_all_start_methods, get_context
+
             method = (
                 "fork" if "fork" in get_all_start_methods() else "spawn"
             )

@@ -222,9 +222,16 @@ class UserEndpoint:
             self.corrupt_discarded += 1
             return
         body = message.body
+        alert = None
         if Alert.is_alert_payload(body):
-            self._record(Alert.decode(body), ChannelType.SMS)
-        elif message.correlation is not None:
+            try:
+                alert = Alert.decode(body)
+            except ValueError:
+                # Truncation cut the payload before one of its fields.
+                if message.correlation is None:
+                    self.corrupt_discarded += 1
+                    return
+        if alert is None and message.correlation is not None:
             # SMS truncation usually cuts the payload; correlate by the id
             # the sender stamped on the message instead.
             alert = Alert(
@@ -235,6 +242,7 @@ class UserEndpoint:
                 created_at=message.created_at,
                 alert_id=message.correlation,
             )
+        if alert is not None:
             self._record(alert, ChannelType.SMS)
 
     def _on_mail(self, message) -> None:

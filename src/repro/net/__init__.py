@@ -15,27 +15,14 @@ distribution and exposes outage/loss injection hooks used by the
 fault-tolerance experiments.
 """
 
-from repro.net.adversary import AdversaryModel, AdversaryStats
-from repro.net.channel import ChannelStats, LatencyModel
-from repro.net.email import EmailMessage, EmailService
-from repro.net.im import IMMessage, IMService, IMSession
-from repro.net.message import ChannelType, Message
-from repro.net.presence import PresenceService
-from repro.net.sms import SMSGateway, SMSMessage
+from repro import lazy_exports
 
-__all__ = [
-    "AdversaryModel",
-    "AdversaryStats",
-    "ChannelStats",
-    "ChannelType",
-    "EmailMessage",
-    "EmailService",
-    "IMMessage",
-    "IMService",
-    "IMSession",
-    "LatencyModel",
-    "Message",
-    "PresenceService",
-    "SMSGateway",
-    "SMSMessage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".adversary": ("AdversaryModel", "AdversaryStats"),
+    ".channel": ("ChannelStats", "LatencyModel"),
+    ".email": ("EmailMessage", "EmailService"),
+    ".im": ("IMMessage", "IMService", "IMSession"),
+    ".message": ("ChannelType", "Message"),
+    ".presence": ("PresenceService",),
+    ".sms": ("SMSGateway", "SMSMessage"),
+})

@@ -7,19 +7,9 @@ See :mod:`repro.obs.trace` for the design rules (pure observation,
 deterministic ordering, bounded memory).
 """
 
-from repro.obs.render import (
-    attribute_spans,
-    render_attribution,
-    render_span_tree,
-)
-from repro.obs.trace import LIFECYCLE_PREFIX, Span, TraceSink, lifecycle_trace
+from repro import lazy_exports
 
-__all__ = [
-    "LIFECYCLE_PREFIX",
-    "Span",
-    "TraceSink",
-    "attribute_spans",
-    "lifecycle_trace",
-    "render_attribution",
-    "render_span_tree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".render": ("attribute_spans", "render_attribution", "render_span_tree"),
+    ".trace": ("LIFECYCLE_PREFIX", "Span", "TraceSink", "lifecycle_trace"),
+})

@@ -18,55 +18,32 @@ randomness, :mod:`~repro.sim.clock` for time arithmetic, and
 :mod:`~repro.sim.failures` for fault injection.
 """
 
-from repro.errors import Interrupt
-from repro.sim.clock import (
-    DAY,
-    HOUR,
-    MINUTE,
-    SECOND,
-    WEEK,
-    format_time,
-    time_of_day,
-)
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.kernel import Environment
-from repro.sim.pool import EventPool
-from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import (
-    DEFAULT_SCHEDULER,
-    SCHEDULER_ENV_VAR,
-    HeapScheduler,
-    Scheduler,
-    TimerScope,
-    make_scheduler,
-)
-from repro.sim.stores import Store
-from repro.sim.wheel import WheelScheduler
+from repro import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "DAY",
-    "DEFAULT_SCHEDULER",
-    "Environment",
-    "Event",
-    "EventPool",
-    "HOUR",
-    "HeapScheduler",
-    "Interrupt",
-    "MINUTE",
-    "Process",
-    "RngRegistry",
-    "SCHEDULER_ENV_VAR",
-    "SECOND",
-    "Scheduler",
-    "Store",
-    "TimerScope",
-    "Timeout",
-    "WEEK",
-    "WheelScheduler",
-    "format_time",
-    "make_scheduler",
-    "time_of_day",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": ("Interrupt",),
+    ".clock": (
+        "DAY",
+        "HOUR",
+        "MINUTE",
+        "SECOND",
+        "WEEK",
+        "format_time",
+        "time_of_day",
+    ),
+    ".events": ("AllOf", "AnyOf", "Event", "Timeout"),
+    ".kernel": ("Environment",),
+    ".pool": ("EventPool",),
+    ".process": ("Process",),
+    ".rng": ("RngRegistry",),
+    ".scheduler": (
+        "DEFAULT_SCHEDULER",
+        "SCHEDULER_ENV_VAR",
+        "HeapScheduler",
+        "Scheduler",
+        "TimerScope",
+        "make_scheduler",
+    ),
+    ".stores": ("Store",),
+    ".wheel": ("WheelScheduler",),
+})

@@ -42,6 +42,11 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler, TimerScope, make_scheduler
 
+# The default backend.  ``make_scheduler`` imports it inside the call (it
+# subclasses ``Scheduler``), so the kernel loads it up front: no
+# ``Environment()`` inside a run is the first to compile it.
+import repro.sim.wheel  # noqa: F401
+
 _INFINITY = float("inf")
 
 

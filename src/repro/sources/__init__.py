@@ -14,19 +14,13 @@ WISH location source in :mod:`repro.wish` — each is a full substrate, not
 just an emitter.
 """
 
-from repro.sources.base import AlertSource
-from repro.sources.desktop import DesktopAssistant
-from repro.sources.portal import PortalAlertService
-from repro.sources.proxy import AlertProxy, ProxyRule
-from repro.sources.webserver import SimulatedWebSite
-from repro.sources.webstore import CommunityStore
+from repro import lazy_exports
 
-__all__ = [
-    "AlertProxy",
-    "AlertSource",
-    "CommunityStore",
-    "DesktopAssistant",
-    "PortalAlertService",
-    "ProxyRule",
-    "SimulatedWebSite",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("AlertSource",),
+    ".desktop": ("DesktopAssistant",),
+    ".portal": ("PortalAlertService",),
+    ".proxy": ("AlertProxy", "ProxyRule"),
+    ".webserver": ("SimulatedWebSite",),
+    ".webstore": ("CommunityStore",),
+})

@@ -27,79 +27,46 @@ Four pieces compose:
 failures shrunk — bit-for-bit reproducible for a fixed seed.
 """
 
-from repro.testkit.bugs import (
-    AbandonAmnesiaRetryStage,
-    SilentDropRetryStage,
-    drop_retry_stages,
-    silent_drop_stages,
-)
-from repro.testkit.generator import (
-    ADVERSARY_FAULT_KINDS,
-    ChaosIntensity,
-    FaultScheduleGenerator,
-    StormConfig,
-    StormEvent,
-    StormTrafficGenerator,
-)
-from repro.testkit.harness import (
-    ChaosReport,
-    ChaosRunConfig,
-    adversary_model_for,
-    run_chaos,
-)
-from repro.testkit.oracle import (
-    ADMISSION_TERMINAL_KINDS,
-    DeliveryOracle,
-    OracleReport,
-    Violation,
-    check_shard_count_invariance,
-)
-from repro.testkit.parallel import SweepPool, fanout, sweep_pool
-from repro.testkit.schedule import (
-    Reproducer,
-    dump_reproducer,
-    fault_from_dict,
-    fault_to_dict,
-    load_reproducer,
-    replay_reproducer,
-)
-from repro.testkit.shrink import ShrinkResult, shrink
-from repro.testkit.sweep import ChaosSweepResult, ChaosTrial, chaos_sweep
-from repro.testkit.trace_oracle import check_trace
+from repro import lazy_exports
 
-__all__ = [
-    "ADMISSION_TERMINAL_KINDS",
-    "ADVERSARY_FAULT_KINDS",
-    "AbandonAmnesiaRetryStage",
-    "adversary_model_for",
-    "ChaosIntensity",
-    "ChaosReport",
-    "ChaosRunConfig",
-    "ChaosSweepResult",
-    "ChaosTrial",
-    "DeliveryOracle",
-    "FaultScheduleGenerator",
-    "OracleReport",
-    "Reproducer",
-    "ShrinkResult",
-    "SilentDropRetryStage",
-    "StormConfig",
-    "StormEvent",
-    "StormTrafficGenerator",
-    "SweepPool",
-    "Violation",
-    "chaos_sweep",
-    "check_shard_count_invariance",
-    "check_trace",
-    "fanout",
-    "sweep_pool",
-    "drop_retry_stages",
-    "dump_reproducer",
-    "fault_from_dict",
-    "fault_to_dict",
-    "load_reproducer",
-    "replay_reproducer",
-    "run_chaos",
-    "shrink",
-    "silent_drop_stages",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bugs": (
+        "AbandonAmnesiaRetryStage",
+        "SilentDropRetryStage",
+        "drop_retry_stages",
+        "silent_drop_stages",
+    ),
+    ".generator": (
+        "ADVERSARY_FAULT_KINDS",
+        "ChaosIntensity",
+        "FaultScheduleGenerator",
+        "StormConfig",
+        "StormEvent",
+        "StormTrafficGenerator",
+    ),
+    ".harness": (
+        "ChaosReport",
+        "ChaosRunConfig",
+        "adversary_model_for",
+        "run_chaos",
+    ),
+    ".oracle": (
+        "ADMISSION_TERMINAL_KINDS",
+        "DeliveryOracle",
+        "OracleReport",
+        "Violation",
+        "check_shard_count_invariance",
+    ),
+    ".parallel": ("SweepPool", "fanout", "sweep_pool"),
+    ".schedule": (
+        "Reproducer",
+        "dump_reproducer",
+        "fault_from_dict",
+        "fault_to_dict",
+        "load_reproducer",
+        "replay_reproducer",
+    ),
+    ".shrink": ("ShrinkResult", "shrink"),
+    ".sweep": ("ChaosSweepResult", "ChaosTrial", "chaos_sweep"),
+    ".trace_oracle": ("check_trace",),
+})

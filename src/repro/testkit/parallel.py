@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import partial
-from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
@@ -45,6 +44,8 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def _pool_context():
     """Fork keeps worker start cheap and inherits the loaded modules; fall
     back to spawn where fork is unavailable (Windows, some macOS setups)."""
+    from multiprocessing import get_all_start_methods, get_context
+
     method = "fork" if "fork" in get_all_start_methods() else "spawn"
     return get_context(method)
 

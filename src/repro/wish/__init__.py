@@ -16,20 +16,12 @@ a nearest-neighbour-in-signal-space server (:mod:`~repro.wish.server`), and
 the privacy-guarded location alert service (:mod:`~repro.wish.alerts`).
 """
 
-from repro.wish.alerts import LocationTrigger, WISHAlertService
-from repro.wish.client import WISHClient
-from repro.wish.floorplan import AccessPoint, FloorPlan, Region
-from repro.wish.radio import PathLossModel
-from repro.wish.server import LocationEstimate, WISHServer
+from repro import lazy_exports
 
-__all__ = [
-    "AccessPoint",
-    "FloorPlan",
-    "LocationEstimate",
-    "LocationTrigger",
-    "PathLossModel",
-    "Region",
-    "WISHAlertService",
-    "WISHClient",
-    "WISHServer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".alerts": ("LocationTrigger", "WISHAlertService"),
+    ".client": ("WISHClient",),
+    ".floorplan": ("AccessPoint", "FloorPlan", "Region"),
+    ".radio": ("PathLossModel",),
+    ".server": ("LocationEstimate", "WISHServer"),
+})

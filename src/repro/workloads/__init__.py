@@ -7,27 +7,19 @@
   the category mix of the paper's §5 recovery log.
 """
 
-from repro.workloads.arrivals import (
-    BurstWindow,
-    DiurnalProfile,
-    poisson_arrival_times,
-    storm_arrival_times,
-)
-from repro.workloads.faultload import (
-    FaultloadSpec,
-    generate_month_faultload,
-    paper_faultload_spec,
-)
-from repro.workloads.portal_log import LogRecord, PortalLogGenerator
+from repro import lazy_exports
 
-__all__ = [
-    "BurstWindow",
-    "DiurnalProfile",
-    "FaultloadSpec",
-    "LogRecord",
-    "PortalLogGenerator",
-    "generate_month_faultload",
-    "paper_faultload_spec",
-    "poisson_arrival_times",
-    "storm_arrival_times",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".arrivals": (
+        "BurstWindow",
+        "DiurnalProfile",
+        "poisson_arrival_times",
+        "storm_arrival_times",
+    ),
+    ".faultload": (
+        "FaultloadSpec",
+        "generate_month_faultload",
+        "paper_faultload_spec",
+    ),
+    ".portal_log": ("LogRecord", "PortalLogGenerator"),
+})

@@ -46,6 +46,7 @@ from repro.net.message import ChannelType
 from repro.net.sms import DEFAULT_SMS_LATENCY, DEFAULT_SMS_LOSS, SMSGateway
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
+from repro.sources.base import AlertSource
 
 #: Patience for the user's own acknowledgement (humans are slower than MAB).
 USER_ACK_TIMEOUT = 30.0
@@ -369,8 +370,6 @@ class SimbaWorld:
 
     def create_source(self, name: str):
         """A generic :class:`~repro.sources.base.AlertSource` named ``name``."""
-        from repro.sources.base import AlertSource
-
         return AlertSource(self.env, name, self.create_source_endpoint(name))
 
     def start_mdc(

@@ -142,6 +142,15 @@ class TestAckProtocol:
         rig.env.run(until=30.0)
         assert len(rig.endpoint.alert_inbox) == 0
 
+    def test_unparsable_alert_payload_is_counted(self):
+        rig = Rig()
+        rig.endpoint.start()
+        rig.email.send("s@mail", "node@mail", "alert",
+                       "SIMBA-ALERT/1\nid=x\nsource=portal\n\nbody")
+        rig.env.run(until=30.0)
+        assert rig.endpoint.corrupt_discarded == 1
+        assert len(rig.endpoint.alert_inbox) == 0
+
     def test_ack_resolution_via_engine(self):
         """An outgoing ack-block delivery resolves from the receive loop."""
         rig = Rig(auto_ack=False)

@@ -186,6 +186,39 @@ class TestUserEndpoint:
         assert [r.channel for r in user.receipts] == [ChannelType.SMS]
         assert user.receipts[0].alert_id == alert.alert_id
 
+    def _cut_before_subject(self, world):
+        """An alert whose 160-character SMS cut falls before ``subject=``."""
+        alert = Alert(
+            source="investment-portal.example.com", keyword="Stocks",
+            subject="MSFT up 3%", body="MSFT up",
+            created_at=world.env.now,
+            alert_id="portal-alert-2026-10-18-000000001",
+        )
+        text = alert.encode()
+        assert len(text) == 184 and "\nsubject=" not in text[:160]
+        return alert
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_sms_cut_before_subject_recorded_via_correlation(self, seed):
+        world = SimbaWorld(WorldConfig(seed=seed, sms_latency=FIXED,
+                                       sms_loss=0.0))
+        user = world.create_user("u", present=True)
+        alert = self._cut_before_subject(world)
+        world.sms.send("simba", user.phone_number, alert.encode(),
+                       correlation=alert.alert_id)
+        world.run(until=60.0)
+        assert [r.alert_id for r in user.receipts] == [alert.alert_id]
+        assert user.receipts[0].channel is ChannelType.SMS
+
+    def test_sms_cut_without_correlation_is_counted(self):
+        world = make_world()
+        user = world.create_user("u", present=True)
+        alert = self._cut_before_subject(world)
+        world.sms.send("simba", user.phone_number, alert.encode())
+        world.run(until=60.0)
+        assert user.receipts == []
+        assert user.corrupt_discarded == 1
+
     def test_non_alert_im_ignored(self):
         world = make_world()
         user = world.create_user("u", present=True)

@@ -13,6 +13,7 @@ only what it says it moves.
    now land on the new shard (~1/N of them), never between old shards.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -66,7 +67,8 @@ def test_placement_deterministic_across_processes():
     out = subprocess.run(
         [sys.executable, "-c", script, src],
         capture_output=True, text=True, check=True,
-        env={"PYTHONHASHSEED": "random"},
+        # The environment as it is (its bytecode setting too), salted.
+        env={**os.environ, "PYTHONHASHSEED": "random"},
     )
     assert [int(tok) for tok in out.stdout.strip().split(",")] == expected
 

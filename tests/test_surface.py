@@ -12,7 +12,8 @@ The rule (DESIGN §6d, "Surface"): outside :data:`PAPER_SURFACE`,
 
 "Named" means an AST name or attribute, an import, or a string literal
 that is an identifier or a ``"module:attr"`` path (``getattr``/``hasattr``
-and ``E13_WORKLOAD``).  A package ``__init__``'s re-exports are not uses.
+and ``E13_WORKLOAD``).  A package ``__init__``'s re-exports — its
+imports, its ``__all__`` and its ``lazy_exports`` table — are not uses.
 Matching is by name, so the scan errs toward "used"; what it cannot follow
 (a callable stored in a registry and called under another name) is a
 :data:`KEPT` row.
@@ -268,6 +269,14 @@ def uses(root: Path = ROOT):
                 for t in node.targets
             ):
                 return
+            elif (
+                reexports
+                and isinstance(node, ast.Call)
+                and _name_of(node.func) == "lazy_exports"
+            ):
+                # The export table names what the package re-exports.
+                note("lazy_exports", node.lineno)
+                return
             if isinstance(node, ast.Call):
                 func, args = node.func, node.args
                 if _name_of(func) in ("partial", "partialmethod") and args:
@@ -419,11 +428,20 @@ def planted():
 '''
 
 
-def _tree(root: Path, caller: str) -> None:
+#: The two ways a package ``__init__`` re-exports ``mod``'s names.
+EAGER_INIT = "from pkg.mod import planted, used\n__all__ = ['planted', 'used']\n"
+LAZY_INIT = """\
+from repro import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".mod": ("planted", "used"),
+})
+"""
+
+
+def _tree(root: Path, caller: str, init: str = EAGER_INIT) -> None:
     (root / "src" / "pkg").mkdir(parents=True)
-    (root / "src" / "pkg" / "__init__.py").write_text(
-        "from pkg.mod import planted, used\n__all__ = ['planted', 'used']\n"
-    )
+    (root / "src" / "pkg" / "__init__.py").write_text(init)
     (root / "src" / "pkg" / "mod.py").write_text(PLANTED)
     (root / "examples").mkdir()
     (root / "examples" / "caller.py").write_text(caller)
@@ -434,6 +452,11 @@ def test_teeth_planted_findings_are_flagged(tmp_path):
     _tree(tmp_path, "from pkg.mod import used\nused(2)\n")
     assert unused_definitions(tmp_path, "pkg") == ["pkg.mod:planted"]
     assert unset_options(tmp_path, "pkg") == ["pkg.mod:used(option)"]
+
+
+def test_teeth_a_lazy_export_table_is_not_a_use(tmp_path):
+    _tree(tmp_path, "from pkg.mod import used\nused(2)\n", LAZY_INIT)
+    assert unused_definitions(tmp_path, "pkg") == ["pkg.mod:planted"]
 
 
 def test_teeth_a_caller_clears_them(tmp_path):
