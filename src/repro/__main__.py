@@ -21,15 +21,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from typing import Any, Callable
 
 from repro import experiments as ex
 from repro import metrics
-from repro.experiments.fault_tolerance import run_logging_window
 from repro.metrics.reports import format_table
-from repro.testkit.parallel import sweep_pool
 
 
 @dataclass(frozen=True)
@@ -59,6 +56,17 @@ class Experiment:
             for statement, predicate in self.holds
             if not predicate(result)
         ]
+
+
+def _late(package, name: str, **bound) -> Callable[..., Any]:
+    """``package.name``, looked up when called, with ``bound`` keywords
+    (the call's own win, as with ``partial``).  A row names its functions
+    without importing their modules, so ``list`` imports no experiment."""
+
+    def call(*args, **kwargs):
+        return getattr(package, name)(*args, **{**bound, **kwargs})
+
+    return call
 
 
 def _paper_table(title: str, *rows: tuple[str, str, str]):
@@ -98,6 +106,8 @@ def _run_e9(seed: int) -> dict:
     """The E6 month per variant label (``full-stack``, ``no-…``), and the
     targeted crash-after-ack window — a statistical month rarely hits it —
     with pessimistic logging on and off."""
+    from repro.experiments.fault_tolerance import run_logging_window
+
     return dict(
         month={r.label: r for r in ex.run_ha_ablation(seed=seed)},
         logged=run_logging_window(seed=seed, logging_enabled=True),
@@ -195,7 +205,7 @@ _e8_strategies_table = _sweep_table(
 EXPERIMENTS = {
     "e1": Experiment(
         "one-way IM < 1 s",
-        partial(ex.run_im_one_way, n_alerts=300),
+        _late(ex, "run_im_one_way", n_alerts=300),
         _paper_table(
             "E1: one-way IM delivery (source -> MyAlertBuddy)",
             ("one-way IM, median", "< 1 s", "{0.median:.2f} s"),
@@ -213,7 +223,7 @@ EXPERIMENTS = {
     ),
     "e2": Experiment(
         "logged ack ~1.5 s",
-        partial(ex.run_ack_roundtrip, n_alerts=300),
+        _late(ex, "run_ack_roundtrip", n_alerts=300),
         _paper_table(
             "E2: logged-ack round trip",
             ("ack round trip, mean", "~1.5 s", "{0.mean:.2f} s"),
@@ -230,7 +240,7 @@ EXPERIMENTS = {
     ),
     "e3": Experiment(
         "proxy -> user ~2.5 s",
-        partial(ex.run_proxy_routing, n_changes=120),
+        _late(ex, "run_proxy_routing", n_changes=120),
         _paper_table(
             "E3: proxy change to user IM",
             ("proxy -> MAB -> user, mean", "~2.5 s", "{0.mean:.2f} s"),
@@ -243,7 +253,7 @@ EXPERIMENTS = {
     ),
     "e4": Experiment(
         "Aladdin end-to-end ~11 s",
-        partial(ex.run_aladdin_disarm, n_presses=60),
+        _late(ex, "run_aladdin_disarm", n_presses=60),
         _paper_table(
             "E4: Aladdin end-to-end",
             ("remote press -> user IM, mean", "~11 s",
@@ -267,7 +277,7 @@ EXPERIMENTS = {
     ),
     "e5": Experiment(
         "WISH location ~5 s",
-        partial(ex.run_wish_location, n_moves=60),
+        _late(ex, "run_wish_location", n_moves=60),
         _paper_table(
             "E5: WISH location alert",
             ("laptop report -> subscriber IM, mean", "~5 s",
@@ -288,7 +298,7 @@ EXPERIMENTS = {
     ),
     "e6": Experiment(
         "one-month fault log",
-        ex.run_fault_month,
+        _late(ex, "run_fault_month"),
         _e6_table,
         holds=(
             ("5 extended IM downtimes (measured {0.im_outages})",
@@ -313,7 +323,7 @@ EXPERIMENTS = {
     ),
     "e7": Experiment(
         "portal scale 225k/778k",
-        partial(ex.run_portal_log, full_scale_days=2),
+        _late(ex, "run_portal_log", full_scale_days=2),
         _paper_table(
             "E7: portal usage-log scale",
             ("alerts/day", "~778,000", "{0.mean_alerts_per_day:,.0f}"),
@@ -340,7 +350,7 @@ EXPERIMENTS = {
     ),
     "e8": Experiment(
         "SIMBA vs baselines",
-        ex.run_comparison,
+        _late(ex, "run_comparison"),
         lambda result: _e8_strategies_table(result.strategies),
         # The table above each line has the numbers, by strategy.
         holds=(
@@ -409,7 +419,7 @@ EXPERIMENTS = {
     # E10-E14 print their own verdict line; the pair is that verdict.
     "e10": Experiment(
         "chaos sweep (oracle-checked)",
-        partial(ex.run_chaos_experiment, trials=5),
+        _late(ex, "run_chaos_experiment", trials=5),
         _e10_report,
         holds=(("every trial leaves the delivery oracle clean",
                 attrgetter("ok")),),
@@ -417,8 +427,8 @@ EXPERIMENTS = {
     ),
     "e11": Experiment(
         "warm-standby failover vs MDC-only",
-        ex.run_failover_comparison,
-        metrics.failover_report,
+        _late(ex, "run_failover_comparison"),
+        _late(metrics, "failover_report"),
         holds=(("the replicated pair loses nothing, routes nothing twice, "
                 "stays oracle-green and beats MDC-only at p95",
                 attrgetter("ok")),),
@@ -426,8 +436,8 @@ EXPERIMENTS = {
     ),
     "e12": Experiment(
         "storm hardening: admission on vs off",
-        ex.run_storm_comparison,
-        metrics.admission_report,
+        _late(ex, "run_storm_comparison"),
+        _late(metrics, "admission_report"),
         holds=(("the hardened farm lets no duplicate past dedup, accounts "
                 "every undelivered alert and stays oracle-green",
                 attrgetter("ok")),),
@@ -436,7 +446,7 @@ EXPERIMENTS = {
     "e13": Experiment(
         "sharded farm-of-farms beyond one core",
         _run_e13,
-        metrics.shard_report,
+        _late(metrics, "shard_report"),
         holds=(("every shard layout yields the same tenants, counts, "
                 "receipts and merged journal fingerprint",
                 attrgetter("invariance.ok")),),
@@ -444,8 +454,8 @@ EXPERIMENTS = {
     ),
     "e14": Experiment(
         "adversarial links: stabilizing vs naive transport",
-        ex.run_adversarial_comparison,
-        metrics.adversarial_report,
+        _late(ex, "run_adversarial_comparison"),
+        _late(metrics, "adversarial_report"),
         holds=(("the stabilizing transport accepts no corrupt frame and "
                 "re-applies no duplicate where the naive one does",
                 attrgetter("ok")),),
@@ -454,8 +464,8 @@ EXPERIMENTS = {
     # The sweeps' points are pinned here because the pairs index them.
     "a1": Experiment(
         "ack-timeout trade-off (ablation)",
-        partial(ex.run_ack_timeout_sweep,
-                timeouts=(2.0, 5.0, 15.0, 60.0), n_alerts=120),
+        _late(ex, "run_ack_timeout_sweep",
+              timeouts=(2.0, 5.0, 15.0, 60.0), n_alerts=120),
         _sweep_table(
             "A1: ack-timeout sweep under periodic MAB hangs",
             ("ack timeout", "{0.ack_timeout:.0f} s"),
@@ -483,8 +493,8 @@ EXPERIMENTS = {
     ),
     "a2": Experiment(
         "ack RTT = 2 x one-way + log write (ablation)",
-        partial(ex.run_log_latency_sweep,
-                write_latencies=(0.0, 0.25, 0.5, 1.0, 2.0), n_alerts=100),
+        _late(ex, "run_log_latency_sweep",
+              write_latencies=(0.0, 0.25, 0.5, 1.0, 2.0), n_alerts=100),
         _sweep_table(
             "A2: ack round trip vs pessimistic-log write latency",
             ("log write latency", "{0.write_latency:.2f} s"),
@@ -506,7 +516,7 @@ EXPERIMENTS = {
     ),
     "a3": Experiment(
         "WISH accuracy vs RF shadowing (ablation)",
-        partial(ex.run_wish_accuracy_sweep, sigmas=(0.0, 2.0, 4.0, 8.0)),
+        _late(ex, "run_wish_accuracy_sweep", sigmas=(0.0, 2.0, 4.0, 8.0)),
         _sweep_table(
             "A3: WISH location error vs RF shadowing noise",
             ("shadowing sigma", "{0.sigma:.1f} dB"),
@@ -575,6 +585,8 @@ def run_experiment(key: str, seed: int = 0, **flags) -> tuple[str, list[str]]:
     if "jobs" not in experiment.flags:
         result = experiment.run(seed=seed, **flags)
     else:
+        from repro.testkit.parallel import sweep_pool
+
         # One persistent pool for the whole experiment: its sweeps reuse
         # the same workers instead of forking a fresh Pool per fanout.
         with sweep_pool(jobs=flags.pop("jobs", None)):

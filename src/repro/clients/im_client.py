@@ -11,6 +11,7 @@ them); killing the client drops the session and invalidates all pointers.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.clients.automation import AutomationHandle, ClientSoftware
@@ -59,21 +60,7 @@ class IMClient(ClientSoftware):
         """Log on to the IM server (raises ChannelUnavailable during outages)."""
         self.guard(handle)
         self._session = session = self.service.login(self.address)
-        generation = self.generation
-
-        def surface(message: IMMessage) -> None:
-            """Move an arriving IM to the app-visible queue.
-
-            One hook per (session, client-instance).  A message arriving
-            while the client is hung is swallowed without being surfaced —
-            the UI froze mid-processing.
-            """
-            if not self.running or self.generation != generation:
-                session.hook = None  # client died; message is gone with it
-            elif not self.hung:
-                self.incoming.put(message)
-
-        session.hook = surface
+        session.hook = partial(_surface, self, session, self.generation)
 
     def logoff(self, handle: AutomationHandle) -> None:
         self.guard(handle)
@@ -125,3 +112,19 @@ class IMClient(ClientSoftware):
     def pending_incoming(self) -> int:
         """Messages surfaced but not yet consumed by the driving app."""
         return len(self.incoming)
+
+
+def _surface(
+    client: IMClient, session: IMSession, generation: int, message: IMMessage
+) -> None:
+    """A session's hook: move an arriving IM to the app-visible queue.
+
+    One hook per (session, client-instance), bound with ``partial`` (a
+    closure over three names is five objects, this is two).  A message
+    arriving while the client is hung is swallowed without being
+    surfaced — the UI froze mid-processing.
+    """
+    if not client.running or client.generation != generation:
+        session.hook = None  # client died; message is gone with it
+    elif not client.hung:
+        client.incoming.put(message)

@@ -18,26 +18,44 @@ from repro.errors import ConfigurationError
 
 
 class CategoryAggregator:
-    """Keyword → personal-category mapping with an optional default."""
+    """Keyword → personal-category mapping with an optional default.
+
+    The mapping is replaced, never changed in place, so :meth:`copy` can
+    hand it to many aggregators and each one still changes only its own.
+    """
 
     def __init__(self, default_category: Optional[str] = None):
         self._mapping: dict[str, str] = {}
         self.default_category = default_category
 
+    def copy(self) -> "CategoryAggregator":
+        """An aggregator with the same mapping and default."""
+        twin = CategoryAggregator(self.default_category)
+        twin._mapping = self._mapping
+        return twin
+
     def map_keyword(self, keyword: str, category: str) -> None:
         """Route ``keyword`` into ``category`` (re-mapping is allowed — that
         is exactly the §3.3 dynamic-customization scenario)."""
-        if not keyword or not category:
-            raise ConfigurationError("keyword and category must be non-empty")
-        self._mapping[keyword.casefold()] = category
+        self.map_keywords([keyword], category)
 
     def map_keywords(self, keywords: list[str], category: str) -> None:
         """Aggregate several keywords into one category at once."""
-        for keyword in keywords:
-            self.map_keyword(keyword, category)
+        if not category or not all(keywords):
+            raise ConfigurationError("keyword and category must be non-empty")
+        self._mapping = {
+            **self._mapping,
+            **{keyword.casefold(): category for keyword in keywords},
+        }
 
     def unmap_keyword(self, keyword: str) -> None:
-        self._mapping.pop(keyword.casefold(), None)
+        key = keyword.casefold()
+        if key in self._mapping:
+            self._mapping = {
+                mapped: category
+                for mapped, category in self._mapping.items()
+                if mapped != key
+            }
 
     def category_for(self, keyword: str) -> Optional[str]:
         """Resolve a native keyword to a personal category.

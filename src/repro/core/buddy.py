@@ -148,9 +148,16 @@ class BuddyJournal:
         self.events: "deque[JournalEvent] | list[JournalEvent]" = (
             deque(maxlen=max_events) if max_events is not None else []
         )
-        self.rejuvenations: list[RejuvenationRecord] = []
-        self._counts: Counter[str] = Counter()
+        self._rejuvenations: Optional[list[RejuvenationRecord]] = None
+        self._counts: dict[str, int] = {}
         self.total_events = 0
+
+    @property
+    def rejuvenations(self) -> list[RejuvenationRecord]:
+        """Every rejuvenation, oldest first (built by the first one)."""
+        if self._rejuvenations is None:
+            self._rejuvenations = []
+        return self._rejuvenations
 
     def record(
         self, at: float, kind: str, detail: str = "", alert_id: Optional[str] = None
@@ -158,11 +165,12 @@ class BuddyJournal:
         self.events.append(
             JournalEvent(at=at, kind=kind, detail=detail, alert_id=alert_id)
         )
-        self._counts[kind] += 1
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
         self.total_events += 1
 
     def count(self, kind: str) -> int:
-        return self._counts[kind]
+        return self._counts.get(kind, 0)
 
     def counts(self) -> Counter:
         """A copy of every per-kind tally (for aggregate farm rollups)."""
@@ -343,6 +351,8 @@ class MyAlertBuddy:
                 kick.succeed()
             yield from self._recover()
             while self.alive:
+                # Parked, the loop pins nothing of the alert it last routed.
+                incoming = None
                 incoming = yield self.endpoint.alert_inbox.get()
                 if self.hung:
                     # A hung process holds the item forever; the MDC restart

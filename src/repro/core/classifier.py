@@ -14,7 +14,7 @@ alert services, and the information about how to unsubscribe them".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.alert import Alert
@@ -78,7 +78,12 @@ class ExtractionRule:
 
 @dataclass
 class ServiceRecord:
-    """What MAB remembers about each subscribed alert service."""
+    """What MAB remembers about each subscribed alert service.
+
+    ``alerts_seen`` is this classifier's own count: the stored record is
+    shared by every classifier copied from one table (a farm profile's), and
+    :meth:`AlertClassifier.subscribed_services` fills the count in.
+    """
 
     source: str
     rule: ExtractionRule
@@ -87,10 +92,23 @@ class ServiceRecord:
 
 
 class AlertClassifier:
-    """Accepted-source registry plus keyword extraction."""
+    """Accepted-source registry plus keyword extraction.
+
+    The accepted-source table is replaced, never changed in place, so
+    :meth:`copy` can hand it to many classifiers — every tenant of a farm
+    profile — and each one still changes only its own.
+    """
 
     def __init__(self):
         self._services: dict[str, ServiceRecord] = {}
+        #: Alerts classified per source by this classifier.
+        self._seen: dict[str, int] = {}
+
+    def copy(self) -> "AlertClassifier":
+        """A classifier accepting the same sources, with its own counts."""
+        twin = AlertClassifier()
+        twin._services = self._services
+        return twin
 
     def accept_source(
         self,
@@ -105,19 +123,32 @@ class AlertClassifier:
             raise ConfigurationError(
                 f"rule source {rule.source!r} does not match {source!r}"
             )
-        self._services[source] = ServiceRecord(
-            source=source, rule=rule, unsubscribe_info=unsubscribe_info
-        )
+        self._services = {
+            **self._services,
+            source: ServiceRecord(
+                source=source, rule=rule, unsubscribe_info=unsubscribe_info
+            ),
+        }
+        self._seen.pop(source, None)
 
     def drop_source(self, source: str) -> None:
-        self._services.pop(source, None)
+        if source in self._services:
+            self._services = {
+                name: record
+                for name, record in self._services.items()
+                if name != source
+            }
+        self._seen.pop(source, None)
 
     def is_accepted(self, source: str) -> bool:
         return source in self._services
 
     def subscribed_services(self) -> list[ServiceRecord]:
         """The maintained list of services (with unsubscribe info)."""
-        return list(self._services.values())
+        return [
+            replace(record, alerts_seen=self._seen.get(source, 0))
+            for source, record in self._services.items()
+        ]
 
     def classify(self, alert: Alert, sender: str = "") -> str:
         """Return the native keyword for an alert.
@@ -126,9 +157,11 @@ class AlertClassifier:
         unwanted alerts is "extremely intrusive" (§3.3), so anything not on
         the accepted list is refused outright.
         """
-        record = self._services.get(alert.source)
+        source = alert.source
+        record = self._services.get(source)
         if record is None:
-            raise AlertRejected(f"source {alert.source!r} is not accepted")
+            raise AlertRejected(f"source {source!r} is not accepted")
         keyword = record.rule.extract(alert, sender)
-        record.alerts_seen += 1
+        seen = self._seen
+        seen[source] = seen.get(source, 0) + 1
         return keyword

@@ -91,14 +91,17 @@ class DeliveryMode:
             raise ConfigurationError(
                 f"delivery mode {self.name!r} needs >= 1 communication block"
             )
-
-    def referenced_addresses(self) -> set[str]:
-        """Every friendly name any action in this mode refers to."""
-        return {
+        object.__setattr__(self, "_addresses", frozenset(
             action.address_ref
             for block in self.blocks
             for action in block.actions
-        }
+        ))
+
+    def referenced_addresses(self) -> frozenset[str]:
+        """Every friendly name any action in this mode refers to.  Computed
+        once: a shared mode is checked against every book that registers
+        it."""
+        return self._addresses
 
 
 def im_ack_then_email(

@@ -227,6 +227,8 @@ class SimbaEndpoint:
     def _im_loop(self, generation: int):
         """Pump IMs: route acks to the engine, alerts to the inbox."""
         while self.running and self._generation == generation:
+            # Parked, a loop pins nothing of the message it last handled.
+            message = None
             message = yield self.im_client.incoming.get()
             if not self.running or self._generation != generation:
                 # This loop is stale (endpoint stopped or restarted): the
@@ -256,6 +258,7 @@ class SimbaEndpoint:
     def _email_loop(self, generation: int):
         """Pump emails; alerts to the inbox, the rest to the command hook."""
         while self.running and self._generation == generation:
+            message = None  # as in _im_loop
             try:
                 message = yield self.email_client.fetch_next(
                     self.email_manager.handle

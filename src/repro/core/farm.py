@@ -15,9 +15,15 @@ layer:
   registering thousands of targets with the source.
 - **Determinism by sharding**: tenants are assigned round-robin to shards;
   farm-level randomness (launch staggering) draws from per-shard RNG
-  streams, and each deployment keeps its own per-user stream, so results
-  are independent of tenant creation order and identical across runs for a
-  fixed seed.
+  streams (each built by its first draw), and each deployment keeps its own
+  per-user stream, so results are independent of tenant creation order and
+  identical across runs for a fixed seed.
+- **Shared profile configuration**: what every tenant of one
+  :class:`FarmProfile` holds alike — accepted sources, keyword map,
+  categories, delivery modes — is built once per farm and shared;
+  its tables are replaced, never changed in place, so a tenant's own
+  ``accept_source`` / ``map_keyword`` / ``subscribe`` / ``register_mode``
+  still change that tenant only.
 - **Aggregate rollups**: journal tallies (O(kinds) per tenant thanks to the
   journal's incremental counters), receipt latencies and delivery ratios
   across the whole farm.
@@ -35,11 +41,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro.core.aggregator import CategoryAggregator
+from repro.core.buddy import BuddyConfig
+from repro.core.classifier import AlertClassifier
+from repro.core.filters import FilterPolicy
+from repro.core.rejuvenation import RejuvenationPolicy
 from repro.core.replication import FencingService, ReplicatedPair, build_pair
+from repro.core.subscription import SubscriptionLayer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.addresses import AddressBook
     from repro.core.admission import AdmissionConfig
+    from repro.core.delivery_modes import DeliveryMode
     from repro.core.user_endpoint import Receipt, UserEndpoint
     from repro.core.watchdog import MasterDaemonController
     from repro.world import BuddyDeployment, SimbaWorld
@@ -91,6 +104,58 @@ class FarmTenant:
     pair: Optional["ReplicatedPair"] = field(repr=False, default=None)
 
 
+class _ProfileConfig:
+    """What every tenant of one :class:`FarmProfile` holds alike, built
+    once per farm: the accepted-source table, the keyword map, the
+    categories and the standard delivery modes.
+
+    A tenant's :class:`~repro.core.buddy.BuddyConfig` stays its own (a
+    harness sets hooks on it), and so do its classifier, aggregator, filter
+    policy and subscription layer objects; their tables are these, until the
+    tenant changes one.  (A fresh filter policy holds no table of its own.)
+    """
+
+    def __init__(self, profile: FarmProfile):
+        from repro.world import standard_modes, standard_user_book
+
+        self.profile = profile
+        self.user_book = standard_user_book
+        self.classifier = AlertClassifier()
+        for source_name in profile.accept_sources:
+            self.classifier.accept_source(source_name)
+        self.aggregator = CategoryAggregator()
+        for category in profile.categories:
+            self.aggregator.map_keyword(category, category)
+        self.categories = frozenset(profile.categories)
+        self.modes: dict[str, "DeliveryMode"] = {
+            mode.name: mode for mode in standard_modes()
+        }
+
+    def config_for(self, user: "UserEndpoint") -> BuddyConfig:
+        """A tenant's own config over the shared tables, with ``user``
+        registered and subscribed as the profile says."""
+        profile = self.profile
+        subscriptions = SubscriptionLayer(self.categories)
+        subscriptions.register_user(user.name, self.user_book(user), self.modes)
+        for category in profile.categories:
+            subscriptions.subscribe(category, user.name, profile.mode_name)
+        config = BuddyConfig(
+            user=user.name,
+            classifier=self.classifier.copy(),
+            aggregator=self.aggregator.copy(),
+            filters=FilterPolicy(),
+            subscriptions=subscriptions,
+            rejuvenation=RejuvenationPolicy(
+                nightly_enabled=profile.nightly_enabled
+            ),
+            monkey_enabled=profile.monkey_enabled,
+            admission=profile.admission,
+        )
+        if profile.sanity_interval is not None:
+            config.sanity_interval = profile.sanity_interval
+        return config
+
+
 class BuddyFarm:
     """Multi-tenant deployment layer over one :class:`SimbaWorld`."""
 
@@ -107,9 +172,7 @@ class BuddyFarm:
         self.profile = profile if profile is not None else FarmProfile()
         self.tenants: dict[str, FarmTenant] = {}
         self._by_index: list[FarmTenant] = []
-        self._shard_rngs = [
-            world.rngs.stream(f"farm-shard-{shard}") for shard in range(shards)
-        ]
+        self._shared: Optional[_ProfileConfig] = None
         self._launched = False
 
     def __len__(self) -> int:
@@ -126,27 +189,17 @@ class BuddyFarm:
         """Create one user + deployment, configured per the profile."""
         profile = self.profile
         world = self.world
+        if self._shared is None:
+            self._shared = _ProfileConfig(profile)
         index = len(self._by_index)
         user = world.create_user(
             name, present=profile.present, ack_enabled=profile.ack_enabled
         )
         deployment = world.create_buddy(
-            user, journal_max_events=profile.journal_max_events
+            user,
+            journal_max_events=profile.journal_max_events,
+            config=self._shared.config_for(user),
         )
-        deployment.register_user_endpoint(user)
-        for category in profile.categories:
-            deployment.subscribe(
-                category, user, profile.mode_name, keywords=[category]
-            )
-        for source_name in profile.accept_sources:
-            deployment.config.classifier.accept_source(source_name)
-        if profile.sanity_interval is not None:
-            deployment.config.sanity_interval = profile.sanity_interval
-        deployment.config.monkey_enabled = profile.monkey_enabled
-        deployment.config.rejuvenation.nightly_enabled = profile.nightly_enabled
-        if profile.admission is not None:
-            deployment.config.admission = profile.admission
-
         tenant = FarmTenant(
             name=name,
             index=index,
@@ -192,10 +245,14 @@ class BuddyFarm:
             raise RuntimeError("farm already launched")
         self._launched = True
         stagger = self.profile.launch_stagger
+        rngs = self.world.rngs
         for tenant in self._by_index:
             if stagger > 0.0:
+                # The shard's stream, built by its first draw.
                 delay = float(
-                    self._shard_rngs[tenant.shard].uniform(0.0, stagger)
+                    rngs.stream(f"farm-shard-{tenant.shard}").uniform(
+                        0.0, stagger
+                    )
                 )
                 self.world.env.process(
                     self._delayed_launch(tenant, delay),

@@ -51,21 +51,26 @@ class FilterDecision(enum.Enum):
     OUTSIDE_DELIVERY_WINDOW = "outside_delivery_window"
 
 
+#: What a fresh policy disables: one shared empty set, not one each.
+_NOTHING_DISABLED: frozenset[str] = frozenset()
+
+
 class FilterPolicy:
     """Per-category suppression state for one user."""
 
     def __init__(self):
-        self._disabled: set[str] = set()
+        #: Replaced, never changed in place, so it starts shared.
+        self._disabled: frozenset[str] = _NOTHING_DISABLED
         #: category → window during which delivery is ALLOWED.  No entry
         #: means deliver at any time.
         self._windows: dict[str, TimeWindow] = {}
 
     def disable_category(self, category: str) -> None:
         """Temporarily block a category ("avoid distractions", §3.3)."""
-        self._disabled.add(category)
+        self._disabled = self._disabled | {category}
 
     def enable_category(self, category: str) -> None:
-        self._disabled.discard(category)
+        self._disabled = self._disabled - {category}
 
     def is_disabled(self, category: str) -> bool:
         return category in self._disabled

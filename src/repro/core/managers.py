@@ -68,6 +68,25 @@ class ManagerStats:
     submission_failures: int = 0
 
 
+class _Counted:
+    """A manager's recovery counters.  Each reads as the class's zero until
+    its first count, so a manager that never counts stores none."""
+
+    sanity_checks = relogons = restarts = 0
+    submissions = submission_failures = 0
+
+    @property
+    def stats(self) -> ManagerStats:
+        """The counters as they stand now."""
+        return ManagerStats(
+            sanity_checks=self.sanity_checks,
+            relogons=self.relogons,
+            restarts=self.restarts,
+            submissions=self.submissions,
+            submission_failures=self.submission_failures,
+        )
+
+
 class _DialogHandling:
     """The Dialog-box Handling API: the manager's monkey thread, built on
     first use — a tenant whose monkeys are off never builds one."""
@@ -95,7 +114,7 @@ class _DialogHandling:
         self.monkey.register_rule(caption, button)
 
 
-class IMManager(_DialogHandling):
+class IMManager(_DialogHandling, _Counted):
     """Manager for the GUI IM client."""
 
     #: Captions this client software is known to pop (client-specific pairs).
@@ -112,7 +131,6 @@ class IMManager(_DialogHandling):
     ):
         self.env = env
         self.client = client
-        self.stats = ManagerStats()
         self._handle: Optional[AutomationHandle] = None
 
     # ------------------------------------------------------------------
@@ -148,7 +166,7 @@ class IMManager(_DialogHandling):
 
     def restart(self) -> None:
         """The Shutdown/Restart API."""
-        self.stats.restarts += 1
+        self.restarts += 1
         self.client.terminate()
         self._handle = self.client.start()
         try:
@@ -174,7 +192,7 @@ class IMManager(_DialogHandling):
 
     def sanity_check(self) -> SanityReport:
         """Check, repair what is repairable, report the rest."""
-        self.stats.sanity_checks += 1
+        self.sanity_checks += 1
         report = SanityReport(healthy=True)
 
         if not self.client.running or self._handle is None or not self._handle.valid():
@@ -208,7 +226,7 @@ class IMManager(_DialogHandling):
             report.issues.append("client logged out")
             try:
                 self.client.logon(self.handle)
-                self.stats.relogons += 1
+                self.relogons += 1
                 report.repairs.append("re-logon")
             except ChannelUnavailable:
                 report.service_down = True
@@ -244,17 +262,17 @@ class IMManager(_DialogHandling):
         correlation: Optional[str] = None,
     ) -> IMMessage:
         """Send one IM through the client; raises on any failure."""
-        self.stats.submissions += 1
+        self.submissions += 1
         try:
             return self.client.send_instant_message(
                 self.handle, address, body, subject=subject, correlation=correlation
             )
         except (AutomationError, ChannelError):
-            self.stats.submission_failures += 1
+            self.submission_failures += 1
             raise
 
 
-class EmailManager(_DialogHandling):
+class EmailManager(_DialogHandling, _Counted):
     """Manager for the GUI email client."""
 
     CLIENT_DIALOG_RULES = {
@@ -269,7 +287,6 @@ class EmailManager(_DialogHandling):
     ):
         self.env = env
         self.client = client
-        self.stats = ManagerStats()
         self._handle: Optional[AutomationHandle] = None
 
     @property
@@ -285,7 +302,7 @@ class EmailManager(_DialogHandling):
             self.restart()
 
     def restart(self) -> None:
-        self.stats.restarts += 1
+        self.restarts += 1
         self.client.terminate()
         self._handle = self.client.start()
 
@@ -294,7 +311,7 @@ class EmailManager(_DialogHandling):
         self._handle = None
 
     def sanity_check(self) -> SanityReport:
-        self.stats.sanity_checks += 1
+        self.sanity_checks += 1
         report = SanityReport(healthy=True)
         if not self.client.running or self._handle is None or not self._handle.valid():
             report.issues.append("client process dead or pointer stale")
@@ -330,7 +347,7 @@ class EmailManager(_DialogHandling):
         correlation: Optional[str] = None,
         importance: str = "normal",
     ) -> EmailMessage:
-        self.stats.submissions += 1
+        self.submissions += 1
         try:
             return self.client.send_mail(
                 self.handle,
@@ -341,17 +358,16 @@ class EmailManager(_DialogHandling):
                 correlation=correlation,
             )
         except (AutomationError, ChannelError):
-            self.stats.submission_failures += 1
+            self.submission_failures += 1
             raise
 
 
-class SMSManager:
+class SMSManager(_Counted):
     """Gateway-facing SMS sender (no client software to manage)."""
 
     def __init__(self, env: "Environment", gateway: SMSGateway):
         self.env = env
         self.gateway = gateway
-        self.stats = ManagerStats()
 
     def ensure_started(self) -> None:
         """Nothing to start; present for interface uniformity."""
@@ -360,7 +376,7 @@ class SMSManager:
         """Nothing to shut down."""
 
     def sanity_check(self) -> SanityReport:
-        self.stats.sanity_checks += 1
+        self.sanity_checks += 1
         if self.gateway.available:
             return SanityReport(healthy=True)
         return SanityReport(
@@ -375,10 +391,10 @@ class SMSManager:
         correlation: Optional[str] = None,
     ) -> SMSMessage:
         """SMS has no subject line; it is folded into the 160-char body."""
-        self.stats.submissions += 1
+        self.submissions += 1
         text = f"{subject}: {body}" if subject else body
         try:
             return self.gateway.send("simba", address, text, correlation=correlation)
         except ChannelError:
-            self.stats.submission_failures += 1
+            self.submission_failures += 1
             raise

@@ -29,14 +29,15 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
+from repro.core.alert import Alert
 from repro.core.endpoint import IncomingAlert, SimbaEndpoint
 from repro.core.filters import FilterDecision
 from repro.core.pessimistic_log import TERMINAL_KINDS, DeliveryStatus
 from repro.errors import AlertRejected
+from repro.net.message import ChannelType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.admission import AdmissionController
-    from repro.core.alert import Alert
     from repro.core.buddy import BuddyConfig, BuddyJournal
     from repro.core.pessimistic_log import LogEntry, PessimisticLog
     from repro.core.subscription import Subscription
@@ -404,30 +405,31 @@ class RetryStage(PipelineStage):
         ctx.endpoint.alert_inbox.put(retry)
 
 
-def default_stages(admission: bool = False) -> list[PipelineStage]:
+#: The standard stage tuples.  Stages keep no state between alerts, so
+#: every pipeline shares these instances.
+_STANDARD_STAGES: tuple[PipelineStage, ...] = (
+    ClassifyStage(),
+    AggregateStage(),
+    FilterStage(),
+    RouteStage(),
+    RetryStage(),
+)
+_HARDENED_STAGES: tuple[PipelineStage, ...] = (
+    AdmissionStage(),
+    *_STANDARD_STAGES[:3],
+    ThrottleStage(),
+    *_STANDARD_STAGES[3:],
+)
+
+
+def default_stages(admission: bool = False) -> tuple[PipelineStage, ...]:
     """The paper's §4.2 order: classify → aggregate → filter → route → retry.
 
     With ``admission`` the hardening stages slot in: storm shedding before
     any per-alert work is paid, token-bucket pacing after filtering (no
     point spending tokens on alerts a filter would drop anyway).
     """
-    if not admission:
-        return [
-            ClassifyStage(),
-            AggregateStage(),
-            FilterStage(),
-            RouteStage(),
-            RetryStage(),
-        ]
-    return [
-        AdmissionStage(),
-        ClassifyStage(),
-        AggregateStage(),
-        FilterStage(),
-        ThrottleStage(),
-        RouteStage(),
-        RetryStage(),
-    ]
+    return _HARDENED_STAGES if admission else _STANDARD_STAGES
 
 
 class AlertPipeline:
@@ -463,7 +465,7 @@ class AlertPipeline:
             # Per-channel provider limits live at the submission layer.
             endpoint.engine.admission = self.admission
         self.stages = (
-            list(stages)
+            tuple(stages)
             if stages is not None
             else default_stages(admission=self.admission is not None)
         )
@@ -604,9 +606,6 @@ class AlertPipeline:
         "Every time MyAlertBuddy is restarted, it first checks the log file
         for unprocessed IMs before accepting new alerts" (§4.2.1).
         """
-        from repro.core.alert import Alert
-        from repro.net.message import ChannelType
-
         tracer = self.env.tracer
         for entry in self.log.unprocessed():
             self.journal.record(

@@ -12,7 +12,7 @@ send IMs or emails with special keywords to explicitly trigger rejuvenation."
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.clock import HOUR
 
@@ -35,7 +35,8 @@ class RejuvenationPolicy:
 
     nightly_enabled: bool = True
     nightly_time: float = DEFAULT_NIGHTLY_TIME
-    keywords: set[str] = field(default_factory=lambda: {DEFAULT_KEYWORD})
+    #: Frozen, so every policy can hold the default one.
+    keywords: frozenset[str] = frozenset({DEFAULT_KEYWORD})
     exception_triggered: bool = True
 
     def matches_keyword(self, text: str) -> bool:

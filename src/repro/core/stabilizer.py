@@ -43,6 +43,7 @@ class SelfStabilizer:
         self.env = env
         self.on_unrectifiable = on_unrectifiable
         self._tasks: dict[str, tuple[float, Callable[[], list[str]]]] = {}
+        #: Each task's history, from its first run.
         self.records: dict[str, TaskRecord] = {}
         #: One cohort membership per interval group (cancelled by
         #: :meth:`stop`).
@@ -58,7 +59,6 @@ class SelfStabilizer:
         if name in self._tasks:
             raise ValueError(f"duplicate stabilization task {name!r}")
         self._tasks[name] = (interval, check)
-        self.records[name] = TaskRecord(name=name, interval=interval)
 
     def start(self) -> None:
         """Join one cohort per task interval (idempotent); each tick runs
@@ -86,7 +86,11 @@ class SelfStabilizer:
     # ------------------------------------------------------------------
 
     def _execute(self, name: str, check: Callable[[], list[str]]) -> None:
-        record = self.records[name]
+        record = self.records.get(name)
+        if record is None:
+            record = self.records[name] = TaskRecord(
+                name=name, interval=self._tasks[name][0]
+            )
         record.runs += 1
         try:
             corrections = check()

@@ -11,6 +11,7 @@ different delivery mode" — the multi-subscriber case enables alert sharing
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 from repro.core.addresses import AddressBook
 from repro.core.delivery_modes import DeliveryMode
@@ -27,24 +28,40 @@ class Subscription:
 
 
 class SubscriptionLayer:
-    """Registry of users, addresses, categories, modes and subscriptions."""
+    """Registry of users, addresses, categories, modes and subscriptions.
 
-    def __init__(self):
+    The category set and each user's mode table are replaced, never changed
+    in place, so one of each can be shared by every tenant of a farm
+    profile (``categories`` here, ``modes`` in :meth:`register_user`) and
+    each layer still changes only its own.
+    """
+
+    def __init__(self, categories: Iterable[str] = ()):
         self._address_books: dict[str, AddressBook] = {}
-        self._modes: dict[str, dict[str, DeliveryMode]] = {}
-        self._categories: set[str] = set()
+        self._modes: dict[str, Mapping[str, DeliveryMode]] = {}
+        self._categories: frozenset[str] = frozenset(categories)
         self._subscriptions: dict[str, list[Subscription]] = {}
 
     # ------------------------------------------------------------------
     # Registration APIs
     # ------------------------------------------------------------------
 
-    def register_user(self, user: str, address_book: AddressBook) -> None:
-        """Register a user with their address book."""
+    def register_user(
+        self,
+        user: str,
+        address_book: AddressBook,
+        modes: Optional[Mapping[str, DeliveryMode]] = None,
+    ) -> None:
+        """Register a user with their address book and, optionally, a
+        table of delivery modes by name (validated like
+        :meth:`register_mode`, and kept as given)."""
         if user in self._address_books:
             raise SubscriptionError(f"user {user!r} already registered")
+        names = {address.friendly_name for address in address_book}
+        for mode in (modes or {}).values():
+            _check_addresses(user, mode, names)
         self._address_books[user] = address_book
-        self._modes[user] = {}
+        self._modes[user] = modes if modes is not None else {}
 
     def address_book(self, user: str) -> AddressBook:
         try:
@@ -57,15 +74,10 @@ class SubscriptionLayer:
         reference against the user's book up front (fail fast, not at
         routing time)."""
         book = self.address_book(user)
-        missing = mode.referenced_addresses() - {
-            a.friendly_name for a in book
-        }
-        if missing:
-            raise SubscriptionError(
-                f"mode {mode.name!r} references unknown addresses "
-                f"{sorted(missing)} for user {user!r}"
-            )
-        self._modes[user][mode.name] = mode
+        _check_addresses(
+            user, mode, {address.friendly_name for address in book}
+        )
+        self._modes[user] = {**self._modes[user], mode.name: mode}
 
     def mode(self, user: str, mode_name: str) -> DeliveryMode:
         self.address_book(user)  # validates the user exists
@@ -84,11 +96,12 @@ class SubscriptionLayer:
         """Declare a personal alert category (idempotent)."""
         if not category:
             raise SubscriptionError("category name must be non-empty")
-        self._categories.add(category)
+        if category not in self._categories:
+            self._categories = self._categories | {category}
 
     @property
     def categories(self) -> frozenset[str]:
-        return frozenset(self._categories)
+        return self._categories
 
     # ------------------------------------------------------------------
     # Subscription API
@@ -129,3 +142,12 @@ class SubscriptionLayer:
             for s in subs
             if s.user == user
         ]
+
+
+def _check_addresses(user: str, mode: DeliveryMode, names: set[str]) -> None:
+    missing = mode.referenced_addresses() - names
+    if missing:
+        raise SubscriptionError(
+            f"mode {mode.name!r} references unknown addresses "
+            f"{sorted(missing)} for user {user!r}"
+        )

@@ -101,8 +101,8 @@ class UserEndpoint:
         self._started = True
         if self._present:
             self._login()
-        self.sms_gateway.phone(self.phone_number).hook = self._on_sms
-        self.email_service.mailbox(self.email_address).hook = self._on_mail
+        self.sms_gateway.install_hook(self.phone_number, self._on_sms)
+        self.email_service.install_hook(self.email_address, self._on_mail)
         # The reconnect poll ticks in the cohort of its instant, asleep
         # while it has nothing to do (DESIGN §6b).
         self._poll = self.env.every(RECONNECT_INTERVAL, self._reconnect)
@@ -194,6 +194,8 @@ class UserEndpoint:
 
     def _im_loop(self, session: IMSession):
         while session.active and self._present:
+            # Parked, the loop pins nothing of the IM it last read.
+            message = alert = None
             message = yield session.receive()
             if message.corrupt:
                 # Failed checksum: never acked, so the MAB's ack timeout

@@ -47,16 +47,23 @@ class Mailbox:
         self.env = env
         self.address = address
         self._unread: Store = Store(env)
-        self.read: list[EmailMessage] = []
+        self._read: Optional[list[EmailMessage]] = None
         #: Delivery hook, called at arrival time in place of the queue put.
         self.hook: Optional[Callable[["EmailMessage"], None]] = None
+
+    @property
+    def read(self) -> list[EmailMessage]:
+        """Messages marked read, oldest first (built by the first one)."""
+        if self._read is None:
+            self._read = []
+        return self._read
 
     @property
     def unread_count(self) -> int:
         return len(self._unread)
 
     def peek_unread(self) -> list[EmailMessage]:
-        return list(self._unread.items)
+        return self._unread.items
 
     def deposit(self, message: EmailMessage) -> None:
         if self.hook is not None:
@@ -68,10 +75,12 @@ class Mailbox:
     def receive(self):
         """Event yielding the next unread message (it is marked read)."""
         get_event = self._unread.get()
-        get_event.callbacks.append(
-            lambda evt: self.read.append(evt.value) if evt.ok else None
-        )
+        get_event.callbacks.append(self._mark_read)
         return get_event
+
+    def _mark_read(self, event) -> None:
+        if event.ok:
+            self.read.append(event.value)
 
     def put_back(self, message: "EmailMessage") -> None:
         """Return a received message to the head of the unread queue.
@@ -99,12 +108,28 @@ class EmailService(ChannelBase):
         self.latency = latency
         self.loss_probability = loss_probability
         self._mailboxes: dict[str, Mailbox] = {}
+        #: Arrival hooks of mailboxes not built yet.
+        self._hooks: dict[str, Callable[[EmailMessage], None]] = {}
 
     def mailbox(self, address: str) -> Mailbox:
         """Return (creating on first use) the mailbox for ``address``."""
-        if address not in self._mailboxes:
-            self._mailboxes[address] = Mailbox(self.env, address)
-        return self._mailboxes[address]
+        box = self._mailboxes.get(address)
+        if box is None:
+            box = self._mailboxes[address] = Mailbox(self.env, address)
+            box.hook = self._hooks.pop(address, None)
+        return box
+
+    def install_hook(
+        self, address: str, hook: Callable[[EmailMessage], None]
+    ) -> None:
+        """Set ``address``'s :attr:`Mailbox.hook`.  A reader that reads on
+        arrival needs no mailbox before mail comes, so an unbuilt one is
+        built, hook and all, by the first message or lookup."""
+        box = self._mailboxes.get(address)
+        if box is None:
+            self._hooks[address] = hook
+        else:
+            box.hook = hook
 
     def send(
         self,

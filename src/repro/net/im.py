@@ -158,7 +158,7 @@ class IMService(ChannelBase):
     @staticmethod
     def _end(session: IMSession) -> None:
         session.active = False
-        session.hook = None  # its closure holds the session: no cycle
+        session.hook = None  # the hook holds the session: no cycle
         on_end, session.on_end = session.on_end, None
         if on_end is not None:
             on_end()

@@ -68,12 +68,28 @@ class SMSGateway(ChannelBase):
         self.latency = latency
         self.loss_probability = loss_probability
         self._phones: dict[str, Phone] = {}
+        #: Arrival hooks of handsets not built yet.
+        self._hooks: dict[str, Callable[[SMSMessage], None]] = {}
 
     def phone(self, number: str) -> Phone:
         """Return (creating on first use) the handset for ``number``."""
-        if number not in self._phones:
-            self._phones[number] = Phone(self.env, number)
-        return self._phones[number]
+        phone = self._phones.get(number)
+        if phone is None:
+            phone = self._phones[number] = Phone(self.env, number)
+            phone.hook = self._hooks.pop(number, None)
+        return phone
+
+    def install_hook(
+        self, number: str, hook: Callable[[SMSMessage], None]
+    ) -> None:
+        """Set ``number``'s :attr:`Phone.hook`.  A handset read on arrival
+        is needed only when a message comes, so an unbuilt one is built,
+        hook and all, by the first message or lookup."""
+        phone = self._phones.get(number)
+        if phone is None:
+            self._hooks[number] = hook
+        else:
+            phone.hook = hook
 
     def set_reachable(self, number: str, reachable: bool) -> None:
         """Coverage/battery hook: unreachable phones never receive messages."""

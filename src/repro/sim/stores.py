@@ -26,8 +26,13 @@ class StoreGet(Event):
 
     def cancel(self) -> None:
         """Interrupted getter: stop queueing for an item."""
-        if self in self.store._getters:
-            self.store._getters.remove(self)
+        getters = self.store._getters
+        if self in getters:
+            getters.remove(self)
+
+
+#: What an empty store holds in place of a list: nothing to allocate.
+_EMPTY: tuple = ()
 
 
 class Store:
@@ -35,34 +40,44 @@ class Store:
     order (at most one in every product use), never both non-empty.
 
     Every tenant owns several and most sit empty, so the instance is slotted
-    and holds plain lists: an empty ``deque`` is 760 bytes, an empty list 56,
-    and inboxes are shallow (≤ 94 under the storm benchmark, mean 6).
+    and each queue is a plain list (an empty ``deque`` is 760 bytes, an empty
+    list 56; inboxes are shallow: ≤ 94 under the storm benchmark, mean 6),
+    built by the first put or waiting get: until then it is an empty tuple.
     """
 
-    __slots__ = ("env", "items", "_getters")
+    __slots__ = ("env", "_items", "_getters")
 
     def __init__(self, env: "Environment"):
         self.env = env
-        self.items: list[Any] = []
-        self._getters: list[StoreGet] = []
+        self._items: "list[Any] | tuple" = _EMPTY
+        self._getters: "list[StoreGet] | tuple" = _EMPTY
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._items)
+
+    @property
+    def items(self) -> list[Any]:
+        """The stored items, head first (a copy; empty when none)."""
+        return list(self._items)
 
     def put(self, item: Any) -> None:
         """Hand ``item`` to the oldest waiting getter, else store it."""
         if self._getters:
             self._getters.pop(0).succeed(item)
+        elif self._items:
+            self._items.append(item)
         else:
-            self.items.append(item)
+            self._items = [item]
 
     def get(self) -> StoreGet:
         """Event yielding the first item, now or once one arrives."""
         event = StoreGet(self)
-        if self.items:
-            event.succeed(self.items.pop(0))
-        else:
+        if self._items:
+            event.succeed(self._items.pop(0))
+        elif self._getters:
             self._getters.append(event)
+        else:
+            self._getters = [event]
         return event
 
     def put_front(self, item: Any) -> None:
@@ -70,11 +85,13 @@ class Store:
         receive loop handing its message to whoever reads next)."""
         if self._getters:
             self.put(item)
+        elif self._items:
+            self._items.insert(0, item)
         else:
-            self.items.insert(0, item)
+            self._items = [item]
 
     def clear(self) -> list[Any]:
         """Drop all stored items (used by crash injection) and return them."""
-        dropped = list(self.items)
-        self.items.clear()
+        dropped = list(self._items)
+        self._items = _EMPTY
         return dropped

@@ -127,9 +127,10 @@ class BuddyDeployment:
         self.rng = world.rngs.stream(rng_label or f"buddy-{user_name}")
         self.incarnations: list[MyAlertBuddy] = []
         # Power loss / reboot kills the client software with everything else.
-        self.host.on_shutdown(
-            lambda: self.endpoint.stop(shutdown_clients=True)
-        )
+        self.host.on_shutdown(self._host_down)
+
+    def _host_down(self) -> None:
+        self.endpoint.stop(shutdown_clients=True)
 
     # ------------------------------------------------------------------
     # Address book the alert *sources* use to reach this MAB
@@ -313,6 +314,7 @@ class SimbaWorld:
         user: UserEndpoint,
         log_path=None,
         journal_max_events: Optional[int] = None,
+        config: Optional[BuddyConfig] = None,
     ) -> BuddyDeployment:
         """Create the user's MAB deployment.
 
@@ -320,13 +322,15 @@ class SimbaWorld:
         existing file is loaded, so a deployment can resume a previous
         world's unprocessed alerts — the disk-survives-reboot story.
         ``journal_max_events`` bounds the journal's retained event window
-        (counts stay exact) for long high-volume runs.
+        (counts stay exact) for long high-volume runs.  ``config`` replaces
+        the fresh, empty configuration (a farm builds its tenants' from the
+        profile's shared tables).
         """
         if user.name in self.buddies:
             raise ValueError(f"{user.name!r} already has a MyAlertBuddy")
         deployment = BuddyDeployment(
             self, user.name, log_path=log_path,
-            journal_max_events=journal_max_events,
+            journal_max_events=journal_max_events, config=config,
         )
         self.buddies[user.name] = deployment
         return deployment

@@ -84,6 +84,98 @@ class TestFarmStructure:
             BuddyFarm(world, shards=0)
 
 
+class TestSharedProfileConfig:
+    """Every tenant of a profile shares the profile's tables; a tenant's
+    own changes stay its own."""
+
+    def test_tenants_share_the_profile_tables(self):
+        _world, farm, _source = build_farm(2)
+        a, b = (t.deployment.config for t in farm)
+        assert a is not b and a.classifier is not b.classifier
+        assert a.classifier._services is b.classifier._services
+        assert a.aggregator._mapping is b.aggregator._mapping
+        assert a.subscriptions.categories is b.subscriptions.categories
+        assert a.subscriptions._modes["user0"] is b.subscriptions._modes["user1"]
+
+    def test_changing_one_tenant_leaves_the_other_unchanged(self):
+        from repro.core.delivery_modes import (
+            Action,
+            CommunicationBlock,
+            DeliveryMode,
+        )
+
+        _world, farm, _source = build_farm(2)
+        a, b = (t.deployment.config for t in farm)
+        a.classifier.accept_source("weather")
+        a.classifier.drop_source("portal")
+        a.aggregator.map_keyword("Storm", "News")
+        a.aggregator.unmap_keyword("News")
+        a.filters.disable_category("News")
+        a.subscriptions.register_category("Weather")
+        a.subscriptions.register_mode(
+            "user0", DeliveryMode("sms", [CommunicationBlock([Action("SMS")])])
+        )
+        a.subscriptions.unsubscribe("News", "user0")
+        a.subscriptions.subscribe("Weather", "user0", "sms")
+
+        assert a.classifier.is_accepted("weather")
+        assert not a.classifier.is_accepted("portal")
+        assert b.classifier.is_accepted("portal")
+        assert not b.classifier.is_accepted("weather")
+        assert a.aggregator.category_for("storm") == "News"
+        assert a.aggregator.category_for("news") is None
+        assert b.aggregator.category_for("storm") is None
+        assert b.aggregator.category_for("news") == "News"
+        assert a.filters.is_disabled("News")
+        assert not b.filters.is_disabled("News")
+        assert b.subscriptions.categories == {"News"}
+        assert [m.name for m in b.subscriptions.modes_for("user1")] == [
+            "critical", "normal", "digest",
+        ]
+        assert "sms" in {m.name for m in a.subscriptions.modes_for("user0")}
+        assert a.subscriptions.subscriptions_for("News") == []
+        assert [s.user for s in b.subscriptions.subscriptions_for("News")] == [
+            "user1"
+        ]
+
+    def test_alerts_seen_counts_per_tenant(self):
+        world, farm, source = build_farm(2)
+        farm.launch_all()
+        world.run(until=60.0)
+        first, second = farm
+        for _ in range(2):
+            source.emit_to(first.book, "News", "h", "b")
+        source.emit_to(second.book, "News", "h", "b")
+        world.run(until=600.0)
+
+        def seen(tenant):
+            (record,) = tenant.deployment.config.classifier.subscribed_services()
+            return record.alerts_seen
+
+        assert (seen(first), seen(second)) == (2, 1)
+
+    def test_a_replicated_pair_shares_one_config(self):
+        _world, farm, _source = build_farm(2)
+        pairs = farm.enable_replication()
+        for tenant in farm:
+            pair = pairs[tenant.name]
+            assert pair.a.deployment is tenant.deployment
+            assert pair.b.deployment.config is tenant.deployment.config
+
+    def test_a_farm_without_stagger_builds_no_shard_stream(self):
+        world, farm, _source = build_farm(3)
+        farm.launch_all()
+        assert not any(
+            name.startswith("farm-shard-") for name in world.rngs._generators
+        )
+        world, farm, _source = build_farm(3, launch_stagger=30.0)
+        farm.launch_all()
+        assert sorted(
+            name for name in world.rngs._generators
+            if name.startswith("farm-shard-")
+        ) == ["farm-shard-0", "farm-shard-1", "farm-shard-2"]
+
+
 class TestFarmDeterminism:
     @staticmethod
     def run_once(seed):

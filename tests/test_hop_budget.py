@@ -18,8 +18,8 @@ decodes that parse, so a hop that re-encodes or re-parses an alert cannot
 creep back either.  Beside them, the replicated budget counts spawns,
 resumes and timers on a replicated chaos run, so a lease monitor or
 heartbeat process cannot creep back either, and the idle budget counts
-what a cold tenant leaves parked and what an ended incarnation leaves
-queued.
+what a cold tenant leaves parked, the objects it holds, and what an ended
+incarnation leaves queued.
 
 The second part is the heap budget: what the same runs may leave behind
 that only the cyclic collector can free — nothing on the delivery path.
@@ -461,6 +461,63 @@ def test_a_tenant_with_a_reconnect_process_breaks_the_idle_budget(
     assert idle_budget_breaches(parked, tenants, shards) == [
         f"{reconnect_loop.__qualname__}: {tenants} parked, 0 allowed"
     ]
+
+
+#: Tracked objects an idle cold E13 tenant may hold (built and launched, no
+#: alert), counted in the collector's young generations.  What every tenant
+#: of a profile holds alike is built once per farm, and a part that only
+#: carries a hook is built by its first use (DESIGN §6b, "A cold tenant").
+#: What is left: the tenant's own records, the four parked loops, its
+#: stabilizer's and reconnect poll's cohort memberships, its two RNG
+#: streams.
+COLD_TENANT_OBJECTS = 118
+
+
+def idle_tenant_objects(tenants: int = 200) -> float:
+    """Tracked objects per idle cold tenant on an inline E13 shard worker:
+    what materializing ``tenants`` more adds to the heap once every loop
+    has parked.  The worker's kernel is run directly, not by epochs, so
+    the heap is never frozen: a frozen heap would read about 0."""
+    from repro.core.shard import ShardSpec, ShardWorker
+    from repro.experiments.sharded import (
+        E13_PROFILE,
+        E13_WORKLOAD,
+        e13_world_config,
+    )
+
+    worker = ShardWorker(ShardSpec(
+        shard=0, shards=1, seed=0, population=tenants,
+        workload=E13_WORKLOAD, workload_kwargs={"active_permille": 0},
+        world_config=e13_world_config(0), profile=E13_PROFILE,
+    ))
+    # The first tenant builds what the profile's tenants share.
+    worker.tenant("warm")
+    worker.world.run(until=1.0)
+    gc.collect()
+    before = len(gc.get_objects())
+    for index in range(tenants):
+        worker.tenant(f"user{index}")
+    worker.world.run(until=2.0)
+    gc.collect()
+    return (len(gc.get_objects()) - before) / tenants
+
+
+def test_an_idle_cold_tenant_holds_only_its_own_state():
+    assert idle_tenant_objects() <= COLD_TENANT_OBJECTS
+
+
+def test_a_per_tenant_copy_of_the_profile_config_breaks_the_object_budget(
+    monkeypatch,
+):
+    from repro.core import farm
+
+    config_for = farm._ProfileConfig.config_for
+
+    def unshared(profile_config, user):
+        return config_for(farm._ProfileConfig(profile_config.profile), user)
+
+    monkeypatch.setattr(farm._ProfileConfig, "config_for", unshared)
+    assert idle_tenant_objects() > COLD_TENANT_OBJECTS
 
 
 def queued_timers(env):

@@ -9,12 +9,14 @@ everything:
 - the benchmark's ``from repro…`` imports (the top of
   ``benchmarks/e2e/workloads.py``) stay within :data:`BUDGET` modules and
   load nothing from the packages they do not run;
+- ``python -m repro list`` loads at most :data:`LIST_BUDGET` modules
+  and no experiment: a registry row looks its functions up when it runs;
 - every package's exports resolve, are listed by ``dir()``, are exactly
   what ``from pkg import *`` binds, and an unknown name is an
   ``AttributeError``.
 
 The teeth plant an eagerly importing package under ``tmp_path`` and run
-the same checks on it.
+the same checks on it, and plant a registry row bound at import.
 """
 
 from __future__ import annotations
@@ -38,6 +40,16 @@ BUDGET = 70
 NOT_RUN = ("repro.aladdin", "repro.wish", "repro.baselines")
 #: The only experiment the benchmark runs.
 EXPERIMENTS_RUN = {"repro.experiments", "repro.experiments.sharded"}
+
+#: ``repro`` modules listing the experiments may load: the package, the
+#: registry, the two lazy packages its rows name and the table renderer.
+LIST_BUDGET = 5
+LIST = (
+    "import contextlib, io\n"
+    "from repro.__main__ import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(['list']) == 0\n"
+)
 
 PACKAGES = sorted(
     ".".join(path.parent.relative_to(SRC).parts)
@@ -100,6 +112,28 @@ def test_benchmark_imports_stay_within_budget():
     imports = benchmark_imports()
     assert "repro.core.shard" in imports  # the parse found the import block
     assert budget_faults(loaded(imports)) == []
+
+
+def list_faults(modules: list[str]) -> list[str]:
+    faults = [name for name in modules if name.startswith("repro.experiments.")]
+    if len(modules) > LIST_BUDGET:
+        faults.append(f"{len(modules)} modules > {LIST_BUDGET}")
+    return faults
+
+
+def test_listing_the_experiments_imports_none():
+    assert list_faults(loaded(LIST)) == []
+
+
+def test_teeth_a_row_bound_at_import_breaks_the_list_budget():
+    planted = (
+        "from repro import __main__ as cli, experiments\n"
+        "cli.EXPERIMENTS['x'] = cli.Experiment(\n"
+        "    'x', experiments.run_fault_month, str)\n"
+    )
+    faults = list_faults(loaded(planted + LIST))
+    assert "repro.experiments.fault_tolerance" in faults
+    assert faults[-1].endswith(f"modules > {LIST_BUDGET}")
 
 
 PACKAGE_CHECK = """
