@@ -207,6 +207,12 @@ class MasterDaemonController:
                 guard = timers.acquire(self.reply_timeout)
                 yield self.env.any_of([reply, guard])
                 timers.cancel(guard)
+                # The host may have gone down inside the reply window: a
+                # restart now would launch an incarnation on a dead host
+                # that nothing ever kills, beside the one the MDC
+                # launches at boot.
+                if not self.running or self._generation != generation:
+                    return
                 if not reply.processed:
                     self._restart_buddy(RestartReason.PROBE_TIMEOUT)
                     last_restart_time = self.env.now

@@ -209,6 +209,45 @@ class TestWatchdogEdges:
         assert made[-1].process.is_alive
         assert mdc.restarts == []
 
+    def test_host_down_inside_the_reply_window_leaves_one_incarnation(self):
+        """The probe's guard expires after the host went down: the monitor
+        must not restart the hung buddy on the dead host (the MDC zombie),
+        so the boot's launch is the only live incarnation."""
+        env = Environment()
+        mdc, host, made = make_mdc(env, ["hung", "healthy"])
+        mdc.start()
+        env.run(until=62.0)  # probed at 60 s; the reply window ends at 65 s
+        host.power_failure(5 * MINUTE)
+        env.run(until=20 * MINUTE)
+        assert mdc.restarts == []
+        assert [b.behaviour for b in made if b.process.is_alive] == ["healthy"]
+
+    def test_a_stale_monitor_restarts_no_dead_buddy(self):
+        """The termination branch stays behind the re-check after the
+        interval wait: a host that rebooted inside one check interval
+        leaves the old generation's monitor with a running MDC and a dead
+        buddy, and only the new generation's monitor may restart it."""
+        env = Environment()
+        host = Host(env, boot_delay=5.0)
+        made = []
+
+        def factory():
+            behaviour = "dies-quickly" if len(made) < 2 else "healthy"
+            made.append(FakeBuddy(env, behaviour))
+            return made[-1]
+
+        mdc = MasterDaemonController(
+            env, host, factory, check_interval=60.0, reply_timeout=5.0
+        )
+        mdc.start()
+        env.run(until=20.0)  # the first buddy died at 10 s
+        host.reboot()
+        # Booted at 25 s; the boot's buddy died at 35 s; the first
+        # monitor woke at 60 s, the boot's at 85 s.
+        env.run(until=90.0)
+        assert [r.at for r in mdc.restarts] == [85.0]
+        assert len(made) == 3 and made[2].process.is_alive
+
     def test_consecutive_failed_clears_after_stability_window(self):
         env = Environment()
         mdc, host, made = make_mdc(

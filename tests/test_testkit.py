@@ -304,7 +304,7 @@ class TestScheduleSerialization:
         pins = sorted(DATA_DIR.glob("chaos/*.json")) + [
             DATA_DIR / "trace" / "handoff_failover.json"
         ]
-        assert len(pins) == 5
+        assert len(pins) == 6
         for path in pins:
             assert load_reproducer(path).schedule, path
 
