@@ -11,7 +11,10 @@ behaviour" table lists the same rows.
 ``--diff`` runs every scenario of :data:`FATES` against REF's ``repro`` (a
 ``git worktree``, in a subprocess running this file) and against this
 tree's, and prints one row per alert whose fate moved.  An alert is keyed
-by ``(user, subject)``: alert ids come from a process-global counter.
+by its id, renumbered per scenario in emission order (ids come from a
+process-global counter), and labelled by its user and its subject, or
+``#index`` where no trip of it carries one: an alert that gains or loses
+its trips stays one row.
 """
 
 import argparse
@@ -143,7 +146,7 @@ PINS = (
 )
 
 
-#: Scenario → a ``ChaosReport`` run: the five committed reproducers, the
+#: Scenario → a ``ChaosReport`` run: the committed reproducers, the
 #: twelve high-intensity tier seeds, the total outage, the hardened storm.
 FATES = {
     **{name: run for name, run in CASES.items() if name.startswith("pin:")},
@@ -154,9 +157,10 @@ FATES = {
 
 
 def fates(run) -> tuple:
-    """Run one scenario: its report, and alert id → ``(user, subject,
-    fate)`` in emission order; a fate is the outcome class, channel, copies
-    at the user and trip kinds.  ``run_chaos`` hands the quiesced farm to
+    """Run one scenario: its report, and alert id → ``(index, user, label,
+    fate)`` in emission order; ``index`` is the alert's place in that
+    order, ``label`` its subject or ``#index``, and a fate is the outcome
+    class, channel, copies at the user and trip kinds.  ``run_chaos`` hands the quiesced farm to
     its oracle only, so the harness's oracle is one that keeps it."""
     seen = []
 
@@ -183,29 +187,41 @@ def fates(run) -> tuple:
                    if "admission-terminal" in meanings else "lost")
         if fate.user_duplicates:
             outcome += f" +{fate.user_duplicates} dup"
-        subject = mine[0].subject if mine else f"#{order.index(fate.alert_id)}"
-        table[fate.alert_id] = (fate.user, subject,
+        index = order.index(fate.alert_id)
+        label = mine[0].subject if mine else f"#{index}"
+        table[fate.alert_id] = (index, fate.user, label,
                                 f"{outcome} [{' '.join(kinds)}]")
     return report, {alert_id: table[alert_id] for alert_id in order}
 
 
 def fate_table(scenarios=None) -> dict[str, list]:
-    """Scenario → ``[user, subject, fate]`` rows (JSON-safe)."""
+    """Scenario → ``[index, user, label, fate]`` rows (JSON-safe)."""
     return {name: list(map(list, fates(run)[1].values()))
             for name, run in (scenarios or FATES).items()}
 
 
 def fate_diff(parent: dict, change: dict) -> list[tuple]:
-    """``(scenario, user, subject, parent fate, change fate)`` per moved
-    alert; a fate missing on one side is ``(none)``."""
+    """``(scenario, index, user, label, parent fate, change fate)`` per
+    moved alert, matched by id; the label is a subject where either side has
+    one, and a fate missing on one side is ``(none)``."""
     rows = []
     for scenario in dict.fromkeys([*parent, *change]):
-        old, new = ({(u, s): f for u, s, f in side.get(scenario, ())}
+        old, new = ({index: (user, label, fate)
+                     for index, user, label, fate in side.get(scenario, ())}
                     for side in (parent, change))
-        rows += [(scenario, *key, old.get(key, "(none)"),
-                  new.get(key, "(none)"))
-                 for key in dict.fromkeys([*old, *new])
-                 if old.get(key) != new.get(key)]
+        for index in dict.fromkeys([*old, *new]):
+            before, after = old.get(index), new.get(index)
+            if before is not None and after is not None \
+                    and before[2] == after[2]:
+                continue
+            sides = [row for row in (before, after) if row is not None]
+            user, label = next(
+                (row[:2] for row in sides if not row[1].startswith("#")),
+                sides[0][:2],
+            )
+            rows.append((scenario, index, user, label,
+                         before[2] if before else "(none)",
+                         after[2] if after else "(none)"))
     return rows
 
 
@@ -215,15 +231,15 @@ def render(rows: list[tuple]) -> str:
         return "no fate changed\n"
     groups: dict[str, list] = {}
     for row in rows:
-        transition = " -> ".join(fate.split()[0] for fate in row[3:])
+        transition = " -> ".join(fate.split()[0] for fate in row[4:])
         groups.setdefault(transition, []).append(row)
     out = []
     for transition, group in sorted(groups.items()):
         counts = Counter(row[0] for row in group)
         per = ", ".join(f"{s} {n}" for s, n in counts.items())
         out.append(f"{transition}: {len(group)} alert(s) ({per})")
-        out += [f"  {s}  {u}  {subject}  {old} -> {new}"
-                for s, u, subject, old, new in group]
+        out += [f"  {s}  {u}  {label}  {old} -> {new}"
+                for s, _index, u, label, old, new in group]
     return "\n".join(out) + "\n"
 
 
