@@ -46,8 +46,4 @@ class SimbaStrategy:
         self.source = AlertSource(env, source_name, source_endpoint)
 
     def deliver(self, alert: Alert, user: UserEndpoint) -> None:
-        book = self.deployment.source_facing_book()
-        self.env.process(
-            self.source.deliver(alert, book),
-            name=f"simba-strategy-{alert.alert_id}",
-        )
+        self.source.deliver(alert, self.deployment.source_facing_book())

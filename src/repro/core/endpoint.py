@@ -29,7 +29,7 @@ from repro.core.addresses import AddressBook
 from repro.core.alert import Alert
 from repro.core.delivery_modes import DeliveryMode
 from repro.core.managers import EmailManager, IMManager, SMSManager
-from repro.core.router import DeliveryEngine
+from repro.core.router import DeliveryEngine, DeliveryRun
 from repro.errors import AutomationError, ChannelError
 from repro.net.email import EmailService
 from repro.net.im import IMService
@@ -208,9 +208,10 @@ class SimbaEndpoint:
         mode: DeliveryMode,
         book: AddressBook,
         trace_parent: Optional[int] = None,
-    ):
-        """Deliver ``alert`` per ``mode`` (generator returning the outcome)."""
-        outcome = yield from self.engine.execute(
+    ) -> DeliveryRun:
+        """Start delivering ``alert`` per ``mode``; the run ends with its
+        :class:`~repro.core.router.DeliveryOutcome`."""
+        return self.engine.execute(
             mode,
             book,
             subject=alert.subject,
@@ -218,7 +219,6 @@ class SimbaEndpoint:
             correlation=alert.alert_id,
             trace_parent=trace_parent,
         )
-        return outcome
 
     # ------------------------------------------------------------------
     # Receive loops

@@ -273,12 +273,15 @@ class RouteStage(PipelineStage):
                 )
                 if ctx.epoch is not None:
                     dspan.annotations["epoch"] = ctx.epoch
-            outcome = yield from ctx.endpoint.deliver_alert(
+            run = ctx.endpoint.deliver_alert(
                 ctx.alert,
                 mode,
                 book,
                 trace_parent=dspan.span_id if dspan is not None else None,
             )
+            # Only a run that waits is yielded: this trip resumes in the
+            # dispatch that settled its last block.
+            outcome = run.value if run.processed else (yield run)
             if dspan is not None:
                 tracer.end(
                     dspan, "delivered" if outcome.delivered else "failed"

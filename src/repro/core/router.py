@@ -13,6 +13,9 @@ This is where SIMBA's dependability semantics live (§3.2, §4.1):
 
 The engine never raises for per-action failures — every failure is recorded
 in the :class:`DeliveryOutcome`, because fallback *is* the error handling.
+
+A mode's execution is a :class:`DeliveryRun`: a callback state machine and
+the event of its end, not a process (DESIGN §5, "The delivery engine").
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.core.addresses import AddressBook, UserAddress
 from repro.core.delivery_modes import CommunicationBlock, DeliveryMode
 from repro.errors import AddressUnknownError, SimbaError
 from repro.net.message import ChannelType
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
@@ -157,6 +160,287 @@ class AckTable:
         return len(self._pending)
 
 
+class DeliveryRun(Event):
+    """One execution of a delivery mode, and the event of its end.
+
+    Blocks that need no wait run at once.  An ack block submits, arms its
+    guard timer and hooks its ack events; the first of them to fire
+    settles the race (:meth:`_settle`), cancels the losing guard and
+    continues the run one zero-delay event later, after whatever the
+    same instant had already queued (an ack arriving then still counts).
+    When the mode ends, the run's callbacks are called at once with the
+    :class:`DeliveryOutcome` as its value: the run is never queued, and a
+    generator that yielded it resumes in the dispatch that settled the
+    last block.  A run that ended without waiting is returned processed.
+    """
+
+    __slots__ = (
+        "engine", "mode", "book", "subject", "body", "correlation",
+        "_span", "_started", "_blocks", "_messages",
+        # While a block waits: its guard (or zero-delay) timer until the
+        # race is decided, and its open state until the run continues.
+        "_timer", "_wait",
+    )
+
+    def __init__(
+        self,
+        engine: "DeliveryEngine",
+        mode: DeliveryMode,
+        book: AddressBook,
+        subject: str,
+        body: str,
+        correlation: Optional[str] = None,
+    ):
+        super().__init__(engine.env)
+        self.engine = engine
+        self.mode = mode
+        self.book = book
+        self.subject = subject
+        self.body = body
+        self.correlation = correlation
+        self._span = None
+        self._blocks: list[BlockOutcome] = []
+        self._messages = 0
+        self._timer: Optional[Timeout] = None
+        self._wait: Optional[tuple] = None
+
+    def start(self, trace_parent: Optional[int] = None) -> None:
+        """Run the mode from its first block."""
+        env = self.env
+        self._started = env.now
+        tracer = env.tracer
+        if tracer is not None and self.correlation is not None:
+            self._span = tracer.begin(
+                self.correlation, "deliver", parent=trace_parent,
+                mode=self.mode.name,
+            )
+        self._advance(None)
+
+    def cancel(self) -> None:
+        """Settle the race at once when the run's last waiter is
+        interrupted: the guard is tombstoned and the ack events let go of
+        the run, but stay in the :class:`AckTable`, so a late ack still
+        resolves.  The run never ends."""
+        wait = self._wait
+        if wait is None or self.callbacks:
+            return
+        self._wait = None
+        timer = self._timer
+        if timer is not None:
+            self._timer = None
+            timer.callbacks.clear()
+            timer.cancel()
+        settle = self._settle
+        for entry in wait[-1]:
+            if entry[0].callbacks:
+                entry[0].callbacks.remove(settle)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
+    def _advance(self, outcome: Optional[BlockOutcome]) -> None:
+        """Record ``outcome`` (the block that waited), then run blocks until
+        one waits or the mode ends."""
+        blocks = self.mode.blocks
+        while True:
+            if outcome is not None:
+                self._blocks.append(outcome)
+                self._messages += len(outcome.submitted)
+                if outcome.status is BlockStatus.SUCCESS:
+                    self._finish(True)
+                    return
+            if len(self._blocks) == len(blocks):
+                self._finish(False)
+                return
+            outcome = self._run_block(blocks[len(self._blocks)])
+            if outcome is None:
+                return
+
+    def _finish(self, delivered: bool) -> None:
+        env = self.env
+        if self._span is not None:
+            env.tracer.end(self._span, "delivered" if delivered else "failed")
+        self._value = DeliveryOutcome(
+            mode_name=self.mode.name,
+            correlation=self.correlation,
+            delivered=delivered,
+            blocks=tuple(self._blocks),
+            started_at=self._started,
+            finished_at=env.now,
+            messages_sent=self._messages,
+        )
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+
+    def _run_block(self, block: CommunicationBlock) -> Optional[BlockOutcome]:
+        """Submit one block; its outcome, or None while it waits."""
+        engine = self.engine
+        env = self.env
+        start = env.now
+        tracer = env.tracer
+        bspan = None
+        if self._span is not None:
+            bspan = tracer.begin(
+                self.correlation,
+                "block",
+                parent=self._span.span_id,
+                index=len(self._blocks),
+                require_ack=block.require_ack,
+            )
+        errors: dict[str, str] = {}
+        skipped: list[str] = []
+        submitted: list[str] = []
+        addresses: list[UserAddress] = []
+        book = self.book
+        for action in block.actions:
+            try:
+                address = book.get(action.address_ref)
+            except AddressUnknownError:
+                errors[action.address_ref] = "unknown address"
+                continue
+            if not address.enabled:
+                skipped.append(action.address_ref)
+                continue
+            addresses.append(address)
+
+        # (ack event, friendly name, peer, seq) per ack the block awaits.
+        acks: list[tuple[Event, str, str, int]] = []
+        managers = engine.managers
+        admission = engine.admission
+        for address in addresses:
+            channel = address.channel._value_
+            manager = managers.get(channel)
+            if manager is None:
+                errors[address.friendly_name] = (
+                    f"no manager for channel {channel}"
+                )
+                continue
+            if admission is not None and not admission.try_submit(
+                env.now, channel
+            ):
+                errors[address.friendly_name] = (
+                    f"rate_limited: channel {channel}"
+                )
+                continue
+            try:
+                message = manager.submit(
+                    address.address, self.subject, self.body, self.correlation
+                )
+            except SimbaError as exc:
+                errors[address.friendly_name] = str(exc)
+                continue
+            if bspan is not None:
+                # The channel's retroactive transit span parents here.
+                message.trace_parent = bspan.span_id
+            submitted.append(address.friendly_name)
+            if block.require_ack and address.channel is ChannelType.IM:
+                seq = getattr(message, "seq", None)
+                if seq is not None:
+                    event = engine.acks.expect(address.address, seq)
+                    event.callbacks.append(self._settle)
+                    acks.append(
+                        (event, address.friendly_name, address.address, seq)
+                    )
+
+        if not addresses:
+            status = BlockStatus.NO_ENABLED_ADDRESSES
+        elif not submitted:
+            status = BlockStatus.ALL_SUBMISSIONS_FAILED
+        elif not block.require_ack:
+            status = BlockStatus.SUCCESS
+        elif not acks:
+            # An ack block whose submissions cannot carry acks (e.g. actions
+            # on non-IM addresses) cannot confirm delivery: it times out one
+            # zero-delay hop later, so the backup block fires —
+            # confirmability is the point.
+            self._timer = timer = env.timeout(0)
+            timer.callbacks.append(self._decided)
+            self._wait = (start, bspan, None, submitted, skipped, errors, ())
+            return None
+        else:
+            wspan = None
+            if bspan is not None:
+                wspan = tracer.begin(
+                    self.correlation,
+                    "ack.wait",
+                    parent=bspan.span_id,
+                    pending=len(acks),
+                )
+            # The ack-vs-timeout race: whichever fires first settles it and
+            # tombstones the losing guard, which would otherwise sit in the
+            # queue until ``block.ack_timeout`` — one dead entry per
+            # delivered alert, which at farm scale dominates the queue.
+            self._timer = guard = env.timeout(block.ack_timeout)
+            guard.callbacks.append(self._settle)
+            self._wait = (start, bspan, wspan, submitted, skipped, errors, acks)
+            return None
+        return self._close(status, start, bspan, submitted, skipped, errors)
+
+    def _settle(self, event: Event) -> None:
+        """The first ack or the guard to fire decides the race: the run
+        continues one zero-delay hop later, and the losers let go of it."""
+        guard, self._timer = self._timer, None
+        hop = self.env.event()
+        hop.callbacks.append(self._decided)
+        hop.succeed()
+        if guard is not event:
+            guard.callbacks.clear()
+            guard.cancel()
+        settle = self._settle
+        for entry in self._wait[-1]:
+            ack = entry[0]
+            if ack is not event and ack.callbacks:
+                ack.callbacks.remove(settle)
+
+    def _decided(self, _event: Event) -> None:
+        """Close the block that waited, and run on."""
+        wait = self._wait
+        if wait is None:
+            return  # its waiter was interrupted after the race was decided
+        self._wait = self._timer = None
+        start, bspan, wspan, submitted, skipped, errors, acks = wait
+        # The first ack, in the block's order, that has arrived by now.
+        acked = None
+        table = self.engine.acks
+        for event, name, peer, seq in acks:
+            if acked is None and event.callbacks is None:
+                acked = name
+            table.cancel(peer, seq)
+        tracer = self.env.tracer
+        if acked is not None:
+            status = BlockStatus.SUCCESS
+            if wspan is not None:
+                tracer.end(wspan, "acked", acked_by=acked)
+            if bspan is not None:
+                bspan.annotations["acked_by"] = acked
+        else:
+            status = BlockStatus.ACK_TIMEOUT
+            if wspan is not None:
+                tracer.end(wspan, "timeout")
+        self._advance(
+            self._close(status, start, bspan, submitted, skipped, errors, acked)
+        )
+
+    def _close(
+        self,
+        status: BlockStatus,
+        start: float,
+        bspan,
+        submitted: list[str],
+        skipped: list[str],
+        errors: dict[str, str],
+        acked: Optional[str] = None,
+    ) -> BlockOutcome:
+        if bspan is not None:
+            self.env.tracer.end(bspan, status.value)
+        return BlockOutcome(
+            len(self._blocks), status, tuple(submitted), tuple(skipped),
+            errors or NO_ERRORS, acked, self.env.now - start,
+        )
+
+
 class DeliveryEngine:
     """Executes delivery modes against a set of channel managers.
 
@@ -168,7 +452,11 @@ class DeliveryEngine:
 
     def __init__(self, env: "Environment", managers: dict[ChannelType, object]):
         self.env = env
-        self.managers = managers
+        #: Keyed by the channel's value: a ``str`` hashes in C, a
+        #: ``ChannelType`` through Python-level ``Enum.__hash__``.
+        self.managers = {
+            channel._value_: manager for channel, manager in managers.items()
+        }
         self.acks = AckTable(env)
         #: Optional :class:`~repro.core.admission.AdmissionController`
         #: consulted per submission for per-channel provider limits.  An
@@ -184,168 +472,11 @@ class DeliveryEngine:
         body: str,
         correlation: Optional[str] = None,
         trace_parent: Optional[int] = None,
-    ):
-        """Run a delivery mode (generator; use ``yield from`` or wrap in a
-        process).  Returns a :class:`DeliveryOutcome`; never raises for
-        delivery failures.  The engine keeps no history: the caller owns
-        the outcome."""
-        started = self.env.now
-        tracer = self.env.tracer
-        span = None
-        if tracer is not None and correlation is not None:
-            span = tracer.begin(
-                correlation, "deliver", parent=trace_parent, mode=mode.name
-            )
-        blocks: list[BlockOutcome] = []
-        messages = 0
-        delivered = False
-        for index, block in enumerate(mode.blocks):
-            outcome = yield from self._run_block(
-                index, block, book, subject, body, correlation, span
-            )
-            blocks.append(outcome)
-            messages += len(outcome.submitted)
-            if outcome.succeeded:
-                delivered = True
-                break
-        if span is not None:
-            tracer.end(span, "delivered" if delivered else "failed")
-        return DeliveryOutcome(
-            mode_name=mode.name,
-            correlation=correlation,
-            delivered=delivered,
-            blocks=tuple(blocks),
-            started_at=started,
-            finished_at=self.env.now,
-            messages_sent=messages,
-        )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _run_block(
-        self,
-        index: int,
-        block: CommunicationBlock,
-        book: AddressBook,
-        subject: str,
-        body: str,
-        correlation: Optional[str],
-        deliver_span=None,
-    ):
-        start = self.env.now
-        tracer = self.env.tracer
-        bspan = None
-        if tracer is not None and correlation is not None:
-            bspan = tracer.begin(
-                correlation,
-                "block",
-                parent=deliver_span.span_id if deliver_span is not None else None,
-                index=index,
-                require_ack=block.require_ack,
-            )
-        errors: dict[str, str] = {}
-        skipped: list[str] = []
-        submitted: list[str] = []
-        acked: Optional[str] = None
-        addresses: list[UserAddress] = []
-        for action in block.actions:
-            try:
-                address = book.get(action.address_ref)
-            except AddressUnknownError:
-                errors[action.address_ref] = "unknown address"
-                continue
-            if not address.enabled:
-                skipped.append(action.address_ref)
-                continue
-            addresses.append(address)
-
-        ack_events: dict[Event, str] = {}
-        pending_keys: list[tuple[str, int]] = []
-        for address in addresses:
-            manager = self.managers.get(address.channel)
-            if manager is None:
-                errors[address.friendly_name] = (
-                    f"no manager for channel {address.channel.value}"
-                )
-                continue
-            if self.admission is not None and not self.admission.try_submit(
-                self.env.now, address.channel.value
-            ):
-                errors[address.friendly_name] = (
-                    f"rate_limited: channel {address.channel.value}"
-                )
-                continue
-            try:
-                message = manager.submit(
-                    address.address, subject, body, correlation
-                )
-            except SimbaError as exc:
-                errors[address.friendly_name] = str(exc)
-                continue
-            if bspan is not None:
-                # The channel's retroactive transit span parents here.
-                message.trace_parent = bspan.span_id
-            submitted.append(address.friendly_name)
-            if block.require_ack and address.channel is ChannelType.IM:
-                seq = getattr(message, "seq", None)
-                if seq is not None:
-                    event = self.acks.expect(address.address, seq)
-                    ack_events[event] = address.friendly_name
-                    pending_keys.append((address.address, seq))
-
-        if not addresses:
-            status = BlockStatus.NO_ENABLED_ADDRESSES
-        elif not submitted:
-            status = BlockStatus.ALL_SUBMISSIONS_FAILED
-        elif not block.require_ack:
-            status = BlockStatus.SUCCESS
-        elif not ack_events:
-            # An ack block whose submissions cannot carry acks (e.g. actions
-            # on non-IM addresses) cannot confirm delivery: treat as timeout
-            # so the backup block fires — confirmability is the point.
-            yield self.env.timeout(0)
-            status = BlockStatus.ACK_TIMEOUT
-        else:
-            wspan = None
-            if bspan is not None:
-                wspan = tracer.begin(
-                    correlation,
-                    "ack.wait",
-                    parent=bspan.span_id,
-                    pending=len(ack_events),
-                )
-            # The ack-vs-timeout race runs under a TimerScope: when the ack
-            # wins, the losing guard would otherwise sit in the queue until
-            # ``block.ack_timeout`` — one dead entry per delivered alert,
-            # which at farm scale dominates the queue.  The scope settles
-            # the guard on *any* exit, including an Interrupt or
-            # GeneratorExit thrown into this generator mid-wait — exactly
-            # the paths a hand-written ``timeout.cancel()`` after the yield
-            # would miss.
-            with self.env.timers() as timers:
-                guard = timers.acquire(block.ack_timeout)
-                yield self.env.any_of(list(ack_events) + [guard])
-            acked = next(
-                (name for event, name in ack_events.items() if event.processed),
-                None,
-            )
-            for peer, seq in pending_keys:
-                self.acks.cancel(peer, seq)
-            if acked is not None:
-                status = BlockStatus.SUCCESS
-                if wspan is not None:
-                    tracer.end(wspan, "acked", acked_by=acked)
-                if bspan is not None:
-                    bspan.annotations["acked_by"] = acked
-            else:
-                status = BlockStatus.ACK_TIMEOUT
-                if wspan is not None:
-                    tracer.end(wspan, "timeout")
-        if bspan is not None:
-            tracer.end(bspan, status.value)
-        return BlockOutcome(
-            index, status, tuple(submitted), tuple(skipped),
-            errors or NO_ERRORS, acked, self.env.now - start,
-        )
+    ) -> DeliveryRun:
+        """Start running a delivery mode now.  The returned run ends with a
+        :class:`DeliveryOutcome` as its value (at once when no block
+        waits); it never fails for delivery failures.  The engine keeps no
+        history: the caller owns the outcome."""
+        run = DeliveryRun(self, mode, book, subject, body, correlation)
+        run.start(trace_parent)
+        return run

@@ -14,17 +14,18 @@ user address (§3.3 privacy).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.addresses import AddressBook
 from repro.core.alert import Alert, AlertSeverity
 from repro.core.delivery_modes import DeliveryMode, im_ack_then_email
 from repro.core.endpoint import SimbaEndpoint
-from repro.core.router import DeliveryOutcome
+from repro.core.router import DeliveryOutcome, DeliveryRun
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.events import Event
     from repro.sim.kernel import Environment
-    from repro.sim.process import Process
 
 
 class AlertSource:
@@ -88,22 +89,15 @@ class AlertSource:
         subject: str,
         body: str,
         severity: AlertSeverity = AlertSeverity.ROUTINE,
-    ) -> tuple[Alert, list["Process"]]:
+    ) -> tuple[Alert, list[DeliveryRun]]:
         """Create an alert and start delivering it to every target.
 
-        Returns the alert and the per-target delivery processes (each
-        resolves to a :class:`DeliveryOutcome`).
+        Returns the alert and the per-target delivery runs (each ends with
+        a :class:`DeliveryOutcome`).
         """
         alert = self.make_alert(keyword, subject, body, severity)
         self.emitted.append(alert)
-        processes = [
-            self.env.process(
-                self.deliver(alert, book),
-                name=f"{self.name}-deliver-{alert.alert_id}",
-            )
-            for book in self.targets
-        ]
-        return alert, processes
+        return alert, [self.deliver(alert, book) for book in self.targets]
 
     def emit_to(
         self,
@@ -113,7 +107,7 @@ class AlertSource:
         body: str,
         severity: AlertSeverity = AlertSeverity.ROUTINE,
         alert_id: Optional[str] = None,
-    ) -> tuple[Alert, "Process"]:
+    ) -> tuple[Alert, DeliveryRun]:
         """Create an alert and deliver it to one recipient only.
 
         The farm-scale path: a portal alert addresses one recipient, so
@@ -122,39 +116,49 @@ class AlertSource:
         """
         alert = self.make_alert(keyword, subject, body, severity, alert_id=alert_id)
         self.emitted.append(alert)
-        process = self.env.process(
-            self.deliver(alert, book),
-            name=f"{self.name}-deliver-{alert.alert_id}",
-        )
-        return alert, process
+        return alert, self.deliver(alert, book)
 
-    def deliver(self, alert: Alert, book: AddressBook):
-        """Deliver ``alert`` to ``book`` (generator returning the outcome).
+    def deliver(self, alert: Alert, book: AddressBook) -> DeliveryRun:
+        """Deliver ``alert`` to ``book``: the run starts from a zero-delay
+        kick and ends with the :class:`DeliveryOutcome`, which the source
+        keeps.
 
         The public single-delivery entry point — experiments that replay a
         log against specific recipients drive this directly.
         """
-        tracer = self.env.tracer
-        span = None
-        if tracer is not None:
-            # Root of the alert's causal trace: everything downstream —
-            # channel transit, receive, pipeline trip, per-user delivery —
-            # parents (transitively) under this span.
-            span = tracer.begin(
-                alert.alert_id,
-                "source.deliver",
-                subject=alert.subject,
-                endpoint=self.endpoint.name,
-            )
-        outcome = yield from self.endpoint.deliver_alert(
-            alert,
-            self.mode,
-            book,
-            trace_parent=span.span_id if span is not None else None,
+        run = DeliveryRun(
+            self.endpoint.engine, self.mode, book, alert.subject,
+            alert.encode(), alert.alert_id,
         )
+        kick = self.env.event()
+        kick.callbacks.append(self._start)
+        kick.succeed(run)
+        return run
+
+    def _start(self, kick: "Event") -> None:
+        run = kick._value
+        tracer = self.env.tracer
+        if tracer is None:
+            # First, so a waiter on the run finds the outcome kept.
+            run.callbacks.insert(0, self._delivered)
+            run.start()
+            return
+        # Root of the alert's causal trace: everything downstream —
+        # channel transit, receive, pipeline trip, per-user delivery —
+        # parents (transitively) under this span.
+        span = tracer.begin(
+            run.correlation,
+            "source.deliver",
+            subject=run.subject,
+            endpoint=self.endpoint.name,
+        )
+        run.callbacks.insert(0, partial(self._delivered, span=span))
+        run.start(span.span_id)
+
+    def _delivered(self, run: DeliveryRun, span=None) -> None:
+        outcome = run._value
         if span is not None:
-            tracer.end(
+            self.env.tracer.end(
                 span, "delivered" if outcome.delivered else "failed"
             )
         self.outcomes.append(outcome)
-        return outcome

@@ -560,10 +560,7 @@ class DeliveryRig:
                 tenant = tenants[event.user]
                 if event.duplicate and event.user in last:
                     prev_src, prev_alert = last[event.user]
-                    env.process(
-                        prev_src.deliver(prev_alert, tenant.book),
-                        name=f"{prev_src.name}-redeliver-{prev_alert.alert_id}",
-                    )
+                    prev_src.deliver(prev_alert, tenant.book)
                     continue
                 src = sources[event.source]
                 alert = self.emit(

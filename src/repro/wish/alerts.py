@@ -114,11 +114,13 @@ class WISHAlertService(AlertSource):
         self._tracks.setdefault(tracked, _TrackState()).requests.append(request)
         return request
 
-    def deliver(self, alert, book: AddressBook):
+    def _start(self, kick) -> None:
         """Every delivery pays the web service's processing delay before
         the delivery mode runs."""
-        yield self.env.timeout(SERVICE_PROCESSING.draw(self.server.rng))
-        return (yield from super().deliver(alert, book))
+        delay = self.env.timeout(
+            SERVICE_PROCESSING.draw(self.server.rng), kick._value
+        )
+        delay.callbacks.append(super()._start)
 
     # ------------------------------------------------------------------
     # Store events → alerts
@@ -173,7 +175,4 @@ class WISHAlertService(AlertSource):
         if report_sent_at is not None:
             self.provenance[alert.alert_id] = report_sent_at
         self.emitted.append(alert)
-        self.env.process(
-            self.deliver(alert, request.target_book),
-            name=f"{self.name}-deliver-{alert.alert_id}",
-        )
+        self.deliver(alert, request.target_book)

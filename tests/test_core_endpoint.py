@@ -171,11 +171,9 @@ class TestAckProtocol:
         book.add(UserAddress("IM", ChannelType.IM, "peer@im"))
         book.add(UserAddress("Email", ChannelType.EMAIL, "peer@mail"))
         mode = im_ack_then_email()
-        proc = rig.env.process(
-            rig.endpoint.deliver_alert(rig.alert(), mode, book)
+        outcome = rig.env.run(
+            until=rig.endpoint.deliver_alert(rig.alert(), mode, book)
         )
-        rig.env.run(until=proc)
-        outcome = proc.value
         assert outcome.delivered and outcome.delivered_via == 0
         # RTT: 0.3 out + 0.5 think + 0.3 back.
         assert outcome.blocks[0].elapsed == pytest.approx(1.1, abs=0.01)

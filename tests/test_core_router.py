@@ -16,7 +16,8 @@ from repro.core import (
     UserAddress,
 )
 from repro.core.endpoint import make_ack_body, parse_ack_body
-from repro.core.router import BlockStatus
+from repro.core.router import BlockStatus, DeliveryEngine
+from repro.errors import Interrupt
 from repro.net import ChannelType, EmailService, IMService, LatencyModel, SMSGateway
 from repro.sim import Environment, RngRegistry
 
@@ -73,11 +74,11 @@ class Rig:
         return session
 
     def execute(self, mode, book):
-        proc = self.env.process(
-            self.sender.engine.execute(mode, book, "subj", "body", "corr-1")
+        return self.env.run(
+            until=self.sender.engine.execute(
+                mode, book, "subj", "body", "corr-1"
+            )
         )
-        self.env.run(until=proc)
-        return proc.value
 
 
 def im_ack_mode(timeout=10.0, backup=("SMS", "Email")):
@@ -350,3 +351,62 @@ class TestGuardTimerHygiene:
         # of letting one corpse per alert accumulate.
         assert len(guards) == 10 and all(g.cancelled for g in guards)
         assert rig.env.dead_entries <= rig.env.queue_depth + 1
+
+    def test_an_interrupt_mid_race_leaves_no_live_guard_timer(self):
+        """A waiter interrupted mid-race settles it at once: the guard is a
+        tombstone and the ack event lets go of the run, but stays in the
+        ack table, so a late ack still resolves; the run never ends."""
+        rig = Rig()
+        guards = self._record_long_timers(rig.env, 600.0)
+        rig.im.login("target@im")  # online, never acks
+        runs = []
+
+        def waiter(env):
+            runs.append(rig.sender.engine.execute(
+                im_ack_mode(timeout=600.0), rig.book(), "subj", "body", "c"
+            ))
+            try:
+                yield runs[0]
+            except Interrupt:
+                return "interrupted"
+
+        proc = rig.env.process(waiter(rig.env))
+        rig.env.run(until=5.0)
+        proc.interrupt("crash")
+        assert rig.env.run(until=proc) == "interrupted"
+        assert len(guards) == 1 and guards[0].cancelled
+        (pending,) = rig.sender.engine.acks._pending.values()
+        assert pending.callbacks == []
+        rig.env.run(until=700.0)
+        assert not runs[0].processed
+
+
+class TestRunWithoutWaits:
+    """A mode whose blocks never wait runs inside ``execute``."""
+
+    class Manager:
+        """A channel that accepts every submission and sends nothing."""
+
+        def submit(self, address, subject, body, correlation):
+            return object()
+
+    def test_a_mode_with_no_waiting_block_schedules_no_event(self):
+        env = Environment()
+        engine = DeliveryEngine(env, {ChannelType.EMAIL: self.Manager()})
+        scheduled = []
+        schedule, timeout = env.schedule, env.timeout
+        env.schedule = lambda *args: scheduled.append(args) or schedule(*args)
+        env.timeout = lambda *args: scheduled.append(args) or timeout(*args)
+        book = AddressBook(owner="target")
+        book.add(UserAddress("IM", ChannelType.IM, "t@im", enabled=False))
+        book.add(UserAddress("Email", ChannelType.EMAIL, "t@mail"))
+        mode = DeliveryMode("never-waits", [
+            CommunicationBlock([Action("IM")], require_ack=True),
+            CommunicationBlock([Action("Email")]),
+        ])
+        run = engine.execute(mode, book, "subj", "body", "corr")
+        assert run.processed and run.value.delivered_via == 1
+        assert [b.status for b in run.value.blocks] == [
+            BlockStatus.NO_ENABLED_ADDRESSES, BlockStatus.SUCCESS,
+        ]
+        assert scheduled == [] and env.queue_depth == 0

@@ -29,6 +29,7 @@ behind that is still alive — only the listed lean per-alert records.
 
 import dataclasses
 import gc
+import hashlib
 import weakref
 from collections import Counter
 
@@ -40,7 +41,12 @@ from repro.core.alert import Alert
 from repro.core.buddy import JournalEvent
 from repro.core.pessimistic_log import DeliveryStatus, LogEntry
 from repro.core.pipeline import RouteStage
-from repro.core.router import BlockOutcome, DeliveryEngine, DeliveryOutcome
+from repro.core.router import (
+    BlockOutcome,
+    DeliveryEngine,
+    DeliveryOutcome,
+    DeliveryRun,
+)
 from repro.core.user_endpoint import Receipt
 from repro.experiments.sharded import build_e13_workload
 from repro.sim.events import Timeout
@@ -58,14 +64,14 @@ from tests.golden_farm import N_USERS, run_golden_farm
 EMITTED = 2 * N_USERS + 4
 DELIVERED = 42
 
-#: Spawns over the whole run.  Only ``AlertSource.deliver`` scales with
-#: alerts; everything else is lifecycle (launches, the one crash/relaunch).
-#: The idle duties that only wait on their own timer or mailbox — monkey
-#: scans, nightly rejuvenation, stabilizer tasks, source maintenance, the
-#: user's phone, mail and reconnect poll — are callbacks, not processes
-#: (DESIGN §6b).
+#: Spawns over the whole run: none scales with alerts, everything is
+#: lifecycle (launches, the one crash/relaunch).  A source delivery is a
+#: ``DeliveryRun`` started from a zero-delay kick (44 ``AlertSource.deliver``
+#: processes when it was a process), and the idle duties that only wait on
+#: their own timer or mailbox — monkey scans, nightly rejuvenation,
+#: stabilizer tasks, source maintenance, the user's phone, mail and
+#: reconnect poll — are callbacks, not processes (DESIGN §6b).
 EXPECTED_SPAWNS = {
-    "AlertSource.deliver": EMITTED,
     "MyAlertBuddy._main": 21,
     "SimbaEndpoint._email_loop": 23,
     "SimbaEndpoint._im_loop": 23,
@@ -74,9 +80,9 @@ EXPECTED_SPAWNS = {
 }
 
 #: Resumes of the processes an alert passes through; the total below adds
-#: only the driver's.
+#: only the driver's.  The source side resumes nothing (2 per alert when a
+#: delivery was a process: its kick-off and its ack-vs-timeout race).
 EXPECTED_ALERT_PATH_RESUMES = {
-    "AlertSource.deliver": 2 * EMITTED,  # kick-off + the ack-vs-timeout race
     "SimbaEndpoint._im_loop": 199,
     "SimbaEndpoint._email_loop": 24,
     "MyAlertBuddy._main": 197,
@@ -88,17 +94,20 @@ EXPECTED_ALERT_PATH_RESUMES = {
 #: tenant — 4 002 resumes and 5 953 timers when every tenant had its own.
 #: The reconnect poll sleeps while its user is present and logged in, so
 #: its cohort arms no timer at all: 743 timers when it ticked regardless.
-TOTAL_RESUMES = 660
+TOTAL_RESUMES = 572
 GOLDEN_TIMERS = 692
 
 #: Non-timer events scheduled over the whole run, by class: ``Event`` is
-#: process kick-offs, acks and transit hand-offs, ``StoreGet`` a mailbox
-#: waking its reader, ``AnyOf`` a settled race, ``Process`` a finished
-#: process waking whoever waits on it.  There is no row for a put — with
-#: ``StorePut`` the run scheduled 220 more events, 5.24 per delivered alert.
-#: A cohort is kicked once however many members join it.
-EXPECTED_EVENTS = {"Event": 246, "StoreGet": 221, "AnyOf": 86, "Process": 47}
-EVENTS_PER_DELIVERED = 14.29
+#: process and delivery kick-offs, acks, transit hand-offs and the hop
+#: after a delivery's ack race is decided, ``StoreGet`` a mailbox waking
+#: its reader, ``Process`` a finished process waking whoever waits on it.
+#: There is no row for a put — with ``StorePut`` the run scheduled 220
+#: more events, 5.24 per delivered alert — and none for an ``AnyOf``: the
+#: 86 races were ``AnyOf`` events before a delivery settled its own race,
+#: and the 44 ended source deliveries were ``Process`` events (14.29 per
+#: delivered alert).  A cohort is kicked once however many members join it.
+EXPECTED_EVENTS = {"Event": 332, "StoreGet": 221, "Process": 3}
+EVENTS_PER_DELIVERED = 13.24
 
 
 def count_hops(run):
@@ -185,7 +194,7 @@ def hop_counts():
     return on_both_backends(run_counted_golden_farm)
 
 
-def test_one_spawn_per_alert_and_no_forwarding_processes(hop_counts):
+def test_no_spawn_per_alert_and_no_forwarding_processes(hop_counts):
     spawns, _resumes, _events, _timers = hop_counts
     forwarding = [
         name for name in spawns if name.endswith(("_deliver", "_pump"))
@@ -211,8 +220,85 @@ def test_idle_cohorts_arm_one_timer_per_period(hop_counts):
 def test_non_timer_events_are_pinned(hop_counts):
     _spawns, _resumes, events, _timers = hop_counts
     assert "StorePut" not in events  # a put is a call: no waiter, no event
+    assert "AnyOf" not in events  # a delivery settles its own ack race
     assert dict(events) == EXPECTED_EVENTS
     assert round(sum(events.values()) / DELIVERED, 2) == EVENTS_PER_DELIVERED
+
+
+#: Every generator resume on the golden farm as ``(instant, qualname)``, in
+#: order: its count and the head of its SHA-256.  The same as when both
+#: sides of a delivery ran it as a generator (less the source's own
+#: resumes), so no process moved relative to another.
+GOLDEN_RESUME_ORDER = (572, "b62f012c32700c75")
+
+
+def resume_order(run):
+    """``(resumes, digest)`` of the order in which ``run()`` resumes its
+    processes, and the number of resumes that a :class:`DeliveryRun` woke
+    outside the dispatch that decided its last block."""
+    order = []
+    late = 0
+    deciding = False
+    original_init = Process.__init__
+    decided = DeliveryRun._decided
+
+    class RecordedGenerator:
+        def __init__(self, generator, env):
+            self.generator, self.env = generator, env
+            self.__name__ = generator.__name__
+            self.qualname = generator.__qualname__
+
+        def send(self, value):
+            nonlocal late
+            order.append(f"{self.env.now!r} {self.qualname}")
+            if isinstance(value, DeliveryOutcome) and not deciding:
+                late += 1
+            return self.generator.send(value)
+
+        def throw(self, *args):
+            order.append(f"{self.env.now!r} {self.qualname}!")
+            return self.generator.throw(*args)
+
+    def recording_init(self, env, generator, name=None):
+        original_init(self, env, RecordedGenerator(generator, env), name)
+
+    def flagged(run, event):
+        nonlocal deciding
+        deciding = True
+        try:
+            decided(run, event)
+        finally:
+            deciding = False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "__init__", recording_init)
+        patch.setattr(DeliveryRun, "_decided", flagged)
+        run()
+    digest = hashlib.sha256("\n".join(order).encode()).hexdigest()[:16]
+    return (len(order), digest), late
+
+
+def test_a_waiter_resumes_in_the_dispatch_that_decided_its_race():
+    order, late = resume_order(run_counted_golden_farm)
+    assert late == 0
+    assert order == GOLDEN_RESUME_ORDER
+
+
+def test_a_run_that_wakes_its_waiter_a_hop_late_breaks_the_budget(
+    monkeypatch,
+):
+    finish = DeliveryRun._finish
+
+    def queued_finish(run, delivered):
+        waiters, run.callbacks = run.callbacks, []
+        finish(run, delivered)
+        hop = run.env.event()
+        hop.callbacks += [lambda _hop, wake=wake: wake(run) for wake in waiters]
+        hop.succeed()
+
+    monkeypatch.setattr(DeliveryRun, "_finish", queued_finish)
+    _order, late = resume_order(run_counted_golden_farm)
+    assert late > 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +421,6 @@ def run_counted_replicated_chaos():
 #: the link partitions and the fenced side's reconciliation.  An MDC probe
 #: is answered by a callback on its request, not a client process.
 EXPECTED_REPLICATED_SPAWNS = {
-    "AlertSource.deliver": 363,
     "ChannelBase._outage_timer": 3,
     "DeliveryRig.round_robin.<locals>.workload": 1,
     "FailoverController._reconcile": 1,
@@ -352,7 +437,8 @@ EXPECTED_REPLICATED_SPAWNS = {
 #: poll ticks only while its user is present without a session (7 158
 #: timers when the polls ticked regardless), and a lease check only while
 #: a check might promote (7 069 when the lease sweep ticked regardless).
-REPLICATED_RESUMES = 5100
+#: 5 100 resumes when the 363 source deliveries were processes.
+REPLICATED_RESUMES = 4520
 REPLICATED_TIMERS = 5456
 
 
@@ -622,6 +708,11 @@ def test_golden_farm_leaves_nothing_for_the_collector(backend, monkeypatch):
     assert count == 0, Counter(type(o).__qualname__ for o in garbage)
 
 
+#: The golden farm's processes that return: its driver, and the stale IM
+#: loop of the endpoint whose MAB crashes and is relaunched.
+ENDED_PROCESSES = ["golden-farm-driver", "mab-user5-im-loop"]
+
+
 def test_a_process_that_keeps_its_wake_breaks_the_heap_budget(monkeypatch):
     class ClingyProcess(Process):
         __slots__ = ()
@@ -634,7 +725,9 @@ def test_a_process_that_keeps_its_wake_breaks_the_heap_budget(monkeypatch):
     monkeypatch.setattr("repro.sim.kernel.Process", ClingyProcess)
     count, garbage = unreachable_after(run_golden_farm)
     leaked = [o for o in garbage if isinstance(o, ClingyProcess)]
-    assert len(leaked) >= EMITTED  # one per alert, as before the fix
+    # Every process that ends: no delivery is a process any more (one per
+    # alert leaked, as before the fix, while source deliveries were).
+    assert sorted(p.name for p in leaked) == ENDED_PROCESSES
     assert count >= 2 * len(leaked)  # each with the bound method it kept
 
 

@@ -116,11 +116,9 @@ def build_rig(cfg):
 @given(mode=modes, cfg=toggles)
 def test_fallback_totality_and_ack_soundness(mode, cfg):
     env, endpoint, book = build_rig(cfg)
-    proc = env.process(
-        endpoint.engine.execute(mode, book, "s", "b", "corr")
+    outcome = env.run(
+        until=endpoint.engine.execute(mode, book, "s", "b", "corr")
     )
-    env.run(until=proc)
-    outcome = proc.value
 
     # 1. Totality: exactly one success (the last examined block) or every
     #    block examined and failed; never an unexamined gap before a result.
