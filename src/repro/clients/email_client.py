@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.clients.automation import AutomationHandle, ClientSoftware
 from repro.clients.screen import Screen
 from repro.net.email import EmailMessage, EmailService, Mailbox
+from repro.sim.stores import Reader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
@@ -75,6 +76,12 @@ class EmailClient(ClientSoftware):
         """Event yielding the next unread email (marks it read)."""
         self.guard(handle)
         return self._mailbox.receive()
+
+    def read_next(self, handle: AutomationHandle, reader: Reader) -> None:
+        """:meth:`fetch_next` for a reader of the mailbox's unread queue:
+        arm ``reader`` for the next unread email."""
+        self.guard(handle)
+        reader.read()
 
     def server_reachable(self, handle: AutomationHandle) -> bool:
         """App-specific sanity probe: is the mail relay up?"""

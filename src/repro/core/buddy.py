@@ -275,7 +275,7 @@ class MyAlertBuddy:
             return False
         self.hung = True
         self.journal.record(self.env.now, "hang")
-        # All the process's threads stall together: receive loops, monkey
+        # All the process's threads stall together: receive readers, monkey
         # threads and stabilizer stop being scheduled.
         self.endpoint.stop()
         self.stabilizer.stop()

@@ -8,7 +8,7 @@ followed by email' delivery mode of the SIMBA library").  An endpoint owns:
 - an email identity + GUI email client + Email Manager,
 - an SMS manager (gateway-facing),
 - a :class:`~repro.core.router.DeliveryEngine` for outgoing alerts,
-- receive loops that separate application-level acknowledgements
+- receive readers that separate application-level acknowledgements
   (``SIMBA-ACK <seq>``) from alert payloads and plain messages.
 
 Incoming alerts are optionally acknowledged (``auto_ack``) after an optional
@@ -31,18 +31,19 @@ from repro.core.delivery_modes import DeliveryMode
 from repro.core.managers import EmailManager, IMManager, SMSManager
 from repro.core.router import DeliveryEngine, DeliveryRun
 from repro.errors import AutomationError, ChannelError
-from repro.net.email import EmailService
+from repro.net.email import EmailService, Mailbox
 from repro.net.im import IMService
 from repro.net.message import ChannelType, Message
 from repro.net.sms import SMSGateway
-from repro.sim.stores import Store
+from repro.sim.process import Stepper
+from repro.sim.stores import Reader, Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
 
 ACK_PREFIX = "SIMBA-ACK"
 
-#: How long a receive loop sleeps after an automation error before retrying
+#: How long the email reader waits after an automation error before retrying
 #: (the sanity checks / monkey threads repair the client in the meantime).
 RECEIVE_RETRY_DELAY = 2.0
 
@@ -161,7 +162,7 @@ class SimbaEndpoint:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start clients, monkey threads and receive loops (idempotent)."""
+        """Start clients, monkey threads and receive readers (idempotent)."""
         if self.running:
             return
         self.running = True
@@ -172,10 +173,16 @@ class SimbaEndpoint:
             self.im_manager.monkey.start()
             self.email_manager.monkey.start()
         generation = self._generation
-        self.env.process(self._im_loop(generation), name=f"{self.name}-im-loop")
-        self.env.process(
-            self._email_loop(generation), name=f"{self.name}-email-loop"
-        )
+        mailbox = self.email_client.service.mailbox(self.email_address)
+        # Each reader arms from a zero-delay kick, where a loop process's
+        # first step ran.
+        for reader in (
+            _IMReceiver(self, self.im_client.incoming),
+            _EmailReceiver(self, mailbox),
+        ):
+            kick = self.env.event()
+            kick.callbacks.append(reader.start)
+            kick.succeed()
         if self.maintenance_interval is not None:
             # This generation's member of a cohort (DESIGN §6b).
             self.env.every(
@@ -190,7 +197,9 @@ class SimbaEndpoint:
         self.email_manager.sanity_check()
 
     def stop(self, shutdown_clients: bool = False) -> None:
-        """Stop loops; optionally also shut the client software down."""
+        """Stop the readers; optionally also shut the client software down.
+
+        A reader finds out when it next takes a message or re-arms."""
         self.running = False
         self.im_manager.stop_monkey()
         self.email_manager.stop_monkey()
@@ -220,123 +229,146 @@ class SimbaEndpoint:
             trace_parent=trace_parent,
         )
 
-    # ------------------------------------------------------------------
-    # Receive loops
-    # ------------------------------------------------------------------
 
-    def _im_loop(self, generation: int):
-        """Pump IMs: route acks to the engine, alerts to the inbox."""
-        while self.running and self._generation == generation:
-            # Parked, a loop pins nothing of the message it last handled.
-            message = None
-            message = yield self.im_client.incoming.get()
-            if not self.running or self._generation != generation:
-                # This loop is stale (endpoint stopped or restarted): the
-                # message belongs to the client's queue, not to us — put it
-                # back for whoever runs next.
-                self.im_client.incoming.put_front(message)
-                return
-            if message.corrupt:
-                self.corrupt_discarded += 1
-                continue
-            seq = parse_ack_body(message.body)
-            if seq is not None:
-                self.engine.acks.resolve(message.sender, seq)
-                continue
-            if Alert.is_alert_payload(message.body):
-                yield from self._handle_alert(
-                    message.body,
-                    via=ChannelType.IM,
-                    sender=message.sender,
-                    seq=message.seq,
-                    trace_parent=message.trace_parent,
-                )
-                continue
-            if self.command_handler is not None:
-                self.command_handler(message)
+class _Receiver(Reader):
+    """One endpoint generation's reader of one channel: the callback form of
+    a receive loop (DESIGN §6d).
 
-    def _email_loop(self, generation: int):
-        """Pump emails; alerts to the inbox, the rest to the command hook."""
-        while self.running and self._generation == generation:
-            message = None  # as in _im_loop
-            try:
-                message = yield self.email_client.fetch_next(
-                    self.email_manager.handle
-                )
-            except (AutomationError, ChannelError):
-                yield self.env.timeout(RECEIVE_RETRY_DELAY)
-                continue
-            if not self.running or self._generation != generation:
-                self.email_client.service.mailbox(
-                    self.email_address
-                ).put_back(message)
-                return
-            if message.corrupt:
-                self.corrupt_discarded += 1
-                continue
-            if Alert.is_alert_payload(message.body):
-                yield from self._handle_alert(
-                    message.body,
-                    via=ChannelType.EMAIL,
-                    sender=message.sender,
-                    trace_parent=message.trace_parent,
-                )
-                continue
-            if self.command_handler is not None:
-                self.command_handler(message)
+    It routes what it takes (acks to the engine, alerts to the inbox, the
+    rest to the command hook) and re-arms.  An alert keeps it busy while the
+    ``pre_ack_hook`` generator runs on its :class:`Stepper` — MAB's log
+    write and replication ship — so later messages queue and are read in
+    order once it re-arms.  A reader whose generation has ended hands what
+    it takes back to the head of the queue for whoever reads next, and
+    stops.
+    """
 
-    def _handle_alert(
-        self,
-        payload: str,
-        via: ChannelType,
-        sender: str,
-        seq: Optional[int] = None,
-        trace_parent: Optional[int] = None,
-    ):
+    __slots__ = ("endpoint", "generation", "stepper", "incoming", "rspan")
+
+    def __init__(self, endpoint: "SimbaEndpoint", store: Store):
+        super().__init__(store)
+        self.endpoint = endpoint
+        self.generation = endpoint._generation
+        self.stepper: Optional[Stepper] = None
+        # The alert in hand while the pre-ack hook runs (None when idle:
+        # a parked reader pins nothing of the message it last handled).
+        self.incoming: Optional[IncomingAlert] = None
+        self.rspan = None
+
+    @property
+    def current(self) -> bool:
+        endpoint = self.endpoint
+        return endpoint.running and endpoint._generation == self.generation
+
+    def start(self, _kick) -> None:
+        self.next()
+
+    def next(self) -> None:
+        """Re-arm while this generation runs."""
+        if self.current:
+            self.read()
+        else:
+            self.end()
+
+    def end(self) -> None:
+        """This generation is over: the reader takes nothing more."""
+        stepper, self.stepper = self.stepper, None
+        if stepper is not None:
+            stepper.close()
+
+    def hand_back(self, message: Message) -> None:
+        """A stale reader's take: the message belongs to the queue, not to
+        us — it goes back to the head for whoever reads next."""
+        self.store.put_front(message)
+        self.end()
+
+    def receive(
+        self, message: Message, via: ChannelType, seq: Optional[int]
+    ) -> None:
+        """Route a taken message; re-arm unless an alert's hook waits."""
+        endpoint = self.endpoint
+        if message.corrupt:
+            endpoint.corrupt_discarded += 1
+        elif via is ChannelType.IM and (
+            ack := parse_ack_body(message.body)
+        ) is not None:
+            endpoint.engine.acks.resolve(message.sender, ack)
+        elif Alert.is_alert_payload(message.body):
+            self._alert(message, via, seq)
+            return
+        elif endpoint.command_handler is not None:
+            endpoint.command_handler(message)
+        self.next()
+
+    def _alert(
+        self, message: Message, via: ChannelType, seq: Optional[int]
+    ) -> None:
+        endpoint = self.endpoint
         try:
-            alert = Alert.decode(payload)
+            alert = Alert.decode(message.body)
         except ValueError:
             # A payload that does not parse is as unusable as one that
             # fails its checksum: counted, never acked or routed.
-            self.corrupt_discarded += 1
+            endpoint.corrupt_discarded += 1
+            self.next()
             return
+        env = endpoint.env
         incoming = IncomingAlert(
-            alert=alert, via=via, sender=sender, received_at=self.env.now, seq=seq
+            alert=alert,
+            via=via,
+            sender=message.sender,
+            received_at=env.now,
+            seq=seq,
         )
-        tracer = self.env.tracer
-        rspan = None
+        tracer = env.tracer
         if tracer is not None:
-            rspan = tracer.begin(
+            rspan = self.rspan = tracer.begin(
                 alert.alert_id,
                 "receive",
-                parent=trace_parent,
+                parent=message.trace_parent,
                 via=via.value,
-                endpoint=self.name,
+                endpoint=endpoint.name,
             )
             if seq is not None:
                 rspan.annotations["seq"] = seq
             incoming.trace_parent = rspan.span_id
-        if self.pre_ack_hook is not None:
-            yield from self.pre_ack_hook(incoming)
-        if self.ack_guard is not None and not self.ack_guard(incoming):
+        self.incoming = incoming
+        hook = endpoint.pre_ack_hook
+        if hook is None:
+            self._acknowledge(None)
+            return
+        stepper = self.stepper
+        if stepper is None:
+            stepper = self.stepper = Stepper(env, self._acknowledge)
+        stepper.run(hook(incoming))
+
+    def _acknowledge(self, _logged) -> None:
+        """After the pre-ack hook: ack the alert, hand it to the inbox."""
+        endpoint = self.endpoint
+        incoming, rspan = self.incoming, self.rspan
+        self.incoming = self.rspan = None
+        tracer = endpoint.env.tracer
+        if endpoint.ack_guard is not None and not endpoint.ack_guard(incoming):
             # Fenced: no ack (the sender falls back and the active side
             # receives the copy) and no enqueue.  The pre-ack log write
-            # above stays local and is handed over by reconciliation.
+            # stays local and is handed over by reconciliation.
             if rspan is not None:
                 tracer.end(rspan, "fenced")
+            self.next()
             return
-        if self.auto_ack and via is ChannelType.IM and seq is not None:
+        seq = incoming.seq
+        if endpoint.auto_ack and seq is not None:
             epoch = (
-                self.epoch_provider()
-                if self.epoch_provider is not None
+                endpoint.epoch_provider()
+                if endpoint.epoch_provider is not None
                 else None
             )
             try:
-                ack_message = self.im_manager.submit(
-                    sender,
+                ack_message = endpoint.im_manager.submit(
+                    incoming.sender,
                     "",
                     make_ack_body(seq, epoch),
-                    correlation=alert.alert_id,
+                    correlation=incoming.alert.alert_id,
                 )
                 if rspan is not None:
                     # The ack's transit span parents under the receive.
@@ -346,6 +378,55 @@ class SimbaEndpoint:
                 # alert may arrive twice; incoming dedup handles that.
                 if rspan is not None:
                     rspan.annotations["ack_failed"] = True
-        self.alert_inbox.put(incoming)
+        endpoint.alert_inbox.put(incoming)
         if rspan is not None:
             tracer.end(rspan, "enqueued")
+        self.next()
+
+
+class _IMReceiver(_Receiver):
+    """Reads the IM client's surfaced queue."""
+
+    __slots__ = ()
+
+    def take(self, message: Message) -> None:
+        if not self.current:
+            self.hand_back(message)
+            return
+        self.receive(message, ChannelType.IM, message.seq)
+
+
+class _EmailReceiver(_Receiver):
+    """Reads the mailbox through the email client, which may refuse (hung,
+    stale, blocked): then it tries again after ``RECEIVE_RETRY_DELAY``."""
+
+    __slots__ = ("mailbox",)
+
+    def __init__(self, endpoint: "SimbaEndpoint", mailbox: Mailbox):
+        super().__init__(endpoint, mailbox.unread)
+        self.mailbox = mailbox
+
+    def next(self) -> None:
+        if not self.current:
+            self.end()
+            return
+        endpoint = self.endpoint
+        try:
+            endpoint.email_client.read_next(
+                endpoint.email_manager.handle, self
+            )
+        except (AutomationError, ChannelError):
+            endpoint.env.timeout(RECEIVE_RETRY_DELAY).callbacks.append(
+                self.start
+            )
+
+    def take(self, message: Message) -> None:
+        self.mailbox.mark_read(message)
+        if not self.current:
+            self.hand_back(message)
+            return
+        self.receive(message, ChannelType.EMAIL, None)
+
+    def hand_back(self, message: Message) -> None:
+        self.mailbox.put_back(message)  # unmarks it read, too
+        self.end()

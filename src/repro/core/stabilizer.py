@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment, Membership
 
+_INFINITY = float("inf")
+
 
 @dataclass
 class TaskRecord:
@@ -62,13 +64,15 @@ class SelfStabilizer:
 
     def start(self) -> None:
         """Join one cohort per task interval (idempotent); each tick runs
-        that interval's tasks in task order (DESIGN §6b)."""
+        that interval's tasks in task order (DESIGN §6b).  A task whose
+        interval is infinite never runs, so it joins nothing."""
         if self._running:
             return
         self._running = True
         groups: dict[float, list[str]] = {}
         for name, (interval, _check) in self._tasks.items():
-            groups.setdefault(interval, []).append(name)
+            if interval != _INFINITY:
+                groups.setdefault(interval, []).append(name)
         self._members = tuple(
             self.env.every(interval, partial(self._tick, tuple(names)))
             for interval, names in groups.items()

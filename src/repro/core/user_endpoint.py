@@ -26,6 +26,7 @@ from repro.net.email import EmailService
 from repro.net.im import IMService, IMSession
 from repro.net.message import ChannelType
 from repro.net.sms import SMSGateway
+from repro.sim.stores import Reader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment, Membership
@@ -132,10 +133,13 @@ class UserEndpoint:
         except ChannelError:
             self._session = None
             return
-        self._session.on_end = self._sync_poll
-        self.env.process(
-            self._im_loop(self._session), name=f"{self.name}-im"
-        )
+        reader = _IMReader(self, self._session)
+        self._session.on_end = reader.end
+        # The reader arms from a zero-delay kick, where a loop process's
+        # first step ran.
+        kick = self.env.event()
+        kick.callbacks.append(reader.start)
+        kick.succeed()
 
     def _sync_poll(self) -> None:
         """Wake the reconnect poll while the user is present without a live
@@ -188,35 +192,10 @@ class UserEndpoint:
         return [r for r in self.receipts if r.alert_id == alert_id]
 
     # ------------------------------------------------------------------
-    # Devices: the IM loop suspends on its human reaction delay; the phone
-    # and the mailbox are read by arrival hooks
+    # Devices: the IM window is a reader of the session's inbox that waits
+    # out a human reaction; the phone and the mailbox are read by arrival
+    # hooks
     # ------------------------------------------------------------------
-
-    def _im_loop(self, session: IMSession):
-        while session.active and self._present:
-            # Parked, the loop pins nothing of the IM it last read.
-            message = alert = None
-            message = yield session.receive()
-            if message.corrupt:
-                # Failed checksum: never acked, so the MAB's ack timeout
-                # treats the alert as undelivered and falls back.
-                self.corrupt_discarded += 1
-                continue
-            if not Alert.is_alert_payload(message.body):
-                continue
-            alert = Alert.decode(message.body)
-            self._record(alert, ChannelType.IM)
-            if self.ack_enabled:
-                yield self.env.timeout(REACTION.draw(self.rng))
-                if session.active:
-                    try:
-                        session.send(
-                            message.sender,
-                            make_ack_body(message.seq),
-                            correlation=alert.alert_id,
-                        )
-                    except ChannelError:
-                        pass  # sender will fall back; we already saw it
 
     def _on_sms(self, message) -> None:
         """The handset's arrival hook (:attr:`Phone.hook`)."""
@@ -254,3 +233,66 @@ class UserEndpoint:
             return
         if Alert.is_alert_payload(message.body):
             self._record(Alert.decode(message.body), ChannelType.EMAIL)
+
+
+class _IMReader(Reader):
+    """The user at the IM window of one session: records each alert IM,
+    and acks it after a human reaction delay, busy meanwhile (later IMs
+    queue).  It reads while the session lives and the user is present, and
+    lets go of the inbox when the session ends.
+    """
+
+    __slots__ = ("user", "session", "message", "alert_id")
+
+    def __init__(self, user: UserEndpoint, session: IMSession):
+        super().__init__(session.inbox)
+        self.user = user
+        self.session = session
+        # The IM awaiting its ack (None when idle: a parked reader pins
+        # nothing of the IM it last read).
+        self.message = self.alert_id = None
+
+    def start(self, _kick) -> None:
+        self.next()
+
+    def next(self) -> None:
+        """Re-arm while the session lives and the user is present."""
+        if self.session.active and self.user._present:
+            self.read()
+
+    def end(self) -> None:
+        """The session's ``on_end``: nothing more can arrive."""
+        self.detach()
+        self.user._sync_poll()
+
+    def take(self, message) -> None:
+        user = self.user
+        if message.corrupt:
+            # Failed checksum: never acked, so the MAB's ack timeout
+            # treats the alert as undelivered and falls back.
+            user.corrupt_discarded += 1
+        elif Alert.is_alert_payload(message.body):
+            alert = Alert.decode(message.body)
+            user._record(alert, ChannelType.IM)
+            if user.ack_enabled:
+                self.message, self.alert_id = message, alert.alert_id
+                user.env.timeout(REACTION.draw(user.rng)).callbacks.append(
+                    self._react
+                )
+                return
+        self.next()
+
+    def _react(self, _timer) -> None:
+        message, alert_id = self.message, self.alert_id
+        self.message = self.alert_id = None
+        session = self.session
+        if session.active:
+            try:
+                session.send(
+                    message.sender,
+                    make_ack_body(message.seq),
+                    correlation=alert_id,
+                )
+            except ChannelError:
+                pass  # sender will fall back; we already saw it
+        self.next()

@@ -30,6 +30,7 @@ the multi-core numbers trustworthy wherever they are measured.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -66,16 +67,16 @@ def e13_world_config(seed: int) -> WorldConfig:
 
 
 #: Lean per-tenant configuration for six-figure populations: bounded
-#: journals, no monkey/nightly background machinery, sanity checks pushed
-#: past the horizon (each would add O(tenants × minutes) kernel events and
-#: none of them are what E13 measures).
+#: journals, no monkey/nightly background machinery and no sanity checks
+#: (each would add O(tenants × minutes) kernel events and none of them are
+#: what E13 measures; an infinite interval joins no cohort at all).
 E13_PROFILE = FarmProfile(
     categories=("News",),
     mode_name="normal",
     accept_sources=("portal",),
     present=True,
     ack_enabled=True,
-    sanity_interval=10**9,
+    sanity_interval=math.inf,
     monkey_enabled=False,
     nightly_enabled=False,
     journal_max_events=64,

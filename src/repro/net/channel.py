@@ -237,44 +237,50 @@ class ChannelBase:
         )
         if corrupt:
             message = replace(message, corrupt=True)
+        # The transit span opens before the hand-off: an idle reader
+        # handles the message inside ``arrive`` and opens its own spans.
+        span = (
+            self._open_transit(message)
+            if self.env.tracer is not None and not duplicate
+            else None
+        )
         if lost or not arrive(message):
             # Loss draw, or nowhere to put it at arrival time: the recipient
             # logged out, the phone left coverage or the service died while
             # the message was in flight.
             if not duplicate:
                 self.stats.lost += 1
-                if self.env.tracer is not None:
-                    self._trace_transit(message, "lost")
+                if span is not None:
+                    self.env.tracer.end(span, "lost")
         elif duplicate:
             # Duplicate copies ride the adversary counters only, keeping
             # the primary stream's submitted == delivered + lost exact.
             self.adversary_stats.duplicates_delivered += 1
         else:
             self.stats.record_delivery(self.env.now - message.created_at)
-            if self.env.tracer is not None:
-                self._trace_transit(message, "delivered")
+            if span is not None:
+                self.env.tracer.end(span, "delivered")
 
     def _require_available(self) -> None:
         if not self.available:
             self.stats.rejected += 1
             raise ChannelUnavailable(f"channel {self.name!r} is down")
 
-    def _trace_transit(self, message, outcome: str) -> None:
-        """Record the message's in-flight interval as a retroactive span.
+    def _open_transit(self, message):
+        """Open the message's in-flight interval as a retroactive span.
 
         Channels know a message's fate only at the *end* of its transit, so
-        the span is opened with ``start=message.created_at`` and closed at
-        ``env.now`` in one step.  Requires ``env.tracer`` — call sites guard
-        on that so the disabled path stays one slot load.
+        the span starts at ``message.created_at`` and :meth:`_arrival`
+        closes it at ``env.now`` with the fate.  Requires ``env.tracer`` —
+        the call site guards on that so the disabled path stays one slot
+        load.  None for a message no alert correlates.
         """
-        tracer = self.env.tracer
-        if tracer is None or message.correlation is None:
-            return
-        span = tracer.begin(
+        if message.correlation is None:
+            return None
+        return self.env.tracer.begin(
             message.correlation,
             f"transit.{message.channel.value}",
             parent=message.trace_parent,
             start=message.created_at,
             recipient=message.recipient,
         )
-        tracer.end(span, outcome)

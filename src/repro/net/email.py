@@ -59,6 +59,12 @@ class Mailbox:
         return self._read
 
     @property
+    def unread(self) -> Store:
+        """The unread queue itself, for a :class:`~repro.sim.stores.Reader`
+        (which marks what it takes read with :meth:`mark_read`)."""
+        return self._unread
+
+    @property
     def unread_count(self) -> int:
         return len(self._unread)
 
@@ -82,11 +88,14 @@ class Mailbox:
         if event.ok:
             self.read.append(event.value)
 
+    def mark_read(self, message: EmailMessage) -> None:
+        self.read.append(message)
+
     def put_back(self, message: "EmailMessage") -> None:
         """Return a received message to the head of the unread queue.
 
-        Used by stale consumers handing work to their successor; undoes the
-        read-marking that :meth:`receive` performed.
+        Used by stale readers handing work to their successor; undoes the
+        read-marking.
         """
         if message in self.read:
             self.read.remove(message)

@@ -13,11 +13,15 @@ cold path — interrupts and failed events — and is looked up when needed),
 and the transient bookkeeping events (the kick-start event, interrupt
 triggers, and the rearm events used for already-processed targets) come
 from the scheduler's free-list pool via ``env.event()``.
+
+A :class:`Stepper` runs a generator on the same rules without being a
+process: for a wait inside a callback (an endpoint reader's pre-ack log
+write), where nothing waits for the generator or interrupts it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.errors import Interrupt
 from repro.sim.events import Event, Timeout
@@ -186,19 +190,7 @@ class Process(Event):
         self._bad_yield(target)
 
     def _rearm(self, target: Event) -> None:
-        # Already-processed events resume the process on the next tick so
-        # that a tight loop over completed events cannot starve the queue.
-        env = self.env
-        rearm = env.event()
-        target_ok = target._ok
-        rearm._ok = target_ok
-        rearm._value = target._value
-        env.schedule(rearm)
-        if not target_ok:
-            target._defused = True
-            rearm._defused = True
-        self._waiting_on = rearm
-        rearm.callbacks.append(self._wake)
+        self._waiting_on = _rearm(self.env, target, self._wake)
 
     def _bad_yield(self, target: Any) -> None:
         message = TypeError(
@@ -209,3 +201,89 @@ class Process(Event):
     def __repr__(self) -> str:
         status = "alive" if self.is_alive else "finished"
         return f"<Process {self.name!r} {status}>"
+
+
+class Stepper:
+    """Runs one generator at a time on its events' callbacks: a
+    :class:`Process` without the process.
+
+    :meth:`run` sends into the generator at once; every event it yields
+    gets ``_wake``, bound once per stepper, so neither a run nor a step
+    allocates.  The rules are the Process's: an already-processed event
+    re-arms through a pooled zero-delay event, a failed one is thrown in,
+    and a non-event is a ``TypeError`` thrown in.  When the generator
+    returns, ``then(value)`` runs in that step's dispatch.  A stepper is
+    no event and cannot be interrupted: nothing waits for it, and an
+    exception the generator lets out propagates to the caller of the
+    step (the kernel, which ends the run with it).
+
+    ``_wake`` refers to the stepper itself and ``then`` usually to its
+    owner, which holds the stepper: an owner that is done with it calls
+    :meth:`close`, or the pair is left to the cyclic collector (DESIGN
+    §6d, "Process lifetime").
+    """
+
+    __slots__ = ("env", "then", "_generator", "_wake")
+
+    def __init__(self, env: "Environment", then: Callable[[Any], None]):
+        self.env = env
+        self.then = then
+        self._generator: Optional[Generator] = None
+        self._wake = self._resume
+
+    def close(self) -> None:
+        """Let go of ``then`` and ``_wake``; a closed stepper runs nothing."""
+        self.then = self._wake = None
+
+    def run(self, generator: Generator[Event, Any, Any]) -> None:
+        """Start ``generator``: up to its first wait, now."""
+        if self._generator is not None:
+            raise RuntimeError("a stepper runs one generator at a time")
+        self._generator = generator
+        self._step(None, True)
+
+    def _resume(self, event: Event) -> None:
+        if event._ok:
+            self._step(event._value, True)
+        else:
+            event._defused = True
+            self._step(event._value, False)
+
+    def _step(self, value: Any, ok: bool) -> None:
+        generator = self._generator
+        try:
+            target = generator.send(value) if ok else generator.throw(value)
+        except StopIteration as stop:
+            self._generator = None
+            self.then(stop.value)
+            return
+        except BaseException:
+            self._generator = None
+            raise
+        if not isinstance(target, Event):
+            self._step(
+                TypeError(f"stepper yielded {target!r}, expected an Event"),
+                False,
+            )
+            return
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._wake)
+            return
+        _rearm(self.env, target, self._wake)
+
+
+def _rearm(env: "Environment", target: Event, wake) -> Event:
+    """Resume ``wake`` on the next tick with already-processed ``target``'s
+    outcome, so that a tight loop over completed events cannot starve the
+    queue; returns the pooled event it waits on."""
+    rearm = env.event()
+    target_ok = target._ok
+    rearm._ok = target_ok
+    rearm._value = target._value
+    env.schedule(rearm)
+    if not target_ok:
+        target._defused = True
+        rearm._defused = True
+    rearm.callbacks.append(wake)
+    return rearm

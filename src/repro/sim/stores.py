@@ -2,7 +2,9 @@
 inboxes, mailboxes, phone inboxes, the IM client's queue, MAB's alert inbox).
 ``put`` is a plain call — nothing ever waits for a mailbox to accept a
 message, so no event exists for nobody to wait on — and ``get`` returns the
-one event, which suspends the caller until an item arrives.
+one event, which suspends the caller until an item arrives.  A
+:class:`Reader` is the callback twin of a loop parked in ``get``: the
+endpoints' receive loops are readers, not processes (DESIGN §6d).
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ _EMPTY: tuple = ()
 
 
 class Store:
-    """Unbounded FIFO mailbox: ``items`` head first, ``_getters`` in arrival
-    order (at most one in every product use), never both non-empty.
+    """Unbounded FIFO mailbox: ``items`` head first, ``_getters`` (waiting
+    :class:`StoreGet` events and armed :class:`Reader` s) in arrival order,
+    never both non-empty.
 
     Every tenant owns several and most sit empty, so the instance is slotted
     and each queue is a plain list (an empty ``deque`` is 760 bytes, an empty
@@ -82,7 +85,7 @@ class Store:
 
     def put_front(self, item: Any) -> None:
         """Return a borrowed ``item`` to the head of the queue (a stale
-        receive loop handing its message to whoever reads next)."""
+        reader handing its message to whoever reads next)."""
         if self._getters:
             self.put(item)
         elif self._items:
@@ -95,3 +98,49 @@ class Store:
         dropped = list(self._items)
         self._items = _EMPTY
         return dropped
+
+
+class Reader:
+    """A one-shot mailbox reader: the callback twin of a loop parked in
+    ``yield store.get()``, the shape of :attr:`IMSession.hook` and
+    :attr:`Mailbox.hook`.
+
+    :meth:`read` arms it for one item.  Armed on an empty store it waits
+    in the store's getter queue, and the ``put`` that brings an item hands
+    it to :meth:`take` in its own dispatch (``succeed`` is the getter
+    protocol ``put`` calls, without an event).  Armed on a store that holds
+    items — queued while the reader was busy — it takes the head through
+    a :class:`StoreGet` hop, so a backlog is read in order, one dispatch
+    per item, as a loop reads it.  :meth:`take` is the owner's: it handles
+    the item and re-arms, at once or when its own wait ends.
+    """
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: Store):
+        self.store = store
+
+    def read(self) -> None:
+        """Take the next item: queued ones by a hop, else on arrival."""
+        store = self.store
+        if store._items:
+            store.get().callbacks.append(self._hop)
+        elif store._getters:
+            store._getters.append(self)
+        else:
+            store._getters = [self]
+
+    def detach(self) -> None:
+        """Leave the getter queue (a no-op unless armed and waiting)."""
+        getters = self.store._getters
+        if self in getters:
+            getters.remove(self)
+
+    def succeed(self, item: Any) -> None:
+        self.take(item)
+
+    def _hop(self, event: StoreGet) -> None:
+        self.take(event._value)
+
+    def take(self, item: Any) -> None:
+        raise NotImplementedError

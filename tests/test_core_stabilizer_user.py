@@ -64,6 +64,16 @@ class TestSelfStabilizer:
         assert escalations == ["broken", "broken"]
         assert len(stabilizer.records["broken"].failures) == 2
 
+    def test_an_infinite_interval_joins_no_cohort(self):
+        env = Environment()
+        stabilizer = SelfStabilizer(env)
+        stabilizer.add_task("never", math.inf, lambda: [])
+        stabilizer.add_task("t", 10.0, lambda: [])
+        stabilizer.start()
+        assert len(stabilizer._members) == 1
+        env.run(until=25.0)
+        assert stabilizer.records.keys() == {"t"}
+
     def test_stop_halts_tasks(self):
         env = Environment()
         stabilizer = SelfStabilizer(env)
@@ -321,13 +331,8 @@ class AlwaysTickingUser(UserEndpoint):
             self._session.logout()
             self._session = None
 
-    def _login(self):
-        try:
-            self._session = self.im_service.login(self.im_address)
-        except ChannelError:
-            self._session = None
-            return
-        self.env.process(self._im_loop(self._session), name=f"{self.name}-im")
+    def _sync_poll(self):
+        pass  # an always-ticking poll has nothing to wake or put to sleep
 
     def _reconnect(self, _now):
         session_dead = self._session is None or not self._session.active

@@ -65,28 +65,27 @@ EMITTED = 2 * N_USERS + 4
 DELIVERED = 42
 
 #: Spawns over the whole run: none scales with alerts, everything is
-#: lifecycle (launches, the one crash/relaunch).  A source delivery is a
+#: lifecycle (MAB launches, the one crash/relaunch).  A source delivery is a
 #: ``DeliveryRun`` started from a zero-delay kick (44 ``AlertSource.deliver``
-#: processes when it was a process), and the idle duties that only wait on
-#: their own timer or mailbox — monkey scans, nightly rejuvenation,
-#: stabilizer tasks, source maintenance, the user's phone, mail and
-#: reconnect poll — are callbacks, not processes (DESIGN §6b).
+#: processes when it was a process), the endpoints' receive loops are
+#: mailbox readers (23 + 23 ``SimbaEndpoint`` and 20 ``UserEndpoint`` loops
+#: when they were processes), and the idle duties that only wait on their
+#: own timer or mailbox — monkey scans, nightly rejuvenation, stabilizer
+#: tasks, source maintenance, the user's phone, mail and reconnect poll —
+#: are callbacks, not processes (DESIGN §6b).
 EXPECTED_SPAWNS = {
     "MyAlertBuddy._main": 21,
-    "SimbaEndpoint._email_loop": 23,
-    "SimbaEndpoint._im_loop": 23,
-    "UserEndpoint._im_loop": N_USERS,
     "run_golden_farm.<locals>.driver": 1,
 }
 
 #: Resumes of the processes an alert passes through; the total below adds
 #: only the driver's.  The source side resumes nothing (2 per alert when a
-#: delivery was a process: its kick-off and its ack-vs-timeout race).
+#: delivery was a process: its kick-off and its ack-vs-timeout race), and
+#: neither do the readers (329 when the three receive loops were
+#: processes: 199 + 24 at MAB's and the source's endpoints, 106 at the
+#: users').
 EXPECTED_ALERT_PATH_RESUMES = {
-    "SimbaEndpoint._im_loop": 199,
-    "SimbaEndpoint._email_loop": 24,
     "MyAlertBuddy._main": 197,
-    "UserEndpoint._im_loop": 106,
 }
 #: Every generator resume and every timer armed over the run.  The periodic
 #: duties tick in cohorts (``env.every``): the 20 tenants start together, so
@@ -94,20 +93,24 @@ EXPECTED_ALERT_PATH_RESUMES = {
 #: tenant — 4 002 resumes and 5 953 timers when every tenant had its own.
 #: The reconnect poll sleeps while its user is present and logged in, so
 #: its cohort arms no timer at all: 743 timers when it ticked regardless.
-TOTAL_RESUMES = 572
+#: 572 resumes when the receive loops were processes.
+TOTAL_RESUMES = 243
 GOLDEN_TIMERS = 692
 
 #: Non-timer events scheduled over the whole run, by class: ``Event`` is
-#: process and delivery kick-offs, acks, transit hand-offs and the hop
-#: after a delivery's ack race is decided, ``StoreGet`` a mailbox waking
-#: its reader, ``Process`` a finished process waking whoever waits on it.
+#: process, reader and delivery kick-offs, acks, transit hand-offs and the
+#: hop after a delivery's ack race is decided, ``StoreGet`` a mailbox
+#: waking MAB's main loop or handing a busy reader its backlog, ``Process``
+#: a finished process waking whoever waits on it.  An idle reader takes a
+#: message in the put's own dispatch: 221 ``StoreGet`` hops and 13.24
+#: events per delivered alert while the receive loops were processes.
 #: There is no row for a put — with ``StorePut`` the run scheduled 220
-#: more events, 5.24 per delivered alert — and none for an ``AnyOf``: the
-#: 86 races were ``AnyOf`` events before a delivery settled its own race,
-#: and the 44 ended source deliveries were ``Process`` events (14.29 per
-#: delivered alert).  A cohort is kicked once however many members join it.
-EXPECTED_EVENTS = {"Event": 332, "StoreGet": 221, "Process": 3}
-EVENTS_PER_DELIVERED = 13.24
+#: more events — and none for an ``AnyOf``: the 86 races were ``AnyOf``
+#: events before a delivery settled its own race, and the 44 ended source
+#: deliveries were ``Process`` events (14.29 per delivered alert).  A
+#: cohort is kicked once however many members join it.
+EXPECTED_EVENTS = {"Event": 332, "StoreGet": 46, "Process": 2}
+EVENTS_PER_DELIVERED = 9.05
 
 
 def count_hops(run):
@@ -227,9 +230,10 @@ def test_non_timer_events_are_pinned(hop_counts):
 
 #: Every generator resume on the golden farm as ``(instant, qualname)``, in
 #: order: its count and the head of its SHA-256.  The same as when both
-#: sides of a delivery ran it as a generator (less the source's own
-#: resumes), so no process moved relative to another.
-GOLDEN_RESUME_ORDER = (572, "b62f012c32700c75")
+#: sides of a delivery ran it as a generator and the receive loops were
+#: processes (``(572, "b62f012c32700c75")``), less the source's and the
+#: loops' own resumes, so no process moved relative to another.
+GOLDEN_RESUME_ORDER = (243, "569ae7199972859e")
 
 
 def resume_order(run):
@@ -416,7 +420,7 @@ def run_counted_replicated_chaos():
     assert report.oracle.ok and report.injected == 8
 
 
-#: Spawns over the whole run.  Beside the alert path and the per-tenant
+#: Spawns over the whole run.  Beside the alert path and MAB's main
 #: loops, replication spawns only what suspends: the catch-up flushes after
 #: the link partitions and the fenced side's reconciliation.  An MDC probe
 #: is answered by a callback on its request, not a client process.
@@ -429,16 +433,14 @@ EXPECTED_REPLICATED_SPAWNS = {
     "MyAlertBuddy._main": 11,
     "PairSide._catch_up": 2,
     "RetryStage._requeue": 24,
-    "SimbaEndpoint._email_loop": 12,
-    "SimbaEndpoint._im_loop": 12,
-    "UserEndpoint._im_loop": 16,
 }
 #: Every generator resume and every timer armed over the run; a reconnect
 #: poll ticks only while its user is present without a session (7 158
 #: timers when the polls ticked regardless), and a lease check only while
 #: a check might promote (7 069 when the lease sweep ticked regardless).
-#: 5 100 resumes when the 363 source deliveries were processes.
-REPLICATED_RESUMES = 4520
+#: 5 100 resumes when the 363 source deliveries were processes, 4 520 when
+#: the 40 receive loops were.
+REPLICATED_RESUMES = 2840
 REPLICATED_TIMERS = 5456
 
 
@@ -466,25 +468,18 @@ def test_replication_idle_path_spawns_no_process(replicated_counts):
 #
 # A tenant that received its alert and went quiet should be state, not
 # loops (DESIGN §6b): every idle duty that only waits on its own timer or
-# mailbox is a callback.  What may still park a process per tenant is what
-# suspends on something else — the MAB's main loop and its endpoint's
-# receive loops, which hand stale work back, and the user's IM loop, which
-# waits out a human reaction.  Counted on the inline E13 farm, whose
-# profile turns the monkey threads off.
+# mailbox is a callback, and the endpoints' receive loops are mailbox
+# readers (DESIGN §6d).  What may still park a process per tenant is what
+# a §4.2.1 crash or hang must interrupt: the MAB's main loop.  Counted on
+# the inline E13 farm, whose profile turns the monkey threads off.
 
-#: Processes a cold E13 tenant may leave parked, one of each per tenant.
-COLD_TENANT_PARKED = (
-    "MyAlertBuddy._main",
-    "SimbaEndpoint._email_loop",
-    "SimbaEndpoint._im_loop",
-    "UserEndpoint._im_loop",
-)
-#: What each shard parks besides its tenants: the portal source
-#: endpoint's two receive loops (its monkeys are cohort members).
-SHARD_PARKED = {
-    "SimbaEndpoint._email_loop": 1,
-    "SimbaEndpoint._im_loop": 1,
-}
+#: Processes a cold E13 tenant may leave parked, one of each per tenant
+#: (four while the MAB endpoint's two receive loops and the user's IM loop
+#: were processes).
+COLD_TENANT_PARKED = ("MyAlertBuddy._main",)
+#: What each shard parks besides its tenants: nothing (the portal source
+#: endpoint's two receive loops while they were processes).
+SHARD_PARKED: dict = {}
 
 
 def cold_farm_census():
@@ -527,6 +522,18 @@ def test_a_cold_tenant_parks_only_what_suspends():
     assert own / tenants == len(COLD_TENANT_PARKED)  # 9 as idle loops
 
 
+def test_an_endpoint_with_receive_loop_processes_breaks_the_idle_budget():
+    from tests.receive_loops import receive_loops
+
+    with receive_loops(user=False):
+        parked, tenants, shards = cold_farm_census()
+    # Each MAB endpoint and each shard's portal endpoint parks two loops.
+    assert idle_budget_breaches(parked, tenants, shards) == [
+        f"{name}: {tenants + shards} parked, 0 allowed"
+        for name in ("email_loop", "im_loop")
+    ]
+
+
 def test_a_tenant_with_a_reconnect_process_breaks_the_idle_budget(
     monkeypatch,
 ):
@@ -553,10 +560,11 @@ def test_a_tenant_with_a_reconnect_process_breaks_the_idle_budget(
 #: alert), counted in the collector's young generations.  What every tenant
 #: of a profile holds alike is built once per farm, and a part that only
 #: carries a hook is built by its first use (DESIGN §6b, "A cold tenant").
-#: What is left: the tenant's own records, the four parked loops, its
-#: stabilizer's and reconnect poll's cohort memberships, its two RNG
-#: streams.
-COLD_TENANT_OBJECTS = 118
+#: What is left: the tenant's own records, MAB's parked main loop, the
+#: three armed readers, the reconnect poll's cohort membership, its two
+#: RNG streams.  118 while the receive loops were processes (99 with
+#: readers), and E13's never-running stabilizer joins no cohort (4 more).
+COLD_TENANT_OBJECTS = 95
 
 
 def idle_tenant_objects(tenants: int = 200) -> float:
@@ -662,22 +670,8 @@ def test_an_ended_incarnation_leaves_no_timer_queued(monkeypatch):
 # The sibling of the hop budget.  A finished ``Process`` holds nothing
 # (DESIGN §6d), so the delivery path makes no cyclic garbage at all and a
 # sharded farm may freeze its tenants out of the collector's working set
-# (DESIGN §9, "Heap discipline").  What is still left to the collector is
-# listed here, by kind, and nothing else may join it unnoticed.
-
-#: Objects of one ``UserEndpoint._im_loop`` parked for good on the inbox of
-#: a session the IM service has killed: the process, its generator and
-#: cached ``send``, the ``_wake`` it left on the ``StoreGet``, and the dead
-#: session's store — 10 objects on CPython 3.11, 12 where the session and
-#: its ``__dict__`` are counted with them.  Waking the loop to let it end
-#: would add a resume per logout, so it stays the collector's.
-PARKED_LOOP_KINDS = {
-    "Process", "generator", "builtin_function_or_method", "method",
-    "StoreGet", "Store", "IMSession", "list", "dict",
-}
-PARKED_LOOP_OBJECTS = 12
-#: Sessions killed under a listening user in the chaos run below.
-CHAOS_PARKED_LOOPS = 8
+# (DESIGN §9, "Heap discipline").  A reader lets go of its mailbox when
+# its IM session ends, so a chaos run leaves the collector nothing either.
 
 
 def unreachable_after(run):
@@ -708,9 +702,10 @@ def test_golden_farm_leaves_nothing_for_the_collector(backend, monkeypatch):
     assert count == 0, Counter(type(o).__qualname__ for o in garbage)
 
 
-#: The golden farm's processes that return: its driver, and the stale IM
-#: loop of the endpoint whose MAB crashes and is relaunched.
-ENDED_PROCESSES = ["golden-farm-driver", "mab-user5-im-loop"]
+#: The golden farm's processes that return: its driver (and the stale IM
+#: loop of the endpoint whose MAB crashes and is relaunched, while the
+#: receive loops were processes).
+ENDED_PROCESSES = ["golden-farm-driver"]
 
 
 def test_a_process_that_keeps_its_wake_breaks_the_heap_budget(monkeypatch):
@@ -747,14 +742,12 @@ def test_replicated_chaos_leaves_only_the_listed_residue():
         assert report.oracle.ok and report.injected == 8
         return oracle
 
+    # While the user's IM window was a loop process, each of the 8 sessions
+    # killed under a listening user parked its loop for good on the dead
+    # inbox (up to 12 objects each); the reader lets go when its session
+    # ends.
     count, garbage = unreachable_after(run)
-    kinds = Counter(type(o).__qualname__ for o in garbage)
-    parked = Counter(
-        o.__qualname__ for o in garbage if type(o).__name__ == "generator"
-    )
-    assert parked == {"UserEndpoint._im_loop": CHAOS_PARKED_LOOPS}
-    assert set(kinds) <= PARKED_LOOP_KINDS, kinds
-    assert count <= CHAOS_PARKED_LOOPS * PARKED_LOOP_OBJECTS, kinds
+    assert count == 0, Counter(type(o).__qualname__ for o in garbage)
 
 
 def test_a_stopped_inline_sharded_farm_gives_the_heap_back():

@@ -713,3 +713,61 @@ def test_process_repr():
 
     p = env.process(proc(env), name="named-proc")
     assert "named-proc" in repr(p)
+
+
+# ---------------------------------------------------------------------------
+# Stepper: a generator run on its events' callbacks, under Process's rules
+# ---------------------------------------------------------------------------
+
+
+def test_stepper_runs_to_its_first_wait_now_and_ends_in_the_last_dispatch():
+    from repro.sim.process import Stepper
+
+    env = Environment()
+    log = []
+    done = env.event()
+    done.succeed("early")
+    failed = env.event()
+
+    def body():
+        log.append(("start", env.now))
+        value = yield env.timeout(1.0, "timer")
+        log.append((value, env.now))
+        log.append(((yield done), env.now))  # processed: re-armed
+        try:
+            yield failed.fail(RuntimeError("boom"))
+        except RuntimeError as exc:  # a failed event is thrown in
+            log.append((str(exc), env.now))
+        try:
+            yield "not an event"
+        except TypeError:
+            log.append(("bad yield", env.now))
+        return "finished"
+
+    stepper = Stepper(env, lambda value: log.append((value, env.now)))
+    stepper.run(body())
+    assert log == [("start", 0.0)]
+    with pytest.raises(RuntimeError):
+        stepper.run(body())  # one generator at a time
+    env.run()
+    assert log == [
+        ("start", 0.0), ("timer", 1.0), ("early", 1.0), ("boom", 1.0),
+        ("bad yield", 1.0), ("finished", 1.0),
+    ]
+    assert failed._defused
+    stepper.close()
+    assert stepper.then is None and stepper._wake is None
+
+
+def test_stepper_lets_an_uncaught_exception_out():
+    from repro.sim.process import Stepper
+
+    env = Environment()
+
+    def body():
+        yield env.timeout(1.0)
+        raise ValueError("uncaught")
+
+    Stepper(env, lambda _value: None).run(body())
+    with pytest.raises(ValueError):
+        env.run()
