@@ -255,17 +255,13 @@ class _Receiver(Reader):
         self.incoming: Optional[IncomingAlert] = None
         self.rspan = None
 
-    @property
-    def current(self) -> bool:
-        endpoint = self.endpoint
-        return endpoint.running and endpoint._generation == self.generation
-
     def start(self, _kick) -> None:
         self.next()
 
     def next(self) -> None:
         """Re-arm while this generation runs."""
-        if self.current:
+        endpoint = self.endpoint
+        if endpoint.running and endpoint._generation == self.generation:
             self.read()
         else:
             self.end()
@@ -390,7 +386,8 @@ class _IMReceiver(_Receiver):
     __slots__ = ()
 
     def take(self, message: Message) -> None:
-        if not self.current:
+        endpoint = self.endpoint
+        if not (endpoint.running and endpoint._generation == self.generation):
             self.hand_back(message)
             return
         self.receive(message, ChannelType.IM, message.seq)
@@ -407,10 +404,10 @@ class _EmailReceiver(_Receiver):
         self.mailbox = mailbox
 
     def next(self) -> None:
-        if not self.current:
+        endpoint = self.endpoint
+        if not (endpoint.running and endpoint._generation == self.generation):
             self.end()
             return
-        endpoint = self.endpoint
         try:
             endpoint.email_client.read_next(
                 endpoint.email_manager.handle, self
@@ -422,7 +419,8 @@ class _EmailReceiver(_Receiver):
 
     def take(self, message: Message) -> None:
         self.mailbox.mark_read(message)
-        if not self.current:
+        endpoint = self.endpoint
+        if not (endpoint.running and endpoint._generation == self.generation):
             self.hand_back(message)
             return
         self.receive(message, ChannelType.EMAIL, None)

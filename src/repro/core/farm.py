@@ -215,10 +215,9 @@ class BuddyFarm:
     def add_users(self, count: int, prefix: str = "user") -> list[FarmTenant]:
         """Batch-create ``count`` tenants named ``{prefix}{i}``."""
         start = len(self._by_index)
-        return [
-            self.add_user(f"{prefix}{start + offset}")
-            for offset in range(count)
-        ]
+        names = [f"{prefix}{start + offset}" for offset in range(count)]
+        self.world.prime_tenants(names)
+        return [self.add_user(name) for name in names]
 
     # ------------------------------------------------------------------
     # O(1) lookup

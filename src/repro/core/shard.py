@@ -454,11 +454,19 @@ class ShardWorker:
         """Inject ``inbound`` (already globally sorted), run to ``until``,
         return this epoch's outbound envelopes."""
         if inbound:
+            envelopes = [BridgeEnvelope(*raw) for raw in inbound]
+            # The recipients this epoch materializes, seeded as one batch.
+            tenants = self.farm.tenants
+            self.world.prime_tenants([
+                envelope.recipient for envelope in envelopes
+                if envelope.deliver_at <= until
+                and envelope.recipient not in tenants
+            ])
             # A delivery timer per envelope, armed from one zero-delay kick
             # (DESIGN §6b).
             kick = self.world.env.event()
             kick.callbacks.append(self._arm_envelopes)
-            kick.succeed([BridgeEnvelope(*raw) for raw in inbound])
+            kick.succeed(envelopes)
             self.load.envelopes_in += len(inbound)
         self.world.run(until=until)
         outbound = self._outbound

@@ -124,10 +124,15 @@ def build_e13_workload(
     (seed, population), not of the shard layout.
     """
     env = runtime.world.env
-    for name in runtime.local_names:
-        if not _is_sender(name, active_permille):
-            continue
-        rng = runtime.world.rngs.stream(f"e13-traffic-{name}")
+    rngs = runtime.world.rngs
+    senders = [
+        name for name in runtime.local_names
+        if _is_sender(name, active_permille)
+    ]
+    streams = [f"e13-traffic-{name}" for name in senders]
+    rngs.prime(streams)
+    for name, stream in zip(senders, streams):
+        rng = rngs.stream(stream)
         times = sorted(
             float(t) for t in rng.uniform(0.0, duration, size=alerts_per_sender)
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.addresses import AddressBook, UserAddress
 from repro.core.aggregator import CategoryAggregator
@@ -50,6 +50,16 @@ from repro.sources.base import AlertSource
 
 #: Patience for the user's own acknowledgement (humans are slower than MAB).
 USER_ACK_TIMEOUT = 30.0
+
+
+def user_stream(name: str) -> str:
+    """The RNG stream of user ``name``'s endpoint."""
+    return f"user-{name}"
+
+
+def buddy_stream(name: str) -> str:
+    """The RNG stream of user ``name``'s MAB deployment."""
+    return f"buddy-{name}"
 
 
 @dataclass
@@ -124,7 +134,7 @@ class BuddyDeployment:
             filters=FilterPolicy(),
             subscriptions=SubscriptionLayer(),
         )
-        self.rng = world.rngs.stream(rng_label or f"buddy-{user_name}")
+        self.rng = world.rngs.stream(rng_label or buddy_stream(user_name))
         self.incarnations: list[MyAlertBuddy] = []
         # Power loss / reboot kills the client software with everything else.
         self.host.on_shutdown(self._host_down)
@@ -301,13 +311,23 @@ class SimbaWorld:
             im_address=f"{name}@im",
             email_address=f"{name}@mail",
             phone_number=f"+1425555{len(self.users):04d}",
-            rng=self.rngs.stream(f"user-{name}"),
+            rng=self.rngs.stream(user_stream(name)),
             present=present,
             ack_enabled=ack_enabled,
         )
         user.start()
         self.users[name] = user
         return user
+
+    def prime_tenants(self, names: Iterable[str]) -> None:
+        """Build the RNG streams of the tenants about to be created under
+        ``names`` in one batch (:meth:`RngRegistry.prime`): only names a
+        :meth:`create_user` + :meth:`create_buddy` pair will follow."""
+        self.rngs.prime([
+            stream(name)
+            for name in names
+            for stream in (user_stream, buddy_stream)
+        ])
 
     def create_buddy(
         self,

@@ -42,6 +42,7 @@ from repro.core.buddy import JournalEvent
 from repro.core.pessimistic_log import DeliveryStatus, LogEntry
 from repro.core.pipeline import RouteStage
 from repro.core.router import (
+    AckTable,
     BlockOutcome,
     DeliveryEngine,
     DeliveryOutcome,
@@ -851,6 +852,12 @@ STORM = ChaosRunConfig(
     ),
 )
 STORM_OFFERED = 538
+#: Entries in the live ``AckTable._acked`` dicts at the census: one per ack
+#: race a live IM session has had, kept until the key recurs (about 1.69
+#: per offered alert; a resolved entry is what tells a late duplicate ack
+#: from an unsolicited one).  It grows per alert (ROADMAP item 10), so it
+#: is pinned exactly: a change that grows it re-pins here on purpose.
+STORM_ACKED = 907
 
 
 def _defined_in_repro(cls) -> bool:
@@ -859,7 +866,8 @@ def _defined_in_repro(cls) -> bool:
 
 
 def storm_residue():
-    """``(offered, live instances by class, the breaches)`` of a storm run."""
+    """``(offered, live instances by class, ack-table entries, the
+    breaches)`` of a storm run."""
 
     class CensusOracle(DeliveryOracle):
         def check(self, farm, offered=None, **kwargs):
@@ -872,6 +880,9 @@ def storm_residue():
                 if isinstance(o, PER_ALERT_RECORDS) and hasattr(o, "__dict__")
             }
             self.engines = [o for o in live if isinstance(o, DeliveryEngine)]
+            self.acked = sum(
+                len(o._acked) for o in live if isinstance(o, AckTable)
+            )
             del live
             return super().check(farm, offered=offered, **kwargs)
 
@@ -893,15 +904,41 @@ def storm_residue():
     assert oracle.engines, "the census saw no delivery engine"
     if any(hasattr(engine, "history") for engine in oracle.engines):
         breaches.append("a DeliveryEngine keeps a history")
-    return oracle.offered, oracle.counts, breaches
+    if oracle.acked != STORM_ACKED:
+        breaches.append(
+            f"AckTable._acked holds {oracle.acked} entries for "
+            f"{oracle.offered} offered alerts, pinned at {STORM_ACKED}"
+        )
+    return oracle.offered, oracle.counts, oracle.acked, breaches
 
 
 def test_an_alert_leaves_only_lean_records():
-    offered, counts, breaches = storm_residue()
+    offered, counts, _acked, breaches = storm_residue()
     assert offered == STORM_OFFERED
     assert breaches == []
     # Taken at the peak: every alert's log entry and source copy is live.
     assert counts[LogEntry] == offered and counts[Alert] >= offered
+
+
+def test_a_table_that_keeps_resolved_events_breaks_the_ack_pin(monkeypatch):
+    class HoardingAckTable(AckTable):
+        """Also keeps every resolved ack event: one more entry per race."""
+
+        def resolve(self, peer, seq):
+            event = self._pending.get((peer, seq))
+            resolved = super().resolve(peer, seq)
+            if resolved:
+                self._acked[("resolved", peer, seq)] = event
+            return resolved
+
+    monkeypatch.setattr("repro.core.router.AckTable", HoardingAckTable)
+    offered, _counts, acked, breaches = storm_residue()
+    assert acked > STORM_ACKED
+    # (The hoarded events also outnumber the offered alerts.)
+    assert (
+        f"AckTable._acked holds {acked} entries for {offered} offered "
+        f"alerts, pinned at {STORM_ACKED}"
+    ) in breaches
 
 
 def test_an_unslotted_receipt_breaks_the_residue_budget(monkeypatch):
@@ -909,6 +946,6 @@ def test_an_unslotted_receipt_breaks_the_residue_budget(monkeypatch):
         """A receipt subclass without ``__slots__``: one dict each."""
 
     monkeypatch.setattr("repro.core.user_endpoint.Receipt", LooseReceipt)
-    _offered, counts, breaches = storm_residue()
+    _offered, counts, _acked, breaches = storm_residue()
     assert counts[LooseReceipt] > 0
     assert breaches == ["LooseReceipt instances carry a __dict__"]

@@ -82,6 +82,9 @@ KEPT: dict[str, str] = {
         "reference kernel; ROADMAP item 4 retires both",
     "repro.sim.pool:EventPool.recycled":
         "invariant probe of the pool; ROADMAP item 4 decides the pool",
+    "repro.sim.rng:_SeedWords.generate_state":
+        "numpy's ISeedSequence interface: PCG64 calls it while seeding a "
+        "primed stream, no repro code does",
     "repro.testkit.bugs:AbandonAmnesiaRetryStage":
         "a planted bug: the teeth tests' stages",
     "repro.testkit.bugs:silent_drop_stages":
