@@ -30,10 +30,12 @@ def main() -> None:
     portal.add_target(buddy.source_facing_book())
     buddy.config.classifier.accept_source("portal")
 
+    runs = []  # the portal's deliveries: each ends with its outcome
+
     def steady_alerts(env):
         index = 0
         while True:
-            portal.emit("News", f"headline {index}", "body")
+            runs.extend(portal.emit("News", f"headline {index}", "body")[1])
             index += 1
             yield env.timeout(2 * MINUTE)
 
@@ -99,8 +101,9 @@ def main() -> None:
     received = len(alice.unique_alerts_received())
     print(f"\n=== outcome ===\n  alerts emitted {emitted}, unique received "
           f"{received}, duplicates discarded {alice.duplicates_discarded()}")
-    acked = {o.correlation for o in portal.outcomes
-             if o.delivered and o.delivered_via == 0}
+    acked = {run.value.correlation for run in runs
+             if run.processed and run.value.delivered
+             and run.value.delivered_via == 0}
     lost_acked = acked - alice.unique_alerts_received()
     print(f"  acknowledged-but-lost  : {len(lost_acked)} "
           "(pessimistic logging guarantee)")

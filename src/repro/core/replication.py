@@ -494,7 +494,10 @@ class PairSide:
                     stats.lost += 1
                 else:
                     stats.delivered += 1
-                    stats.latencies.append(at - sent_at)
+                    latency = at - sent_at
+                    stats.latency_total += latency
+                    if latency > stats.latency_max:
+                        stats.latency_max = latency
                     peer.last_heartbeat = at
                     if self.unshipped or self.pending_marks:
                         # The post-partition catch-up: the only part of a

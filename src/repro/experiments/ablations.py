@@ -74,6 +74,7 @@ def run_ack_timeout_sweep(
         deployment.config.classifier.accept_source("portal")
 
         hang_windows: list[tuple[float, float]] = []
+        runs = []
 
         def hangs(env):
             while True:
@@ -86,16 +87,17 @@ def run_ack_timeout_sweep(
 
         def emitter(env):
             for index in range(n_alerts):
-                source.emit("News", f"h{index}", "b")
+                runs.extend(source.emit("News", f"h{index}", "b")[1])
                 yield env.timeout(30.0)
 
         world.env.process(hangs(world.env))
         world.env.process(emitter(world.env))
         world.run(until=n_alerts * 30.0 + 30 * MINUTE)
 
+        outcomes = [run.value for run in runs if run.processed]
         premature = during_outage = 0
         latencies = []
-        for outcome in source.outcomes:
+        for outcome in outcomes:
             latencies.append(outcome.elapsed)
             if outcome.delivered_via == 1:
                 started = outcome.started_at
@@ -111,8 +113,7 @@ def run_ack_timeout_sweep(
             AckTimeoutPoint(
                 ack_timeout=timeout,
                 delivered_ratio=(
-                    sum(1 for o in source.outcomes if o.delivered)
-                    / len(source.outcomes)
+                    sum(1 for o in outcomes if o.delivered) / len(outcomes)
                 ),
                 premature_fallbacks=premature,
                 fallbacks_during_outage=during_outage,
@@ -152,18 +153,19 @@ def run_log_latency_sweep(
         source = world.create_source("portal")
         source.add_target(deployment.source_facing_book())
         deployment.config.classifier.accept_source("portal")
+        runs = []
 
         def emitter(env):
             for index in range(n_alerts):
-                source.emit("News", f"h{index}", "b")
+                runs.extend(source.emit("News", f"h{index}", "b")[1])
                 yield env.timeout(20.0)
 
         world.env.process(emitter(world.env))
         world.run(until=n_alerts * 20.0 + 5 * MINUTE)
         rtts = [
-            outcome.blocks[0].elapsed
-            for outcome in source.outcomes
-            if outcome.delivered_via == 0
+            run.value.blocks[0].elapsed
+            for run in runs
+            if run.processed and run.value.delivered_via == 0
         ]
         points.append(
             LogLatencyPoint(

@@ -221,10 +221,12 @@ def run_logging_window(
     source.add_target(deployment.source_facing_book())
     deployment.config.classifier.accept_source("portal")
 
+    runs = []
+
     def scenario(env):
         for index in range(n_alerts):
             start = env.now
-            source.emit("News", f"headline {index}", "body")
+            runs.extend(source.emit("News", f"headline {index}", "body")[1])
             # IM arrives at ~0.4, the (optional) log write ends ~0.9, the ack
             # lands back ~1.3; MAB finishes routing ~2.5.  Crash at 1.5:
             # after the ack, before the alert is marked processed.
@@ -239,9 +241,10 @@ def run_logging_window(
     world.run(until=n_alerts * 120.0 + 600.0)
 
     acked_ids = {
-        outcome.correlation
-        for outcome in source.outcomes
-        if outcome.delivered and outcome.delivered_via == 0
+        run.value.correlation
+        for run in runs
+        if run.processed and run.value.delivered
+        and run.value.delivered_via == 0
     }
     received_ids = user.unique_alerts_received()
     return LoggingWindowResult(

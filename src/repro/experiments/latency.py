@@ -72,18 +72,19 @@ def run_ack_roundtrip(n_alerts: int = 300, seed: int = 0) -> Summary:
     source = world.create_source("portal")
     source.add_target(deployment.source_facing_book())
     deployment.config.classifier.accept_source("portal")
+    runs = []
 
     def emitter(env):
         for index in range(n_alerts):
-            source.emit("News", f"headline {index}", "body")
+            runs.extend(source.emit("News", f"headline {index}", "body")[1])
             yield env.timeout(20.0)
 
     world.env.process(emitter(world.env))
     world.run(until=n_alerts * 20.0 + 5 * MINUTE)
     samples = [
-        outcome.blocks[0].elapsed
-        for outcome in source.outcomes
-        if outcome.delivered_via == 0
+        run.value.blocks[0].elapsed
+        for run in runs
+        if run.processed and run.value.delivered_via == 0
     ]
     return summarize(samples)
 

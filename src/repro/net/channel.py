@@ -8,7 +8,7 @@ fault injector can toggle to create outages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -63,17 +63,25 @@ class LatencyModel:
 
 @dataclass
 class ChannelStats:
-    """Counters every channel keeps; benches read these directly."""
+    """Counters every channel keeps; benches read these directly.
+
+    Latency is kept as exact running aggregates, not one float per message:
+    a channel's bookkeeping stays flat however many messages it carries.
+    """
 
     submitted: int = 0
     delivered: int = 0
     lost: int = 0
     rejected: int = 0
-    latencies: list[float] = field(default_factory=list)
+    #: Sum and maximum of every delivered message's transit time.
+    latency_total: float = 0.0
+    latency_max: float = 0.0
 
     def record_delivery(self, latency: float) -> None:
         self.delivered += 1
-        self.latencies.append(latency)
+        self.latency_total += latency
+        if latency > self.latency_max:
+            self.latency_max = latency
 
     @property
     def delivery_ratio(self) -> float:

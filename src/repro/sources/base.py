@@ -21,7 +21,7 @@ from repro.core.addresses import AddressBook
 from repro.core.alert import Alert, AlertSeverity
 from repro.core.delivery_modes import DeliveryMode, im_ack_then_email
 from repro.core.endpoint import SimbaEndpoint
-from repro.core.router import DeliveryOutcome, DeliveryRun
+from repro.core.router import DeliveryRun
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
@@ -32,9 +32,11 @@ class AlertSource:
     """Base class for everything that generates alerts.
 
     Delivery is one delivery-mode execution through the source's endpoint
-    per (alert, book); the source keeps each :class:`DeliveryOutcome`.
-    ``targets`` are the books :meth:`emit` broadcasts to; :meth:`emit_to`
-    addresses one book it is handed.
+    per (alert, book).  Its :class:`DeliveryOutcome` belongs to the
+    :class:`DeliveryRun` that :meth:`deliver` returns: the source keeps no
+    history of them (what makes an alert durable is the buddy's pessimistic
+    log, §4.2.1).  ``targets`` are the books :meth:`emit` broadcasts to;
+    :meth:`emit_to` addresses one book it is handed.
     """
 
     def __init__(
@@ -50,7 +52,6 @@ class AlertSource:
         self.mode = mode if mode is not None else im_ack_then_email()
         self.targets: list[AddressBook] = []
         self.emitted: list[Alert] = []
-        self.outcomes: list[DeliveryOutcome] = []
 
     def add_target(self, book: AddressBook) -> None:
         """Subscribe one MyAlertBuddy (by its source-facing address book)."""
@@ -120,8 +121,8 @@ class AlertSource:
 
     def deliver(self, alert: Alert, book: AddressBook) -> DeliveryRun:
         """Deliver ``alert`` to ``book``: the run starts from a zero-delay
-        kick and ends with the :class:`DeliveryOutcome`, which the source
-        keeps.
+        kick and ends with the :class:`DeliveryOutcome`, which only the
+        returned run holds.
 
         The public single-delivery entry point — experiments that replay a
         log against specific recipients drive this directly.
@@ -139,8 +140,6 @@ class AlertSource:
         run = kick._value
         tracer = self.env.tracer
         if tracer is None:
-            # First, so a waiter on the run finds the outcome kept.
-            run.callbacks.insert(0, self._delivered)
             run.start()
             return
         # Root of the alert's causal trace: everything downstream —
@@ -152,13 +151,11 @@ class AlertSource:
             subject=run.subject,
             endpoint=self.endpoint.name,
         )
-        run.callbacks.insert(0, partial(self._delivered, span=span))
+        # First, so the span has ended before any waiter on the run resumes.
+        run.callbacks.insert(0, partial(self._delivered, span))
         run.start(span.span_id)
 
-    def _delivered(self, run: DeliveryRun, span=None) -> None:
-        outcome = run._value
-        if span is not None:
-            self.env.tracer.end(
-                span, "delivered" if outcome.delivered else "failed"
-            )
-        self.outcomes.append(outcome)
+    def _delivered(self, span, run: DeliveryRun) -> None:
+        self.env.tracer.end(
+            span, "delivered" if run._value.delivered else "failed"
+        )

@@ -24,6 +24,7 @@ schedules pinnable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -474,7 +475,7 @@ class StormEvent:
 
 
 class StormTrafficGenerator:
-    """Sample a deterministic alert-storm event list for a fixed user set.
+    """Sample a deterministic alert-storm event sequence for a fixed user set.
 
     Everything is drawn from one ``numpy`` generator seeded from
     ``(seed, storm-stream)``, so a (seed, config) pair always yields the
@@ -515,14 +516,17 @@ class StormTrafficGenerator:
             for _ in range(config.n_bursts)
         ]
 
-    def generate(self) -> list[StormEvent]:
-        """One full storm: burst-shaped arrivals fanned over the sources."""
+    def generate(self) -> Iterator[StormEvent]:
+        """One full storm: burst-shaped arrivals fanned over the sources,
+        drawn one arrival at a time as the caller iterates, so an emitted
+        arrival need not outlive its emission.  The draws come from this
+        generator's own stream, so when they happen changes none of them.
+        """
         config = self.config
         bursts = self.burst_windows()
         times = storm_arrival_times(
             self.rng, config.base_rate, self.duration, bursts, self.start
         )
-        events = []
         for at in times:
             severity = "routine"
             roll = float(self.rng.random())
@@ -530,17 +534,12 @@ class StormTrafficGenerator:
                 severity = "critical"
             elif roll < config.critical_probability + config.important_probability:
                 severity = "important"
-            events.append(
-                StormEvent(
-                    at=float(at),
-                    source=int(self.rng.integers(0, config.n_sources)),
-                    user=self.users[
-                        int(self.rng.integers(0, len(self.users)))
-                    ],
-                    severity=severity,
-                    duplicate=bool(
-                        self.rng.random() < config.duplicate_probability
-                    ),
-                )
+            yield StormEvent(
+                at=float(at),
+                source=int(self.rng.integers(0, config.n_sources)),
+                user=self.users[int(self.rng.integers(0, len(self.users)))],
+                severity=severity,
+                duplicate=bool(
+                    self.rng.random() < config.duplicate_probability
+                ),
             )
-        return events

@@ -543,6 +543,8 @@ class DeliveryRig:
         """Burst arrivals from the storm sources, with duplicate copies."""
         sources = [self.sources[n] for n in storm_source_names(storm)]
         tenants = {t.name: t for t in self.tenants}
+        # Drawn as the workload reaches each arrival, so only the arrival
+        # being emitted is alive, not the whole storm's schedule.
         events = StormTrafficGenerator(
             self.seed, list(tenants), storm, duration=duration, start=start
         ).generate()

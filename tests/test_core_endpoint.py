@@ -100,7 +100,6 @@ class TestAckProtocol:
         peer = rig.peer_session()
         peer.send("node@im", rig.alert().encode())
         rig.env.run(until=30.0)
-        ack_sent_at = rig.im.stats.latencies  # deliveries: alert + ack
         assert order and order[0][0] == "hook"
         # Ack was delivered to the peer strictly after the 1 s hook.
         ack = peer.inbox.items[0]

@@ -36,16 +36,18 @@ class TestFileBackedDurability:
         source1.add_target(deployment1.source_facing_book())
         deployment1.config.classifier.accept_source("portal")
 
+        runs = []
+
         def scenario(env):
-            source1.emit("News", "pre-crash headline", "body")
+            runs.extend(source1.emit("News", "pre-crash headline", "body")[1])
             yield env.timeout(1.45)  # logged (t≈0.9) + acked, not yet routed
             buddy1.crash()
 
         world1.env.process(scenario(world1.env))
         world1.run(until=MINUTE)
         assert user1.receipts == []  # never delivered in world 1
-        (outcome,) = source1.outcomes
-        assert outcome.delivered  # ...but the source got its ack
+        (run,) = runs
+        assert run.value.delivered  # ...but the source got its ack
 
         # ---- world 2: fresh machine, same disk ----
         world2 = make_world(seed=2)

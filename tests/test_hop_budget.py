@@ -49,12 +49,14 @@ from repro.core.router import (
     DeliveryRun,
 )
 from repro.core.user_endpoint import Receipt
+from repro.net.channel import ChannelStats
 from repro.experiments.sharded import build_e13_workload
 from repro.sim.events import Timeout
 from repro.sim.kernel import Cohort
 from repro.sim.process import Process
 from repro.sim.scheduler import HeapScheduler
 from repro.sim.wheel import WheelScheduler
+from repro.sources.base import AlertSource
 from repro.testkit.generator import FaultScheduleGenerator, StormConfig
 from repro.testkit.harness import ChaosRunConfig, run_chaos
 from repro.testkit.oracle import DeliveryOracle, ObservedOutcome
@@ -827,17 +829,18 @@ def test_a_cycle_per_tenant_breaks_the_shard_heap_budget():
 # ---------------------------------------------------------------------------
 #
 # The third budget.  An alert that has finished still leaves records: its
-# log entry, journal lines, receipts, the sender's delivery outcome, the
-# oracle's observation.  Each is a slotted value with one owner and no
-# empty containers, and no engine keeps a history of outcomes (DESIGN §6d).
-# The census runs a storm at the e2e benchmark's tiny size and is taken
-# inside the oracle's audit, while the whole world — sources included — is
-# still alive: the run's peak.
+# log entry, journal lines, receipts, the oracle's observation.  Each is a
+# slotted value with one owner and no empty containers.  A delivery's
+# outcome belongs to its run, so neither an engine nor a source keeps a
+# history of outcomes, and a channel keeps exact latency aggregates, not
+# one float per message (DESIGN §6d).  The census runs a storm at the e2e
+# benchmark's tiny size and is taken inside the oracle's audit, while the
+# whole world — sources included — is still alive: the run's peak.
 
 #: The records an offered alert leaves alive (one or more of some of them).
 PER_ALERT_RECORDS = (
-    Alert, LogEntry, JournalEvent, Receipt, DeliveryOutcome, BlockOutcome,
-    DeadLetter, ObservedOutcome, DeliveryStatus,
+    Alert, LogEntry, JournalEvent, Receipt, DeadLetter, ObservedOutcome,
+    DeliveryStatus,
 )
 
 #: ``farm_storm_admission`` at the benchmark's ``tiny`` size.
@@ -880,6 +883,14 @@ def storm_residue():
                 if isinstance(o, PER_ALERT_RECORDS) and hasattr(o, "__dict__")
             }
             self.engines = [o for o in live if isinstance(o, DeliveryEngine)]
+            self.sources = [o for o in live if isinstance(o, AlertSource)]
+            self.listing = {
+                f"{type(o).__name__}.{name}"
+                for o in live if isinstance(o, ChannelStats)
+                for name in {f.name for f in dataclasses.fields(o)}
+                | set(getattr(o, "__dict__", ()))
+                if isinstance(getattr(o, name), list)
+            }
             self.acked = sum(
                 len(o._acked) for o in live if isinstance(o, AckTable)
             )
@@ -904,6 +915,10 @@ def storm_residue():
     assert oracle.engines, "the census saw no delivery engine"
     if any(hasattr(engine, "history") for engine in oracle.engines):
         breaches.append("a DeliveryEngine keeps a history")
+    assert oracle.sources, "the census saw no alert source"
+    if any(hasattr(source, "outcomes") for source in oracle.sources):
+        breaches.append("an AlertSource keeps its outcomes")
+    breaches += sorted(f"{name} holds a list" for name in oracle.listing)
     if oracle.acked != STORM_ACKED:
         breaches.append(
             f"AckTable._acked holds {oracle.acked} entries for "
@@ -918,6 +933,8 @@ def test_an_alert_leaves_only_lean_records():
     assert breaches == []
     # Taken at the peak: every alert's log entry and source copy is live.
     assert counts[LogEntry] == offered and counts[Alert] >= offered
+    # ...but no finished delivery's outcome: it died with its run.
+    assert counts[DeliveryOutcome] == counts[BlockOutcome] == 0
 
 
 def test_a_table_that_keeps_resolved_events_breaks_the_ack_pin(monkeypatch):
@@ -939,6 +956,41 @@ def test_a_table_that_keeps_resolved_events_breaks_the_ack_pin(monkeypatch):
         f"AckTable._acked holds {acked} entries for {offered} offered "
         f"alerts, pinned at {STORM_ACKED}"
     ) in breaches
+
+
+def test_a_source_that_keeps_its_outcomes_breaks_the_residue_budget(
+    monkeypatch,
+):
+    start = AlertSource._start
+
+    def hoarding_start(self, kick):
+        kept = self.__dict__.setdefault("outcomes", [])
+        kick._value.callbacks.append(lambda run: kept.append(run._value))
+        start(self, kick)
+
+    monkeypatch.setattr(AlertSource, "_start", hoarding_start)
+    offered, counts, _acked, breaches = storm_residue()
+    assert counts[DeliveryOutcome] >= offered
+    assert "an AlertSource keeps its outcomes" in breaches
+    for cls in (DeliveryOutcome, BlockOutcome):
+        assert (
+            f"{cls.__module__}.{cls.__qualname__}: {counts[cls]} live for "
+            f"{offered} offered alerts, not in PER_ALERT_RECORDS"
+        ) in breaches
+
+
+def test_a_channel_that_keeps_its_latencies_breaks_the_residue_budget(
+    monkeypatch,
+):
+    record = ChannelStats.record_delivery
+
+    def listing_record(self, latency):
+        self.__dict__.setdefault("latencies", []).append(latency)
+        record(self, latency)
+
+    monkeypatch.setattr(ChannelStats, "record_delivery", listing_record)
+    _offered, _counts, _acked, breaches = storm_residue()
+    assert breaches == ["ChannelStats.latencies holds a list"]
 
 
 def test_an_unslotted_receipt_breaks_the_residue_budget(monkeypatch):

@@ -66,9 +66,9 @@ class TestHappyPath:
 
     def test_source_got_ack_from_mab(self):
         world, user, deployment, source, _ = standard_rig()
-        source.emit("Stocks", "MSFT", "x")
+        _, (run,) = source.emit("Stocks", "MSFT", "x")
         world.run(until=60.0)
-        (outcome,) = source.outcomes
+        outcome = run.value
         assert outcome.delivered
         assert outcome.delivered_via == 0  # IM block, no email fallback
         # Ack RTT = 0.4 + 0.5 (log) + 0.4 ≈ 1.3.
@@ -129,10 +129,9 @@ class TestFallbacks:
         world, user, deployment, source, _ = standard_rig()
         world.run(until=5.0)
         world.im.outage(10 * MINUTE)
-        source.emit("Stocks", "MSFT", "x")
+        _, (run,) = source.emit("Stocks", "MSFT", "x")
         world.run(until=5 * MINUTE)
-        (outcome,) = source.outcomes
-        assert outcome.delivered_via == 1  # email block to MAB
+        assert run.value.delivered_via == 1  # email block to MAB
         # MAB got it by email (30 s) and the user's IM is also down, so the
         # user also gets it by email eventually.
         assert len(user.receipts) == 1

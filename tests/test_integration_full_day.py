@@ -32,6 +32,22 @@ IM_FIXED = LatencyModel(median=0.4, sigma=0.0, low=0.0, high=10.0)
 EMAIL_FAST = LatencyModel(median=20.0, sigma=0.5, low=2.0, high=600.0)
 
 
+def record_runs(source):
+    """Every delivery run ``source`` starts, in order: a source keeps no
+    outcomes, and these emit on their own, so the test wraps ``deliver``
+    (which ``emit`` and ``emit_to`` call)."""
+    runs = []
+    deliver = source.deliver
+
+    def recording(alert, book):
+        run = deliver(alert, book)
+        runs.append(run)
+        return run
+
+    source.deliver = recording
+    return runs
+
+
 @pytest.fixture(scope="module")
 def full_day():
     world = SimbaWorld(
@@ -132,6 +148,14 @@ def full_day():
     assistant.add_target(buddy.source_facing_book())
     buddy.config.classifier.accept_source("assistant")
 
+    runs = {
+        name: record_runs(source)
+        for name, source in (
+            ("portal", portal), ("proxy", proxy), ("community", community),
+            ("home", home.gateway), ("wish", wish), ("assistant", assistant),
+        )
+    }
+
     # ---- the day's script ----
     def script(env):
         # 07:00 she wakes up, comes online at home.
@@ -180,12 +204,12 @@ def full_day():
         "portal": portal, "legacy": legacy, "proxy": proxy,
         "community": community, "home": home, "wish": wish,
         "assistant": assistant,
-    }
+    }, runs
 
 
 class TestFullDay:
     def test_every_source_type_delivered(self, full_day):
-        world, alice, buddy, mdc, sources = full_day
+        world, alice, buddy, mdc, sources, _runs = full_day
         routed = {
             event.detail for event in buddy.journal.events
             if event.kind == "routed"
@@ -203,7 +227,7 @@ class TestFullDay:
             )
 
     def test_critical_flood_alert_timely(self, full_day):
-        world, alice, buddy, mdc, sources = full_day
+        world, alice, buddy, mdc, sources, _runs = full_day
         flood = next(
             a for a in sources["home"].gateway.emitted
             if a.keyword == "Sensor ON"
@@ -216,27 +240,27 @@ class TestFullDay:
         assert receipt.latency < 10.0
 
     def test_hang_repaired_by_sanity_checks(self, full_day):
-        world, alice, buddy, mdc, sources = full_day
+        world, alice, buddy, mdc, sources, _runs = full_day
         assert buddy.endpoint.im_manager.stats.restarts >= 1
         assert world.im.presence.is_online(buddy.im_address)
 
     def test_nightly_rejuvenation_happened(self, full_day):
-        world, alice, buddy, mdc, sources = full_day
+        world, alice, buddy, mdc, sources, _runs = full_day
         from repro.core.rejuvenation import RejuvenationKind
 
         kinds = [r.kind for r in buddy.journal.rejuvenations]
         assert RejuvenationKind.NIGHTLY in kinds
 
     def test_no_acknowledged_alert_lost(self, full_day):
-        world, alice, buddy, mdc, sources = full_day
-        acked = set()
-        for name, source in sources.items():
-            outcomes = getattr(source, "outcomes", [])
-            if name == "home":
-                outcomes = source.gateway.outcomes
-            for outcome in outcomes:
-                if outcome.delivered and outcome.delivered_via == 0:
-                    acked.add(outcome.correlation)
+        world, alice, buddy, mdc, sources, runs = full_day
+        # Every SIMBA source delivered, and every delivery ended.
+        assert all(runs.values()), [n for n, r in runs.items() if not r]
+        outcomes = [run.value for started in runs.values() for run in started]
+        acked = {
+            outcome.correlation for outcome in outcomes
+            if outcome.delivered and outcome.delivered_via == 0
+        }
+        assert acked, "no alert was acknowledged over IM"
         # Every IM-acknowledged alert either reached alice or was
         # deliberately routed to a digest (email) that may still be unread
         # — but none may be *unknown* to the journal.
@@ -248,7 +272,7 @@ class TestFullDay:
     def test_recovery_report_renders(self, full_day):
         from repro.metrics import recovery_report
 
-        world, alice, buddy, mdc, sources = full_day
+        world, alice, buddy, mdc, sources, _runs = full_day
         report = recovery_report(buddy, mdc=mdc, user=alice)
         assert "IM simple re-logons" in report
         assert "alerts routed" in report

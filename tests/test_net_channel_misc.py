@@ -29,7 +29,7 @@ class TestChannelStats:
         stats.record_delivery(2.0)
         stats.record_delivery(4.0)
         assert stats.delivered == 2
-        assert stats.latencies == [2.0, 4.0]
+        assert (stats.latency_total, stats.latency_max) == (6.0, 4.0)
         assert stats.delivery_ratio == 0.5
 
 

@@ -29,7 +29,7 @@ class TestEmail:
         box = service.mailbox("mab@mail")
         assert box.unread_count == 1
         assert box.peek_unread()[0].subject == "subj"
-        assert service.stats.latencies == [10.0]
+        assert service.stats.latency_total == service.stats.latency_max == 10.0
 
     def test_receive_marks_read(self):
         env, service = make_email()
@@ -79,10 +79,16 @@ class TestEmail:
         env = Environment()
         rng = RngRegistry(seed=9).stream("email")
         service = EmailService(env, rng)  # default long-tailed model
+        arrivals = []  # everything is sent at t=0: arrival time is latency
+        service.mailbox("b@mail").hook = lambda _: arrivals.append(env.now)
         for i in range(300):
             service.send("a@mail", "b@mail", "s", f"b{i}")
         env.run()
-        lats = sorted(service.stats.latencies)
+        lats = sorted(arrivals)
+        stats = service.stats
+        assert stats.delivered == len(lats)
+        assert stats.latency_max == lats[-1]
+        assert stats.latency_total == pytest.approx(sum(lats))
         assert lats[0] >= 2.0
         # Median in the tens of seconds, p95 at least minutes: "seconds to days".
         median = lats[len(lats) // 2]

@@ -347,7 +347,9 @@ class TestAlertSourceBase:
             assert alert.keyword == "News"
             assert len(outcomes) == 1
             assert outcomes[0].delivered
-            assert source.outcomes == outcomes
+            assert outcomes == [run.value for run in processes]
+            # The outcome belongs to its run: the source keeps none.
+            assert not hasattr(source, "outcomes")
 
         done = world.env.process(scenario(world.env))
         world.run(until=done)
@@ -357,15 +359,15 @@ class TestAlertSourceBase:
         source = world.create_source("portal")
         source.add_target(deployment.source_facing_book())
         deployment.config.classifier.accept_source("portal")
-        assert source.outcomes == []
-        source.emit("News", "s1", "b")
+        _, first = source.emit("News", "s1", "b")
         world.run(until=MINUTE)
         world.im.outage(10 * MINUTE)
-        source.emit("News", "s2", "b")
+        _, second = source.emit("News", "s2", "b")
         world.run(until=20 * MINUTE)
-        assert all(o.delivered for o in source.outcomes)
+        outcomes = [run.value for run in first + second]
+        assert all(o.delivered for o in outcomes)
         # The second one went by email, the mode's backup block.
-        assert [o.delivered_via for o in source.outcomes] == [0, 1]
+        assert [o.delivered_via for o in outcomes] == [0, 1]
 
     def test_multiple_targets_fan_out(self):
         world, user, deployment = rigged_world(["News"])
