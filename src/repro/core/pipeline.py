@@ -154,8 +154,7 @@ class ThrottleStage(PipelineStage):
     """Token-bucket pacing (global + per-recipient) before routing.
 
     Reserves one token in every configured scope; a short shortage is
-    absorbed by waiting for the refill under a ``TimerScope`` (so a crash
-    mid-wait cannot leak the timer), while a wait beyond
+    absorbed by waiting for the refill, while a wait beyond
     ``max_throttle_delay`` rate-limits the alert as an explicit terminal
     outcome instead of queueing unboundedly.
     """
@@ -179,8 +178,7 @@ class ThrottleStage(PipelineStage):
         if wait > 0:
             if ctx.trace_stage is not None:
                 ctx.trace_stage.annotations["throttle_wait"] = round(wait, 3)
-            with ctx.env.timers() as timers:
-                yield timers.acquire(wait)
+            yield ctx.env.timeout(wait)
 
 
 class ClassifyStage(PipelineStage):

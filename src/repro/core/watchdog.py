@@ -171,48 +171,37 @@ class MasterDaemonController:
 
     def _monitor(self, generation: int):
         last_restart_time = self.env.now
-        # One TimerScope for the monitor's whole life: each probe's guard
-        # timer is acquired through it and structurally cancelled when the
-        # race settles — or when the monitor itself is torn down mid-wait
-        # (host crash closing the generator), which a hand-written
-        # ``timeout.cancel()`` after the yield could never cover.  A
-        # healthy buddy replies well before the reply timeout, so at farm
-        # scale (one guard per tenant per check interval) this is what
-        # keeps dead entries out of the queue.
-        with self.env.timers() as timers:
-            while self.running and self._generation == generation:
-                yield self.env.timeout(self.check_interval)
-                if not self.running or self._generation != generation:
-                    return
-                buddy = self.buddy
-                if buddy is None:
-                    return
-                # Stability bookkeeping: a long-enough quiet period clears
-                # the consecutive-failure counter.
-                if (
-                    self._consecutive_failed
-                    and self.env.now - last_restart_time >= self.stability_window
-                ):
-                    self._consecutive_failed = 0
+        while self.running and self._generation == generation:
+            yield self.env.timeout(self.check_interval)
+            if not self.running or self._generation != generation:
+                return
+            buddy = self.buddy
+            if buddy is None:
+                return
+            # Stability bookkeeping: a long-enough quiet period clears the
+            # consecutive-failure counter.
+            if (
+                self._consecutive_failed
+                and self.env.now - last_restart_time >= self.stability_window
+            ):
+                self._consecutive_failed = 0
 
-                if buddy.process is None or not buddy.process.is_alive:
-                    self._restart_buddy(RestartReason.TERMINATION)
-                    last_restart_time = self.env.now
-                    continue
+            if buddy.process is None or not buddy.process.is_alive:
+                self._restart_buddy(RestartReason.TERMINATION)
+                last_restart_time = self.env.now
+                continue
 
-                request = self.env.event()
-                reply = self.env.event()
-                buddy.attach_mdc(request, reply)
-                request.succeed()
-                guard = timers.acquire(self.reply_timeout)
-                yield self.env.any_of([reply, guard])
-                timers.cancel(guard)
-                # The host may have gone down inside the reply window: a
-                # restart now would launch an incarnation on a dead host
-                # that nothing ever kills, beside the one the MDC
-                # launches at boot.
-                if not self.running or self._generation != generation:
-                    return
-                if not reply.processed:
-                    self._restart_buddy(RestartReason.PROBE_TIMEOUT)
-                    last_restart_time = self.env.now
+            request = self.env.event()
+            reply = self.env.event()
+            buddy.attach_mdc(request, reply)
+            request.succeed()
+            guard = self.env.timeout(self.reply_timeout)
+            yield self.env.any_of([reply, guard])
+            # The host may have gone down inside the reply window: a
+            # restart now would launch an incarnation on a dead host that
+            # nothing ever kills, beside the one the MDC launches at boot.
+            if not self.running or self._generation != generation:
+                return
+            if not reply.processed:
+                self._restart_buddy(RestartReason.PROBE_TIMEOUT)
+                last_restart_time = self.env.now

@@ -145,15 +145,12 @@ class ChannelBase:
             self.env.process(self._outage_timer(), name=f"{self.name}-outage")
 
     def _outage_timer(self):
-        # Extension-aware sleep under a TimerScope: each extension re-arms
-        # a fresh scope-owned timer, and any unwind of this process settles
-        # the one still pending.
-        with self.env.timers() as timers:
-            while (
-                self._outage_until is not None
-                and self.env.now < self._outage_until
-            ):
-                yield timers.acquire(self._outage_until - self.env.now)
+        # An extension only moves ``_outage_until``; sleep on until it.
+        while (
+            self._outage_until is not None
+            and self.env.now < self._outage_until
+        ):
+            yield self.env.timeout(self._outage_until - self.env.now)
         self._outage_until = None
         self.set_available(True)
 
@@ -187,12 +184,11 @@ class ChannelBase:
             )
 
     def _adversary_timer(self):
-        with self.env.timers() as timers:
-            while (
-                self._adversary_until is not None
-                and self.env.now < self._adversary_until
-            ):
-                yield timers.acquire(self._adversary_until - self.env.now)
+        while (
+            self._adversary_until is not None
+            and self.env.now < self._adversary_until
+        ):
+            yield self.env.timeout(self._adversary_until - self.env.now)
         self._adversary_until = None
         self._change("adversary", self._adversary_baseline)
 

@@ -41,7 +41,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "SCHEDULER_ENV_VAR",
         "HeapScheduler",
         "Scheduler",
-        "TimerScope",
         "make_scheduler",
     ),
     ".stores": ("Store",),

@@ -40,7 +40,7 @@ from repro.errors import SimulationError, StopSimulation
 from repro.sim.clock import delay_until
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.scheduler import Scheduler, TimerScope, make_scheduler
+from repro.sim.scheduler import Scheduler, make_scheduler
 
 # The default backend.  ``make_scheduler`` imports it inside the call (it
 # subclasses ``Scheduler``), so the kernel loads it up front: no
@@ -229,18 +229,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all of ``events`` have."""
         return AllOf(self, events)
-
-    def timers(self) -> TimerScope:
-        """A :class:`TimerScope` — the explicit timer lifecycle handle.
-
-        ::
-
-            with env.timers() as timers:
-                guard = timers.acquire(ack_timeout)
-                yield env.any_of([ack, guard])
-            # guard is structurally cancelled if it lost
-        """
-        return TimerScope(self)
 
     def every(
         self, interval: float, tick: Callable[[float], Any]

@@ -1,10 +1,8 @@
 """Pluggable scheduling core for the simulation kernel.
 
-The :class:`~repro.sim.kernel.Environment` used to own its event queue
-directly; everything that made the kernel fast (zero-delay deque, lazy
-tombstone deletion, compaction) lived inline in ``kernel.py``.  This
-module factors that machinery into a :class:`Scheduler` interface with
-two interchangeable backends:
+The :class:`~repro.sim.kernel.Environment` keeps its event queue (the
+zero-delay deque, lazy tombstone deletion, compaction) behind the
+:class:`Scheduler` interface, with two interchangeable backends:
 
 - :class:`HeapScheduler` — the binary heap + zero-delay deque, kept as
   the reference implementation (O(log n) schedule);
@@ -29,13 +27,6 @@ dispatch loop recycles ``Event``/``Timeout`` objects whose refcount
 proves no one else holds them, and the ``timeout()``/``event()``
 factories reuse them — at farm scale this removes the dominant
 allocation cost per delivered alert.
-
-For timer *consumers*, :class:`TimerScope` provides the explicit
-acquire/settle lifecycle used across the delivery stack (router ack
-guards, watchdog probes, channel outage timers): timers acquired through a scope are structurally
-cancelled when the scope settles — including when a process is
-interrupted or its generator is closed mid-wait — instead of relying on
-ad-hoc ``timeout.cancel()`` calls at every call site.
 """
 
 from __future__ import annotations
@@ -307,85 +298,6 @@ class HeapScheduler(Scheduler):
                         event._ok = True  # clean at release
                         event._defused = False
                     free_events.append(event)
-
-
-class TimerScope:
-    """Explicit acquire/settle lifecycle for guard and interval timers.
-
-    Timer consumers used to pair every race with a hand-written
-    ``timeout.cancel()`` on every exit path; a missed path leaked a live
-    timer into the queue until its (often hours-away) deadline.  A scope
-    makes the cancellation structural::
-
-        with env.timers() as timers:
-            guard = timers.acquire(block.ack_timeout)
-            yield env.any_of([*acks, guard])
-        # <- guard is cancelled here if it lost the race
-
-    Because ``with`` runs ``__exit__`` on *any* unwind — including the
-    ``GeneratorExit`` thrown when the kernel closes an interrupted
-    process's generator, and the :class:`~repro.errors.Interrupt` thrown
-    into it — acquired timers can never outlive the block that needed
-    them, no matter how it ends.
-
-    Scopes are reusable across loop iterations: :meth:`acquire` prunes
-    timers that have already fired or been cancelled, so a monitor
-    loop can hold one scope open for its whole life and still track only
-    the current interval timer.
-    """
-
-    __slots__ = ("env", "active")
-
-    def __init__(self, env: "Environment"):
-        self.env = env
-        #: Timers acquired and not yet settled (pruned lazily).
-        self.active: list[Timeout] = []
-
-    def acquire(self, delay: float) -> Timeout:
-        """Create a timeout owned by this scope."""
-        active = self.active
-        if active:
-            active[:] = [
-                t for t in active
-                if t.callbacks is not None and not t._cancelled
-            ]
-        timer = self.env.timeout(delay)
-        active.append(timer)
-        return timer
-
-    def cancel(self, timer: Timeout) -> None:
-        """Cancel and release one acquired timer early."""
-        if timer.callbacks is not None and not timer._cancelled:
-            timer.cancel()
-        try:
-            self.active.remove(timer)
-        except ValueError:
-            pass
-
-    def settle(self) -> int:
-        """Cancel every acquired timer that is still live.
-
-        Returns the number of timers actually cancelled.  Idempotent —
-        fired, already-cancelled and previously settled timers are
-        skipped.
-        """
-        cancelled = 0
-        for timer in self.active:
-            if timer.callbacks is not None and not timer._cancelled:
-                timer.cancel()
-                cancelled += 1
-        self.active.clear()
-        return cancelled
-
-    def __enter__(self) -> "TimerScope":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.settle()
-        return False
-
-    def __repr__(self) -> str:
-        return f"<TimerScope active={len(self.active)} at {id(self):#x}>"
 
 
 def make_scheduler(

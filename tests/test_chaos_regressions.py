@@ -110,33 +110,31 @@ def unchecked_monitor(self, generation):
     """``MasterDaemonController._monitor`` without its re-check after the
     probe race: the MDC zombie (ROADMAP 1(b))."""
     last_restart_time = self.env.now
-    with self.env.timers() as timers:
-        while self.running and self._generation == generation:
-            yield self.env.timeout(self.check_interval)
-            if not self.running or self._generation != generation:
-                return
-            buddy = self.buddy
-            if buddy is None:
-                return
-            if (
-                self._consecutive_failed
-                and self.env.now - last_restart_time >= self.stability_window
-            ):
-                self._consecutive_failed = 0
-            if buddy.process is None or not buddy.process.is_alive:
-                self._restart_buddy(RestartReason.TERMINATION)
-                last_restart_time = self.env.now
-                continue
-            request = self.env.event()
-            reply = self.env.event()
-            buddy.attach_mdc(request, reply)
-            request.succeed()
-            guard = timers.acquire(self.reply_timeout)
-            yield self.env.any_of([reply, guard])
-            timers.cancel(guard)
-            if not reply.processed:
-                self._restart_buddy(RestartReason.PROBE_TIMEOUT)
-                last_restart_time = self.env.now
+    while self.running and self._generation == generation:
+        yield self.env.timeout(self.check_interval)
+        if not self.running or self._generation != generation:
+            return
+        buddy = self.buddy
+        if buddy is None:
+            return
+        if (
+            self._consecutive_failed
+            and self.env.now - last_restart_time >= self.stability_window
+        ):
+            self._consecutive_failed = 0
+        if buddy.process is None or not buddy.process.is_alive:
+            self._restart_buddy(RestartReason.TERMINATION)
+            last_restart_time = self.env.now
+            continue
+        request = self.env.event()
+        reply = self.env.event()
+        buddy.attach_mdc(request, reply)
+        request.succeed()
+        guard = self.env.timeout(self.reply_timeout)
+        yield self.env.any_of([reply, guard])
+        if not reply.processed:
+            self._restart_buddy(RestartReason.PROBE_TIMEOUT)
+            last_restart_time = self.env.now
 
 
 def test_zombie_pin_still_has_teeth(monkeypatch):

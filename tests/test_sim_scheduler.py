@@ -1,5 +1,5 @@
 """Scheduler-layer tests: backend contract, wheel edge cases, pooling
-guards, and the explicit timer lifecycle.
+guards, and the kernel's release of the timer a wait leaves behind.
 
 The randomized equivalence suite (``test_kernel_equivalence.py``) proves
 both backends match the frozen reference on whole programs; this module
@@ -17,6 +17,8 @@ from repro.errors import (
     SimulationError,
 )
 from repro.sim import Environment
+from repro.sim.events import Condition
+from repro.sim.process import Process
 from repro.sim.scheduler import (
     DEFAULT_SCHEDULER,
     SCHEDULER_ENV_VAR,
@@ -318,18 +320,18 @@ class TestQueueAccounting:
         assert env.dead_entries == 0
 
     def test_depth_restored_after_race(self, backend):
-        # The router's invariant: after an ack-vs-timeout race resolves
-        # inside a TimerScope, the losing guard must not linger.
+        # The router's invariant: after an ack-vs-timeout race resolves,
+        # the losing guard must not linger.
         env = Environment(scheduler=backend)
+        depths = []
 
         def racer(env):
-            with env.timers() as timers:
-                guard = timers.acquire(3600.0)
-                yield env.any_of([env.timeout(1.0), guard])
+            yield env.any_of([env.timeout(1.0), env.timeout(3600.0)])
+            depths.append(env.queue_depth)
 
         env.process(racer(env))
         env.run()
-        assert env.queue_depth == 0
+        assert depths == [0]
 
 
 # ----------------------------------------------------------------------
@@ -415,89 +417,84 @@ class TestPoolGuards:
 
 
 # ----------------------------------------------------------------------
-# TimerScope lifecycle
+# Kernel release: the timer a wait leaves behind is cancelled
 # ----------------------------------------------------------------------
 
 
+def race_a_long_guard(env):
+    """A decided ``any_of`` leaves its losing timer behind; returns the
+    queue depth seen just after the race and the clock once drained."""
+    depths = []
+
+    def racer(env):
+        yield env.any_of([env.timeout(1.0), env.timeout(1000.0)])
+        depths.append(env.queue_depth)
+
+    env.process(racer(env))
+    env.run()
+    return depths, env.now
+
+
+def interrupt_a_long_sleep(env):
+    """An interrupt abandons the timer its process waited on; returns the
+    queue depth seen by the woken process and the clock once drained."""
+    depths = []
+
+    def sleeper(env):
+        try:
+            yield env.timeout(500.0)
+        except Interrupt:
+            depths.append(env.queue_depth)
+
+    proc = env.process(sleeper(env))
+    env.timeout(2.0).callbacks.append(lambda _: proc.interrupt("wake up"))
+    env.run()
+    return depths, env.now
+
+
+def deliver_interrupt_without_cancel(self, cause):
+    """``Process._deliver_interrupt`` minus its cancel of the awaited
+    event."""
+    if not self.is_alive:
+        return
+    target = self._waiting_on
+    if target is not None:
+        callbacks = target.callbacks
+        if callbacks and self._wake in callbacks:
+            callbacks.remove(self._wake)
+    self._waiting_on = None
+    self._step(Interrupt(cause), ok=False)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-class TestTimerScope:
-    def test_settles_loser_on_exit(self, backend):
-        env = Environment(scheduler=backend)
+class TestKernelRelease:
+    def test_decided_any_of_cancels_its_losing_timer(self, backend):
+        depths, now = race_a_long_guard(Environment(scheduler=backend))
+        assert depths == [0]
+        assert now == 1.0  # never drained to the guard's deadline
 
-        def racer(env):
-            with env.timers() as timers:
-                guard = timers.acquire(1000.0)
-                yield env.any_of([env.timeout(1.0), guard])
+    def test_interrupt_cancels_the_awaited_timer(self, backend):
+        depths, now = interrupt_a_long_sleep(Environment(scheduler=backend))
+        assert depths == [0]
+        assert now == 2.0
 
-        env.process(racer(env))
-        env.run()
-        assert env.queue_depth == 0
-        assert env.now == 1.0  # never drained to the guard's deadline
+    def test_without_release_losers_the_guard_leaks(
+        self, backend, monkeypatch
+    ):
+        monkeypatch.setattr(Condition, "_release_losers", lambda self: None)
+        depths, now = race_a_long_guard(Environment(scheduler=backend))
+        assert depths == [1]
+        assert now == 1000.0
 
-    def test_settles_on_interrupt(self, backend):
-        env = Environment(scheduler=backend)
-
-        def sleeper(env):
-            with env.timers() as timers:
-                try:
-                    yield timers.acquire(500.0)
-                except Interrupt:
-                    pass
-
-        proc = env.process(sleeper(env))
-
-        def interrupter(env, proc):
-            yield env.timeout(2.0)
-            proc.interrupt("wake up")
-
-        env.process(interrupter(env, proc))
-        env.run()
-        assert env.queue_depth == 0
-        assert env.now == 2.0
-
-    def test_reusable_across_iterations(self, backend):
-        env = Environment(scheduler=backend)
-        scope_sizes = []
-
-        def heartbeat(env, scope_sizes):
-            with env.timers() as timers:
-                for _ in range(5):
-                    yield timers.acquire(1.0)
-                    # acquire() prunes fired timers, so the active list
-                    # never accumulates across iterations.
-                    scope_sizes.append(len(timers.active))
-
-        env.process(heartbeat(env, scope_sizes))
-        env.run()
-        assert env.now == 5.0
-        assert all(size <= 1 for size in scope_sizes)
-
-    def test_explicit_cancel_releases_early(self, backend):
-        env = Environment(scheduler=backend)
-
-        def prober(env):
-            with env.timers() as timers:
-                reply = env.event()
-                guard = timers.acquire(30.0)
-                reply.succeed()  # reply "arrives" immediately
-                yield env.any_of([reply, guard])
-                timers.cancel(guard)
-                assert timers.active == []
-                yield env.timeout(1.0)
-
-        env.process(prober(env))
-        env.run()
-        assert env.now == 1.0
-        assert env.queue_depth == 0
-
-    def test_settle_is_idempotent(self, backend):
-        env = Environment(scheduler=backend)
-        timers = env.timers()
-        timers.acquire(10.0)
-        assert len(timers.active) == 1
-        assert timers.settle() == 1
-        assert timers.settle() == 0
-        assert timers.active == []
+    def test_without_interrupt_cancel_the_timer_leaks(
+        self, backend, monkeypatch
+    ):
+        monkeypatch.setattr(
+            Process, "_deliver_interrupt", deliver_interrupt_without_cancel
+        )
+        depths, now = interrupt_a_long_sleep(Environment(scheduler=backend))
+        assert depths == [1]
+        assert now == 500.0
 
 
 # ----------------------------------------------------------------------

@@ -66,11 +66,11 @@ KEPT: dict[str, str] = {
     "repro.experiments.storm:run_storm_sweep":
         "the knob table's `jobs` row enters the E12 sweep through it",
     "repro.metrics.collector:LatencyCollector":
-        "benchmarks/e2e freezes the src file list until ROADMAP item 3",
+        "benchmarks/e2e freezes the src file list until ROADMAP item 4",
     "repro.metrics.recovery_report:recovery_report":
-        "benchmarks/e2e freezes the src file list until ROADMAP item 3",
+        "benchmarks/e2e freezes the src file list until ROADMAP item 4",
     "repro.metrics.recovery_report:recovery_report(*)":
-        "benchmarks/e2e freezes the src file list until ROADMAP item 3",
+        "benchmarks/e2e freezes the src file list until ROADMAP item 4",
     "repro.net.im:IMService.session_for":
         "invariant probe: the transit tier reads a user's live session",
     "repro.net.sms:SMSGateway.set_reachable":
