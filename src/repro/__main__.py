@@ -41,9 +41,8 @@ class Experiment:
     #: ``(statement, predicate)`` pairs.  The statement is a format string
     #: over the result, so a false pair reports what was measured instead.
     holds: tuple[tuple[str, Callable[[Any], bool]], ...] = ()
-    #: Flags understood besides ``--seed``; any other is a usage error.
-    #: ``jobs`` is not passed to ``run``: it sizes the worker pool the run
-    #: happens inside.
+    #: Flags understood besides ``--seed``, each passed to ``run`` by
+    #: name; any other is a usage error.
     flags: tuple[str, ...] = ()
     #: Part of ``python -m repro all``.
     in_all: bool = False
@@ -582,15 +581,7 @@ def run_experiment(key: str, seed: int = 0, **flags) -> tuple[str, list[str]]:
     """Run one registered experiment; returns its rendered report and the
     claims of its row the result does not bear out (none: it holds)."""
     experiment = EXPERIMENTS[key]
-    if "jobs" not in experiment.flags:
-        result = experiment.run(seed=seed, **flags)
-    else:
-        from repro.testkit.parallel import sweep_pool
-
-        # One persistent pool for the whole experiment: its sweeps reuse
-        # the same workers instead of forking a fresh Pool per fanout.
-        with sweep_pool(jobs=flags.pop("jobs", None)):
-            result = experiment.run(seed=seed, **flags)
+    result = experiment.run(seed=seed, **flags)
     return experiment.render(result), experiment.broken(result)
 
 
@@ -725,6 +716,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{command} does not take "
             + ", ".join(f"--{name}" for name in undeclared)
         )
+    for name, least in (("seed", 0), ("jobs", 1), ("shards", 1), ("users", 1)):
+        if flags.get(name, least) < least:
+            parser.error(f"--{name} must be >= {least}, got {flags[name]}")
     if command == "list":
         print(
             format_table(

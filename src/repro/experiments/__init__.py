@@ -57,7 +57,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "StormResult",
         "StormVariant",
         "run_storm_comparison",
-        "run_storm_sweep",
         "storm_schedule",
     ),
     ".wish_e2e": (

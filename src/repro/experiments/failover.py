@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.testkit.harness import (
     VariantLookup,
     fault_window_end,
 )
-from repro.testkit.parallel import fanout, seed_sweep
+from repro.testkit.parallel import fanout
 from repro.workloads.faultload import TARGET_HOST
 
 #: The three stacks compared, in presentation order.
@@ -197,14 +197,3 @@ def run_failover_comparison(
             jobs=jobs,
         ),
     )
-
-
-def run_failover_sweep(
-    seeds: Iterable[int],
-    jobs: Optional[int] = None,
-    **kwargs,
-) -> list[FailoverResult]:
-    """The E11 acceptance sweep: one comparison per seed
-    (:func:`~repro.testkit.parallel.seed_sweep`); ``kwargs`` are forwarded
-    to :func:`run_failover_comparison` unchanged for every seed."""
-    return seed_sweep(run_failover_comparison, seeds, jobs=jobs, **kwargs)

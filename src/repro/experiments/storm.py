@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.admission import AdmissionConfig
 from repro.metrics.stats import Summary, summarize
@@ -50,7 +50,7 @@ from repro.testkit.harness import (
     fault_window_end,
     storm_source_names,
 )
-from repro.testkit.parallel import fanout, seed_sweep
+from repro.testkit.parallel import fanout
 from repro.workloads.faultload import TARGET_IM_SERVICE
 
 #: The two stacks compared, in presentation order.
@@ -238,14 +238,3 @@ def run_storm_comparison(
             jobs=jobs,
         ),
     )
-
-
-def run_storm_sweep(
-    seeds: Iterable[int],
-    jobs: Optional[int] = None,
-    **kwargs,
-) -> list[StormResult]:
-    """The E12 acceptance sweep: one comparison per seed
-    (:func:`~repro.testkit.parallel.seed_sweep`) — byte-identical between
-    sequential and pooled execution."""
-    return seed_sweep(run_storm_comparison, seeds, jobs=jobs, **kwargs)

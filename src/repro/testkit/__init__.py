@@ -57,7 +57,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "Violation",
         "check_shard_count_invariance",
     ),
-    ".parallel": ("SweepPool", "fanout", "sweep_pool"),
+    ".parallel": ("fanout",),
     ".schedule": (
         "Reproducer",
         "dump_reproducer",

@@ -16,17 +16,15 @@ A sweep merged from N workers is therefore byte-identical to the same
 sweep run sequentially; the ``jobs`` row of ``tests/test_knob_invariance.py``
 holds every caller to exactly that.
 
-``jobs`` resolution: an explicit ``jobs`` argument wins; otherwise an
-active :func:`sweep_pool` context (persistent workers shared by every
-``fanout`` call inside the ``with`` block); otherwise 1 (sequential,
-in-process, zero multiprocessing overhead).
+``jobs=None`` or ``1`` is sequential and in-process, with zero
+multiprocessing overhead; ``jobs > 1`` builds one pool for that call and
+closes it before returning, so no worker outlives the call.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -66,84 +64,6 @@ def _named(fn: Callable[[T], R], item: T) -> R:
         raise named from exc
 
 
-class SweepPool:
-    """A reusable process pool for repeated :func:`fanout` calls.
-
-    A one-shot ``Pool`` per ``fanout`` call is the right default for a
-    single sweep, but chained sweeps (e10+e11+e12, the e13 comparison, a
-    benchmark session) pay fork+import for every call.  A ``SweepPool``
-    keeps the workers alive across calls; since every trial is
-    self-contained and deterministic, reusing a worker cannot change any
-    result — ``tests/test_parallel_sweep.py`` pins bit-identity against
-    the one-shot path.
-
-    The underlying pool is created lazily on the first map that needs it
-    (``jobs > 1`` and at least two items), so a ``SweepPool(jobs=1)``
-    never forks at all.
-    """
-
-    def __init__(self, jobs: Optional[int] = None):
-        self.jobs = resolve_jobs(jobs)
-        self._pool = None
-        self._closed = False
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """``fanout`` semantics: item order in, item order out."""
-        if self._closed:
-            raise RuntimeError("sweep pool is closed")
-        work = list(items)
-        call = partial(_named, fn)
-        if self.jobs <= 1 or len(work) <= 1:
-            return [call(item) for item in work]
-        if self._pool is None:
-            self._pool = _pool_context().Pool(processes=self.jobs)
-        return self._pool.map(call, work, chunksize=1)
-
-    def close(self) -> None:
-        self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "SweepPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-#: The innermost active :func:`sweep_pool`, consulted by :func:`fanout`
-#: when the caller passes ``jobs=None``.
-_active_pool: Optional[SweepPool] = None
-
-
-@contextmanager
-def sweep_pool(jobs: Optional[int] = None) -> Iterator[SweepPool]:
-    """Share one persistent worker pool across every ``fanout`` inside.
-
-    ::
-
-        with sweep_pool(jobs=4):
-            run_chaos_experiment(...)      # all three sweeps reuse the
-            run_failover_comparison(...)   # same four workers
-            run_storm_comparison(...)
-
-    Call sites that pass an explicit ``jobs`` to ``fanout`` are unaffected
-    (an explicit argument always wins); nesting restores the outer pool on
-    exit.
-    """
-    global _active_pool
-    pool = SweepPool(jobs)
-    previous = _active_pool
-    _active_pool = pool
-    try:
-        yield pool
-    finally:
-        _active_pool = previous
-        pool.close()
-
-
 def fanout(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -158,10 +78,6 @@ def fanout(
     seconds-long sims, so scheduling overhead is noise and the pool
     load-balances trials of uneven duration).
 
-    With ``jobs=None`` inside an active :func:`sweep_pool` context, the
-    call reuses the context's persistent workers instead of building a
-    fresh pool.
-
     ``fn`` and each item/result must be picklable when ``jobs > 1`` (they
     cross a process boundary): module-level functions, ``functools.partial``
     over one (how the variant comparisons bind their shared arguments) and
@@ -170,24 +86,15 @@ def fanout(
     An item that raises fails the call, under either path, with an error
     that names the item's ``repr`` (see :func:`_named`).
     """
-    if jobs is None and _active_pool is not None:
-        return _active_pool.map(fn, items)
-    with SweepPool(jobs) as pool:
-        return pool.map(fn, items)
+    work = list(items)
+    call = partial(_named, fn)
+    jobs = resolve_jobs(jobs)
+    if jobs <= 1 or len(work) < 2:
+        return [call(item) for item in work]
+    pool = _pool_context().Pool(processes=jobs)
+    try:
+        return pool.map(call, work, chunksize=1)
+    finally:
+        pool.close()
+        pool.join()
 
-
-def seed_sweep(
-    run_comparison: Callable[..., R],
-    seeds: Iterable[int],
-    jobs: Optional[int] = None,
-    **kwargs,
-) -> list[R]:
-    """``run_comparison(seed, jobs=1, **kwargs)`` per seed, in seed order.
-
-    Seeds are independent (each builds its own worlds), so ``jobs > 1``
-    fans them across a process pool; the merged list is identical to a
-    sequential run's.  Nested parallelism is deliberately avoided:
-    per-seed comparisons run their variants sequentially (``jobs=1``) so
-    the pool is saturated by seeds, not oversubscribed.
-    """
-    return fanout(partial(run_comparison, jobs=1, **kwargs), seeds, jobs=jobs)

@@ -205,8 +205,8 @@ def chaos_sweep(
     ``config.replication``; the generator then targets primaries, standbys
     and the ship link independently.
 
-    ``jobs`` fans trials out across worker processes (None → the active
-    :func:`~repro.testkit.parallel.sweep_pool`, else sequential).  Results are
+    ``jobs`` fans trials out across worker processes (None or 1 →
+    sequential, see :func:`~repro.testkit.parallel.fanout`).  Results are
     merged in trial order and are identical to a sequential sweep's; with
     ``jobs > 1``, ``stage_factory``/``intensity`` must be picklable.
 

@@ -80,6 +80,23 @@ def test_undeclared_flag_is_a_usage_error(command, flag, ran):
         assert not ran
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["e1", "--seed", "-1"], "--seed"),
+    (["all", "--seed", "-1"], "--seed"),
+    (["e11", "--jobs", "0"], "--jobs"),
+    (["e13", "--users", "0"], "--users"),
+    (["e13", "--shards", "-2", "--users", "10"], "--shards"),
+], ids=" ".join)
+def test_out_of_range_flag_is_a_usage_error(argv, flag, ran, capsys):
+    """A declared flag outside its range (a negative seed, fewer than one
+    job, shard or user) exits 2 naming the flag before anything runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"error: {flag} must be >= " in capsys.readouterr().err
+    assert not ran
+
+
 def test_flag_declarations():
     accepting = {
         flag: {key for key, e in EXPERIMENTS.items() if flag in e.flags}

@@ -12,23 +12,27 @@ storm generator (primary crash, then standby crash mid-promotion, with
 link partitions) must survive the full pair-aware oracle.
 """
 
-from repro.experiments.failover import run_failover_sweep
+from functools import partial
+
+from repro.experiments.failover import run_failover_comparison
 from repro.sim.clock import MINUTE
-from repro.testkit import ChaosIntensity, chaos_sweep
+from repro.testkit import ChaosIntensity, chaos_sweep, fanout
 
 N_TRIALS = 25
 
 
 class TestFailoverAcceptanceSweep:
     def test_replicated_pair_beats_mdc_on_25_crash_schedules(self):
-        results = run_failover_sweep(
-            seeds=range(N_TRIALS),
+        comparison = partial(
+            run_failover_comparison,
+            jobs=1,
             n_users=2,
             n_crashes=1,
             window=12 * MINUTE,
             settle=10 * MINUTE,
             variants=("mdc", "replicated"),
         )
+        results = fanout(comparison, range(N_TRIALS), jobs=1)
         failures = []
         for seed, result in enumerate(results):
             replicated = result.variant("replicated")

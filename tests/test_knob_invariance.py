@@ -34,9 +34,7 @@ from repro.experiments import (
     run_failover_comparison,
     run_farm_throughput_sweep,
     run_storm_comparison,
-    run_storm_sweep,
 )
-from repro.experiments.failover import run_failover_sweep
 from repro.net.adversary import AdversaryModel
 from repro.sim.clock import MINUTE
 from repro.testkit import ChaosRunConfig, chaos_sweep, harness, run_chaos
@@ -197,19 +195,17 @@ def sweep(seed=424, jobs=1, tracing=False):
 
 
 def entry_point(fn, seed, **kwargs):
-    """A ``fanout``/``seed_sweep`` caller at test size: its whole result as
-    text (a seed sweep runs ``seed`` and the next)."""
+    """A ``fanout`` caller at test size: its whole result as text."""
 
     def scenario(seed=seed, jobs=1):
-        if "seeds" in signature(fn).parameters:
-            return repr(fn(range(seed, seed + 2), jobs=jobs, **kwargs))
         return repr(fn(seed=seed, jobs=jobs, **kwargs))
 
     return scenario
 
 
 def cli_e12(seed=0, jobs=1):
-    """``python -m repro e12 --jobs N``: the CLI's ``sweep_pool`` path."""
+    """``python -m repro e12 --jobs N``: the CLI hands ``jobs`` to the
+    run like any declared flag."""
     from repro.__main__ import main
 
     out = io.StringIO()
@@ -235,9 +231,7 @@ SCENARIOS = {
     "run_failover_comparison": entry_point(
         run_failover_comparison, 4, **FAILOVER
     ),
-    "run_failover_sweep": entry_point(run_failover_sweep, 4, **FAILOVER),
     "run_storm_comparison": entry_point(run_storm_comparison, 3, **STORM_RUN),
-    "run_storm_sweep": entry_point(run_storm_sweep, 0, **STORM_RUN),
     "run_adversarial_comparison": entry_point(run_adversarial_comparison, 0),
     "run_farm_throughput_sweep": entry_point(
         run_farm_throughput_sweep, 3, user_counts=(1, 5),
@@ -299,8 +293,7 @@ KNOBS = (
     Knob(
         "jobs", (1, 2),
         (
-            "chaos_sweep", "run_failover_comparison", "run_failover_sweep",
-            "run_storm_comparison", "run_storm_sweep",
+            "chaos_sweep", "run_failover_comparison", "run_storm_comparison",
             "run_adversarial_comparison", "run_farm_throughput_sweep",
             "cli_e12",
         ),
@@ -413,20 +406,20 @@ def test_knob_changes_nothing(knob, scenario, run, monkeypatch):
 
 
 def pool_callers() -> set[str]:
-    """Every function under ``src/repro`` that calls ``fanout`` or
-    ``seed_sweep`` (the pool's own module aside)."""
+    """Every function under ``src/repro`` that calls ``fanout`` (the
+    pool's own module aside)."""
     found = set()
     for path in Path(repro.__file__).parent.rglob("*.py"):
         text = path.read_text()
         if path.name == "parallel.py" or not re.search(
-            r"\b(fanout|seed_sweep)\(", text
+            r"\bfanout\(", text
         ):
             continue
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.FunctionDef) and any(
                 isinstance(call, ast.Call)
                 and isinstance(call.func, ast.Name)
-                and call.func.id in ("fanout", "seed_sweep")
+                and call.func.id == "fanout"
                 for call in ast.walk(node)
             ):
                 found.add(node.name)

@@ -12,10 +12,12 @@ repeats, traces and fans out without moving its fingerprint is
 ``tests/test_knob_invariance.py``.)
 """
 
+from functools import partial
+
 import pytest
 
 from repro.core.admission import AdmissionConfig
-from repro.experiments.storm import run_storm_comparison, run_storm_sweep
+from repro.experiments.storm import run_storm_comparison
 from repro.sim.clock import MINUTE
 from repro.sim.failures import FaultKind, ScheduledFault
 from repro.testkit import (
@@ -23,6 +25,7 @@ from repro.testkit import (
     StormConfig,
     StormTrafficGenerator,
     dump_reproducer,
+    fanout,
     replay_reproducer,
     run_chaos,
 )
@@ -146,7 +149,8 @@ class TestStormSweepParallel:
 
     def test_two_worker_sweeps_are_oracle_green(self):
         for seeds, kwargs in self.CASES:
-            for result in run_storm_sweep(seeds, jobs=2, **kwargs):
+            comparison = partial(run_storm_comparison, jobs=1, **kwargs)
+            for result in fanout(comparison, seeds, jobs=2):
                 assert result.ok, result.variant("hardened").violations
 
 

@@ -61,10 +61,6 @@ KEPT: dict[str, str] = {
     # Definitions.
     "repro.core.farm:BuddyFarm.delivery_summary":
         "README's 'Scaling to many users' example calls it",
-    "repro.experiments.failover:run_failover_sweep":
-        "the knob table's `jobs` row enters the E11 sweep through it",
-    "repro.experiments.storm:run_storm_sweep":
-        "the knob table's `jobs` row enters the E12 sweep through it",
     "repro.metrics.collector:LatencyCollector":
         "benchmarks/e2e freezes the src file list until ROADMAP item 4",
     "repro.metrics.recovery_report:recovery_report":
@@ -103,9 +99,9 @@ KEPT: dict[str, str] = {
     "repro.experiments.adversarial:run_adversarial_comparison(*)": _EXPERIMENT,
     "repro.experiments.aladdin_e2e:run_aladdin_disarm(*)": _EXPERIMENT,
     "repro.experiments.chaos:run_chaos_experiment(*)": _EXPERIMENT,
+    "repro.experiments.delivery_comparison:run_comparison(*)": _EXPERIMENT,
     "repro.experiments.failover:crash_schedule(*)": _EXPERIMENT,
     "repro.experiments.failover:run_failover_comparison(*)": _EXPERIMENT,
-    "repro.experiments.failover:run_failover_sweep(*)": _EXPERIMENT,
     "repro.experiments.fault_tolerance:run_fault_month(*)": _EXPERIMENT,
     "repro.experiments.fault_tolerance:run_ha_ablation(*)": _EXPERIMENT,
     "repro.experiments.fault_tolerance:run_logging_window(*)": _EXPERIMENT,
@@ -118,7 +114,6 @@ KEPT: dict[str, str] = {
     "repro.experiments.sharded:run_sharded_throughput(*)": _EXPERIMENT,
     "repro.experiments.sharded:run_sharded_comparison(*)": _EXPERIMENT,
     "repro.experiments.storm:run_storm_comparison(*)": _EXPERIMENT,
-    "repro.experiments.storm:run_storm_sweep(*)": _EXPERIMENT,
     "repro.experiments.wish_e2e:run_wish_location(*)": _EXPERIMENT,
     "repro.experiments.wish_e2e:run_wish_accuracy_sweep(*)": _EXPERIMENT,
     # Options the test tiers set.
