@@ -12,6 +12,7 @@ Run:  python examples/desktop_assistant.py
 """
 
 from repro import SimbaWorld
+from repro.core import Alert
 from repro.sim import MINUTE
 from repro.sources.desktop import DesktopAssistant
 
@@ -67,8 +68,11 @@ def main() -> None:
     world.env.process(day(world.env))
     world.run(until=90 * MINUTE)
 
-    print("\nassistant emissions:")
-    for alert in assistant.emitted:
+    # The buddy's pessimistic log is the durable record of every alert it
+    # accepted (the assistant keeps none).
+    forwarded = [Alert.decode(entry.payload) for entry in buddy.log.entries()]
+    print("\nassistant emissions, as the buddy logged them:")
+    for alert in forwarded:
         print(f"  t={alert.created_at/60:5.1f}m  [{alert.keyword}] "
               f"{alert.subject}")
     print("\nalice's devices received:")
@@ -80,7 +84,7 @@ def main() -> None:
     # (SMS + email) carried the alerts to her phone.
     channels = {r.channel.value for r in alice.receipts}
     assert "SMS" in channels, "away-from-desk alerts must reach the phone"
-    assert len(assistant.emitted) == 2  # lingering mail + reminder
+    assert len(forwarded) == 2  # lingering mail + reminder
     assert len(assistant.suppressed) == 1
 
 

@@ -51,7 +51,7 @@ def main() -> None:
         yield env.timeout(5 * MINUTE)
         print(f"[t={env.now:6.0f}s] FAULT: MAB crashes 1.5s after the next "
               "alert is acked (pessimistic-log window)")
-        portal.emit("News", "headline-during-crash", "body")
+        runs.extend(portal.emit("News", "headline-during-crash", "body")[1])
         yield env.timeout(1.5)
         buddy.current.crash()
 
@@ -97,7 +97,7 @@ def main() -> None:
     print(f"  log entries replayed   : "
           f"{buddy.journal.count('recovery_replay')}")
 
-    emitted = len(portal.emitted)
+    emitted = len(runs)  # one target: one run per alert
     received = len(alice.unique_alerts_received())
     print(f"\n=== outcome ===\n  alerts emitted {emitted}, unique received "
           f"{received}, duplicates discarded {alice.duplicates_discarded()}")

@@ -17,6 +17,7 @@ Run:  python examples/home_security.py
 
 from repro import SimbaWorld
 from repro.aladdin import AladdinHome
+from repro.core import Alert
 from repro.sim import MINUTE
 
 
@@ -72,15 +73,18 @@ def main() -> None:
     world.env.process(story(world.env))
     world.run(until=40 * MINUTE)
 
-    print("\nalert trail at the gateway:")
-    for alert in home.gateway.emitted:
+    # The buddy's pessimistic log is the durable record of every alert it
+    # accepted (the gateway keeps none).
+    trail = [Alert.decode(entry.payload) for entry in buddy.log.entries()]
+    print("\nalert trail in the buddy's log:")
+    for alert in trail:
         print(f"  t={alert.created_at:7.1f}s  [{alert.keyword:18s}] "
               f"{alert.subject}")
     print("\nparent's receipts:")
     for receipt in parent.receipts:
         print(f"  t={receipt.at:7.1f}s  via {receipt.channel.value:3s} "
               f"latency {receipt.latency:5.1f}s")
-    keywords = [a.keyword for a in home.gateway.emitted]
+    keywords = [a.keyword for a in trail]
     assert "Security Disarmed" in keywords
     assert "Sensor ON" in keywords
     assert "Sensor Broken" in keywords

@@ -51,7 +51,7 @@ def main() -> None:
 
     print("\n--- alert trace ---")
     print(render_trace(
-        trace_alert(alert.alert_id, source=portal, deployment=buddy,
+        trace_alert(alert.alert_id, alert=alert, deployment=buddy,
                     user=alice, runs=deliveries)
     ))
     assert alice.receipts, "the alert should have arrived"

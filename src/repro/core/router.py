@@ -91,6 +91,12 @@ class DeliveryOutcome:
         return None
 
 
+#: An :class:`AckTable`'s state until its first expect: shared and
+#: read-only, so an idle table allocates nothing.
+_NO_PEERS: tuple = ()
+_NO_SPILL: Mapping[tuple[str, int], int] = MappingProxyType({})
+
+
 class AckTable:
     """Pending acknowledgement events keyed by (peer address, IM seq).
 
@@ -111,15 +117,25 @@ class AckTable:
     :meth:`expect` therefore starts a fresh conversation for its key,
     clearing any stale acked state from the previous session.
 
-    Every key ever expected has one entry in ``_acked``: whether its
-    current conversation has been acked.  A key with no entry was never
-    expected, so an ack for it is unsolicited.
+    The classification needs, for every key ever expected, the state of
+    its current conversation: 1 expected, 2 acked (0, never expected, makes
+    an ack unsolicited).  The seqs come from the engine's own IM session,
+    one per submission, so they are dense, and the state lives in two
+    arrays indexed by ``seq - 1``: ``_state``, a ``bytearray``, and
+    ``_peers``, the peer whose conversation holds the slot.  When a
+    restarted session reuses a seq for another peer, the slot goes to the
+    new conversation and the one it held moves to ``_spill``, a dict keyed
+    by (peer, seq) that also takes any seq below 1.  A key costs a byte
+    and a reference to its peer's address, not an object.  The first
+    :meth:`expect` allocates the arrays and the spill.
     """
 
     def __init__(self, env: "Environment"):
         self.env = env
         self._pending: dict[tuple[str, int], Event] = {}
-        self._acked: dict[tuple[str, int], bool] = {}
+        self._state: bytes | bytearray = b""
+        self._peers: tuple | list[Optional[str]] = _NO_PEERS
+        self._spill: Mapping[tuple[str, int], int] = _NO_SPILL
         self.resolved_count = 0
         self.late_count = 0
         self.duplicate_count = 0
@@ -127,30 +143,67 @@ class AckTable:
 
     def expect(self, peer: str, seq: int) -> Event:
         event = self.env.event()
-        key = (peer, seq)
-        self._pending[key] = event
-        # Seq reuse after a session restart: this key's previous
-        # conversation (if any) is over; only acks from the new one count.
-        self._acked[key] = False
+        self._pending[(peer, seq)] = event
+        peers = self._peers
+        if peers is _NO_PEERS:
+            self._state, self._peers, self._spill = bytearray(), [], {}
+            peers = self._peers
+        index = seq - 1
+        if index >= len(peers):
+            # The session's next seq; the ones between were sent without
+            # an ack wait.
+            state = self._state
+            gap = index - len(peers)
+            if gap:
+                state.extend(bytes(gap))
+                peers.extend([None] * gap)
+            state.append(1)
+            peers.append(peer)
+        elif index < 0:
+            self._spill[(peer, seq)] = 1
+        else:
+            # Seq reuse after a session restart: this key's previous
+            # conversation (if any) is over; only acks from the new one
+            # count.  Another peer's conversation at the slot moves out.
+            held = peers[index]
+            if held != peer:
+                if held is not None:
+                    spill = self._spill
+                    spill[(held, seq)] = self._state[index]
+                    spill.pop((peer, seq), None)
+                peers[index] = peer
+            self._state[index] = 1
         return event
 
     def resolve(self, peer: str, seq: int) -> bool:
         """Called when an ack message arrives; True if someone was waiting."""
-        key = (peer, seq)
-        event = self._pending.pop(key, None)
+        event = self._pending.pop((peer, seq), None)
+        index = seq - 1
+        peers = self._peers
         if event is None or event.triggered:
-            acked = self._acked.get(key)
-            if acked:
+            if 0 <= index < len(peers) and peers[index] == peer:
+                state = self._state[index]
+                if state == 1:
+                    self._state[index] = 2
+            else:
+                spill = self._spill
+                state = spill.get((peer, seq), 0)
+                if state == 1:
+                    spill[(peer, seq)] = 2
+            if state == 2:
                 self.duplicate_count += 1
-            elif acked is None:
+            elif state == 0:
                 self.unsolicited_count += 1
             else:
                 self.late_count += 1
-                self._acked[key] = True
             return False
         event.succeed(self.env.now)
         self.resolved_count += 1
-        self._acked[key] = True
+        # An expected seq has its slot; it may hold another peer's key.
+        if index >= 0 and peers[index] == peer:
+            self._state[index] = 2
+        else:
+            self._spill[(peer, seq)] = 2
         return True
 
     def cancel(self, peer: str, seq: int) -> None:

@@ -110,11 +110,13 @@ def run_fault_month(
 
     duration = spec.duration + 2 * DAY
 
+    emitted = 0
+
     def emitter(env):
-        index = 0
+        nonlocal emitted
         while env.now < duration:
-            source.emit("News", f"headline {index}", "body")
-            index += 1
+            source.emit("News", f"headline {emitted}", "body")
+            emitted += 1
             yield env.timeout(alert_period)
 
     world.env.process(emitter(world.env))
@@ -151,7 +153,7 @@ def run_fault_month(
         rejuvenations=len(deployment.journal.rejuvenations),
         recovery_replays=deployment.journal.count("recovery_replay"),
         unrecovered=unrecovered,
-        alerts_emitted=len(source.emitted),
+        alerts_emitted=emitted,
         alerts_received=len(received),
         duplicates_at_user=user.duplicates_discarded(),
         user_latency=summarize(

@@ -95,7 +95,7 @@ def run_wish_location(
         world.env, "wish", world.create_source_endpoint("wish"), server
     )
     service.authorize("victor", "boss")
-    service.request_tracking(
+    request = service.request_tracking(
         "boss",
         "victor",
         {
@@ -127,7 +127,7 @@ def run_wish_location(
     return WishE2EResult(
         report_to_im=summarize(samples),
         moves=n_moves,
-        alerts=len(service.emitted),
+        alerts=request.alerts_sent,
         mean_confidence=(
             sum(confidences) / len(confidences) if confidences else 0.0
         ),

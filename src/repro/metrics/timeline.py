@@ -16,9 +16,9 @@ from repro.core.router import BlockStatus
 from repro.sim.clock import format_time
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.alert import Alert
     from repro.core.router import DeliveryRun
     from repro.core.user_endpoint import UserEndpoint
-    from repro.sources.base import AlertSource
     from repro.world import BuddyDeployment
 
 
@@ -36,7 +36,7 @@ class TraceEvent:
 
 def trace_alert(
     alert_id: str,
-    source: Optional["AlertSource"] = None,
+    alert: Optional["Alert"] = None,
     deployment: Optional["BuddyDeployment"] = None,
     user: Optional["UserEndpoint"] = None,
     runs: Iterable["DeliveryRun"] = (),
@@ -45,8 +45,10 @@ def trace_alert(
 
     Pass whichever parties you have; missing ones are simply skipped.
 
-    - ``source``: the emission line only.  The source keeps no delivery
-      outcomes, so the block lines need ``runs``.
+    - ``alert``: the :class:`~repro.core.alert.Alert` the source's
+      ``emit``/``emit_to`` returned, for the emission line.  The source
+      keeps neither its alerts nor their outcomes, so the block lines
+      need ``runs``.
     - ``runs``: the delivery runs the source's ``emit``/``deliver``
       returned, as returned.  For each ended run of this alert to a MAB,
       one line per block, stamped when that block started (the delivery's
@@ -60,15 +62,13 @@ def trace_alert(
     """
     events: list[TraceEvent] = []
 
-    if source is not None:
-        for alert in source.emitted:
-            if alert.alert_id == alert_id:
-                events.append(
-                    TraceEvent(
-                        alert.created_at, "source",
-                        f"emitted {alert.keyword!r}: {alert.subject!r}",
-                    )
-                )
+    if alert is not None and alert.alert_id == alert_id:
+        events.append(
+            TraceEvent(
+                alert.created_at, "source",
+                f"emitted {alert.keyword!r}: {alert.subject!r}",
+            )
+        )
     for run in runs:
         if run.correlation != alert_id or not run.triggered:
             continue

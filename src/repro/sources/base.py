@@ -33,9 +33,10 @@ class AlertSource:
 
     Delivery is one delivery-mode execution through the source's endpoint
     per (alert, book).  Its :class:`DeliveryOutcome` belongs to the
-    :class:`DeliveryRun` that :meth:`deliver` returns: the source keeps no
-    history of them (what makes an alert durable is the buddy's pessimistic
-    log, §4.2.1).  ``targets`` are the books :meth:`emit` broadcasts to;
+    :class:`DeliveryRun` that :meth:`deliver` returns, and the alert is the
+    one :meth:`emit` and :meth:`emit_to` return: the source keeps no history
+    of either (what makes an alert durable is the buddy's pessimistic log,
+    §4.2.1).  ``targets`` are the books :meth:`emit` broadcasts to;
     :meth:`emit_to` addresses one book it is handed.
     """
 
@@ -51,7 +52,6 @@ class AlertSource:
         self.endpoint = endpoint
         self.mode = mode if mode is not None else im_ack_then_email()
         self.targets: list[AddressBook] = []
-        self.emitted: list[Alert] = []
 
     def add_target(self, book: AddressBook) -> None:
         """Subscribe one MyAlertBuddy (by its source-facing address book)."""
@@ -97,7 +97,6 @@ class AlertSource:
         a :class:`DeliveryOutcome`).
         """
         alert = self.make_alert(keyword, subject, body, severity)
-        self.emitted.append(alert)
         return alert, [self.deliver(alert, book) for book in self.targets]
 
     def emit_to(
@@ -116,7 +115,6 @@ class AlertSource:
         broadcast over ``targets``.
         """
         alert = self.make_alert(keyword, subject, body, severity, alert_id=alert_id)
-        self.emitted.append(alert)
         return alert, self.deliver(alert, book)
 
     def deliver(self, alert: Alert, book: AddressBook) -> DeliveryRun:

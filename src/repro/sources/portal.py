@@ -78,7 +78,6 @@ class LegacyEmailAlertService:
         #: MSN-Mobile style: ``[Keyword]`` in the subject.
         self.keyword_in_sender = keyword_in_sender
         self.targets: list[str] = []
-        self.emitted: list[Alert] = []
 
     def add_target(self, email_address: str) -> None:
         """Subscribe a recipient address (a MAB email address, usually)."""
@@ -107,7 +106,6 @@ class LegacyEmailAlertService:
             severity=severity,
             keyword_field="sender" if self.keyword_in_sender else "subject",
         )
-        self.emitted.append(alert)
         for target in self.targets:
             self.email_service.send(
                 sender,

@@ -174,5 +174,4 @@ class WISHAlertService(AlertSource):
         )
         if report_sent_at is not None:
             self.provenance[alert.alert_id] = report_sent_at
-        self.emitted.append(alert)
         self.deliver(alert, request.target_book)

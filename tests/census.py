@@ -11,11 +11,13 @@ faults per hour.  A failing run's class is its signature:
 One row per class: the count of runs, their ``seed@rate`` list and one
 example alert, named by its subject.  The table is a pure function of the grid, so a
 fate-neutral change prints it byte for byte; a behaviour change names the
-classes it grows or empties.
+classes it grows or empties.  EXPERIMENTS E10 commits the table; CI
+fails when this tree's differs from it.
 
     python tests/census.py    # seeds 12-41, two worker processes
 """
 
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -124,6 +126,21 @@ def census(seeds=SEEDS) -> str:
             f"{seeds_at} | {runs[0][0]}@{runs[0][1]} {runs[0][2]}"
         )
     return "\n".join(lines)
+
+
+def committed(experiments=ROOT / "EXPERIMENTS.md") -> str:
+    """EXPERIMENTS E10's committed census table, as :func:`census` prints
+    it: the count line, then each Markdown row without its outer bars."""
+    section = experiments.read_text().split("\n## E10 ", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    section = section.split("### The chaos census", 1)[1]
+    count = re.search(r"(\d+ of \d+ runs fail \([^)]*\))", section)
+    rows = [
+        line[2:-2]
+        for line in section.splitlines()
+        if line.startswith("| ") and line.endswith(" |")
+    ]
+    return "\n".join([f"census: {count.group(1)}", *rows])
 
 
 if __name__ == "__main__":

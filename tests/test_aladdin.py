@@ -18,6 +18,7 @@ from repro.aladdin.sss import (
 from repro.errors import ConfigurationError
 from repro.net import LatencyModel
 from repro.sim import Environment, MINUTE, RngRegistry
+from tests.recorders import record_alerts
 
 FAST_NET = LatencyModel(median=0.1, sigma=0.0, low=0.0, high=1.0)
 
@@ -246,10 +247,10 @@ class TestAladdinHomeChain:
         )
         endpoint.start()
         home = AladdinHome(env, rngs, endpoint)
-        return env, home
+        return env, home, record_alerts(home.gateway)
 
     def test_disarm_chain_reaches_gateway_and_emits_alert(self):
-        env, home = self._home()
+        env, home, emitted = self._home()
 
         def scenario(env):
             yield env.timeout(10.0)
@@ -259,11 +260,11 @@ class TestAladdinHomeChain:
         env.run(until=60.0)
         assert home.security.armed is False
         assert home.security.transitions == [("disarmed", False)]
-        keywords = [a.keyword for a in home.gateway.emitted]
+        keywords = [a.keyword for a in emitted]
         assert keywords == ["Security Disarmed"]
 
     def test_water_sensor_trip_emits_critical_alert(self):
-        env, home = self._home()
+        env, home, emitted = self._home()
         sensor = home.add_sensor("Basement Water", critical=True,
                                  refresh_period=30.0)
 
@@ -273,13 +274,13 @@ class TestAladdinHomeChain:
 
         env.process(scenario(env))
         env.run(until=90.0)
-        keywords = [a.keyword for a in home.gateway.emitted]
+        keywords = [a.keyword for a in emitted]
         assert "Sensor ON" in keywords
-        subjects = [a.subject for a in home.gateway.emitted]
+        subjects = [a.subject for a in emitted]
         assert "Basement Water Sensor ON" in subjects
 
     def test_noncritical_sensor_does_not_alert(self):
-        env, home = self._home()
+        env, home, emitted = self._home()
         sensor = home.add_sensor("Hallway Motion", critical=False,
                                  refresh_period=30.0)
 
@@ -289,10 +290,10 @@ class TestAladdinHomeChain:
 
         env.process(scenario(env))
         env.run(until=90.0)
-        assert all(a.keyword != "Sensor ON" for a in home.gateway.emitted)
+        assert all(a.keyword != "Sensor ON" for a in emitted)
 
     def test_dead_battery_triggers_sensor_broken(self):
-        env, home = self._home()
+        env, home, emitted = self._home()
         sensor = home.add_sensor(
             "Garage Door", critical=True, refresh_period=20.0, max_missed=2
         )
@@ -303,7 +304,7 @@ class TestAladdinHomeChain:
 
         env.process(scenario(env))
         env.run(until=10 * MINUTE)
-        keywords = [a.keyword for a in home.gateway.emitted]
+        keywords = [a.keyword for a in emitted]
         assert "Sensor Broken" in keywords
 
     def test_disarm_latency_in_paper_range(self):
@@ -311,7 +312,7 @@ class TestAladdinHomeChain:
         # takes seconds (order 5-15), not milliseconds and not minutes.
         latencies = []
         for seed in range(5):
-            env, home = self._home(seed=seed)
+            env, home, emitted = self._home(seed=seed)
             pressed_at = {}
 
             def scenario(env):
@@ -321,9 +322,8 @@ class TestAladdinHomeChain:
 
             env.process(scenario(env))
             env.run(until=120.0)
-            assert home.gateway.emitted, f"seed {seed}: no alert emitted"
-            emitted = home.gateway.emitted[0].created_at
-            latencies.append(emitted - pressed_at["t"])
+            assert emitted, f"seed {seed}: no alert emitted"
+            latencies.append(emitted[0].created_at - pressed_at["t"])
         mean = sum(latencies) / len(latencies)
         assert 3.0 < mean < 15.0
 
@@ -383,18 +383,18 @@ class TestGatewayDetails:
         gateway = AladdinGateway(
             env, "aladdin", endpoint, store, rng=rngs.stream("gw"),
         )
-        return env, store, gateway
+        return env, store, gateway, record_alerts(gateway)
 
     def test_security_alert_severity_important(self):
         from repro.core import AlertSeverity
         from repro.aladdin.gateway import AladdinGateway
 
-        env, store, gateway = self._gateway_rig()
+        env, store, gateway, emitted = self._gateway_rig()
         store.create("security.armed", AladdinGateway.SECURITY_TYPE, True,
                      3600.0, 10**6)
         store.write("security.armed", False)
         env.run(until=30.0)
-        (alert,) = gateway.emitted
+        (alert,) = emitted
         assert alert.severity is AlertSeverity.IMPORTANT
         assert alert.keyword == "Security Disarmed"
 
@@ -402,33 +402,33 @@ class TestGatewayDetails:
         from repro.core import AlertSeverity
         from repro.aladdin.gateway import AladdinGateway
 
-        env, store, gateway = self._gateway_rig()
+        env, store, gateway, emitted = self._gateway_rig()
         gateway.declare_critical("Water")
         store.create("Water", AladdinGateway.SENSOR_TYPE, "ON", 3600.0, 10**6)
         store.write("Water", "OFF")
         env.run(until=30.0)
-        (alert,) = gateway.emitted
+        (alert,) = emitted
         assert alert.keyword == "Sensor OFF"
         assert alert.severity is AlertSeverity.ROUTINE
 
     def test_refresh_event_does_not_alert(self):
         from repro.aladdin.gateway import AladdinGateway
 
-        env, store, gateway = self._gateway_rig()
+        env, store, gateway, emitted = self._gateway_rig()
         gateway.declare_critical("Water")
         store.create("Water", AladdinGateway.SENSOR_TYPE, "OFF", 3600.0, 10**6)
         store.refresh("Water")
         env.run(until=30.0)
-        assert gateway.emitted == []
+        assert emitted == []
 
     def test_undeclared_sensor_timeout_still_alerts_broken(self):
         # Sensor Broken applies to any sensor-typed variable, critical or
         # not: a silently dead device is a maintenance problem either way.
-        env, store, gateway = self._gateway_rig()
+        env, store, gateway, emitted = self._gateway_rig()
         from repro.aladdin.gateway import AladdinGateway
 
         store.create("Hallway Motion", AladdinGateway.SENSOR_TYPE, "OFF",
                      1.0, 0)
         env.run(until=60.0)
-        keywords = [a.keyword for a in gateway.emitted]
+        keywords = [a.keyword for a in emitted]
         assert "Sensor Broken" in keywords

@@ -7,6 +7,7 @@ from repro.aladdin.remote_admin import RemoteHomeAdmin
 from repro.aladdin.sss import SoftStateStore
 from repro.net import EmailService, LatencyModel
 from repro.sim import Environment, MINUTE, RngRegistry
+from tests.recorders import record_alerts
 
 FAST = LatencyModel(median=2.0, sigma=0.0, low=0.0, high=10.0)
 
@@ -123,6 +124,7 @@ class TestDesktopMailboxWatcher:
             idle_threshold=5 * MINUTE,
         )
         assistant.add_target(deployment.source_facing_book())
+        emitted = record_alerts(assistant)
         deployment.config.classifier.accept_source("desktop")
         assistant.watch_mailbox(world.email, "alice-desktop@mail",
                                 interval=MINUTE)
@@ -132,14 +134,14 @@ class TestDesktopMailboxWatcher:
                          importance="high")
         assistant.record_activity()
         world.run(until=2 * MINUTE)
-        assert assistant.emitted == []
+        assert emitted == []
 
         # User walks away; after the idle threshold the watcher forwards
         # the STILL-unread high-importance mail, exactly once.
         world.run(until=20 * MINUTE)
-        assert len(assistant.emitted) == 1
+        assert len(emitted) == 1
         world.run(until=40 * MINUTE)
-        assert len(assistant.emitted) == 1  # no duplicates
+        assert len(emitted) == 1  # no duplicates
         assert len(user.receipts) == 1
 
     def test_normal_importance_never_watched(self):
@@ -153,7 +155,8 @@ class TestDesktopMailboxWatcher:
             world.env, "desktop", world.create_source_endpoint("desktop"),
             idle_threshold=1.0,
         )
+        emitted = record_alerts(assistant)
         assistant.watch_mailbox(world.email, "x@mail", interval=30.0)
         world.email.send("a@mail", "x@mail", "fyi", "b", importance="normal")
         world.run(until=10 * MINUTE)
-        assert assistant.emitted == []
+        assert emitted == []

@@ -112,15 +112,17 @@ class TestBurstStress:
         source.add_target(deployment.source_facing_book())
         deployment.config.classifier.accept_source("portal")
 
-        for index in range(100):
-            source.emit("News", f"burst {index}", "b")
+        emitted = [
+            source.emit("News", f"burst {index}", "b")[0]
+            for index in range(100)
+        ]
         world.run(until=2 * 3600)
         # A same-instant burst of 100 overwhelms the 0.5 s/alert log-before-
         # ack pipeline, so some sources time out and fall back to email —
         # copies race and arrive out of order.  The guarantee that must
         # survive is exactly-once delivery of every alert.
         received = {r.alert_id for r in user.receipts if not r.duplicate}
-        assert received == {a.alert_id for a in source.emitted}
+        assert received == {a.alert_id for a in emitted}
         assert len(received) == 100
 
     def test_paced_stream_stays_in_fifo_order(self):
@@ -134,16 +136,18 @@ class TestBurstStress:
         source.add_target(deployment.source_facing_book())
         deployment.config.classifier.accept_source("portal")
 
+        emitted = []
+
         def emitter(env):
             for index in range(40):
-                source.emit("News", f"h{index}", "b")
+                emitted.append(source.emit("News", f"h{index}", "b")[0])
                 yield env.timeout(45.0)  # slower than MAB's service time
 
         world.env.process(emitter(world.env))
         world.run(until=3600)
         received = [r for r in user.receipts if not r.duplicate]
         assert [r.alert_id for r in received] == [
-            a.alert_id for a in source.emitted
+            a.alert_id for a in emitted
         ]
 
     def test_burst_does_not_leak_ack_entries(self):

@@ -831,11 +831,13 @@ def test_a_cycle_per_tenant_breaks_the_shard_heap_budget():
 # The third budget.  An alert that has finished still leaves records: its
 # log entry, journal lines, receipts, the oracle's observation.  Each is a
 # slotted value with one owner and no empty containers.  A delivery's
-# outcome belongs to its run, so neither an engine nor a source keeps a
-# history of outcomes, and a channel keeps exact latency aggregates, not
-# one float per message (DESIGN §6d).  The census runs a storm at the e2e
-# benchmark's tiny size and is taken inside the oracle's audit, while the
-# whole world — sources included — is still alive: the run's peak.
+# outcome belongs to its run and an alert to whoever emitted it, so
+# neither an engine nor a source keeps a history of outcomes or alerts; an
+# ack table keeps a byte per ack race, not an object; and a channel keeps
+# exact latency aggregates, not one float per message (DESIGN §6d).  The
+# census runs a storm at the e2e benchmark's tiny size and is taken inside
+# the oracle's audit, while the whole world — sources included — is still
+# alive: the run's peak.
 
 #: The records an offered alert leaves alive (one or more of some of them).
 PER_ALERT_RECORDS = (
@@ -855,12 +857,17 @@ STORM = ChaosRunConfig(
     ),
 )
 STORM_OFFERED = 538
-#: Entries in the live ``AckTable._acked`` dicts at the census: one per ack
+#: (peer, seq) keys the live ack tables classify at the census: one per ack
 #: race a live IM session has had, kept until the key recurs (about 1.69
-#: per offered alert; a resolved entry is what tells a late duplicate ack
-#: from an unsolicited one).  It grows per alert (ROADMAP item 10), so it
-#: is pinned exactly: a change that grows it re-pins here on purpose.
+#: per offered alert; a resolved key is what tells a late duplicate ack
+#: from an unsolicited one).  Each costs a byte of ``AckTable._state`` and
+#: a reference to its peer's address, which the books hold anyway: the
+#: bound is that the tables hold no object for them (907 dict entries,
+#: each a key tuple, while the table was a dict).
 STORM_ACKED = 907
+#: Live ``Alert``s at the census: the log keeps each alert's wire text,
+#: and a source keeps none of the alerts it emits.
+STORM_ALERTS = 0
 
 
 def _defined_in_repro(cls) -> bool:
@@ -868,8 +875,48 @@ def _defined_in_repro(cls) -> bool:
     return isinstance(module, str) and module.startswith("repro.")
 
 
+def ack_table_objects(table) -> int:
+    """Objects ``table`` holds for the keys it has seen: whatever its
+    containers other than the open waits (``_pending``) reference, less
+    its peers' addresses."""
+    held = set()
+    for name, value in vars(table).items():
+        if name != "_pending" and isinstance(value, (dict, list, set, tuple)):
+            held.update(map(id, gc.get_referents(value)))
+    return len(held - {id(peer) for peer in getattr(table, "_peers", ())})
+
+
+def ack_table_breaches(tables) -> tuple[int, list[str]]:
+    """``(keys, breaches)`` of ``(ack table, IM manager)`` pairs: a table
+    holds no object per key and no spill, and its state array is no
+    longer than its engine's IM session has seqs."""
+    keys = objects = spilled = overlong = 0
+    for table, manager in tables:
+        state = getattr(table, "_state", b"")
+        spill = getattr(table, "_spill", {})
+        keys += len(state) - state.count(0) + len(spill)
+        objects += ack_table_objects(table)
+        spilled += len(spill)
+        session = manager.client._session if manager is not None else None
+        seqs = session._next_seq - 1 if session is not None else 0
+        overlong += len(state) > seqs
+    breaches = []
+    if objects:
+        breaches.append(
+            f"the AckTables hold {objects} objects for {keys} keys, "
+            "none allowed"
+        )
+    if spilled:
+        breaches.append(f"the AckTable spills hold {spilled} keys")
+    if overlong:
+        breaches.append(
+            f"{overlong} AckTable state arrays outgrow their IM session"
+        )
+    return keys, breaches
+
+
 def storm_residue():
-    """``(offered, live instances by class, ack-table entries, the
+    """``(offered, live instances by class, ack-table keys, the
     breaches)`` of a storm run."""
 
     class CensusOracle(DeliveryOracle):
@@ -891,8 +938,9 @@ def storm_residue():
                 | set(getattr(o, "__dict__", ()))
                 if isinstance(getattr(o, name), list)
             }
-            self.acked = sum(
-                len(o._acked) for o in live if isinstance(o, AckTable)
+            self.acked, self.ack_breaches = ack_table_breaches(
+                (engine.acks, engine.managers.get("IM"))
+                for engine in self.engines
             )
             del live
             return super().check(farm, offered=offered, **kwargs)
@@ -918,22 +966,22 @@ def storm_residue():
     assert oracle.sources, "the census saw no alert source"
     if any(hasattr(source, "outcomes") for source in oracle.sources):
         breaches.append("an AlertSource keeps its outcomes")
+    if any(hasattr(source, "emitted") for source in oracle.sources):
+        breaches.append("an AlertSource keeps what it emitted")
     breaches += sorted(f"{name} holds a list" for name in oracle.listing)
-    if oracle.acked != STORM_ACKED:
-        breaches.append(
-            f"AckTable._acked holds {oracle.acked} entries for "
-            f"{oracle.offered} offered alerts, pinned at {STORM_ACKED}"
-        )
+    breaches += oracle.ack_breaches
     return oracle.offered, oracle.counts, oracle.acked, breaches
 
 
 def test_an_alert_leaves_only_lean_records():
-    offered, counts, _acked, breaches = storm_residue()
+    offered, counts, acked, breaches = storm_residue()
     assert offered == STORM_OFFERED
+    assert acked == STORM_ACKED
     assert breaches == []
-    # Taken at the peak: every alert's log entry and source copy is live.
-    assert counts[LogEntry] == offered and counts[Alert] >= offered
-    # ...but no finished delivery's outcome: it died with its run.
+    # Taken at the peak: every alert's log entry is live, its Alert is not.
+    assert counts[LogEntry] == offered
+    assert counts[Alert] == STORM_ALERTS
+    # ...and no finished delivery's outcome: it died with its run.
     assert counts[DeliveryOutcome] == counts[BlockOutcome] == 0
 
 
@@ -945,17 +993,46 @@ def test_a_table_that_keeps_resolved_events_breaks_the_ack_pin(monkeypatch):
             event = self._pending.get((peer, seq))
             resolved = super().resolve(peer, seq)
             if resolved:
-                self._acked[("resolved", peer, seq)] = event
+                self.__dict__.setdefault("resolved", {})[peer, seq] = event
             return resolved
 
     monkeypatch.setattr("repro.core.router.AckTable", HoardingAckTable)
-    offered, _counts, acked, breaches = storm_residue()
-    assert acked > STORM_ACKED
-    # (The hoarded events also outnumber the offered alerts.)
-    assert (
-        f"AckTable._acked holds {acked} entries for {offered} offered "
-        f"alerts, pinned at {STORM_ACKED}"
-    ) in breaches
+    _offered, _counts, acked, breaches = storm_residue()
+    assert acked == STORM_ACKED
+    # A key tuple and an event per resolved race.
+    assert ack_objects(breaches) > acked
+
+
+def ack_objects(breaches) -> int:
+    """The object count of the one ack-table object breach."""
+    (held,) = [b for b in breaches if b.startswith("the AckTables hold")]
+    return int(held.split()[3])
+
+
+def test_a_dict_per_key_ack_table_breaks_the_residue_budget(monkeypatch):
+    from tests.test_ack_table_equivalence import DictAckTable
+
+    monkeypatch.setattr("repro.core.router.AckTable", DictAckTable)
+    _offered, _counts, _acked, breaches = storm_residue()
+    assert len(breaches) == 1
+    # A key tuple per key, and the shared True it maps to.
+    assert ack_objects(breaches) > STORM_ACKED
+
+
+def test_a_source_that_keeps_what_it_emitted_breaks_the_residue_budget(
+    monkeypatch,
+):
+    make_alert = AlertSource.make_alert
+
+    def hoarding_make_alert(self, *args, **kwargs):
+        alert = make_alert(self, *args, **kwargs)
+        self.__dict__.setdefault("emitted", []).append(alert)
+        return alert
+
+    monkeypatch.setattr(AlertSource, "make_alert", hoarding_make_alert)
+    offered, counts, _acked, breaches = storm_residue()
+    assert counts[Alert] >= offered
+    assert breaches == ["an AlertSource keeps what it emitted"]
 
 
 def test_a_source_that_keeps_its_outcomes_breaks_the_residue_budget(

@@ -27,25 +27,10 @@ from repro.wish import (
     WISHServer,
 )
 from repro.world import SimbaWorld, WorldConfig
+from tests.recorders import record_alerts, record_runs
 
 IM_FIXED = LatencyModel(median=0.4, sigma=0.0, low=0.0, high=10.0)
 EMAIL_FAST = LatencyModel(median=20.0, sigma=0.5, low=2.0, high=600.0)
-
-
-def record_runs(source):
-    """Every delivery run ``source`` starts, in order: a source keeps no
-    outcomes, and these emit on their own, so the test wraps ``deliver``
-    (which ``emit`` and ``emit_to`` call)."""
-    runs = []
-    deliver = source.deliver
-
-    def recording(alert, book):
-        run = deliver(alert, book)
-        runs.append(run)
-        return run
-
-    source.deliver = recording
-    return runs
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +140,14 @@ def full_day():
             ("home", home.gateway), ("wish", wish), ("assistant", assistant),
         )
     }
+    alerts = {
+        name: record_alerts(source)
+        for name, source in (
+            ("portal", portal), ("legacy", legacy), ("proxy", proxy),
+            ("community", community), ("home", home.gateway), ("wish", wish),
+            ("assistant", assistant),
+        )
+    }
 
     # ---- the day's script ----
     def script(env):
@@ -204,12 +197,12 @@ def full_day():
         "portal": portal, "legacy": legacy, "proxy": proxy,
         "community": community, "home": home, "wish": wish,
         "assistant": assistant,
-    }, runs
+    }, runs, alerts
 
 
 class TestFullDay:
     def test_every_source_type_delivered(self, full_day):
-        world, alice, buddy, mdc, sources, _runs = full_day
+        world, alice, buddy, mdc, sources, _runs, alerts = full_day
         routed = {
             event.detail for event in buddy.journal.events
             if event.kind == "routed"
@@ -217,21 +210,15 @@ class TestFullDay:
         assert routed  # something was routed
         received_ids = alice.unique_alerts_received()
         # One alert from each of the seven producers reached alice.
-        for name, source in sources.items():
-            emitted = getattr(source, "emitted", None)
-            if name == "home":
-                emitted = source.gateway.emitted
+        for name, emitted in alerts.items():
             assert emitted, f"{name} emitted nothing"
             assert any(a.alert_id in received_ids for a in emitted), (
                 f"no alert from {name} reached the user"
             )
 
     def test_critical_flood_alert_timely(self, full_day):
-        world, alice, buddy, mdc, sources, _runs = full_day
-        flood = next(
-            a for a in sources["home"].gateway.emitted
-            if a.keyword == "Sensor ON"
-        )
+        world, alice, buddy, mdc, sources, _runs, alerts = full_day
+        flood = next(a for a in alerts["home"] if a.keyword == "Sensor ON")
         (receipt,) = [
             r for r in alice.receipts
             if r.alert_id == flood.alert_id and not r.duplicate
@@ -240,19 +227,19 @@ class TestFullDay:
         assert receipt.latency < 10.0
 
     def test_hang_repaired_by_sanity_checks(self, full_day):
-        world, alice, buddy, mdc, sources, _runs = full_day
+        world, alice, buddy, mdc, sources, _runs, _alerts = full_day
         assert buddy.endpoint.im_manager.stats.restarts >= 1
         assert world.im.presence.is_online(buddy.im_address)
 
     def test_nightly_rejuvenation_happened(self, full_day):
-        world, alice, buddy, mdc, sources, _runs = full_day
+        world, alice, buddy, mdc, sources, _runs, _alerts = full_day
         from repro.core.rejuvenation import RejuvenationKind
 
         kinds = [r.kind for r in buddy.journal.rejuvenations]
         assert RejuvenationKind.NIGHTLY in kinds
 
     def test_no_acknowledged_alert_lost(self, full_day):
-        world, alice, buddy, mdc, sources, runs = full_day
+        world, alice, buddy, mdc, sources, runs, _alerts = full_day
         # Every SIMBA source delivered, and every delivery ended.
         assert all(runs.values()), [n for n, r in runs.items() if not r]
         outcomes = [run.value for started in runs.values() for run in started]
@@ -272,7 +259,7 @@ class TestFullDay:
     def test_recovery_report_renders(self, full_day):
         from repro.metrics import recovery_report
 
-        world, alice, buddy, mdc, sources, _runs = full_day
+        world, alice, buddy, mdc, sources, _runs, _alerts = full_day
         report = recovery_report(buddy, mdc=mdc, user=alice)
         assert "IM simple re-logons" in report
         assert "alerts routed" in report

@@ -12,6 +12,7 @@ from repro.sources.proxy import AlertProxy
 from repro.sources.webserver import PageNotFound
 from repro.sources.webstore import NotAMember
 from repro.world import SimbaWorld, WorldConfig
+from tests.recorders import record_alerts
 
 IM_FIXED = LatencyModel(median=0.4, sigma=0.0, low=0.0, high=10.0)
 EMAIL_FIXED = LatencyModel(median=30.0, sigma=0.0, low=0.0, high=100.0)
@@ -101,6 +102,7 @@ class TestAlertProxy:
     def test_change_detection_emits_alert(self):
         world, user, deployment = rigged_world(["Election"])
         proxy = self._proxy(world, deployment)
+        emitted = record_alerts(proxy)
         site = SimulatedWebSite(world.env, "cnn.com")
         site.publish("/florida", "<votes>100</votes>")
         proxy.add_rule(
@@ -109,20 +111,21 @@ class TestAlertProxy:
         proxy.start()
         site.schedule_updates("/florida", [(25.0, "<votes>150</votes>")])
         world.run(until=2 * MINUTE)
-        assert len(proxy.emitted) == 1
-        assert proxy.emitted[0].keyword == "Election"
-        assert proxy.emitted[0].body == "150"
+        assert len(emitted) == 1
+        assert emitted[0].keyword == "Election"
+        assert emitted[0].body == "150"
         assert len(user.receipts) == 1
 
     def test_first_poll_is_baseline_no_alert(self):
         world, user, deployment = rigged_world(["Election"])
         proxy = self._proxy(world, deployment)
+        emitted = record_alerts(proxy)
         site = SimulatedWebSite(world.env, "cnn.com")
         site.publish("/p", "<v>1</v>")
         proxy.add_rule(ProxyRule(site, "/p", 5.0, "<v>", "</v>", "Election"))
         proxy.start()
         world.run(until=MINUTE)
-        assert proxy.emitted == []
+        assert emitted == []
 
     def test_unchanged_content_never_alerts(self):
         world, user, deployment = rigged_world(["Election"])
@@ -138,13 +141,14 @@ class TestAlertProxy:
     def test_extraction_failures_counted_not_fatal(self):
         world, user, deployment = rigged_world(["Election"])
         proxy = self._proxy(world, deployment)
+        emitted = record_alerts(proxy)
         site = SimulatedWebSite(world.env, "cnn.com")
         site.publish("/p", "markers gone")
         rule = proxy.add_rule(ProxyRule(site, "/p", 5.0, "<v>", "</v>", "Election"))
         proxy.start()
         world.run(until=MINUTE)
         assert rule.extraction_failures > 0
-        assert proxy.emitted == []
+        assert emitted == []
 
     def test_stop_halts_polling(self):
         world, user, deployment = rigged_world(["Election"])
@@ -315,6 +319,7 @@ class TestCommunityProxyIntegration:
             world.env, "proxy", world.create_source_endpoint("proxy")
         )
         proxy.add_target(deployment.source_facing_book())
+        emitted = record_alerts(proxy)
         deployment.config.classifier.accept_source("proxy")
         proxy.add_rule(
             ProxyRule(site, "/family-circle", 15.0, "<albums>", "</albums>",
@@ -328,8 +333,8 @@ class TestCommunityProxyIntegration:
 
         world.env.process(scenario(world.env))
         world.run(until=5 * MINUTE)
-        assert len(proxy.emitted) == 1
-        assert "beach.jpg" in proxy.emitted[0].body
+        assert len(emitted) == 1
+        assert "beach.jpg" in emitted[0].body
         assert len(user.receipts) == 1
 
 

@@ -30,7 +30,7 @@ def test_happy_path_trace_has_all_hops():
     world, user, deployment, source = make_rig()
     alert, runs = source.emit("News", "headline", "body")
     world.run(until=MINUTE)
-    events = trace_alert(alert.alert_id, source=source,
+    events = trace_alert(alert.alert_id, alert=alert,
                          deployment=deployment, user=user,
                          runs=runs)
     actors = [e.actor for e in events]
@@ -54,7 +54,7 @@ def test_fallback_trace_shows_failed_block():
     alert, runs = source.emit("News", "during outage", "body")
     world.run(until=30 * MINUTE)
     text = render_trace(
-        trace_alert(alert.alert_id, source=source,
+        trace_alert(alert.alert_id, alert=alert,
                     deployment=deployment, user=user,
                     runs=runs)
     )
@@ -85,7 +85,7 @@ def test_fallback_block_is_stamped_when_it_started():
 
 def test_unknown_alert_renders_placeholder():
     world, user, deployment, source = make_rig()
-    assert render_trace(trace_alert("no-such-alert", source=source,
+    assert render_trace(trace_alert("no-such-alert",
                                     deployment=deployment, user=user)) == (
         "(no events recorded for this alert)"
     )

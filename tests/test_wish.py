@@ -20,6 +20,7 @@ from repro.wish import (
 from repro.wish.alerts import NotAuthorized
 from repro.wish.radio import signal_distance
 from repro.wish.server import ClientReport
+from tests.recorders import record_alerts
 
 
 def office_plan():
@@ -233,13 +234,12 @@ class TestAlertService:
         request = service.request_tracking(
             "boss", "victor", {LocationTrigger.MOVE_REGION}, self._book()
         )
+        emitted = record_alerts(service)
         rig.client.start()
         rig.client.walk([(20.0, (30, 10))])  # west-wing -> east-wing at t=20
         rig.env.run(until=60.0)
         assert request.alerts_sent == 1
-        assert any(
-            "west-wing -> east-wing" in a.body for a in service.emitted
-        )
+        assert any("west-wing -> east-wing" in a.body for a in emitted)
 
     def test_leave_and_enter_building(self):
         rig = Rig(shadowing=0.0)
@@ -251,11 +251,12 @@ class TestAlertService:
             {LocationTrigger.LEAVE_BUILDING, LocationTrigger.ENTER_BUILDING},
             self._book(),
         )
+        emitted = record_alerts(service)
         rig.client.start()
         rig.client.walk([(20.0, None), (40.0, (5, 5))])
         rig.env.run(until=80.0)
         assert request.alerts_sent == 2
-        keywords = [a.keyword for a in service.emitted]
+        keywords = [a.keyword for a in emitted]
         assert "Location leave_building" in keywords
         assert "Location enter_building" in keywords
 
